@@ -34,6 +34,10 @@ __all__ = ["main", "run", "run_all_checks"]
 
 SCHEMA = 1
 
+#: pass thresholds of the representation residuals reported by rep_suite
+REP_GATES = {"homomorphism": 1e-8, "unitarity": 1e-8,
+             "commutators": 1e-9, "casimir": 1e-9}
+
 
 def _emit_json(payload: dict, stream) -> None:
     payload = {"schema": SCHEMA, **payload}
@@ -137,9 +141,7 @@ def suite_reps(params: ModelParams, seed: int, trials: int = 200) -> dict:
     for family in ("A", "B", "C"):
         rep = _rep_for_family(family, params)
         res = ir.rep_suite(rep, trials=trials, seed=seed)
-        res["pass"] = (res["homomorphism"] <= 1e-8 and res["unitarity"] <= 1e-8
-                       and res["commutators"] <= 1e-9
-                       and res["casimir"] <= 1e-9)
+        res["pass"] = all(res[k] <= tol for k, tol in REP_GATES.items())
         ok = ok and res["pass"]
         report[family] = res
     return {"families": report, "pass": ok}
@@ -221,8 +223,8 @@ def suite_dynamics(params: ModelParams, seed: int, m: float = 1.0) -> dict:
     vals = [dy.expectation_total_energy(cs, 0.0, t) for t in taus]
     tau_star, v_star = dy.total_energy_minimum(cs, 0.0)
     grid_min = float(taus[int(np.argmin(vals))])
-    min_ok = (abs(grid_min - tau_star) <= (taus[1] - taus[0])
-              and abs(min(vals) - v_star) <= 1e-10)
+    min_ok = bool(abs(grid_min - tau_star) <= (taus[1] - taus[0])
+                  and abs(min(vals) - v_star) <= 1e-10)
     ok = worst_dev <= 1e-6 and worst_norm <= 1e-8 and worst_exp <= 1e-6 \
         and min_ok
     return {"closed_vs_oracle": worst_dev, "norm_drift": worst_norm,
@@ -263,6 +265,28 @@ def _add_common(sp):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse turns a ValueError raised by a type into a usage error
+    # naming the type: "argument --span: invalid samples value: '0:1'"
+    def covector(text):
+        return CoadjointPoint(tuple(float(t) for t in text.split(",")))
+
+    def samples(text):
+        x0, x1, n = text.split(":")
+        return np.linspace(float(x0), float(x1), int(n))
+
+    def count(text):
+        if int(text) < 1:
+            raise ValueError(text)
+        return int(text)
+
+    def packet(text):
+        kind, _, rest = text.partition(":")
+        if kind != "gaussian":
+            raise ValueError(kind)
+        opts = dict(kv.split("=") for kv in rest.split(",") if kv)
+        return dy.gaussian_spectral(float(opts.get("E0", 0.0)),
+                                    float(opts.get("sigma", 1.0)))
+
     ap = argparse.ArgumentParser(
         prog="poincare-ext",
         description="verification suites for the extended Poincare toolkit")
@@ -281,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orbsub = sp.add_subparsers(dest="orbit_cmd", required=True)
     c = orbsub.add_parser("classify")
     _add_common(c)
-    c.add_argument("--zeta", required=True, help="u0,u1,u2,u3")
+    c.add_argument("--zeta", required=True, type=covector, help="u0,u1,u2,u3")
     c = orbsub.add_parser("check", help="subordination + maximality sweep")
     _add_common(c)
 
@@ -297,11 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
         c.add_argument("--zeta0", type=float, default=1.0)
         c.add_argument("--zeta1", type=float, default=0.3)
         if name == "verify":
-            c.add_argument("--trials", type=int, default=200)
+            c.add_argument("--trials", type=count, default=200)
         else:
             c.add_argument("--g", required=True, help="t0,t1,a,b")
             c.add_argument("--probe", default="hermite:0")
-            c.add_argument("--emit-samples", default="-4:4:81",
+            c.add_argument("--emit-samples", default="-4:4:81", type=samples,
                            help="x0:x1:n  (CSV columns: x, Re, Im)")
 
     sp = sub.add_parser("quantize", help="quantization checks and operators")
@@ -320,8 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ptilde0", type=float, default=-2.0)
     sp.add_argument("--tau0", type=float, default=0.0)
     sp.add_argument("--tau", type=float, default=2.0)
-    sp.add_argument("--packet", default="gaussian:E0=0,sigma=1")
-    sp.add_argument("--grid", type=int, default=400)
+    sp.add_argument("--packet", default="gaussian:E0=0,sigma=1", type=packet)
+    sp.add_argument("--grid", type=count, default=400)
     sp.add_argument("--emit", choices=("csv", "json"), default="csv")
 
     sp = sub.add_parser("trajectory", help="classical trajectory table")
@@ -330,21 +354,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q1", type=float, default=0.0)
     sp.add_argument("--ptilde0", type=float, default=0.0)
     sp.add_argument("--tau0", type=float, default=0.0)
-    sp.add_argument("--span", default="0:10:100", help="tau0:tau1:n")
+    sp.add_argument("--span", default="0:10:100", type=samples,
+                    help="tau0:tau1:n")
 
     sp = sub.add_parser("all-checks", help="every verification suite")
     _add_common(sp)
 
     return ap
-
-
-def _parse_packet(text: str):
-    kind, _, rest = text.partition(":")
-    if kind != "gaussian":
-        raise ValueError(f"unknown packet kind {kind!r}")
-    opts = dict(kv.split("=") for kv in rest.split(",") if kv)
-    return dy.gaussian_spectral(float(opts.get("E0", 0.0)),
-                                float(opts.get("sigma", 1.0)))
 
 
 def _open_output(args):
@@ -354,7 +370,8 @@ def _open_output(args):
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    ap = _build_parser()
+    args = ap.parse_args(argv)
     params = _params(args)
     stream, close = _open_output(args)
     code = 0
@@ -366,15 +383,16 @@ def run(argv=None) -> int:
 
         elif args.cmd == "cohomology":
             sc = coh.catalog_algebra(args.algebra, B=params.B)
-            dim = coh.cohomology_dim(args.degree, sc)
+            try:
+                dim = coh.cohomology_dim(args.degree, sc)
+            except ValueError as exc:
+                ap.error(f"argument --degree: {exc}")
             _emit_json({"algebra": args.algebra, "degree": args.degree,
                         "dim": dim}, stream)
 
         elif args.cmd == "orbit":
             if args.orbit_cmd == "classify":
-                zeta = CoadjointPoint(tuple(float(t)
-                                            for t in args.zeta.split(",")))
-                cls = orb.classify(zeta, params)
+                cls = orb.classify(args.zeta, params)
                 _emit_json({"tag": cls.tag, "labels": cls.labels,
                             "orbit_dim": cls.orbit_dim}, stream)
             else:
@@ -386,10 +404,7 @@ def run(argv=None) -> int:
             rep = _rep_for_family(args.family, params, args)
             if args.rep_cmd == "verify":
                 res = ir.rep_suite(rep, trials=args.trials, seed=args.seed)
-                res["pass"] = (res["homomorphism"] <= 1e-8
-                               and res["unitarity"] <= 1e-8
-                               and res["commutators"] <= 1e-9
-                               and res["casimir"] <= 1e-9)
+                res["pass"] = all(res[k] <= tol for k, tol in REP_GATES.items())
                 _emit_json(res, stream)
                 code = 0 if res["pass"] else 1
             else:
@@ -398,10 +413,8 @@ def run(argv=None) -> int:
                 if kind != "hermite":
                     raise ValueError(f"unknown probe kind {kind!r}")
                 f = hermite_wf(int(idx or 0))
-                out = ir.rep_apply(rep, g, f)
-                x0, x1, n = args.emit_samples.split(":")
-                xs = np.linspace(float(x0), float(x1), int(n))
-                vals = out(xs)
+                xs = args.emit_samples
+                vals = ir.rep_apply(rep, g, f)(xs)
                 stream.write("x,re,im\n")
                 for x, v in zip(xs, np.atleast_1d(vals)):
                     stream.write(f"{float(x)!r},{float(v.real)!r},"
@@ -414,17 +427,20 @@ def run(argv=None) -> int:
                 _emit_json(rep, stream)
                 code = 0 if rep["pass"] and rep["classical"]["pass"] else 1
             else:
-                op = qz.quantize(qz.parse_poly(args.poly), params)
+                try:
+                    poly = qz.parse_poly(args.poly)
+                except ValueError as exc:
+                    ap.error(f"argument --poly: {exc}")
+                op = qz.quantize(poly, params)
                 _emit_json({"poly": args.poly, "operator": op.describe()},
                            stream)
 
         elif args.cmd == "evolve":
             cs = dy.ClassicalState(args.q1, args.ptilde0, args.tau0, args.m,
                                    params)
-            c0 = _parse_packet(args.packet)
-            grid = dy.default_e_grid(cs, c0, args.tau, n=args.grid)
-            grid, c = dy.oracle_propagate(cs, c0, args.tau, grid)
-            cf = dy.c_closed_form(cs, grid, args.tau, c0)
+            grid = dy.default_e_grid(cs, args.packet, args.tau, n=args.grid)
+            grid, c = dy.oracle_propagate(cs, args.packet, args.tau, grid)
+            cf = dy.c_closed_form(cs, grid, args.tau, args.packet)
             dev = np.abs(cf - c)
             if args.emit == "csv":
                 stream.write("E,re_c,im_c,abs2_c,closed_form_deviation\n")
@@ -439,9 +455,8 @@ def run(argv=None) -> int:
         elif args.cmd == "trajectory":
             cs = dy.ClassicalState(args.q1, args.ptilde0, args.tau0, args.m,
                                    params)
-            t0, t1, n = args.span.split(":")
             stream.write("tau,q0,q1,ptilde,proper_time\n")
-            for tau in np.linspace(float(t0), float(t1), int(n)):
+            for tau in args.span:
                 tau = float(tau)
                 q0v, q1v, pt = dy.classical_trajectory(cs, tau)
                 stream.write(f"{tau!r},{q0v!r},{q1v!r},{pt!r},"

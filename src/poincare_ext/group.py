@@ -8,20 +8,20 @@ brackets are
     [P_a, J] = sqrt(-h) eps_a^b P_b,   [P_a, P_b] = B eps_{ab} I,
 
 with J and I commuting with I.  The group is solvable exponential, so
-exp is a global diffeomorphism and every operation here is total.
+exp is a global diffeomorphism; exp and log are evaluated in closed form
+and every operation here is total.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .conventions import (
     EPS_LOWER,
     EPS_MIXED_LOWER,
-    EPS_MIXED_UPPER,
     SQRT_MINUS_H,
     lorentz_matrix,
     minkowski_square,
@@ -56,11 +56,10 @@ def _finite(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Central charge B, hbar, and the fixed metric bookkeeping."""
+    """Central charge B and hbar."""
 
     B: float = 1.0
     hbar: float = 1.0
-    sqrt_minus_h: float = SQRT_MINUS_H
 
     def __post_init__(self):
         if self.B == 0:
@@ -118,11 +117,6 @@ class GroupElement:
     def array(self) -> np.ndarray:
         return np.array([self.theta0, self.theta1, self.alpha, self.beta])
 
-    @staticmethod
-    def from_array(arr) -> "GroupElement":
-        t0, t1, a, b = np.asarray(arr, dtype=float)
-        return GroupElement(t0, t1, a, b)
-
 
 @dataclass(frozen=True)
 class CoadjointPoint:
@@ -161,8 +155,8 @@ def structure_constants(p: ModelParams) -> np.ndarray:
     # [P_a, J] = sqrt(-h) eps_a^b P_b
     for a in range(2):
         for b in range(2):
-            c[b, a, 2] = p.sqrt_minus_h * EPS_MIXED_LOWER[a, b]
-            c[b, 2, a] = -p.sqrt_minus_h * EPS_MIXED_LOWER[a, b]
+            c[b, a, 2] = SQRT_MINUS_H * EPS_MIXED_LOWER[a, b]
+            c[b, 2, a] = -SQRT_MINUS_H * EPS_MIXED_LOWER[a, b]
     # [P_a, P_b] = B eps_{ab} I
     for a in range(2):
         for b in range(2):
@@ -205,55 +199,46 @@ def inverse(g: GroupElement, p: ModelParams = ModelParams()) -> GroupElement:
     return GroupElement(theta_inv[0], theta_inv[1], -g.alpha, beta_inv)
 
 
+def _phi(x: float) -> float:
+    """expm1(x) / x, continued by phi(0) = 1."""
+    return math.expm1(x) / x if x else 1.0
+
+
+#: 1/(2k+3)!, k = 8..0: (sinh a - a)/a^2 = sum_k a^(2k+1)/(2k+3)! to round-off
+#: for |a| < 1, where the direct quotient would lose up to 6 eps/a^2
+_SINH_SERIES = [1.0 / math.factorial(n) for n in range(19, 2, -2)]
+
+
+def _sinh_defect(a: float) -> float:
+    """(sinh a - a) / a^2."""
+    if abs(a) < 1.0:
+        return a * float(np.polyval(_SINH_SERIES, a * a))
+    return (math.sinh(a) - a) / (a * a)
+
+
 def exp_map(x: AlgebraElement, p: ModelParams = ModelParams()) -> GroupElement:
-    """Exponential map, a global diffeomorphism onto the group.
+    """Exponential map in closed form, a global diffeomorphism onto the group.
 
-    Closed forms are used on the nilradical span{P0, P1, I} (where the
-    central cocycle term integrates to zero) and along J; the generic
-    direction integrates the left-invariant flow g'(t) = dL_g(X) with an
-    adaptive 8th-order scheme.
+    alpha = V^2 and theta integrates Lambda(s alpha) V over s in [0, 1];
+    Lambda is diagonal in light-cone components, so with phi(x) = expm1(x)/x
+
+        theta0 - theta1 = (V0 - V1) phi(alpha),
+        theta0 + theta1 = (V0 + V1) phi(-alpha),
+        beta = V^3 + (B/2) (V0^2 - V1^2) (sinh alpha - alpha) / alpha^2.
     """
-    v = x.array
-    if v[2] == 0.0:
-        # wh direction: exp(t(V^a P_a + V^3 I)) = (tV^0, tV^1, 0, tV^3)
-        return GroupElement(v[0], v[1], 0.0, v[3])
-    if v[0] == 0.0 and v[1] == 0.0:
-        return GroupElement(0.0, 0.0, v[2], v[3])
-
-    def rhs(_t, y):
-        lam = lorentz_matrix(y[2])
-        dtheta = lam @ v[:2]
-        dbeta = v[3] + (p.B / 2.0) * y[:2] @ EPS_LOWER @ dtheta
-        return [dtheta[0], dtheta[1], v[2], dbeta]
-
-    sol = solve_ivp(rhs, (0.0, 1.0), [0.0, 0.0, 0.0, 0.0], method="DOP853",
-                    rtol=1e-12, atol=1e-14)
-    if not sol.success:  # pragma: no cover - DOP853 on smooth rhs
-        raise RuntimeError(f"exp_map integration failed: {sol.message}")
-    return GroupElement.from_array(sol.y[:, -1])
+    v0, v1, alpha, v3 = x.v
+    minus = (v0 - v1) * _phi(alpha)
+    plus = (v0 + v1) * _phi(-alpha)
+    beta = v3 + 0.5 * p.B * (v0 - v1) * (v0 + v1) * _sinh_defect(alpha)
+    return GroupElement(0.5 * (plus + minus), 0.5 * (plus - minus), alpha, beta)
 
 
-def log_map(g: GroupElement, p: ModelParams = ModelParams(),
-            tol: float = 1e-12, max_iter: int = 50) -> AlgebraElement:
-    """Inverse of exp_map by Newton iteration (the group is exponential)."""
-    target = g.array
-    x = target.copy()  # coset coordinates are a good first guess
-    for _ in range(max_iter):
-        fx = exp_map(AlgebraElement(x), p).array - target
-        if np.max(np.abs(fx)) < tol:
-            return AlgebraElement(x)
-        jac = np.zeros((4, 4))
-        h = 1e-6 * (1.0 + np.abs(x))
-        for j in range(4):
-            xp = x.copy()
-            xp[j] += h[j]
-            xm = x.copy()
-            xm[j] -= h[j]
-            jac[:, j] = (exp_map(AlgebraElement(xp), p).array
-                         - exp_map(AlgebraElement(xm), p).array) / (2 * h[j])
-        x = x - np.linalg.solve(jac, fx)
-    raise RuntimeError("log_map Newton iteration did not converge; "
-                       "this signals a numerical fault, not a domain gap")
+def log_map(g: GroupElement, p: ModelParams = ModelParams()) -> AlgebraElement:
+    """Inverse of exp_map in closed form; phi > 0, so it is total."""
+    minus = (g.theta0 - g.theta1) / _phi(g.alpha)
+    plus = (g.theta0 + g.theta1) / _phi(-g.alpha)
+    v3 = g.beta - 0.5 * p.B * minus * plus * _sinh_defect(g.alpha)
+    return AlgebraElement(0.5 * (plus + minus), 0.5 * (plus - minus), g.alpha, v3)
 
 
 def adjoint_matrix(g: GroupElement, p: ModelParams = ModelParams()) -> np.ndarray:
@@ -263,11 +248,11 @@ def adjoint_matrix(g: GroupElement, p: ModelParams = ModelParams()) -> np.ndarra
     ad = np.zeros((4, 4))
     ad[:2, :2] = lam
     # column J, rows a: theta^c eps_c^a sqrt(-h)
-    ad[:2, 2] = p.sqrt_minus_h * (t @ EPS_MIXED_LOWER)
+    ad[:2, 2] = SQRT_MINUS_H * (t @ EPS_MIXED_LOWER)
     ad[2, 2] = 1.0
     # row I: B theta^c eps_{cd} Lambda^d_b  |  -(B / 2 sqrt(-h)) theta^a theta_a
     ad[3, :2] = p.B * (t @ EPS_LOWER @ lam)
-    ad[3, 2] = -(p.B / (2.0 * p.sqrt_minus_h)) * minkowski_square(t)
+    ad[3, 2] = -(p.B / (2.0 * SQRT_MINUS_H)) * minkowski_square(t)
     ad[3, 3] = 1.0
     return ad
 
@@ -282,37 +267,30 @@ def coadjoint_action(g: GroupElement, zeta: CoadjointPoint,
 def casimir_pairing(u, p: ModelParams = ModelParams()) -> float:
     """u^A u_A = u^a u_a - 2 (B / sqrt(-h)) u_2 u_3."""
     arr = u.array if hasattr(u, "array") else np.asarray(u, dtype=float)
-    return minkowski_square(arr[:2]) - 2.0 * (p.B / p.sqrt_minus_h) * arr[2] * arr[3]
+    return minkowski_square(arr[:2]) - 2.0 * (p.B / SQRT_MINUS_H) * arr[2] * arr[3]
 
 
 # ---------------------------------------------------------------------------
 # structural classification
 
 
-def _span_dim(vectors, tol: float = 1e-10) -> int:
-    mat = np.array([v for v in vectors])
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def row_and_null_space(mat, rcond: float = 1e-10):
+    """Orthonormal bases, as rows, of the row space and the null space of mat.
+
+    Singular values at most rcond times the largest one count as zero.
+    """
+    _, s, vt = np.linalg.svd(mat)
+    rank = int(np.sum(s > rcond * s[0])) if s.size else 0
+    return vt[:rank], vt[rank:]
 
 
 def _bracket_span(basis_a, basis_b, p: ModelParams):
     """Orthonormal basis of span{[x, y] : x in A, y in B}."""
-    prods = []
-    for a in basis_a:
-        for b in basis_b:
-            prods.append(bracket(AlgebraElement(a), AlgebraElement(b), p).array)
-    mat = np.array(prods)
-    if mat.size == 0:
+    prods = [bracket(AlgebraElement(a), AlgebraElement(b), p).array
+             for a in basis_a for b in basis_b]
+    if not prods:
         return np.zeros((0, 4))
-    u_, s, vt = np.linalg.svd(mat)
-    if s.size == 0 or s[0] == 0:
-        return np.zeros((0, 4))
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    return vt[:rank]
+    return row_and_null_space(prods)[0]
 
 
 def structural_report(p: ModelParams = ModelParams(), samples: int = 1000,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .group import (
     AlgebraElement,
@@ -20,8 +19,9 @@ from .group import (
     ModelParams,
     bracket,
     casimir_pairing,
+    row_and_null_space,
 )
-from .conventions import minkowski_square
+from .conventions import SQRT_MINUS_H, minkowski_square
 
 __all__ = [
     "OrbitClass",
@@ -85,7 +85,7 @@ class Subalgebra:
 
     def annihilator(self) -> np.ndarray:
         """Basis (rows) of the annihilator of the span in the dual space."""
-        return null_space(self.matrix).T
+        return row_and_null_space(self.matrix, rcond=0.0)[1]  # basis is independent
 
 
 def CASE_A_SUBALGEBRA(p: ModelParams = ModelParams()) -> Subalgebra:
@@ -122,8 +122,8 @@ def kirillov_form(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> np.nd
 
 def stability_subalgebra(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> Subalgebra:
     """Kernel of the Kirillov form; orbit dimension is 4 minus its dimension."""
-    kern = null_space(kirillov_form(zeta, p), rcond=1e-10)
-    return Subalgebra(tuple(AlgebraElement(kern[:, i]) for i in range(kern.shape[1])),
+    kern = row_and_null_space(kirillov_form(zeta, p), rcond=1e-10)[1]
+    return Subalgebra(tuple(AlgebraElement(row) for row in kern),
                       name=f"stab({zeta.u})", params=p)
 
 
@@ -173,8 +173,8 @@ def on_orbit(mu: CoadjointPoint, zeta: CoadjointPoint,
     if cls.tag == "CaseA":
         if abs(u3 - zeta.u[3]) > tol * scale:
             return False
-        want_u2 = (minkowski_square([u0, u1]) * p.sqrt_minus_h / (2 * p.B * u3)
-                   - cls.labels["casimir"] * p.sqrt_minus_h / (2 * p.B * u3))
+        want_u2 = (minkowski_square([u0, u1]) * SQRT_MINUS_H / (2 * p.B * u3)
+                   - cls.labels["casimir"] * SQRT_MINUS_H / (2 * p.B * u3))
         return abs(u2 - want_u2) <= tol * (1.0 + abs(want_u2))
     if cls.tag == "CaseB":
         return bool(np.max(np.abs(mu.array - zeta.array)) <= tol * scale)

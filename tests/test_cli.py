@@ -2,6 +2,20 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from poincare_ext import cli
+
+#: values that parse as strings but are malformed for their option
+MALFORMED = (
+    ("orbit", "classify", "--zeta=1,2,3"),
+    ("trajectory", "--span=0:1"),
+    ("evolve", "--packet=foo"),
+    ("evolve", "--grid=0"),
+    ("cohomology", "--degree=9"),
+    ("quantize", "op", "--poly=q^3"),
+)
+
 
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "poincare_ext.cli", *argv],
@@ -78,11 +92,36 @@ def test_evolve_json():
     assert payload["max_deviation"] < 1e-8
 
 
-def test_usage_error_exit_2():
+def test_usage_error_exit_2(capsys):
     code, _, err = run_cli("bogus-subcommand")
     assert code == 2
     code, _, err = run_cli("cohomology", "--no-such-flag")
     assert code == 2
+    for argv in MALFORMED:
+        with pytest.raises(SystemExit) as exc:
+            cli.run(list(argv))
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("poincare-ext"), argv
+
+
+def test_all_checks_negative_B_emits_json(capsys):
+    # at B = -0.5 the minimum tau* = -4 lies off the scanned grid, so the
+    # dynamics minimum check fails: exit 1 with a complete report
+    assert cli.run(["all-checks", "--B", "-0.5"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is False
+    assert payload["dynamics"]["minimum_located"] is False
+    assert all(payload[name]["pass"] for name in payload
+               if isinstance(payload[name], dict) and name != "dynamics")
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, poincare_ext.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_seed_determinism_byte_identical(tmp_path):

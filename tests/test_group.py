@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from poincare_ext.conventions import EPS_LOWER, lorentz_matrix
 from poincare_ext.group import (
     AlgebraElement,
     CoadjointPoint,
@@ -23,9 +29,50 @@ from poincare_ext.group import (
 
 P = ModelParams()
 
+#: central charges spanning six decades on both signs
+B_VALUES = (-1e3, -1.0, -1e-3, 1e-3, 1.0, 1e3)
+
 
 def rand_g(rng, box=2.0):
     return GroupElement(*rng.uniform(-box, box, size=4))
+
+
+def exp_ode(x, p):
+    """Reference exp: integrate the left-invariant flow g'(t) = dL_g(X)."""
+    v = x.array
+
+    def rhs(_t, y):
+        dtheta = lorentz_matrix(y[2]) @ v[:2]
+        dbeta = v[3] + (p.B / 2.0) * y[:2] @ EPS_LOWER @ dtheta
+        return [dtheta[0], dtheta[1], v[2], dbeta]
+
+    sol = solve_ivp(rhs, (0.0, 1.0), [0.0, 0.0, 0.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y[:, -1]
+
+
+def roundoff_scale(x, g, p):
+    """Size of the quantities whose rounding a round trip carries.
+
+    beta holds the central term (B/2)(V0^2 - V1^2)(...), recovered from
+    theta0 +- theta1, so an error of one ulp in theta moves V^3 by up to
+    about |B| |theta|^2 ulps.
+    """
+    theta = float(np.max(np.abs(g.theta)))
+    return max(1.0, float(np.max(np.abs(x.array))),
+               float(np.max(np.abs(g.array))), abs(p.B) * theta * theta)
+
+
+def algebra_elements(alpha):
+    comp = st.floats(-2.0, 2.0)
+    return st.builds(AlgebraElement, comp, comp, alpha, comp)
+
+
+#: boost angles: generic, inside the series branch of exp/log, and zero
+ALPHAS = st.one_of(st.floats(-3.0, 3.0), st.floats(-2e-3, 2e-3), st.just(0.0))
+PARAMS = st.sampled_from([ModelParams(B=b) for b in B_VALUES])
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 def test_model_params_validation():
@@ -82,12 +129,65 @@ def test_exp_log_roundtrip():
         assert np.max(np.abs(back.array - g.array)) < 1e-8
 
 
+@pytest.mark.parametrize("B", B_VALUES)
+def test_exp_matches_ode_reference(B):
+    p = ModelParams(B=B)
+    rng = np.random.default_rng(12)
+    # generic angles, the series branch, zero, and both sides of |alpha| = 1
+    # where exp switches from the series to the direct quotient
+    alphas = np.concatenate([
+        rng.uniform(-3.0, 3.0, 8), rng.uniform(-2e-3, 2e-3, 8), np.zeros(2),
+        rng.uniform(0.9, 1.1, 6) * rng.choice((-1.0, 1.0), 6)])
+    for alpha in alphas:
+        v0, v1, v3 = rng.uniform(-2.0, 2.0, 3)
+        x = AlgebraElement(v0, v1, alpha, v3)
+        ref = exp_ode(x, p)
+        gap = np.max(np.abs(exp_map(x, p).array - ref))
+        assert gap <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+@PROPERTY
+@given(x=algebra_elements(ALPHAS), p=PARAMS)
+def test_log_inverts_exp(x, p):
+    g = exp_map(x, p)
+    back = log_map(g, p)
+    assert np.max(np.abs(back.array - x.array)) <= 1e-12 * roundoff_scale(x, g, p)
+
+
+@PROPERTY
+@given(t0=st.floats(-5.0, 5.0), t1=st.floats(-5.0, 5.0), alpha=ALPHAS,
+       beta=st.floats(-5.0, 5.0), p=PARAMS)
+def test_exp_inverts_log(t0, t1, alpha, beta, p):
+    g = GroupElement(t0, t1, alpha, beta)
+    x = log_map(g, p)
+    back = exp_map(x, p)
+    assert np.max(np.abs(back.array - g.array)) <= 1e-12 * roundoff_scale(x, g, p)
+
+
+@PROPERTY
+@given(x=algebra_elements(st.floats(-1.5, 1.5)), s=st.floats(-1.0, 1.0),
+       t=st.floats(-1.0, 1.0), p=PARAMS)
+def test_one_parameter_subgroup(x, s, t, p):
+    lhs = compose(exp_map(s * x, p), exp_map(t * x, p), p)
+    rhs = exp_map((s + t) * x, p)
+    # compose adds (B/2) theta_s eps Lambda theta_t, up to about
+    # |B| |V_P|^2 exp(2 |alpha|) in size however small the result is
+    scale = roundoff_scale((s + t) * x, rhs, p) + abs(p.B) * math.exp(
+        2.0 * abs(x.v[2])) * float(np.max(np.abs(x.array[:2]))) ** 2
+    assert np.max(np.abs(lhs.array - rhs.array)) <= 1e-12 * scale
+
+
 def test_exp_closed_forms():
     # pure translations/center exponentiate to themselves
     g = exp_map(AlgebraElement((0.4, -0.7, 0.0, 1.2)), P)
     assert np.max(np.abs(g.array - np.array([0.4, -0.7, 0.0, 1.2]))) < 1e-12
     g = exp_map(AlgebraElement((0.0, 0.0, 0.9, 0.0)), P)
     assert np.max(np.abs(g.array - np.array([0.0, 0.0, 0.9, 0.0]))) < 1e-12
+    # on each basis axis exp is exact, which the generator checks rely on
+    for k in range(4):
+        for t in (1e-2, -2.5e-3, 0.7):
+            v = tuple(t if i == k else 0.0 for i in range(4))
+            assert exp_map(AlgebraElement(v), P).array.tolist() == list(v)
 
 
 def test_adjoint_is_homomorphism():
