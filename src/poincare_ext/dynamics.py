@@ -24,7 +24,7 @@ import numpy as np
 
 from .group import ModelParams
 from .quantization import PolynomialObservable, QuantOperator, quantize
-from .wavefunctions import WaveFunction, integrate_vec
+from .wavefunctions import WaveFunction, gauss_legendre, integrate_vec
 
 __all__ = [
     "ClassicalState",
@@ -149,8 +149,7 @@ def h0_eigenfunction(E: float, params: ModelParams,
             return amp * (d1 * d1 - 1j * B / h) * phase
         return f
 
-    return WaveFunction(closure(0), (closure(1), closure(2)),
-                        0.0, width, "generic")
+    return WaveFunction(closure(0), (closure(1), closure(2)), 0.0, width)
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +285,7 @@ def _project_oracle_a(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
     lo, hi = X - 14.0 * w, X + 14.0 * w
 
     def project(n_panels):
-        nodes, weights = np.polynomial.legendre.leggauss(32)
-        edges = np.linspace(lo, hi, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        x = (mid[:, None] + half * nodes[None, :]).ravel()
-        wts = np.broadcast_to(half * weights, (n_panels, 32)).ravel()
+        x, wts = gauss_legendre(lo, hi, n_panels)
         # <E|psi> with the conjugate eigenfunction phase
         kern = np.exp(1j * (np.outer(e_grid, x) + 0.5 * B * x * x) / h) \
             / math.sqrt(2.0 * math.pi * h)

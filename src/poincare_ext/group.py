@@ -15,6 +15,7 @@ and every operation here is total.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,9 +200,38 @@ def inverse(g: GroupElement, p: ModelParams = ModelParams()) -> GroupElement:
     return GroupElement(theta_inv[0], theta_inv[1], -g.alpha, beta_inv)
 
 
+#: log of the largest float; beyond it e^x overflows and expm1, sinh raise
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _phi(x: float) -> float:
     """expm1(x) / x, continued by phi(0) = 1."""
     return math.expm1(x) / x if x else 1.0
+
+
+def _exp_times(x: float, c: float) -> float:
+    """c e^x, with e^x in two halves so that a finite product survives."""
+    if c == 0.0:
+        return 0.0
+    try:
+        half = math.exp(0.5 * x)
+    except OverflowError:
+        return math.copysign(math.inf, c)
+    return c * half * half
+
+
+def _phi_times(c: float, x: float) -> float:
+    """c phi(x); past _LOG_MAX, phi(x) = e^x / x to round-off."""
+    if x <= _LOG_MAX:
+        return c * _phi(x)
+    return _exp_times(x, c / x)
+
+
+def _phi_divide(c: float, x: float) -> float:
+    """c / phi(x); past _LOG_MAX, 1 / phi(x) = x e^-x to round-off."""
+    if x <= _LOG_MAX:
+        return c / _phi(x)
+    return _exp_times(-x, c * x)
 
 
 #: 1/(2k+3)!, k = 8..0: (sinh a - a)/a^2 = sum_k a^(2k+1)/(2k+3)! to round-off
@@ -216,6 +246,18 @@ def _sinh_defect(a: float) -> float:
     return (math.sinh(a) - a) / (a * a)
 
 
+def _sinh_defect_times(c: float, a: float) -> float:
+    """c (sinh a - a) / a^2; past _LOG_MAX, sinh a = sign(a) e^|a| / 2."""
+    if abs(a) <= _LOG_MAX:
+        return c * _sinh_defect(a)
+    return _exp_times(abs(a), math.copysign(0.5, a) * c / (a * a))
+
+
+def _overflow_check(what: str, alpha: float, *values: float) -> None:
+    if not math.isfinite(sum(values)):
+        raise ValueError(f"{what} overflows the float range at alpha = {alpha!r}")
+
+
 def exp_map(x: AlgebraElement, p: ModelParams = ModelParams()) -> GroupElement:
     """Exponential map in closed form, a global diffeomorphism onto the group.
 
@@ -225,20 +267,35 @@ def exp_map(x: AlgebraElement, p: ModelParams = ModelParams()) -> GroupElement:
         theta0 - theta1 = (V0 - V1) phi(alpha),
         theta0 + theta1 = (V0 + V1) phi(-alpha),
         beta = V^3 + (B/2) (V0^2 - V1^2) (sinh alpha - alpha) / alpha^2.
+
+    Past |alpha| = 709.78 a factor e^|alpha| remains; ValueError where the
+    result overflows.
     """
     v0, v1, alpha, v3 = x.v
-    minus = (v0 - v1) * _phi(alpha)
-    plus = (v0 + v1) * _phi(-alpha)
-    beta = v3 + 0.5 * p.B * (v0 - v1) * (v0 + v1) * _sinh_defect(alpha)
+    minus = _phi_times(v0 - v1, alpha)
+    plus = _phi_times(v0 + v1, -alpha)
+    beta = v3 + _sinh_defect_times(0.5 * p.B * (v0 - v1) * (v0 + v1), alpha)
+    _overflow_check("exp_map", alpha, minus, plus, beta)
     return GroupElement(0.5 * (plus + minus), 0.5 * (plus - minus), alpha, beta)
 
 
 def log_map(g: GroupElement, p: ModelParams = ModelParams()) -> AlgebraElement:
-    """Inverse of exp_map in closed form; phi > 0, so it is total."""
-    minus = (g.theta0 - g.theta1) / _phi(g.alpha)
-    plus = (g.theta0 + g.theta1) / _phi(-g.alpha)
-    v3 = g.beta - 0.5 * p.B * minus * plus * _sinh_defect(g.alpha)
-    return AlgebraElement(0.5 * (plus + minus), 0.5 * (plus - minus), g.alpha, v3)
+    """Inverse of exp_map in closed form; phi > 0, so it is defined everywhere.
+
+    ValueError where the result overflows.  The central term divides exp's (sinh a - a) / a^2 by phi(a) phi(-a) =
+    4 sinh^2(a/2) / a^2; past |alpha| = 709.78 the quotient
+    (sinh a - a) / (4 sinh^2(a/2)) is sign(a) / 2 to round-off.
+    """
+    a = g.alpha
+    minus = _phi_divide(g.theta0 - g.theta1, a)
+    plus = _phi_divide(g.theta0 + g.theta1, -a)
+    if abs(a) <= _LOG_MAX:
+        v3 = g.beta - 0.5 * p.B * minus * plus * _sinh_defect(a)
+    else:
+        v3 = g.beta - 0.5 * p.B * (g.theta0 - g.theta1) * (g.theta0 + g.theta1) \
+            * math.copysign(0.5, a)
+    _overflow_check("log_map", a, minus, plus, v3)
+    return AlgebraElement(0.5 * (plus + minus), 0.5 * (plus - minus), a, v3)
 
 
 def adjoint_matrix(g: GroupElement, p: ModelParams = ModelParams()) -> np.ndarray:

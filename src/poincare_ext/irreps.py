@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .conventions import SQRT_MINUS_H
 from .group import (
@@ -30,8 +31,6 @@ from .group import (
     bracket,
     compose,
     exp_map,
-    identity,
-    inverse,
 )
 from .wavefunctions import (
     WaveFunction,
@@ -153,14 +152,14 @@ def _poly_exp_factors(amp: complex, q_coeffs, depth: int):
     The chain m, m', m'', ... stays in the class r(x) exp(q(x)) with
     polynomial r under r -> r' + q' r, so every derivative is exact.
     """
-    q = np.polynomial.Polynomial(np.asarray(q_coeffs, dtype=complex))
-    dq = q.deriv()
-    rs = [np.polynomial.Polynomial([amp])]
+    q = np.asarray(q_coeffs, dtype=complex)
+    dq = P.polyder(q)
+    rs = [np.array([amp])]
     for _ in range(depth):
-        rs.append(rs[-1].deriv() + dq * rs[-1])
+        rs.append(P.polyadd(P.polyder(rs[-1]), P.polymul(dq, rs[-1])))
 
     def closure(r):
-        return lambda x: r(x) * np.exp(q(x))
+        return lambda x: P.polyval(x, r) * np.exp(P.polyval(x, q))
 
     return [closure(r) for r in rs]
 
@@ -206,9 +205,16 @@ def rep_apply(rep: RepParams, g: GroupElement, f):
         return cmath.exp(1j * g.alpha * rep.zeta2) * f
 
     if rep.family == "A":
-        a = math.exp(-g.alpha)
+        try:
+            a = math.exp(-g.alpha)
+            amp, q = _case_a_phase(rep, g)
+        except OverflowError:
+            a = math.inf
+        if not 0.0 < a < math.inf:
+            raise ValueError(f"family A operator at alpha = {g.alpha!r} leaves "
+                             "the float range: exp(-alpha) or exp(-2 alpha) "
+                             "under- or overflows")
         b = (g.theta1 - g.theta0) * a
-        amp, q = _case_a_phase(rep, g)
         shifted = wf_affine(f, a, b)
         return wf_mul(shifted, _poly_exp_factors(amp, q, min(3, f.depth)))
 

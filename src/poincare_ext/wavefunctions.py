@@ -14,9 +14,10 @@ converged to relative tolerance 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 __all__ = [
     "WaveFunction",
@@ -31,9 +32,23 @@ __all__ = [
     "norm",
     "l2_diff",
     "integrate_vec",
+    "gauss_legendre",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def gauss_legendre(lo: float, hi: float, panels: int):
+    """(x, w) of the 32-point Gauss-Legendre rule on equal panels of [lo, hi].
+
+    Exact for polynomials of degree <= 63 on each panel.
+    """
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    x = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+    w = np.broadcast_to(half * _GL_WEIGHTS, (panels, _GL_NODES.size)).ravel()
+    return x, w
 
 
 def integrate_vec(fn, lo: float, hi: float, rtol: float = 1e-10,
@@ -45,11 +60,7 @@ def integrate_vec(fn, lo: float, hi: float, rtol: float = 1e-10,
     consecutive refinements agree to rtol/atol.
     """
     def level(n):
-        edges = np.linspace(lo, hi, n + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1] - edges[0])
-        x = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-        w = np.broadcast_to(half * _GL_WEIGHTS, (n, _GL_NODES.size)).ravel()
+        x, w = gauss_legendre(lo, hi, n)
         return np.sum(w * fn(x))
 
     prev = level(start_panels)
@@ -65,13 +76,12 @@ def integrate_vec(fn, lo: float, hi: float, rtol: float = 1e-10,
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex-valued function on R with derivative chain and decay info."""
+    """Complex-valued function on R with derivative chain and a quadrature hint."""
 
     fn: callable
     derivs: tuple = ()
     center: float = 0.0
     width: float = 1.0
-    decay: str = "gaussian-poly"
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -87,7 +97,7 @@ class WaveFunction:
         """Analytic derivative when available, else a 5-point stencil."""
         if self.derivs:
             return WaveFunction(self.derivs[0], self.derivs[1:],
-                                self.center, self.width, self.decay)
+                                self.center, self.width)
         if not allow_stencil:
             raise ValueError("wavefunction has no analytic derivative")
         h = 1e-4 * self.width
@@ -96,7 +106,7 @@ class WaveFunction:
         def stencil(x):
             return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
 
-        return WaveFunction(stencil, (), self.center, self.width, "generic")
+        return WaveFunction(stencil, (), self.center, self.width)
 
 
 def _merge_hints(*wfs):
@@ -108,7 +118,7 @@ def _merge_hints(*wfs):
 def wf_scale(wf: WaveFunction, c: complex) -> WaveFunction:
     return WaveFunction(lambda x: c * wf.fn(x),
                         tuple((lambda d: (lambda x: c * d(x)))(d) for d in wf.derivs),
-                        wf.center, wf.width, wf.decay)
+                        wf.center, wf.width)
 
 
 def wf_sub(f: WaveFunction, g: WaveFunction) -> WaveFunction:
@@ -118,7 +128,7 @@ def wf_sub(f: WaveFunction, g: WaveFunction) -> WaveFunction:
         lambda x: f.fn(x) - g.fn(x),
         tuple((lambda df, dg: (lambda x: df(x) - dg(x)))(f.derivs[k], g.derivs[k])
               for k in range(depth)),
-        center, width, f.decay if f.decay == g.decay else "generic")
+        center, width)
 
 
 def wf_affine(f: WaveFunction, a: float, b: float) -> WaveFunction:
@@ -127,7 +137,7 @@ def wf_affine(f: WaveFunction, a: float, b: float) -> WaveFunction:
         (lambda d, k: (lambda x: a ** k * d(a * x + b)))(f.derivs[k - 1], k)
         for k in range(1, f.depth + 1))
     return WaveFunction(lambda x: f.fn(a * x + b), derivs,
-                        (f.center - b) / a, f.width / abs(a), f.decay)
+                        (f.center - b) / a, f.width / abs(a))
 
 
 def wf_mul(f: WaveFunction, factors) -> WaveFunction:
@@ -143,30 +153,27 @@ def wf_mul(f: WaveFunction, factors) -> WaveFunction:
 
     return WaveFunction(lambda x: factors[0](x) * f.fn(x),
                         tuple(leibniz(k) for k in range(1, depth + 1)),
-                        f.center, f.width, f.decay)
+                        f.center, f.width)
 
 
 def wf_mul_poly(f: WaveFunction, coeffs) -> WaveFunction:
     """Multiply by a polynomial (coeffs in increasing degree)."""
-    p = np.polynomial.Polynomial(np.asarray(coeffs, dtype=complex))
-    factors = [p]
+    factors = [np.asarray(coeffs, dtype=complex)]
     for _ in range(f.depth):
-        p = p.deriv()
-        factors.append(p)
-    return wf_mul(f, [(lambda q: (lambda x: q(x)))(q) for q in factors])
+        factors.append(P.polyder(factors[-1]))
+    return wf_mul(f, [(lambda c: (lambda x: P.polyval(x, c)))(c) for c in factors])
 
 
 def gauss_poly_wf(coeffs, depth: int = 4, center: float = 0.0,
                   width: float = 1.0) -> WaveFunction:
     """p(y) exp(-y^2 / 2) with y = (x - center) / width, analytic to any depth."""
-    y_poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=complex))
     scale = 1.0 / width
 
     # chain in y: q -> q' - y q preserves the Gaussian-polynomial class
-    polys = [y_poly]
+    polys = [np.asarray(coeffs, dtype=complex)]
     for _ in range(depth):
         q = polys[-1]
-        polys.append(q.deriv() - np.polynomial.Polynomial([0.0, 1.0]) * q)
+        polys.append(P.polysub(P.polyder(q), P.polymulx(q)))
 
     def closure(k):
         q = polys[k]
@@ -174,11 +181,11 @@ def gauss_poly_wf(coeffs, depth: int = 4, center: float = 0.0,
 
         def f(x):
             y = (x - center) * scale
-            return fac * q(y) * np.exp(-0.5 * y * y)
+            return fac * P.polyval(y, q) * np.exp(-0.5 * y * y)
         return f
 
     return WaveFunction(closure(0), tuple(closure(k) for k in range(1, depth + 1)),
-                        center, width, "gaussian-poly")
+                        center, width)
 
 
 def hermite_wf(k: int, depth: int = 4, center: float = 0.0,

@@ -14,6 +14,16 @@ MALFORMED = (
     ("evolve", "--grid=0"),
     ("cohomology", "--degree=9"),
     ("quantize", "op", "--poly=q^3"),
+    ("rep", "apply", "--g=1,2"),
+    ("rep", "apply", "--g=0,0,0,0", "--probe=foo:1"),
+    ("evolve", "--packet=gaussian:sigma=0"),
+    ("all-checks", "--B=0"),
+    ("evolve", "--hbar=0"),
+    ("evolve", "--m=0"),
+    ("rep", "apply", "--g=0,0,800,0"),
+    ("algebra-check", "--samples=0"),
+    ("rep", "verify", "--z3=0"),
+    ("rep", "apply", "--family=C", "--zeta0=0", "--zeta1=0", "--g=0,0,0,0"),
 )
 
 
@@ -45,6 +55,11 @@ def test_algebra_check():
     payload = json.loads(out)
     assert payload["pass"] is True
     assert payload["central_series_dims"][-1] == 3
+
+
+def test_algebra_check_samples(capsys):
+    assert cli.run(["algebra-check", "--samples", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == 5
 
 
 def test_rep_verify_small():

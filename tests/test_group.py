@@ -190,6 +190,34 @@ def test_exp_closed_forms():
             assert exp_map(AlgebraElement(v), P).array.tolist() == list(v)
 
 
+def test_exp_log_past_float_range():
+    # past |alpha| = 709.78 expm1 and sinh overflow, but these results do not
+    g = exp_map(AlgebraElement(0.1, 0.1, 800.0, 0.0), P)
+    assert g.array.tolist() == pytest.approx([1.25e-4, 1.25e-4, 800.0, 0.0],
+                                             rel=1e-15)
+    x = log_map(GroupElement(0.1, 0.2, 800.0, 0.3), P)
+    assert x.array.tolist() == pytest.approx([120.0, 120.0, 800.0, 0.3075],
+                                             rel=1e-15)
+    # phi(712) = e^712 / 712 is finite although expm1(712) is not
+    g = exp_map(AlgebraElement(0.1, 0.2, 712.0, 0.0), P)
+    growth = math.exp(712.0 - math.log(712.0))
+    assert g.theta0 - g.theta1 == pytest.approx(-0.1 * growth, rel=1e-12)
+    assert g.beta == pytest.approx(
+        0.5 * (-0.1) * 0.3 * math.exp(712.0 - math.log(2 * 712.0 ** 2)),
+        rel=1e-12)
+    # on a light-cone axis the round trip holds to round-off for any B, alpha
+    for B in (1.0, -2.0, 1e-3):
+        p = ModelParams(B=B)
+        for v in ((0.3, 0.3, 712.0, 0.5), (0.3, -0.3, -800.0, 0.5),
+                  (-0.3, -0.3, 1e6, -0.5)):
+            back = log_map(exp_map(AlgebraElement(v), p), p)
+            assert back.array.tolist() == pytest.approx(v, rel=1e-15)
+    with pytest.raises(ValueError, match="exp_map overflows"):
+        exp_map(AlgebraElement(0.1, 0.2, 800.0, 0.0), P)
+    with pytest.raises(ValueError, match="log_map overflows"):
+        log_map(GroupElement(1e306, -1e306, -800.0, 0.0), P)
+
+
 def test_adjoint_is_homomorphism():
     rng = np.random.default_rng(3)
     for _ in range(30):

@@ -80,3 +80,19 @@ def test_l2_diff():
     f, g = wfm.hermite_wf(0), wfm.hermite_wf(1)
     assert wfm.l2_diff(f, f) < 1e-13
     assert abs(wfm.l2_diff(f, g) - math.sqrt(2.0)) < 1e-11
+
+
+def test_gauss_legendre_rule():
+    lo, hi, panels = -1.5, 2.5, 5
+    x, w = wfm.gauss_legendre(lo, hi, panels)
+    assert x.shape == w.shape == (panels * 32,)
+    assert math.isclose(w.sum(), hi - lo, rel_tol=1e-14)
+    # 32 nodes per panel integrate degree 63 exactly; the power 63 scales
+    # the node round-off, so it is about 64 eps relative to the integral of
+    # |x|^63 over the panel
+    edges = np.linspace(lo, hi, panels + 1)
+    a, b = edges[:-1], edges[1:]
+    got = (w * x ** 63).reshape(panels, 32).sum(axis=1)
+    exact = (b ** 64 - a ** 64) / 64.0
+    scale = np.maximum(np.abs(a), np.abs(b)) ** 64 / 64.0
+    assert np.max(np.abs(got - exact) / scale) < 1e-13
