@@ -39,11 +39,6 @@ def lorentz_matrix(alpha: float) -> np.ndarray:
     return np.cosh(alpha) * np.eye(2) + SQRT_MINUS_H * np.sinh(alpha) * EPS_MIXED_UPPER
 
 
-def raise_index(v: np.ndarray) -> np.ndarray:
-    """v^a = h^{ab} v_b (self-inverse in 1+1)."""
-    return METRIC @ np.asarray(v, dtype=float)
-
-
 def minkowski_square(v) -> float:
     """v^a v_a for a 2-component (co)vector."""
     v = np.asarray(v, dtype=float)

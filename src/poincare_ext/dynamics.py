@@ -38,7 +38,6 @@ __all__ = [
     "velocity",
     "h0_eigenfunction",
     "h0_operator",
-    "potential_operator",
     "total_energy_operator",
     "c_closed_form",
     "evolve_eigenstate",
@@ -113,11 +112,6 @@ def h0_operator(params: ModelParams) -> QuantOperator:
     """H0 = -B qhat - phat; classically the comoment u0 = B q1."""
     return quantize(PolynomialObservable({(1, 0): -params.B, (0, 1): -1.0}),
                     params)
-
-
-def potential_operator(cs: ClassicalState, tau: float) -> QuantOperator:
-    v = velocity(cs, tau)
-    return quantize(PolynomialObservable({(0, 1): v}), cs.params)
 
 
 def total_energy_operator(cs: ClassicalState, tau: float) -> QuantOperator:
@@ -276,6 +270,12 @@ def _position_packet(cs: ClassicalState, c0: SpectralAmplitude, tau: float):
     return psi, X, x_width
 
 
+#: E rows of the oracle-(a) kernel built at once.  The kernel has 32 columns
+#: per panel (up to 8192), so memory stays flat however long the grid is;
+#: the default 400-point grid is one block, as few numpy calls as possible
+_E_BLOCK = 512
+
+
 def _project_oracle_a(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
                       e_grid):
     p = cs.params
@@ -286,10 +286,16 @@ def _project_oracle_a(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
 
     def project(n_panels):
         x, wts = gauss_legendre(lo, hi, n_panels)
-        # <E|psi> with the conjugate eigenfunction phase
-        kern = np.exp(1j * (np.outer(e_grid, x) + 0.5 * B * x * x) / h) \
-            / math.sqrt(2.0 * math.pi * h)
-        return kern @ (wts * psi(x))
+        v = wts * psi(x)
+        out = np.empty(len(e_grid), dtype=complex)
+        for i in range(0, len(e_grid), _E_BLOCK):
+            e = e_grid[i:i + _E_BLOCK]
+            # <E|psi> with the conjugate eigenfunction phase; no name holds
+            # the kernel, so one block is alive at a time
+            out[i:i + _E_BLOCK] = np.exp(
+                1j * (np.outer(e, x) + 0.5 * B * x * x) / h) \
+                / math.sqrt(2.0 * math.pi * h) @ v
+        return out
 
     prev = project(64)
     cur = project(128)

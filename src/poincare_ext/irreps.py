@@ -4,8 +4,8 @@ Three families, realized as closures acting on WaveFunction objects:
 
 * family A (nonzero central label z3): operators on L2(R) with an affine
   argument map, a quadratic multiplicative phase, and a Jacobian factor;
-* family B (point orbits, label zeta2): one-dimensional, a pure phase on
-  a single complex amplitude;
+* family B (point orbits, label zeta2): one-dimensional, the pure phase
+  exp(i alpha zeta2), which multiplies a wavefunction or a scalar alike;
 * family C (massive/tachyonic/null orbits at z3 = 0): operators on
   L2(R, d alpha) with a hyperbolic multiplicative phase and a shift.
 
@@ -352,9 +352,6 @@ def verify_homomorphism(rep: RepParams, g2: GroupElement, g1: GroupElement,
                         probes) -> float:
     p = rep.params
     g21 = compose(g2, g1, p)
-    if rep.family == "B":
-        return max(abs(rep_apply(rep, g2, rep_apply(rep, g1, f))
-                       - rep_apply(rep, g21, f)) for f in [1.0 + 0.0j])
     worst = 0.0
     for f in probes:
         lhs = rep_apply(rep, g2, rep_apply(rep, g1, f))
@@ -364,8 +361,6 @@ def verify_homomorphism(rep: RepParams, g2: GroupElement, g1: GroupElement,
 
 
 def verify_unitarity(rep: RepParams, g: GroupElement, probes) -> float:
-    if rep.family == "B":
-        return abs(abs(rep_apply(rep, g, 1.0 + 0.0j)) - 1.0)
     worst = 0.0
     images = [rep_apply(rep, g, f) for f in probes]
     for f, tf in zip(probes, images):
@@ -384,17 +379,6 @@ def verify_commutators(rep: RepParams, probes) -> float:
     p = rep.params
     basis = [AlgebraElement(tuple(1.0 if i == k else 0.0 for i in range(4)))
              for k in range(4)]
-    if rep.family == "B":
-        # all operators are scalars; both sides vanish identically
-        scal = {"P0": 0.0, "P1": 0.0, "J": 1j * rep.zeta2, "I": 0.0}
-        worst = 0.0
-        for a in range(4):
-            for b in range(a + 1, 4):
-                br = bracket(basis[a], basis[b], p).v
-                rhs = sum(c * scal[n] for c, n in zip(br, BASIS_NAMES))
-                worst = max(worst, abs(rhs))  # lhs = [scalar, scalar] = 0
-        return worst
-
     worst = 0.0
     for f in probes:
         nf = norm(f)
@@ -416,25 +400,18 @@ def verify_commutators(rep: RepParams, probes) -> float:
 
 
 def verify_casimir(rep: RepParams, probes) -> float:
-    """Quadratic operator identity fixed by the representation labels."""
+    """2B I J f = sqrt(-h) (P^a P_a f + c f), c the family's Casimir label."""
     p = rep.params
-    if rep.family == "B":
-        return 0.0  # every operator is scalar and both sides vanish
-
+    # Casimir labels: c2 on the orbit, 0 on the points, zeta^a zeta_a at z3 = 0
+    c = {"A": rep.c2, "B": 0.0, "C": rep.zeta0 ** 2 - rep.zeta1 ** 2}[rep.family]
     worst = 0.0
     for f in probes:
-        nf = norm(f)
         pp = wf_sub(generator_apply(rep, "P0", generator_apply(rep, "P0", f)),
                     generator_apply(rep, "P1", generator_apply(rep, "P1", f)))
-        if rep.family == "A":
-            lhs = wf_scale(generator_apply(
-                rep, "I", generator_apply(rep, "J", f)), 2.0 * p.B)
-            rhs = wf_scale(_wf_add(pp, wf_scale(f, rep.c2)), SQRT_MINUS_H)
-        else:
-            c2 = rep.zeta0 ** 2 - rep.zeta1 ** 2
-            lhs = _wf_add(pp, wf_scale(f, c2))
-            rhs = wf_scale(f, 0.0)
-        worst = max(worst, l2_diff(lhs, rhs) / nf)
+        lhs = wf_scale(generator_apply(
+            rep, "I", generator_apply(rep, "J", f)), 2.0 * p.B)
+        rhs = wf_scale(_wf_add(pp, wf_scale(f, c)), SQRT_MINUS_H)
+        worst = max(worst, l2_diff(lhs, rhs) / norm(f))
     return worst
 
 
@@ -462,9 +439,6 @@ def faithfulness_residuals(rep: RepParams, elements, probes):
     """max_f ||T(g) f - f|| / ||f|| for each test element."""
     out = []
     for g in elements:
-        if rep.family == "B":
-            out.append(abs(rep_apply(rep, g, 1.0 + 0.0j) - 1.0))
-            continue
         out.append(max(l2_diff(rep_apply(rep, g, f), f) / norm(f)
                        for f in probes))
     return out
@@ -484,8 +458,9 @@ def rep_suite(rep: RepParams, trials: int = 200, seed: int = 42,
               for _ in range(trials))
     uni = max(verify_unitarity(rep, _random_group_element(rng), probes[:2])
               for _ in range(trials))
-    comm = verify_commutators(rep, default_probes(5))
-    cas = verify_casimir(rep, default_probes(5))
+    five = default_probes(5)
+    comm = verify_commutators(rep, five)
+    cas = verify_casimir(rep, five)
     return {
         "family": rep.family,
         "homomorphism": hom,

@@ -146,7 +146,6 @@ class PolynomialObservable:
             return "0"
         parts = []
         for (i, j), v in self.coeffs:
-            mono = "q" * 0
             mono = ("" if i == 0 else ("q" if i == 1 else f"q^{i}")) \
                 + ("" if j == 0 else ("p" if j == 1 else f"p^{j}"))
             parts.append(f"{v:g}{'*' + mono if mono else ''}")

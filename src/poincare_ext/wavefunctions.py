@@ -52,9 +52,8 @@ def gauss_legendre(lo: float, hi: float, panels: int):
 
 
 def integrate_vec(fn, lo: float, hi: float, rtol: float = 1e-10,
-                  atol: float = 1e-13, start_panels: int = 16,
-                  max_panels: int = 4096) -> complex:
-    """Composite 32-point Gauss-Legendre with panel doubling.
+                  atol: float = 1e-13, max_panels: int = 4096) -> complex:
+    """Composite 32-point Gauss-Legendre with panel doubling from 16 panels.
 
     fn must accept ndarray arguments.  Convergence is declared when two
     consecutive refinements agree to rtol/atol.
@@ -63,8 +62,8 @@ def integrate_vec(fn, lo: float, hi: float, rtol: float = 1e-10,
         x, w = gauss_legendre(lo, hi, n)
         return np.sum(w * fn(x))
 
-    prev = level(start_panels)
-    n = start_panels
+    n = 16
+    prev = level(n)
     while n < max_panels:
         n *= 2
         cur = level(n)
@@ -93,20 +92,16 @@ class WaveFunction:
     def interval(self):
         return self.center - 12.0 * self.width, self.center + 12.0 * self.width
 
-    def derivative(self, allow_stencil: bool = True) -> "WaveFunction":
-        """Analytic derivative when available, else a 5-point stencil."""
-        if self.derivs:
-            return WaveFunction(self.derivs[0], self.derivs[1:],
-                                self.center, self.width)
-        if not allow_stencil:
+    def derivative(self) -> "WaveFunction":
+        """The next function of the analytic derivative chain."""
+        if not self.derivs:
             raise ValueError("wavefunction has no analytic derivative")
-        h = 1e-4 * self.width
-        f = self.fn
+        return WaveFunction(self.derivs[0], self.derivs[1:],
+                            self.center, self.width)
 
-        def stencil(x):
-            return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-
-        return WaveFunction(stencil, (), self.center, self.width)
+    def __rmul__(self, c: complex) -> "WaveFunction":
+        """c * f, the scalar multiple, as wf_scale(f, c)."""
+        return wf_scale(self, c)
 
 
 def _merge_hints(*wfs):
@@ -197,21 +192,30 @@ def hermite_wf(k: int, depth: int = 4, center: float = 0.0,
                          center=center, width=width)
 
 
-def inner(f: WaveFunction, g: WaveFunction, rtol: float = 1e-10) -> complex:
+def inner(f: WaveFunction, g: WaveFunction) -> complex:
     """<f, g> = integral conj(f) g."""
     center, width = _merge_hints(f, g)
     return integrate_vec(lambda x: np.conj(f.fn(x)) * g.fn(x),
-                         center - 12 * width, center + 12 * width, rtol=rtol)
+                         center - 12 * width, center + 12 * width)
 
 
-def norm(f: WaveFunction, rtol: float = 1e-10) -> float:
-    lo, hi = f.interval()
-    val = integrate_vec(lambda x: np.abs(f.fn(x)) ** 2, lo, hi, rtol=rtol)
-    return math.sqrt(max(float(np.real(val)), 0.0))
+def norm(f: WaveFunction) -> float:
+    """L2 norm, integrated once per wavefunction and then remembered.
+
+    A WaveFunction is immutable, so the stored value stays valid; a fixed
+    probe is normalised once however many residuals divide by it.
+    """
+    cached = f.__dict__.get("_norm")
+    if cached is None:
+        lo, hi = f.interval()
+        val = integrate_vec(lambda x: np.abs(f.fn(x)) ** 2, lo, hi)
+        cached = math.sqrt(max(float(np.real(val)), 0.0))
+        object.__setattr__(f, "_norm", cached)
+    return cached
 
 
-def l2_diff(f: WaveFunction, g: WaveFunction, rtol: float = 1e-10) -> float:
+def l2_diff(f: WaveFunction, g: WaveFunction) -> float:
     center, width = _merge_hints(f, g)
     val = integrate_vec(lambda x: np.abs(f.fn(x) - g.fn(x)) ** 2,
-                        center - 12 * width, center + 12 * width, rtol=rtol)
+                        center - 12 * width, center + 12 * width)
     return math.sqrt(max(float(np.real(val)), 0.0))

@@ -1,10 +1,13 @@
+import cmath
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from poincare_ext import cli
+from poincare_ext.wavefunctions import hermite_wf
 
 #: values that parse as strings but are malformed for their option
 MALFORMED = (
@@ -79,6 +82,20 @@ def test_rep_apply_csv():
     assert len(lines) == 6
     float_row = [float(t) for t in lines[1].split(",")]
     assert len(float_row) == 3
+
+
+def test_rep_apply_family_b(capsys):
+    # the point orbits act on any probe by the phase exp(i alpha zeta2)
+    assert cli.run(["rep", "apply", "--family", "B", "--zeta2", "0.7",
+                    "--g", "0.1,0.2,0.3,0.4", "--probe", "hermite:2",
+                    "--emit-samples=-2:2:9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x,re,im"
+    rows = np.array([[float(t) for t in line.split(",")] for line in lines[1:]])
+    x = np.linspace(-2.0, 2.0, 9)
+    assert np.array_equal(rows[:, 0], x)
+    expect = cmath.exp(1j * 0.3 * 0.7) * hermite_wf(2)(x)
+    assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], expect)
 
 
 def test_quantize_op():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,23 @@ def test_oracle_parameter_sweep():
         cf = dy.c_closed_form(cs, grid, 1.6, c0)
         assert np.max(np.abs(cf - c)) < 1e-6
         assert abs(dy.spectral_norm(grid, c) - 1.0) < 1e-8
+
+
+def test_oracle_kernel_memory_flat_in_grid():
+    # oracle (a) builds its E-by-node kernel a block of E rows at a time,
+    # so a grid four blocks long peaks near one block, not four
+    cs = dy.ClassicalState(0.0, 0.7, 0.1, 1.0, P)
+    c0 = dy.gaussian_spectral(0.0, 1.0)
+    peaks = []
+    for n in (dy._E_BLOCK, 4 * dy._E_BLOCK):
+        grid = dy.default_e_grid(cs, c0, 1.6, n=n)
+        tracemalloc.start()
+        try:
+            dy._project_oracle_a(cs, c0, 1.6, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_expectation_from_oracle_state():

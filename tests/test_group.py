@@ -69,9 +69,38 @@ def algebra_elements(alpha):
     return st.builds(AlgebraElement, comp, comp, alpha, comp)
 
 
+#: below the smallest normal float rounding is absolute, so magnitudes
+#: are floored there
+EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
+
+
+def compose_magnitude(a2, a1, p):
+    """compose on component magnitudes: bounds every term compose sums."""
+    ch, sh = math.cosh(a2[2]), abs(math.sinh(a2[2]))
+    rot = np.array([ch * a1[0] + sh * a1[1], sh * a1[0] + ch * a1[1]])
+    beta = a2[3] + a1[3] + 0.5 * abs(p.B) * (a2[0] * rot[1] + a2[1] * rot[0])
+    return np.array([a2[0] + rot[0], a2[1] + rot[1], a2[2] + a1[2], beta])
+
+
+def casimir_magnitude(g, zeta, p):
+    """Largest sum of term magnitudes in the Casimir pairing at zeta and at
+    its coadjoint image, with Ad(g^-1) built from magnitudes."""
+    lam = np.abs(lorentz_matrix(g.alpha))
+    t = lam @ np.abs(g.theta)            # theta of g^-1, before cancellation
+    ad = np.eye(4)
+    ad[:2, :2] = lam
+    ad[:2, 2] = t[::-1]
+    ad[3, :2] = abs(p.B) * (t[::-1] @ lam)
+    ad[3, 2] = 0.5 * abs(p.B) * (t @ t)
+    return max(u[0] ** 2 + u[1] ** 2 + 2.0 * abs(p.B) * u[2] * u[3]
+               for u in (np.abs(zeta.array) @ ad, np.abs(zeta.array)))
+
+
 #: boost angles: generic, inside the series branch of exp/log, and zero
 ALPHAS = st.one_of(st.floats(-3.0, 3.0), st.floats(-2e-3, 2e-3), st.just(0.0))
 PARAMS = st.sampled_from([ModelParams(B=b) for b in B_VALUES])
+GROUP_ELEMENTS = st.builds(GroupElement, st.floats(-2.0, 2.0),
+                           st.floats(-2.0, 2.0), ALPHAS, st.floats(-2.0, 2.0))
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
 
@@ -175,6 +204,37 @@ def test_one_parameter_subgroup(x, s, t, p):
     scale = roundoff_scale((s + t) * x, rhs, p) + abs(p.B) * math.exp(
         2.0 * abs(x.v[2])) * float(np.max(np.abs(x.array[:2]))) ** 2
     assert np.max(np.abs(lhs.array - rhs.array)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(g1=GROUP_ELEMENTS, g2=GROUP_ELEMENTS, g3=GROUP_ELEMENTS, p=PARAMS)
+def test_compose_associative(g1, g2, g3, p):
+    lhs = compose(compose(g3, g2, p), g1, p)
+    rhs = compose(g3, compose(g2, g1, p), p)
+    m1, m2, m3 = (np.abs(g.array) for g in (g1, g2, g3))
+    scale = max(np.max(compose_magnitude(compose_magnitude(m3, m2, p), m1, p)),
+                np.max(compose_magnitude(m3, compose_magnitude(m2, m1, p), p)))
+    assert np.max(np.abs(lhs.array - rhs.array)) <= 16 * EPS * max(scale, TINY)
+
+
+@PROPERTY
+@given(g=GROUP_ELEMENTS, p=PARAMS)
+def test_inverse_two_sided(g, p):
+    gi = inverse(g, p)
+    # g^-1 carries the terms of g with Lambda(-alpha), so g g g bounds them
+    m = np.abs(g.array)
+    scale = np.max(compose_magnitude(m, compose_magnitude(m, m, p), p))
+    for e in (compose(g, gi, p), compose(gi, g, p)):
+        assert np.max(np.abs(e.array)) <= 16 * EPS * max(scale, TINY)
+
+
+@PROPERTY
+@given(g=GROUP_ELEMENTS,
+       zeta=st.builds(CoadjointPoint, *[st.floats(-3.0, 3.0)] * 4), p=PARAMS)
+def test_coadjoint_casimir_invariant(g, zeta, p):
+    moved = coadjoint_action(g, zeta, p)
+    gap = abs(casimir_pairing(moved, p) - casimir_pairing(zeta, p))
+    assert gap <= 16 * EPS * max(casimir_magnitude(g, zeta, p), TINY)
 
 
 def test_exp_closed_forms():

@@ -1,4 +1,5 @@
-"""The README's quick start runs and its CLI lines parse."""
+"""The README's quick start runs, its CLI lines parse, and its dependency
+floors are the ones pyproject.toml declares."""
 
 import contextlib
 import io
@@ -6,9 +7,13 @@ import re
 import shlex
 from pathlib import Path
 
+import poincare_ext
 from poincare_ext import cli
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
+# read by regex: tomllib is not in Python 3.10, the supported floor
+PYPROJECT = (ROOT / "pyproject.toml").read_text()
 
 
 def _blocks(lang):
@@ -33,3 +38,15 @@ def test_cli_lines_parse():
     parser = cli._build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def _pyproject(pattern):
+    return re.search(pattern, PYPROJECT, re.M)[1]
+
+
+def test_dependency_floors():
+    assert _pyproject(r'^name = "(.+)"$') == cli._build_parser().prog
+    assert _pyproject(r'^version = "(.+)"$') == poincare_ext.__version__
+    python = _pyproject(r'^requires-python = ">=(.+)"$')
+    numpy = _pyproject(r'^    "numpy>=(.+)",$')
+    assert f"Python ≥ {python}, numpy ≥ {numpy};" in README
