@@ -34,9 +34,13 @@ EPS_MIXED_LOWER = METRIC @ EPS_UPPER
 EPS_MIXED_LOWER.setflags(write=False)
 
 
-def lorentz_matrix(alpha: float) -> np.ndarray:
-    """Boost matrix Lambda(alpha)^a_b = delta^a_b cosh + sqrt(-h) eps^a_b sinh."""
-    return np.cosh(alpha) * np.eye(2) + SQRT_MINUS_H * np.sinh(alpha) * EPS_MIXED_UPPER
+def lorentz_matrix(alpha) -> np.ndarray:
+    """Boost matrix Lambda(alpha)^a_b = delta^a_b cosh + sqrt(-h) eps^a_b sinh.
+
+    An array of angles of shape S gives a stack of shape S + (2, 2).
+    """
+    return (np.cosh(alpha)[..., None, None] * np.eye(2)
+            + SQRT_MINUS_H * np.sinh(alpha)[..., None, None] * EPS_MIXED_UPPER)
 
 
 def minkowski_square(v) -> float:

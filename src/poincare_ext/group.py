@@ -49,7 +49,11 @@ __all__ = [
 
 
 def _finite(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except ValueError:
+        raise ValueError(f"{what} components must be numbers, or arrays of "
+                         "one shape") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must have finite real components, got {values!r}")
     return arr
@@ -100,7 +104,12 @@ class AlgebraElement:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Global coordinates (theta0, theta1, alpha, beta)."""
+    """Global coordinates (theta0, theta1, alpha, beta).
+
+    The coordinates may be arrays of one shape S, a batch of elements that
+    compose, inverse and rep_apply act on at once; floats are the batch of
+    shape ().  theta and array then carry S in front of their last axis.
+    """
 
     theta0: float
     theta1: float
@@ -110,13 +119,19 @@ class GroupElement:
     def __post_init__(self):
         _finite([self.theta0, self.theta1, self.alpha, self.beta], "GroupElement")
 
+    def _stacked(self, *coords) -> np.ndarray:
+        out = np.empty(np.shape(coords[0]) + (len(coords),))
+        for k, c in enumerate(coords):
+            out[..., k] = c
+        return out
+
     @property
     def theta(self) -> np.ndarray:
-        return np.array([self.theta0, self.theta1])
+        return self._stacked(self.theta0, self.theta1)
 
     @property
     def array(self) -> np.ndarray:
-        return np.array([self.theta0, self.theta1, self.alpha, self.beta])
+        return self._stacked(self.theta0, self.theta1, self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -181,23 +196,33 @@ def ad_matrix(x: AlgebraElement, p: ModelParams = ModelParams()) -> np.ndarray:
 # group layer
 
 
+def _boost(alpha, theta) -> np.ndarray:
+    """Lambda(alpha) theta, over the last axis of a batch."""
+    return (lorentz_matrix(alpha) @ theta[..., None])[..., 0]
+
+
+def _eps_pairing(x, y) -> np.ndarray:
+    """x^a eps_{ab} y^b, over the last axis of a batch."""
+    return np.vecdot(x @ EPS_LOWER, y)
+
+
 def compose(g2: GroupElement, g1: GroupElement, p: ModelParams = ModelParams()) -> GroupElement:
     """Group product g2 * g1 in global coordinates."""
-    lam = lorentz_matrix(g2.alpha)
-    rotated = lam @ g1.theta
-    theta = g2.theta + rotated
+    t2 = g2.theta
+    rotated = _boost(g2.alpha, g1.theta)
+    theta = t2 + rotated
     alpha = g2.alpha + g1.alpha
-    beta = g2.beta + g1.beta + (p.B / 2.0) * g2.theta @ EPS_LOWER @ rotated
-    return GroupElement(theta[0], theta[1], alpha, beta)
+    beta = g2.beta + g1.beta + _eps_pairing((p.B / 2.0) * t2, rotated)
+    return GroupElement(theta[..., 0], theta[..., 1], alpha, beta)
 
 
 def inverse(g: GroupElement, p: ModelParams = ModelParams()) -> GroupElement:
     """Unique h with compose(h, g) = compose(g, h) = e."""
-    lam = lorentz_matrix(-g.alpha)
-    theta_inv = -(lam @ g.theta)
+    rotated = _boost(-g.alpha, g.theta)
+    theta_inv = -rotated
     # solve beta'' = 0 in compose(g^-1, g)
-    beta_inv = -g.beta - (p.B / 2.0) * theta_inv @ EPS_LOWER @ (lam @ g.theta)
-    return GroupElement(theta_inv[0], theta_inv[1], -g.alpha, beta_inv)
+    beta_inv = -g.beta - _eps_pairing((p.B / 2.0) * theta_inv, rotated)
+    return GroupElement(theta_inv[..., 0], theta_inv[..., 1], -g.alpha, beta_inv)
 
 
 #: log of the largest float; beyond it e^x overflows and expm1, sinh raise

@@ -2,6 +2,7 @@ import cmath
 import json
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -163,3 +164,35 @@ def test_seed_determinism_byte_identical(tmp_path):
                              "--output", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+class InTurn:
+    """Executor stand-in that runs each suite as it is submitted."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("B", ("1", "-1.3"))
+def test_all_checks_byte_identical_pooled_and_in_turn(B, capsys, monkeypatch):
+    # the batched numpy loops release the GIL, so the pooled suites overlap
+    # in earnest; the report must not depend on how they interleave
+    argv = ["all-checks", "--seed", "42", f"--B={B}"]
+    outs = []
+    for pooled in (True, True, False):
+        if not pooled:
+            monkeypatch.setattr(cli, "ThreadPoolExecutor", InTurn)
+        cli.run(argv)
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]

@@ -7,7 +7,7 @@ import pytest
 from poincare_ext import dynamics as dy
 from poincare_ext.group import ModelParams
 from poincare_ext.irreps import default_probes
-from poincare_ext.wavefunctions import l2_diff, norm
+from poincare_ext.wavefunctions import gauss_legendre, l2_diff, norm
 
 P = ModelParams()
 CS = dy.ClassicalState(q1_0=0.0, ptilde_0=-2.0, tau0=0.0, m=1.0, params=P)
@@ -159,6 +159,30 @@ def test_oracle_kernel_memory_flat_in_grid():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def fixed_projection(cs, c0, tau, e_grid, panels=256):
+    """Oracle (a) on one fixed composite rule, a kernel block at a time."""
+    h, B = cs.params.hbar, cs.params.B
+    psi, X, w = dy._position_packet(cs, c0, tau)
+    x, wts = gauss_legendre(X - 14.0 * w, X + 14.0 * w, panels)
+    v = wts * psi(x)
+    out = np.concatenate([np.exp(1j * (np.outer(e, x) + 0.5 * B * x * x) / h) @ v
+                          for e in np.array_split(e_grid, len(e_grid) // 200)])
+    return np.exp(-1j * e_grid * (tau - cs.tau0) / h) * out \
+        / math.sqrt(2.0 * math.pi * h)
+
+
+@pytest.mark.parametrize("n", (400, 1600))
+def test_oracle_a_matches_fixed_rule(n):
+    # the 16 -> 32 panel ladder against 256 panels, over the suite's sweep
+    c0 = dy.gaussian_spectral(0.0, 1.0)
+    for B, m in [(1.0, 0.5), (-1.0, 1.0), (2.0, 2.0), (-2.0, 0.5), (1.0, 2.0)]:
+        cs = dy.ClassicalState(0.0, 0.7, 0.1, m, ModelParams(B=B))
+        grid = dy.default_e_grid(cs, c0, 1.6, n=n)
+        gap = np.max(np.abs(dy._project_oracle_a(cs, c0, 1.6, grid)
+                            - fixed_projection(cs, c0, 1.6, grid)))
+        assert gap <= 1e-13, (B, m, gap)
 
 
 def test_expectation_from_oracle_state():

@@ -145,6 +145,21 @@ def test_associativity_and_inverse():
         assert np.max(np.abs(compose(gi, g1, P).array)) < 1e-12
 
 
+def test_batched_compose_and_inverse_match_scalar_calls():
+    rng = np.random.default_rng(3)
+    c2, c1 = rng.uniform(-2.0, 2.0, size=(2, 6, 4))
+    for p in (P, ModelParams(B=-1.3)):
+        prod = compose(GroupElement(*c2.T), GroupElement(*c1.T), p)
+        inv = inverse(GroupElement(*c1.T), p)
+        assert prod.array.shape == inv.array.shape == (6, 4)
+        for k in range(6):
+            g2, g1 = GroupElement(*c2[k]), GroupElement(*c1[k])
+            assert np.array_equal(prod.array[k], compose(g2, g1, p).array)
+            assert np.array_equal(inv.array[k], inverse(g1, p).array)
+    with pytest.raises(ValueError, match="one shape"):
+        GroupElement(np.zeros(3), np.zeros(2), 0.0, 0.0)
+
+
 def test_exp_log_roundtrip():
     rng = np.random.default_rng(2)
     for _ in range(20):
