@@ -17,6 +17,9 @@ METRIC.setflags(write=False)
 #: formulas read like their sources.
 SQRT_MINUS_H = 1.0
 
+_EYE = np.eye(2)
+_EYE.setflags(write=False)
+
 # eps^{ab} with eps^{01} = +1.
 EPS_UPPER = np.array([[0.0, 1.0], [-1.0, 0.0]])
 EPS_UPPER.setflags(write=False)
@@ -39,14 +42,14 @@ def lorentz_matrix(alpha) -> np.ndarray:
 
     An array of angles of shape S gives a stack of shape S + (2, 2).
     """
-    return (np.cosh(alpha)[..., None, None] * np.eye(2)
-            + SQRT_MINUS_H * np.sinh(alpha)[..., None, None] * EPS_MIXED_UPPER)
+    ch, sh = np.cosh(alpha), SQRT_MINUS_H * np.sinh(alpha)
+    return ch[..., None, None] * _EYE + sh[..., None, None] * EPS_MIXED_UPPER
 
 
-def minkowski_square(v) -> float:
-    """v^a v_a for a 2-component (co)vector."""
+def minkowski_square(v):
+    """v^a v_a for a 2-component (co)vector, over the last axis of a batch."""
     v = np.asarray(v, dtype=float)
-    return float(v[0] ** 2 - v[1] ** 2)
+    return v[..., 0] ** 2 - v[..., 1] ** 2
 
 
 def self_test() -> None:

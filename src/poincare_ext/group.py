@@ -54,7 +54,7 @@ def _finite(values, what: str) -> np.ndarray:
     except ValueError:
         raise ValueError(f"{what} components must be numbers, or arrays of "
                          "one shape") from None
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} must have finite real components, got {values!r}")
     return arr
 
@@ -73,24 +73,46 @@ class ModelParams:
             raise ValueError("hbar must be positive")
 
 
+def _stack_last(coords) -> np.ndarray:
+    """Coordinates of one shape S, stacked on a new last axis: S + (k,)."""
+    if np.ndim(coords[0]) == 0:
+        return np.array(coords, dtype=float)
+    return np.stack(coords, axis=-1).astype(float, copy=False)
+
+
+def _components(what: str, c0, rest) -> tuple:
+    """The four validated components of a 4-vector, or of a batch of them.
+
+    Takes one array-like of shape S + (4,), or four components of one
+    shape S; components of shape () come back as floats.
+    """
+    stacked = rest[0] is None
+    arr = _finite(c0 if stacked else (c0,) + rest, what)
+    if stacked and arr.ndim > 1:
+        arr = np.moveaxis(arr, -1, 0)
+    if arr.ndim == 0 or len(arr) != 4:
+        raise ValueError(f"{what} takes 4 components")
+    return tuple(arr.tolist()) if arr.ndim == 1 else tuple(arr)
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
-    """Coefficient vector V^A over the ordered basis (P0, P1, J, I)."""
+    """Coefficient vector V^A over the ordered basis (P0, P1, J, I).
+
+    Like GroupElement's coordinates, the coefficients may be arrays of one
+    shape S, a batch of elements; an array of shape S + (4,) gives the same
+    batch.  array carries S in front of its last axis.
+    """
 
     v: tuple
 
     def __init__(self, v0, v1=None, v2=None, v3=None):
-        if v1 is None:
-            vec = _finite(v0, "AlgebraElement")
-        else:
-            vec = _finite([v0, v1, v2, v3], "AlgebraElement")
-        if vec.shape != (4,):
-            raise ValueError("AlgebraElement takes 4 coefficients")
-        object.__setattr__(self, "v", tuple(float(c) for c in vec))
+        object.__setattr__(self, "v", _components("AlgebraElement", v0,
+                                                  (v1, v2, v3)))
 
     @property
     def array(self) -> np.ndarray:
-        return np.array(self.v)
+        return _stack_last(self.v)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.array + other.array)
@@ -119,39 +141,32 @@ class GroupElement:
     def __post_init__(self):
         _finite([self.theta0, self.theta1, self.alpha, self.beta], "GroupElement")
 
-    def _stacked(self, *coords) -> np.ndarray:
-        out = np.empty(np.shape(coords[0]) + (len(coords),))
-        for k, c in enumerate(coords):
-            out[..., k] = c
-        return out
-
     @property
     def theta(self) -> np.ndarray:
-        return self._stacked(self.theta0, self.theta1)
+        return _stack_last((self.theta0, self.theta1))
 
     @property
     def array(self) -> np.ndarray:
-        return self._stacked(self.theta0, self.theta1, self.alpha, self.beta)
+        return _stack_last((self.theta0, self.theta1, self.alpha, self.beta))
 
 
 @dataclass(frozen=True)
 class CoadjointPoint:
-    """Covector components (u0, u1, u2, u3) in the dual basis."""
+    """Covector components (u0, u1, u2, u3) in the dual basis.
+
+    A batch of points, like AlgebraElement: components of one shape S, or
+    an array of shape S + (4,).
+    """
 
     u: tuple
 
     def __init__(self, u0, u1=None, u2=None, u3=None):
-        if u1 is None:
-            vec = _finite(u0, "CoadjointPoint")
-        else:
-            vec = _finite([u0, u1, u2, u3], "CoadjointPoint")
-        if vec.shape != (4,):
-            raise ValueError("CoadjointPoint takes 4 components")
-        object.__setattr__(self, "u", tuple(float(c) for c in vec))
+        object.__setattr__(self, "u", _components("CoadjointPoint", u0,
+                                                  (u1, u2, u3)))
 
     @property
     def array(self) -> np.ndarray:
-        return np.array(self.u)
+        return _stack_last(self.u)
 
 
 IDENTITY = GroupElement(0.0, 0.0, 0.0, 0.0)
@@ -187,9 +202,12 @@ def bracket(x: AlgebraElement, y: AlgebraElement, p: ModelParams = ModelParams()
 
 
 def ad_matrix(x: AlgebraElement, p: ModelParams = ModelParams()) -> np.ndarray:
-    """Matrix of ad(x) acting on coefficient vectors: (ad x) y = [x, y]."""
+    """Matrix of ad(x) acting on coefficient vectors: (ad x) y = [x, y].
+
+    A batch x of shape S gives a stack of shape S + (4, 4).
+    """
     c = structure_constants(p)
-    return np.einsum("cab,a->cb", c, x.array)
+    return np.einsum("cab,...a->...cb", c, x.array)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +217,15 @@ def ad_matrix(x: AlgebraElement, p: ModelParams = ModelParams()) -> np.ndarray:
 def _boost(alpha, theta) -> np.ndarray:
     """Lambda(alpha) theta, over the last axis of a batch."""
     return (lorentz_matrix(alpha) @ theta[..., None])[..., 0]
+
+
+def _row_times(row, mat) -> np.ndarray:
+    """row @ mat over a batch, one vector-matrix product per member.
+
+    Each member's product is the one a single vector @ matrix call makes,
+    so a batch row is bit-for-bit that member's scalar result.
+    """
+    return (row[..., None, :] @ mat)[..., 0, :]
 
 
 def _eps_pairing(x, y) -> np.ndarray:
@@ -324,32 +351,33 @@ def log_map(g: GroupElement, p: ModelParams = ModelParams()) -> AlgebraElement:
 
 
 def adjoint_matrix(g: GroupElement, p: ModelParams = ModelParams()) -> np.ndarray:
-    """(Ad g)^A_B in the (P0, P1, J, I) basis."""
+    """(Ad g)^A_B in the (P0, P1, J, I) basis; S + (4, 4) for a batch g."""
     lam = lorentz_matrix(g.alpha)
     t = g.theta
-    ad = np.zeros((4, 4))
-    ad[:2, :2] = lam
+    ad = np.zeros(t.shape[:-1] + (4, 4))
+    ad[..., :2, :2] = lam
     # column J, rows a: theta^c eps_c^a sqrt(-h)
-    ad[:2, 2] = SQRT_MINUS_H * (t @ EPS_MIXED_LOWER)
-    ad[2, 2] = 1.0
+    ad[..., :2, 2] = SQRT_MINUS_H * (t @ EPS_MIXED_LOWER)
+    ad[..., 2, 2] = 1.0
     # row I: B theta^c eps_{cd} Lambda^d_b  |  -(B / 2 sqrt(-h)) theta^a theta_a
-    ad[3, :2] = p.B * (t @ EPS_LOWER @ lam)
-    ad[3, 2] = -(p.B / (2.0 * SQRT_MINUS_H)) * minkowski_square(t)
-    ad[3, 3] = 1.0
+    ad[..., 3, :2] = p.B * _row_times(t @ EPS_LOWER, lam)
+    ad[..., 3, 2] = -(p.B / (2.0 * SQRT_MINUS_H)) * minkowski_square(t)
+    ad[..., 3, 3] = 1.0
     return ad
 
 
 def coadjoint_action(g: GroupElement, zeta: CoadjointPoint,
                      p: ModelParams = ModelParams()) -> CoadjointPoint:
-    """u_A = zeta_B (Ad g^-1)^B_A."""
+    """u_A = zeta_B (Ad g^-1)^B_A, over the batches of g and zeta."""
     ad_inv = adjoint_matrix(inverse(g, p), p)
-    return CoadjointPoint(zeta.array @ ad_inv)
+    return CoadjointPoint(_row_times(zeta.array, ad_inv))
 
 
-def casimir_pairing(u, p: ModelParams = ModelParams()) -> float:
-    """u^A u_A = u^a u_a - 2 (B / sqrt(-h)) u_2 u_3."""
+def casimir_pairing(u, p: ModelParams = ModelParams()):
+    """u^A u_A = u^a u_a - 2 (B / sqrt(-h)) u_2 u_3, one value per member."""
     arr = u.array if hasattr(u, "array") else np.asarray(u, dtype=float)
-    return minkowski_square(arr[:2]) - 2.0 * (p.B / SQRT_MINUS_H) * arr[2] * arr[3]
+    return minkowski_square(arr[..., :2]) \
+        - 2.0 * (p.B / SQRT_MINUS_H) * arr[..., 2] * arr[..., 3]
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +430,14 @@ def structural_report(p: ModelParams = ModelParams(), samples: int = 1000,
         derived.append(term.shape[0])
 
     rng = np.random.default_rng(seed)
-    max_imag = 0.0
-    max_trace = 0.0
-    has_real_eig = False
-    for _ in range(samples):
-        x = AlgebraElement(rng.uniform(-5.0, 5.0, 4))
-        m = ad_matrix(x, p)
-        eigs = np.linalg.eigvals(m)
-        max_imag = max(max_imag, float(np.max(np.abs(eigs.imag))))
-        max_trace = max(max_trace, abs(float(np.trace(m))))
-        if np.any(np.abs(eigs.real) > 1e-8):
-            has_real_eig = True
+    m = ad_matrix(AlgebraElement(rng.uniform(-5.0, 5.0, (samples, 4))), p)
+    eigs = np.linalg.eigvals(m)
 
     return {
         "central_series_dims": central,
         "derived_series_dims": derived,
-        "max_imag_eigenvalue": max_imag,
-        "max_abs_trace": max_trace,
-        "has_nonzero_real_eigenvalue": has_real_eig,
+        "max_imag_eigenvalue": float(np.max(np.abs(eigs.imag))),
+        "max_abs_trace": float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1)))),
+        "has_nonzero_real_eigenvalue": bool(np.any(np.abs(eigs.real) > 1e-8)),
         "samples": samples,
     }

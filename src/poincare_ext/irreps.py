@@ -34,8 +34,10 @@ from .group import (
 from .wavefunctions import (
     WaveFunction,
     _horner,
+    _window,
     hermite_wf,
     inner,
+    integrate_vec,
     l2_diff,
     norm,
     wf_affine,
@@ -391,18 +393,34 @@ def verify_homomorphism(rep: RepParams, g2: GroupElement, g1: GroupElement,
     return worst
 
 
+def _gram(fs):
+    """Pairs (i, j), i <= j, and the integrals <f_i, f_j> in that order.
+
+    One integrate_vec call takes every entry from the same node block, so
+    each function is evaluated once per quadrature level; the diagonal
+    integrates |f_i|^2.  Batch functions give one value per member.
+    """
+    pairs = [(i, j) for i in range(len(fs)) for j in range(i, len(fs))]
+
+    def integrand(x):
+        vals = [f.fn(x) for f in fs]
+        return np.stack([np.abs(vals[i]) ** 2 if i == j
+                         else np.conj(vals[i]) * vals[j] for i, j in pairs])
+
+    return pairs, integrate_vec(integrand, *_window(*fs))
+
+
 def verify_unitarity(rep: RepParams, g: GroupElement, probes) -> float:
     """Largest change of a probe norm or Gram entry under T(g), over the batch g."""
+    pairs, gram = _gram([rep_apply(rep, g, f) for f in probes])
     worst = 0.0
-    images = [rep_apply(rep, g, f) for f in probes]
-    for f, tf in zip(probes, images):
-        n2 = norm(f) ** 2
-        worst = max(worst, float(np.max(np.abs(norm(tf) ** 2 - n2) / n2)))
-    for i in range(len(probes)):
-        for j in range(i + 1, len(probes)):
-            before = inner(probes[i], probes[j])
-            after = inner(images[i], images[j])
-            worst = max(worst, float(np.max(np.abs(after - before))))
+    for (i, j), after in zip(pairs, gram):
+        if i == j:
+            n2 = norm(probes[i]) ** 2
+            gap = np.abs(np.real(after) - n2) / n2
+        else:
+            gap = np.abs(after - inner(probes[i], probes[j]))
+        worst = max(worst, float(np.max(gap)))
     return worst
 
 

@@ -248,19 +248,34 @@ def rep_for_mass(params: ModelParams, m: float) -> RepParams:
 
 @dataclass(frozen=True)
 class QuantOperator:
-    """Operator a(x) + b(x) d/dx + s d2/dx2 with polynomial a, linear b."""
+    """Operator a(x) + b(x) d/dx + s d2/dx2 with polynomial a, linear b.
+
+    The coefficients may be batch columns (a trailing axis of length 1),
+    one operator per member; apply then gives a batch image.
+    """
 
     m_coeffs: tuple  # multiplication polynomial, degree <= 2
     n_coeffs: tuple  # coefficient of d/dx, degree <= 1
     s2: complex      # coefficient of d2/dx2
 
+    @staticmethod
+    def stack(ops) -> "QuantOperator":
+        """One batch operator whose member k is ops[k]."""
+        def column(values):
+            return np.array(values)[:, None]
+
+        return QuantOperator(
+            tuple(column(c) for c in zip(*(op.m_coeffs for op in ops))),
+            tuple(column(c) for c in zip(*(op.n_coeffs for op in ops))),
+            column([op.s2 for op in ops]))
+
     def apply(self, f: WaveFunction) -> WaveFunction:
-        out = wf_mul_poly(f, self.m_coeffs) if any(self.m_coeffs) \
+        out = wf_mul_poly(f, self.m_coeffs) if np.any(self.m_coeffs) \
             else wf_scale(f, 0.0)
-        if any(self.n_coeffs):
+        if np.any(self.n_coeffs):
             out = wf_sub(out, wf_scale(wf_mul_poly(f.derivative(),
                                                    self.n_coeffs), -1.0))
-        if self.s2:
+        if np.any(self.s2):
             d2 = f.derivative().derivative()
             out = wf_sub(out, wf_scale(d2, -self.s2))
         return out
@@ -359,42 +374,65 @@ def _left_action_maps(g: GroupElement, params: ModelParams):
     return q_map, p_map
 
 
-def verify_covariance(g: GroupElement, f: PolynomialObservable,
-                      params: ModelParams, m: float, probes) -> float:
-    """Residual of Q(f . l_g) = T(g^-1) Q(f) T(g) on the probe class."""
+def _covariance_residual(g: GroupElement, pulled: QuantOperator,
+                         qf: QuantOperator, params: ModelParams, m: float,
+                         probes):
+    """max over probes of ||pulled psi - T(g^-1) qf T(g) psi|| / ||psi||.
+
+    One value per member of a batch g, whose operators are batch columns.
+    """
     rep = rep_for_mass(params, m)
-    q_map, p_map = _left_action_maps(g, params)
-    pulled = quantize(f.substitute_affine(q_map, p_map), params)
-    qf = quantize(f, params)
     ginv = inverse(g, params)
     worst = 0.0
     for psi in probes:
         lhs = pulled.apply(psi)
         rhs = rep_apply(rep, ginv, qf.apply(rep_apply(rep, g, psi)))
-        worst = max(worst, l2_diff(lhs, rhs) / norm(psi))
+        worst = np.maximum(worst, l2_diff(lhs, rhs) / norm(psi))
     return worst
 
 
-def covariance_suite(params: ModelParams, m: float, trials: int = 50,
-                     seed: int = 42, probes=None) -> float:
-    from .irreps import default_probes
+def verify_covariance(g: GroupElement, f: PolynomialObservable,
+                      params: ModelParams, m: float, probes) -> float:
+    """Residual of Q(f . l_g) = T(g^-1) Q(f) T(g) on the probe class."""
+    q_map, p_map = _left_action_maps(g, params)
+    pulled = quantize(f.substitute_affine(q_map, p_map), params)
+    return float(_covariance_residual(g, pulled, quantize(f, params),
+                                      params, m, probes))
 
-    if probes is None:
-        probes = default_probes(2)
-    rng = np.random.default_rng(seed)
-    base = [PolynomialObservable({(0, 0): 1.0}),
+
+def _covariance_observables(params: ModelParams, m: float):
+    """The observables covariance_suite cycles through, trial k taking k mod 7."""
+    return [PolynomialObservable({(0, 0): 1.0}),
             PolynomialObservable({(1, 0): 1.0}),
             PolynomialObservable({(0, 1): 1.0}),
             PolynomialObservable({(2, 0): 1.0}),
             PolynomialObservable({(1, 1): 1.0}),
             PolynomialObservable({(0, 2): 1.0}),
             comoment_observables(params, m)[2]]
-    worst = 0.0
-    for k in range(trials):
-        g = GroupElement(*rng.uniform(-1.5, 1.5, size=4))
-        f = base[k % len(base)]
-        worst = max(worst, verify_covariance(g, f, params, m, probes))
-    return worst
+
+
+def covariance_suite(params: ModelParams, m: float, trials: int = 50,
+                     seed: int = 42, probes=None) -> float:
+    """Largest verify_covariance residual over random (g, observable) trials.
+
+    The trials run as one batch: each pulled observable is quantized on
+    its own, and the operators are stacked as batch columns.
+    """
+    from .irreps import default_probes
+
+    if probes is None:
+        probes = default_probes(2)
+    coords = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(trials, 4))
+    base = _covariance_observables(params, m)
+    fs = [base[k % len(base)] for k in range(trials)]
+    pulled = [quantize(f.substitute_affine(
+        *_left_action_maps(GroupElement(*c), params)), params)
+        for f, c in zip(fs, coords)]
+    qf = [quantize(f, params) for f in fs]
+    res = _covariance_residual(GroupElement(*coords.T),
+                               QuantOperator.stack(pulled),
+                               QuantOperator.stack(qf), params, m, probes)
+    return float(np.max(res, initial=0.0))
 
 
 def pullback_residual(s: PhasePoint, params: ModelParams, m: float,

@@ -13,9 +13,9 @@ or S + (N,) gives S + (N,).  inner, norm and l2_diff return one integral
 per member, and integrate_vec tests each member's convergence on its own.
 
 All integrals run on [center - 12 width, center + 12 width] with a
-panel-doubling composite Gauss-Legendre rule (vectorized evaluations),
-converged to relative tolerance 1e-10.  The rule on [0, 1] is built once
-per panel count and only scaled to each window.
+panel-doubling composite Gauss-Legendre rule (vectorized evaluations) that
+starts at 8 panels and is converged to relative tolerance 1e-10.  The rule
+on [0, 1] is built once per panel count and only scaled to each window.
 """
 
 from __future__ import annotations
@@ -71,18 +71,21 @@ def gauss_legendre(lo, hi, panels: int):
 
 def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
                   atol: float = 1e-13, max_panels: int = 4096):
-    """Composite 32-point Gauss-Legendre with panel doubling from 16 panels.
+    """Composite 32-point Gauss-Legendre with panel doubling from 8 panels.
 
     fn maps an ndarray of nodes to values whose last axis runs over the
     nodes; leading axes are a batch, and the result has one integral per
     member.  A member has converged when two consecutive refinements agree
     to rtol/atol, and keeps the value of the level where it first did.
+    The integrands here are analytic with Gaussian decay, on which Gauss
+    rules converge exponentially, so the first 8 -> 16 check passes for
+    every integral of an all-checks report.
     """
     def level(n):
         x, w = gauss_legendre(lo, hi, n)
         return np.sum(w * fn(x), axis=-1)
 
-    n = 16
+    n = 8
     prev = level(n)
     out = prev
     done = np.zeros(np.shape(prev), dtype=bool)

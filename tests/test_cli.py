@@ -1,4 +1,5 @@
 import cmath
+import collections
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from poincare_ext import cli
+from poincare_ext import wavefunctions as wfm
 from poincare_ext.wavefunctions import hermite_wf
 
 #: values that parse as strings but are malformed for their option
@@ -182,6 +184,23 @@ class InTurn:
         fut = Future()
         fut.set_result(fn(*args))
         return fut
+
+
+@pytest.mark.parametrize("B", ("1", "-1.3"))
+def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
+    # every integral of the report passes its first 8 -> 16 panel check;
+    # a change that makes some integrand refine shows up as 32 panels here
+    panels = collections.Counter()
+    rule = wfm.gauss_legendre
+
+    def counted(lo, hi, n):
+        panels[n] += 1
+        return rule(lo, hi, n)
+
+    monkeypatch.setattr(wfm, "gauss_legendre", counted)
+    cli.run(["all-checks", "--seed", "42", f"--B={B}"])
+    capsys.readouterr()
+    assert set(panels) == {8, 16} and panels[8] == panels[16], panels
 
 
 @pytest.mark.parametrize("B", ("1", "-1.3"))

@@ -175,7 +175,7 @@ def fixed_projection(cs, c0, tau, e_grid, panels=256):
 
 @pytest.mark.parametrize("n", (400, 1600))
 def test_oracle_a_matches_fixed_rule(n):
-    # the 16 -> 32 panel ladder against 256 panels, over the suite's sweep
+    # the 8 -> 16 panel ladder against 256 panels, over the suite's sweep
     c0 = dy.gaussian_spectral(0.0, 1.0)
     for B, m in [(1.0, 0.5), (-1.0, 1.0), (2.0, 2.0), (-2.0, 0.5), (1.0, 2.0)]:
         cs = dy.ClassicalState(0.0, 0.7, 0.1, m, ModelParams(B=B))

@@ -160,6 +160,31 @@ def test_batched_compose_and_inverse_match_scalar_calls():
         GroupElement(np.zeros(3), np.zeros(2), 0.0, 0.0)
 
 
+def test_batched_coadjoint_and_casimir_match_scalar_calls():
+    # a stacked zeta[..., None, :] @ Ad makes each row's vector-matrix
+    # product, so batch rows are the scalar calls' bits
+    rng = np.random.default_rng(4)
+    zs, cs = rng.uniform(-3.0, 3.0, size=(7, 4)), rng.uniform(-2.0, 2.0, size=(7, 4))
+    for p in (P, ModelParams(B=-1.3)):
+        zeta, g = CoadjointPoint(zs), GroupElement(*cs.T)
+        moved = coadjoint_action(g, zeta, p)
+        assert moved.array.shape == (7, 4) and moved.u[3].shape == (7,)
+        before, after = casimir_pairing(zeta, p), casimir_pairing(moved, p)
+        ads = ad_matrix(AlgebraElement(cs), p)
+        assert ads.shape == (7, 4, 4)
+        for k in range(7):
+            z_k = CoadjointPoint(zs[k])
+            m_k = coadjoint_action(GroupElement(*cs[k]), z_k, p)
+            assert np.array_equal(moved.array[k], m_k.array)
+            assert before[k] == casimir_pairing(z_k, p)
+            assert after[k] == casimir_pairing(m_k, p)
+            assert np.array_equal(ads[k], ad_matrix(AlgebraElement(cs[k]), p))
+    assert np.array_equal(CoadjointPoint(*zs.T).array, zs)
+    for bad in (np.zeros((7, 3)), 1.0):
+        with pytest.raises(ValueError, match="4 components"):
+            AlgebraElement(bad)
+
+
 def test_exp_log_roundtrip():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from poincare_ext import irreps as ir
 from poincare_ext.group import GroupElement, ModelParams, compose, identity
-from poincare_ext.wavefunctions import WaveFunction, hermite_wf, l2_diff, norm
+from poincare_ext.wavefunctions import (WaveFunction, gauss_legendre, hermite_wf,
+                                        l2_diff, norm)
 
 P = ModelParams()
 REP_A = ir.case_a(1.0, -1.0, P)
@@ -209,6 +210,22 @@ def test_batched_checks_equal_max_of_scalar_checks(rep):
     assert abs(ir.verify_homomorphism(rep, g2, g1, probes) - hom) <= 4 * eps
     uni = max(ir.verify_unitarity(rep, g, probes) for g in g2s)
     assert abs(ir.verify_unitarity(rep, g2, probes) - uni) <= 4 * eps
+
+
+@pytest.mark.parametrize("rep", (REP_A, REP_C), ids=("A", "C"))
+def test_batched_gram_matches_fixed_rule(rep):
+    # unitarity's norms and Gram entries, on the 8 -> 16 panel ladder,
+    # against 256 panels; family A's images widen or narrow by e^alpha
+    coords = np.random.default_rng(12).uniform(-2.0, 2.0, size=(3, 4))
+    coords[:, 2] = (-2.0, 0.0, 2.0)
+    images = [ir.rep_apply(rep, GroupElement(*coords.T), f)
+              for f in (hermite_wf(0), hermite_wf(1))]
+    pairs, gram = ir._gram(images)
+    assert pairs == [(0, 0), (0, 1), (1, 1)] and gram.shape == (3, 3)
+    x, w = gauss_legendre(*images[0].interval(), 256)
+    for (i, j), got in zip(pairs, gram):
+        fixed = np.sum(w * np.conj(images[i](x)) * images[j](x), axis=-1)
+        assert np.max(np.abs(got - fixed)) <= 1e-13, (i, j, got - fixed)
 
 
 def test_arrays_scale_wavefunctions_by_rmul():

@@ -154,6 +154,17 @@ def test_covariance_suite():
     assert qz.covariance_suite(P, M, trials=21, seed=4) < 1e-8
 
 
+def test_batched_covariance_suite_equals_max_of_scalar_checks():
+    probes, trials, seed = default_probes(2), 16, 5
+    coords = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(trials, 4))
+    base = qz._covariance_observables(P, M)
+    scalar = max(qz.verify_covariance(GroupElement(*c), base[k % len(base)],
+                                      P, M, probes)
+                 for k, c in enumerate(coords))
+    batched = qz.covariance_suite(P, M, trials=trials, seed=seed, probes=probes)
+    assert abs(batched - scalar) <= 4 * np.finfo(float).eps
+
+
 def test_u2_offset_keeps_homomorphism():
     us = qz.comoment_observables(P, M, u2_offset=2.5)
     pb = qz.poisson_bracket(us[0], us[2], P)
