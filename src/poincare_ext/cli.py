@@ -235,8 +235,8 @@ _SUITES = (
 
 def run_all_checks(params: ModelParams, seed: int) -> dict:
     # four threads beat running the suites in turn: a median report of
-    # 0.169 s against 0.218 s, faster in all of 10 alternating pairs of
-    # the 12 benchmark B values each, on 2 cores
+    # 0.203 s against 0.267 s, faster in 47 of 48 alternating pairs over
+    # the 12 benchmark B values, on 2 shared cores (33 of 48 under load)
     with ThreadPoolExecutor(max_workers=4) as pool:
         futs = [(name, pool.submit(fn, params, seed)) for name, fn in _SUITES]
         report = {name: fut.result() for name, fut in futs}

@@ -34,16 +34,17 @@ from .group import (
 from .wavefunctions import (
     WaveFunction,
     _horner,
-    _window,
+    _relative_l2,
     hermite_wf,
     inner,
-    integrate_vec,
+    integrate_stack,
     l2_diff,
     norm,
     wf_affine,
     wf_mul,
     wf_mul_poly,
     wf_scale,
+    wf_stack,
     wf_sub,
 )
 
@@ -398,16 +399,17 @@ def _gram(fs):
 
     One integrate_vec call takes every entry from the same node block, so
     each function is evaluated once per quadrature level; the diagonal
-    integrates |f_i|^2.  Batch functions give one value per member.
+    integrates |f_i|^2, summed with the complex entries.  Batch functions
+    give one value per member.
     """
     pairs = [(i, j) for i in range(len(fs)) for j in range(i, len(fs))]
 
     def integrand(x):
         vals = [f.fn(x) for f in fs]
-        return np.stack([np.abs(vals[i]) ** 2 if i == j
-                         else np.conj(vals[i]) * vals[j] for i, j in pairs])
+        return ([np.abs(vals[i]) ** 2 if i == j
+                 else np.conj(vals[i]) * vals[j] for i, j in pairs],)
 
-    return pairs, integrate_vec(integrand, *_window(*fs))
+    return pairs, integrate_stack(integrand, *fs)[0]
 
 
 def verify_unitarity(rep: RepParams, g: GroupElement, probes) -> float:
@@ -425,44 +427,57 @@ def verify_unitarity(rep: RepParams, g: GroupElement, probes) -> float:
 
 
 def verify_commutators(rep: RepParams, probes) -> float:
-    """Bracket table through the representation, plus anti-Hermiticity."""
+    """Bracket table through the representation, plus anti-Hermiticity.
+
+    The generator chains act once, on the stacked probes, and every
+    residual comes from one integrate_vec call.
+    """
+    if not probes:
+        return 0.0
     p = rep.params
+    f = wf_stack(probes)
     basis = [AlgebraElement(tuple(1.0 if i == k else 0.0 for i in range(4)))
              for k in range(4)]
-    worst = 0.0
-    for f in probes:
-        nf = norm(f)
-        for a in range(4):
-            for b in range(a + 1, 4):
-                na, nb = BASIS_NAMES[a], BASIS_NAMES[b]
-                lhs = wf_sub(generator_apply(rep, na, generator_apply(rep, nb, f)),
-                             generator_apply(rep, nb, generator_apply(rep, na, f)))
-                rhs = _generator_combination(rep, bracket(basis[a], basis[b], p).v, f)
-                worst = max(worst, l2_diff(lhs, rhs) / nf)
-    # anti-Hermiticity on the first probe pair
-    if len(probes) >= 2:
-        f, g = probes[0], probes[1]
-        for name in BASIS_NAMES:
-            val = inner(generator_apply(rep, name, f), g) \
-                + inner(f, generator_apply(rep, name, g))
-            worst = max(worst, abs(val))
-    return worst
+    diffs = []
+    for a in range(4):
+        for b in range(a + 1, 4):
+            na, nb = BASIS_NAMES[a], BASIS_NAMES[b]
+            lhs = wf_sub(generator_apply(rep, na, generator_apply(rep, nb, f)),
+                         generator_apply(rep, nb, generator_apply(rep, na, f)))
+            rhs = _generator_combination(rep, bracket(basis[a], basis[b], p).v, f)
+            diffs.append((lhs, rhs))
+    # anti-Hermiticity on the first probe pair (f0, f1): <G f0, f1> and
+    # <f0, G f1> are integrated apart and added afterwards
+    gens = [generator_apply(rep, name, f) for name in BASIS_NAMES] \
+        if len(probes) >= 2 else []
+
+    def cross(x):
+        fx = f.fn(x)
+        out = []
+        for g in gens:
+            gx = g.fn(x)
+            out += [np.conj(gx[0]) * fx[1], np.conj(fx[0]) * gx[1]]
+        return out
+
+    res, ips = _relative_l2(diffs, f, cross)
+    anti = ips[0::2] + ips[1::2]
+    return float(max(np.max(res), np.max(np.abs(anti), initial=0.0)))
 
 
 def verify_casimir(rep: RepParams, probes) -> float:
     """2B I J f = sqrt(-h) (P^a P_a f + c f), c the family's Casimir label."""
+    if not probes:
+        return 0.0
     p = rep.params
     # Casimir labels: c2 on the orbit, 0 on the points, zeta^a zeta_a at z3 = 0
     c = {"A": rep.c2, "B": 0.0, "C": rep.zeta0 ** 2 - rep.zeta1 ** 2}[rep.family]
-    worst = 0.0
-    for f in probes:
-        pp = wf_sub(generator_apply(rep, "P0", generator_apply(rep, "P0", f)),
-                    generator_apply(rep, "P1", generator_apply(rep, "P1", f)))
-        lhs = wf_scale(generator_apply(
-            rep, "I", generator_apply(rep, "J", f)), 2.0 * p.B)
-        rhs = wf_scale(_wf_add(pp, wf_scale(f, c)), SQRT_MINUS_H)
-        worst = max(worst, l2_diff(lhs, rhs) / norm(f))
-    return worst
+    f = wf_stack(probes)
+    pp = wf_sub(generator_apply(rep, "P0", generator_apply(rep, "P0", f)),
+                generator_apply(rep, "P1", generator_apply(rep, "P1", f)))
+    lhs = wf_scale(generator_apply(
+        rep, "I", generator_apply(rep, "J", f)), 2.0 * p.B)
+    rhs = wf_scale(_wf_add(pp, wf_scale(f, c)), SQRT_MINUS_H)
+    return float(np.max(_relative_l2([(lhs, rhs)], f)[0]))
 
 
 def generator_consistency(rep: RepParams, f, steps=(1e-2, 5e-3, 2.5e-3)):

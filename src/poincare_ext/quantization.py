@@ -30,7 +30,17 @@ from .group import (
     inverse,
 )
 from .irreps import RepParams, case_a, rep_apply
-from .wavefunctions import WaveFunction, inner, l2_diff, norm, wf_mul_poly, wf_scale, wf_sub
+from .wavefunctions import (
+    WaveFunction,
+    _relative_l2,
+    integrate_stack,
+    l2_diff,
+    norm,
+    wf_mul_poly,
+    wf_scale,
+    wf_stack,
+    wf_sub,
+)
 
 __all__ = [
     "NoGoError",
@@ -335,33 +345,46 @@ def quantize(f: PolynomialObservable, params: ModelParams) -> QuantOperator:
 
 
 def hermiticity_residual(op: QuantOperator, probes) -> float:
-    worst = 0.0
-    for i in range(len(probes)):
-        for j in range(len(probes)):
-            lhs = inner(op.apply(probes[i]), probes[j])
-            rhs = inner(probes[i], op.apply(probes[j]))
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    """max over probe pairs (i, j) of |<A f_i, f_j> - <f_i, A f_j>|.
+
+    A acts once, on the stacked probes, and one integrate_vec call takes
+    both inner products of every pair.
+    """
+    if not probes:
+        return 0.0
+    f = wf_stack(probes)
+    af = op.apply(f)
+
+    def integrand(x):
+        fx, ax = f.fn(x), af.fn(x)
+        return ([np.conj(ax)[:, None] * fx, np.conj(fx)[:, None] * ax],)
+
+    lhs, rhs = integrate_stack(integrand, f, af)[0]
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def verify_dirac(params: ModelParams, m: float, probes,
                  z3: float | None = None) -> float:
-    """Residual of Q({u_A, u_B}) = -i z3 [Q(u_A), Q(u_B)] over all pairs."""
+    """Residual of Q({u_A, u_B}) = -i z3 [Q(u_A), Q(u_B)] over all pairs.
+
+    The operator chains act once, on the stacked probes, and every
+    residual comes from one integrate_vec call.
+    """
     if z3 is None:
         z3 = -1.0 / params.hbar
+    if not probes:
+        return 0.0
     us = comoment_observables(params, m)
     ops = [quantize(u, params) for u in us]
-    worst = 0.0
+    f = wf_stack(probes)
+    diffs = []
     for a in range(4):
         for b in range(a + 1, 4):
             qbr = quantize(poisson_bracket(us[a], us[b], params), params)
-            for f in probes:
-                comm = wf_sub(ops[a].apply(ops[b].apply(f)),
-                              ops[b].apply(ops[a].apply(f)))
-                lhs = qbr.apply(f)
-                rhs = wf_scale(comm, -1j * z3)
-                worst = max(worst, l2_diff(lhs, rhs) / norm(f))
-    return worst
+            comm = wf_sub(ops[a].apply(ops[b].apply(f)),
+                          ops[b].apply(ops[a].apply(f)))
+            diffs.append((qbr.apply(f), wf_scale(comm, -1j * z3)))
+    return float(np.max(_relative_l2(diffs, f)[0]))
 
 
 def _left_action_maps(g: GroupElement, params: ModelParams):

@@ -11,6 +11,9 @@ group elements: its parameters and its hint then have the batch shape S
 plus a trailing axis of length 1, and evaluating it at nodes of shape (N,)
 or S + (N,) gives S + (N,).  inner, norm and l2_diff return one integral
 per member, and integrate_vec tests each member's convergence on its own.
+wf_stack makes such a batch from a list of functions, one member each, so
+an operator chain built once acts on a whole probe set; integrate_stack
+then takes every integral of a check from one integrate_vec call.
 
 All integrals run on [center - 12 width, center + 12 width] with a
 panel-doubling composite Gauss-Legendre rule (vectorized evaluations) that
@@ -36,10 +39,12 @@ __all__ = [
     "wf_affine",
     "wf_mul",
     "wf_mul_poly",
+    "wf_stack",
     "inner",
     "norm",
     "l2_diff",
     "integrate_vec",
+    "integrate_stack",
     "gauss_legendre",
 ]
 
@@ -75,15 +80,25 @@ def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
 
     fn maps an ndarray of nodes to values whose last axis runs over the
     nodes; leading axes are a batch, and the result has one integral per
-    member.  A member has converged when two consecutive refinements agree
+    member.  fn may also return a tuple of such arrays, and the result is
+    then the tuple of their integrals: each array is summed in its own
+    dtype, since a real integrand summed as complex rounds differently.
+    A member has converged when two consecutive refinements agree
     to rtol/atol, and keeps the value of the level where it first did.
     The integrands here are analytic with Gaussian decay, on which Gauss
     rules converge exponentially, so the first 8 -> 16 check passes for
     every integral of an all-checks report.
     """
+    parts = []
+
     def level(n):
         x, w = gauss_legendre(lo, hi, n)
-        return np.sum(w * fn(x), axis=-1)
+        vals = fn(x)
+        if not isinstance(vals, tuple):
+            return np.sum(w * vals, axis=-1)
+        sums = [np.sum(w * v, axis=-1) for v in vals]
+        parts[:] = [(s.shape, s.dtype) for s in sums]
+        return np.concatenate([s.ravel() for s in sums])
 
     n = 8
     prev = level(n)
@@ -95,9 +110,49 @@ def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
         out = np.where(done, out, cur)
         done |= np.abs(cur - prev) <= np.maximum(atol, rtol * np.abs(cur))
         if done.all():
-            return out[()]
+            return _split(out, parts) if parts else out[()]
         prev = cur
     raise RuntimeError(f"quadrature did not converge on [{lo}, {hi}]")
+
+
+def _split(flat, parts):
+    """The flat integrals of a tuple integrand, back in their shapes and dtypes."""
+    chunks = np.split(flat, np.cumsum([math.prod(s) for s, _ in parts])[:-1])
+    return tuple((c if dtype.kind == "c" else c.real).reshape(shape)
+                 for c, (shape, dtype) in zip(chunks, parts))
+
+
+def integrate_stack(terms, *fs):
+    """Integrals of groups of integrands, all from one integrate_vec call.
+
+    terms maps nodes to a tuple of lists of integrand arrays, each with the
+    nodes on its last axis.  Each list is stacked along a new leading axis
+    (an empty list gives an empty stack) and summed in its own dtype.  The
+    window is the union of the windows of fs, and the result is the tuple
+    of the stacks' integrals.
+    """
+    def fn(x):
+        return tuple(np.stack(v) if v else np.empty((0,) + x.shape)
+                     for v in terms(x))
+
+    return integrate_vec(fn, *_window(*fs))
+
+
+def _relative_l2(diffs, f, cross=lambda x: []):
+    """||lhs - rhs|| / ||f|| for each (lhs, rhs) of diffs, from one quadrature.
+
+    f is a stack of probes (wf_stack) and the residuals have one row per
+    pair and one column per probe; the probe norms come from the same
+    integrate_vec call.  cross maps nodes to a list of complex integrands
+    that ride along in that call; their integrals come back second.
+    """
+    def integrand(x):
+        sq = [np.abs(lhs.fn(x) - rhs.fn(x)) ** 2 for lhs, rhs in diffs]
+        return sq + [np.abs(f.fn(x)) ** 2], cross(x)
+
+    sq, ips = integrate_stack(integrand, f, *(g for d in diffs for g in d))
+    root = np.sqrt(np.maximum(sq, 0.0))
+    return root[:-1] / root[-1], ips
 
 
 def _horner(coeffs, x):
@@ -194,12 +249,60 @@ def wf_mul(f: WaveFunction, factors) -> WaveFunction:
                         f.center, f.width)
 
 
+def _polyder(c):
+    """Derivative of coefficients c (increasing degree) along axis 0.
+
+    Batch columns ride along on the trailing axes; a constant gives the
+    zero constant, as numpy's polyder does.
+    """
+    if len(c) == 1:
+        return c * 0
+    return c[1:] * np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+
+
 def wf_mul_poly(f: WaveFunction, coeffs) -> WaveFunction:
     """Multiply by a polynomial (coeffs in increasing degree)."""
     factors = [np.asarray(coeffs, dtype=complex)]
     for _ in range(f.depth):
-        factors.append(P.polyder(factors[-1]))
+        factors.append(_polyder(factors[-1]))
     return wf_mul(f, [(lambda c: (lambda x: _horner(c, x)))(c) for c in factors])
+
+
+def wf_stack(fs) -> WaveFunction:
+    """One batch function whose member k is fs[k].
+
+    Values and every derivative stack along a leading axis: nodes of shape
+    (N,) serve every member, and nodes of shape (len(fs), N) give member k
+    row k.  The depth is the smallest depth among the members, and the
+    window is the union of theirs.
+
+    Each level of the chain keeps its (read-only) values at the latest
+    node array it was given.  An operator chain calls its base function
+    many times at the same nodes, so the members are evaluated once per
+    quadrature level rather than once per call.
+    """
+    if not fs:
+        raise ValueError("wf_stack needs at least one wavefunction")
+    depth = min(f.depth for f in fs)
+    lo, hi = _window(*fs)
+
+    def stacked(fns):
+        last = [None]  # (nodes, values), replaced whole so threads may share it
+
+        def fn(x):
+            hit = last[0]
+            if hit is None or hit[0] is not x:
+                rows = np.broadcast_to(x, (len(fns),) + x.shape[-1:])
+                vals = np.stack([g(r) for g, r in zip(fns, rows)])
+                vals.setflags(write=False)
+                hit = last[0] = (x, vals)
+            return hit[1]
+        return fn
+
+    return WaveFunction(stacked([f.fn for f in fs]),
+                        tuple(stacked([f.derivs[k] for f in fs])
+                              for k in range(depth)),
+                        0.5 * (lo + hi), (hi - lo) / 24.0)
 
 
 def gauss_poly_wf(coeffs, depth: int = 4, center: float = 0.0,

@@ -189,7 +189,9 @@ class InTurn:
 @pytest.mark.parametrize("B", ("1", "-1.3"))
 def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
     # every integral of the report passes its first 8 -> 16 panel check;
-    # a change that makes some integrand refine shows up as 32 panels here
+    # a change that makes some integrand refine shows up as 32 panels here.
+    # The probe-set checks take one quadrature each, so a report makes 81
+    # (284 with one quadrature per probe); more than 100 is a regression
     panels = collections.Counter()
     rule = wfm.gauss_legendre
 
@@ -201,6 +203,7 @@ def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
     cli.run(["all-checks", "--seed", "42", f"--B={B}"])
     capsys.readouterr()
     assert set(panels) == {8, 16} and panels[8] == panels[16], panels
+    assert panels[8] <= 100, panels
 
 
 @pytest.mark.parametrize("B", ("1", "-1.3"))

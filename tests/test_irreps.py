@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincare_ext import irreps as ir
-from poincare_ext.group import GroupElement, ModelParams, compose, identity
+from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
+                                bracket, compose, identity)
 from poincare_ext.wavefunctions import (WaveFunction, gauss_legendre, hermite_wf,
-                                        l2_diff, norm)
+                                        inner, l2_diff, norm, wf_sub)
 
 P = ModelParams()
 REP_A = ir.case_a(1.0, -1.0, P)
@@ -108,6 +109,51 @@ def test_casimir_identity():
     assert ir.verify_casimir(REP_A, probes) < 1e-9
     assert ir.verify_casimir(REP_C, probes) < 1e-9
     assert ir.verify_casimir(REP_B, probes) == 0.0
+
+
+def _commutators_per_probe(rep, probes):
+    """The bracket-table check one probe and one quadrature at a time."""
+    basis = [AlgebraElement(tuple(1.0 if i == k else 0.0 for i in range(4)))
+             for k in range(4)]
+    worst = 0.0
+    for f in probes:
+        for a in range(4):
+            for b in range(a + 1, 4):
+                na, nb = ir.BASIS_NAMES[a], ir.BASIS_NAMES[b]
+                lhs = wf_sub(ir.generator_apply(rep, na, ir.generator_apply(rep, nb, f)),
+                             ir.generator_apply(rep, nb, ir.generator_apply(rep, na, f)))
+                rhs = ir._generator_combination(
+                    rep, bracket(basis[a], basis[b], rep.params).v, f)
+                worst = max(worst, l2_diff(lhs, rhs) / norm(f))
+    if len(probes) >= 2:
+        f, g = probes[0], probes[1]
+        for name in ir.BASIS_NAMES:
+            val = inner(ir.generator_apply(rep, name, f), g) \
+                + inner(f, ir.generator_apply(rep, name, g))
+            worst = max(worst, abs(val))
+    return worst
+
+
+@pytest.mark.parametrize("B", (1.0, -1.3))
+@pytest.mark.parametrize("family", ("A", "B", "C"))
+def test_stacked_probe_checks_equal_per_probe_reference(family, B):
+    # one operator chain on the stacked probes and one quadrature per check
+    # give the very bits of the per-probe loops
+    p = ModelParams(B=B)
+    rep = {"A": ir.case_a(1.0, -1.0, p), "B": ir.case_b(0.7, p),
+           "C": ir.case_c(1.0, 0.3, p)}[family]
+    probes = ir.default_probes(5)
+    assert ir.verify_commutators(rep, probes) == _commutators_per_probe(rep, probes)
+    casimir = ir.verify_casimir(rep, probes)
+    assert casimir == max(ir.verify_casimir(rep, [f]) for f in probes)
+    if family == "B":
+        assert casimir == 0.0
+
+
+def test_probe_checks_on_no_probes():
+    for rep in (REP_A, REP_B, REP_C):
+        assert ir.verify_commutators(rep, []) == 0.0
+        assert ir.verify_casimir(rep, []) == 0.0
 
 
 def test_generator_scalar_actions():

@@ -11,6 +11,7 @@ from poincare_ext.group import (
 )
 from poincare_ext.irreps import default_probes
 from poincare_ext.orbits import classify
+from poincare_ext.wavefunctions import inner
 
 P = ModelParams()
 M = 1.0
@@ -137,6 +138,33 @@ def test_dirac_condition():
     probes = default_probes(3)
     assert qz.verify_dirac(P, M, probes) < 1e-9
     assert qz.verify_dirac(P, M, probes, z3=+1.0 / P.hbar) > 0.1
+
+
+@pytest.mark.parametrize("B", (1.0, -1.3))
+@pytest.mark.parametrize("sign", (-1.0, 1.0))
+def test_stacked_dirac_equals_max_of_single_probe_calls(B, sign):
+    p = ModelParams(B=B)
+    probes = default_probes(3)
+    z3 = sign / p.hbar
+    assert qz.verify_dirac(p, M, probes, z3=z3) == max(
+        qz.verify_dirac(p, M, [f], z3=z3) for f in probes)
+
+
+@pytest.mark.parametrize("B", (1.0, -1.3))
+def test_stacked_hermiticity_equals_per_pair_reference(B):
+    p = ModelParams(B=B)
+    probes = default_probes(3)
+    for u in qz.comoment_observables(p, M):
+        op = qz.quantize(u, p)
+        ref = max(abs(inner(op.apply(f), g) - inner(f, op.apply(g)))
+                  for f in probes for g in probes)
+        assert qz.hermiticity_residual(op, probes) == ref
+
+
+def test_quantum_checks_on_no_probes():
+    op = qz.quantize(qz.parse_poly("q^2+2qp"), P)
+    assert qz.hermiticity_residual(op, []) == 0.0
+    assert qz.verify_dirac(P, M, []) == 0.0
 
 
 def test_covariance():

@@ -1,7 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 from poincare_ext import wavefunctions as wfm
 
@@ -94,3 +99,108 @@ def test_gauss_legendre_rule():
     exact = (b ** 64 - a ** 64) / 64.0
     scale = np.maximum(np.abs(a), np.abs(b)) ** 64 / 64.0
     assert np.max(np.abs(got - exact) / scale) < 1e-13
+
+
+#: (Hermite index, center, width, depth) of one stack member
+MEMBER = st.tuples(st.integers(0, 5), st.floats(-3.0, 3.0),
+                   st.floats(0.25, 4.0), st.integers(0, 4))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(members=st.lists(MEMBER, min_size=1, max_size=4))
+def test_wf_stack_members_are_the_functions_alone(members):
+    fs = [wfm.hermite_wf(k, depth=d, center=c, width=w) for k, c, w, d in members]
+    stack = wfm.wf_stack(fs)
+    assert stack.depth == min(f.depth for f in fs)
+    lo = min(f.interval()[0] for f in fs)
+    hi = max(f.interval()[1] for f in fs)
+    assert stack.center == 0.5 * (lo + hi) and stack.width == (hi - lo) / 24.0
+    assert np.allclose(stack.interval(), (lo, hi), rtol=0.0, atol=1e-12 * (hi - lo))
+    x = np.linspace(lo, hi, 33)
+    rows = x + np.arange(len(fs))[:, None] * 0.1  # member k at its own row
+    level, alone = stack, fs
+    for _ in range(stack.depth + 1):
+        assert np.array_equal(level(x), np.stack([f(x) for f in alone]))
+        assert np.array_equal(level(rows), np.stack([f(r) for f, r in zip(alone, rows)]))
+        if level.depth:
+            level, alone = level.derivative(), [f.derivative() for f in alone]
+
+
+def test_wf_stack_values_are_read_only():
+    stack = wfm.wf_stack([wfm.hermite_wf(0), wfm.hermite_wf(1)])
+    x = np.linspace(-1.0, 1.0, 5)
+    vals = stack(x)
+    assert stack(x) is vals and not vals.flags.writeable
+    y = x + 0.5
+    assert np.array_equal(stack(y)[1], wfm.hermite_wf(1)(y))
+
+
+def test_wf_stack_shared_between_threads():
+    # the remembered (nodes, values) pair is replaced whole, so threads that
+    # share one stack and evaluate it at different nodes each get their own
+    fs = [wfm.hermite_wf(k) for k in range(3)]
+    stack = wfm.wf_stack(fs)
+    xs = [np.linspace(-3.0, 3.0, 64) + 0.01 * i for i in range(4)]
+    expect = [np.stack([f(x) for f in fs]) for x in xs]
+    wrong = []
+
+    def work(i):
+        for _ in range(300):
+            if not np.array_equal(stack(xs[i]), expect[i]):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
+
+
+def test_wf_stack_of_nothing_is_a_named_error():
+    with pytest.raises(ValueError, match="at least one"):
+        wfm.wf_stack([])
+
+
+def test_integrate_stack_sums_each_dtype_apart():
+    # a real integrand summed as complex rounds differently, so the real and
+    # the complex stack of one call must match their own integrate_vec calls
+    fs = [wfm.hermite_wf(k) for k in range(3)]
+    stack = wfm.wf_stack(fs)
+    g = wfm.wf_mul(fs[1], [lambda x: np.exp(0.7j * x),
+                           lambda x: 0.7j * np.exp(0.7j * x)])
+
+    def terms(x):
+        return [np.abs(stack.fn(x)) ** 2], [np.conj(g.fn(x)) * stack.fn(x)[0]], []
+
+    real, cplx, empty = wfm.integrate_stack(terms, stack, g)
+    lo, hi = wfm._window(stack, g)
+    assert real.dtype == float and real.shape == (1, 3)
+    assert np.array_equal(real, wfm.integrate_vec(
+        lambda x: np.abs(stack.fn(x))[None] ** 2, lo, hi))
+    assert cplx.dtype == complex and cplx.shape == (1,)
+    assert cplx[0] == wfm.inner(g, fs[0])
+    assert empty.shape == (0,)
+
+
+def test_wf_mul_poly_batch_columns_and_polyder():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5):
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert np.array_equal(wfm._polyder(c), P.polyder(c))
+    # one batch of three polynomials against each polynomial alone
+    cols = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    f = wfm.hermite_wf(2)
+    batch = wfm.wf_mul_poly(f, tuple(c[:, None] for c in cols))
+    x = np.linspace(-3.0, 3.0, 13)
+    level = batch
+    singles = [wfm.wf_mul_poly(f, cols[:, k]) for k in range(4)]
+    for _ in range(f.depth + 1):
+        assert np.array_equal(level(x), np.stack([s(x) for s in singles]))
+        if level.depth:
+            level, singles = level.derivative(), [s.derivative() for s in singles]
