@@ -34,6 +34,7 @@ from .group import (
 from .wavefunctions import (
     WaveFunction,
     _horner,
+    _latest_values,
     _relative_l2,
     hermite_wf,
     inner,
@@ -156,7 +157,7 @@ def _poly_exp_factors(amp, q, depth: int):
     polynomial r under r -> r' + q' r, so every derivative is exact.  The
     coefficients may be batch columns; each r is built the first time its
     derivative is evaluated, and the sweeps that never differentiate build
-    none.
+    none.  The factors share exp(q(x)), evaluated once per node array.
     """
     dq = [k * q[k] for k in range(1, len(q))]
     rs = {0: [amp]}
@@ -173,8 +174,10 @@ def _poly_exp_factors(amp, q, depth: int):
             rs[k] = nxt
         return rs[k]
 
+    phase = _latest_values(lambda x: np.exp(_horner(q, x)))
+
     def closure(k):
-        return lambda x: _horner(r(k), x) * np.exp(_horner(q, x))
+        return lambda x: _horner(r(k), x) * phase(x)
 
     return [closure(k) for k in range(depth + 1)]
 

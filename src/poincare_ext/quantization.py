@@ -5,10 +5,12 @@ light-cone position and p = -B q0 the momentum coordinate; the Poisson
 bracket orientation is the one that makes the comoments a Lie-algebra
 homomorphism onto the group brackets.
 
-Quantization maps polynomials of degree at most two to Schroedinger
-operators (Weyl symmetric ordering for the quadratics).  Degree three
-and higher is rejected: no consistent extension exists
-(Groenewold--Van Hove obstruction).
+Symbols and operators are coefficient arrays: an observable is a real
+array c[i, j] multiplying q^i p^j, an operator a complex array c[i, j]
+multiplying x^i (d/dx)^j.  Quantization is one Weyl-ordering rule that
+maps the first to the second, term by term.  Observables of degree
+three and higher are rejected: no consistent extension of the degree
+<= 2 map exists (Groenewold--Van Hove obstruction).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .conventions import SQRT_MINUS_H
 from .group import (
@@ -87,22 +90,31 @@ class PhasePoint:
 class PolynomialObservable:
     """Real polynomial in (q, p) of total degree at most 2.
 
-    Coefficients are keyed by (i, j) for q^i p^j.  The degree gate is
-    structural: higher-degree tables cannot be constructed.
+    c[i, j] multiplies q^i p^j in a fixed 3 x 3 array, and coeffs holds
+    its nonzero entries as ((i, j), value) pairs sorted by (i, j).  The
+    table is a dict keyed by (i, j), or such an array.  The degree gate
+    is structural: higher-degree tables cannot be constructed.
     """
 
-    coeffs: tuple  # sorted tuple of ((i, j), value)
+    coeffs: tuple
+    c: np.ndarray = field(compare=False, repr=False)
 
     def __init__(self, table):
+        if isinstance(table, np.ndarray):
+            table = np.ndenumerate(table)
         items = tuple(sorted((k, float(v)) for k, v in dict(table).items()
                              if v != 0.0))
-        for (i, j), _ in items:
+        c = np.zeros((3, 3))
+        for (i, j), v in items:
             if i < 0 or j < 0:
                 raise ValueError("negative monomial exponent")
             if i + j > 2:
                 raise NoGoError(
                     "observables of degree >= 3 admit no consistent "
                     "quantization extending the degree <= 2 map")
+            c[i, j] = v
+        c.setflags(write=False)
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "coeffs", items)
 
     def __getitem__(self, key) -> float:
@@ -116,50 +128,32 @@ class PolynomialObservable:
         return sum(v * s.q ** i * s.p ** j for (i, j), v in self.coeffs)
 
     def __add__(self, other):
-        t = dict(self.coeffs)
-        for k, v in other.coeffs:
-            t[k] = t.get(k, 0.0) + v
-        return PolynomialObservable(t)
+        return PolynomialObservable(self.c + other.c)
 
     def __rmul__(self, c: float):
-        return PolynomialObservable({k: c * v for k, v in self.coeffs})
+        return PolynomialObservable(c * self.c)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def substitute_affine(self, q_map, p_map) -> "PolynomialObservable":
         """Compose with q -> q_map, p -> p_map, both affine (cq, cp, c0)."""
-        def lin(c):
-            return {(1, 0): c[0], (0, 1): c[1], (0, 0): c[2]}
-
-        def mul(a, b):
-            out = {}
-            for (i1, j1), v1 in a.items():
-                for (i2, j2), v2 in b.items():
-                    k = (i1 + i2, j1 + j2)
-                    out[k] = out.get(k, 0.0) + v1 * v2
-            return out
-
-        table = {}
+        lin = [np.array([[c0, cp], [cq, 0.0]]) for cq, cp, c0 in (q_map, p_map)]
+        out = np.zeros((3, 3))
         for (i, j), v in self.coeffs:
-            term = {(0, 0): v}
-            for _ in range(i):
-                term = mul(term, lin(q_map))
-            for _ in range(j):
-                term = mul(term, lin(p_map))
-            for k, val in term.items():
-                table[k] = table.get(k, 0.0) + val
-        return PolynomialObservable(table)
+            term = np.array([[v]])
+            for m in [lin[0]] * i + [lin[1]] * j:
+                term = _polymul2(term, m)
+            out[:len(term), :term.shape[1]] += term
+        return PolynomialObservable(out)
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j), v in self.coeffs:
-            mono = ("" if i == 0 else ("q" if i == 1 else f"q^{i}")) \
-                + ("" if j == 0 else ("p" if j == 1 else f"p^{j}"))
-            parts.append(f"{v:g}{'*' + mono if mono else ''}")
-        return " + ".join(parts)
+
+def _polymul2(a, b):
+    """Product of two polynomials in (q, p) given as 2-D coefficient arrays."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+    for (i, j), v in np.ndenumerate(a):
+        out[i:i + b.shape[0], j:j + b.shape[1]] += v * b
+    return out
 
 
 _TERM_RE = re.compile(
@@ -184,17 +178,6 @@ def parse_poly(text: str) -> PolynomialObservable:
     return PolynomialObservable(table)
 
 
-def _partial(f: PolynomialObservable, var: int):
-    """Derivative table; var 0 = q, var 1 = p."""
-    out = {}
-    for (i, j), v in f.coeffs:
-        e = (i, j)[var]
-        if e:
-            k = (i - 1, j) if var == 0 else (i, j - 1)
-            out[k] = out.get(k, 0.0) + v * e
-    return out
-
-
 def poisson_bracket(f: PolynomialObservable, g: PolynomialObservable,
                     params: ModelParams) -> PolynomialObservable:
     """{f, g} = df/dp dg/dq - df/dq dg/dp.
@@ -202,19 +185,9 @@ def poisson_bracket(f: PolynomialObservable, g: PolynomialObservable,
     The orientation is the one under which the comoments realize the
     group brackets; with it {q, p} = -1 and {q^a, q^b} = eps^{ab}/B.
     """
-    fq, fp = _partial(f, 0), _partial(f, 1)
-    gq, gp = _partial(g, 0), _partial(g, 1)
-
-    table = {}
-    for (i1, j1), v1 in fp.items():
-        for (i2, j2), v2 in gq.items():
-            k = (i1 + i2, j1 + j2)
-            table[k] = table.get(k, 0.0) + v1 * v2
-    for (i1, j1), v1 in fq.items():
-        for (i2, j2), v2 in gp.items():
-            k = (i1 + i2, j1 + j2)
-            table[k] = table.get(k, 0.0) - v1 * v2
-    return PolynomialObservable(table)
+    fq, fp = P.polyder(f.c, axis=0), P.polyder(f.c, axis=1)
+    gq, gp = P.polyder(g.c, axis=0), P.polyder(g.c, axis=1)
+    return PolynomialObservable(_polymul2(fp, gq) - _polymul2(fq, gp))
 
 
 # ---------------------------------------------------------------------------
@@ -256,88 +229,68 @@ def rep_for_mass(params: ModelParams, m: float) -> RepParams:
 # quantization map
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantOperator:
-    """Operator a(x) + b(x) d/dx + s d2/dx2 with polynomial a, linear b.
+    """Operator sum of c[i, j] x^i (d/dx)^j, with complex coefficients.
 
-    The coefficients may be batch columns (a trailing axis of length 1),
-    one operator per member; apply then gives a batch image.
+    c is square and of total degree below its size: c[i, j] = 0 for
+    i + j >= len(c).  It may carry batch columns on trailing axes (shape
+    (3, 3, n, 1)), one operator per member; apply then gives a batch
+    image.
     """
 
-    m_coeffs: tuple  # multiplication polynomial, degree <= 2
-    n_coeffs: tuple  # coefficient of d/dx, degree <= 1
-    s2: complex      # coefficient of d2/dx2
+    c: np.ndarray
 
     @staticmethod
     def stack(ops) -> "QuantOperator":
         """One batch operator whose member k is ops[k]."""
-        def column(values):
-            return np.array(values)[:, None]
-
-        return QuantOperator(
-            tuple(column(c) for c in zip(*(op.m_coeffs for op in ops))),
-            tuple(column(c) for c in zip(*(op.n_coeffs for op in ops))),
-            column([op.s2 for op in ops]))
+        return QuantOperator(np.stack([op.c for op in ops], axis=-1)[..., None])
 
     def apply(self, f: WaveFunction) -> WaveFunction:
-        out = wf_mul_poly(f, self.m_coeffs) if np.any(self.m_coeffs) \
-            else wf_scale(f, 0.0)
-        if np.any(self.n_coeffs):
-            out = wf_sub(out, wf_scale(wf_mul_poly(f.derivative(),
-                                                   self.n_coeffs), -1.0))
-        if np.any(self.s2):
-            d2 = f.derivative().derivative()
-            out = wf_sub(out, wf_scale(d2, -self.s2))
+        """The image of f; f is differentiated only as far as c needs."""
+        out = wf_scale(f, 0.0)
+        for j in range(len(self.c)):
+            col = self.c[:len(self.c) - j, j]  # the x^i with i + j < len(c)
+            if np.any(col):
+                dj = f
+                for _ in range(j):
+                    dj = dj.derivative()
+                term = wf_mul_poly(dj, col)
+                out = term if j == 0 else wf_sub(out, wf_scale(term, -1.0))
         return out
 
     def __add__(self, other: "QuantOperator") -> "QuantOperator":
-        mc = tuple(a + b for a, b in zip(self.m_coeffs, other.m_coeffs))
-        nc = tuple(a + b for a, b in zip(self.n_coeffs, other.n_coeffs))
-        return QuantOperator(mc, nc, self.s2 + other.s2)
+        return QuantOperator(self.c + other.c)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QuantOperator) and np.array_equal(self.c, other.c)
 
     def describe(self) -> str:
         terms = []
-        names = ["1", "x", "x^2"]
-        for c, n in zip(self.m_coeffs, names):
-            if c:
-                terms.append(f"({c:g})*{n}" if n != "1" else f"({c:g})")
-        for c, n in zip(self.n_coeffs, ["d/dx", "x*d/dx"]):
-            if c:
-                terms.append(f"({c:g})*{n}")
-        if self.s2:
-            terms.append(f"({self.s2:g})*d2/dx2")
+        for (j, i), v in np.ndenumerate(self.c.T):
+            if v:
+                x = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+                d = "" if j == 0 else "d/dx" if j == 1 else f"d{j}/dx{j}"
+                terms.append("*".join([f"({v:g})"] + [s for s in (x, d) if s]))
         return " + ".join(terms) if terms else "0"
 
 
 def quantize(f: PolynomialObservable, params: ModelParams) -> QuantOperator:
-    """Schroedinger quantization with Weyl ordering on quadratics.
+    """Schroedinger quantization with Weyl (symmetric) ordering.
 
-    q -> x, p -> -i hbar d/dx, qp -> symmetrized product; linear on
-    coefficient tables.  Degree >= 3 never reaches this point: the
-    observable type rejects it at construction.
+    The Weyl symbol q^i p^j is the operator
+        sum_k k! C(i, k) C(j, k) (-i hbar/2)^k x^(i-k) (-i hbar d/dx)^(j-k)
+    in x-left order, and the map is linear on coefficient tables: q -> x,
+    p -> -i hbar d/dx, qp -> -i hbar (x d/dx + 1/2).
     """
     h = params.hbar
-    mc = [0j, 0j, 0j]
-    nc = [0j, 0j]
-    s2 = 0j
+    c = np.zeros(f.c.shape, dtype=complex)
     for (i, j), v in f.coeffs:
-        if (i, j) == (0, 0):
-            mc[0] += v
-        elif (i, j) == (1, 0):
-            mc[1] += v
-        elif (i, j) == (2, 0):
-            mc[2] += v
-        elif (i, j) == (0, 1):
-            nc[0] += -1j * h * v
-        elif (i, j) == (0, 2):
-            s2 += -h * h * v
-        elif (i, j) == (1, 1):
-            # (q p + p q)/2 -> -i hbar (x d/dx + 1/2)
-            nc[1] += -1j * h * v
-            mc[0] += -0.5j * h * v
-        else:  # pragma: no cover - unreachable through the type gate
-            raise NoGoError("degree >= 3 observable")
-    return QuantOperator(tuple(mc), tuple(nc), s2)
+        for k in range(min(i, j) + 1):
+            c[i - k, j - k] += (math.factorial(k) * math.comb(i, k)
+                                * math.comb(j, k) * v * (-0.5j * h) ** k
+                                * (-1j * h) ** (j - k))
+    return QuantOperator(c)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +344,7 @@ def _left_action_maps(g: GroupElement, params: ModelParams):
     """Affine maps (q, p) -> (q', p') of the point action q -> Lambda q + theta."""
     B = params.B
     ea = math.exp(g.alpha)
-    sh, ch = math.sinh(g.alpha), math.cosh(g.alpha)
+    sh = math.sinh(g.alpha)
     q_map = (ea, 0.0, g.theta0 - g.theta1)
     p_map = (-B * sh, math.exp(-g.alpha), -B * g.theta0)
     return q_map, p_map

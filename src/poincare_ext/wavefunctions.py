@@ -268,6 +268,25 @@ def wf_mul_poly(f: WaveFunction, coeffs) -> WaveFunction:
     return wf_mul(f, [(lambda c: (lambda x: _horner(c, x)))(c) for c in factors])
 
 
+def _latest_values(fn):
+    """fn, keeping its (read-only) values at the latest node array it was given.
+
+    A call at the same array object returns the kept values without
+    evaluating fn again.  The kept pair is replaced whole, so threads may
+    share the function.
+    """
+    last = [None]  # (nodes, values)
+
+    def cached(x):
+        hit = last[0]
+        if hit is None or hit[0] is not x:
+            vals = fn(x)
+            vals.setflags(write=False)
+            hit = last[0] = (x, vals)
+        return hit[1]
+    return cached
+
+
 def wf_stack(fs) -> WaveFunction:
     """One batch function whose member k is fs[k].
 
@@ -276,9 +295,9 @@ def wf_stack(fs) -> WaveFunction:
     row k.  The depth is the smallest depth among the members, and the
     window is the union of theirs.
 
-    Each level of the chain keeps its (read-only) values at the latest
-    node array it was given.  An operator chain calls its base function
-    many times at the same nodes, so the members are evaluated once per
+    Each level of the chain keeps its values at the latest node array
+    (_latest_values).  An operator chain calls its base function many
+    times at the same nodes, so the members are evaluated once per
     quadrature level rather than once per call.
     """
     if not fs:
@@ -287,17 +306,10 @@ def wf_stack(fs) -> WaveFunction:
     lo, hi = _window(*fs)
 
     def stacked(fns):
-        last = [None]  # (nodes, values), replaced whole so threads may share it
-
         def fn(x):
-            hit = last[0]
-            if hit is None or hit[0] is not x:
-                rows = np.broadcast_to(x, (len(fns),) + x.shape[-1:])
-                vals = np.stack([g(r) for g, r in zip(fns, rows)])
-                vals.setflags(write=False)
-                hit = last[0] = (x, vals)
-            return hit[1]
-        return fn
+            rows = np.broadcast_to(x, (len(fns),) + x.shape[-1:])
+            return np.stack([g(r) for g, r in zip(fns, rows)])
+        return _latest_values(fn)
 
     return WaveFunction(stacked([f.fn for f in fs]),
                         tuple(stacked([f.derivs[k] for f in fs])

@@ -102,11 +102,16 @@ def test_rep_apply_family_b(capsys):
 
 
 def test_quantize_op():
-    code, out, _ = run_cli("quantize", "op", "--poly", "q^2+2qp")
-    assert code == 0
-    payload = json.loads(out)
-    assert "x^2" in payload["operator"]
-    assert "d/dx" in payload["operator"]
+    for poly, hbar, operator in (
+            ("q^2+2qp", "1", "(0-1j) + (1+0j)*x^2 + (0-2j)*x*d/dx"),
+            ("-1.50q^2+0.30qp-2.00p^2+1.25q-0.75p+0.5", "0.3",
+             "(0.5-0.045j) + (1.25+0j)*x + (-1.5+0j)*x^2 + (0+0.225j)*d/dx"
+             " + (0-0.09j)*x*d/dx + (0.18+0j)*d2/dx2")):
+        code, out, _ = run_cli("quantize", "op", f"--poly={poly}",
+                               f"--hbar={hbar}")
+        assert code == 0
+        assert json.loads(out) == {"schema": 1, "poly": poly,
+                                   "operator": operator}
 
 
 def test_trajectory_csv():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincare_ext import quantization as qz
 from poincare_ext.group import (
@@ -104,19 +108,92 @@ def test_parse_poly():
         qz.parse_poly("q**2")
 
 
+def unit(i, j, v=1.0):
+    """The 3 x 3 operator array with the single entry c[i, j] = v."""
+    c = np.zeros((3, 3), dtype=complex)
+    c[i, j] = v
+    return c
+
+
 def test_quantize_generator_table():
     h = P.hbar
     op = qz.quantize(qz.parse_poly("q"), P)
-    assert op.m_coeffs == (0.0, 1.0, 0.0) and not any(op.n_coeffs) and not op.s2
+    assert np.array_equal(op.c, unit(1, 0))
     op = qz.quantize(qz.parse_poly("p"), P)
-    assert op.n_coeffs[0] == -1j * h and not any(op.m_coeffs)
+    assert np.array_equal(op.c, unit(0, 1, -1j * h))
     op = qz.quantize(qz.parse_poly("p^2"), P)
-    assert op.s2 == -h * h
+    assert np.array_equal(op.c, unit(0, 2, -h * h))
     op = qz.quantize(qz.parse_poly("qp"), P)
-    assert op.n_coeffs[1] == -1j * h and op.m_coeffs[0] == -0.5j * h
+    assert np.array_equal(op.c, unit(1, 1, -1j * h) + unit(0, 0, -0.5j * h))
     # the constant comoment quantizes to minus the identity
     op = qz.quantize(qz.comoment_observables(P, M)[3], P)
-    assert op.m_coeffs == (-1.0, 0.0, 0.0)
+    assert np.array_equal(op.c, unit(0, 0, -1.0))
+
+
+def six_branch_quantize(f, params):
+    """The monomial-by-monomial Weyl map, kept as the reference.
+
+    Returns the operator array: the multiplication polynomial in column 0,
+    the d/dx coefficients in column 1 and the d2/dx2 coefficient in c[0, 2].
+    """
+    h = params.hbar
+    mc = [0j, 0j, 0j]
+    nc = [0j, 0j]
+    s2 = 0j
+    for (i, j), v in f.coeffs:
+        if (i, j) == (0, 0):
+            mc[0] += v
+        elif (i, j) == (1, 0):
+            mc[1] += v
+        elif (i, j) == (2, 0):
+            mc[2] += v
+        elif (i, j) == (0, 1):
+            nc[0] += -1j * h * v
+        elif (i, j) == (0, 2):
+            s2 += -h * h * v
+        elif (i, j) == (1, 1):
+            # (q p + p q)/2 -> -i hbar (x d/dx + 1/2)
+            nc[1] += -1j * h * v
+            mc[0] += -0.5j * h * v
+    c = np.zeros((3, 3), dtype=complex)
+    c[:, 0], c[:2, 1], c[0, 2] = mc, nc, s2
+    return c
+
+
+MONOMIALS = [(i, j) for i in range(3) for j in range(3 - i)]
+TABLES = st.dictionaries(st.sampled_from(MONOMIALS),
+                         st.floats(-1e3, 1e3, allow_subnormal=False))
+#: hbar log-uniform over six decades
+HBARS = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=TABLES, hbar=HBARS)
+def test_weyl_rule_equals_six_branch_reference(table, hbar):
+    p = ModelParams(hbar=hbar)
+    f = qz.PolynomialObservable(table)
+    assert np.array_equal(qz.quantize(f, p).c, six_branch_quantize(f, p))
+
+
+AFFINE = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=st.dictionaries(st.sampled_from(MONOMIALS), st.floats(-3.0, 3.0)),
+       q_map=AFFINE, p_map=AFFINE, q=st.floats(-3.0, 3.0),
+       p=st.floats(-3.0, 3.0))
+def test_substitute_affine_is_evaluation_at_the_mapped_point(table, q_map,
+                                                             p_map, q, p):
+    f = qz.PolynomialObservable(table)
+    s = qz.PhasePoint(q, p)
+    qq = q_map[0] * q + q_map[1] * p + q_map[2]
+    pp = p_map[0] * q + p_map[1] * p + p_map[2]
+    lhs = f.substitute_affine(q_map, p_map)(s)
+    # round-off is relative to the sum of the terms' absolute values
+    aq = abs(q_map[0] * q) + abs(q_map[1] * p) + abs(q_map[2])
+    ap = abs(p_map[0] * q) + abs(p_map[1] * p) + abs(p_map[2])
+    scale = sum(abs(v) * aq ** i * ap ** j for (i, j), v in f.coeffs)
+    assert abs(lhs - f(qz.PhasePoint(qq, pp))) <= 1e-14 * scale
 
 
 def test_quantize_linearity():
@@ -132,6 +209,19 @@ def test_hermiticity_of_quantized_observables():
     for text in ("1", "q", "p", "q^2", "qp", "p^2"):
         op = qz.quantize(qz.parse_poly(text), P)
         assert qz.hermiticity_residual(op, probes[:2]) < 1e-9, text
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hbar=HBARS, B=st.floats(0.5, 3.0), sign=st.sampled_from((-1.0, 1.0)))
+def test_dirac_and_hermiticity_over_hbar_and_B(hbar, B, sign):
+    # over 13 hbar values in [1e-3, 1e3] and six B, the worst values
+    # measured were 3.5e-12 (Dirac) and 2.7e-12 (hermiticity); the gates
+    # are the quantization suite's
+    p = ModelParams(B=sign * B, hbar=hbar)
+    probes = default_probes(3)
+    assert qz.verify_dirac(p, M, probes) <= 1e-9
+    assert max(qz.hermiticity_residual(qz.quantize(u, p), probes[:2])
+               for u in qz.comoment_observables(p, M)) <= 1e-9
 
 
 def test_dirac_condition():
