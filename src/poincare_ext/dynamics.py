@@ -24,7 +24,7 @@ import numpy as np
 
 from .group import ModelParams
 from .quantization import PolynomialObservable, QuantOperator, quantize
-from .wavefunctions import WaveFunction, integrate_vec
+from .wavefunctions import WaveFunction, exp_poly_tower, integrate_vec
 
 __all__ = [
     "ClassicalState",
@@ -93,11 +93,15 @@ def _time_integral(fn, cs: ClassicalState, tau: float) -> float:
 
 
 def classical_trajectory(cs: ClassicalState, tau: float):
-    """(q0, q1, ptilde) at time tau; q0 is the time coordinate itself."""
-    B = cs.params.B
-    q1 = cs.q1_0 - relativistic_energy(cs, cs.tau0) / B \
-        + relativistic_energy(cs, tau) / B
-    return tau, q1, kinematical_momentum(cs, tau)
+    """(q0, q1, ptilde) at time tau; q0 is the time coordinate itself.
+
+    q1 - q1_0 = (E(tau) - E(tau0)) / B is evaluated in the equal form
+    (tau - tau0)(ptilde + ptilde0) / (E(tau) + E(tau0)), finite at any B.
+    """
+    pt = kinematical_momentum(cs, tau)
+    q1 = cs.q1_0 + (tau - cs.tau0) * (pt + cs.ptilde_0) \
+        / (relativistic_energy(cs, tau) + relativistic_energy(cs, cs.tau0))
+    return tau, q1, pt
 
 
 def proper_time(cs: ClassicalState, tau: float) -> float:
@@ -122,28 +126,16 @@ def total_energy_operator(cs: ClassicalState, tau: float) -> QuantOperator:
          (1, 0): p.B / 2.0, (0, 1): 0.5}), p)
 
 
-def h0_eigenfunction(E: float, params: ModelParams,
-                     width: float = 6.0) -> WaveFunction:
+def h0_eigenfunction(E: float, params: ModelParams) -> WaveFunction:
     """<x|E> = (2 pi hbar)^(-1/2) exp[-(i/hbar)(E x + B x^2 / 2)].
 
-    Not square-integrable; the width hint only scopes windowed
+    Not square-integrable; the width hint of 6 only scopes windowed
     quadrature against genuinely normalizable partners.
     """
     h, B = params.hbar, params.B
     amp = 1.0 / math.sqrt(2.0 * math.pi * h)
-
-    def closure(k):
-        def f(x):
-            phase = np.exp(-1j * (E * x + 0.5 * B * x * x) / h)
-            if k == 0:
-                return amp * phase
-            d1 = -1j * (E + B * x) / h
-            if k == 1:
-                return amp * d1 * phase
-            return amp * (d1 * d1 - 1j * B / h) * phase
-        return f
-
-    return WaveFunction(closure(0), (closure(1), closure(2)), 0.0, width)
+    return WaveFunction(exp_poly_tower([amp], [0.0, -1j * E / h, -0.5j * B / h]),
+                        2, 0.0, 6.0)
 
 
 # ---------------------------------------------------------------------------

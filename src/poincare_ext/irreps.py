@@ -33,14 +33,14 @@ from .group import (
 )
 from .wavefunctions import (
     WaveFunction,
-    _horner,
-    _latest_values,
     _relative_l2,
+    exp_poly_tower,
     hermite_wf,
     inner,
     integrate_stack,
     l2_diff,
     norm,
+    wf_add,
     wf_affine,
     wf_mul,
     wf_mul_poly,
@@ -150,57 +150,24 @@ def subgroup_modulus(h: GroupElement, family: str) -> float:
 # representation operators
 
 
-def _poly_exp_factors(amp, q, depth: int):
-    """Closure chain for m(x) = amp * exp(q(x)) with polynomial q.
-
-    The chain m, m', m'', ... stays in the class r(x) exp(q(x)) with
-    polynomial r under r -> r' + q' r, so every derivative is exact.  The
-    coefficients may be batch columns; each r is built the first time its
-    derivative is evaluated, and the sweeps that never differentiate build
-    none.  The factors share exp(q(x)), evaluated once per node array.
-    """
-    dq = [k * q[k] for k in range(1, len(q))]
-    rs = {0: [amp]}
-
-    def r(k):
-        if k not in rs:
-            prev = r(k - 1)
-            nxt = [0.0] * (len(prev) + len(dq) - 1)
-            for n in range(1, len(prev)):
-                nxt[n - 1] = n * prev[n]
-            for i, a in enumerate(dq):
-                for j, b in enumerate(prev):
-                    nxt[i + j] = nxt[i + j] + a * b
-            rs[k] = nxt
-        return rs[k]
-
-    phase = _latest_values(lambda x: np.exp(_horner(q, x)))
-
-    def closure(k):
-        return lambda x: _horner(r(k), x) * phase(x)
-
-    return [closure(k) for k in range(depth + 1)]
-
-
-def _hyperbolic_exp_factors(a: complex, c: complex, depth: int):
-    """Closure chain for m(x) = exp(phi) with phi = a cosh x + c sinh x.
+def _hyperbolic_exp(a: complex, c: complex):
+    """Evaluator (x, k) of the derivatives of exp(phi), phi = a cosh x + c sinh x.
 
     Derivatives of exp(phi) are polynomial in (phi', phi'' = phi, ...);
-    explicit formulas are used through third order.
+    explicit formulas are used through third order, so the product that
+    takes this factor has depth at most 3.
     """
-    def phi(x):
-        return a * np.cosh(x) + c * np.sinh(x)
-
-    def dphi(x):
-        return a * np.sinh(x) + c * np.cosh(x)
-
-    facs = [lambda x: np.exp(phi(x)),
-            lambda x: dphi(x) * np.exp(phi(x)),
-            lambda x: (phi(x) + dphi(x) ** 2) * np.exp(phi(x)),
-            lambda x: (dphi(x) * (1.0 + 3.0 * phi(x)) + dphi(x) ** 3) * np.exp(phi(x))]
-    if depth > 3:
-        raise ValueError("hyperbolic phase factors available through depth 3")
-    return facs[:depth + 1]
+    def m(x, k):
+        phi = a * np.cosh(x) + c * np.sinh(x)
+        if k == 0:
+            return np.exp(phi)
+        dphi = a * np.sinh(x) + c * np.cosh(x)
+        if k == 1:
+            return dphi * np.exp(phi)
+        if k == 2:
+            return (phi + dphi ** 2) * np.exp(phi)
+        return (dphi * (1.0 + 3.0 * phi) + dphi ** 3) * np.exp(phi)
+    return m
 
 
 def _columns(g: GroupElement):
@@ -245,18 +212,12 @@ def rep_apply(rep: RepParams, g: GroupElement, f):
                              "under- or overflows")
         amp, q = _case_a_phase(rep, t0, t1, al, be, e2)
         b = (t1 - t0) * a
-        shifted = wf_affine(f, a, b)
-        return wf_mul(shifted, _poly_exp_factors(amp, q, min(3, f.depth)))
+        return wf_mul(wf_affine(f, a, b), exp_poly_tower([amp], q), 3)
 
     # family C: phase exp(i zeta_a Lambda(alpha)^a_b theta^b) and a shift
     a = 1j * (rep.zeta0 * t0 + rep.zeta1 * t1)
     c = 1j * (-rep.zeta0 * t1 - rep.zeta1 * t0)
-    shifted = wf_affine(f, 1.0, al)
-    return wf_mul(shifted, _hyperbolic_exp_factors(a, c, min(3, f.depth)))
-
-
-def _wf_add(f: WaveFunction, g: WaveFunction) -> WaveFunction:
-    return wf_sub(f, wf_scale(g, -1.0))
+    return wf_mul(wf_affine(f, 1.0, al), _hyperbolic_exp(a, c), 3)
 
 
 def generator_apply(rep: RepParams, name: str, f):
@@ -293,11 +254,11 @@ def generator_apply(rep: RepParams, name: str, f):
     else:
         pair = (z1, -z0)
 
-    def factor(k):
+    def factor(x, k):
         a, c = pair if k % 2 == 0 else (pair[1], pair[0])
-        return lambda x: 1j * (a * np.cosh(x) + c * np.sinh(x))
+        return 1j * (a * np.cosh(x) + c * np.sinh(x))
 
-    return wf_mul(f, [factor(k) for k in range(min(3, f.depth) + 1)])
+    return wf_mul(f, factor, f.depth)
 
 
 def _generator_combination(rep: RepParams, coeffs, f):
@@ -306,7 +267,7 @@ def _generator_combination(rep: RepParams, coeffs, f):
         if c == 0.0:
             continue
         term = wf_scale(generator_apply(rep, name, f), c)
-        out = term if out is None else _wf_add(out, term)
+        out = term if out is None else wf_add(out, term)
     return wf_scale(f, 0.0) if out is None else out
 
 
@@ -381,8 +342,9 @@ def right_invariance_residual(rep: RepParams, f, samples: int = 100,
 # verification harness
 
 
-def default_probes(count: int = 5, depth: int = 4):
-    return [hermite_wf(k, depth=depth) for k in range(count)]
+def default_probes(count: int = 5):
+    """The first count Hermite functions, analytic to depth 4."""
+    return [hermite_wf(k) for k in range(count)]
 
 
 def verify_homomorphism(rep: RepParams, g2: GroupElement, g1: GroupElement,
@@ -408,7 +370,7 @@ def _gram(fs):
     pairs = [(i, j) for i in range(len(fs)) for j in range(i, len(fs))]
 
     def integrand(x):
-        vals = [f.fn(x) for f in fs]
+        vals = [f.fn(x, 0) for f in fs]
         return ([np.abs(vals[i]) ** 2 if i == j
                  else np.conj(vals[i]) * vals[j] for i, j in pairs],)
 
@@ -455,10 +417,10 @@ def verify_commutators(rep: RepParams, probes) -> float:
         if len(probes) >= 2 else []
 
     def cross(x):
-        fx = f.fn(x)
+        fx = f.fn(x, 0)
         out = []
         for g in gens:
-            gx = g.fn(x)
+            gx = g.fn(x, 0)
             out += [np.conj(gx[0]) * fx[1], np.conj(fx[0]) * gx[1]]
         return out
 
@@ -479,21 +441,22 @@ def verify_casimir(rep: RepParams, probes) -> float:
                 generator_apply(rep, "P1", generator_apply(rep, "P1", f)))
     lhs = wf_scale(generator_apply(
         rep, "I", generator_apply(rep, "J", f)), 2.0 * p.B)
-    rhs = wf_scale(_wf_add(pp, wf_scale(f, c)), SQRT_MINUS_H)
+    rhs = wf_scale(wf_add(pp, wf_scale(f, c)), SQRT_MINUS_H)
     return float(np.max(_relative_l2([(lhs, rhs)], f)[0]))
 
 
-def generator_consistency(rep: RepParams, f, steps=(1e-2, 5e-3, 2.5e-3)):
+def generator_consistency(rep: RepParams, f):
     """Central-difference derivative of the flow vs the generator.
 
-    Returns {name: [residual per step]}; residuals shrink ~ t^2.
+    Returns {name: [residual per step]} for the steps 1e-2, 5e-3 and
+    2.5e-3; residuals shrink ~ t^2.
     """
     out = {}
     for k, name in enumerate(BASIS_NAMES):
         direction = tuple(1.0 if i == k else 0.0 for i in range(4))
         target = generator_apply(rep, name, f)
         res = []
-        for t in steps:
+        for t in (1e-2, 5e-3, 2.5e-3):
             gp = exp_map(AlgebraElement(tuple(t * c for c in direction)), rep.params)
             gm = exp_map(AlgebraElement(tuple(-t * c for c in direction)), rep.params)
             diff = wf_scale(wf_sub(rep_apply(rep, gp, f), rep_apply(rep, gm, f)),
@@ -512,23 +475,21 @@ def faithfulness_residuals(rep: RepParams, elements, probes):
     return out
 
 
-def rep_suite(rep: RepParams, trials: int = 200, seed: int = 42,
-              probe_count: int = 3) -> dict:
+def rep_suite(rep: RepParams, trials: int = 200, seed: int = 42) -> dict:
     """Full residual sweep for one family: the numbers the CLI reports.
 
     Each check runs once on the stacked batch of its trials; the draws
     come in the order of one trial at a time (g2 before g1).
     """
     rng = np.random.default_rng(seed)
-    probes = default_probes(probe_count)
+    probes = default_probes(5)
     pairs = rng.uniform(-2.0, 2.0, size=(trials, 2, 4))
     g2, g1 = (GroupElement(*pairs[:, k].T) for k in range(2))
     hom = verify_homomorphism(rep, g2, g1, probes[:1])
     g = GroupElement(*rng.uniform(-2.0, 2.0, size=(trials, 4)).T)
     uni = verify_unitarity(rep, g, probes[:2])
-    five = default_probes(5)
-    comm = verify_commutators(rep, five)
-    cas = verify_casimir(rep, five)
+    comm = verify_commutators(rep, probes)
+    cas = verify_casimir(rep, probes)
     return {
         "family": rep.family,
         "homomorphism": hom,

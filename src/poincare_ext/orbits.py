@@ -201,12 +201,14 @@ def subordination_check(h: Subalgebra, zeta: CoadjointPoint,
 
 def pukanszky_check(h: Subalgebra, zeta: CoadjointPoint,
                     p: ModelParams = ModelParams(), samples: int = 100,
-                    seed: int = 0, box: float = 10.0) -> bool:
+                    seed: int = 0) -> bool:
     """Sample the affine variety zeta + h^perp and test orbit membership.
 
-    Requires subordination and the maximality condition
-    dim h = dim g - (orbit dim)/2; the latter raises MaximalityError so a
-    maximality failure is not confused with a Pukanszky failure.
+    Each sample adds to zeta a combination of the annihilator basis with
+    coefficients uniform in [-10, 10].  Requires subordination and the
+    maximality condition dim h = dim g - (orbit dim)/2; the latter raises
+    MaximalityError so a maximality failure is not confused with a
+    Pukanszky failure.
     """
     if not subordination_check(h, zeta, p):
         raise ValueError("subalgebra is not subordinate to zeta")
@@ -219,7 +221,7 @@ def pukanszky_check(h: Subalgebra, zeta: CoadjointPoint,
         return on_orbit(zeta, zeta, p)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        coeffs = rng.uniform(-box, box, perp.shape[0])
+        coeffs = rng.uniform(-10.0, 10.0, perp.shape[0])
         mu = CoadjointPoint(zeta.array + coeffs @ perp)
         if not on_orbit(mu, zeta, p):
             return False

@@ -39,6 +39,7 @@ from .wavefunctions import (
     integrate_stack,
     l2_diff,
     norm,
+    wf_add,
     wf_mul_poly,
     wf_scale,
     wf_stack,
@@ -256,7 +257,7 @@ class QuantOperator:
                 for _ in range(j):
                     dj = dj.derivative()
                 term = wf_mul_poly(dj, col)
-                out = term if j == 0 else wf_sub(out, wf_scale(term, -1.0))
+                out = term if j == 0 else wf_add(out, term)
         return out
 
     def __add__(self, other: "QuantOperator") -> "QuantOperator":
@@ -309,7 +310,7 @@ def hermiticity_residual(op: QuantOperator, probes) -> float:
     af = op.apply(f)
 
     def integrand(x):
-        fx, ax = f.fn(x), af.fn(x)
+        fx, ax = f.fn(x, 0), af.fn(x, 0)
         return ([np.conj(ax)[:, None] * fx, np.conj(fx)[:, None] * ax],)
 
     lhs, rhs = integrate_stack(integrand, f, af)[0]
@@ -411,15 +412,16 @@ def covariance_suite(params: ModelParams, m: float, trials: int = 50,
     return float(np.max(res, initial=0.0))
 
 
-def pullback_residual(s: PhasePoint, params: ModelParams, m: float,
-                      h: float = 1e-5) -> float:
+def pullback_residual(s: PhasePoint, params: ModelParams, m: float) -> float:
     """Symplectic-form pullback along the momentum map by central differences.
 
     The orbit form evaluated on the pushed-forward coordinate directions
     must equal the phase-space pairing of those directions divided by
-    hbar; the pairing of (e_q, e_p) is -1 in this orientation.
+    hbar; the pairing of (e_q, e_p) is -1 in this orientation.  The
+    differences take steps of 1e-5 in q and in p.
     """
     zeta = momentum_map(s, params, m)
+    h = 1e-5
 
     def mu(q, p):
         return np.array(momentum_map(PhasePoint(q, p), params, m).u)

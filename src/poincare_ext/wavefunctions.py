@@ -1,10 +1,14 @@
 """Evaluatable wavefunctions on the real line, with quadrature.
 
-A WaveFunction wraps a numpy-vectorized complex evaluator together with
-a chain of analytic derivative closures and a (center, width) quadrature
-hint.  Representation operators act by closure composition -- affine
-argument maps and multiplicative phases -- so derivative chains stay
-analytic and inner products are limited only by quadrature accuracy.
+A WaveFunction wraps one numpy-vectorized complex evaluator fn(x, k),
+the k-th derivative at nodes x for 0 <= k <= depth, together with a
+(center, width) quadrature hint.  Representation operators act by
+composing evaluators -- affine argument maps, sums, and Leibniz products
+with multipliers that are themselves evaluators of (x, k) -- so every
+derivative stays analytic and inner products are limited only by
+quadrature accuracy.  exp_poly_tower gives the derivatives of
+r(x) exp(q(x)) for polynomials r and q: polynomial multipliers,
+Gaussian-polynomial probes, and quadratic phases all come from it.
 
 A WaveFunction may also be a batch, one function per member of a batch of
 group elements: its parameters and its hint then have the batch shape S
@@ -25,21 +29,23 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 __all__ = [
     "WaveFunction",
     "hermite_wf",
     "gauss_poly_wf",
     "wf_scale",
+    "wf_add",
     "wf_sub",
     "wf_affine",
     "wf_mul",
     "wf_mul_poly",
     "wf_stack",
+    "exp_poly_tower",
     "inner",
     "norm",
     "l2_diff",
@@ -88,6 +94,10 @@ def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
     The integrands here are analytic with Gaussian decay, on which Gauss
     rules converge exponentially, so the first 8 -> 16 check passes for
     every integral of an all-checks report.
+
+    A level with a non-finite integral raises RuntimeError at once, since
+    refining cannot repair it; the message names how many integrals are
+    bad and the extent of the windows.
     """
     parts = []
 
@@ -95,10 +105,16 @@ def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
         x, w = gauss_legendre(lo, hi, n)
         vals = fn(x)
         if not isinstance(vals, tuple):
-            return np.sum(w * vals, axis=-1)
-        sums = [np.sum(w * v, axis=-1) for v in vals]
-        parts[:] = [(s.shape, s.dtype) for s in sums]
-        return np.concatenate([s.ravel() for s in sums])
+            out = np.sum(w * vals, axis=-1)
+        else:
+            sums = [np.sum(w * v, axis=-1) for v in vals]
+            parts[:] = [(s.shape, s.dtype) for s in sums]
+            out = np.concatenate([s.ravel() for s in sums])
+        bad = np.count_nonzero(~np.isfinite(out))
+        if bad:
+            raise RuntimeError(f"quadrature: {bad} of {np.size(out)} integrals "
+                               f"are not finite on {_extent(lo, hi)}")
+        return out
 
     n = 8
     prev = level(n)
@@ -112,7 +128,13 @@ def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
         if done.all():
             return _split(out, parts) if parts else out[()]
         prev = cur
-    raise RuntimeError(f"quadrature did not converge on [{lo}, {hi}]")
+    raise RuntimeError(f"quadrature: {np.count_nonzero(~done)} of {done.size} "
+                       f"integrals did not converge on {_extent(lo, hi)}")
+
+
+def _extent(lo, hi) -> str:
+    """[min lo, max hi] of one window or of a batch of windows."""
+    return f"[{np.min(lo):.6g}, {np.max(hi):.6g}]"
 
 
 def _split(flat, parts):
@@ -147,8 +169,8 @@ def _relative_l2(diffs, f, cross=lambda x: []):
     that ride along in that call; their integrals come back second.
     """
     def integrand(x):
-        sq = [np.abs(lhs.fn(x) - rhs.fn(x)) ** 2 for lhs, rhs in diffs]
-        return sq + [np.abs(f.fn(x)) ** 2], cross(x)
+        sq = [np.abs(lhs.fn(x, 0) - rhs.fn(x, 0)) ** 2 for lhs, rhs in diffs]
+        return sq + [np.abs(f.fn(x, 0)) ** 2], cross(x)
 
     sq, ips = integrate_stack(integrand, f, *(g for d in diffs for g in d))
     root = np.sqrt(np.maximum(sq, 0.0))
@@ -169,10 +191,14 @@ def _horner(coeffs, x):
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex-valued function on R with derivative chain and a quadrature hint."""
+    """Complex-valued function on R with its derivatives and a quadrature hint.
+
+    fn(x, k) is the k-th derivative at an ndarray of nodes x, for
+    0 <= k <= depth; calling the WaveFunction gives k = 0.
+    """
 
     fn: callable
-    derivs: tuple = ()
+    depth: int = 0
     center: float = 0.0
     width: float = 1.0
 
@@ -181,20 +207,17 @@ class WaveFunction:
     __array_ufunc__ = None
 
     def __call__(self, x):
-        return self.fn(np.asarray(x, dtype=float))
-
-    @property
-    def depth(self) -> int:
-        return len(self.derivs)
+        return self.fn(np.asarray(x, dtype=float), 0)
 
     def interval(self):
         return self.center - 12.0 * self.width, self.center + 12.0 * self.width
 
     def derivative(self) -> "WaveFunction":
-        """The next function of the analytic derivative chain."""
-        if not self.derivs:
+        """The first derivative, analytic to one order less."""
+        if not self.depth:
             raise ValueError("wavefunction has no analytic derivative")
-        return WaveFunction(self.derivs[0], self.derivs[1:],
+        fn = self.fn
+        return WaveFunction(lambda x, k: fn(x, k + 1), self.depth - 1,
                             self.center, self.width)
 
     def __rmul__(self, c: complex) -> "WaveFunction":
@@ -209,63 +232,87 @@ def _window(*wfs):
 
 
 def wf_scale(wf: WaveFunction, c: complex) -> WaveFunction:
-    return WaveFunction(lambda x: c * wf.fn(x),
-                        tuple((lambda d: (lambda x: c * d(x)))(d) for d in wf.derivs),
-                        wf.center, wf.width)
+    fn = wf.fn
+    return WaveFunction(lambda x, k: c * fn(x, k), wf.depth, wf.center, wf.width)
+
+
+def _combine(op, f: WaveFunction, g: WaveFunction) -> WaveFunction:
+    """op(f, g) pointwise, to the smaller depth, on the union of the windows."""
+    lo, hi = _window(f, g)
+    return WaveFunction(lambda x, k: op(f.fn(x, k), g.fn(x, k)),
+                        min(f.depth, g.depth), 0.5 * (lo + hi), (hi - lo) / 24.0)
+
+
+def wf_add(f: WaveFunction, g: WaveFunction) -> WaveFunction:
+    return _combine(operator.add, f, g)
 
 
 def wf_sub(f: WaveFunction, g: WaveFunction) -> WaveFunction:
-    depth = min(f.depth, g.depth)
-    lo, hi = _window(f, g)
-    return WaveFunction(
-        lambda x: f.fn(x) - g.fn(x),
-        tuple((lambda df, dg: (lambda x: df(x) - dg(x)))(f.derivs[k], g.derivs[k])
-              for k in range(depth)),
-        0.5 * (lo + hi), (hi - lo) / 24.0)
+    return _combine(operator.sub, f, g)
 
 
 def wf_affine(f: WaveFunction, a: float, b: float) -> WaveFunction:
-    """x -> f(a x + b); derivatives pick up chain-rule powers of a."""
-    derivs = tuple(
-        (lambda d, k: (lambda x: a ** k * d(a * x + b)))(f.derivs[k - 1], k)
-        for k in range(1, f.depth + 1))
-    return WaveFunction(lambda x: f.fn(a * x + b), derivs,
-                        (f.center - b) / a, f.width / abs(a))
+    """x -> f(a x + b); the k-th derivative picks up the chain-rule factor a^k."""
+    fn = f.fn
+
+    def g(x, k):
+        vals = fn(a * x + b, k)
+        return vals if k == 0 else a ** k * vals
+
+    return WaveFunction(g, f.depth, (f.center - b) / a, f.width / abs(a))
 
 
-def wf_mul(f: WaveFunction, factors) -> WaveFunction:
-    """Multiply by an analytic function given as [m, m', m'', ...]."""
-    depth = min(f.depth, len(factors) - 1)
+def wf_mul(f: WaveFunction, m, depth: int) -> WaveFunction:
+    """Multiply by the function whose k-th derivative is m(x, k), k <= depth.
 
-    def leibniz(k):
-        def d(x):
-            chain = [f.fn] + list(f.derivs)
-            return sum(math.comb(k, j) * factors[k - j](x) * chain[j](x)
-                       for j in range(k + 1))
-        return d
-
-    return WaveFunction(lambda x: factors[0](x) * f.fn(x),
-                        tuple(leibniz(k) for k in range(1, depth + 1)),
-                        f.center, f.width)
-
-
-def _polyder(c):
-    """Derivative of coefficients c (increasing degree) along axis 0.
-
-    Batch columns ride along on the trailing axes; a constant gives the
-    zero constant, as numpy's polyder does.
+    The product's derivatives come from the Leibniz rule.
     """
-    if len(c) == 1:
-        return c * 0
-    return c[1:] * np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    fn = f.fn
+
+    def g(x, k):
+        if k == 0:
+            return m(x, 0) * fn(x, 0)
+        return sum(math.comb(k, j) * m(x, k - j) * fn(x, j)
+                   for j in range(k + 1))
+
+    return WaveFunction(g, min(f.depth, depth), f.center, f.width)
+
+
+def exp_poly_tower(r, q=()):
+    """Evaluator (x, k) -> k-th derivative of r(x) exp(q(x)), r, q polynomials.
+
+    Coefficients run in increasing degree and may be batch columns.  The
+    derivatives stay in the class r_k(x) exp(q(x)) under the recursion
+    r_{k+1} = r_k' + q' r_k, so every order is exact; each r_k is built
+    the first time it is evaluated.  exp(q(x)) is kept for the latest
+    node array (_latest_values), so the Leibniz terms of a product
+    evaluate it once; an empty q leaves the polynomial r alone.
+    """
+    dq = [n * q[n] for n in range(1, len(q))]
+    rs = {0: list(r)}
+
+    def coeffs(k):
+        if k not in rs:
+            prev = coeffs(k - 1)
+            # a constant's derivative is the zero constant, not empty
+            nxt = [0.0] * max(len(prev) + len(dq) - 1, 1)
+            for n in range(1, len(prev)):
+                nxt[n - 1] = n * prev[n]
+            for i, a in enumerate(dq):
+                for j, b in enumerate(prev):
+                    nxt[i + j] = nxt[i + j] + a * b
+            rs[k] = nxt
+        return rs[k]
+
+    if not len(q):
+        return lambda x, k: _horner(coeffs(k), x)
+    phase = _latest_values(lambda x: np.exp(_horner(q, x)))
+    return lambda x, k: _horner(coeffs(k), x) * phase(x)
 
 
 def wf_mul_poly(f: WaveFunction, coeffs) -> WaveFunction:
     """Multiply by a polynomial (coeffs in increasing degree)."""
-    factors = [np.asarray(coeffs, dtype=complex)]
-    for _ in range(f.depth):
-        factors.append(_polyder(factors[-1]))
-    return wf_mul(f, [(lambda c: (lambda x: _horner(c, x)))(c) for c in factors])
+    return wf_mul(f, exp_poly_tower(np.asarray(coeffs, dtype=complex)), f.depth)
 
 
 def _latest_values(fn):
@@ -295,7 +342,7 @@ def wf_stack(fs) -> WaveFunction:
     row k.  The depth is the smallest depth among the members, and the
     window is the union of theirs.
 
-    Each level of the chain keeps its values at the latest node array
+    Each derivative order keeps its values at the latest node array
     (_latest_values).  An operator chain calls its base function many
     times at the same nodes, so the members are evaluated once per
     quadrature level rather than once per call.
@@ -305,15 +352,14 @@ def wf_stack(fs) -> WaveFunction:
     depth = min(f.depth for f in fs)
     lo, hi = _window(*fs)
 
-    def stacked(fns):
+    def order(k):
         def fn(x):
-            rows = np.broadcast_to(x, (len(fns),) + x.shape[-1:])
-            return np.stack([g(r) for g, r in zip(fns, rows)])
+            rows = np.broadcast_to(x, (len(fs),) + x.shape[-1:])
+            return np.stack([f.fn(r, k) for f, r in zip(fs, rows)])
         return _latest_values(fn)
 
-    return WaveFunction(stacked([f.fn for f in fs]),
-                        tuple(stacked([f.derivs[k] for f in fs])
-                              for k in range(depth)),
+    orders = [order(k) for k in range(depth + 1)]
+    return WaveFunction(lambda x, k: orders[k](x), depth,
                         0.5 * (lo + hi), (hi - lo) / 24.0)
 
 
@@ -321,26 +367,17 @@ def gauss_poly_wf(coeffs, depth: int = 4, center: float = 0.0,
                   width: float = 1.0) -> WaveFunction:
     """p(y) exp(-y^2 / 2) with y = (x - center) / width, analytic to any depth."""
     scale = 1.0 / width
-
-    # chain in y: q -> q' - y q preserves the Gaussian-polynomial class; real
-    # coefficients stay real, which makes a Hermite probe three times cheaper
+    # real coefficients stay real, which makes a Hermite probe three times
+    # cheaper
     coeffs = np.asarray(coeffs)
-    polys = [coeffs.astype(np.result_type(coeffs, 1.0))]
-    for _ in range(depth):
-        q = polys[-1]
-        polys.append(P.polysub(P.polyder(q), P.polymulx(q)))
+    m = exp_poly_tower(coeffs.astype(np.result_type(coeffs, 1.0)),
+                       (0.0, 0.0, -0.5))
 
-    def closure(k):
-        q = polys[k]
-        fac = scale ** k
+    def fn(x, k):
+        y = (x - center) * scale
+        return m(y, 0) if k == 0 else scale ** k * m(y, k)
 
-        def f(x):
-            y = (x - center) * scale
-            return fac * _horner(q, y) * np.exp(-0.5 * y * y)
-        return f
-
-    return WaveFunction(closure(0), tuple(closure(k) for k in range(1, depth + 1)),
-                        center, width)
+    return WaveFunction(fn, depth, center, width)
 
 
 def hermite_wf(k: int, depth: int = 4, center: float = 0.0,
@@ -355,7 +392,7 @@ def hermite_wf(k: int, depth: int = 4, center: float = 0.0,
 def inner(f: WaveFunction, g: WaveFunction):
     """<f, g> = integral conj(f) g."""
     lo, hi = _window(f, g)
-    return integrate_vec(lambda x: np.conj(f.fn(x)) * g.fn(x), lo, hi)
+    return integrate_vec(lambda x: np.conj(f.fn(x, 0)) * g.fn(x, 0), lo, hi)
 
 
 def norm(f: WaveFunction):
@@ -367,7 +404,7 @@ def norm(f: WaveFunction):
     cached = f.__dict__.get("_norm")
     if cached is None:
         lo, hi = f.interval()
-        val = integrate_vec(lambda x: np.abs(f.fn(x)) ** 2, lo, hi)
+        val = integrate_vec(lambda x: np.abs(f.fn(x, 0)) ** 2, lo, hi)
         cached = np.sqrt(np.maximum(np.real(val), 0.0))
         object.__setattr__(f, "_norm", cached)
     return cached
@@ -375,5 +412,5 @@ def norm(f: WaveFunction):
 
 def l2_diff(f: WaveFunction, g: WaveFunction):
     lo, hi = _window(f, g)
-    val = integrate_vec(lambda x: np.abs(f.fn(x) - g.fn(x)) ** 2, lo, hi)
+    val = integrate_vec(lambda x: np.abs(f.fn(x, 0) - g.fn(x, 0)) ** 2, lo, hi)
     return np.sqrt(np.maximum(np.real(val), 0.0))

@@ -34,6 +34,30 @@ def test_trajectory_velocity_by_differentiation():
         assert abs((qp - qm) / (2 * h) - dy.velocity(CS, tau)) < 1e-9
 
 
+def test_trajectory_finite_at_subnormal_B():
+    # E / B overflows here, and E(tau)/B - E(tau0)/B used to read inf - inf
+    for B in (5e-324, 1e-310):
+        for pt0, q10, tau0, tau in [(0.5, 0.3, 0.1, 2.0), (-1.2, 0.0, -1.0, 3.5),
+                                    (0.0, 1.0, 0.0, -2.0)]:
+            cs = dy.ClassicalState(q10, pt0, tau0, 1.3, ModelParams(B))
+            q1 = dy.classical_trajectory(cs, tau)[1]
+            v0 = dy.velocity(cs, tau0)
+            assert math.isclose(q1, q10 + v0 * (tau - tau0), rel_tol=1e-15,
+                                abs_tol=1e-300)
+
+
+def test_trajectory_matches_energy_difference_over_B():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        B = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+        q10, pt0, tau0, tau = rng.uniform(-3, 3, size=4)
+        cs = dy.ClassicalState(q10, pt0, tau0, rng.uniform(0.2, 3.0),
+                               ModelParams(B))
+        e, e0 = dy.relativistic_energy(cs, tau), dy.relativistic_energy(cs, tau0)
+        q1 = dy.classical_trajectory(cs, tau)[1]
+        assert abs(q1 - (q10 + (e - e0) / B)) <= 1e-14 * (abs(q10) + (e + e0) / abs(B))
+
+
 def test_proper_time():
     cs = dy.ClassicalState(0.0, 0.0, 0.0, 1.0, P)
     assert dy.proper_time(cs, 0.0) == 0.0

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -31,3 +32,12 @@ def unused_imports(tree):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_all_names_resolve(path):
+    name = "" if path.stem == "__init__" else f".{path.stem}"
+    module = importlib.import_module(f"poincare_ext{name}")
+    missing = [name for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []

@@ -30,7 +30,7 @@ def test_analytic_derivative_chain():
 
 def test_stencil_fallback_and_gate():
     f = wfm.hermite_wf(2)
-    bare = wfm.WaveFunction(f.fn, (), f.center, f.width)
+    bare = wfm.WaveFunction(f.fn, 0, f.center, f.width)
     with pytest.raises(ValueError):
         bare.derivative()
 
@@ -66,8 +66,7 @@ def test_oscillatory_integral():
     # Fourier transform of the Gaussian probe: exact closed form
     f = wfm.hermite_wf(0)
     k = 7.3
-    g = wfm.wf_mul(f, [lambda x: np.exp(1j * k * x),
-                       lambda x: 1j * k * np.exp(1j * k * x)])
+    g = wfm.wf_mul(f, lambda x, n: (1j * k) ** n * np.exp(1j * k * x), 1)
     val = wfm.inner(f, g)
     assert abs(val - math.exp(-k * k / 4.0)) < 1e-12
 
@@ -172,17 +171,17 @@ def test_integrate_stack_sums_each_dtype_apart():
     # the complex stack of one call must match their own integrate_vec calls
     fs = [wfm.hermite_wf(k) for k in range(3)]
     stack = wfm.wf_stack(fs)
-    g = wfm.wf_mul(fs[1], [lambda x: np.exp(0.7j * x),
-                           lambda x: 0.7j * np.exp(0.7j * x)])
+    g = wfm.wf_mul(fs[1], lambda x, k: (0.7j) ** k * np.exp(0.7j * x), 1)
 
     def terms(x):
-        return [np.abs(stack.fn(x)) ** 2], [np.conj(g.fn(x)) * stack.fn(x)[0]], []
+        return ([np.abs(stack.fn(x, 0)) ** 2],
+                [np.conj(g.fn(x, 0)) * stack.fn(x, 0)[0]], [])
 
     real, cplx, empty = wfm.integrate_stack(terms, stack, g)
     lo, hi = wfm._window(stack, g)
     assert real.dtype == float and real.shape == (1, 3)
     assert np.array_equal(real, wfm.integrate_vec(
-        lambda x: np.abs(stack.fn(x))[None] ** 2, lo, hi))
+        lambda x: np.abs(stack.fn(x, 0))[None] ** 2, lo, hi))
     assert cplx.dtype == complex and cplx.shape == (1,)
     assert cplx[0] == wfm.inner(g, fs[0])
     assert empty.shape == (0,)
@@ -190,17 +189,91 @@ def test_integrate_stack_sums_each_dtype_apart():
 
 def test_wf_mul_poly_batch_columns_and_polyder():
     rng = np.random.default_rng(3)
+    x = np.linspace(-3.0, 3.0, 13)
     for n in (1, 2, 3, 5):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.array_equal(wfm._polyder(c), P.polyder(c))
+        tower = wfm.exp_poly_tower(c)
+        for k in range(n + 1):
+            assert np.array_equal(tower(x, k) + 0 * x,
+                                  P.polyval(x, P.polyder(c, k)))
     # one batch of three polynomials against each polynomial alone
     cols = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     f = wfm.hermite_wf(2)
     batch = wfm.wf_mul_poly(f, tuple(c[:, None] for c in cols))
-    x = np.linspace(-3.0, 3.0, 13)
     level = batch
     singles = [wfm.wf_mul_poly(f, cols[:, k]) for k in range(4)]
     for _ in range(f.depth + 1):
         assert np.array_equal(level(x), np.stack([s(x) for s in singles]))
         if level.depth:
             level, singles = level.derivative(), [s.derivative() for s in singles]
+
+
+def _tower_reference(r, q, k):
+    """r_k of the k-th derivative r_k exp(q), by numpy.polynomial."""
+    for _ in range(k):
+        r = P.polyadd(P.polyder(r), P.polymul(P.polyder(q), r))
+    return r
+
+
+def test_exp_poly_tower_matches_numpy_polynomial():
+    rng = np.random.default_rng(11)
+    x = np.linspace(-1.5, 1.5, 31)
+    for _ in range(20):
+        r, q = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for n in rng.integers(1, 5, size=2))
+        tower = wfm.exp_poly_tower(r, q)
+        for k in range(5):
+            ref = P.polyval(x, _tower_reference(r, q, k)) * np.exp(P.polyval(x, q))
+            assert np.allclose(tower(x, k), ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_exp_poly_tower_batch_columns_are_the_members_alone():
+    rng = np.random.default_rng(12)
+    x = np.linspace(-1.5, 1.5, 31)
+    r = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    q = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    batch = wfm.exp_poly_tower(list(r[:, :, None]), list(q[:, :, None]))
+    singles = [wfm.exp_poly_tower(r[:, m], q[:, m]) for m in range(5)]
+    # numpy rounds a complex product of arrays apart from one of scalars,
+    # so the coefficient products agree to rounding, not bit for bit
+    for k in range(5):
+        alone = np.stack([s(x, k) for s in singles])
+        assert np.allclose(batch(x, k), alone, rtol=1e-12,
+                           atol=1e-12 * np.max(np.abs(alone)))
+
+
+def test_non_finite_integral_fails_at_the_first_level():
+    calls = []
+
+    def fn(x):
+        calls.append(x.shape)
+        vals = np.exp(-x * x)
+        vals[:3] = np.nan  # three bad members of 1000
+        return vals
+
+    lo = np.linspace(-5.0, -1.0, 1000)[:, None]
+    with pytest.raises(RuntimeError) as info:
+        wfm.integrate_vec(fn, lo, lo + 7.0)
+    assert len(calls) == 1
+    msg = str(info.value)
+    assert "3 of 1000 integrals are not finite on [-5, 6]" in msg and len(msg) < 100
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_family_a_at_subnormal_B_fails_within_one_level(monkeypatch):
+    from poincare_ext import irreps as ir
+    from poincare_ext.group import ModelParams
+
+    levels = []
+    rule = wfm.gauss_legendre
+
+    def counted(lo, hi, panels):
+        levels.append(panels)
+        return rule(lo, hi, panels)
+
+    monkeypatch.setattr(wfm, "gauss_legendre", counted)
+    rep = ir.case_a(1.0, -1.0, ModelParams(1e-310))
+    with pytest.raises(RuntimeError, match="200 of 200 integrals are not finite") as info:
+        ir.rep_suite(rep, trials=200, seed=42)
+    assert levels == [8] and len(str(info.value)) < 100
