@@ -234,9 +234,10 @@ _SUITES = (
 
 
 def run_all_checks(params: ModelParams, seed: int) -> dict:
-    # four threads beat running the suites in turn: a median report of
-    # 0.203 s against 0.267 s, faster in 47 of 48 alternating pairs over
-    # the 12 benchmark B values, on 2 shared cores (33 of 48 under load)
+    # four threads and running the suites in turn now come out even: a
+    # median report of 0.217 s against 0.211 s, pooled faster in 8 of 36
+    # alternating pairs over the 12 benchmark B values, on 2 shared cores
+    # (0.205 s against 0.204 s, 12 of 36, in a second run)
     with ThreadPoolExecutor(max_workers=4) as pool:
         futs = [(name, pool.submit(fn, params, seed)) for name, fn in _SUITES]
         report = {name: fut.result() for name, fut in futs}
@@ -410,16 +411,20 @@ def run(argv=None) -> int:
                 code = 0 if rep["pass"] else 1
 
         elif args.cmd == "rep":
+            # an operator that leaves the float range (tiny B, huge alpha)
+            # is a usage error, raised before any quadrature runs
+            try:
+                if args.rep_cmd == "verify":
+                    res = ir.rep_suite(irrep, trials=args.trials, seed=args.seed)
+                else:
+                    image = ir.rep_apply(irrep, args.g, args.probe)
+            except ValueError as exc:
+                ap.error(f"family {args.family} at B={args.B!r}: {exc}")
             if args.rep_cmd == "verify":
-                res = ir.rep_suite(irrep, trials=args.trials, seed=args.seed)
                 res["pass"] = all(res[k] <= tol for k, tol in REP_GATES.items())
                 _emit_json(res, stream)
                 code = 0 if res["pass"] else 1
             else:
-                try:
-                    image = ir.rep_apply(irrep, args.g, args.probe)
-                except ValueError as exc:
-                    ap.error(f"argument --g: {exc}")
                 xs = args.emit_samples
                 vals = image(xs)
                 stream.write("x,re,im\n")

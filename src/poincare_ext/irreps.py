@@ -1,6 +1,6 @@
 """Unitary irreducible representations of the extended Poincare group.
 
-Three families, realized as closures acting on WaveFunction objects:
+Every operator T(g) is an AffinePhase, f(x) -> A e^{phi(x)} f(a x + b):
 
 * family A (nonzero central label z3): operators on L2(R) with an affine
   argument map, a quadratic multiplicative phase, and a Jacobian factor;
@@ -9,9 +9,13 @@ Three families, realized as closures acting on WaveFunction objects:
 * family C (massive/tachyonic/null orbits at z3 = 0): operators on
   L2(R, d alpha) with a hyperbolic multiplicative phase and a shift.
 
-The module also carries the verification harness: homomorphism,
-unitarity, commutator-table, operator-identity, generator-consistency,
-and right-invariance checks, all reported as quadrature residuals.
+The module also carries the verification harness.  The homomorphism and
+unitarity checks are closed form: AffinePhase.compose multiplies two
+operators exactly in their coefficients, and the residuals are relative
+coefficient gaps, each function's size taken as its coefficient bound
+on the probes' image window (AffinePhase.gap, AffinePhase.unitarity_gap).
+The commutator-table, Casimir, generator-consistency, faithfulness and
+right-invariance checks are quadrature residuals.
 """
 
 from __future__ import annotations
@@ -34,10 +38,9 @@ from .group import (
 from .wavefunctions import (
     WaveFunction,
     _relative_l2,
+    _window,
     exp_poly_tower,
     hermite_wf,
-    inner,
-    integrate_stack,
     l2_diff,
     norm,
     wf_add,
@@ -50,6 +53,7 @@ from .wavefunctions import (
 )
 
 __all__ = [
+    "AffinePhase",
     "RepParams",
     "case_a",
     "case_b",
@@ -150,8 +154,8 @@ def subgroup_modulus(h: GroupElement, family: str) -> float:
 # representation operators
 
 
-def _hyperbolic_exp(a: complex, c: complex):
-    """Evaluator (x, k) of the derivatives of exp(phi), phi = a cosh x + c sinh x.
+def _hyperbolic_exp(amp, a: complex, c: complex):
+    """Evaluator (x, k) of the derivatives of amp exp(phi), phi = a cosh x + c sinh x.
 
     Derivatives of exp(phi) are polynomial in (phi', phi'' = phi, ...);
     explicit formulas are used through third order, so the product that
@@ -159,15 +163,100 @@ def _hyperbolic_exp(a: complex, c: complex):
     """
     def m(x, k):
         phi = a * np.cosh(x) + c * np.sinh(x)
+        e = amp * np.exp(phi)
         if k == 0:
-            return np.exp(phi)
+            return e
         dphi = a * np.sinh(x) + c * np.cosh(x)
         if k == 1:
-            return dphi * np.exp(phi)
+            return dphi * e
         if k == 2:
-            return (phi + dphi ** 2) * np.exp(phi)
-        return (dphi * (1.0 + 3.0 * phi) + dphi ** 3) * np.exp(phi)
+            return (phi + dphi ** 2) * e
+        return (dphi * (1.0 + 3.0 * phi) + dphi ** 3) * e
     return m
+
+
+def _poly_pullback(c, a, b):
+    """Coefficients of sum_k c_k (a x + b)^k, in increasing degree."""
+    return tuple(a ** j * sum(math.comb(k, j) * b ** (k - j) * c[k]
+                              for k in range(j, len(c))) for j in range(len(c)))
+
+
+def _size(coeffs, sups):
+    """sum_k |c_k| sup |e_k|, a bound on sup |sum_k c_k e_k|."""
+    return sum(np.abs(c) * e for c, e in zip(coeffs, sups))
+
+
+@dataclass(frozen=True)
+class AffinePhase:
+    """The operator f(x) -> amp exp(phi(x)) f(a x + b) on L2(R).
+
+    phi is sum_k c[k] x^k (basis "poly") or c[0] cosh x + c[1] sinh x
+    ("hyp").  Both classes are closed under the pullbacks compose needs
+    (the hyperbolic one under translations, a = 1), so a product of
+    operators is exact arithmetic on their coefficients.  Fields may be
+    batch columns; one that is not finite raises ValueError naming it.
+    """
+
+    amp: complex
+    a: float
+    b: float
+    c: tuple
+    basis: str = "poly"
+
+    def __post_init__(self):
+        for name, v in {"amplitude": self.amp, "a": self.a, "b": self.b,
+                        **{f"phase coefficient c{k}": c
+                           for k, c in enumerate(self.c)}}.items():
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"operator {name} is not finite")
+
+    def apply(self, f: WaveFunction) -> WaveFunction:
+        """The image of f, analytic to depth at most 3."""
+        m = (_hyperbolic_exp(self.amp, *self.c) if self.basis == "hyp"
+             else exp_poly_tower([self.amp], self.c))
+        return wf_mul(wf_affine(f, self.a, self.b), m, 3)
+
+    def compose(self, first: "AffinePhase") -> "AffinePhase":
+        """self . first: first's map and phase pulled back by x -> a x + b."""
+        a, b = self.a, self.b
+        if self.basis == "poly":
+            pulled = _poly_pullback(first.c, a, b)
+        elif np.any(a != 1.0):
+            raise ValueError("a hyperbolic phase pulls back by translations only")
+        else:  # the addition formulas of cosh(x + b) and sinh(x + b)
+            (p, q), ch, sh = first.c, np.cosh(b), np.sinh(b)
+            pulled = (p * ch + q * sh, p * sh + q * ch)
+        fb, fa = _poly_pullback((first.b, first.a), a, b)
+        return AffinePhase(self.amp * first.amp, fa, fb,
+                           tuple(p + q for p, q in zip(self.c, pulled)), self.basis)
+
+    def _sups(self, lo, hi):
+        """sup |1|, |x| and each sup |e_k| over the x with lo <= a x + b <= hi."""
+        r = np.maximum(np.abs(lo - self.b), np.abs(hi - self.b)) / np.abs(self.a)
+        if self.basis == "hyp":
+            return (1.0, r), (np.cosh(r), np.sinh(r))
+        return (1.0, r), tuple(r ** k for k in range(len(self.c)))
+
+    def gap(self, other: "AffinePhase", lo, hi):
+        """Relative coefficient gap to other, for probes on the window [lo, hi].
+
+        The sum of |d amp| / |amp|, of the size of the change of the map
+        x -> a x + b over the size of the map, and of the size of the
+        change of phi over the size of phi.  A size is the bound _size on
+        other's image of the window, taken at least 1 (one radian; one
+        unit of the probe's argument).
+        """
+        maps, sups = other._sups(lo, hi)
+        d_map = (_size((self.b - other.b, self.a - other.a), maps)
+                 / np.maximum(_size((other.b, other.a), maps), 1.0))
+        d_phi = (_size([p - q for p, q in zip(self.c, other.c)], sups)
+                 / np.maximum(_size(other.c, sups), 1.0))
+        return np.abs(self.amp - other.amp) / np.abs(other.amp) + d_map + d_phi
+
+    def unitarity_gap(self, lo, hi):
+        """| |amp|^2 / |a| - 1 | plus the size of Re phi on the image of [lo, hi]."""
+        return (np.abs(np.abs(self.amp) ** 2 / np.abs(self.a) - 1.0)
+                + _size(np.real(self.c), self._sups(lo, hi)[1]))
 
 
 def _columns(g: GroupElement):
@@ -178,46 +267,42 @@ def _columns(g: GroupElement):
     return tuple(np.asarray(c)[..., None] for c in coords)
 
 
-def _case_a_phase(rep: RepParams, t0, t1, al, be, e2):
-    """(amplitude, quadratic phase-exponent coefficients) of the family-A action.
-
-    e2 is exp(-2 alpha).
-    """
+def _affine_phase(rep: RepParams, g: GroupElement) -> AffinePhase:
+    """T(g) of the family as an AffinePhase; a batch g gives batch columns."""
+    t0, t1, al, be = _columns(g)
+    if rep.family == "B":
+        return AffinePhase(1.0, 1.0, 0.0, (1j * al * rep.zeta2,))
+    if rep.family == "C":
+        # phase exp(i zeta_a Lambda(alpha)^a_b theta^b) and a shift by alpha
+        return AffinePhase(1.0, 1.0, al, (1j * (rep.zeta0 * t0 + rep.zeta1 * t1),
+                                          1j * (-rep.zeta0 * t1 - rep.zeta1 * t0)), "hyp")
+    # family A: Jacobian amplitude, affine argument map, quadratic phase.
+    # AffinePhase names a coefficient that leaves the float range (a tiny
+    # B in c2 / (2 B z3)), so numpy's warnings are off
     B, z3 = rep.params.B, rep.z3
-    d = t0 - t1
-    c0 = (be - (B / 4.0) * (t0 * t0 - t1 * t1) - (B / 4.0) * e2 * d * d) * z3 \
-        - al * rep.c2 * SQRT_MINUS_H / (2.0 * B * z3)
-    c1 = ((B / 2.0) * (t0 + t1) + (B / 2.0) * e2 * d) * z3
-    c2x = (B / 4.0) * (1.0 - e2) * z3
-    amp = np.exp(-al / 2.0)
-    return amp, (1j * c0, 1j * c1, 1j * c2x)
+    with np.errstate(all="ignore"):
+        a = np.exp(-al)
+        e2 = np.exp(-2.0 * al)
+        if not np.all((a > 0.0) & (e2 < math.inf)):
+            raise ValueError(f"alpha = {g.alpha!r} leaves the float range: "
+                             "exp(-alpha) or exp(-2 alpha) under- or overflows")
+        d = t0 - t1
+        c0 = (be - (B / 4.0) * (t0 * t0 - t1 * t1) - (B / 4.0) * e2 * d * d) * z3 \
+            - al * rep.c2 * SQRT_MINUS_H / (2.0 * B * z3)
+        c1 = ((B / 2.0) * (t0 + t1) + (B / 2.0) * e2 * d) * z3
+        c2x = (B / 4.0) * (1.0 - e2) * z3
+        return AffinePhase(np.exp(-al / 2.0), a, (t1 - t0) * a,
+                           (1j * c0, 1j * c1, 1j * c2x))
 
 
 def rep_apply(rep: RepParams, g: GroupElement, f):
-    """Act with the group element g; exact closure composition throughout.
+    """Act with the group element g; a batch g gives a batch image.
 
-    A batch g gives a batch image, one function per member.
+    Family B is one-dimensional: its phase scales a wavefunction or a
+    scalar alike.
     """
-    t0, t1, al, be = _columns(g)
-    if rep.family == "B":
-        return np.exp(1j * al * rep.zeta2) * f
-
-    if rep.family == "A":
-        with np.errstate(over="ignore", under="ignore"):
-            a = np.exp(-al)
-            e2 = np.exp(-2.0 * al)
-        if not np.all((a > 0.0) & (e2 < math.inf)):
-            raise ValueError(f"family A operator at alpha = {g.alpha!r} leaves "
-                             "the float range: exp(-alpha) or exp(-2 alpha) "
-                             "under- or overflows")
-        amp, q = _case_a_phase(rep, t0, t1, al, be, e2)
-        b = (t1 - t0) * a
-        return wf_mul(wf_affine(f, a, b), exp_poly_tower([amp], q), 3)
-
-    # family C: phase exp(i zeta_a Lambda(alpha)^a_b theta^b) and a shift
-    a = 1j * (rep.zeta0 * t0 + rep.zeta1 * t1)
-    c = 1j * (-rep.zeta0 * t1 - rep.zeta1 * t0)
-    return wf_mul(wf_affine(f, 1.0, al), _hyperbolic_exp(a, c), 3)
+    op = _affine_phase(rep, g)
+    return np.exp(op.c[0]) * f if rep.family == "B" else op.apply(f)
 
 
 def generator_apply(rep: RepParams, name: str, f):
@@ -349,46 +434,19 @@ def default_probes(count: int = 5):
 
 def verify_homomorphism(rep: RepParams, g2: GroupElement, g1: GroupElement,
                         probes) -> float:
-    """max over probes and batch members of ||T(g2) T(g1) f - T(g2 g1) f|| / ||f||."""
-    g21 = compose(g2, g1, rep.params)
-    worst = 0.0
-    for f in probes:
-        lhs = rep_apply(rep, g2, rep_apply(rep, g1, f))
-        rhs = rep_apply(rep, g21, f)
-        worst = max(worst, float(np.max(l2_diff(lhs, rhs) / norm(f))))
-    return worst
-
-
-def _gram(fs):
-    """Pairs (i, j), i <= j, and the integrals <f_i, f_j> in that order.
-
-    One integrate_vec call takes every entry from the same node block, so
-    each function is evaluated once per quadrature level; the diagonal
-    integrates |f_i|^2, summed with the complex entries.  Batch functions
-    give one value per member.
-    """
-    pairs = [(i, j) for i in range(len(fs)) for j in range(i, len(fs))]
-
-    def integrand(x):
-        vals = [f.fn(x, 0) for f in fs]
-        return ([np.abs(vals[i]) ** 2 if i == j
-                 else np.conj(vals[i]) * vals[j] for i, j in pairs],)
-
-    return pairs, integrate_stack(integrand, *fs)[0]
+    """Largest AffinePhase.gap of T(g2) T(g1) to T(g2 g1), probes' window."""
+    if not probes:
+        return 0.0
+    op = _affine_phase(rep, g2).compose(_affine_phase(rep, g1))
+    gap = op.gap(_affine_phase(rep, compose(g2, g1, rep.params)), *_window(*probes))
+    return float(np.max(gap))
 
 
 def verify_unitarity(rep: RepParams, g: GroupElement, probes) -> float:
-    """Largest change of a probe norm or Gram entry under T(g), over the batch g."""
-    pairs, gram = _gram([rep_apply(rep, g, f) for f in probes])
-    worst = 0.0
-    for (i, j), after in zip(pairs, gram):
-        if i == j:
-            n2 = norm(probes[i]) ** 2
-            gap = np.abs(np.real(after) - n2) / n2
-        else:
-            gap = np.abs(after - inner(probes[i], probes[j]))
-        worst = max(worst, float(np.max(gap)))
-    return worst
+    """Largest AffinePhase.unitarity_gap of T(g), probes' window."""
+    if not probes:
+        return 0.0
+    return float(np.max(_affine_phase(rep, g).unitarity_gap(*_window(*probes))))
 
 
 def verify_commutators(rep: RepParams, probes) -> float:

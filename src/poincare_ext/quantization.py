@@ -36,9 +36,9 @@ from .irreps import RepParams, case_a, rep_apply
 from .wavefunctions import (
     WaveFunction,
     _relative_l2,
+    _window,
     integrate_stack,
-    l2_diff,
-    norm,
+    integrate_vec,
     wf_add,
     wf_mul_poly,
     wf_scale,
@@ -354,9 +354,11 @@ def _left_action_maps(g: GroupElement, params: ModelParams):
 def _covariance_residual(g: GroupElement, pulled: QuantOperator,
                          qf: QuantOperator, params: ModelParams, m: float,
                          probes):
-    """max over probes of ||pulled psi - T(g^-1) qf T(g) psi|| / ||psi||.
+    """max over probes of ||pulled psi - T(g^-1) qf T(g) psi|| / ||pulled psi||.
 
     One value per member of a batch g, whose operators are batch columns.
+    The residual is relative to the image, whose size grows with hbar^2
+    for a p^2 term; both norms come from one integrate_vec call per probe.
     """
     rep = rep_for_mass(params, m)
     ginv = inverse(g, params)
@@ -364,7 +366,13 @@ def _covariance_residual(g: GroupElement, pulled: QuantOperator,
     for psi in probes:
         lhs = pulled.apply(psi)
         rhs = rep_apply(rep, ginv, qf.apply(rep_apply(rep, g, psi)))
-        worst = np.maximum(worst, l2_diff(lhs, rhs) / norm(psi))
+
+        def integrand(x):
+            vals = lhs.fn(x, 0)
+            return np.abs(vals - rhs.fn(x, 0)) ** 2, np.abs(vals) ** 2
+
+        sq, n2 = integrate_vec(integrand, *_window(lhs, rhs))
+        worst = np.maximum(worst, np.sqrt(sq / n2))
     return worst
 
 

@@ -145,6 +145,21 @@ def test_usage_error_exit_2(capsys):
         assert err.splitlines()[-1].startswith("poincare-ext"), argv
 
 
+@pytest.mark.parametrize("B", ("5e-324", "1e-310"))
+def test_rep_at_subnormal_B_is_a_usage_error(B, capsys):
+    # c2 / (2 B z3) overflows: one error line that names B, before any
+    # quadrature runs
+    for argv in (["rep", "verify", "--family=A", f"--B={B}"],
+                 ["rep", "apply", "--family=A", f"--B={B}", "--g=0.1,0.2,0.3,0.4"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines()[-1] == (
+            f"poincare-ext: error: family A at B={float(B)!r}: "
+            "operator phase coefficient c0 is not finite"), argv
+
+
 def test_all_checks_negative_B_emits_json(capsys):
     # at B = -0.5 the minimum tau* = -4 lies off the scanned grid, so the
     # dynamics minimum check fails: exit 1 with a complete report
@@ -195,8 +210,9 @@ class InTurn:
 def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
     # every integral of the report passes its first 8 -> 16 panel check;
     # a change that makes some integrand refine shows up as 32 panels here.
-    # The probe-set checks take one quadrature each, so a report makes 81
-    # (284 with one quadrature per probe); more than 100 is a regression
+    # The probe-set checks take one quadrature each and the homomorphism
+    # and unitarity checks none (closed form), so a report makes 64; more
+    # than 70 is a regression
     panels = collections.Counter()
     rule = wfm.gauss_legendre
 
@@ -208,7 +224,7 @@ def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
     cli.run(["all-checks", "--seed", "42", f"--B={B}"])
     capsys.readouterr()
     assert set(panels) == {8, 16} and panels[8] == panels[16], panels
-    assert panels[8] <= 100, panels
+    assert panels[8] <= 70, panels
 
 
 @pytest.mark.parametrize("B", ("1", "-1.3"))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincare_ext import irreps as ir
+from poincare_ext.cli import REP_GATES
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
                                 bracket, compose, identity)
 from poincare_ext.wavefunctions import (WaveFunction, gauss_legendre, hermite_wf,
-                                        inner, l2_diff, norm, wf_sub)
+                                        inner, integrate_stack, l2_diff, norm,
+                                        wf_sub)
 
 P = ModelParams()
 REP_A = ir.case_a(1.0, -1.0, P)
@@ -258,6 +261,168 @@ def test_batched_checks_equal_max_of_scalar_checks(rep):
     assert abs(ir.verify_unitarity(rep, g2, probes) - uni) <= 4 * eps
 
 
+# ---------------------------------------------------------------------------
+# the quadrature oracle of the closed-form homomorphism and unitarity checks
+
+
+def quadrature_homomorphism(rep, g2, g1, probes):
+    """max over probes and batch members of ||T(g2) T(g1) f - T(g2 g1) f|| / ||f||."""
+    g21 = compose(g2, g1, rep.params)
+    worst = 0.0
+    for f in probes:
+        lhs = ir.rep_apply(rep, g2, ir.rep_apply(rep, g1, f))
+        rhs = ir.rep_apply(rep, g21, f)
+        worst = max(worst, float(np.max(l2_diff(lhs, rhs) / norm(f))))
+    return worst
+
+
+def _gram(fs):
+    """Pairs (i, j), i <= j, and the integrals <f_i, f_j> in that order.
+
+    One integrate_vec call takes every entry from the same node block; the
+    diagonal integrates |f_i|^2.  Batch functions give one value per member.
+    """
+    pairs = [(i, j) for i in range(len(fs)) for j in range(i, len(fs))]
+
+    def integrand(x):
+        vals = [f.fn(x, 0) for f in fs]
+        return ([np.abs(vals[i]) ** 2 if i == j
+                 else np.conj(vals[i]) * vals[j] for i, j in pairs],)
+
+    return pairs, integrate_stack(integrand, *fs)[0]
+
+
+def quadrature_unitarity(rep, g, probes):
+    """Largest change of a probe norm or Gram entry under T(g), over the batch g."""
+    pairs, gram = _gram([ir.rep_apply(rep, g, f) for f in probes])
+    worst = 0.0
+    for (i, j), after in zip(pairs, gram):
+        if i == j:
+            n2 = norm(probes[i]) ** 2
+            gap = np.abs(np.real(after) - n2) / n2
+        else:
+            gap = np.abs(after - inner(probes[i], probes[j]))
+        worst = max(worst, float(np.max(gap)))
+    return worst
+
+
+def _take(g, members):
+    return GroupElement(*(np.asarray(c)[members]
+                          for c in (g.theta0, g.theta1, g.alpha, g.beta)))
+
+
+def oracle_checks(rep, seed=42):
+    """The quadrature homomorphism and unitarity checks on the batches and
+    probes rep_suite hands its closed-form checks, each a function of the
+    slice of members it takes (all by default)."""
+    seen = {}
+
+    def record(field):
+        def check(_, *args):
+            seen[field] = args
+            return 0.0
+        return check
+
+    with pytest.MonkeyPatch.context() as mp:
+        for field in ("homomorphism", "unitarity"):
+            mp.setattr(ir, f"verify_{field}", record(field))
+        ir.rep_suite(rep, trials=200, seed=seed)
+    (g2, g1, hom_probes), (g, uni_probes) = seen["homomorphism"], seen["unitarity"]
+    return {"homomorphism": lambda k=slice(None): quadrature_homomorphism(
+                rep, _take(g2, k), _take(g1, k), hom_probes),
+            "unitarity": lambda k=slice(None): quadrature_unitarity(
+                rep, _take(g, k), uni_probes)}
+
+
+@pytest.mark.parametrize("B", (1.0, -1.3, 3.0))
+@pytest.mark.parametrize("family", ("A", "B", "C"))
+def test_closed_form_agrees_with_quadrature_oracle(family, B):
+    p = ModelParams(B=B)
+    rep = {"A": ir.case_a(1.0, -1.0, p), "B": ir.case_b(0.7, p),
+           "C": ir.case_c(1.0, 0.3, p)}[family]
+    report = ir.rep_suite(rep, trials=200, seed=42)
+    for field, oracle in oracle_checks(rep).items():
+        # both pass their gate; the closed form reads round-off
+        value = oracle()
+        assert report[field] <= 1e-13 and value <= REP_GATES[field], \
+            (field, report[field], value)
+
+
+def _amplitude_mutant(affine_phase):
+    # family A's amplitude e^(-alpha/2) -> e^(-alpha/2 - 0.001 alpha)
+    def mutant(rep, g):
+        op = affine_phase(rep, g)
+        alpha = ir._columns(g)[2]
+        return dataclasses.replace(op, amp=op.amp * np.exp(-0.001 * alpha))
+    return mutant
+
+
+def _shift_mutant(affine_phase):
+    # family C's argument x + alpha -> x - alpha
+    def mutant(rep, g):
+        op = affine_phase(rep, g)
+        return dataclasses.replace(op, b=-op.b)
+    return mutant
+
+
+@pytest.mark.parametrize("mutant, rep, field, B", (
+    (_amplitude_mutant, REP_A, "unitarity", 1.0),
+    (_amplitude_mutant, REP_A, "unitarity", -1.3),
+    # family C does not depend on B
+    (_shift_mutant, REP_C, "homomorphism", 1.0),
+), ids=("A-amplitude-1", "A-amplitude--1.3", "C-shift-sign"))
+def test_planted_defect_fails_closed_form_and_oracle(mutant, rep, field, B,
+                                                     monkeypatch):
+    rep = dataclasses.replace(rep, params=ModelParams(B=B))
+    monkeypatch.setattr(ir, "_affine_phase", mutant(ir._affine_phase))
+    gate = REP_GATES[field]
+    assert ir.rep_suite(rep, trials=200, seed=42)[field] > gate
+    # the oracle fails at each draw alone.  The wrong shift leaves a phase
+    # gap of order cosh(x) in the integrand, and at 3 of the 200 draws it
+    # oscillates too fast to converge, which is a failure too
+    oracle = oracle_checks(rep)[field]
+    for k in range(200):
+        try:
+            value = oracle(slice(k, k + 1))
+        except RuntimeError as exc:
+            assert "did not converge" in str(exc), k
+        else:
+            assert value > gate, k
+
+
+def _random_affine_phase(rng, basis):
+    c = tuple(rng.uniform(-1.0, 1.0, 2 if basis == "hyp" else 3)
+              + 1j * rng.uniform(-1.0, 1.0, 2 if basis == "hyp" else 3))
+    a = 1.0 if basis == "hyp" else rng.uniform(0.5, 2.0)
+    return ir.AffinePhase(rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(-3, 3)),
+                          a, rng.uniform(-1.0, 1.0), c, basis)
+
+
+@pytest.mark.parametrize("basis", ("poly", "hyp"))
+def test_compose_is_the_operator_product(basis):
+    # compose is coefficient arithmetic; its operator must act as the two
+    # operators one after the other, pointwise
+    rng = np.random.default_rng(13)
+    x = np.linspace(-3.0, 3.0, 61)
+    f = hermite_wf(2)
+    for _ in range(50):
+        second, first = (_random_affine_phase(rng, basis) for _ in range(2))
+        got = second.compose(first).apply(f)(x)
+        want = second.apply(first.apply(f))(x)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert second.compose(first).gap(second.compose(first), -12.0, 12.0) == 0.0
+
+
+def test_affine_phase_rejects_what_it_cannot_represent():
+    with pytest.raises(ValueError, match="phase coefficient c1 is not finite"):
+        ir.AffinePhase(1.0, 1.0, 0.0, (0.0, complex(math.inf, 0.0)))
+    with pytest.raises(ValueError, match="amplitude is not finite"):
+        ir.AffinePhase(np.array([[1.0], [math.nan]]), 1.0, 0.0, (0.0,))
+    hyp = ir.AffinePhase(1.0, 2.0, 0.0, (1j, 0.0), "hyp")
+    with pytest.raises(ValueError, match="translations only"):
+        hyp.compose(hyp)
+
+
 @pytest.mark.parametrize("rep", (REP_A, REP_C), ids=("A", "C"))
 def test_batched_gram_matches_fixed_rule(rep):
     # unitarity's norms and Gram entries, on the 8 -> 16 panel ladder,
@@ -266,7 +431,7 @@ def test_batched_gram_matches_fixed_rule(rep):
     coords[:, 2] = (-2.0, 0.0, 2.0)
     images = [ir.rep_apply(rep, GroupElement(*coords.T), f)
               for f in (hermite_wf(0), hermite_wf(1))]
-    pairs, gram = ir._gram(images)
+    pairs, gram = _gram(images)
     assert pairs == [(0, 0), (0, 1), (1, 1)] and gram.shape == (3, 3)
     x, w = gauss_legendre(*images[0].interval(), 256)
     for (i, j), got in zip(pairs, gram):

@@ -270,6 +270,18 @@ def test_covariance_suite():
     assert qz.covariance_suite(P, M, trials=21, seed=4) < 1e-8
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hbar=HBARS, B=st.floats(0.5, 3.0), sign=st.sampled_from((-1.0, 1.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_covariance_over_hbar_and_B(hbar, B, sign, seed):
+    # the residual is relative to ||Q(f . l_g) psi||, which grows with
+    # hbar^2 for a p^2 term; over 13 hbar values in [1e-3, 1e3] and six B
+    # the worst value measured was 1.2e-11 (hbar = 1e-3, B = -3).  The
+    # gate is the quantization suite's
+    p = ModelParams(B=sign * B, hbar=hbar)
+    assert qz.covariance_suite(p, M, seed=seed) <= 1e-8
+
+
 def test_batched_covariance_suite_equals_max_of_scalar_checks():
     probes, trials, seed = default_probes(2), 16, 5
     coords = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(trials, 4))

@@ -260,7 +260,6 @@ def test_non_finite_integral_fails_at_the_first_level():
     assert "3 of 1000 integrals are not finite on [-5, 6]" in msg and len(msg) < 100
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_family_a_at_subnormal_B_fails_within_one_level(monkeypatch):
     from poincare_ext import irreps as ir
     from poincare_ext.group import ModelParams
@@ -273,7 +272,11 @@ def test_family_a_at_subnormal_B_fails_within_one_level(monkeypatch):
         return rule(lo, hi, panels)
 
     monkeypatch.setattr(wfm, "gauss_legendre", counted)
-    rep = ir.case_a(1.0, -1.0, ModelParams(1e-310))
-    with pytest.raises(RuntimeError, match="200 of 200 integrals are not finite") as info:
-        ir.rep_suite(rep, trials=200, seed=42)
-    assert levels == [8] and len(str(info.value)) < 100
+    # c2 / (2 B z3) overflows, and the operator's coefficients say so
+    # before any quadrature runs
+    for B in (5e-324, 1e-310):
+        rep = ir.case_a(1.0, -1.0, ModelParams(B))
+        with pytest.raises(ValueError, match="^operator phase coefficient c0 "
+                                             "is not finite$"):
+            ir.rep_suite(rep, trials=200, seed=42)
+    assert levels == []
