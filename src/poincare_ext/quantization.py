@@ -35,6 +35,7 @@ from .group import (
 from .irreps import RepParams, case_a, rep_apply
 from .wavefunctions import (
     WaveFunction,
+    _latest_values,
     _relative_l2,
     _window,
     integrate_stack,
@@ -59,6 +60,7 @@ __all__ = [
     "quantize",
     "hermiticity_residual",
     "verify_dirac",
+    "dirac_residuals",
     "verify_covariance",
     "covariance_suite",
     "pullback_residual",
@@ -321,24 +323,41 @@ def verify_dirac(params: ModelParams, m: float, probes,
                  z3: float | None = None) -> float:
     """Residual of Q({u_A, u_B}) = -i z3 [Q(u_A), Q(u_B)] over all pairs.
 
-    The operator chains act once, on the stacked probes, and every
-    residual comes from one integrate_vec call.
+    z3 defaults to -1/hbar, the value of the orbit's representation.
     """
     if z3 is None:
         z3 = -1.0 / params.hbar
+    return dirac_residuals(params, m, probes, (z3,))[0]
+
+
+def dirac_residuals(params: ModelParams, m: float, probes, z3s) -> list:
+    """verify_dirac's residual at each z3 of z3s, all from one quadrature.
+
+    The bracket and commutator chains act once, on the stacked probes, and
+    each is evaluated once per quadrature level however many z3 there are.
+    """
     if not probes:
-        return 0.0
+        return [0.0] * len(z3s)
     us = comoment_observables(params, m)
     ops = [quantize(u, params) for u in us]
     f = wf_stack(probes)
-    diffs = []
+    chains = []
     for a in range(4):
         for b in range(a + 1, 4):
             qbr = quantize(poisson_bracket(us[a], us[b], params), params)
             comm = wf_sub(ops[a].apply(ops[b].apply(f)),
                           ops[b].apply(ops[a].apply(f)))
-            diffs.append((qbr.apply(f), wf_scale(comm, -1j * z3)))
-    return float(np.max(_relative_l2(diffs, f)[0]))
+            chains.append((_kept(qbr.apply(f)), _kept(comm)))
+    diffs = [(lhs, wf_scale(comm, -1j * z3))
+             for z3 in z3s for lhs, comm in chains]
+    res = _relative_l2(diffs, f)[0]
+    return [float(np.max(r)) for r in np.split(res, len(z3s))]
+
+
+def _kept(wf: WaveFunction) -> WaveFunction:
+    """wf's values alone, evaluated once per node array (_latest_values)."""
+    vals = _latest_values(lambda x: wf.fn(x, 0))
+    return WaveFunction(lambda x, k: vals(x), 0, wf.center, wf.width)
 
 
 def _left_action_maps(g: GroupElement, params: ModelParams):

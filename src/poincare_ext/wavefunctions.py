@@ -52,6 +52,7 @@ __all__ = [
     "integrate_vec",
     "integrate_stack",
     "gauss_legendre",
+    "rule_exp",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -78,6 +79,33 @@ def gauss_legendre(lo, hi, panels: int):
     u, w = _unit_rule(panels)
     span = hi - lo
     return lo + span * u, span * w
+
+
+def rule_exp(k, x):
+    """exp(i k x) with shape k.shape + x.shape, for the nodes x of one rule.
+
+    x must be the 1-D nodes of one composite rule from gauss_legendre, so
+    that panel p's nodes are panel 0's shifted by d_p = x[p, 0] - x[0, 0].
+    Then exp(i k x[p, j]) = exp(i k x[0, j]) exp(i k d_p): 32 + panels
+    complex exponentials per k instead of 32 * panels.  The shift structure
+    is checked to 8 eps max|x| (gauss_legendre's nodes meet it within
+    2.4 eps), so the error stays within a few eps (1 + |k| max|x|).
+    Other nodes raise ValueError.
+    """
+    x = np.asarray(x)
+    if x.ndim != 1 or x.size == 0 or x.size % _GL_NODES.size:
+        raise ValueError(f"rule_exp: nodes of shape {x.shape} are not one "
+                         f"composite {_GL_NODES.size}-point rule")
+    rows = x.reshape(-1, _GL_NODES.size)
+    base, shifts = rows[0], rows[:, 0] - rows[0, 0]
+    off = np.abs(rows - shifts[:, None] - base)
+    if np.any(off > 8.0 * np.finfo(float).eps * np.max(np.abs(x))):
+        raise ValueError(f"rule_exp: panels are not shifts of the first one "
+                         f"(off by up to {np.max(off):.3g})")
+    k = np.asarray(k, dtype=float)
+    out = np.exp(1j * np.multiply.outer(k, shifts))[..., :, None] \
+        * np.exp(1j * np.multiply.outer(k, base))[..., None, :]
+    return out.reshape(k.shape + x.shape)
 
 
 def integrate_vec(fn, lo, hi, rtol: float = 1e-10,

@@ -10,6 +10,7 @@ import pytest
 
 from poincare_ext import cli
 from poincare_ext import wavefunctions as wfm
+from poincare_ext.group import ModelParams
 from poincare_ext.wavefunctions import hermite_wf
 
 #: values that parse as strings but are malformed for their option
@@ -161,14 +162,51 @@ def test_rep_at_subnormal_B_is_a_usage_error(B, capsys):
 
 
 def test_all_checks_negative_B_emits_json(capsys):
-    # at B = -0.5 the minimum tau* = -4 lies off the scanned grid, so the
-    # dynamics minimum check fails: exit 1 with a complete report
-    assert cli.run(["all-checks", "--B", "-0.5"]) == 1
+    # at B = -0.5 the minimum tau* = -4 lies left of tau0 = 0; the report
+    # is complete and every suite passes
+    assert cli.run(["all-checks", "--B", "-0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["pass"] is False
-    assert payload["dynamics"]["minimum_located"] is False
-    assert all(payload[name]["pass"] for name in payload
-               if isinstance(payload[name], dict) and name != "dynamics")
+    assert payload["pass"] is True
+    assert payload["dynamics"]["minimum_located"] is True
+    assert sorted(name for name in payload if isinstance(payload[name], dict)) \
+        == sorted(name for name, _ in cli._SUITES)
+    assert all(payload[name]["pass"] for name, _ in cli._SUITES)
+
+
+#: the central charges the benchmark draws all-checks reports at
+BENCH_B = (-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0)
+
+
+@pytest.fixture(scope="module")
+def dynamics_reports():
+    """suite_dynamics at each benchmark B, with tau* as is and shifted."""
+    real = cli.dy.total_energy_minimum
+
+    def shifted(cs, E):
+        tau_star, value = real(cs, E)
+        return tau_star + 1e-3, value
+
+    reports = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fn in (("exact", real), ("shifted", shifted)):
+            mp.setattr(cli.dy, "total_energy_minimum", fn)
+            reports[name] = [cli.suite_dynamics(ModelParams(B=B), 42)
+                             for B in BENCH_B]
+    return reports
+
+
+def test_dynamics_minimum_located_at_every_bench_B(dynamics_reports):
+    # the locator is never told tau* = 2/B, which for most of these B lies
+    # off any fixed grid of spacing 0.005
+    assert [r["minimum_located"] for r in dynamics_reports["exact"]] \
+        == [True] * len(BENCH_B)
+
+
+def test_dynamics_minimum_catches_a_shifted_tau_star(dynamics_reports):
+    # a planted defect: tau* moved by 1e-3 fails the check at every B, while
+    # the value gate alone would let it through
+    for r in dynamics_reports["shifted"]:
+        assert r["minimum_located"] is False and r["pass"] is False
 
 
 def test_cli_import_loads_no_scipy():

@@ -143,6 +143,24 @@ def test_total_energy_expectation_and_minimum():
     assert v_star == 0.5 * CS.m + 0.5 * dy.relativistic_energy(CS, CS.tau0) - 0.5 * E
 
 
+@pytest.mark.parametrize("B", (-3.0, -0.5, -1e-3, 1e-3, 0.7, 1e3))
+def test_locate_minimum_finds_tau_star_unaided(B):
+    # the convex expectation's minimum, from a bracket grown downhill from
+    # tau0 and never told tau*; the final bracket holds tau* at these B
+    cs = dy.ClassicalState(0.0, -2.0, 0.0, 1.0, ModelParams(B=B))
+    tau, v, width = dy.locate_minimum(
+        lambda t: dy.expectation_total_energy(cs, 0.0, t), cs.tau0)
+    tau_star, v_star = dy.total_energy_minimum(cs, 0.0)
+    assert abs(tau - tau_star) <= width <= 3e-8 * (1.0 + abs(tau)) * 2.0
+    assert abs(v - v_star) <= 1e-13
+
+
+def test_locate_minimum_without_an_upturn():
+    # a function that keeps falling is not bracketed: width is inf
+    tau, v, width = dy.locate_minimum(lambda t: -t, 0.0)
+    assert width == math.inf and v == -tau and tau > 1e18
+
+
 def test_monotone_when_force_aligned():
     cs = dy.ClassicalState(0.0, 1.0, 0.0, 1.0, P)  # sign(B) ptilde0 > 0
     taus = np.linspace(0.0, 6.0, 400)

@@ -238,6 +238,18 @@ def test_stacked_dirac_equals_max_of_single_probe_calls(B, sign):
         qz.verify_dirac(p, M, [f], z3=z3) for f in probes)
 
 
+@pytest.mark.parametrize("B", (1.0, -1.3, 3.0))
+@pytest.mark.parametrize("hbar", (1.0, 0.5))
+def test_shared_dirac_chains_equal_separate_calls(B, hbar):
+    # both z3 values of the quantization suite from one set of chains,
+    # bit for bit the two verify_dirac calls
+    p = ModelParams(B=B, hbar=hbar)
+    probes = default_probes(3)
+    z3s = (-1.0 / hbar, 1.0 / hbar)
+    assert qz.dirac_residuals(p, M, probes, z3s) == [
+        qz.verify_dirac(p, M, probes, z3=z3) for z3 in z3s]
+
+
 @pytest.mark.parametrize("B", (1.0, -1.3))
 def test_stacked_hermiticity_equals_per_pair_reference(B):
     p = ModelParams(B=B)
@@ -253,6 +265,7 @@ def test_quantum_checks_on_no_probes():
     op = qz.quantize(qz.parse_poly("q^2+2qp"), P)
     assert qz.hermiticity_residual(op, []) == 0.0
     assert qz.verify_dirac(P, M, []) == 0.0
+    assert qz.dirac_residuals(P, M, [], (1.0, -1.0)) == [0.0, 0.0]
 
 
 def test_covariance():

@@ -100,6 +100,36 @@ def test_gauss_legendre_rule():
     assert np.max(np.abs(got - exact) / scale) < 1e-13
 
 
+@pytest.mark.parametrize("panels", (8, 16, 256))
+def test_rule_exp_matches_dense_exponential(panels):
+    # the panel-factored kernel against one exp per (k, node), on random
+    # windows; the factoring adds a few eps (1 + |k| max|x|) of round-off
+    rng = np.random.default_rng(panels)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        centre, half = rng.uniform(-30.0, 30.0), rng.uniform(0.01, 20.0)
+        x, _ = wfm.gauss_legendre(centre - half, centre + half, panels)
+        k = rng.uniform(-40.0, 40.0, 50)
+        got = wfm.rule_exp(k, x)
+        ref = np.exp(1j * np.outer(k, x))
+        scale = eps * (1.0 + np.abs(k)[:, None] * np.max(np.abs(x)))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref) / scale) <= 16.0
+
+
+@pytest.mark.parametrize("x", (
+    np.linspace(0.0, 1.0, 64) ** 2,                 # panels not shifts
+    np.linspace(0.0, 1.0, 48),                      # not whole panels
+    np.empty(0),
+    wfm.gauss_legendre(0.0, 1.0, 4)[0].reshape(4, 32),   # not 1-D
+    np.concatenate([wfm.gauss_legendre(0.0, 1.0, 2)[0],
+                    wfm.gauss_legendre(0.0, 2.0, 2)[0]]),  # two rules
+), ids=("squares", "partial-panel", "empty", "2-d", "two-rules"))
+def test_rule_exp_rejects_nodes_of_no_rule(x):
+    with pytest.raises(ValueError, match="rule_exp"):
+        wfm.rule_exp(np.ones(3), x)
+
+
 #: (Hermite index, center, width, depth) of one stack member
 MEMBER = st.tuples(st.integers(0, 5), st.floats(-3.0, 3.0),
                    st.floats(0.25, 4.0), st.integers(0, 4))
