@@ -24,7 +24,8 @@ import numpy as np
 
 from .group import ModelParams
 from .quantization import PolynomialObservable, QuantOperator, quantize
-from .wavefunctions import WaveFunction, exp_poly_tower, integrate_vec, rule_exp
+from .wavefunctions import (WaveFunction, exp_poly_tower, integrate_fourier,
+                            integrate_vec)
 
 __all__ = [
     "ClassicalState",
@@ -106,7 +107,14 @@ def classical_trajectory(cs: ClassicalState, tau: float):
 
 
 def proper_time(cs: ClassicalState, tau: float) -> float:
-    return (cs.m / cs.params.B) * math.asinh(kinematical_momentum(cs, tau) / cs.m)
+    """(m/B) asinh(ptilde/m), evaluated as m (asinh(ptilde/m) / B).
+
+    ptilde = 0 then gives 0 at any B, and ptilde = B tau gives about tau
+    even at subnormal B, where m/B alone overflows.  A true value past
+    the float range comes out as inf.
+    """
+    return cs.m * (math.asinh(kinematical_momentum(cs, tau) / cs.m)
+                   / cs.params.B)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +305,13 @@ def _position_packet(cs: ClassicalState, c0: SpectralAmplitude, tau: float):
     return psi, X, x_width
 
 
-#: E rows of the oracle-(a) kernel built at once.  One integrate_vec call
+#: E rows of oracle (a) projected at once.  One integrate_fourier call
 #: serves a block, so memory stays flat however long the grid is.  At n
-#: panels rule_exp builds the shift factors (512 x n), the base factors
-#: (512 x 32) and their product, the kernel (512 x 32 n): at 16 panels
-#: 0.13 + 0.26 + 4.2 MB of complex128.  The default 400-point grid is one
-#: block, as few numpy calls as possible
+#: panels a block holds the base exponentials (512 x 32), the shift
+#: exponentials (512 x n) and their contraction with the weighted packet,
+#: inner (512 x n), with no E-by-node kernel: at 16 panels 0.26 + 0.13 +
+#: 0.13 MB of complex128.  The default 400-point grid is one block, as few
+#: numpy calls as possible
 _E_BLOCK = 512
 
 
@@ -310,20 +319,21 @@ def _project_oracle_a(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
                       e_grid):
     """<E|psi(tau)> on the E-grid by quadrature over the position packet.
 
-    Each block of E rows is one batched integrate_vec call on the shared
+    Each block of E rows is one integrate_fourier call on the shared
     8 -> 16 panel ladder over X +- 14 hbar/sigma, refined to at most 256
     panels and converged per E to 1e-10 absolute, else OracleError.  The
-    kernel exp(i E x / hbar) is factored over the rule's panels by
-    rule_exp: one exponential per (E, panel-0 node) and one per (E, panel),
-    88 per E on the 8 -> 16 ladder instead of 768.  The
+    Fourier sum of the weighted packet is contracted panel by panel: one
+    exponential per (E, panel-0 node) and one per (E, panel), and the
+    E-by-node kernel exp(i E x / hbar) is never formed.  The
     integrand is a Gaussian times unimodular phases, so the rule converges
     exponentially and 8 panels are ample: they agree with a 256-panel
-    projection to 2.8e-15 over 46 cases (the suite's five (B, m) pairs at
+    projection to 6.5e-15 over 46 cases (the suite's five (B, m) pairs at
     grids of 400 and 1600 points; B in +-{0.5, 3}, m in {0.5, 1, 2}, tau
     in {0.5, 1.6, 3} at 1600).  The first 8 -> 16 check passes in each of
-    them, and in all 1300 blocks of 200 random `evolve` runs like the
-    benchmark's (grids of 400 and 1600, 0.5 <= |B| <= 3, m in {0.5, 1, 2},
-    tau in [0.5, 3]); those runs stay within 5.5e-15 of the closed form.
+    them, and in all 1650 blocks of those cases and of 200 random `evolve`
+    runs like the benchmark's (grids of 400 and 1600, 0.5 <= |B| <= 3,
+    m in {0.5, 1, 2}, tau in [0.5, 3]); those runs stay within 8.0e-15 of
+    the closed form.
     """
     p = cs.params
     h, B = p.hbar, p.B
@@ -341,9 +351,8 @@ def _project_oracle_a(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
     for i in range(0, len(e_grid), _E_BLOCK):
         e = e_grid[i:i + _E_BLOCK]
         try:
-            out[i:i + _E_BLOCK] = integrate_vec(
-                lambda x: rule_exp(e / h, x) * packet(x), lo, hi,
-                rtol=0.0, atol=1e-10, max_panels=256)
+            out[i:i + _E_BLOCK] = integrate_fourier(
+                e / h, packet, lo, hi, rtol=0.0, atol=1e-10, max_panels=256)
         except RuntimeError as exc:
             raise OracleError("position-space projection did not converge") \
                 from exc

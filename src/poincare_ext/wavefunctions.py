@@ -23,6 +23,10 @@ All integrals run on [center - 12 width, center + 12 width] with a
 panel-doubling composite Gauss-Legendre rule (vectorized evaluations) that
 starts at 8 panels and is converged to relative tolerance 1e-10.  The rule
 on [0, 1] is built once per panel count and only scaled to each window.
+One panel-doubling ladder (_ladder) serves both quadratures: integrate_vec
+sums w fn(x) at each level, and integrate_fourier sums w exp(i k x) fn(x)
+for a vector of k as a contraction over the rule's panels, without the
+k-by-node kernel.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ __all__ = [
     "l2_diff",
     "integrate_vec",
     "integrate_stack",
+    "integrate_fourier",
     "gauss_legendre",
-    "rule_exp",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -81,33 +85,6 @@ def gauss_legendre(lo, hi, panels: int):
     return lo + span * u, span * w
 
 
-def rule_exp(k, x):
-    """exp(i k x) with shape k.shape + x.shape, for the nodes x of one rule.
-
-    x must be the 1-D nodes of one composite rule from gauss_legendre, so
-    that panel p's nodes are panel 0's shifted by d_p = x[p, 0] - x[0, 0].
-    Then exp(i k x[p, j]) = exp(i k x[0, j]) exp(i k d_p): 32 + panels
-    complex exponentials per k instead of 32 * panels.  The shift structure
-    is checked to 8 eps max|x| (gauss_legendre's nodes meet it within
-    2.4 eps), so the error stays within a few eps (1 + |k| max|x|).
-    Other nodes raise ValueError.
-    """
-    x = np.asarray(x)
-    if x.ndim != 1 or x.size == 0 or x.size % _GL_NODES.size:
-        raise ValueError(f"rule_exp: nodes of shape {x.shape} are not one "
-                         f"composite {_GL_NODES.size}-point rule")
-    rows = x.reshape(-1, _GL_NODES.size)
-    base, shifts = rows[0], rows[:, 0] - rows[0, 0]
-    off = np.abs(rows - shifts[:, None] - base)
-    if np.any(off > 8.0 * np.finfo(float).eps * np.max(np.abs(x))):
-        raise ValueError(f"rule_exp: panels are not shifts of the first one "
-                         f"(off by up to {np.max(off):.3g})")
-    k = np.asarray(k, dtype=float)
-    out = np.exp(1j * np.multiply.outer(k, shifts))[..., :, None] \
-        * np.exp(1j * np.multiply.outer(k, base))[..., None, :]
-    return out.reshape(k.shape + x.shape)
-
-
 def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
                   atol: float = 1e-13, max_panels: int = 4096):
     """Composite 32-point Gauss-Legendre with panel doubling from 8 panels.
@@ -117,6 +94,70 @@ def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
     member.  fn may also return a tuple of such arrays, and the result is
     then the tuple of their integrals: each array is summed in its own
     dtype, since a real integrand summed as complex rounds differently.
+    Convergence and non-finite integrals are handled as in _ladder.
+    """
+    parts = []
+
+    def level(n):
+        x, w = gauss_legendre(lo, hi, n)
+        vals = fn(x)
+        if not isinstance(vals, tuple):
+            return np.sum(w * vals, axis=-1)
+        sums = [np.sum(w * v, axis=-1) for v in vals]
+        parts[:] = [(s.shape, s.dtype) for s in sums]
+        return np.concatenate([s.ravel() for s in sums])
+
+    out = _ladder(level, lo, hi, rtol, atol, max_panels)
+    return _split(out, parts) if parts else out[()]
+
+
+def integrate_fourier(k, fn, lo, hi, rtol: float = 1e-10,
+                      atol: float = 1e-13, max_panels: int = 4096):
+    """integral of exp(i k x) fn(x) over [lo, hi], one value per entry of k.
+
+    The ladder is integrate_vec's, on one window.  Panel p's nodes are
+    panel 0's shifted by d_p, so on each level the sum over the nodes
+    x[p, j] is sum_p exp(i k d_p) sum_j exp(i k x[0, j]) (w fn)[p, j]: two
+    small exponential tables (k.shape + (32,) and k.shape + (panels,)) and
+    one contraction, without the k-by-node kernel.  The shift structure is
+    checked to 8 eps max|x| (gauss_legendre's nodes meet it within
+    2.4 eps), so the error stays within a few eps (1 + |k| max|x|) of the
+    plain weighted sum; other nodes raise ValueError.
+    """
+    k = np.asarray(k, dtype=float)
+    size = _GL_NODES.size
+
+    def level(n):
+        x, w = gauss_legendre(lo, hi, n)
+        if x.ndim != 1 or x.size == 0 or x.size % size:
+            raise ValueError(f"integrate_fourier: nodes of shape {x.shape} "
+                             f"are not one composite {size}-point rule")
+        rows = x.reshape(-1, size)
+        base, shifts = rows[0], rows[:, 0] - rows[0, 0]
+        off = np.abs(rows - shifts[:, None] - base)
+        if np.any(off > 8.0 * np.finfo(float).eps * np.max(np.abs(x))):
+            raise ValueError(f"integrate_fourier: panels are not shifts of the "
+                             f"first one (off by up to {np.max(off):.3g})")
+        # einsum sums in its own loops; a matmul here would start BLAS
+        # worker threads for a product this small
+        inner = np.einsum("...j,pj->...p", _cis(np.multiply.outer(k, base)),
+                          (w * fn(x)).reshape(rows.shape))
+        return np.sum(_cis(np.multiply.outer(k, shifts)) * inner, axis=-1)
+
+    return _ladder(level, lo, hi, rtol, atol, max_panels)[()]
+
+
+def _cis(t):
+    """exp(i t) for real t, from cos and sin: faster than the complex exp."""
+    out = np.empty(t.shape, dtype=complex)
+    np.cos(t, out=out.real)
+    np.sin(t, out=out.imag)
+    return out
+
+
+def _ladder(level, lo, hi, rtol, atol, max_panels):
+    """The panel-doubling driver: level(n) is the flat integrals at n panels.
+
     A member has converged when two consecutive refinements agree
     to rtol/atol, and keeps the value of the level where it first did.
     The integrands here are analytic with Gaussian decay, on which Gauss
@@ -127,17 +168,8 @@ def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
     refining cannot repair it; the message names how many integrals are
     bad and the extent of the windows.
     """
-    parts = []
-
-    def level(n):
-        x, w = gauss_legendre(lo, hi, n)
-        vals = fn(x)
-        if not isinstance(vals, tuple):
-            out = np.sum(w * vals, axis=-1)
-        else:
-            sums = [np.sum(w * v, axis=-1) for v in vals]
-            parts[:] = [(s.shape, s.dtype) for s in sums]
-            out = np.concatenate([s.ravel() for s in sums])
+    def checked(n):
+        out = level(n)
         bad = np.count_nonzero(~np.isfinite(out))
         if bad:
             raise RuntimeError(f"quadrature: {bad} of {np.size(out)} integrals "
@@ -145,16 +177,16 @@ def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
         return out
 
     n = 8
-    prev = level(n)
+    prev = checked(n)
     out = prev
     done = np.zeros(np.shape(prev), dtype=bool)
     while n < max_panels:
         n *= 2
-        cur = level(n)
+        cur = checked(n)
         out = np.where(done, out, cur)
         done |= np.abs(cur - prev) <= np.maximum(atol, rtol * np.abs(cur))
         if done.all():
-            return _split(out, parts) if parts else out[()]
+            return out
         prev = cur
     raise RuntimeError(f"quadrature: {np.count_nonzero(~done)} of {done.size} "
                        f"integrals did not converge on {_extent(lo, hi)}")

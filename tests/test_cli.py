@@ -1,9 +1,9 @@
 import cmath
 import collections
 import json
+import math
 import subprocess
 import sys
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -226,24 +226,6 @@ def test_seed_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-class InTurn:
-    """Executor stand-in that runs each suite as it is submitted."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
-
-
 @pytest.mark.parametrize("B", ("1", "-1.3"))
 def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
     # every integral of the report passes its first 8 -> 16 panel check;
@@ -266,14 +248,67 @@ def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("B", ("1", "-1.3"))
-def test_all_checks_byte_identical_pooled_and_in_turn(B, capsys, monkeypatch):
-    # the batched numpy loops release the GIL, so the pooled suites overlap
-    # in earnest; the report must not depend on how they interleave
+def test_all_checks_byte_identical_and_suite_by_suite(B, capsys):
+    # the report must not depend on how its suites run: two reports are
+    # byte-identical, and each entry is its suite run alone
     argv = ["all-checks", "--seed", "42", f"--B={B}"]
     outs = []
-    for pooled in (True, True, False):
-        if not pooled:
-            monkeypatch.setattr(cli, "ThreadPoolExecutor", InTurn)
+    for _ in range(2):
         cli.run(argv)
         outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    params = ModelParams(B=float(B))
+    for name, fn in cli._SUITES:
+        assert report[name] == json.loads(json.dumps(fn(params, 42))), name
+
+
+@pytest.mark.parametrize("B", ("5e-324", "1e-310"))
+def test_all_checks_at_subnormal_B_reports_failed_suites(B, capsys):
+    # a suite that raises becomes a failed entry naming the error; the
+    # report still has all nine suites and exits 1
+    assert cli.run(["all-checks", f"--B={B}"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is False
+    assert sorted(name for name in payload if isinstance(payload[name], dict)) \
+        == sorted(name for name, _ in cli._SUITES)
+    params, raised = ModelParams(B=float(B)), []
+    for name, fn in cli._SUITES:
+        try:
+            fn(params, 42)
+        except (ValueError, RuntimeError) as exc:
+            raised.append(name)
+            assert payload[name] == {"error": str(exc), "pass": False}, name
+    assert "representations" in raised, raised
+
+
+@pytest.mark.parametrize("B", ("5e-324", "1e-310"))
+def test_trajectory_at_subnormal_B(B, capsys):
+    # at ptilde0 = 0 the proper time is about tau, never nan
+    assert cli.run(["trajectory", f"--B={B}", "--ptilde0=0",
+                    "--span=0:2:3"]) == 0
+    rows = [[float(t) for t in line.split(",")]
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[0] for r in rows] == [0.0, 1.0, 2.0]
+    for row in rows:
+        assert all(map(math.isfinite, row)), row
+        assert math.isclose(row[4], row[0], abs_tol=1e-12), row
+    # at ptilde0 = 0.5 it is asinh(0.5) / B, past the float range: one
+    # error line that names B, and no inf on stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["trajectory", f"--B={B}", "--ptilde0=0.5", "--span=0:2:3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == (
+        f"poincare-ext: error: trajectory at B={float(B)!r}: the values at "
+        "tau=0.0 leave the float range")
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the suites run in turn; concurrent.futures alone costs about 5 ms of
+    # import
+    code = ("import sys, poincare_ext.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -46,6 +46,18 @@ def test_trajectory_finite_at_subnormal_B():
                                 abs_tol=1e-300)
 
 
+def test_proper_time_at_subnormal_B():
+    # m (asinh(ptilde/m) / B): ptilde = 0 gives 0 and ptilde = B tau about
+    # tau, where m/B alone overflows; a value past the float range is inf,
+    # never nan
+    for B in (5e-324, 1e-310):
+        cs = dy.ClassicalState(0.0, 0.0, 0.0, 1.0, ModelParams(B))
+        assert dy.proper_time(cs, 0.0) == 0.0
+        assert math.isclose(dy.proper_time(cs, 2.0), 2.0, rel_tol=1e-12)
+        cs = dy.ClassicalState(0.0, 0.5, 0.0, 1.0, ModelParams(B))
+        assert dy.proper_time(cs, 1.0) == math.inf
+
+
 def test_trajectory_matches_energy_difference_over_B():
     rng = np.random.default_rng(4)
     for _ in range(200):

@@ -100,19 +100,32 @@ def test_gauss_legendre_rule():
     assert np.max(np.abs(got - exact) / scale) < 1e-13
 
 
+def one_rule(monkeypatch, x, w=None):
+    """Make every level of the quadrature ladder use the nodes x."""
+    w = np.ones_like(x) if w is None else w
+    monkeypatch.setattr(wfm, "gauss_legendre", lambda lo, hi, n: (x, w))
+
+
 @pytest.mark.parametrize("panels", (8, 16, 256))
-def test_rule_exp_matches_dense_exponential(panels):
-    # the panel-factored kernel against one exp per (k, node), on random
-    # windows; the factoring adds a few eps (1 + |k| max|x|) of round-off
+def test_integrate_fourier_matches_dense_sum(panels, monkeypatch):
+    # the panel contraction at one level against one exp per (k, node) in
+    # the plain weighted sum, on random windows; the factoring adds a few
+    # eps (1 + |k| max|x|) of round-off relative to sum |w f|
     rng = np.random.default_rng(panels)
     eps = np.finfo(float).eps
     for _ in range(20):
         centre, half = rng.uniform(-30.0, 30.0), rng.uniform(0.01, 20.0)
-        x, _ = wfm.gauss_legendre(centre - half, centre + half, panels)
+        x, w = wfm.gauss_legendre(centre - half, centre + half, panels)
         k = rng.uniform(-40.0, 40.0, 50)
-        got = wfm.rule_exp(k, x)
-        ref = np.exp(1j * np.outer(k, x))
-        scale = eps * (1.0 + np.abs(k)[:, None] * np.max(np.abs(x)))
+
+        def f(x):
+            return np.exp(-((x - centre) / half) ** 2 + 0.7j * x)
+
+        one_rule(monkeypatch, x, w)
+        got = wfm.integrate_fourier(k, f, centre - half, centre + half)
+        ref = np.sum(w * f(x) * np.exp(1j * np.outer(k, x)), axis=-1)
+        scale = eps * (1.0 + np.abs(k) * np.max(np.abs(x))) \
+            * np.sum(np.abs(w * f(x)))
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref) / scale) <= 16.0
 
@@ -125,9 +138,10 @@ def test_rule_exp_matches_dense_exponential(panels):
     np.concatenate([wfm.gauss_legendre(0.0, 1.0, 2)[0],
                     wfm.gauss_legendre(0.0, 2.0, 2)[0]]),  # two rules
 ), ids=("squares", "partial-panel", "empty", "2-d", "two-rules"))
-def test_rule_exp_rejects_nodes_of_no_rule(x):
-    with pytest.raises(ValueError, match="rule_exp"):
-        wfm.rule_exp(np.ones(3), x)
+def test_integrate_fourier_rejects_nodes_of_no_rule(x, monkeypatch):
+    one_rule(monkeypatch, x)
+    with pytest.raises(ValueError, match="integrate_fourier"):
+        wfm.integrate_fourier(np.ones(3), np.cos, 0.0, 1.0)
 
 
 #: (Hermite index, center, width, depth) of one stack member
