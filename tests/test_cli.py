@@ -263,6 +263,8 @@ def test_all_checks_byte_identical_and_suite_by_suite(B, capsys):
         assert report[name] == json.loads(json.dumps(fn(params, 42))), name
 
 
+# numpy warns of the overflows that make these suites fail
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("B", ("5e-324", "1e-310"))
 def test_all_checks_at_subnormal_B_reports_failed_suites(B, capsys):
     # a suite that raises becomes a failed entry naming the error; the
