@@ -458,7 +458,12 @@ def run(argv=None) -> int:
         elif args.cmd == "evolve":
             grid = dy.default_e_grid(cs, args.packet, args.tau, n=args.grid)
             grid, c = dy.oracle_propagate(cs, args.packet, args.tau, grid)
-            cf = dy.c_closed_form(cs, grid, args.tau, args.packet)
+            # at a tiny B the closed form's phase, of order 1 / B, overflows
+            with np.errstate(all="ignore"):
+                cf = dy.c_closed_form(cs, grid, args.tau, args.packet)
+            if not np.all(np.isfinite(cf)):
+                ap.error(f"evolve at B={args.B!r}: the amplitudes leave the "
+                         "float range")
             dev = np.abs(cf - c)
             if args.emit == "csv":
                 stream.write("E,re_c,im_c,abs2_c,closed_form_deviation\n")

@@ -10,6 +10,7 @@ dimensions are integers and must not depend on a tolerance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -56,8 +57,12 @@ class StructureConstants:
         if not self.basis_names:
             object.__setattr__(self, "basis_names", tuple(f"T{i}" for i in range(self.n)))
 
-    @property
+    @functools.cached_property
     def is_rational(self) -> bool:
+        """Whether every constant is a fraction with denominator <= 1e6.
+
+        Decided once per table: every rank of its differentials asks.
+        """
         flat = self.c.ravel()
         return all(abs(x - Fraction(x).limit_denominator(10**6)) < 1e-12 for x in flat)
 

@@ -394,7 +394,7 @@ def oracle_propagate(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
     c_a = _project_oracle_a(cs, c0, tau, e_grid)
     c_b = _transport_oracle_b(cs, c0, tau, e_grid)
     gap = float(np.max(np.abs(c_a - c_b)))
-    if gap > tol:
+    if not gap <= tol:  # a nan gap fails too
         raise OracleError(f"oracle disagreement {gap:.3e} exceeds {tol:.1e}")
     return np.asarray(e_grid), c_a
 

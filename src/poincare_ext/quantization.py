@@ -11,6 +11,13 @@ multiplying x^i (d/dx)^j.  Quantization is one Weyl-ordering rule that
 maps the first to the second, term by term.  Observables of degree
 three and higher are rejected: no consistent extension of the degree
 <= 2 map exists (Groenewold--Van Hove obstruction).
+
+The Dirac, hermiticity and covariance checks are exact algebra, with no
+quadrature.  Operators multiply in the Weyl algebra (QuantOperator @),
+family A's T(g) conjugates a polynomial operator into another
+(QuantOperator.conjugated), and an operator maps a Hermite probe
+r(y) e^{-y^2/2} to s(y) e^{-y^2/2}, whose inner products are finite
+sums of Gaussian moments.
 """
 
 from __future__ import annotations
@@ -32,20 +39,15 @@ from .group import (
     bracket,
     inverse,
 )
-from .irreps import RepParams, case_a, rep_apply
-from .wavefunctions import (
-    WaveFunction,
-    _latest_values,
-    _relative_l2,
-    _window,
-    integrate_stack,
-    integrate_vec,
-    wf_add,
-    wf_mul_poly,
-    wf_scale,
-    wf_stack,
-    wf_sub,
+from .irreps import (
+    AffinePhase,
+    RepParams,
+    _affine_phase,
+    _columns,
+    _poly_pullback,
+    case_a,
 )
+from .wavefunctions import WaveFunction, _window, wf_add, wf_mul_poly, wf_scale
 
 __all__ = [
     "NoGoError",
@@ -141,21 +143,41 @@ class PolynomialObservable:
 
     def substitute_affine(self, q_map, p_map) -> "PolynomialObservable":
         """Compose with q -> q_map, p -> p_map, both affine (cq, cp, c0)."""
-        lin = [np.array([[c0, cp], [cq, 0.0]]) for cq, cp, c0 in (q_map, p_map)]
-        out = np.zeros((3, 3))
-        for (i, j), v in self.coeffs:
-            term = np.array([[v]])
-            for m in [lin[0]] * i + [lin[1]] * j:
-                term = _polymul2(term, m)
-            out[:len(term), :term.shape[1]] += term
-        return PolynomialObservable(out)
+        return PolynomialObservable(_substituted(self.c, q_map, p_map))
+
+
+def _substituted(c, q_map, p_map):
+    """sum c[i, j] q'^i p'^j, q' and p' affine (cq, cp, c0); batch axes allowed."""
+    lin = []
+    for cq, cp, c0 in (q_map, p_map):
+        m = np.array(np.broadcast_arrays(c0, cp, cq, 0.0))  # [[c0, cp], [cq, 0]]
+        lin.append(m.reshape((2, 2) + m.shape[1:]))
+    out = np.zeros(c.shape[:2] + np.broadcast_shapes(
+        c.shape[2:], *(m.shape[2:] for m in lin)))
+    for i, j in _terms(c):
+        term = c[i:i + 1, j:j + 1]
+        for m in [lin[0]] * i + [lin[1]] * j:
+            term = _polymul2(term, m)
+        out[:len(term), :term.shape[1]] += term
+    return out
+
+
+def _terms(c):
+    """The (i, j) of c[i, j] that are nonzero in some batch member."""
+    return zip(*np.nonzero(np.any(c != 0.0, axis=tuple(range(2, c.ndim)))))
 
 
 def _polymul2(a, b):
-    """Product of two polynomials in (q, p) given as 2-D coefficient arrays."""
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-    for (i, j), v in np.ndenumerate(a):
-        out[i:i + b.shape[0], j:j + b.shape[1]] += v * b
+    """Product of two polynomials in two variables, as coefficient arrays.
+
+    Axes past the first two are a batch, broadcast between a and b.
+    """
+    b = _lifted(b, a.ndim)
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1)
+                   + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                   dtype=np.result_type(a, b))
+    for i, j in _terms(a):
+        out[i:i + b.shape[0], j:j + b.shape[1]] += a[i, j] * b
     return out
 
 
@@ -239,10 +261,14 @@ class QuantOperator:
     c is square and of total degree below its size: c[i, j] = 0 for
     i + j >= len(c).  It may carry batch columns on trailing axes (shape
     (3, 3, n, 1)), one operator per member; apply then gives a batch
-    image.
+    image.  Sums pad to the larger size, and op @ other is the operator
+    product in the same x-left order.
     """
 
     c: np.ndarray
+
+    #: ndarray * op and numpy-scalar * op defer to __rmul__
+    __array_ufunc__ = None
 
     @staticmethod
     def stack(ops) -> "QuantOperator":
@@ -263,7 +289,50 @@ class QuantOperator:
         return out
 
     def __add__(self, other: "QuantOperator") -> "QuantOperator":
-        return QuantOperator(self.c + other.c)
+        n, nd = max(len(self.c), len(other.c)), max(self.c.ndim, other.c.ndim)
+        return QuantOperator(_padded(_lifted(self.c, nd), n)
+                             + _padded(_lifted(other.c, nd), n))
+
+    def __sub__(self, other: "QuantOperator") -> "QuantOperator":
+        return self + (-1.0) * other
+
+    def __rmul__(self, s: complex) -> "QuantOperator":
+        return QuantOperator(s * self.c)
+
+    def __matmul__(self, other: "QuantOperator") -> "QuantOperator":
+        """The product, by (x^i D^j)(x^k D^l) = sum_r C(j, r) k!/(k-r)! x^(i+k-r) D^(j+l-r)."""
+        a, b = self.c, other.c
+        n = len(a) + len(b) - 1
+        out = np.zeros((n, n) + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                       dtype=complex)
+        for i, j in _terms(a):
+            for k, l in _terms(b):
+                for r in range(min(j, k) + 1):
+                    out[i + k - r, j + l - r] += (math.comb(j, r) * math.perm(k, r)
+                                                  * a[i, j] * b[k, l])
+        return QuantOperator(out)
+
+    def conjugated(self, u: AffinePhase) -> "QuantOperator":
+        """U^-1 . self . U for U f(x) = amp e^phi(x) f(a x + b), phi a polynomial.
+
+        U^-1 x U = (x - b) / a and U^-1 D U = a D + phi'((x - b) / a).  A
+        hyperbolic phase (family C) has no polynomial image: ValueError.
+        """
+        if u.basis != "poly":
+            raise ValueError("QuantOperator.conjugated: a hyperbolic phase "
+                             "has no polynomial conjugate")
+        inv, shift = 1.0 / u.a, -u.b / u.a
+        dphi = _poly_pullback([k * c for k, c in enumerate(u.c)][1:], inv, shift)
+        d = _padded(_multiplier(dphi), max(len(dphi), 2))
+        d[0, 1] = u.a
+        out = power = QuantOperator(np.ones((1, 1)))
+        for j in range(len(self.c)):
+            if j:
+                power = power @ QuantOperator(d)
+            mult = _poly_pullback(self.c[:len(self.c) - j, j], inv, shift)
+            term = QuantOperator(_multiplier(mult)) @ power
+            out = out + term if j else term
+        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, QuantOperator) and np.array_equal(self.c, other.c)
@@ -278,6 +347,26 @@ class QuantOperator:
         return " + ".join(terms) if terms else "0"
 
 
+def _lifted(c, ndim: int):
+    """c with singleton batch axes inserted after its first two, to ndim axes."""
+    return c.reshape(c.shape[:2] + (1,) * (ndim - c.ndim) + c.shape[2:])
+
+
+def _padded(c, n: int):
+    """c zero-padded to an n x n operator array, batch axes kept."""
+    out = np.zeros((n, n) + c.shape[2:], dtype=c.dtype)
+    out[:c.shape[0], :c.shape[1]] = c
+    return out
+
+
+def _multiplier(coeffs):
+    """The operator array of multiplication by sum_i coeffs[i] x^i."""
+    coeffs = np.asarray(coeffs)
+    out = np.zeros((len(coeffs),) * 2 + coeffs.shape[1:], dtype=complex)
+    out[:, 0] = coeffs
+    return out
+
+
 def quantize(f: PolynomialObservable, params: ModelParams) -> QuantOperator:
     """Schroedinger quantization with Weyl (symmetric) ordering.
 
@@ -286,14 +375,18 @@ def quantize(f: PolynomialObservable, params: ModelParams) -> QuantOperator:
     in x-left order, and the map is linear on coefficient tables: q -> x,
     p -> -i hbar d/dx, qp -> -i hbar (x d/dx + 1/2).
     """
-    h = params.hbar
-    c = np.zeros(f.c.shape, dtype=complex)
-    for (i, j), v in f.coeffs:
+    return QuantOperator(_weyl(f.c, params.hbar))
+
+
+def _weyl(c, h: float):
+    """quantize on a symbol array c[i, j] of q^i p^j, which may carry batch axes."""
+    out = np.zeros(c.shape, dtype=complex)
+    for i, j in _terms(c):
         for k in range(min(i, j) + 1):
-            c[i - k, j - k] += (math.factorial(k) * math.comb(i, k)
-                                * math.comb(j, k) * v * (-0.5j * h) ** k
-                                * (-1j * h) ** (j - k))
-    return QuantOperator(c)
+            out[i - k, j - k] += (math.factorial(k) * math.comb(i, k)
+                                  * math.comb(j, k) * c[i, j] * (-0.5j * h) ** k
+                                  * (-1j * h) ** (j - k))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +396,16 @@ def quantize(f: PolynomialObservable, params: ModelParams) -> QuantOperator:
 def hermiticity_residual(op: QuantOperator, probes) -> float:
     """max over probe pairs (i, j) of |<A f_i, f_j> - <f_i, A f_j>|.
 
-    A acts once, on the stacked probes, and one integrate_vec call takes
-    both inner products of every pair.
+    Exact on Gaussian-polynomial probes: A f_i = s_i e^{-y^2/2} (_image),
+    and each inner product is a sum of Gaussian moments (_gauss_inner).
     """
     if not probes:
         return 0.0
-    f = wf_stack(probes)
-    af = op.apply(f)
-
-    def integrand(x):
-        fx, ax = f.fn(x, 0), af.fn(x, 0)
-        return ([np.conj(ax)[:, None] * fx, np.conj(fx)[:, None] * ax],)
-
-    lhs, rhs = integrate_stack(integrand, f, af)[0]
-    return float(np.max(np.abs(lhs - rhs)))
+    rs, center, width = _gauss_polys(probes)
+    ss = [_image(op.c, r, center, width) for r in rs]
+    return float(max(np.max(np.abs(_gauss_inner(si, rj, width)
+                                   - _gauss_inner(ri, sj, width)))
+                     for ri, si in zip(rs, ss) for rj, sj in zip(rs, ss)))
 
 
 def verify_dirac(params: ModelParams, m: float, probes,
@@ -331,42 +420,88 @@ def verify_dirac(params: ModelParams, m: float, probes,
 
 
 def dirac_residuals(params: ModelParams, m: float, probes, z3s) -> list:
-    """verify_dirac's residual at each z3 of z3s, all from one quadrature.
+    """verify_dirac's residual at each z3 of z3s.
 
-    The bracket and commutator chains act once, on the stacked probes, and
-    each is evaluated once per quadrature level however many z3 there are.
+    Each pair's defect Q({u_A, u_B}) + i z3 [Q(u_A), Q(u_B)] is one
+    operator array, from the x-left product, and its residual is
+    ||R f|| / ||f|| on each probe, exact in Gaussian moments.
     """
     if not probes:
         return [0.0] * len(z3s)
     us = comoment_observables(params, m)
     ops = [quantize(u, params) for u in us]
-    f = wf_stack(probes)
-    chains = []
-    for a in range(4):
-        for b in range(a + 1, 4):
-            qbr = quantize(poisson_bracket(us[a], us[b], params), params)
-            comm = wf_sub(ops[a].apply(ops[b].apply(f)),
-                          ops[b].apply(ops[a].apply(f)))
-            chains.append((_kept(qbr.apply(f)), _kept(comm)))
-    diffs = [(lhs, wf_scale(comm, -1j * z3))
-             for z3 in z3s for lhs, comm in chains]
-    res = _relative_l2(diffs, f)[0]
+    pairs = [(quantize(poisson_bracket(us[a], us[b], params), params),
+              ops[a] @ ops[b] - ops[b] @ ops[a])
+             for a in range(4) for b in range(a + 1, 4)]
+    res = _relative_residual(QuantOperator.stack(
+        [qbr + (1j * z3) * comm for z3 in z3s for qbr, comm in pairs]), probes)
     return [float(np.max(r)) for r in np.split(res, len(z3s))]
 
 
-def _kept(wf: WaveFunction) -> WaveFunction:
-    """wf's values alone, evaluated once per node array (_latest_values)."""
-    vals = _latest_values(lambda x: wf.fn(x, 0))
-    return WaveFunction(lambda x, k: vals(x), 0, wf.center, wf.width)
+def _gauss_polys(probes):
+    """The polynomials r of probes r(y) e^{-y^2/2}, and their center and width.
+
+    A probe that is not a Gaussian polynomial (gauss_poly_wf), or probes
+    on different Gaussians, raise ValueError.
+    """
+    if any(f.poly is None for f in probes):
+        raise ValueError("quantization checks need Gaussian-polynomial "
+                         "probes (gauss_poly_wf)")
+    if len({(f.center, f.width) for f in probes}) > 1:
+        raise ValueError("quantization checks need probes on one Gaussian")
+    return [f.poly for f in probes], probes[0].center, probes[0].width
+
+
+def _image(c, r, center, width):
+    """s with (sum c[i, j] x^i D^j)(r e^{-y^2/2}) = s e^{-y^2/2}.
+
+    x = center + width y, so D acts as d/dy / width, and d/dy maps
+    r e^{-y^2/2} to (r' - y r) e^{-y^2/2}.  s has its degree on axis 0,
+    then c's batch axes.
+    """
+    out = np.zeros((len(c) + len(r) - 1,) + c.shape[2:], dtype=complex)
+    rj = np.asarray(r, dtype=complex)
+    for j in range(len(c)):
+        if j:
+            rj = np.append(rj[1:] * np.arange(1, len(rj)), [0.0, 0.0]) \
+                - np.append(0.0, rj)
+        mult = np.asarray(_poly_pullback(c[:len(c) - j, j], width, center))
+        term = _polymul2(mult[:, None] / width ** j, rj[:, None])[:, 0]
+        out[:len(term)] += term
+    return out
+
+
+def _gauss_inner(s, t, width):
+    """<s e^{-y^2/2}, t e^{-y^2/2}>, s and t with their degree on axis 0.
+
+    The integral of y^n e^{-y^2} is Gamma((n + 1) / 2) for even n and 0
+    for odd n, and dx = width dy.
+    """
+    return width * sum(np.conj(s[i]) * t[j] * math.gamma((i + j + 1) / 2)
+                       for i in range(len(s)) for j in range(i % 2, len(t), 2))
+
+
+def _relative_residual(op: QuantOperator, probes, ref: QuantOperator = None):
+    """max over probes of ||op f|| / ||ref f|| (ref None: ||f||), batch-wise."""
+    rs, center, width = _gauss_polys(probes)
+    worst = 0.0
+    for r in rs:
+        num, den = (np.real(_gauss_inner(s, s, width)) for s in (
+            _image(op.c, r, center, width),
+            r if ref is None else _image(ref.c, r, center, width)))
+        worst = np.maximum(worst, np.sqrt(np.maximum(num, 0.0) / den))
+    return worst
 
 
 def _left_action_maps(g: GroupElement, params: ModelParams):
-    """Affine maps (q, p) -> (q', p') of the point action q -> Lambda q + theta."""
+    """Affine maps (q, p) -> (q', p') of the point action q -> Lambda q + theta.
+
+    A batch g gives batch columns (a trailing axis), as _affine_phase does.
+    """
     B = params.B
-    ea = math.exp(g.alpha)
-    sh = math.sinh(g.alpha)
-    q_map = (ea, 0.0, g.theta0 - g.theta1)
-    p_map = (-B * sh, math.exp(-g.alpha), -B * g.theta0)
+    t0, t1, alpha, _ = _columns(g)
+    q_map = (np.exp(alpha), 0.0, t0 - t1)
+    p_map = (-B * np.sinh(alpha), np.exp(-alpha), -B * t0)
     return q_map, p_map
 
 
@@ -376,23 +511,19 @@ def _covariance_residual(g: GroupElement, pulled: QuantOperator,
     """max over probes of ||pulled psi - T(g^-1) qf T(g) psi|| / ||pulled psi||.
 
     One value per member of a batch g, whose operators are batch columns.
-    The residual is relative to the image, whose size grows with hbar^2
-    for a p^2 term; both norms come from one integrate_vec call per probe.
+    T(g^-1) qf T(g) is taken as U^-1 qf U with U = T(g) (conjugated), and
+    the gap of T(g^-1) T(g) to the identity on the probes' window
+    (AffinePhase.gap) is added, so T(g^-1) is still checked.  The residual
+    is relative to the image, whose size grows with hbar^2 for a p^2 term.
     """
+    if not probes:
+        return 0.0
     rep = rep_for_mass(params, m)
-    ginv = inverse(g, params)
-    worst = 0.0
-    for psi in probes:
-        lhs = pulled.apply(psi)
-        rhs = rep_apply(rep, ginv, qf.apply(rep_apply(rep, g, psi)))
-
-        def integrand(x):
-            vals = lhs.fn(x, 0)
-            return np.abs(vals - rhs.fn(x, 0)) ** 2, np.abs(vals) ** 2
-
-        sq, n2 = integrate_vec(integrand, *_window(lhs, rhs))
-        worst = np.maximum(worst, np.sqrt(sq / n2))
-    return worst
+    u = _affine_phase(rep, g)
+    round_trip = _affine_phase(rep, inverse(g, params)).compose(u)
+    gap = round_trip.gap(AffinePhase(1.0, 1.0, 0.0, (0.0,) * len(u.c)),
+                         *_window(*probes))
+    return _relative_residual(pulled - qf.conjugated(u), probes, pulled) + gap
 
 
 def verify_covariance(g: GroupElement, f: PolynomialObservable,
@@ -419,8 +550,8 @@ def covariance_suite(params: ModelParams, m: float, trials: int = 50,
                      seed: int = 42, probes=None) -> float:
     """Largest verify_covariance residual over random (g, observable) trials.
 
-    The trials run as one batch: each pulled observable is quantized on
-    its own, and the operators are stacked as batch columns.
+    The trials run as one batch: the observables' tables are stacked as
+    batch columns, and pulled back and quantized together.
     """
     from .irreps import default_probes
 
@@ -428,14 +559,12 @@ def covariance_suite(params: ModelParams, m: float, trials: int = 50,
         probes = default_probes(2)
     coords = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(trials, 4))
     base = _covariance_observables(params, m)
-    fs = [base[k % len(base)] for k in range(trials)]
-    pulled = [quantize(f.substitute_affine(
-        *_left_action_maps(GroupElement(*c), params)), params)
-        for f, c in zip(fs, coords)]
-    qf = [quantize(f, params) for f in fs]
-    res = _covariance_residual(GroupElement(*coords.T),
-                               QuantOperator.stack(pulled),
-                               QuantOperator.stack(qf), params, m, probes)
+    c = np.stack([base[k % len(base)].c for k in range(trials)], axis=-1)[..., None]
+    g = GroupElement(*coords.T)
+    pulled = _substituted(c, *_left_action_maps(g, params))
+    res = _covariance_residual(g, QuantOperator(_weyl(pulled, params.hbar)),
+                               QuantOperator(_weyl(c, params.hbar)),
+                               params, m, probes)
     return float(np.max(res, initial=0.0))
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -254,13 +254,16 @@ class WaveFunction:
     """Complex-valued function on R with its derivatives and a quadrature hint.
 
     fn(x, k) is the k-th derivative at an ndarray of nodes x, for
-    0 <= k <= depth; calling the WaveFunction gives k = 0.
+    0 <= k <= depth; calling the WaveFunction gives k = 0.  poly is set
+    on a Gaussian-polynomial probe r(y) exp(-y^2 / 2), y = (x - center) /
+    width, alone: the coefficients of r in increasing degree.
     """
 
     fn: callable
     depth: int = 0
     center: float = 0.0
     width: float = 1.0
+    poly: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     #: ndarray * f and numpy-scalar * f defer to __rmul__ instead of
     #: building an object array
@@ -430,14 +433,14 @@ def gauss_poly_wf(coeffs, depth: int = 4, center: float = 0.0,
     # real coefficients stay real, which makes a Hermite probe three times
     # cheaper
     coeffs = np.asarray(coeffs)
-    m = exp_poly_tower(coeffs.astype(np.result_type(coeffs, 1.0)),
-                       (0.0, 0.0, -0.5))
+    coeffs = coeffs.astype(np.result_type(coeffs, 1.0))
+    m = exp_poly_tower(coeffs, (0.0, 0.0, -0.5))
 
     def fn(x, k):
         y = (x - center) * scale
         return m(y, 0) if k == 0 else scale ** k * m(y, k)
 
-    return WaveFunction(fn, depth, center, width)
+    return WaveFunction(fn, depth, center, width, coeffs)
 
 
 def hermite_wf(k: int, depth: int = 4, center: float = 0.0,

@@ -226,13 +226,8 @@ def test_seed_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("B", ("1", "-1.3"))
-def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
-    # every integral of the report passes its first 8 -> 16 panel check;
-    # a change that makes some integrand refine shows up as 32 panels here.
-    # The probe-set checks take one quadrature each and the homomorphism
-    # and unitarity checks none (closed form), so a report makes 64; more
-    # than 70 is a regression
+def counted_rules(monkeypatch):
+    """Counter of the composite rules gauss_legendre makes, by panel count."""
     panels = collections.Counter()
     rule = wfm.gauss_legendre
 
@@ -241,10 +236,43 @@ def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
         return rule(lo, hi, n)
 
     monkeypatch.setattr(wfm, "gauss_legendre", counted)
+    return panels
+
+
+@pytest.mark.parametrize("B", ("1", "-1.3"))
+def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
+    # every integral of the report passes its first 8 -> 16 panel check;
+    # a change that makes some integrand refine shows up as 32 panels here.
+    # The probe-set checks take one quadrature each, and the homomorphism,
+    # unitarity and quantization checks none (closed form), so a report
+    # makes 56; more is a regression
+    panels = counted_rules(monkeypatch)
     cli.run(["all-checks", "--seed", "42", f"--B={B}"])
     capsys.readouterr()
     assert set(panels) == {8, 16} and panels[8] == panels[16], panels
-    assert panels[8] <= 70, panels
+    assert panels[8] <= 56, panels
+
+
+@pytest.mark.parametrize("B", (1.0, -1.3))
+def test_quantization_suite_makes_no_quadrature(B, monkeypatch):
+    # Dirac, hermiticity and covariance are exact sums of Gaussian moments
+    panels = counted_rules(monkeypatch)
+    assert cli.suite_quantization(ModelParams(B=B), 42)["pass"]
+    assert not panels, panels
+
+
+@pytest.mark.parametrize("emit", ("json", "csv"))
+@pytest.mark.parametrize("B", ("5e-324", "1e-310"))
+def test_evolve_at_subnormal_B_is_a_usage_error(B, emit, capsys):
+    # the closed form's phase, of order 1 / B, overflows: one error line
+    # that names B, and no nan on stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["evolve", f"--B={B}", f"--emit={emit}", "--grid=20"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == (
+        f"poincare-ext: error: evolve at B={float(B)!r}: the amplitudes "
+        "leave the float range")
 
 
 @pytest.mark.parametrize("B", ("1", "-1.3"))

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,24 @@ def test_load_algebra_roundtrip(tmp_path):
 def test_unknown_catalog_name():
     with pytest.raises(KeyError):
         coh.catalog_algebra("nope")
+
+
+def test_rationality_decided_once_per_table(monkeypatch):
+    # every rank of a table's differentials asks whether it is rational;
+    # suite_cohomology decides it once per catalog table
+    from poincare_ext.cli import suite_cohomology
+    from poincare_ext.group import ModelParams
+
+    decide = coh.StructureConstants.__dict__["is_rational"].func
+    tables = []
+
+    def counted(sc):
+        tables.append(sc)
+        return decide(sc)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(coh.StructureConstants, "is_rational")
+    monkeypatch.setattr(coh.StructureConstants, "is_rational", prop)
+    assert suite_cohomology(ModelParams(), 42)["pass"]
+    assert sorted(sc.name for sc in tables) == sorted(coh.CATALOG_NAMES)
+    assert len({id(sc) for sc in tables}) == len(tables)

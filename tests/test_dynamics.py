@@ -286,3 +286,18 @@ def test_oracle_disagreement_guard():
     c0 = dy.gaussian_spectral(0.0, 1.0)
     with pytest.raises(dy.OracleError):
         dy.oracle_propagate(CS, c0, 2.0, tol=1e-17)
+
+
+def test_oracle_guard_rejects_a_nan_gap(monkeypatch):
+    # nan > tol is false, so a guard written as gap > tol lets a nan through
+    c0 = dy.gaussian_spectral(0.0, 1.0)
+    real = dy._project_oracle_a
+
+    def nan_at_first_E(*args):
+        c = real(*args)
+        c[0] = math.nan
+        return c
+
+    monkeypatch.setattr(dy, "_project_oracle_a", nan_at_first_E)
+    with pytest.raises(dy.OracleError, match="nan"):
+        dy.oracle_propagate(CS, c0, 1.0, np.linspace(-3.0, 3.0, 7))

@@ -1,8 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincare_ext import cli
+from poincare_ext import irreps as ir
 from poincare_ext import quantization as qz
 from poincare_ext.group import (
     AlgebraElement,
@@ -10,10 +15,22 @@ from poincare_ext.group import (
     ModelParams,
     bracket,
     casimir_pairing,
+    inverse,
 )
 from poincare_ext.irreps import default_probes
 from poincare_ext.orbits import classify
-from poincare_ext.wavefunctions import inner
+from poincare_ext.wavefunctions import (
+    _relative_l2,
+    _window,
+    gauss_poly_wf,
+    hermite_wf,
+    inner,
+    integrate_stack,
+    integrate_vec,
+    wf_scale,
+    wf_stack,
+    wf_sub,
+)
 
 P = ModelParams()
 M = 1.0
@@ -252,13 +269,17 @@ def test_shared_dirac_chains_equal_separate_calls(B, hbar):
 
 @pytest.mark.parametrize("B", (1.0, -1.3))
 def test_stacked_hermiticity_equals_per_pair_reference(B):
+    # the closed form against the per-pair quadrature inner products: both
+    # read round-off (the quadrature about 3e-15, the closed form about
+    # 4e-16), so they agree to 1e-14
     p = ModelParams(B=B)
     probes = default_probes(3)
     for u in qz.comoment_observables(p, M):
         op = qz.quantize(u, p)
         ref = max(abs(inner(op.apply(f), g) - inner(f, op.apply(g)))
                   for f in probes for g in probes)
-        assert qz.hermiticity_residual(op, probes) == ref
+        assert ref <= 1e-14
+        assert abs(qz.hermiticity_residual(op, probes) - ref) <= 1e-14
 
 
 def test_quantum_checks_on_no_probes():
@@ -266,6 +287,8 @@ def test_quantum_checks_on_no_probes():
     assert qz.hermiticity_residual(op, []) == 0.0
     assert qz.verify_dirac(P, M, []) == 0.0
     assert qz.dirac_residuals(P, M, [], (1.0, -1.0)) == [0.0, 0.0]
+    assert qz.verify_covariance(GroupElement(0.1, 0.2, 0.3, 0.4),
+                                qz.parse_poly("p"), P, M, []) == 0.0
 
 
 def test_covariance():
@@ -314,3 +337,266 @@ def test_u2_offset_keeps_homomorphism():
                  qz.PolynomialObservable({}))
     diff = pb - target
     assert max((abs(v) for _, v in diff.coeffs), default=0.0) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the operator algebra behind the closed-form checks
+
+
+def random_operator(rng, size=3, batch=()):
+    c = (rng.uniform(-1, 1, (size, size) + batch)
+         + 1j * rng.uniform(-1, 1, (size, size) + batch))
+    # total degree below the size
+    c[np.add.outer(np.arange(size), np.arange(size)) >= size] = 0.0
+    return qz.QuantOperator(c)
+
+
+def test_weyl_product_is_the_operator_product():
+    # (A B) f = A (B f) pointwise, on a probe and its derivatives
+    rng = np.random.default_rng(0)
+    f = hermite_wf(3, depth=8)
+    x = np.linspace(-4.0, 4.0, 41)
+    for _ in range(10):
+        a, b = random_operator(rng), random_operator(rng)
+        lhs = (a @ b).apply(f)(x)
+        rhs = a.apply(b.apply(f))(x)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+    # the canonical commutator [D, x] = 1
+    d, xo = qz.QuantOperator(np.array([[0, 1], [0, 0]])), \
+        qz.QuantOperator(np.array([[0, 0], [1, 0]]))
+    assert (d @ xo - xo @ d) == qz.QuantOperator(np.diag([1.0, 0.0, 0.0]))
+
+
+def test_weyl_product_on_batch_columns():
+    # member k of a batch product is the product of members k, up to the
+    # rounding of numpy's array and scalar complex products
+    rng = np.random.default_rng(1)
+    a, b = random_operator(rng, batch=(4, 1)), random_operator(rng)
+    prod = (a @ b).c
+    for k in range(4):
+        single = (qz.QuantOperator(a.c[:, :, k, 0]) @ b).c
+        assert np.max(np.abs(prod[:, :, k, 0] - single)) \
+            <= 8 * np.finfo(float).eps * np.max(np.abs(single))
+
+
+def test_conjugation_by_affine_phase():
+    # U^-1 Q U f = U^-1 (Q (U f)) pointwise, for a random quadratic phase
+    rng = np.random.default_rng(2)
+    f = hermite_wf(2, depth=8)
+    x = np.linspace(-3.0, 3.0, 31)
+    for _ in range(10):
+        a = rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0))
+        b = rng.uniform(-1.0, 1.0)
+        phase = tuple(1j * rng.uniform(-1.0, 1.0, 3))
+        u = ir.AffinePhase(1.5, a, b, phase)
+        # U^-1 f(x) = amp^-1 e^(-phi((x - b) / a)) f((x - b) / a)
+        u_inv = ir.AffinePhase(1.0 / 1.5, 1.0 / a, -b / a,
+                               tuple(-c for c in ir._poly_pullback(phase, 1.0 / a, -b / a)))
+        op = random_operator(rng)
+        lhs = op.conjugated(u).apply(f)(x)
+        rhs = u_inv.apply(op.apply(u.apply(f)))(x)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-11 * np.max(np.abs(rhs))
+
+
+def test_conjugation_rejects_a_hyperbolic_phase():
+    u = ir.AffinePhase(1.0, 1.0, 0.5, (0.3j, 0.1j), "hyp")
+    with pytest.raises(ValueError, match="hyperbolic phase"):
+        qz.quantize(qz.parse_poly("p"), P).conjugated(u)
+
+
+def test_quantum_checks_need_gaussian_polynomial_probes():
+    op = qz.quantize(qz.parse_poly("qp"), P)
+    other = wf_scale(hermite_wf(1), 2.0)  # a multiple of h_1 carries no poly
+    for probes in ([hermite_wf(0), other],
+                   [hermite_wf(0), hermite_wf(1, center=0.5)]):
+        with pytest.raises(ValueError, match="quantization checks need"):
+            qz.hermiticity_residual(op, probes)
+        with pytest.raises(ValueError, match="quantization checks need"):
+            qz.verify_dirac(P, M, probes)
+        with pytest.raises(ValueError, match="quantization checks need"):
+            qz.verify_covariance(GroupElement(0.1, 0.2, 0.3, 0.4),
+                                 qz.parse_poly("p"), P, M, probes)
+
+
+def test_gaussian_moments_are_the_inner_product():
+    # shifted, widened and complex probes: the moment sum against quadrature
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        center, width = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0)
+        fs = [gauss_poly_wf(rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4),
+                            center=center, width=width) for _ in range(2)]
+        op = random_operator(rng)
+        closed = qz._gauss_inner(
+            qz._image(op.c, fs[0].poly, center, width), fs[1].poly, width)
+        assert abs(closed - inner(op.apply(fs[0]), fs[1])) <= 1e-12 * abs(closed)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature oracle of the closed-form quantization checks
+
+
+def quadrature_hermiticity(op, probes):
+    """max over probe pairs of |<A f_i, f_j> - <f_i, A f_j>|, one quadrature."""
+    f = wf_stack(probes)
+    af = op.apply(f)
+
+    def integrand(x):
+        fx, ax = f.fn(x, 0), af.fn(x, 0)
+        return ([np.conj(ax)[:, None] * fx, np.conj(fx)[:, None] * ax],)
+
+    lhs, rhs = integrate_stack(integrand, f, af)[0]
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def quadrature_dirac(params, m, probes, z3s):
+    """The Dirac residual at each z3, from operator chains on the probes."""
+    us = qz.comoment_observables(params, m)
+    ops = [qz.quantize(u, params) for u in us]
+    f = wf_stack(probes)
+    chains = []
+    for a in range(4):
+        for b in range(a + 1, 4):
+            qbr = qz.quantize(qz.poisson_bracket(us[a], us[b], params), params)
+            comm = wf_sub(ops[a].apply(ops[b].apply(f)),
+                          ops[b].apply(ops[a].apply(f)))
+            chains.append((qbr.apply(f), comm))
+    diffs = [(lhs, wf_scale(comm, -1j * z3))
+             for z3 in z3s for lhs, comm in chains]
+    res = _relative_l2(diffs, f)[0]
+    return [float(np.max(r)) for r in np.split(res, len(z3s))]
+
+
+def quadrature_covariance(g, pulled, qf, params, m, probes):
+    """max over probes of ||pulled psi - T(g^-1) qf T(g) psi|| / ||pulled psi||."""
+    rep = qz.rep_for_mass(params, m)
+    ginv = inverse(g, params)
+    worst = 0.0
+    for psi in probes:
+        lhs = pulled.apply(psi)
+        rhs = ir.rep_apply(rep, ginv, qf.apply(ir.rep_apply(rep, g, psi)))
+
+        def integrand(x):
+            vals = lhs.fn(x, 0)
+            return np.abs(vals - rhs.fn(x, 0)) ** 2, np.abs(vals) ** 2
+
+        sq, n2 = integrate_vec(integrand, *_window(lhs, rhs))
+        worst = np.maximum(worst, np.sqrt(sq / n2))
+    return float(np.max(worst))
+
+
+#: the quantization suite's gates; dirac_wrong_sign is a lower bound
+GATES = {"dirac": 1e-9, "covariance": 1e-8, "hermiticity": 1e-9}
+
+
+def suite_and_oracle(params, seed=42):
+    """suite_quantization's report, and the quadrature oracle's value of each
+    residual on the operators, draws and probes the suite hands its checks."""
+    seen = {"hermiticity": []}
+    real = {name: getattr(qz, name) for name in
+            ("dirac_residuals", "hermiticity_residual", "_covariance_residual")}
+
+    def dirac(*args):
+        seen["dirac"] = args
+        return real["dirac_residuals"](*args)
+
+    def herm(*args):
+        seen["hermiticity"].append(args)
+        return real["hermiticity_residual"](*args)
+
+    def cov(*args):
+        seen["covariance"] = args
+        return real["_covariance_residual"](*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qz, "dirac_residuals", dirac)
+        mp.setattr(qz, "hermiticity_residual", herm)
+        mp.setattr(qz, "_covariance_residual", cov)
+        report = cli.suite_quantization(params, seed)
+    oracle = dict(zip(("dirac", "dirac_wrong_sign"),
+                      quadrature_dirac(*seen["dirac"])))
+    oracle["hermiticity"] = max(quadrature_hermiticity(*args)
+                                for args in seen["hermiticity"])
+    oracle["covariance"] = quadrature_covariance(*seen["covariance"])
+    return report, oracle
+
+
+@pytest.mark.parametrize("hbar", (1e-3, 1.0, 1e3))
+@pytest.mark.parametrize("B", (1.0, -1.3, 3.0))
+def test_closed_form_agrees_with_quadrature_oracle(B, hbar):
+    report, oracle = suite_and_oracle(ModelParams(B=B, hbar=hbar))
+    assert report["pass"], report
+    for field, gate in GATES.items():
+        assert report[field] <= gate and oracle[field] <= gate, \
+            (field, report[field], oracle[field])
+    # the negative control is of order one on both sides, and they agree
+    bad, ref = report["dirac_wrong_sign"], oracle["dirac_wrong_sign"]
+    assert bad > 0.1 and abs(bad - ref) <= 1e-12 * ref, (bad, ref)
+
+
+def _weyl_factor_mutant(_):
+    # the Weyl factor (-i hbar / 2)^k -> (-i hbar)^k
+    def mutant(c, h):
+        out = np.zeros(c.shape, dtype=complex)
+        for i in range(3):
+            for j in range(3 - i):
+                for k in range(min(i, j) + 1):
+                    out[i - k, j - k] += (math.factorial(k) * math.comb(i, k)
+                                          * math.comb(j, k) * c[i, j]
+                                          * (-1j * h) ** k * (-1j * h) ** (j - k))
+        return out
+    return {"_weyl": mutant}
+
+
+def _p_map_mutant(real):
+    # the p-map term -B sinh(alpha) q -> +B sinh(alpha) q
+    def mutant(g, params):
+        q_map, (cq, cp, c0) = real["_left_action_maps"](g, params)
+        return q_map, (-cq, cp, c0)
+    return {"_left_action_maps": mutant}
+
+
+def _amplitude_mutant(factor):
+    # family A's amplitude e^(-alpha/2) -> e^(-alpha/2) factor(alpha)
+    def plant(real):
+        def mutant(rep, g):
+            op = real["_affine_phase"](rep, g)
+            return dataclasses.replace(op, amp=op.amp * factor(ir._columns(g)[2]))
+        return {"_affine_phase": mutant}
+    return plant
+
+
+@pytest.mark.parametrize("plant, failing", (
+    (_weyl_factor_mutant, {"covariance", "hermiticity"}),
+    (_p_map_mutant, {"covariance"}),
+    (_amplitude_mutant(lambda al: np.exp(-0.001 * al ** 2)), {"covariance"}),
+), ids=("weyl-factor", "p-map-sign", "amplitude-quadratic"))
+@pytest.mark.parametrize("B", (1.0, -1.3))
+def test_planted_defect_fails_closed_form_and_oracle(plant, failing, B,
+                                                     monkeypatch):
+    real = {"_left_action_maps": qz._left_action_maps,
+            "_affine_phase": ir._affine_phase}
+    for name, fn in plant(real).items():
+        monkeypatch.setattr(qz, name, fn)
+        if hasattr(ir, name):  # rep_apply of the oracle reads it there
+            monkeypatch.setattr(ir, name, fn)
+    report, oracle = suite_and_oracle(ModelParams(B=B))
+    assert not report["pass"]
+    for field in failing:
+        value, ref = report[field], oracle[field]
+        assert value > GATES[field] and ref > GATES[field], (field, value, ref)
+        assert abs(value - ref) <= 1e-10 * ref, (field, value, ref)
+
+
+def test_amplitude_character_is_invisible_to_covariance(monkeypatch):
+    # e^(-alpha/2) -> e^(-alpha/2 - 0.001 alpha) multiplies T by a character
+    # of the group, so T(g^-1) T(g) stays the identity and the conjugation
+    # cancels it: closed form and oracle both pass.  The unitarity check of
+    # the representation suite is the one that catches it
+    plant = _amplitude_mutant(lambda al: np.exp(-0.001 * al))
+    fn = plant({"_affine_phase": ir._affine_phase})["_affine_phase"]
+    monkeypatch.setattr(qz, "_affine_phase", fn)
+    monkeypatch.setattr(ir, "_affine_phase", fn)
+    report, oracle = suite_and_oracle(P)
+    assert report["covariance"] <= 1e-12 and oracle["covariance"] <= 1e-12
+    assert ir.verify_unitarity(qz.rep_for_mass(P, M), GroupElement(0, 0, 1.0, 0),
+                               default_probes(2)) > 1e-4
