@@ -71,10 +71,10 @@ def suite_cohomology(params: ModelParams, seed: int) -> dict:
 
 def suite_structure(params: ModelParams, seed: int, samples: int = 1000) -> dict:
     rep = structural_report(params, samples=samples, seed=seed)
-    ok = (rep["central_series_dims"][-1] == 3
-          and rep["derived_series_dims"][-1] == 0
-          and rep["max_imag_eigenvalue"] <= 1e-10
-          and rep["max_abs_trace"] <= 1e-12)
+    ok = bool(rep["central_series_dims"][-1] == 3
+              and rep["derived_series_dims"][-1] == 0
+              and rep["max_imag_eigenvalue"] <= 1e-10
+              and rep["max_abs_trace"] <= 1e-12)
     return {**rep, "pass": ok}
 
 
@@ -109,7 +109,7 @@ def suite_orbits(params: ModelParams, seed: int) -> dict:
             puk = orb.pukanszky_check(h, zeta, params, samples=100, seed=seed)
             report[tag] = {"subordinate": sub, "pukanszky": puk,
                            "orbit_dim": orb.classify(zeta, params).orbit_dim}
-            ok = ok and sub and puk
+            ok = bool(ok and sub and puk)
         except (orb.MaximalityError, ValueError) as exc:
             report[tag] = {"subordinate": sub, "error": str(exc)}
             ok = False
@@ -187,7 +187,7 @@ def suite_classical(params: ModelParams, seed: int, m: float = 1.0) -> dict:
     bracket_ok = abs(pb[(0, 0)] - 1.0 / params.B) == 0.0 and len(pb.coeffs) == 1
     pull = max(qz.pullback_residual(qz.PhasePoint(*rng.uniform(-2, 2, 2)),
                                     params, m) for _ in range(5))
-    ok = worst <= 1e-12 and bracket_ok and pull <= 1e-6
+    ok = bool(worst <= 1e-12 and bracket_ok and pull <= 1e-6)
     return {"comoment_casimir": worst, "lightcone_bracket_exact": bracket_ok,
             "pullback": pull, "pass": ok}
 
@@ -217,8 +217,8 @@ def suite_dynamics(params: ModelParams, seed: int, m: float = 1.0) -> dict:
     tau_tol = min(width + math.sqrt(4e-10 * m) / abs(params.B), 0.005)
     min_ok = bool(abs(tau - tau_star) <= tau_tol
                   and abs(v - v_star) <= 1e-10)
-    ok = worst_dev <= 1e-6 and worst_norm <= 1e-8 and worst_exp <= 1e-6 \
-        and min_ok
+    ok = bool(worst_dev <= 1e-6 and worst_norm <= 1e-8 and worst_exp <= 1e-6
+              and min_ok)
     return {"closed_vs_oracle": worst_dev, "norm_drift": worst_norm,
             "energy_expectation": worst_exp, "minimum_located": min_ok,
             "pass": ok}
@@ -245,9 +245,10 @@ def run_all_checks(params: ModelParams, seed: int) -> dict:
     for name, fn in _SUITES:
         try:
             report[name] = fn(params, seed)
-        except (ValueError, RuntimeError) as exc:
-            # a coefficient or an integral left the float range, or the
-            # dynamics oracles disagree: a failed entry, not a traceback
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            # a coefficient or an integral left the float range, the
+            # dynamics oracles disagree, or the cohomology ranks do: a
+            # failed entry, not a traceback
             report[name] = {"error": str(exc), "pass": False}
     report["pass"] = all(report[name]["pass"] for name, _ in _SUITES)
     return report
@@ -405,6 +406,8 @@ def run(argv=None) -> int:
                 dim = coh.cohomology_dim(args.degree, sc)
             except ValueError as exc:
                 ap.error(f"argument --degree: {exc}")
+            except ArithmeticError as exc:
+                ap.error(f"cohomology of {args.algebra} at B={args.B!r}: {exc}")
             _emit_json({"algebra": args.algebra, "degree": args.degree,
                         "dim": dim}, stream)
 

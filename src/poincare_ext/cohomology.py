@@ -52,7 +52,8 @@ class StructureConstants:
         jac = (np.einsum("eab,dec->dabc", c, c)
                + np.einsum("ebc,dea->dabc", c, c)
                + np.einsum("eca,deb->dabc", c, c))
-        if np.max(np.abs(jac)) > 1e-12 * max(1.0, np.max(np.abs(c)) ** 2):
+        top = float(np.max(np.abs(c)))  # a Python square overflows to inf quietly
+        if np.max(np.abs(jac)) > 1e-12 * max(1.0, top * top):
             raise ValueError("structure constants violate the Jacobi identity")
         if not self.basis_names:
             object.__setattr__(self, "basis_names", tuple(f"T{i}" for i in range(self.n)))

@@ -9,13 +9,22 @@ Every operator T(g) is an AffinePhase, f(x) -> A e^{phi(x)} f(a x + b):
 * family C (massive/tachyonic/null orbits at z3 = 0): operators on
   L2(R, d alpha) with a hyperbolic multiplicative phase and a shift.
 
+The generators dT(X) are written once, as coefficient arrays (_generators):
+families A and B as polynomial differential operators sum c[i, j] x^i D^j
+(QuantOperator), family C as sum c[(k, j)] e^{kx} D^j (ExpOperator).  Both
+types add and multiply exactly in their coefficients, and both map a
+Hermite probe r(y) e^{-y^2/2} to sum_k e^{kx} s_k(y) e^{-y^2/2}, whose inner
+products are finite sums of Gaussian moments.
+
 The module also carries the verification harness.  The homomorphism and
 unitarity checks are closed form: AffinePhase.compose multiplies two
 operators exactly in their coefficients, and the residuals are relative
 coefficient gaps, each function's size taken as its coefficient bound
 on the probes' image window (AffinePhase.gap, AffinePhase.unitarity_gap).
-The commutator-table, Casimir, generator-consistency, faithfulness and
-right-invariance checks are quadrature residuals.
+The commutator-table and Casimir checks are exact operator products on
+the generator table, their residuals ||R f|| / ||f|| in Gaussian moments.
+The generator-consistency, faithfulness and right-invariance checks are
+quadrature residuals.
 """
 
 from __future__ import annotations
@@ -31,13 +40,13 @@ from .group import (
     AlgebraElement,
     GroupElement,
     ModelParams,
-    bracket,
     compose,
     exp_map,
+    structure_constants,
 )
 from .wavefunctions import (
     WaveFunction,
-    _relative_l2,
+    _derivative_coeffs,
     _window,
     exp_poly_tower,
     hermite_wf,
@@ -46,14 +55,14 @@ from .wavefunctions import (
     wf_add,
     wf_affine,
     wf_mul,
-    wf_mul_poly,
     wf_scale,
-    wf_stack,
     wf_sub,
 )
 
 __all__ = [
     "AffinePhase",
+    "QuantOperator",
+    "ExpOperator",
     "RepParams",
     "case_a",
     "case_b",
@@ -63,6 +72,7 @@ __all__ = [
     "subgroup_modulus",
     "rep_apply",
     "generator_apply",
+    "hermiticity_residual",
     "borel_decompose",
     "lifted_function",
     "verify_homomorphism",
@@ -259,6 +269,300 @@ class AffinePhase:
                 + _size(np.real(self.c), self._sups(lo, hi)[1]))
 
 
+# ---------------------------------------------------------------------------
+# operator algebra: differential operators as coefficient arrays
+
+#: q of a probe's Gaussian g = e^q, q = -y^2/2 with x = center + width y, so
+#: (d/dy)^j (r g) = r_j g (_derivative_coeffs) and D acts as d/dy / width
+_GAUSS = (0.0, 0.0, -0.5)
+
+
+@dataclass(frozen=True, eq=False)
+class QuantOperator:
+    """Operator sum of c[i, j] x^i (d/dx)^j, with complex coefficients.
+
+    c is square and of total degree below its size: c[i, j] = 0 for
+    i + j >= len(c).  It may carry batch columns on trailing axes (shape
+    (3, 3, n, 1)), one operator per member; apply then gives a batch
+    image.  Sums pad to the larger size, and op @ other is the operator
+    product in the same x-left order.
+    """
+
+    c: np.ndarray
+
+    #: ndarray * op and numpy-scalar * op defer to __rmul__
+    __array_ufunc__ = None
+
+    @staticmethod
+    def one() -> "QuantOperator":
+        return QuantOperator(np.ones((1, 1)))
+
+    @staticmethod
+    def stack(ops) -> "QuantOperator":
+        """One batch operator whose member k is ops[k]."""
+        return QuantOperator(np.stack([op.c for op in ops], axis=-1)[..., None])
+
+    def _nonzero_columns(self):
+        """The (j, c[:, j]) of the nonzero columns, cut to the x^i with i + j < len(c)."""
+        cols = ((j, self.c[:len(self.c) - j, j]) for j in range(len(self.c)))
+        return [(j, col) for j, col in cols if np.any(col)]
+
+    def apply(self, f: WaveFunction) -> WaveFunction:
+        """The image of f; f is differentiated only as far as c needs."""
+        return _apply_columns(f, [(j, exp_poly_tower(np.asarray(col, dtype=complex)))
+                                  for j, col in self._nonzero_columns()])
+
+    def image(self, r, center, width) -> dict:
+        """{0: s} with self (r g) = s g for g = e^{-y^2/2} (_GAUSS); s has its
+        degree on axis 0, then c's batch axes."""
+        out = np.zeros((len(self.c) + len(r) - 1,) + self.c.shape[2:], dtype=complex)
+        tower = _derivative_coeffs(r, _GAUSS)
+        for j, col in self._nonzero_columns():
+            mult = np.asarray(_poly_pullback(col, width, center))
+            term = _polymul2(mult[:, None] / width ** j, np.asarray(tower(j))[:, None])
+            out[:len(term)] += term[:, 0]
+        return {0: out}
+
+    def __add__(self, other: "QuantOperator") -> "QuantOperator":
+        n, nd = max(len(self.c), len(other.c)), max(self.c.ndim, other.c.ndim)
+        return QuantOperator(_padded(_lifted(self.c, nd), n)
+                             + _padded(_lifted(other.c, nd), n))
+
+    def __sub__(self, other: "QuantOperator") -> "QuantOperator":
+        return self + (-1.0) * other
+
+    def __rmul__(self, s: complex) -> "QuantOperator":
+        return QuantOperator(s * self.c)
+
+    def __matmul__(self, other: "QuantOperator") -> "QuantOperator":
+        """The product, by (x^i D^j)(x^k D^l) = sum_r C(j, r) k!/(k-r)! x^(i+k-r) D^(j+l-r)."""
+        a, b = self.c, other.c
+        n = len(a) + len(b) - 1
+        out = np.zeros((n, n) + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                       dtype=complex)
+        for i, j in _terms(a):
+            for k, l in _terms(b):
+                for r in range(min(j, k) + 1):
+                    out[i + k - r, j + l - r] += (math.comb(j, r) * math.perm(k, r)
+                                                  * a[i, j] * b[k, l])
+        return QuantOperator(out)
+
+    def conjugated(self, u: AffinePhase) -> "QuantOperator":
+        """U^-1 . self . U for U f(x) = amp e^phi(x) f(a x + b), phi a polynomial.
+
+        U^-1 x U = (x - b) / a and U^-1 D U = a D + phi'((x - b) / a).  A
+        hyperbolic phase (family C) has no polynomial image: ValueError.
+        """
+        if u.basis != "poly":
+            raise ValueError("QuantOperator.conjugated: a hyperbolic phase "
+                             "has no polynomial conjugate")
+        inv, shift = 1.0 / u.a, -u.b / u.a
+        dphi = _poly_pullback([k * c for k, c in enumerate(u.c)][1:], inv, shift)
+        d = _padded(_multiplier(dphi), max(len(dphi), 2))
+        d[0, 1] = u.a
+        out = power = QuantOperator.one()
+        for j in range(len(self.c)):
+            if j:
+                power = power @ QuantOperator(d)
+            mult = _poly_pullback(self.c[:len(self.c) - j, j], inv, shift)
+            term = QuantOperator(_multiplier(mult)) @ power
+            out = out + term if j else term
+        return out
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QuantOperator) and np.array_equal(self.c, other.c)
+
+    def describe(self) -> str:
+        terms = []
+        for (j, i), v in np.ndenumerate(self.c.T):
+            if v:
+                x = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+                d = "" if j == 0 else "d/dx" if j == 1 else f"d{j}/dx{j}"
+                terms.append("*".join([f"({v:g})"] + [s for s in (x, d) if s]))
+        return " + ".join(terms) if terms else "0"
+
+
+@dataclass(frozen=True)
+class ExpOperator:
+    """Operator sum of c[(k, j)] e^{kx} (d/dx)^j, c a dict of complex numbers:
+    family C's generators, whose hyperbolic phases differentiate to e^{+-x}."""
+
+    c: dict
+
+    #: ndarray * op and numpy-scalar * op defer to __rmul__
+    __array_ufunc__ = None
+
+    @staticmethod
+    def one() -> "ExpOperator":
+        return ExpOperator({(0, 0): 1.0})
+
+    @staticmethod
+    def stack(ops) -> "ExpOperator":
+        """One batch operator whose member k is ops[k]; image then gives batch s_k."""
+        return ExpOperator({key: np.array([op.c.get(key, 0.0) for op in ops])[:, None]
+                            for key in dict.fromkeys(k for op in ops for k in op.c)})
+
+    def apply(self, f: WaveFunction) -> WaveFunction:
+        """The image of f: D^j f times sum_k c[(k, j)] e^{kx}, summed over j."""
+        def column(j):
+            exps = [(k, v) for (k, i), v in self.c.items() if i == j]
+            return lambda x, n: sum(v * k ** n * np.exp(k * x) for k, v in exps)
+        return _apply_columns(f, [(j, column(j)) for j in sorted({j for _, j in self.c})])
+
+    def image(self, r, center, width) -> dict:
+        """{k: s_k} with self (r g) = sum_k e^{kx} s_k g, g = e^{-y^2/2} (_GAUSS)."""
+        tower, out = _derivative_coeffs(r, _GAUSS), {}
+        size = len(r) + max((j for _, j in self.c), default=0)
+        for (k, j), v in self.c.items():
+            if np.any(v):
+                s = out.setdefault(k, np.zeros((size,) + np.shape(v), dtype=complex))
+                s[:len(r) + j] += np.multiply.outer(tower(j), v / width ** j)
+        return out
+
+    def __add__(self, other: "ExpOperator") -> "ExpOperator":
+        return ExpOperator({key: self.c.get(key, 0.0) + other.c.get(key, 0.0)
+                            for key in self.c | other.c})
+
+    def __sub__(self, other: "ExpOperator") -> "ExpOperator":
+        return self + (-1.0) * other
+
+    def __rmul__(self, s: complex) -> "ExpOperator":
+        return ExpOperator({key: s * v for key, v in self.c.items()})
+
+    def __matmul__(self, other: "ExpOperator") -> "ExpOperator":
+        """The product, by (e^{ax} D^j)(e^{bx} D^l) = sum_r C(j, r) b^r e^{(a+b)x} D^(j+l-r),
+        without the terms that cancel exactly."""
+        out = {}
+        for (a, j), u in self.c.items():
+            for (b, l), v in other.c.items():
+                for r in range(j + 1):
+                    key = (a + b, j + l - r)
+                    out[key] = out.get(key, 0.0) + math.comb(j, r) * b ** r * u * v
+        return ExpOperator({key: v for key, v in out.items() if v != 0.0})
+
+
+def _apply_columns(f: WaveFunction, columns) -> WaveFunction:
+    """sum_j m_j D^j f over the (j, m_j) of columns, m_j an evaluator (x, n)
+    of a multiplier's derivatives; f is differentiated only as far as needed."""
+    out = None
+    for j, m in columns:
+        dj = f
+        for _ in range(j):
+            dj = dj.derivative()
+        term = wf_mul(dj, m, dj.depth)
+        out = term if out is None else wf_add(out, term)
+    return wf_scale(f, 0.0) if out is None else out
+
+
+def _terms(c):
+    """The (i, j) of c[i, j] that are nonzero in some batch member."""
+    return zip(*np.nonzero(np.any(c != 0.0, axis=tuple(range(2, c.ndim)))))
+
+
+def _polymul2(a, b):
+    """Product of two polynomials in two variables, as coefficient arrays.
+
+    Axes past the first two are a batch, broadcast between a and b.
+    """
+    b = _lifted(b, a.ndim)
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1)
+                   + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                   dtype=np.result_type(a, b))
+    for i, j in _terms(a):
+        out[i:i + b.shape[0], j:j + b.shape[1]] += a[i, j] * b
+    return out
+
+
+def _lifted(c, ndim: int):
+    """c with singleton batch axes inserted after its first two, to ndim axes."""
+    return c.reshape(c.shape[:2] + (1,) * (ndim - c.ndim) + c.shape[2:])
+
+
+def _padded(c, n: int):
+    """c zero-padded to an n x n operator array, batch axes kept."""
+    out = np.zeros((n, n) + c.shape[2:], dtype=c.dtype)
+    out[:c.shape[0], :c.shape[1]] = c
+    return out
+
+
+def _multiplier(coeffs):
+    """The operator array of multiplication by sum_i coeffs[i] x^i."""
+    coeffs = np.asarray(coeffs)
+    out = np.zeros((len(coeffs),) * 2 + coeffs.shape[1:], dtype=complex)
+    out[:, 0] = coeffs
+    return out
+
+
+# ---------------------------------------------------------------------------
+# operators on Hermite probes, in Gaussian moments
+
+
+def _gauss_polys(probes):
+    """The polynomials r of probes r(y) e^{-y^2/2}, and their center and width.
+
+    A probe that is not a Gaussian polynomial (gauss_poly_wf), or probes
+    on different Gaussians, raise ValueError.
+    """
+    if any(f.poly is None for f in probes):
+        raise ValueError("operator checks need Gaussian-polynomial "
+                         "probes (gauss_poly_wf)")
+    if len({(f.center, f.width) for f in probes}) > 1:
+        raise ValueError("operator checks need probes on one Gaussian")
+    return [f.poly for f in probes], probes[0].center, probes[0].width
+
+
+def _gauss_inner(s, t, width, k=0, center=0.0):
+    """<s e^{-y^2/2}, e^{kx} t e^{-y^2/2}>, s and t with their degree on axis 0.
+
+    The integral of y^n e^{-y^2} is Gamma((n + 1) / 2) for even n and 0
+    for odd n, and dx = width dy.  With x = center + width y, e^{kx}
+    e^{-y^2} is e^{k center + m^2} e^{-(y - m)^2}, m = k width / 2, so a
+    nonzero k shifts s and t by m and gains that factor.
+    """
+    scale = width
+    if k:
+        m = k * width / 2.0
+        s, t = _poly_pullback(s, 1.0, m), _poly_pullback(t, 1.0, m)
+        scale = width * math.exp(k * center + m * m)
+    return scale * sum(si * t[j] * math.gamma((i + j + 1) / 2)
+                       for i, si in enumerate(np.conj(s))
+                       for j in range(i % 2, len(t), 2))
+
+
+def _images_inner(a, b, center, width):
+    """<sum_k e^{kx} a_k g, sum_l e^{lx} b_l g>, g = e^{-y^2/2}; e^{kx} is real."""
+    return sum(_gauss_inner(s, t, width, k + l, center)
+               for k, s in a.items() for l, t in b.items())
+
+
+def _relative_residual(op, probes, ref=None):
+    """max over probes of ||op f|| / ||ref f|| (ref None: ||f||), batch-wise."""
+    rs, center, width = _gauss_polys(probes)
+    worst = 0.0
+    for r in rs:
+        num, den = (np.real(_images_inner(s, s, center, width)) for s in (
+            op.image(r, center, width),
+            {0: r} if ref is None else ref.image(r, center, width)))
+        worst = np.maximum(worst, np.sqrt(np.maximum(num, 0.0) / den))
+    return worst
+
+
+def hermiticity_residual(op, probes) -> float:
+    """max over probe pairs (i, j) of |<A f_i, f_j> - <f_i, A f_j>|.
+
+    Exact on Gaussian-polynomial probes: A f_i = sum_k e^{kx} s_k
+    e^{-y^2/2} (image), and each inner product is a sum of Gaussian
+    moments (_gauss_inner).
+    """
+    if not probes:
+        return 0.0
+    rs, center, width = _gauss_polys(probes)
+    pairs = [({0: r}, op.image(r, center, width)) for r in rs]
+    return float(max(np.max(np.abs(_images_inner(si, fj, center, width)
+                                   - _images_inner(fi, sj, center, width)))
+                     for fi, si in pairs for fj, sj in pairs))
+
+
 def _columns(g: GroupElement):
     """g's coordinates, as batch columns (a trailing axis) when g is a batch."""
     coords = (g.theta0, g.theta1, g.alpha, g.beta)
@@ -295,6 +599,29 @@ def _affine_phase(rep: RepParams, g: GroupElement) -> AffinePhase:
                            (1j * c0, 1j * c1, 1j * c2x))
 
 
+def _generators(rep: RepParams) -> dict:
+    """dT(X) for each X of BASIS_NAMES, the derivative of _affine_phase at 1:
+    QuantOperators for families A and B, ExpOperators for family C."""
+    if rep.family == "B":  # 1 x 1: J is the scalar i zeta_2, the rest 0
+        return {name: QuantOperator(np.array([[1j * rep.zeta2 * (name == "J")]]))
+                for name in BASIS_NAMES}
+    if rep.family == "C":
+        # P0 = i (zeta_0 cosh x - zeta_1 sinh x), P1 = i (zeta_1 cosh x - zeta_0 sinh x)
+        z0, z1 = rep.zeta0, rep.zeta1
+        return {"P0": ExpOperator({(1, 0): 0.5j * (z0 - z1), (-1, 0): 0.5j * (z0 + z1)}),
+                "P1": ExpOperator({(1, 0): 0.5j * (z1 - z0), (-1, 0): 0.5j * (z0 + z1)}),
+                "J": ExpOperator({(0, 1): 1.0}),
+                "I": ExpOperator({})}
+    B, z3 = rep.params.B, rep.z3
+    ops = {name: np.zeros((3, 3), dtype=complex) for name in BASIS_NAMES}
+    ops["I"][0, 0] = 1j * z3
+    ops["P1"][0, 1] = 1.0
+    ops["P0"][1, 0], ops["P0"][0, 1] = 1j * B * z3, -1.0
+    ops["J"][0, 0] = -0.5 - 1j * rep.c2 * SQRT_MINUS_H / (2.0 * B * z3)
+    ops["J"][2, 0], ops["J"][1, 1] = 1j * (B / 2.0) * z3, -1.0
+    return {name: QuantOperator(c) for name, c in ops.items()}
+
+
 def rep_apply(rep: RepParams, g: GroupElement, f):
     """Act with the group element g; a batch g gives a batch image.
 
@@ -306,54 +633,12 @@ def rep_apply(rep: RepParams, g: GroupElement, f):
 
 
 def generator_apply(rep: RepParams, name: str, f):
-    """First-order differential operator of the algebra representation."""
+    """dT(name) f, from the table _generators.  Family B's generators are
+    scalars, which scale a wavefunction or a scalar alike."""
     if name not in BASIS_NAMES:
         raise ValueError(f"unknown basis element {name!r}")
-
-    if rep.family == "B":
-        return 1j * rep.zeta2 * f if name == "J" else 0.0 * f
-
-    if rep.family == "A":
-        B, z3 = rep.params.B, rep.z3
-        if name == "I":
-            return wf_scale(f, 1j * z3)
-        if name == "P1":
-            return f.derivative()
-        if name == "P0":
-            return wf_sub(wf_mul_poly(f, [0.0, 1j * B * z3]), f.derivative())
-        # J
-        mult = wf_mul_poly(
-            f, [-0.5 - 1j * rep.c2 * SQRT_MINUS_H / (2.0 * B * z3),
-                0.0, 1j * (B / 2.0) * z3])
-        return wf_sub(mult, wf_mul_poly(f.derivative(), [0.0, 1.0]))
-
-    # family C
-    if name == "I":
-        return wf_scale(f, 0.0)
-    if name == "J":
-        return f.derivative()
-    z0, z1 = rep.zeta0, rep.zeta1
-    if name == "P0":
-        # i (zeta_0 cosh - zeta_1 sinh); derivatives swap cosh <-> sinh
-        pair = (z0, -z1)
-    else:
-        pair = (z1, -z0)
-
-    def factor(x, k):
-        a, c = pair if k % 2 == 0 else (pair[1], pair[0])
-        return 1j * (a * np.cosh(x) + c * np.sinh(x))
-
-    return wf_mul(f, factor, f.depth)
-
-
-def _generator_combination(rep: RepParams, coeffs, f):
-    out = None
-    for c, name in zip(coeffs, BASIS_NAMES):
-        if c == 0.0:
-            continue
-        term = wf_scale(generator_apply(rep, name, f), c)
-        out = term if out is None else wf_add(out, term)
-    return wf_scale(f, 0.0) if out is None else out
+    op = _generators(rep)[name]
+    return op.c[0, 0] * f if rep.family == "B" else op.apply(f)
 
 
 # ---------------------------------------------------------------------------
@@ -452,55 +737,41 @@ def verify_unitarity(rep: RepParams, g: GroupElement, probes) -> float:
 def verify_commutators(rep: RepParams, probes) -> float:
     """Bracket table through the representation, plus anti-Hermiticity.
 
-    The generator chains act once, on the stacked probes, and every
-    residual comes from one integrate_vec call.
+    Each defect [dT(X_a), dT(X_b)] - dT([X_a, X_b]) is one operator, a
+    product on the generator table, and its residual is ||R f|| / ||f||
+    on each probe.  Anti-Hermiticity is the hermiticity_residual of
+    i dT(X) on the first two probes.
     """
     if not probes:
         return 0.0
-    p = rep.params
-    f = wf_stack(probes)
-    basis = [AlgebraElement(tuple(1.0 if i == k else 0.0 for i in range(4)))
-             for k in range(4)]
-    diffs = []
+    gens = [_generators(rep)[name] for name in BASIS_NAMES]
+    stack = type(gens[0]).stack
+    consts = structure_constants(rep.params)
+    defects = []
     for a in range(4):
         for b in range(a + 1, 4):
-            na, nb = BASIS_NAMES[a], BASIS_NAMES[b]
-            lhs = wf_sub(generator_apply(rep, na, generator_apply(rep, nb, f)),
-                         generator_apply(rep, nb, generator_apply(rep, na, f)))
-            rhs = _generator_combination(rep, bracket(basis[a], basis[b], p).v, f)
-            diffs.append((lhs, rhs))
-    # anti-Hermiticity on the first probe pair (f0, f1): <G f0, f1> and
-    # <f0, G f1> are integrated apart and added afterwards
-    gens = [generator_apply(rep, name, f) for name in BASIS_NAMES] \
-        if len(probes) >= 2 else []
-
-    def cross(x):
-        fx = f.fn(x, 0)
-        out = []
-        for g in gens:
-            gx = g.fn(x, 0)
-            out += [np.conj(gx[0]) * fx[1], np.conj(fx[0]) * gx[1]]
-        return out
-
-    res, ips = _relative_l2(diffs, f, cross)
-    anti = ips[0::2] + ips[1::2]
-    return float(max(np.max(res), np.max(np.abs(anti), initial=0.0)))
+            defect = gens[a] @ gens[b] - gens[b] @ gens[a]
+            for c, g in zip(consts[:, a, b], gens):
+                if c:
+                    defect = defect - c * g
+            defects.append(defect)
+    return max(hermiticity_residual(1j * stack(gens), probes[:2]),
+               float(np.max(_relative_residual(stack(defects), probes))))
 
 
 def verify_casimir(rep: RepParams, probes) -> float:
-    """2B I J f = sqrt(-h) (P^a P_a f + c f), c the family's Casimir label."""
+    """2B I J f = sqrt(-h) (P^a P_a f + c f), c the family's Casimir label.
+
+    The residual of the defect operator, a product on the generator table.
+    """
     if not probes:
         return 0.0
-    p = rep.params
+    g = _generators(rep)
     # Casimir labels: c2 on the orbit, 0 on the points, zeta^a zeta_a at z3 = 0
     c = {"A": rep.c2, "B": 0.0, "C": rep.zeta0 ** 2 - rep.zeta1 ** 2}[rep.family]
-    f = wf_stack(probes)
-    pp = wf_sub(generator_apply(rep, "P0", generator_apply(rep, "P0", f)),
-                generator_apply(rep, "P1", generator_apply(rep, "P1", f)))
-    lhs = wf_scale(generator_apply(
-        rep, "I", generator_apply(rep, "J", f)), 2.0 * p.B)
-    rhs = wf_scale(wf_add(pp, wf_scale(f, c)), SQRT_MINUS_H)
-    return float(np.max(_relative_l2([(lhs, rhs)], f)[0]))
+    pp = g["P0"] @ g["P0"] - g["P1"] @ g["P1"] + c * g["I"].one()
+    defect = (2.0 * rep.params.B) * (g["I"] @ g["J"]) - SQRT_MINUS_H * pp
+    return float(np.max(_relative_residual(defect, probes)))
 
 
 def generator_consistency(rep: RepParams, f):

@@ -13,7 +13,8 @@ three and higher are rejected: no consistent extension of the degree
 <= 2 map exists (Groenewold--Van Hove obstruction).
 
 The Dirac, hermiticity and covariance checks are exact algebra, with no
-quadrature.  Operators multiply in the Weyl algebra (QuantOperator @),
+quadrature, on the operator algebra of irreps, which the representation
+checks share.  Operators multiply in the Weyl algebra (QuantOperator @),
 family A's T(g) conjugates a polynomial operator into another
 (QuantOperator.conjugated), and an operator maps a Hermite probe
 r(y) e^{-y^2/2} to s(y) e^{-y^2/2}, whose inner products are finite
@@ -41,13 +42,18 @@ from .group import (
 )
 from .irreps import (
     AffinePhase,
+    QuantOperator,
     RepParams,
     _affine_phase,
     _columns,
-    _poly_pullback,
+    _polymul2,
+    _relative_residual,
+    _terms,
     case_a,
+    default_probes,
+    hermiticity_residual,
 )
-from .wavefunctions import WaveFunction, _window, wf_add, wf_mul_poly, wf_scale
+from .wavefunctions import _window
 
 __all__ = [
     "NoGoError",
@@ -162,25 +168,6 @@ def _substituted(c, q_map, p_map):
     return out
 
 
-def _terms(c):
-    """The (i, j) of c[i, j] that are nonzero in some batch member."""
-    return zip(*np.nonzero(np.any(c != 0.0, axis=tuple(range(2, c.ndim)))))
-
-
-def _polymul2(a, b):
-    """Product of two polynomials in two variables, as coefficient arrays.
-
-    Axes past the first two are a batch, broadcast between a and b.
-    """
-    b = _lifted(b, a.ndim)
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1)
-                   + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
-                   dtype=np.result_type(a, b))
-    for i, j in _terms(a):
-        out[i:i + b.shape[0], j:j + b.shape[1]] += a[i, j] * b
-    return out
-
-
 _TERM_RE = re.compile(
     r"([+-]?\s*\d*\.?\d*(?:[eE][+-]?\d+)?)\s*"
     r"(q(?:\^?(\d))?)?\s*\*?\s*(p(?:\^?(\d))?)?$")
@@ -254,119 +241,6 @@ def rep_for_mass(params: ModelParams, m: float) -> RepParams:
 # quantization map
 
 
-@dataclass(frozen=True, eq=False)
-class QuantOperator:
-    """Operator sum of c[i, j] x^i (d/dx)^j, with complex coefficients.
-
-    c is square and of total degree below its size: c[i, j] = 0 for
-    i + j >= len(c).  It may carry batch columns on trailing axes (shape
-    (3, 3, n, 1)), one operator per member; apply then gives a batch
-    image.  Sums pad to the larger size, and op @ other is the operator
-    product in the same x-left order.
-    """
-
-    c: np.ndarray
-
-    #: ndarray * op and numpy-scalar * op defer to __rmul__
-    __array_ufunc__ = None
-
-    @staticmethod
-    def stack(ops) -> "QuantOperator":
-        """One batch operator whose member k is ops[k]."""
-        return QuantOperator(np.stack([op.c for op in ops], axis=-1)[..., None])
-
-    def apply(self, f: WaveFunction) -> WaveFunction:
-        """The image of f; f is differentiated only as far as c needs."""
-        out = wf_scale(f, 0.0)
-        for j in range(len(self.c)):
-            col = self.c[:len(self.c) - j, j]  # the x^i with i + j < len(c)
-            if np.any(col):
-                dj = f
-                for _ in range(j):
-                    dj = dj.derivative()
-                term = wf_mul_poly(dj, col)
-                out = term if j == 0 else wf_add(out, term)
-        return out
-
-    def __add__(self, other: "QuantOperator") -> "QuantOperator":
-        n, nd = max(len(self.c), len(other.c)), max(self.c.ndim, other.c.ndim)
-        return QuantOperator(_padded(_lifted(self.c, nd), n)
-                             + _padded(_lifted(other.c, nd), n))
-
-    def __sub__(self, other: "QuantOperator") -> "QuantOperator":
-        return self + (-1.0) * other
-
-    def __rmul__(self, s: complex) -> "QuantOperator":
-        return QuantOperator(s * self.c)
-
-    def __matmul__(self, other: "QuantOperator") -> "QuantOperator":
-        """The product, by (x^i D^j)(x^k D^l) = sum_r C(j, r) k!/(k-r)! x^(i+k-r) D^(j+l-r)."""
-        a, b = self.c, other.c
-        n = len(a) + len(b) - 1
-        out = np.zeros((n, n) + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
-                       dtype=complex)
-        for i, j in _terms(a):
-            for k, l in _terms(b):
-                for r in range(min(j, k) + 1):
-                    out[i + k - r, j + l - r] += (math.comb(j, r) * math.perm(k, r)
-                                                  * a[i, j] * b[k, l])
-        return QuantOperator(out)
-
-    def conjugated(self, u: AffinePhase) -> "QuantOperator":
-        """U^-1 . self . U for U f(x) = amp e^phi(x) f(a x + b), phi a polynomial.
-
-        U^-1 x U = (x - b) / a and U^-1 D U = a D + phi'((x - b) / a).  A
-        hyperbolic phase (family C) has no polynomial image: ValueError.
-        """
-        if u.basis != "poly":
-            raise ValueError("QuantOperator.conjugated: a hyperbolic phase "
-                             "has no polynomial conjugate")
-        inv, shift = 1.0 / u.a, -u.b / u.a
-        dphi = _poly_pullback([k * c for k, c in enumerate(u.c)][1:], inv, shift)
-        d = _padded(_multiplier(dphi), max(len(dphi), 2))
-        d[0, 1] = u.a
-        out = power = QuantOperator(np.ones((1, 1)))
-        for j in range(len(self.c)):
-            if j:
-                power = power @ QuantOperator(d)
-            mult = _poly_pullback(self.c[:len(self.c) - j, j], inv, shift)
-            term = QuantOperator(_multiplier(mult)) @ power
-            out = out + term if j else term
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QuantOperator) and np.array_equal(self.c, other.c)
-
-    def describe(self) -> str:
-        terms = []
-        for (j, i), v in np.ndenumerate(self.c.T):
-            if v:
-                x = "" if i == 0 else "x" if i == 1 else f"x^{i}"
-                d = "" if j == 0 else "d/dx" if j == 1 else f"d{j}/dx{j}"
-                terms.append("*".join([f"({v:g})"] + [s for s in (x, d) if s]))
-        return " + ".join(terms) if terms else "0"
-
-
-def _lifted(c, ndim: int):
-    """c with singleton batch axes inserted after its first two, to ndim axes."""
-    return c.reshape(c.shape[:2] + (1,) * (ndim - c.ndim) + c.shape[2:])
-
-
-def _padded(c, n: int):
-    """c zero-padded to an n x n operator array, batch axes kept."""
-    out = np.zeros((n, n) + c.shape[2:], dtype=c.dtype)
-    out[:c.shape[0], :c.shape[1]] = c
-    return out
-
-
-def _multiplier(coeffs):
-    """The operator array of multiplication by sum_i coeffs[i] x^i."""
-    coeffs = np.asarray(coeffs)
-    out = np.zeros((len(coeffs),) * 2 + coeffs.shape[1:], dtype=complex)
-    out[:, 0] = coeffs
-    return out
-
-
 def quantize(f: PolynomialObservable, params: ModelParams) -> QuantOperator:
     """Schroedinger quantization with Weyl (symmetric) ordering.
 
@@ -391,21 +265,6 @@ def _weyl(c, h: float):
 
 # ---------------------------------------------------------------------------
 # verification
-
-
-def hermiticity_residual(op: QuantOperator, probes) -> float:
-    """max over probe pairs (i, j) of |<A f_i, f_j> - <f_i, A f_j>|.
-
-    Exact on Gaussian-polynomial probes: A f_i = s_i e^{-y^2/2} (_image),
-    and each inner product is a sum of Gaussian moments (_gauss_inner).
-    """
-    if not probes:
-        return 0.0
-    rs, center, width = _gauss_polys(probes)
-    ss = [_image(op.c, r, center, width) for r in rs]
-    return float(max(np.max(np.abs(_gauss_inner(si, rj, width)
-                                   - _gauss_inner(ri, sj, width)))
-                     for ri, si in zip(rs, ss) for rj, sj in zip(rs, ss)))
 
 
 def verify_dirac(params: ModelParams, m: float, probes,
@@ -436,61 +295,6 @@ def dirac_residuals(params: ModelParams, m: float, probes, z3s) -> list:
     res = _relative_residual(QuantOperator.stack(
         [qbr + (1j * z3) * comm for z3 in z3s for qbr, comm in pairs]), probes)
     return [float(np.max(r)) for r in np.split(res, len(z3s))]
-
-
-def _gauss_polys(probes):
-    """The polynomials r of probes r(y) e^{-y^2/2}, and their center and width.
-
-    A probe that is not a Gaussian polynomial (gauss_poly_wf), or probes
-    on different Gaussians, raise ValueError.
-    """
-    if any(f.poly is None for f in probes):
-        raise ValueError("quantization checks need Gaussian-polynomial "
-                         "probes (gauss_poly_wf)")
-    if len({(f.center, f.width) for f in probes}) > 1:
-        raise ValueError("quantization checks need probes on one Gaussian")
-    return [f.poly for f in probes], probes[0].center, probes[0].width
-
-
-def _image(c, r, center, width):
-    """s with (sum c[i, j] x^i D^j)(r e^{-y^2/2}) = s e^{-y^2/2}.
-
-    x = center + width y, so D acts as d/dy / width, and d/dy maps
-    r e^{-y^2/2} to (r' - y r) e^{-y^2/2}.  s has its degree on axis 0,
-    then c's batch axes.
-    """
-    out = np.zeros((len(c) + len(r) - 1,) + c.shape[2:], dtype=complex)
-    rj = np.asarray(r, dtype=complex)
-    for j in range(len(c)):
-        if j:
-            rj = np.append(rj[1:] * np.arange(1, len(rj)), [0.0, 0.0]) \
-                - np.append(0.0, rj)
-        mult = np.asarray(_poly_pullback(c[:len(c) - j, j], width, center))
-        term = _polymul2(mult[:, None] / width ** j, rj[:, None])[:, 0]
-        out[:len(term)] += term
-    return out
-
-
-def _gauss_inner(s, t, width):
-    """<s e^{-y^2/2}, t e^{-y^2/2}>, s and t with their degree on axis 0.
-
-    The integral of y^n e^{-y^2} is Gamma((n + 1) / 2) for even n and 0
-    for odd n, and dx = width dy.
-    """
-    return width * sum(np.conj(s[i]) * t[j] * math.gamma((i + j + 1) / 2)
-                       for i in range(len(s)) for j in range(i % 2, len(t), 2))
-
-
-def _relative_residual(op: QuantOperator, probes, ref: QuantOperator = None):
-    """max over probes of ||op f|| / ||ref f|| (ref None: ||f||), batch-wise."""
-    rs, center, width = _gauss_polys(probes)
-    worst = 0.0
-    for r in rs:
-        num, den = (np.real(_gauss_inner(s, s, width)) for s in (
-            _image(op.c, r, center, width),
-            r if ref is None else _image(ref.c, r, center, width)))
-        worst = np.maximum(worst, np.sqrt(np.maximum(num, 0.0) / den))
-    return worst
 
 
 def _left_action_maps(g: GroupElement, params: ModelParams):
@@ -553,8 +357,6 @@ def covariance_suite(params: ModelParams, m: float, trials: int = 50,
     The trials run as one batch: the observables' tables are stacked as
     batch columns, and pulled back and quantized together.
     """
-    from .irreps import default_probes
-
     if probes is None:
         probes = default_probes(2)
     coords = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(trials, 4))

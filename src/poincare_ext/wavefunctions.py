@@ -15,9 +15,6 @@ group elements: its parameters and its hint then have the batch shape S
 plus a trailing axis of length 1, and evaluating it at nodes of shape (N,)
 or S + (N,) gives S + (N,).  inner, norm and l2_diff return one integral
 per member, and integrate_vec tests each member's convergence on its own.
-wf_stack makes such a batch from a list of functions, one member each, so
-an operator chain built once acts on a whole probe set; integrate_stack
-then takes every integral of a check from one integrate_vec call.
 
 All integrals run on [center - 12 width, center + 12 width] with a
 panel-doubling composite Gauss-Legendre rule (vectorized evaluations) that
@@ -47,14 +44,11 @@ __all__ = [
     "wf_sub",
     "wf_affine",
     "wf_mul",
-    "wf_mul_poly",
-    "wf_stack",
     "exp_poly_tower",
     "inner",
     "norm",
     "l2_diff",
     "integrate_vec",
-    "integrate_stack",
     "integrate_fourier",
     "gauss_legendre",
 ]
@@ -91,24 +85,14 @@ def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
 
     fn maps an ndarray of nodes to values whose last axis runs over the
     nodes; leading axes are a batch, and the result has one integral per
-    member.  fn may also return a tuple of such arrays, and the result is
-    then the tuple of their integrals: each array is summed in its own
-    dtype, since a real integrand summed as complex rounds differently.
-    Convergence and non-finite integrals are handled as in _ladder.
+    member.  Convergence and non-finite integrals are handled as in
+    _ladder.
     """
-    parts = []
-
     def level(n):
         x, w = gauss_legendre(lo, hi, n)
-        vals = fn(x)
-        if not isinstance(vals, tuple):
-            return np.sum(w * vals, axis=-1)
-        sums = [np.sum(w * v, axis=-1) for v in vals]
-        parts[:] = [(s.shape, s.dtype) for s in sums]
-        return np.concatenate([s.ravel() for s in sums])
+        return np.sum(w * fn(x), axis=-1)
 
-    out = _ladder(level, lo, hi, rtol, atol, max_panels)
-    return _split(out, parts) if parts else out[()]
+    return _ladder(level, lo, hi, rtol, atol, max_panels)[()]
 
 
 def integrate_fourier(k, fn, lo, hi, rtol: float = 1e-10,
@@ -195,46 +179,6 @@ def _ladder(level, lo, hi, rtol, atol, max_panels):
 def _extent(lo, hi) -> str:
     """[min lo, max hi] of one window or of a batch of windows."""
     return f"[{np.min(lo):.6g}, {np.max(hi):.6g}]"
-
-
-def _split(flat, parts):
-    """The flat integrals of a tuple integrand, back in their shapes and dtypes."""
-    chunks = np.split(flat, np.cumsum([math.prod(s) for s, _ in parts])[:-1])
-    return tuple((c if dtype.kind == "c" else c.real).reshape(shape)
-                 for c, (shape, dtype) in zip(chunks, parts))
-
-
-def integrate_stack(terms, *fs):
-    """Integrals of groups of integrands, all from one integrate_vec call.
-
-    terms maps nodes to a tuple of lists of integrand arrays, each with the
-    nodes on its last axis.  Each list is stacked along a new leading axis
-    (an empty list gives an empty stack) and summed in its own dtype.  The
-    window is the union of the windows of fs, and the result is the tuple
-    of the stacks' integrals.
-    """
-    def fn(x):
-        return tuple(np.stack(v) if v else np.empty((0,) + x.shape)
-                     for v in terms(x))
-
-    return integrate_vec(fn, *_window(*fs))
-
-
-def _relative_l2(diffs, f, cross=lambda x: []):
-    """||lhs - rhs|| / ||f|| for each (lhs, rhs) of diffs, from one quadrature.
-
-    f is a stack of probes (wf_stack) and the residuals have one row per
-    pair and one column per probe; the probe norms come from the same
-    integrate_vec call.  cross maps nodes to a list of complex integrands
-    that ride along in that call; their integrals come back second.
-    """
-    def integrand(x):
-        sq = [np.abs(lhs.fn(x, 0) - rhs.fn(x, 0)) ** 2 for lhs, rhs in diffs]
-        return sq + [np.abs(f.fn(x, 0)) ** 2], cross(x)
-
-    sq, ips = integrate_stack(integrand, f, *(g for d in diffs for g in d))
-    root = np.sqrt(np.maximum(sq, 0.0))
-    return root[:-1] / root[-1], ips
 
 
 def _horner(coeffs, x):
@@ -345,12 +289,21 @@ def exp_poly_tower(r, q=()):
     """Evaluator (x, k) -> k-th derivative of r(x) exp(q(x)), r, q polynomials.
 
     Coefficients run in increasing degree and may be batch columns.  The
-    derivatives stay in the class r_k(x) exp(q(x)) under the recursion
-    r_{k+1} = r_k' + q' r_k, so every order is exact; each r_k is built
-    the first time it is evaluated.  exp(q(x)) is kept for the latest
-    node array (_latest_values), so the Leibniz terms of a product
-    evaluate it once; an empty q leaves the polynomial r alone.
+    derivatives stay in the class r_k(x) exp(q(x)) (_derivative_coeffs),
+    so every order is exact.  exp(q(x)) is kept for the latest node array
+    (_latest_values), so the Leibniz terms of a product evaluate it once;
+    an empty q leaves the polynomial r alone.
     """
+    coeffs = _derivative_coeffs(r, q)
+    if not len(q):
+        return lambda x, k: _horner(coeffs(k), x)
+    phase = _latest_values(lambda x: np.exp(_horner(q, x)))
+    return lambda x, k: _horner(coeffs(k), x) * phase(x)
+
+
+def _derivative_coeffs(r, q):
+    """k -> r_k of (r exp(q))^(k) = r_k exp(q), r_{k+1} = r_k' + q' r_k, each
+    r_k built the first time it is asked for."""
     dq = [n * q[n] for n in range(1, len(q))]
     rs = {0: list(r)}
 
@@ -366,16 +319,7 @@ def exp_poly_tower(r, q=()):
                     nxt[i + j] = nxt[i + j] + a * b
             rs[k] = nxt
         return rs[k]
-
-    if not len(q):
-        return lambda x, k: _horner(coeffs(k), x)
-    phase = _latest_values(lambda x: np.exp(_horner(q, x)))
-    return lambda x, k: _horner(coeffs(k), x) * phase(x)
-
-
-def wf_mul_poly(f: WaveFunction, coeffs) -> WaveFunction:
-    """Multiply by a polynomial (coeffs in increasing degree)."""
-    return wf_mul(f, exp_poly_tower(np.asarray(coeffs, dtype=complex)), f.depth)
+    return coeffs
 
 
 def _latest_values(fn):
@@ -395,35 +339,6 @@ def _latest_values(fn):
             hit = last[0] = (x, vals)
         return hit[1]
     return cached
-
-
-def wf_stack(fs) -> WaveFunction:
-    """One batch function whose member k is fs[k].
-
-    Values and every derivative stack along a leading axis: nodes of shape
-    (N,) serve every member, and nodes of shape (len(fs), N) give member k
-    row k.  The depth is the smallest depth among the members, and the
-    window is the union of theirs.
-
-    Each derivative order keeps its values at the latest node array
-    (_latest_values).  An operator chain calls its base function many
-    times at the same nodes, so the members are evaluated once per
-    quadrature level rather than once per call.
-    """
-    if not fs:
-        raise ValueError("wf_stack needs at least one wavefunction")
-    depth = min(f.depth for f in fs)
-    lo, hi = _window(*fs)
-
-    def order(k):
-        def fn(x):
-            rows = np.broadcast_to(x, (len(fs),) + x.shape[-1:])
-            return np.stack([f.fn(r, k) for f, r in zip(fs, rows)])
-        return _latest_values(fn)
-
-    orders = [order(k) for k in range(depth + 1)]
-    return WaveFunction(lambda x, k: orders[k](x), depth,
-                        0.5 * (lo + hi), (hi - lo) / 24.0)
 
 
 def gauss_poly_wf(coeffs, depth: int = 4, center: float = 0.0,

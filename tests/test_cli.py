@@ -243,22 +243,56 @@ def counted_rules(monkeypatch):
 def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
     # every integral of the report passes its first 8 -> 16 panel check;
     # a change that makes some integrand refine shows up as 32 panels here.
-    # The probe-set checks take one quadrature each, and the homomorphism,
-    # unitarity and quantization checks none (closed form), so a report
-    # makes 56; more is a regression
+    # The generator-consistency and dynamics checks integrate, and the
+    # representation and quantization checks make no quadrature (closed
+    # form), so a report makes 50; more is a regression
     panels = counted_rules(monkeypatch)
     cli.run(["all-checks", "--seed", "42", f"--B={B}"])
     capsys.readouterr()
     assert set(panels) == {8, 16} and panels[8] == panels[16], panels
-    assert panels[8] <= 56, panels
+    assert panels[8] <= 50, panels
 
 
+@pytest.mark.parametrize("suite", (cli.suite_quantization, cli.suite_reps),
+                         ids=("quantization", "representations"))
 @pytest.mark.parametrize("B", (1.0, -1.3))
-def test_quantization_suite_makes_no_quadrature(B, monkeypatch):
-    # Dirac, hermiticity and covariance are exact sums of Gaussian moments
+def test_quantization_suite_makes_no_quadrature(B, suite, monkeypatch):
+    # Dirac, hermiticity and covariance, and the representations'
+    # homomorphism, unitarity, commutator and Casimir checks, are exact:
+    # coefficient arithmetic and sums of Gaussian moments
     panels = counted_rules(monkeypatch)
-    assert cli.suite_quantization(ModelParams(B=B), 42)["pass"]
+    assert suite(ModelParams(B=B), 42)["pass"]
     assert not panels, panels
+
+
+@pytest.mark.parametrize("B", (1e-8, -1e-8, 1e4, -1e4))
+def test_representations_suite_passes_at_edge_B(B):
+    # the bracket table and the Casimir hold at every B != 0; their
+    # quadrature read 6.8e-9 at |B| = 1e-8 and 8.7e-8 at 1e4, over the
+    # 1e-9 gate, and the exact checks read round-off
+    assert cli.suite_reps(ModelParams(B=B), 42)["pass"]
+
+
+@pytest.mark.parametrize("B", ("30", "-30", "1e300"))
+def test_all_checks_at_large_B_is_a_whole_report(B):
+    # a numeric failure, not a traceback: suites that fail there (a numpy
+    # bool in pass, a cohomology rank disagreement) still print whole JSON
+    code, out, err = run_cli("all-checks", f"--B={B}")
+    assert code == 1 and "Traceback" not in err, err
+    report = json.loads(out)
+    assert report["pass"] is False
+    for name, entry in report.items():
+        if name != "schema":
+            verdict = entry if name == "pass" else entry["pass"]
+            assert type(verdict) is bool, (name, verdict)
+
+
+def test_cohomology_at_huge_B_is_a_usage_error():
+    code, out, err = run_cli("cohomology", "--algebra", "i12", "--B=1e300")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(
+        "poincare-ext: error: cohomology of i12 at B=1e+300: ")
+    assert "Traceback" not in err and "Warning" not in err, err
 
 
 @pytest.mark.parametrize("emit", ("json", "csv"))

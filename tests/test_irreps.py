@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -9,11 +10,13 @@ from hypothesis import strategies as st
 
 from poincare_ext import irreps as ir
 from poincare_ext.cli import REP_GATES
+from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
                                 bracket, compose, identity)
 from poincare_ext.wavefunctions import (WaveFunction, gauss_legendre, hermite_wf,
-                                        inner, integrate_stack, l2_diff, norm,
+                                        inner, l2_diff, norm, wf_add, wf_scale,
                                         wf_sub)
+from quadrature_oracle import integrate_stack, relative_l2, wf_stack
 
 P = ModelParams()
 REP_A = ir.case_a(1.0, -1.0, P)
@@ -112,45 +115,6 @@ def test_casimir_identity():
     assert ir.verify_casimir(REP_A, probes) < 1e-9
     assert ir.verify_casimir(REP_C, probes) < 1e-9
     assert ir.verify_casimir(REP_B, probes) == 0.0
-
-
-def _commutators_per_probe(rep, probes):
-    """The bracket-table check one probe and one quadrature at a time."""
-    basis = [AlgebraElement(tuple(1.0 if i == k else 0.0 for i in range(4)))
-             for k in range(4)]
-    worst = 0.0
-    for f in probes:
-        for a in range(4):
-            for b in range(a + 1, 4):
-                na, nb = ir.BASIS_NAMES[a], ir.BASIS_NAMES[b]
-                lhs = wf_sub(ir.generator_apply(rep, na, ir.generator_apply(rep, nb, f)),
-                             ir.generator_apply(rep, nb, ir.generator_apply(rep, na, f)))
-                rhs = ir._generator_combination(
-                    rep, bracket(basis[a], basis[b], rep.params).v, f)
-                worst = max(worst, l2_diff(lhs, rhs) / norm(f))
-    if len(probes) >= 2:
-        f, g = probes[0], probes[1]
-        for name in ir.BASIS_NAMES:
-            val = inner(ir.generator_apply(rep, name, f), g) \
-                + inner(f, ir.generator_apply(rep, name, g))
-            worst = max(worst, abs(val))
-    return worst
-
-
-@pytest.mark.parametrize("B", (1.0, -1.3))
-@pytest.mark.parametrize("family", ("A", "B", "C"))
-def test_stacked_probe_checks_equal_per_probe_reference(family, B):
-    # one operator chain on the stacked probes and one quadrature per check
-    # give the very bits of the per-probe loops
-    p = ModelParams(B=B)
-    rep = {"A": ir.case_a(1.0, -1.0, p), "B": ir.case_b(0.7, p),
-           "C": ir.case_c(1.0, 0.3, p)}[family]
-    probes = ir.default_probes(5)
-    assert ir.verify_commutators(rep, probes) == _commutators_per_probe(rep, probes)
-    casimir = ir.verify_casimir(rep, probes)
-    assert casimir == max(ir.verify_casimir(rep, [f]) for f in probes)
-    if family == "B":
-        assert casimir == 0.0
 
 
 def test_probe_checks_on_no_probes():
@@ -286,10 +250,10 @@ def _gram(fs):
 
     def integrand(x):
         vals = [f.fn(x, 0) for f in fs]
-        return ([np.abs(vals[i]) ** 2 if i == j
-                 else np.conj(vals[i]) * vals[j] for i, j in pairs],)
+        return [np.abs(vals[i]) ** 2 if i == j
+                else np.conj(vals[i]) * vals[j] for i, j in pairs]
 
-    return pairs, integrate_stack(integrand, *fs)[0]
+    return pairs, integrate_stack([integrand], *fs)[0]
 
 
 def quadrature_unitarity(rep, g, probes):
@@ -306,15 +270,68 @@ def quadrature_unitarity(rep, g, probes):
     return worst
 
 
+def _combination(rep, coeffs, f):
+    """sum_k coeffs[k] dT(X_k) f, by generator_apply."""
+    terms = [wf_scale(ir.generator_apply(rep, name, f), c)
+             for c, name in zip(coeffs, ir.BASIS_NAMES) if c]
+    return functools.reduce(wf_add, terms) if terms else wf_scale(f, 0.0)
+
+
+def quadrature_commutators(rep, probes):
+    """The bracket table and anti-Hermiticity, by generator chains on the
+    stacked probes and one quadrature.  Anti-Hermiticity is taken on the
+    probe pair (f0, f1): <G f0, f1> and <f0, G f1> are integrated apart."""
+    f = wf_stack(probes)
+    basis = [AlgebraElement(tuple(1.0 if i == k else 0.0 for i in range(4)))
+             for k in range(4)]
+    diffs = []
+    for a in range(4):
+        for b in range(a + 1, 4):
+            na, nb = ir.BASIS_NAMES[a], ir.BASIS_NAMES[b]
+            lhs = wf_sub(ir.generator_apply(rep, na, ir.generator_apply(rep, nb, f)),
+                         ir.generator_apply(rep, nb, ir.generator_apply(rep, na, f)))
+            diffs.append((lhs, _combination(
+                rep, bracket(basis[a], basis[b], rep.params).v, f)))
+    gens = [ir.generator_apply(rep, name, f) for name in ir.BASIS_NAMES] \
+        if len(probes) >= 2 else []
+
+    def cross(x):
+        fx = f.fn(x, 0)
+        out = []
+        for g in gens:
+            gx = g.fn(x, 0)
+            out += [np.conj(gx[0]) * fx[1], np.conj(fx[0]) * gx[1]]
+        return out
+
+    res, ips = relative_l2(diffs, f, cross)
+    anti = ips[0::2] + ips[1::2]
+    return float(max(np.max(res), np.max(np.abs(anti), initial=0.0)))
+
+
+def quadrature_casimir(rep, probes):
+    """||2B I J f - sqrt(-h) (P^a P_a f + c f)|| / ||f||, by generator chains."""
+    c = {"A": rep.c2, "B": 0.0, "C": rep.zeta0 ** 2 - rep.zeta1 ** 2}[rep.family]
+    f = wf_stack(probes)
+
+    def twice(name):
+        return ir.generator_apply(rep, name, ir.generator_apply(rep, name, f))
+
+    lhs = wf_scale(ir.generator_apply(rep, "I", ir.generator_apply(rep, "J", f)),
+                   2.0 * rep.params.B)
+    rhs = wf_scale(wf_add(wf_sub(twice("P0"), twice("P1")), wf_scale(f, c)),
+                   SQRT_MINUS_H)
+    return float(np.max(relative_l2([(lhs, rhs)], f)[0]))
+
+
 def _take(g, members):
     return GroupElement(*(np.asarray(c)[members]
                           for c in (g.theta0, g.theta1, g.alpha, g.beta)))
 
 
 def oracle_checks(rep, seed=42):
-    """The quadrature homomorphism and unitarity checks on the batches and
-    probes rep_suite hands its closed-form checks, each a function of the
-    slice of members it takes (all by default)."""
+    """The quadrature checks on the batches and probes rep_suite hands its
+    closed-form checks.  Homomorphism and unitarity are functions of the
+    slice of members they take (all by default)."""
     seen = {}
 
     def record(field):
@@ -324,14 +341,16 @@ def oracle_checks(rep, seed=42):
         return check
 
     with pytest.MonkeyPatch.context() as mp:
-        for field in ("homomorphism", "unitarity"):
+        for field in REP_GATES:
             mp.setattr(ir, f"verify_{field}", record(field))
         ir.rep_suite(rep, trials=200, seed=seed)
     (g2, g1, hom_probes), (g, uni_probes) = seen["homomorphism"], seen["unitarity"]
     return {"homomorphism": lambda k=slice(None): quadrature_homomorphism(
                 rep, _take(g2, k), _take(g1, k), hom_probes),
             "unitarity": lambda k=slice(None): quadrature_unitarity(
-                rep, _take(g, k), uni_probes)}
+                rep, _take(g, k), uni_probes),
+            "commutators": lambda: quadrature_commutators(rep, *seen["commutators"]),
+            "casimir": lambda: quadrature_casimir(rep, *seen["casimir"])}
 
 
 @pytest.mark.parametrize("B", (1.0, -1.3, 3.0))
@@ -341,11 +360,31 @@ def test_closed_form_agrees_with_quadrature_oracle(family, B):
     rep = {"A": ir.case_a(1.0, -1.0, p), "B": ir.case_b(0.7, p),
            "C": ir.case_c(1.0, 0.3, p)}[family]
     report = ir.rep_suite(rep, trials=200, seed=42)
-    for field, oracle in oracle_checks(rep).items():
+    oracles = oracle_checks(rep)
+    for field in ("homomorphism", "unitarity"):
         # both pass their gate; the closed form reads round-off
-        value = oracle()
+        value = oracles[field]()
         assert report[field] <= 1e-13 and value <= REP_GATES[field], \
             (field, report[field], value)
+
+
+@pytest.mark.parametrize("B", (1.0, -1.3, 3.0))
+@pytest.mark.parametrize("family", ("A", "B", "C"))
+def test_stacked_probe_checks_equal_per_probe_reference(family, B):
+    # the exact commutator and Casimir checks against the stacked-probe
+    # quadrature they replaced, on the probes rep_suite hands them: both
+    # pass their gates, and the exact checks read round-off
+    p = ModelParams(B=B)
+    rep = {"A": ir.case_a(1.0, -1.0, p), "B": ir.case_b(0.7, p),
+           "C": ir.case_c(1.0, 0.3, p)}[family]
+    report = ir.rep_suite(rep, trials=200, seed=42)
+    oracles = oracle_checks(rep)
+    for field in ("commutators", "casimir"):
+        value = oracles[field]()
+        assert report[field] <= 1e-14 and value <= REP_GATES[field], \
+            (field, report[field], value)
+    if family == "B":
+        assert report["commutators"] == report["casimir"] == 0.0
 
 
 def _amplitude_mutant(affine_phase):
@@ -388,6 +427,42 @@ def test_planted_defect_fails_closed_form_and_oracle(mutant, rep, field, B,
             assert "did not converge" in str(exc), k
         else:
             assert value > gate, k
+
+
+def _j_sign_mutant(generators):
+    # family A's J: the -x D term -> +x D
+    def mutant(rep):
+        gens = generators(rep)
+        c = gens["J"].c.copy()
+        c[1, 1] = -c[1, 1]
+        return {**gens, "J": ir.QuantOperator(c)}
+    return mutant
+
+
+def _cosh_sinh_mutant(generators):
+    # family C's P0: i (zeta_0 cosh x - zeta_1 sinh x) -> i (zeta_0 sinh x -
+    # zeta_1 cosh x), which flips the sign of its e^(-x) term
+    def mutant(rep):
+        gens = generators(rep)
+        c = dict(gens["P0"].c)
+        c[(-1, 0)] = -c[(-1, 0)]
+        return {**gens, "P0": ir.ExpOperator(c)}
+    return mutant
+
+
+@pytest.mark.parametrize("mutant, rep", ((_j_sign_mutant, REP_A),
+                                         (_cosh_sinh_mutant, REP_C)),
+                         ids=("A-J-xD-sign", "C-cosh-sinh"))
+def test_planted_generator_defect_fails_closed_form_and_oracle(mutant, rep,
+                                                               monkeypatch):
+    # the oracle's generator chains read the same table (generator_apply)
+    monkeypatch.setattr(ir, "_generators", mutant(ir._generators))
+    report = ir.rep_suite(rep, trials=200, seed=42)
+    oracles = oracle_checks(rep)
+    for field in ("commutators", "casimir"):
+        value = oracles[field]()
+        assert report[field] > REP_GATES[field] and value > REP_GATES[field], \
+            (field, report[field], value)
 
 
 def _random_affine_phase(rng, basis):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poincare_ext import cli
@@ -20,17 +20,15 @@ from poincare_ext.group import (
 from poincare_ext.irreps import default_probes
 from poincare_ext.orbits import classify
 from poincare_ext.wavefunctions import (
-    _relative_l2,
     _window,
     gauss_poly_wf,
     hermite_wf,
     inner,
-    integrate_stack,
     integrate_vec,
     wf_scale,
-    wf_stack,
     wf_sub,
 )
+from quadrature_oracle import integrate_stack, relative_l2, wf_stack
 
 P = ModelParams()
 M = 1.0
@@ -194,6 +192,10 @@ AFFINE = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
+# the substitution rounds 5e-324 * 0.625 * 0.625 up to 5e-324, the direct
+# evaluation rounds it down to 0
+@example(table={(2, 0): 5e-324}, q_map=(0.0, 0.0, 0.625), p_map=(0.0, 0.0, 0.0),
+         q=0.0, p=0.0)
 @given(table=st.dictionaries(st.sampled_from(MONOMIALS), st.floats(-3.0, 3.0)),
        q_map=AFFINE, p_map=AFFINE, q=st.floats(-3.0, 3.0),
        p=st.floats(-3.0, 3.0))
@@ -204,11 +206,14 @@ def test_substitute_affine_is_evaluation_at_the_mapped_point(table, q_map,
     qq = q_map[0] * q + q_map[1] * p + q_map[2]
     pp = p_map[0] * q + p_map[1] * p + p_map[2]
     lhs = f.substitute_affine(q_map, p_map)(s)
-    # round-off is relative to the sum of the terms' absolute values
+    # round-off is relative to the sum of the terms' absolute values.  Below
+    # the normal range it is absolute: each side takes fewer than 64 rounded
+    # operations, and each may lose up to the subnormal spacing
     aq = abs(q_map[0] * q) + abs(q_map[1] * p) + abs(q_map[2])
     ap = abs(p_map[0] * q) + abs(p_map[1] * p) + abs(p_map[2])
     scale = sum(abs(v) * aq ** i * ap ** j for (i, j), v in f.coeffs)
-    assert abs(lhs - f(qz.PhasePoint(qq, pp))) <= 1e-14 * scale
+    bound = max(1e-14 * scale, 64 * math.ulp(0.0))
+    assert abs(lhs - f(qz.PhasePoint(qq, pp))) <= bound
 
 
 def test_quantize_linearity():
@@ -407,15 +412,21 @@ def test_conjugation_rejects_a_hyperbolic_phase():
 def test_quantum_checks_need_gaussian_polynomial_probes():
     op = qz.quantize(qz.parse_poly("qp"), P)
     other = wf_scale(hermite_wf(1), 2.0)  # a multiple of h_1 carries no poly
+    rep = ir.case_c(1.0, 0.3, P)
     for probes in ([hermite_wf(0), other],
                    [hermite_wf(0), hermite_wf(1, center=0.5)]):
-        with pytest.raises(ValueError, match="quantization checks need"):
+        with pytest.raises(ValueError, match="operator checks need"):
             qz.hermiticity_residual(op, probes)
-        with pytest.raises(ValueError, match="quantization checks need"):
+        with pytest.raises(ValueError, match="operator checks need"):
             qz.verify_dirac(P, M, probes)
-        with pytest.raises(ValueError, match="quantization checks need"):
+        with pytest.raises(ValueError, match="operator checks need"):
             qz.verify_covariance(GroupElement(0.1, 0.2, 0.3, 0.4),
                                  qz.parse_poly("p"), P, M, probes)
+        # the representation checks share the Gaussian moments
+        with pytest.raises(ValueError, match="operator checks need"):
+            ir.verify_commutators(rep, probes)
+        with pytest.raises(ValueError, match="operator checks need"):
+            ir.verify_casimir(rep, probes)
 
 
 def test_gaussian_moments_are_the_inner_product():
@@ -426,8 +437,8 @@ def test_gaussian_moments_are_the_inner_product():
         fs = [gauss_poly_wf(rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4),
                             center=center, width=width) for _ in range(2)]
         op = random_operator(rng)
-        closed = qz._gauss_inner(
-            qz._image(op.c, fs[0].poly, center, width), fs[1].poly, width)
+        closed = ir._gauss_inner(
+            op.image(fs[0].poly, center, width)[0], fs[1].poly, width)
         assert abs(closed - inner(op.apply(fs[0]), fs[1])) <= 1e-12 * abs(closed)
 
 
@@ -442,9 +453,9 @@ def quadrature_hermiticity(op, probes):
 
     def integrand(x):
         fx, ax = f.fn(x, 0), af.fn(x, 0)
-        return ([np.conj(ax)[:, None] * fx, np.conj(fx)[:, None] * ax],)
+        return [np.conj(ax)[:, None] * fx, np.conj(fx)[:, None] * ax]
 
-    lhs, rhs = integrate_stack(integrand, f, af)[0]
+    lhs, rhs = integrate_stack([integrand], f, af)[0]
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -462,7 +473,7 @@ def quadrature_dirac(params, m, probes, z3s):
             chains.append((qbr.apply(f), comm))
     diffs = [(lhs, wf_scale(comm, -1j * z3))
              for z3 in z3s for lhs, comm in chains]
-    res = _relative_l2(diffs, f)[0]
+    res = relative_l2(diffs, f)[0]
     return [float(np.max(r)) for r in np.split(res, len(z3s))]
 
 
@@ -474,12 +485,9 @@ def quadrature_covariance(g, pulled, qf, params, m, probes):
     for psi in probes:
         lhs = pulled.apply(psi)
         rhs = ir.rep_apply(rep, ginv, qf.apply(ir.rep_apply(rep, g, psi)))
-
-        def integrand(x):
-            vals = lhs.fn(x, 0)
-            return np.abs(vals - rhs.fn(x, 0)) ** 2, np.abs(vals) ** 2
-
-        sq, n2 = integrate_vec(integrand, *_window(lhs, rhs))
+        window = _window(lhs, rhs)
+        sq = integrate_vec(lambda x: np.abs(lhs.fn(x, 0) - rhs.fn(x, 0)) ** 2, *window)
+        n2 = integrate_vec(lambda x: np.abs(lhs.fn(x, 0)) ** 2, *window)
         worst = np.maximum(worst, np.sqrt(sq / n2))
     return float(np.max(worst))
 

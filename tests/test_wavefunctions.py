@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from poincare_ext import wavefunctions as wfm
+from quadrature_oracle import integrate_stack, wf_stack
 
 
 def test_hermite_orthonormality():
@@ -47,7 +48,7 @@ def test_affine_substitution():
 
 def test_polynomial_multiplication_leibniz():
     f = wfm.hermite_wf(1)
-    m = wfm.wf_mul_poly(f, [0.5, -1.0, 2.0])
+    m = wfm.wf_mul(f, wfm.exp_poly_tower([0.5, -1.0, 2.0]), f.depth)
     x = np.linspace(-3, 3, 21)
     p = 0.5 - x + 2 * x * x
     dp = -1.0 + 4 * x
@@ -153,7 +154,7 @@ MEMBER = st.tuples(st.integers(0, 5), st.floats(-3.0, 3.0),
 @given(members=st.lists(MEMBER, min_size=1, max_size=4))
 def test_wf_stack_members_are_the_functions_alone(members):
     fs = [wfm.hermite_wf(k, depth=d, center=c, width=w) for k, c, w, d in members]
-    stack = wfm.wf_stack(fs)
+    stack = wf_stack(fs)
     assert stack.depth == min(f.depth for f in fs)
     lo = min(f.interval()[0] for f in fs)
     hi = max(f.interval()[1] for f in fs)
@@ -170,7 +171,7 @@ def test_wf_stack_members_are_the_functions_alone(members):
 
 
 def test_wf_stack_values_are_read_only():
-    stack = wfm.wf_stack([wfm.hermite_wf(0), wfm.hermite_wf(1)])
+    stack = wf_stack([wfm.hermite_wf(0), wfm.hermite_wf(1)])
     x = np.linspace(-1.0, 1.0, 5)
     vals = stack(x)
     assert stack(x) is vals and not vals.flags.writeable
@@ -182,7 +183,7 @@ def test_wf_stack_shared_between_threads():
     # the remembered (nodes, values) pair is replaced whole, so threads that
     # share one stack and evaluate it at different nodes each get their own
     fs = [wfm.hermite_wf(k) for k in range(3)]
-    stack = wfm.wf_stack(fs)
+    stack = wf_stack(fs)
     xs = [np.linspace(-3.0, 3.0, 64) + 0.01 * i for i in range(4)]
     expect = [np.stack([f(x) for f in fs]) for x in xs]
     wrong = []
@@ -207,21 +208,20 @@ def test_wf_stack_shared_between_threads():
 
 def test_wf_stack_of_nothing_is_a_named_error():
     with pytest.raises(ValueError, match="at least one"):
-        wfm.wf_stack([])
+        wf_stack([])
 
 
 def test_integrate_stack_sums_each_dtype_apart():
     # a real integrand summed as complex rounds differently, so the real and
-    # the complex stack of one call must match their own integrate_vec calls
+    # the complex group must match their own integrate_vec calls
     fs = [wfm.hermite_wf(k) for k in range(3)]
-    stack = wfm.wf_stack(fs)
+    stack = wf_stack(fs)
     g = wfm.wf_mul(fs[1], lambda x, k: (0.7j) ** k * np.exp(0.7j * x), 1)
+    groups = [lambda x: [np.abs(stack.fn(x, 0)) ** 2],
+              lambda x: [np.conj(g.fn(x, 0)) * stack.fn(x, 0)[0]],
+              lambda x: []]
 
-    def terms(x):
-        return ([np.abs(stack.fn(x, 0)) ** 2],
-                [np.conj(g.fn(x, 0)) * stack.fn(x, 0)[0]], [])
-
-    real, cplx, empty = wfm.integrate_stack(terms, stack, g)
+    real, cplx, empty = integrate_stack(groups, stack, g)
     lo, hi = wfm._window(stack, g)
     assert real.dtype == float and real.shape == (1, 3)
     assert np.array_equal(real, wfm.integrate_vec(
@@ -231,7 +231,7 @@ def test_integrate_stack_sums_each_dtype_apart():
     assert empty.shape == (0,)
 
 
-def test_wf_mul_poly_batch_columns_and_polyder():
+def test_poly_multiplier_batch_columns_and_polyder():
     rng = np.random.default_rng(3)
     x = np.linspace(-3.0, 3.0, 13)
     for n in (1, 2, 3, 5):
@@ -243,9 +243,9 @@ def test_wf_mul_poly_batch_columns_and_polyder():
     # one batch of three polynomials against each polynomial alone
     cols = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     f = wfm.hermite_wf(2)
-    batch = wfm.wf_mul_poly(f, tuple(c[:, None] for c in cols))
+    batch = wfm.wf_mul(f, wfm.exp_poly_tower(tuple(c[:, None] for c in cols)), f.depth)
     level = batch
-    singles = [wfm.wf_mul_poly(f, cols[:, k]) for k in range(4)]
+    singles = [wfm.wf_mul(f, wfm.exp_poly_tower(cols[:, k]), f.depth) for k in range(4)]
     for _ in range(f.depth + 1):
         assert np.array_equal(level(x), np.stack([s(x) for s in singles]))
         if level.depth:
