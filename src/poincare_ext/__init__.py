@@ -5,20 +5,7 @@ irreducible representations, polynomial quantization, and the quantum
 dynamics of the uniformly accelerated relativistic particle.
 """
 
-from .group import (
-    AlgebraElement,
-    CoadjointPoint,
-    GroupElement,
-    ModelParams,
-    bracket,
-    casimir_pairing,
-    coadjoint_action,
-    compose,
-    exp_map,
-    identity,
-    inverse,
-    log_map,
-)
+from .model import ModelParams
 
 __version__ = "1.0.0"
 
@@ -37,3 +24,13 @@ __all__ = [
     "log_map",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # the group names load numpy, so they are imported on first use
+    # (PEP 562); `import poincare_ext` alone stays numpy-free
+    if name in __all__:
+        from . import group
+
+        return getattr(group, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

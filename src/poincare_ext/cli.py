@@ -3,6 +3,9 @@
 Every subcommand emits machine-readable output (JSON with a schema
 version, or CSV for sampled data).  Exit codes: 0 all residuals within
 tolerance, 1 numeric failure (report still emitted), 2 usage error.
+
+Each suite, `run` branch and option type imports the modules it uses, so
+a subcommand loads only what it runs (`cohomology` loads no numpy).
 """
 
 from __future__ import annotations
@@ -12,22 +15,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import cohomology as coh
-from . import dynamics as dy
-from . import irreps as ir
-from . import orbits as orb
-from . import quantization as qz
-from .group import (
-    CoadjointPoint,
-    GroupElement,
-    ModelParams,
-    casimir_pairing,
-    coadjoint_action,
-    structural_report,
-)
-from .wavefunctions import hermite_wf
+from .model import ModelParams
 
 __all__ = ["main", "run", "run_all_checks"]
 
@@ -70,6 +59,7 @@ def suite_cohomology(params: ModelParams, seed: int) -> dict:
 
 
 def suite_structure(params: ModelParams, seed: int, samples: int = 1000) -> dict:
+    from .group import structural_report
     rep = structural_report(params, samples=samples, seed=seed)
     ok = bool(rep["central_series_dims"][-1] == 3
               and rep["derived_series_dims"][-1] == 0
@@ -79,6 +69,8 @@ def suite_structure(params: ModelParams, seed: int, samples: int = 1000) -> dict
 
 
 def suite_coadjoint(params: ModelParams, seed: int) -> dict:
+    import numpy as np
+    from .group import CoadjointPoint, GroupElement, casimir_pairing, coadjoint_action
     # the draws of 1000 (zeta, g) pairs one pair at a time: zeta from
     # [-3, 3)^4, then g from [-2, 2)^4
     u = np.random.default_rng(seed).random((1000, 2, 4))
@@ -93,6 +85,8 @@ def suite_coadjoint(params: ModelParams, seed: int) -> dict:
 
 
 def suite_orbits(params: ModelParams, seed: int) -> dict:
+    from . import orbits as orb
+    from .group import CoadjointPoint
     cases = [
         ("CaseA", CoadjointPoint((0.0, 0.0, 0.5, -1.0)),
          orb.CASE_A_SUBALGEBRA(params)),
@@ -116,7 +110,8 @@ def suite_orbits(params: ModelParams, seed: int) -> dict:
     return {"cases": report, "pass": ok}
 
 
-def _rep_for_family(family: str, params: ModelParams, args=None) -> ir.RepParams:
+def _rep_for_family(family: str, params: ModelParams, args=None):
+    from . import irreps as ir
     labels = REP_LABELS[family]
     if args is not None:
         labels = {name: getattr(args, name) for name in labels}
@@ -124,6 +119,7 @@ def _rep_for_family(family: str, params: ModelParams, args=None) -> ir.RepParams
 
 
 def suite_reps(params: ModelParams, seed: int, trials: int = 200) -> dict:
+    from . import irreps as ir
     report = {}
     ok = True
     for family in ("A", "B", "C"):
@@ -136,6 +132,8 @@ def suite_reps(params: ModelParams, seed: int, trials: int = 200) -> dict:
 
 
 def suite_generators(params: ModelParams, seed: int) -> dict:
+    from . import irreps as ir
+    from .wavefunctions import hermite_wf
     report = {}
     ok = True
     probe = hermite_wf(1)
@@ -156,6 +154,8 @@ def suite_generators(params: ModelParams, seed: int) -> dict:
 
 
 def suite_quantization(params: ModelParams, seed: int, m: float = 1.0) -> dict:
+    from . import irreps as ir
+    from . import quantization as qz
     probes = ir.default_probes(3)
     # the wrong-sign z3 is the negative control
     dirac, dirac_bad = qz.dirac_residuals(
@@ -175,6 +175,9 @@ def suite_quantization(params: ModelParams, seed: int, m: float = 1.0) -> dict:
 
 
 def suite_classical(params: ModelParams, seed: int, m: float = 1.0) -> dict:
+    import numpy as np
+    from . import quantization as qz
+    from .group import casimir_pairing
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(100):
@@ -193,6 +196,8 @@ def suite_classical(params: ModelParams, seed: int, m: float = 1.0) -> dict:
 
 
 def suite_dynamics(params: ModelParams, seed: int, m: float = 1.0) -> dict:
+    import numpy as np
+    from . import dynamics as dy
     c0 = dy.gaussian_spectral(0.0, 1.0)
     worst_dev = worst_norm = worst_exp = 0.0
     sweep = [(1.0, 0.5), (-1.0, 1.0), (2.0, 2.0), (-2.0, 0.5), (1.0, 2.0)]
@@ -246,9 +251,8 @@ def run_all_checks(params: ModelParams, seed: int) -> dict:
         try:
             report[name] = fn(params, seed)
         except (ValueError, RuntimeError, ArithmeticError) as exc:
-            # a coefficient or an integral left the float range, the
-            # dynamics oracles disagree, or the cohomology ranks do: a
-            # failed entry, not a traceback
+            # a coefficient or an integral left the float range, or the
+            # dynamics oracles disagree: a failed entry, not a traceback
             report[name] = {"error": str(exc), "pass": False}
     report["pass"] = all(report[name]["pass"] for name, _ in _SUITES)
     return report
@@ -269,18 +273,22 @@ def _build_parser() -> argparse.ArgumentParser:
     # argparse turns a ValueError raised by a type into a usage error
     # naming the type: "argument --span: invalid samples value: '0:1'"
     def covector(text):
+        from .group import CoadjointPoint
         return CoadjointPoint(tuple(float(t) for t in text.split(",")))
 
     def element(text):
+        from .group import GroupElement
         return GroupElement(*(float(t) for t in text.split(",")))
 
     def probe(text):
         kind, _, idx = text.partition(":")
         if kind != "hermite" or int(idx or 0) < 0:
             raise ValueError(text)
+        from .wavefunctions import hermite_wf
         return hermite_wf(int(idx or 0))
 
     def samples(text):
+        import numpy as np
         x0, x1, n = text.split(":")
         return np.linspace(float(x0), float(x1), int(n))
 
@@ -297,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sigma = float(opts.get("sigma", 1.0))
         if not sigma > 0.0:
             raise ValueError(text)
-        return dy.gaussian_spectral(float(opts.get("E0", 0.0)), sigma)
+        from .dynamics import gaussian_spectral
+        return gaussian_spectral(float(opts.get("E0", 0.0)), sigma)
 
     ap = argparse.ArgumentParser(
         prog="poincare-ext",
@@ -386,6 +395,7 @@ def run(argv=None) -> int:
     try:
         params = _params(args)
         if args.cmd in ("evolve", "trajectory"):
+            from . import dynamics as dy
             cs = dy.ClassicalState(args.q1, args.ptilde0, args.tau0, args.m,
                                    params)
         if args.cmd == "rep":
@@ -401,18 +411,20 @@ def run(argv=None) -> int:
             code = 0 if rep["pass"] else 1
 
         elif args.cmd == "cohomology":
-            sc = coh.catalog_algebra(args.algebra, B=params.B)
+            try:
+                sc = coh.catalog_algebra(args.algebra, B=params.B)
+            except ValueError as exc:
+                ap.error(f"cohomology of {args.algebra} at B={args.B!r}: {exc}")
             try:
                 dim = coh.cohomology_dim(args.degree, sc)
             except ValueError as exc:
                 ap.error(f"argument --degree: {exc}")
-            except ArithmeticError as exc:
-                ap.error(f"cohomology of {args.algebra} at B={args.B!r}: {exc}")
             _emit_json({"algebra": args.algebra, "degree": args.degree,
                         "dim": dim}, stream)
 
         elif args.cmd == "orbit":
             if args.orbit_cmd == "classify":
+                from . import orbits as orb
                 cls = orb.classify(args.zeta, params)
                 _emit_json({"tag": cls.tag, "labels": cls.labels,
                             "orbit_dim": cls.orbit_dim}, stream)
@@ -422,6 +434,7 @@ def run(argv=None) -> int:
                 code = 0 if rep["pass"] else 1
 
         elif args.cmd == "rep":
+            from . import irreps as ir
             # an operator that leaves the float range (tiny B, huge alpha)
             # is a usage error, raised before any quadrature runs
             try:
@@ -436,6 +449,7 @@ def run(argv=None) -> int:
                 _emit_json(res, stream)
                 code = 0 if res["pass"] else 1
             else:
+                import numpy as np
                 xs = args.emit_samples
                 vals = image(xs)
                 stream.write("x,re,im\n")
@@ -450,6 +464,7 @@ def run(argv=None) -> int:
                 _emit_json(rep, stream)
                 code = 0 if rep["pass"] and rep["classical"]["pass"] else 1
             else:
+                from . import quantization as qz
                 try:
                     poly = qz.parse_poly(args.poly)
                 except ValueError as exc:
@@ -459,6 +474,7 @@ def run(argv=None) -> int:
                            stream)
 
         elif args.cmd == "evolve":
+            import numpy as np
             grid = dy.default_e_grid(cs, args.packet, args.tau, n=args.grid)
             grid, c = dy.oracle_propagate(cs, args.packet, args.tau, grid)
             # at a tiny B the closed form's phase, of order 1 / B, overflows

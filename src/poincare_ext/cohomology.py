@@ -1,16 +1,14 @@
 """Chevalley-Eilenberg cohomology with trivial real coefficients.
 
 Works for any finite-dimensional real Lie algebra handed over as
-structure constants.  Ranks are computed twice: by SVD with a relative
-singular-value threshold, and (when the structure constants are
-rational) by exact Gaussian elimination over the rationals.  A
-disagreement between the two is raised as an error -- cohomology
-dimensions are integers and must not depend on a tolerance.
+structure constants.  The constants are held as exact fractions (every
+float is one), and ranks come from exact Gaussian elimination over the
+rationals: cohomology dimensions are integers and must not depend on a
+tolerance.  The module imports no numpy.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -18,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
+from .model import BASIS_NAMES, ModelParams, brackets
 
 __all__ = [
     "StructureConstants",
@@ -30,42 +28,51 @@ __all__ = [
     "CATALOG_NAMES",
 ]
 
-_SVD_RTOL = 1e-9
-
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Structure constants c^C_{AB} with [T_A, T_B] = c^C_{AB} T_C."""
+    """Structure constants c^C_{AB} with [T_A, T_B] = c^C_{AB} T_C.
+
+    c is any nested n x n x n sequence of numbers, an array included; it is
+    stored as nested tuples of exact Fractions.  The table must be a Lie
+    algebra exactly: round-off in a constant would read as rank.
+    """
 
     n: int
-    c: np.ndarray
+    c: tuple
     basis_names: tuple = ()
     name: str = ""
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (self.n, self.n, self.n):
-            raise ValueError(f"structure constants must be {self.n}^3, got {c.shape}")
+        n = self.n
+        try:
+            c = tuple(tuple(tuple(map(Fraction, row)) for row in plane)
+                      for plane in self.c)
+        except (TypeError, ValueError, OverflowError):
+            c = ()
+        if len(c) != n or any(len(plane) != n or any(len(row) != n for row in plane)
+                              for plane in c):
+            raise ValueError(f"structure constants must be {n}^3 finite numbers")
         object.__setattr__(self, "c", c)
-        if np.max(np.abs(c + c.transpose(0, 2, 1))) > 1e-12:
-            raise ValueError("structure constants are not antisymmetric in the lower indices")
-        jac = (np.einsum("eab,dec->dabc", c, c)
-               + np.einsum("ebc,dea->dabc", c, c)
-               + np.einsum("eca,deb->dabc", c, c))
-        top = float(np.max(np.abs(c)))  # a Python square overflows to inf quietly
-        if np.max(np.abs(jac)) > 1e-12 * max(1.0, top * top):
-            raise ValueError("structure constants violate the Jacobi identity")
+        if any(c[e][a][b] != -c[e][b][a]
+               for e in range(n) for a in range(n) for b in range(a, n)):
+            raise ValueError("structure constants are not exactly antisymmetric "
+                             "in the lower indices")
+        # [T_A, T_B] as {C: c^C_{AB}}, zeros skipped
+        br = {(a, b): {e: c[e][a][b] for e in range(n) if c[e][a][b]}
+              for a in range(n) for b in range(n)}
+        # with antisymmetry, Jacobi holds whenever two indices repeat
+        for x, y, z in itertools.combinations(range(n), 3):
+            jac = {}
+            for a, b, d in ((x, y, z), (y, z, x), (z, x, y)):
+                for e, v in br[a, b].items():
+                    for f, w in br[e, d].items():
+                        jac[f] = jac.get(f, 0) + v * w
+            if any(jac.values()):
+                raise ValueError("structure constants do not satisfy the Jacobi "
+                                 "identity exactly")
         if not self.basis_names:
             object.__setattr__(self, "basis_names", tuple(f"T{i}" for i in range(self.n)))
-
-    @functools.cached_property
-    def is_rational(self) -> bool:
-        """Whether every constant is a fraction with denominator <= 1e6.
-
-        Decided once per table: every rank of its differentials asks.
-        """
-        flat = self.c.ravel()
-        return all(abs(x - Fraction(x).limit_denominator(10**6)) < 1e-12 for x in flat)
 
 
 @dataclass(frozen=True)
@@ -97,27 +104,28 @@ def _insertion_sign(c: int, rest: tuple):
     return ordered, (-1) ** pos
 
 
-def ce_differential(k: int, sc: StructureConstants) -> np.ndarray:
-    """Matrix of d_k : Lambda^k -> Lambda^{k+1} for trivial coefficients.
+def ce_differential(k: int, sc: StructureConstants) -> list:
+    """Exact rows of d_k : Lambda^k -> Lambda^{k+1} for trivial coefficients.
 
     (d omega)(X_0,...,X_k) = sum_{i<j} (-1)^{i+j}
         omega([X_i, X_j], X_0,..., ^X_i,..., ^X_j,..., X_k).
+    One list of Fractions per basis k+1-form; no rows for k = n.
     """
     if not 0 <= k <= sc.n:
         raise ValueError(f"degree {k} out of range for dimension {sc.n}")
     dom = CochainSpace(sc.n, k)
     if k == sc.n:
-        return np.zeros((0, dom.dim))
+        return []
     cod = CochainSpace(sc.n, k + 1)
     index = {t: i for i, t in enumerate(dom.basis)}
-    mat = np.zeros((cod.dim, dom.dim))
+    mat = [[Fraction(0)] * dom.dim for _ in cod.basis]
     for row, s_tuple in enumerate(cod.basis):
         for i, j in itertools.combinations(range(k + 1), 2):
             rest = tuple(s_tuple[m] for m in range(k + 1) if m != i and m != j)
             pair_sign = (-1) ** (i + j)
             for c_idx in range(sc.n):
-                coeff = sc.c[c_idx, s_tuple[i], s_tuple[j]]
-                if coeff == 0.0:
+                coeff = sc.c[c_idx][s_tuple[i]][s_tuple[j]]
+                if not coeff:
                     continue
                 hit = _insertion_sign(c_idx, rest)
                 if hit is None:
@@ -125,24 +133,15 @@ def ce_differential(k: int, sc: StructureConstants) -> np.ndarray:
                 ordered, sign = hit
                 col = index.get(ordered)
                 if col is not None:
-                    mat[row, col] += pair_sign * sign * coeff
+                    mat[row][col] += pair_sign * sign * coeff
     return mat
 
 
-def _svd_rank(mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > _SVD_RTOL * s[0]))
-
-
-def _rational_rank(mat: np.ndarray) -> int:
-    """Exact rank by fraction-free Gaussian elimination."""
-    rows = [[Fraction(x).limit_denominator(10**6) for x in row] for row in mat]
+def _rank(mat: list) -> int:
+    """Exact rank by Gaussian elimination over the rationals."""
+    rows = [list(row) for row in mat]
     rank = 0
-    ncols = mat.shape[1] if mat.size else 0
+    ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
         if pivot is None:
@@ -157,25 +156,14 @@ def _rational_rank(mat: np.ndarray) -> int:
     return rank
 
 
-def _rank(mat: np.ndarray, sc: StructureConstants) -> int:
-    r = _svd_rank(mat)
-    if sc.is_rational:
-        r_exact = _rational_rank(mat)
-        if r != r_exact:
-            raise ArithmeticError(
-                f"rank disagreement: SVD says {r}, exact arithmetic says {r_exact}")
-        return r_exact
-    return r
-
-
 def cohomology_dim(k: int, sc: StructureConstants) -> int:
     """dim H^k = dim ker d_k - rank d_{k-1}."""
     if not 0 <= k <= sc.n:
         raise ValueError(f"degree {k} out of range for dimension {sc.n}")
     d_k = ce_differential(k, sc)
     dim_k = math.comb(sc.n, k)
-    kernel = dim_k - _rank(d_k, sc)
-    image = _rank(ce_differential(k - 1, sc), sc) if k >= 1 else 0
+    kernel = dim_k - _rank(d_k)
+    image = _rank(ce_differential(k - 1, sc)) if k >= 1 else 0
     return kernel - image
 
 
@@ -187,21 +175,26 @@ _DATA_DIR = Path(__file__).parent / "data" / "algebras"
 CATALOG_NAMES = ("i12", "p11", "wh", "so21")
 
 
+def _from_brackets(n: int, rows) -> list:
+    """The n^3 table of rows (A, B, [c^0, ..., c^{n-1}]) listing [T_A, T_B]."""
+    c = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for a, b, coeffs in rows:
+        for e, x in zip(range(n), coeffs, strict=True):
+            c[e][a][b], c[e][b][a] = x, -x
+    return c
+
+
 def load_algebra_file(path) -> StructureConstants:
     """Read an algebra definition file.
 
     JSON schema: {"dim": n, "basis_names": [...],
                   "brackets": [[A, B, [c^0, ..., c^{n-1}]], ...]}
-    listing [T_A, T_B] for A < B; antisymmetry is filled in.
+    listing [T_A, T_B] for A < B; antisymmetry is filled in.  A decimal
+    is read as the rational it spells: 0.1 is 1/10.
     """
-    spec = json.loads(Path(path).read_text())
+    spec = json.loads(Path(path).read_text(), parse_float=Fraction)
     n = int(spec["dim"])
-    c = np.zeros((n, n, n))
-    for a, b, coeffs in spec["brackets"]:
-        coeffs = np.asarray(coeffs, dtype=float)
-        c[:, a, b] = coeffs
-        c[:, b, a] = -coeffs
-    return StructureConstants(n=n, c=c,
+    return StructureConstants(n=n, c=_from_brackets(n, spec["brackets"]),
                               basis_names=tuple(spec.get("basis_names", ())),
                               name=spec.get("name", Path(path).stem))
 
@@ -209,16 +202,14 @@ def load_algebra_file(path) -> StructureConstants:
 def catalog_algebra(name: str, B: float = 1.0) -> StructureConstants:
     """Named algebras used by the test fixtures.
 
-    i12 is the extended Poincare algebra (built from the model's structure
-    constants so the B parameter threads through); the rest are loaded
+    i12 is the extended Poincare algebra, built from the model's defining
+    brackets so the B parameter threads through; the rest are loaded
     from the shipped data files.
     """
     if name == "i12":
-        from .group import ModelParams, structure_constants
-
-        return StructureConstants(
-            n=4, c=structure_constants(ModelParams(B=B)),
-            basis_names=("P0", "P1", "J", "I"), name="i12")
+        ModelParams(B=B)  # a nonzero B, or the model's ValueError
+        return StructureConstants(n=4, c=_from_brackets(4, brackets(B)),
+                                  basis_names=BASIS_NAMES, name="i12")
     path = _DATA_DIR / f"{name}.json"
     if not path.exists():
         raise KeyError(f"unknown algebra {name!r}; catalog: {CATALOG_NAMES}")

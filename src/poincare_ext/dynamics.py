@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .group import ModelParams
-from .quantization import PolynomialObservable, QuantOperator, quantize
 from .wavefunctions import (WaveFunction, exp_poly_tower, integrate_fourier,
                             integrate_vec)
 
@@ -121,14 +120,16 @@ def proper_time(cs: ClassicalState, tau: float) -> float:
 # operators
 
 
-def h0_operator(params: ModelParams) -> QuantOperator:
+def h0_operator(params: ModelParams):
     """H0 = -B qhat - phat; classically the comoment u0 = B q1."""
+    from .quantization import PolynomialObservable, quantize
     return quantize(PolynomialObservable({(1, 0): -params.B, (0, 1): -1.0}),
                     params)
 
 
-def total_energy_operator(cs: ClassicalState, tau: float) -> QuantOperator:
+def total_energy_operator(cs: ClassicalState, tau: float):
     """E(tau) - H0/2; commutes with H0, so its eigenstates are shared."""
+    from .quantization import PolynomialObservable, quantize
     p = cs.params
     return quantize(PolynomialObservable(
         {(0, 0): relativistic_energy(cs, tau),

@@ -3,13 +3,9 @@
 Basis order for the algebra is (P0, P1, J, I); group elements carry the
 global coordinates (theta0, theta1, alpha, beta) of the coset
 decomposition exp(theta^a P_a) exp(alpha J) exp(beta I).  The defining
-brackets are
-
-    [P_a, J] = sqrt(-h) eps_a^b P_b,   [P_a, P_b] = B eps_{ab} I,
-
-with J and I commuting with I.  The group is solvable exponential, so
-exp is a global diffeomorphism; exp and log are evaluated in closed form
-and every operation here is total.
+brackets, and ModelParams, live in `model`.  The group is solvable
+exponential, so exp is a global diffeomorphism; exp and log are evaluated
+in closed form and every operation here is total.
 """
 
 from __future__ import annotations
@@ -27,6 +23,7 @@ from .conventions import (
     lorentz_matrix,
     minkowski_square,
 )
+from .model import ModelParams, brackets
 
 __all__ = [
     "ModelParams",
@@ -57,20 +54,6 @@ def _finite(values, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must have finite real components, got {values!r}")
     return arr
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Central charge B and hbar."""
-
-    B: float = 1.0
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if self.B == 0:
-            raise ValueError("central charge B must be nonzero (the extension degenerates)")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
 
 
 def _stack_last(coords) -> np.ndarray:
@@ -181,17 +164,11 @@ def identity() -> GroupElement:
 
 
 def structure_constants(p: ModelParams) -> np.ndarray:
-    """c[C, A, B] with [T_A, T_B] = c^C_{AB} T_C."""
+    """c[C, A, B] with [T_A, T_B] = c^C_{AB} T_C, from `model.brackets`."""
     c = np.zeros((4, 4, 4))
-    # [P_a, J] = sqrt(-h) eps_a^b P_b
-    for a in range(2):
-        for b in range(2):
-            c[b, a, 2] = SQRT_MINUS_H * EPS_MIXED_LOWER[a, b]
-            c[b, 2, a] = -SQRT_MINUS_H * EPS_MIXED_LOWER[a, b]
-    # [P_a, P_b] = B eps_{ab} I
-    for a in range(2):
-        for b in range(2):
-            c[3, a, b] = p.B * EPS_LOWER[a, b]
+    for a, b, coeffs in brackets(p.B):
+        c[:, a, b] = coeffs
+        c[:, b, a] = np.negative(coeffs)
     return c
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from poincare_ext import cli
+from poincare_ext import dynamics as dy
 from poincare_ext import wavefunctions as wfm
 from poincare_ext.group import ModelParams
 from poincare_ext.wavefunctions import hermite_wf
@@ -25,6 +26,9 @@ MALFORMED = (
     ("rep", "apply", "--g=0,0,0,0", "--probe=foo:1"),
     ("evolve", "--packet=gaussian:sigma=0"),
     ("all-checks", "--B=0"),
+    ("cohomology", "--B=0"),
+    ("cohomology", "--hbar=0"),
+    ("cohomology", "--B=inf"),
     ("evolve", "--hbar=0"),
     ("evolve", "--m=0"),
     ("rep", "apply", "--g=0,0,800,0"),
@@ -180,7 +184,7 @@ BENCH_B = (-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0)
 @pytest.fixture(scope="module")
 def dynamics_reports():
     """suite_dynamics at each benchmark B, with tau* as is and shifted."""
-    real = cli.dy.total_energy_minimum
+    real = dy.total_energy_minimum
 
     def shifted(cs, E):
         tau_star, value = real(cs, E)
@@ -189,7 +193,7 @@ def dynamics_reports():
     reports = {}
     with pytest.MonkeyPatch.context() as mp:
         for name, fn in (("exact", real), ("shifted", shifted)):
-            mp.setattr(cli.dy, "total_energy_minimum", fn)
+            mp.setattr(dy, "total_energy_minimum", fn)
             reports[name] = [cli.suite_dynamics(ModelParams(B=B), 42)
                              for B in BENCH_B]
     return reports
@@ -207,14 +211,6 @@ def test_dynamics_minimum_catches_a_shifted_tau_star(dynamics_reports):
     # the value gate alone would let it through
     for r in dynamics_reports["shifted"]:
         assert r["minimum_located"] is False and r["pass"] is False
-
-
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, poincare_ext.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "[]"
 
 
 def test_seed_determinism_byte_identical(tmp_path):
@@ -287,12 +283,14 @@ def test_all_checks_at_large_B_is_a_whole_report(B):
             assert type(verdict) is bool, (name, verdict)
 
 
-def test_cohomology_at_huge_B_is_a_usage_error():
-    code, out, err = run_cli("cohomology", "--algebra", "i12", "--B=1e300")
-    assert code == 2 and out == ""
-    assert err.splitlines()[-1].startswith(
-        "poincare-ext: error: cohomology of i12 at B=1e+300: ")
-    assert "Traceback" not in err and "Warning" not in err, err
+@pytest.mark.parametrize("B", ("1e-10", "1e300"))
+def test_cohomology_at_extreme_B_is_exact(B):
+    # exact ranks: H^2 of i12 is 0 at every B != 0; a float rank read 2 at
+    # 1e-10 and gave up at 1e300
+    code, out, err = run_cli("cohomology", "--algebra=i12", f"--B={B}")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"schema": 1, "algebra": "i12", "degree": 2,
+                               "dim": 0}
 
 
 @pytest.mark.parametrize("emit", ("json", "csv"))
@@ -368,11 +366,42 @@ def test_trajectory_at_subnormal_B(B, capsys):
         "tau=0.0 leave the float range")
 
 
-def test_cli_import_loads_no_thread_pool():
-    # the suites run in turn; concurrent.futures alone costs about 5 ms of
-    # import
-    code = ("import sys, poincare_ext.cli; "
-            "print('concurrent.futures' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "False"
+#: interpreter arguments, and the modules each must leave unloaded beyond
+#: scipy (the runtime needs none) and concurrent.futures (the suites run in
+#: turn; the thread pool's import alone cost about 5 ms)
+FOOTPRINTS = {
+    "import-package": (["-c", "import poincare_ext"], ("numpy",)),
+    "import-cli": (["-c", "import poincare_ext.cli"], ("numpy",)),
+    "cohomology": (["-m", "poincare_ext.cli", "cohomology", "--algebra=i12"],
+                   ("numpy",)),
+    "orbit-classify": (["-m", "poincare_ext.cli", "orbit", "classify",
+                        "--zeta=0,0,0.5,-1"],
+                       ("poincare_ext.irreps", "poincare_ext.wavefunctions",
+                        "poincare_ext.quantization", "poincare_ext.dynamics")),
+    "rep-apply": (["-m", "poincare_ext.cli", "rep", "apply", "--family=C",
+                   "--g=0.1,0.2,0.3,0.4", "--emit-samples=-1:1:3"],
+                  ("poincare_ext.dynamics", "poincare_ext.quantization",
+                   "poincare_ext.orbits")),
+    "trajectory": (["-m", "poincare_ext.cli", "trajectory", "--span=0:1:3"],
+                   ("poincare_ext.irreps", "poincare_ext.quantization",
+                    "poincare_ext.orbits")),
+    "evolve": (["-m", "poincare_ext.cli", "evolve", "--emit=json", "--grid=20"],
+               ("poincare_ext.irreps", "poincare_ext.quantization",
+                "poincare_ext.orbits")),
+}
+
+
+@pytest.mark.parametrize("case", FOOTPRINTS)
+def test_import_footprint(case):
+    # every module a command imports, as -X importtime lists them; a module
+    # counts with its submodules
+    argv, unloaded = FOOTPRINTS[case]
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                          capture_output=True, text=True, check=True)
+    loaded = {line.rpartition("|")[2].strip()
+              for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "poincare_ext" in loaded
+    for name in ("scipy", "concurrent.futures") + unloaded:
+        assert not {m for m in loaded
+                    if m == name or m.startswith(name + ".")}, name
