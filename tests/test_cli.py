@@ -366,6 +366,24 @@ def test_trajectory_at_subnormal_B(B, capsys):
         "tau=0.0 leave the float range")
 
 
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, poincare_ext.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # the suites run in turn; concurrent.futures alone costs about 5 ms of
+    # import
+    code = ("import sys, poincare_ext.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 #: interpreter arguments, and the modules each must leave unloaded beyond
 #: scipy (the runtime needs none) and concurrent.futures (the suites run in
 #: turn; the thread pool's import alone cost about 5 ms)
