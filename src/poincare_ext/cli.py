@@ -5,7 +5,8 @@ version, or CSV for sampled data).  Exit codes: 0 all residuals within
 tolerance, 1 numeric failure (report still emitted), 2 usage error.
 
 Each suite, `run` branch and option type imports the modules it uses, so
-a subcommand loads only what it runs (`cohomology` loads no numpy).
+a subcommand loads only what it runs (`cohomology`, `orbit classify` and
+`trajectory` load no numpy).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 import sys
 
 from . import cohomology as coh
-from .model import ModelParams
+from .model import (ClassicalState, ModelParams, classical_trajectory,
+                    classify, proper_time)
 
 __all__ = ["main", "run", "run_all_checks"]
 
@@ -262,6 +264,17 @@ def run_all_checks(params: ModelParams, seed: int) -> dict:
 # argument parsing
 
 
+def _linspace(x0: float, x1: float, n: int) -> list:
+    """np.linspace(x0, x1, n), bit for bit, as a list of floats."""
+    if n < 0:
+        raise ValueError(f"number of samples {n} is negative")
+    delta, div = x1 - x0, max(n - 1, 1)
+    step = delta / div
+    # a step that underflows to 0: divide first, as numpy does
+    xs = [(k / div * delta if step == 0 else k * step) + x0 for k in range(n)]
+    return xs[:-1] + [x1] if n > 1 else xs
+
+
 def _add_common(sp):
     sp.add_argument("--B", type=float, default=1.0)
     sp.add_argument("--hbar", type=float, default=1.0)
@@ -273,8 +286,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # argparse turns a ValueError raised by a type into a usage error
     # naming the type: "argument --span: invalid samples value: '0:1'"
     def covector(text):
-        from .group import CoadjointPoint
-        return CoadjointPoint(tuple(float(t) for t in text.split(",")))
+        u = tuple(float(t) for t in text.split(","))
+        if len(u) != 4 or not all(map(math.isfinite, u)):
+            raise ValueError(text)
+        return u
 
     def element(text):
         from .group import GroupElement
@@ -288,9 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return hermite_wf(int(idx or 0))
 
     def samples(text):
-        import numpy as np
         x0, x1, n = text.split(":")
-        return np.linspace(float(x0), float(x1), int(n))
+        return _linspace(float(x0), float(x1), int(n))
 
     def count(text):
         if int(text) < 1:
@@ -395,9 +409,8 @@ def run(argv=None) -> int:
     try:
         params = _params(args)
         if args.cmd in ("evolve", "trajectory"):
-            from . import dynamics as dy
-            cs = dy.ClassicalState(args.q1, args.ptilde0, args.tau0, args.m,
-                                   params)
+            cs = ClassicalState(args.q1, args.ptilde0, args.tau0, args.m,
+                                params)
         if args.cmd == "rep":
             irrep = _rep_for_family(args.family, params, args)
     except ValueError as exc:
@@ -424,8 +437,7 @@ def run(argv=None) -> int:
 
         elif args.cmd == "orbit":
             if args.orbit_cmd == "classify":
-                from . import orbits as orb
-                cls = orb.classify(args.zeta, params)
+                cls = classify(args.zeta, params)
                 _emit_json({"tag": cls.tag, "labels": cls.labels,
                             "orbit_dim": cls.orbit_dim}, stream)
             else:
@@ -451,7 +463,7 @@ def run(argv=None) -> int:
             else:
                 import numpy as np
                 xs = args.emit_samples
-                vals = image(xs)
+                vals = image(np.array(xs))
                 stream.write("x,re,im\n")
                 for x, v in zip(xs, np.atleast_1d(vals)):
                     stream.write(f"{float(x)!r},{float(v.real)!r},"
@@ -475,6 +487,7 @@ def run(argv=None) -> int:
 
         elif args.cmd == "evolve":
             import numpy as np
+            from . import dynamics as dy
             grid = dy.default_e_grid(cs, args.packet, args.tau, n=args.grid)
             grid, c = dy.oracle_propagate(cs, args.packet, args.tau, grid)
             # at a tiny B the closed form's phase, of order 1 / B, overflows
@@ -495,8 +508,8 @@ def run(argv=None) -> int:
                             "norm": dy.spectral_norm(grid, cf)}, stream)
 
         elif args.cmd == "trajectory":
-            rows = [(tau, *dy.classical_trajectory(cs, tau),
-                     dy.proper_time(cs, tau)) for tau in map(float, args.span)]
+            rows = [(tau, *classical_trajectory(cs, tau), proper_time(cs, tau))
+                    for tau in args.span]
             for row in rows:
                 if not all(map(math.isfinite, row)):
                     ap.error(f"trajectory at B={args.B!r}: the values at "

@@ -1,7 +1,7 @@
 """Uniformly accelerated relativistic particle: classical and quantum.
 
 Classical layer: trajectories q1(tau), linearly growing kinematical
-momentum ptilde(tau) = ptilde0 + B (tau - tau0), proper time.
+momentum ptilde(tau) = ptilde0 + B (tau - tau0), proper time (from `model`).
 
 Quantum layer: the split Hamiltonian H0 + V(tau) with H0 = -B qhat -
 phat, its delta-normalized eigenfunctions <x|E>, the closed-form
@@ -18,11 +18,13 @@ aborts if (a) and (b) disagree beyond 1e-8.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .group import ModelParams
+from .model import (ClassicalState, ModelParams, classical_trajectory,
+                    kinematical_momentum, proper_time, relativistic_energy,
+                    velocity)
 from .wavefunctions import (WaveFunction, exp_poly_tower, integrate_fourier,
                             integrate_vec)
 
@@ -55,34 +57,6 @@ class OracleError(RuntimeError):
     """The two independent propagation oracles disagree."""
 
 
-@dataclass(frozen=True)
-class ClassicalState:
-    """Initial data of the uniformly accelerated particle."""
-
-    q1_0: float = 0.0
-    ptilde_0: float = 0.0
-    tau0: float = 0.0
-    m: float = 1.0
-    params: ModelParams = field(default_factory=ModelParams)
-
-    def __post_init__(self):
-        if self.m <= 0.0:
-            raise ValueError("mass must be positive")
-
-
-def kinematical_momentum(cs: ClassicalState, tau: float) -> float:
-    return cs.ptilde_0 + cs.params.B * (tau - cs.tau0)
-
-
-def relativistic_energy(cs: ClassicalState, tau: float) -> float:
-    pt = kinematical_momentum(cs, tau)
-    return math.hypot(cs.m, pt)
-
-
-def velocity(cs: ClassicalState, tau: float) -> float:
-    return kinematical_momentum(cs, tau) / relativistic_energy(cs, tau)
-
-
 def _velocities(cs: ClassicalState, s: np.ndarray) -> np.ndarray:
     """velocity at an array of times, for quadrature."""
     pt = kinematical_momentum(cs, s)
@@ -91,29 +65,6 @@ def _velocities(cs: ClassicalState, s: np.ndarray) -> np.ndarray:
 
 def _time_integral(fn, cs: ClassicalState, tau: float) -> float:
     return integrate_vec(fn, cs.tau0, tau, rtol=1e-13, atol=1e-13)
-
-
-def classical_trajectory(cs: ClassicalState, tau: float):
-    """(q0, q1, ptilde) at time tau; q0 is the time coordinate itself.
-
-    q1 - q1_0 = (E(tau) - E(tau0)) / B is evaluated in the equal form
-    (tau - tau0)(ptilde + ptilde0) / (E(tau) + E(tau0)), finite at any B.
-    """
-    pt = kinematical_momentum(cs, tau)
-    q1 = cs.q1_0 + (tau - cs.tau0) * (pt + cs.ptilde_0) \
-        / (relativistic_energy(cs, tau) + relativistic_energy(cs, cs.tau0))
-    return tau, q1, pt
-
-
-def proper_time(cs: ClassicalState, tau: float) -> float:
-    """(m/B) asinh(ptilde/m), evaluated as m (asinh(ptilde/m) / B).
-
-    ptilde = 0 then gives 0 at any B, and ptilde = B tau gives about tau
-    even at subnormal B, where m/B alone overflows.  A true value past
-    the float range comes out as inf.
-    """
-    return cs.m * (math.asinh(kinematical_momentum(cs, tau) / cs.m)
-                   / cs.params.B)
 
 
 # ---------------------------------------------------------------------------

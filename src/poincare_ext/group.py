@@ -3,9 +3,9 @@
 Basis order for the algebra is (P0, P1, J, I); group elements carry the
 global coordinates (theta0, theta1, alpha, beta) of the coset
 decomposition exp(theta^a P_a) exp(alpha J) exp(beta I).  The defining
-brackets, and ModelParams, live in `model`.  The group is solvable
-exponential, so exp is a global diffeomorphism; exp and log are evaluated
-in closed form and every operation here is total.
+brackets, ModelParams and the Casimir on components live in `model`.  The
+group is solvable exponential, so exp is a global diffeomorphism; exp and
+log are evaluated in closed form and every operation here is total.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .conventions import (
     lorentz_matrix,
     minkowski_square,
 )
-from .model import ModelParams, brackets
+from .model import ModelParams, brackets, casimir
 
 __all__ = [
     "ModelParams",
@@ -353,8 +353,7 @@ def coadjoint_action(g: GroupElement, zeta: CoadjointPoint,
 def casimir_pairing(u, p: ModelParams = ModelParams()):
     """u^A u_A = u^a u_a - 2 (B / sqrt(-h)) u_2 u_3, one value per member."""
     arr = u.array if hasattr(u, "array") else np.asarray(u, dtype=float)
-    return minkowski_square(arr[..., :2]) \
-        - 2.0 * (p.B / SQRT_MINUS_H) * arr[..., 2] * arr[..., 3]
+    return casimir(np.moveaxis(arr, -1, 0), p.B)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The model's parameters and the defining brackets of its Lie algebra.
+"""The model's numpy-free half: parameters, brackets, orbit cases, particle.
 
 Basis order (P0, P1, J, I).  The defining brackets
 
@@ -6,15 +6,21 @@ Basis order (P0, P1, J, I).  The defining brackets
 
 with J and I commuting with I, are stated here once; `group` builds its
 float structure constants from them, and `cohomology` its exact ones.
-The module imports no numpy, so the cohomology command can load it
-alone.
+So are the Casimir on components, the three coadjoint orbit cases and the
+classical particle's closed forms, which `group`, `orbits` and `dynamics`
+use or re-export.  Without numpy, `cohomology`, `orbit classify` and
+`trajectory` load this module alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
-__all__ = ["ModelParams", "BASIS_NAMES", "brackets"]
+__all__ = ["ModelParams", "BASIS_NAMES", "brackets", "casimir", "OrbitClass",
+           "classify", "ClassicalState", "kinematical_momentum",
+           "relativistic_energy", "velocity", "classical_trajectory",
+           "proper_time"]
 
 BASIS_NAMES = ("P0", "P1", "J", "I")
 
@@ -27,6 +33,9 @@ class ModelParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        for name, value in (("B", self.B), ("hbar", self.hbar)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.B == 0:
             raise ValueError("central charge B must be nonzero (the extension degenerates)")
         if not self.hbar > 0:
@@ -42,3 +51,110 @@ def brackets(B) -> tuple:
     return ((0, 1, (0, 0, 0, -B)),   # [P0, P1] = B eps_{01} I
             (0, 2, (0, 1, 0, 0)),    # [P0, J] = eps_0^1 P1
             (1, 2, (1, 0, 0, 0)))    # [P1, J] = eps_1^0 P0
+
+
+def casimir(u, B):
+    """u^A u_A = u^a u_a - 2 (B / sqrt(-h)) u_2 u_3, on floats or arrays."""
+    u0, u1, u2, u3 = u  # x * x rounds as numpy's x ** 2
+    return u0 * u0 - u1 * u1 - 2.0 * B * u2 * u3
+
+
+@dataclass(frozen=True)
+class OrbitClass:
+    """Orbit tag with its classifying labels."""
+
+    tag: str                   # "CaseA" | "CaseB" | "CaseC"
+    labels: dict
+    orbit_dim: int
+
+    def __post_init__(self):
+        if self.tag not in ("CaseA", "CaseB", "CaseC"):
+            raise ValueError(f"unknown orbit tag {self.tag!r}")
+
+
+_FAMILY_ORDER = {
+    (1, 1): 1, (-1, -1): 2,       # u^a u_a > 0 branches
+    (1, -1): 3, (-1, 1): 4,       # u^a u_a < 0 branches
+    (1, 0): 5, (0, 1): 6,         # null half-planes
+    (-1, 0): 7, (0, -1): 8,
+}
+
+
+def _lightcone_signs(u0: float, u1: float, tol: float = 0.0):
+    def sgn(x):
+        if abs(x) <= tol:
+            return 0
+        return 1 if x > 0 else -1
+    return sgn(u0 + u1), sgn(u0 - u1)
+
+
+def classify(zeta, p: ModelParams = ModelParams()) -> OrbitClass:
+    """Sort zeta (a CoadjointPoint or 4 floats) into the orbit cases."""
+    u0, u1, u2, u3 = getattr(zeta, "u", zeta)
+    if u3 != 0.0:
+        return OrbitClass("CaseA",
+                          {"casimir": casimir((u0, u1, u2, u3), p.B), "zeta3": u3},
+                          orbit_dim=2)
+    if u0 == 0.0 and u1 == 0.0:
+        return OrbitClass("CaseB", {"zeta2": u2}, orbit_dim=0)
+    family = _FAMILY_ORDER[_lightcone_signs(u0, u1)]
+    return OrbitClass("CaseC",
+                      {"zeta_a": (u0, u1),
+                       "mass_square": u0 * u0 - u1 * u1,
+                       "family": family},
+                      orbit_dim=2)
+
+
+# ---------------------------------------------------------------------------
+# the classical particle, with ptilde(tau) = ptilde0 + B (tau - tau0)
+
+
+@dataclass(frozen=True)
+class ClassicalState:
+    """Initial data of the uniformly accelerated particle."""
+
+    q1_0: float = 0.0
+    ptilde_0: float = 0.0
+    tau0: float = 0.0
+    m: float = 1.0
+    params: ModelParams = field(default_factory=ModelParams)
+
+    def __post_init__(self):
+        if self.m <= 0.0:
+            raise ValueError("mass must be positive")
+
+
+def kinematical_momentum(cs: ClassicalState, tau: float) -> float:
+    return cs.ptilde_0 + cs.params.B * (tau - cs.tau0)
+
+
+def relativistic_energy(cs: ClassicalState, tau: float) -> float:
+    pt = kinematical_momentum(cs, tau)
+    return math.hypot(cs.m, pt)
+
+
+def velocity(cs: ClassicalState, tau: float) -> float:
+    return kinematical_momentum(cs, tau) / relativistic_energy(cs, tau)
+
+
+def classical_trajectory(cs: ClassicalState, tau: float):
+    """(q0, q1, ptilde) at time tau; q0 is the time coordinate itself.
+
+    q1 - q1_0 = (E(tau) - E(tau0)) / B is evaluated in the equal form
+    (tau - tau0)(ptilde + ptilde0) / (E(tau) + E(tau0)), finite at any B.
+    """
+    pt = kinematical_momentum(cs, tau)
+    q1 = cs.q1_0 + (tau - cs.tau0) * (pt + cs.ptilde_0) \
+        / (relativistic_energy(cs, tau) + relativistic_energy(cs, cs.tau0))
+    return tau, q1, pt
+
+
+def proper_time(cs: ClassicalState, tau: float) -> float:
+    """(m/B) asinh(ptilde/m), evaluated as m (asinh(ptilde/m) / B).
+
+    ptilde = 0 then gives 0 at any B, and ptilde = B tau gives about tau
+    even at subnormal B, where m/B alone overflows.  A true value past
+    the float range comes out as inf.
+    """
+    return cs.m * (math.asinh(kinematical_momentum(cs, tau) / cs.m)
+                   / cs.params.B)

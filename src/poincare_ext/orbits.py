@@ -4,7 +4,8 @@ The dual space splits into three orbit types: u3 != 0 (two-dimensional
 paraboloid-like surfaces in the hyperplane u3 = zeta3), the point orbits
 on the u2 axis, and the mass-shell type surfaces u^a u_a = const in the
 hyperplane u3 = 0, which gather into eight families separated by the
-signs of the light-cone components u0 + u1 and u0 - u1.
+signs of the light-cone components u0 + u1 and u0 - u1.  `classify` and
+`OrbitClass` are re-exported from `model`.
 """
 
 from __future__ import annotations
@@ -13,15 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group import (
-    AlgebraElement,
-    CoadjointPoint,
-    ModelParams,
-    bracket,
-    casimir_pairing,
-    row_and_null_space,
-)
+from .group import AlgebraElement, CoadjointPoint, bracket, row_and_null_space
 from .conventions import SQRT_MINUS_H, minkowski_square
+from .model import ModelParams, OrbitClass, _lightcone_signs, classify
 
 __all__ = [
     "OrbitClass",
@@ -41,19 +36,6 @@ __all__ = [
 
 class MaximalityError(ValueError):
     """Subalgebra dimension is not maximal among subordinate subalgebras."""
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """Orbit tag with its classifying labels."""
-
-    tag: str                   # "CaseA" | "CaseB" | "CaseC"
-    labels: dict
-    orbit_dim: int
-
-    def __post_init__(self):
-        if self.tag not in ("CaseA", "CaseB", "CaseC"):
-            raise ValueError(f"unknown orbit tag {self.tag!r}")
 
 
 @dataclass(frozen=True)
@@ -129,39 +111,6 @@ def stability_subalgebra(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -
 
 def orbit_dimension(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> int:
     return 4 - stability_subalgebra(zeta, p).dim
-
-
-_FAMILY_ORDER = {
-    (1, 1): 1, (-1, -1): 2,       # u^a u_a > 0 branches
-    (1, -1): 3, (-1, 1): 4,       # u^a u_a < 0 branches
-    (1, 0): 5, (0, 1): 6,         # null half-planes
-    (-1, 0): 7, (0, -1): 8,
-}
-
-
-def _lightcone_signs(u0: float, u1: float, tol: float = 0.0):
-    def sgn(x):
-        if abs(x) <= tol:
-            return 0
-        return 1 if x > 0 else -1
-    return sgn(u0 + u1), sgn(u0 - u1)
-
-
-def classify(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> OrbitClass:
-    """Sort zeta into the three orbit cases with its invariant labels."""
-    u0, u1, u2, u3 = zeta.u
-    if u3 != 0.0:
-        return OrbitClass("CaseA",
-                          {"casimir": casimir_pairing(zeta, p), "zeta3": u3},
-                          orbit_dim=2)
-    if u0 == 0.0 and u1 == 0.0:
-        return OrbitClass("CaseB", {"zeta2": u2}, orbit_dim=0)
-    family = _FAMILY_ORDER[_lightcone_signs(u0, u1)]
-    return OrbitClass("CaseC",
-                      {"zeta_a": (u0, u1),
-                       "mass_square": minkowski_square([u0, u1]),
-                       "family": family},
-                      orbit_dim=2)
 
 
 def on_orbit(mu: CoadjointPoint, zeta: CoadjointPoint,

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from poincare_ext import cli
 from poincare_ext import dynamics as dy
@@ -35,6 +37,15 @@ MALFORMED = (
     ("algebra-check", "--samples=0"),
     ("rep", "verify", "--z3=0"),
     ("rep", "apply", "--family=C", "--zeta0=0", "--zeta1=0", "--g=0,0,0,0"),
+    ("orbit", "classify", "--zeta=0,0,0.5,-1", "--B=nan"),
+    ("orbit", "classify", "--zeta=0,0,0.5,-1", "--hbar=inf"),
+    ("trajectory", "--B=inf"),
+    ("quantize", "op", "--poly=q^2", "--B=nan"),
+    ("evolve", "--B=nan"),
+    ("rep", "apply", "--family=C", "--g=0,0,0,0", "--B=nan"),
+    ("orbit", "classify", "--zeta=0,0,nan,1"),
+    ("orbit", "classify", "--zeta=1,inf,0,0"),
+    ("trajectory", "--span=0:1:-2"),
 )
 
 
@@ -135,6 +146,38 @@ def test_evolve_json():
     assert code == 0
     payload = json.loads(out)
     assert payload["max_deviation"] < 1e-8
+
+
+def test_covector_usage_error_text(capsys):
+    # the option type parses the four components itself; the message is
+    # the one CoadjointPoint's ValueError gave
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["orbit", "classify", "--zeta=1,2,3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "poincare-ext orbit classify: error: argument --zeta: invalid "
+        "covector value: '1,2,3'")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: endpoints a few subnormal spacings apart, so that the step underflows
+TINY = st.integers(-40, 40).map(lambda k: k * 5e-324)
+
+
+@given(st.one_of(st.tuples(FINITE, FINITE), st.tuples(TINY, TINY)),
+       st.integers(0, 300))
+@example((0.0, 5e-324), 3)
+@example((1.0, 1.0), 5)
+@example((-1e308, 1e308), 3)
+@example((2.0, -1.5), 1)
+def test_samples_is_linspace_bit_for_bit(ends, n):
+    # --span and --emit-samples parse without numpy; their values are
+    # np.linspace's, signed zeros and the exact last point included
+    x0, x1 = ends
+    with np.errstate(all="ignore"):  # x1 - x0 may overflow
+        want = np.linspace(x0, x1, n)
+    got = np.array(cli._linspace(x0, x1, n), dtype=float)
+    assert got.tobytes() == want.tobytes(), (x0, x1, n)
 
 
 def test_usage_error_exit_2(capsys):
@@ -394,15 +437,17 @@ FOOTPRINTS = {
                    ("numpy",)),
     "orbit-classify": (["-m", "poincare_ext.cli", "orbit", "classify",
                         "--zeta=0,0,0.5,-1"],
-                       ("poincare_ext.irreps", "poincare_ext.wavefunctions",
+                       ("numpy", "poincare_ext.group", "poincare_ext.orbits",
+                        "poincare_ext.irreps", "poincare_ext.wavefunctions",
                         "poincare_ext.quantization", "poincare_ext.dynamics")),
     "rep-apply": (["-m", "poincare_ext.cli", "rep", "apply", "--family=C",
                    "--g=0.1,0.2,0.3,0.4", "--emit-samples=-1:1:3"],
                   ("poincare_ext.dynamics", "poincare_ext.quantization",
                    "poincare_ext.orbits")),
     "trajectory": (["-m", "poincare_ext.cli", "trajectory", "--span=0:1:3"],
-                   ("poincare_ext.irreps", "poincare_ext.quantization",
-                    "poincare_ext.orbits")),
+                   ("numpy", "poincare_ext.group", "poincare_ext.orbits",
+                    "poincare_ext.dynamics", "poincare_ext.wavefunctions",
+                    "poincare_ext.irreps", "poincare_ext.quantization")),
     "evolve": (["-m", "poincare_ext.cli", "evolve", "--emit=json", "--grid=20"],
                ("poincare_ext.irreps", "poincare_ext.quantization",
                 "poincare_ext.orbits")),

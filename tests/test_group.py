@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from poincare_ext.conventions import EPS_LOWER, lorentz_matrix
+from poincare_ext.conventions import (EPS_LOWER, SQRT_MINUS_H, lorentz_matrix,
+                                      minkowski_square)
 from poincare_ext.group import (
     AlgebraElement,
     CoadjointPoint,
@@ -109,6 +110,11 @@ def test_model_params_validation():
         ModelParams(B=0.0)
     with pytest.raises(ValueError):
         ModelParams(hbar=-1.0)
+    # a non-finite parameter is named, and never reaches a computation
+    for kwargs, name in (({"B": math.nan}, "B"), ({"B": -math.inf}, "B"),
+                         ({"hbar": math.inf}, "hbar")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ModelParams(**kwargs)
 
 
 def test_bracket_table():
@@ -275,6 +281,23 @@ def test_coadjoint_casimir_invariant(g, zeta, p):
     moved = coadjoint_action(g, zeta, p)
     gap = abs(casimir_pairing(moved, p) - casimir_pairing(zeta, p))
     assert gap <= 16 * EPS * max(casimir_magnitude(g, zeta, p), TINY)
+
+
+@pytest.mark.parametrize("B", B_VALUES)
+def test_casimir_pairing_matches_the_minkowski_form(B):
+    # casimir_pairing computes through model.casimir on the components;
+    # the numpy form it replaced is the oracle, bit for bit, on a batch
+    # and on each of its points
+    p = ModelParams(B=B)
+    arr = np.random.default_rng(5).uniform(-3.0, 3.0, (1000, 4))
+    old = minkowski_square(arr[..., :2]) \
+        - 2.0 * (p.B / SQRT_MINUS_H) * arr[..., 2] * arr[..., 3]
+    new = casimir_pairing(CoadjointPoint(arr), p)
+    assert new.tobytes() == old.tobytes()
+    assert casimir_pairing(arr, p).tobytes() == old.tobytes()
+    for k in range(0, 1000, 97):
+        single = casimir_pairing(CoadjointPoint(arr[k]), p)
+        assert type(single) is np.float64 and single == old[k]
 
 
 def test_exp_closed_forms():

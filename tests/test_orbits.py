@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from poincare_ext import model
 from poincare_ext import orbits as orb
+from poincare_ext.conventions import minkowski_square
 from poincare_ext.group import (
     CoadjointPoint,
     GroupElement,
@@ -18,6 +22,31 @@ def test_classification_tags():
     assert orb.classify(CoadjointPoint((0.3, 0.1, 0.5, -1.0)), P).tag == "CaseA"
     assert orb.classify(CoadjointPoint((0.0, 0.0, 0.7, 0.0)), P).tag == "CaseB"
     assert orb.classify(CoadjointPoint((1.0, 0.3, 0.2, 0.0)), P).tag == "CaseC"
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+#: a component that is often exactly zero, so that every case is drawn
+COMPONENT = st.one_of(st.just(0.0), st.just(-0.0),
+                      st.floats(-1e3, 1e3, allow_subnormal=True))
+
+
+@given(u=st.tuples(*[COMPONENT] * 4),
+       B=st.sampled_from((-1e3, -1.3, -1e-3, 1e-3, 1.0, 3.0)))
+def test_model_classify_on_components_is_orbits_classify(u, B):
+    # the numpy-free classify reads four floats as it reads a CoadjointPoint,
+    # and its invariants are the numpy forms bit for bit
+    p = ModelParams(B=B)
+    zeta = CoadjointPoint(u)
+    got, want = model.classify(u, p), orb.classify(zeta, p)
+    assert got == want and repr(got) == repr(want)
+    if got.tag == "CaseA":
+        assert bits(got.labels["casimir"]) == bits(casimir_pairing(zeta, p))
+    if got.tag == "CaseC":
+        assert bits(got.labels["mass_square"]) \
+            == bits(minkowski_square([u[0], u[1]]))
 
 
 def test_orbit_dimensions():
