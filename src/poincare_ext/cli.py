@@ -89,17 +89,13 @@ def suite_coadjoint(params: ModelParams, seed: int) -> dict:
 def suite_orbits(params: ModelParams, seed: int) -> dict:
     from . import orbits as orb
     from .group import CoadjointPoint
-    cases = [
-        ("CaseA", CoadjointPoint((0.0, 0.0, 0.5, -1.0)),
-         orb.CASE_A_SUBALGEBRA(params)),
-        ("CaseB", CoadjointPoint((0.0, 0.0, 0.7, 0.0)),
-         orb.CASE_B_SUBALGEBRA(params)),
-        ("CaseC", CoadjointPoint((1.0, 0.3, 0.0, 0.0)),
-         orb.CASE_C_SUBALGEBRA(params)),
-    ]
+    cases = [("CaseA", (0.0, 0.0, 0.5, -1.0), orb.CASE_A_SUBALGEBRA),
+             ("CaseB", (0.0, 0.0, 0.7, 0.0), orb.CASE_B_SUBALGEBRA),
+             ("CaseC", (1.0, 0.3, 0.0, 0.0), orb.CASE_C_SUBALGEBRA)]
     report = {}
     ok = True
-    for tag, zeta, h in cases:
+    for tag, u, subalgebra in cases:
+        zeta, h = CoadjointPoint(u), subalgebra(params)
         sub = orb.subordination_check(h, zeta, params)
         try:
             puk = orb.pukanszky_check(h, zeta, params, samples=100, seed=seed)
@@ -181,11 +177,9 @@ def suite_classical(params: ModelParams, seed: int, m: float = 1.0) -> dict:
     from . import quantization as qz
     from .group import casimir_pairing
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(100):
-        s = qz.PhasePoint(*rng.uniform(-3, 3, size=2))
-        c = casimir_pairing(qz.comoments(s, params, m), params)
-        worst = max(worst, abs(c - m * m))
+    s = qz.PhasePoint(*rng.uniform(-3, 3, size=(100, 2)).T)
+    c = casimir_pairing(qz.comoments(s, params, m), params)
+    worst = float(np.max(np.abs(c - m * m)))
     q0 = qz.PolynomialObservable({(0, 1): -1.0 / params.B})
     q1 = qz.PolynomialObservable({(1, 0): -1.0, (0, 1): -1.0 / params.B})
     pb = qz.poisson_bracket(q0, q1, params)
@@ -438,6 +432,10 @@ def run(argv=None) -> int:
         elif args.cmd == "orbit":
             if args.orbit_cmd == "classify":
                 cls = classify(args.zeta, params)
+                for name in ("casimir", "mass_square"):
+                    if not math.isfinite(cls.labels.get(name, 0.0)):
+                        ap.error(f"orbit classify at B={args.B!r}: the label "
+                                 f"{name} leaves the float range")
                 _emit_json({"tag": cls.tag, "labels": cls.labels,
                             "orbit_dim": cls.orbit_dim}, stream)
             else:

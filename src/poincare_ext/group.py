@@ -173,9 +173,12 @@ def structure_constants(p: ModelParams) -> np.ndarray:
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement, p: ModelParams = ModelParams()) -> AlgebraElement:
-    """Lie bracket [x, y] extended bilinearly from the defining relations."""
+    """Lie bracket [x, y] extended bilinearly from the defining relations.
+
+    Batches of x and y broadcast against each other, as numpy arrays do.
+    """
     c = structure_constants(p)
-    return AlgebraElement(np.einsum("cab,a,b->c", c, x.array, y.array))
+    return AlgebraElement(np.einsum("cab,...a,...b->...c", c, x.array, y.array))
 
 
 def ad_matrix(x: AlgebraElement, p: ModelParams = ModelParams()) -> np.ndarray:
@@ -371,12 +374,10 @@ def row_and_null_space(mat, rcond: float = 1e-10):
 
 
 def _bracket_span(basis_a, basis_b, p: ModelParams):
-    """Orthonormal basis of span{[x, y] : x in A, y in B}."""
-    prods = [bracket(AlgebraElement(a), AlgebraElement(b), p).array
-             for a in basis_a for b in basis_b]
-    if not prods:
-        return np.zeros((0, 4))
-    return row_and_null_space(prods)[0]
+    """Orthonormal basis of span{[x, y] : x in A, y in B}; A and B hold rows."""
+    prods = bracket(AlgebraElement(np.asarray(basis_a)[:, None]),
+                    AlgebraElement(np.asarray(basis_b)[None, :]), p)
+    return row_and_null_space(prods.array.reshape(-1, 4))[0]
 
 
 def structural_report(p: ModelParams = ModelParams(), samples: int = 1000,

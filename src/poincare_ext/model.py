@@ -80,14 +80,6 @@ _FAMILY_ORDER = {
 }
 
 
-def _lightcone_signs(u0: float, u1: float, tol: float = 0.0):
-    def sgn(x):
-        if abs(x) <= tol:
-            return 0
-        return 1 if x > 0 else -1
-    return sgn(u0 + u1), sgn(u0 - u1)
-
-
 def classify(zeta, p: ModelParams = ModelParams()) -> OrbitClass:
     """Sort zeta (a CoadjointPoint or 4 floats) into the orbit cases."""
     u0, u1, u2, u3 = getattr(zeta, "u", zeta)
@@ -97,7 +89,8 @@ def classify(zeta, p: ModelParams = ModelParams()) -> OrbitClass:
                           orbit_dim=2)
     if u0 == 0.0 and u1 == 0.0:
         return OrbitClass("CaseB", {"zeta2": u2}, orbit_dim=0)
-    family = _FAMILY_ORDER[_lightcone_signs(u0, u1)]
+    # the signs of the light-cone components u0 + u1 and u0 - u1
+    family = _FAMILY_ORDER[tuple((x > 0) - (x < 0) for x in (u0 + u1, u0 - u1))]
     return OrbitClass("CaseC",
                       {"zeta_a": (u0, u1),
                        "mass_square": u0 * u0 - u1 * u1,
@@ -120,6 +113,8 @@ class ClassicalState:
     params: ModelParams = field(default_factory=ModelParams)
 
     def __post_init__(self):
+        if not math.isfinite(self.m):
+            raise ValueError(f"mass must be finite, got {self.m!r}")
         if self.m <= 0.0:
             raise ValueError("mass must be positive")
 

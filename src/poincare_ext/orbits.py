@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .group import AlgebraElement, CoadjointPoint, bracket, row_and_null_space
+from .group import (AlgebraElement, CoadjointPoint, bracket, row_and_null_space,
+                    structure_constants)
 from .conventions import SQRT_MINUS_H, minkowski_square
-from .model import ModelParams, OrbitClass, _lightcone_signs, classify
+from .model import ModelParams, OrbitClass, classify
 
 __all__ = [
     "OrbitClass",
@@ -47,15 +48,15 @@ class Subalgebra:
     params: ModelParams = field(default=ModelParams())
 
     def __post_init__(self):
-        mat = np.array([b.array for b in self.basis])
+        mat = self.matrix
         if np.linalg.matrix_rank(mat, tol=1e-12) != len(self.basis):
             raise ValueError("subalgebra basis is linearly dependent")
-        for x in self.basis:
-            for y in self.basis:
-                z = bracket(x, y, self.params).array
-                resid = z - mat.T @ np.linalg.lstsq(mat.T, z, rcond=None)[0]
-                if np.max(np.abs(resid)) > 1e-10 * (1.0 + np.max(np.abs(z))):
-                    raise ValueError(f"basis not closed under bracket: {self.name or mat}")
+        # every pair's bracket, as the columns of z, projected on the span
+        z = bracket(AlgebraElement(mat[:, None]), AlgebraElement(mat[None, :]),
+                    self.params).array.reshape(-1, 4).T
+        resid = z - mat.T @ np.linalg.lstsq(mat.T, z, rcond=None)[0]
+        if np.any(np.abs(resid) > 1e-10 * (1.0 + np.max(np.abs(z), axis=0))):
+            raise ValueError(f"basis not closed under bracket: {self.name or mat}")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -91,15 +92,8 @@ def CASE_C_SUBALGEBRA(p: ModelParams = ModelParams()) -> Subalgebra:
 
 
 def kirillov_form(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> np.ndarray:
-    """Antisymmetric matrix K_{AB} = <zeta, [T_A, T_B]>."""
-    basis = np.eye(4)
-    k = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(a + 1, 4):
-            val = zeta.array @ bracket(AlgebraElement(basis[a]), AlgebraElement(basis[b]), p).array
-            k[a, b] = val
-            k[b, a] = -val
-    return k
+    """Antisymmetric matrix K_{AB} = <zeta, [T_A, T_B]> = zeta_C c^C_{AB}."""
+    return np.einsum("c,cab->ab", zeta.array, structure_constants(p))
 
 
 def stability_subalgebra(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> Subalgebra:
@@ -113,39 +107,48 @@ def orbit_dimension(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> int
     return 4 - stability_subalgebra(zeta, p).dim
 
 
+def _lightcone_signs(u, tol: float) -> np.ndarray:
+    """Signs of u0 + u1 and u0 - u1, 0 within tol, over the last axis of u."""
+    cone = np.stack([u[..., 0] + u[..., 1], u[..., 0] - u[..., 1]], axis=-1)
+    return np.where(np.abs(cone) <= tol, 0.0, np.sign(cone))
+
+
 def on_orbit(mu: CoadjointPoint, zeta: CoadjointPoint,
-             p: ModelParams = ModelParams(), tol: float = 1e-9) -> bool:
-    """Membership test for mu on the coadjoint orbit through zeta."""
+             p: ModelParams = ModelParams(), tol: float = 1e-9) -> bool | np.ndarray:
+    """Membership test for mu on the coadjoint orbit through zeta.
+
+    A single point mu gives a bool; a batch of shape S gives an array of
+    S bools, each the bool of that point alone.
+    """
     cls = classify(zeta, p)
-    u0, u1, u2, u3 = mu.u
+    u = mu.array
+    u2, u3 = u[..., 2], u[..., 3]
     scale = 1.0 + float(np.max(np.abs(zeta.array)))
     if cls.tag == "CaseA":
-        if abs(u3 - zeta.u[3]) > tol * scale:
-            return False
-        want_u2 = (minkowski_square([u0, u1]) * SQRT_MINUS_H / (2 * p.B * u3)
-                   - cls.labels["casimir"] * SQRT_MINUS_H / (2 * p.B * u3))
-        return abs(u2 - want_u2) <= tol * (1.0 + abs(want_u2))
-    if cls.tag == "CaseB":
-        return bool(np.max(np.abs(mu.array - zeta.array)) <= tol * scale)
-    # CaseC: u3 = 0, same mass shell, same connected component
-    if abs(u3) > tol * scale:
-        return False
-    m2 = cls.labels["mass_square"]
-    if abs(minkowski_square([u0, u1]) - m2) > tol * scale**2:
-        return False
-    return _lightcone_signs(u0, u1, tol=tol * scale) == \
-        _lightcone_signs(zeta.u[0], zeta.u[1], tol=tol * scale)
+        # a point with u3 = 0 fails the u3 test, whatever its want_u2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want_u2 = (minkowski_square(u[..., :2]) * SQRT_MINUS_H / (2 * p.B * u3)
+                       - cls.labels["casimir"] * SQRT_MINUS_H / (2 * p.B * u3))
+        ok = ((np.abs(u3 - zeta.u[3]) <= tol * scale)
+              & (np.abs(u2 - want_u2) <= tol * (1.0 + np.abs(want_u2))))
+    elif cls.tag == "CaseB":
+        ok = np.max(np.abs(u - zeta.array), axis=-1) <= tol * scale
+    else:
+        # CaseC: u3 = 0, same mass shell, same connected component
+        ok = ((np.abs(u3) <= tol * scale)
+              & (np.abs(minkowski_square(u[..., :2]) - cls.labels["mass_square"])
+                 <= tol * scale**2)
+              & np.all(_lightcone_signs(u, tol * scale)
+                       == _lightcone_signs(zeta.array, tol * scale), axis=-1))
+    return bool(ok) if u.ndim == 1 else ok
 
 
 def subordination_check(h: Subalgebra, zeta: CoadjointPoint,
                         p: ModelParams = ModelParams(), tol: float = 1e-12) -> bool:
     """True iff <zeta, [h, h]> = 0 on all basis pairs."""
     scale = 1.0 + float(np.max(np.abs(zeta.array)))
-    for i, x in enumerate(h.basis):
-        for y in h.basis[i + 1:]:
-            if abs(zeta.array @ bracket(x, y, p).array) > tol * scale:
-                return False
-    return True
+    pairs = np.triu(h.matrix @ kirillov_form(zeta, p) @ h.matrix.T, 1)
+    return not np.any(np.abs(pairs) > tol * scale)
 
 
 def pukanszky_check(h: Subalgebra, zeta: CoadjointPoint,
@@ -154,7 +157,8 @@ def pukanszky_check(h: Subalgebra, zeta: CoadjointPoint,
     """Sample the affine variety zeta + h^perp and test orbit membership.
 
     Each sample adds to zeta a combination of the annihilator basis with
-    coefficients uniform in [-10, 10].  Requires subordination and the
+    coefficients uniform in [-10, 10]; the samples are drawn as one batch
+    and tested by one on_orbit call.  Requires subordination and the
     maximality condition dim h = dim g - (orbit dim)/2; the latter raises
     MaximalityError so a maximality failure is not confused with a
     Pukanszky failure.
@@ -166,12 +170,7 @@ def pukanszky_check(h: Subalgebra, zeta: CoadjointPoint,
         raise MaximalityError(
             f"codim {4 - h.dim} != half orbit dimension {odim // 2}")
     perp = h.annihilator()
-    if perp.shape[0] == 0:
-        return on_orbit(zeta, zeta, p)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        coeffs = rng.uniform(-10.0, 10.0, perp.shape[0])
-        mu = CoadjointPoint(zeta.array + coeffs @ perp)
-        if not on_orbit(mu, zeta, p):
-            return False
-    return True
+    coeffs = np.random.default_rng(seed).uniform(-10.0, 10.0,
+                                                 (samples, perp.shape[0]))
+    return bool(np.all(on_orbit(CoadjointPoint(zeta.array + coeffs @ perp),
+                                zeta, p)))

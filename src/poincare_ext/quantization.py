@@ -82,7 +82,10 @@ class NoGoError(ValueError):
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Point of the reduced phase space in (q, p) coordinates."""
+    """Point of the reduced phase space in (q, p) coordinates.
+
+    q and p may be arrays of one shape S, a batch of points.
+    """
 
     q: float
     p: float
@@ -223,12 +226,17 @@ def comoment_observables(params: ModelParams, m: float,
 
 
 def comoments(s: PhasePoint, params: ModelParams, m: float) -> CoadjointPoint:
-    return CoadjointPoint(tuple(u(s) for u in comoment_observables(params, m)))
+    """The comoments (u0, u1, u2, u3) at s, as one CoadjointPoint.
+
+    A batch s of shape S gives a batch of shape S.  A batch squares q as
+    q * q and a single point through pow, so u2 may differ in its last bit.
+    """
+    return CoadjointPoint(*(u(s) for u in comoment_observables(params, m)))
 
 
 def momentum_map(s: PhasePoint, params: ModelParams, m: float) -> CoadjointPoint:
-    u = comoments(s, params, m)
-    return CoadjointPoint(tuple(c / params.hbar for c in u.u))
+    """comoments / hbar, over the batch of s as comoments."""
+    return CoadjointPoint(comoments(s, params, m).array / params.hbar)
 
 
 def rep_for_mass(params: ModelParams, m: float) -> RepParams:
@@ -376,24 +384,19 @@ def pullback_residual(s: PhasePoint, params: ModelParams, m: float) -> float:
     The orbit form evaluated on the pushed-forward coordinate directions
     must equal the phase-space pairing of those directions divided by
     hbar; the pairing of (e_q, e_p) is -1 in this orientation.  The
-    differences take steps of 1e-5 in q and in p.
+    differences take steps of 1e-5 in q and in p; s and its four
+    neighbours go through the momentum map as one batch.
     """
-    zeta = momentum_map(s, params, m)
     h = 1e-5
+    z, q_plus, q_minus, p_plus, p_minus = momentum_map(
+        PhasePoint(s.q + np.array([0.0, h, -h, 0.0, 0.0]),
+                   s.p + np.array([0.0, 0.0, 0.0, h, -h])), params, m).array
+    v_q = (q_plus - q_minus) / (2.0 * h)
+    v_p = (p_plus - p_minus) / (2.0 * h)
 
-    def mu(q, p):
-        return np.array(momentum_map(PhasePoint(q, p), params, m).u)
-
-    v_q = (mu(s.q + h, s.p) - mu(s.q - h, s.p)) / (2.0 * h)
-    v_p = (mu(s.q, s.p + h) - mu(s.q, s.p - h)) / (2.0 * h)
-
-    # express each tangent vector as a coadjoint direction ad*_X zeta
-    z = np.array(zeta.u)
-    cols = []
-    for k in range(4):
-        e = AlgebraElement(tuple(1.0 if i == k else 0.0 for i in range(4)))
-        cols.append(-z @ ad_matrix(e, params))
-    M = np.column_stack(cols)
+    # express each tangent vector as a coadjoint direction ad*_X zeta; the
+    # column of basis element T_k is -z ad(T_k)
+    M = (-z @ ad_matrix(AlgebraElement(np.eye(4)), params)).T
     X, *_ = np.linalg.lstsq(M, v_q, rcond=None)
     Y, *_ = np.linalg.lstsq(M, v_p, rcond=None)
     b = float(z @ bracket(AlgebraElement(tuple(X)),

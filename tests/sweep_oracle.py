@@ -1,0 +1,174 @@
+"""Per-pair and per-sample loops: the test oracle of the batched sweeps.
+
+`orbits`, `group._bracket_span` and the classical suite evaluate their
+sweeps as numpy contractions over the structure constants and over
+batches of points.  These are the same checks written one bracket call
+per basis pair and one scalar call per sample, with the same draws,
+tolerances and decisions.  `oracle_sweeps` swaps them into the package,
+so a suite run inside it takes the loop path end to end.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+from poincare_ext import group as grp
+from poincare_ext import orbits as orb
+from poincare_ext import quantization as qz
+from poincare_ext.conventions import SQRT_MINUS_H, minkowski_square
+from poincare_ext.group import (
+    AlgebraElement,
+    CoadjointPoint,
+    ModelParams,
+    ad_matrix,
+    bracket,
+    casimir_pairing,
+    row_and_null_space,
+)
+
+#: the central charges the benchmark draws all-checks reports at
+BENCH_B = (-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0)
+
+
+def kirillov_form(zeta, p=ModelParams()):
+    basis = np.eye(4)
+    k = np.zeros((4, 4))
+    for a in range(4):
+        for b in range(a + 1, 4):
+            val = zeta.array @ bracket(AlgebraElement(basis[a]),
+                                       AlgebraElement(basis[b]), p).array
+            k[a, b] = val
+            k[b, a] = -val
+    return k
+
+
+def subordination_check(h, zeta, p=ModelParams(), tol=1e-12):
+    scale = 1.0 + float(np.max(np.abs(zeta.array)))
+    for i, x in enumerate(h.basis):
+        for y in h.basis[i + 1:]:
+            if abs(zeta.array @ bracket(x, y, p).array) > tol * scale:
+                return False
+    return True
+
+
+def bracket_span(basis_a, basis_b, p):
+    prods = [bracket(AlgebraElement(a), AlgebraElement(b), p).array
+             for a in basis_a for b in basis_b]
+    if not prods:
+        return np.zeros((0, 4))
+    return row_and_null_space(prods)[0]
+
+
+def check_closure(sub):
+    """Subalgebra's independence and closure checks, one pair at a time."""
+    mat = np.array([b.array for b in sub.basis])
+    if np.linalg.matrix_rank(mat, tol=1e-12) != len(sub.basis):
+        raise ValueError("subalgebra basis is linearly dependent")
+    for x in sub.basis:
+        for y in sub.basis:
+            z = bracket(x, y, sub.params).array
+            resid = z - mat.T @ np.linalg.lstsq(mat.T, z, rcond=None)[0]
+            if np.max(np.abs(resid)) > 1e-10 * (1.0 + np.max(np.abs(z))):
+                raise ValueError(
+                    f"basis not closed under bracket: {sub.name or mat}")
+
+
+def _lightcone_signs(u0, u1, tol):
+    def sgn(x):
+        if abs(x) <= tol:
+            return 0
+        return 1 if x > 0 else -1
+    return sgn(u0 + u1), sgn(u0 - u1)
+
+
+def on_orbit(mu, zeta, p=ModelParams(), tol=1e-9):
+    cls = orb.classify(zeta, p)
+    u0, u1, u2, u3 = mu.u
+    scale = 1.0 + float(np.max(np.abs(zeta.array)))
+    if cls.tag == "CaseA":
+        if abs(u3 - zeta.u[3]) > tol * scale:
+            return False
+        want_u2 = (minkowski_square([u0, u1]) * SQRT_MINUS_H / (2 * p.B * u3)
+                   - cls.labels["casimir"] * SQRT_MINUS_H / (2 * p.B * u3))
+        return bool(abs(u2 - want_u2) <= tol * (1.0 + abs(want_u2)))
+    if cls.tag == "CaseB":
+        return bool(np.max(np.abs(mu.array - zeta.array)) <= tol * scale)
+    if abs(u3) > tol * scale:
+        return False
+    m2 = cls.labels["mass_square"]
+    if abs(minkowski_square([u0, u1]) - m2) > tol * scale**2:
+        return False
+    return _lightcone_signs(u0, u1, tol * scale) == \
+        _lightcone_signs(zeta.u[0], zeta.u[1], tol * scale)
+
+
+def pukanszky_check(h, zeta, p=ModelParams(), samples=100, seed=0):
+    if not subordination_check(h, zeta, p):
+        raise ValueError("subalgebra is not subordinate to zeta")
+    odim = orb.orbit_dimension(zeta, p)
+    if 4 - h.dim != odim // 2:
+        raise orb.MaximalityError(
+            f"codim {4 - h.dim} != half orbit dimension {odim // 2}")
+    perp = h.annihilator()
+    if perp.shape[0] == 0:
+        return on_orbit(zeta, zeta, p)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        coeffs = rng.uniform(-10.0, 10.0, perp.shape[0])
+        if not on_orbit(CoadjointPoint(zeta.array + coeffs @ perp), zeta, p):
+            return False
+    return True
+
+
+def pullback_residual(s, params, m):
+    zeta = qz.momentum_map(s, params, m)
+    h = 1e-5
+
+    def mu(q, p):
+        return np.array(qz.momentum_map(qz.PhasePoint(q, p), params, m).u)
+
+    v_q = (mu(s.q + h, s.p) - mu(s.q - h, s.p)) / (2.0 * h)
+    v_p = (mu(s.q, s.p + h) - mu(s.q, s.p - h)) / (2.0 * h)
+    z = np.array(zeta.u)
+    cols = []
+    for k in range(4):
+        e = AlgebraElement(tuple(1.0 if i == k else 0.0 for i in range(4)))
+        cols.append(-z @ ad_matrix(e, params))
+    M = np.column_stack(cols)
+    X, *_ = np.linalg.lstsq(M, v_q, rcond=None)
+    Y, *_ = np.linalg.lstsq(M, v_p, rcond=None)
+    b = float(z @ bracket(AlgebraElement(tuple(X)),
+                          AlgebraElement(tuple(Y)), params).array)
+    return abs(b - (-1.0) / params.hbar)
+
+
+def suite_classical(params, seed, m=1.0):
+    """cli.suite_classical, one phase point at a time."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        s = qz.PhasePoint(*rng.uniform(-3, 3, size=2))
+        c = casimir_pairing(qz.comoments(s, params, m), params)
+        worst = max(worst, abs(c - m * m))
+    q0 = qz.PolynomialObservable({(0, 1): -1.0 / params.B})
+    q1 = qz.PolynomialObservable({(1, 0): -1.0, (0, 1): -1.0 / params.B})
+    pb = qz.poisson_bracket(q0, q1, params)
+    bracket_ok = abs(pb[(0, 0)] - 1.0 / params.B) == 0.0 and len(pb.coeffs) == 1
+    pull = max(pullback_residual(qz.PhasePoint(*rng.uniform(-2, 2, 2)),
+                                 params, m) for _ in range(5))
+    ok = bool(worst <= 1e-12 and bracket_ok and pull <= 1e-6)
+    return {"comoment_casimir": worst, "lightcone_bracket_exact": bracket_ok,
+            "pullback": pull, "pass": ok}
+
+
+@contextlib.contextmanager
+def oracle_sweeps():
+    """Run orbits and the structural report on the loops above."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grp, "_bracket_span", bracket_span)
+        mp.setattr(orb.Subalgebra, "__post_init__", check_closure)
+        for fn in (kirillov_form, subordination_check, on_orbit,
+                   pukanszky_check):
+            mp.setattr(orb, fn.__name__, fn)
+        yield

@@ -46,6 +46,8 @@ MALFORMED = (
     ("orbit", "classify", "--zeta=0,0,nan,1"),
     ("orbit", "classify", "--zeta=1,inf,0,0"),
     ("trajectory", "--span=0:1:-2"),
+    ("evolve", "--m=nan"),
+    ("trajectory", "--m=inf"),
 )
 
 
@@ -157,6 +159,19 @@ def test_covector_usage_error_text(capsys):
     assert capsys.readouterr().err.splitlines()[-1] == (
         "poincare-ext orbit classify: error: argument --zeta: invalid "
         "covector value: '1,2,3'")
+
+
+@pytest.mark.parametrize("zeta, label", (("1e200,1e-200,3,0", "mass_square"),
+                                         ("1,0,1e200,1e200", "casimir")))
+def test_orbit_classify_overflowing_label_is_a_usage_error(zeta, label, capsys):
+    # a label past the float range would print as Infinity, which is not JSON
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["orbit", "classify", f"--zeta={zeta}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == (
+        f"poincare-ext: error: orbit classify at B=1.0: the label {label} "
+        "leaves the float range")
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -444,6 +459,9 @@ FOOTPRINTS = {
                    "--g=0.1,0.2,0.3,0.4", "--emit-samples=-1:1:3"],
                   ("poincare_ext.dynamics", "poincare_ext.quantization",
                    "poincare_ext.orbits")),
+    "orbit-check": (["-m", "poincare_ext.cli", "orbit", "check"],
+                    ("poincare_ext.irreps", "poincare_ext.wavefunctions",
+                     "poincare_ext.quantization", "poincare_ext.dynamics")),
     "trajectory": (["-m", "poincare_ext.cli", "trajectory", "--span=0:1:3"],
                    ("numpy", "poincare_ext.group", "poincare_ext.orbits",
                     "poincare_ext.dynamics", "poincare_ext.wavefunctions",

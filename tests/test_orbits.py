@@ -142,7 +142,11 @@ def test_pukanszky_rejects_non_maximal():
 
 def test_subalgebra_closure_enforced():
     from poincare_ext.group import AlgebraElement
-    with pytest.raises(ValueError):
+    p0, p1, j = (AlgebraElement(np.eye(4)[i]) for i in range(3))
+    with pytest.raises(ValueError) as exc:
         # span{P0, J} is not closed: [P0, J] = P1
-        orb.Subalgebra((AlgebraElement((1.0, 0.0, 0.0, 0.0)),
-                        AlgebraElement((0.0, 0.0, 1.0, 0.0))), "open", P)
+        orb.Subalgebra((p0, j), "open", P)
+    assert str(exc.value) == "basis not closed under bracket: open"
+    with pytest.raises(ValueError) as exc:
+        orb.Subalgebra((p0, p1, p0 + p1), "dependent", P)
+    assert str(exc.value) == "subalgebra basis is linearly dependent"

@@ -1,0 +1,150 @@
+"""The batched algebra sweeps against their per-pair and per-sample loops."""
+
+import itertools
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import sweep_oracle as oracle
+from poincare_ext import cli
+from poincare_ext import group as grp
+from poincare_ext import orbits as orb
+from poincare_ext import quantization as qz
+from poincare_ext.group import (
+    AlgebraElement,
+    CoadjointPoint,
+    GroupElement,
+    ModelParams,
+    coadjoint_action,
+)
+
+#: the representatives the orbits suite checks, and one more point per case
+ZETAS = {"CaseA": [(0.0, 0.0, 0.5, -1.0), (0.4, -1.2, 2.0, 0.3)],
+         "CaseB": [(0.0, 0.0, 0.7, 0.0), (0.0, 0.0, -2.5, 0.0)],
+         "CaseC": [(1.0, 0.3, 0.0, 0.0), (-0.5, 2.0, 1.1, 0.0)]}
+SUBALGEBRAS = (orb.CASE_A_SUBALGEBRA, orb.CASE_B_SUBALGEBRA,
+               orb.CASE_C_SUBALGEBRA)
+
+#: candidate bases for the closure check: the basis vectors, P+, P- and a
+#: tilted J, two and three at a time
+CANDIDATES = [np.eye(4)[i] for i in range(4)] + [
+    np.array([1.0, 1.0, 0.0, 0.0]), np.array([1.0, -1.0, 0.0, 0.0]),
+    np.array([0.3, 0.0, 1.0, 0.0])]
+
+
+def report_bytes(report):
+    return json.dumps(report, sort_keys=True, indent=2).encode()
+
+
+def zetas():
+    return [CoadjointPoint(u) for us in ZETAS.values() for u in us]
+
+
+def projector(rows):
+    return rows.T @ rows
+
+
+@pytest.mark.parametrize("B", oracle.BENCH_B)
+def test_kirillov_and_subordination_match_the_loops(B):
+    p = ModelParams(B)
+    for zeta in zetas():
+        assert np.array_equal(orb.kirillov_form(zeta, p),
+                              oracle.kirillov_form(zeta, p))
+        for h in SUBALGEBRAS:
+            h = h(p)
+            assert orb.subordination_check(h, zeta, p) \
+                is oracle.subordination_check(h, zeta, p)
+
+
+@pytest.mark.parametrize("B", oracle.BENCH_B)
+def test_bracket_span_matches_the_loop(B):
+    p = ModelParams(B)
+    full, center = np.eye(4), np.eye(4)[3:]
+    derived = oracle.bracket_span(full, full, p)
+    for a, b in ((full, full), (full, derived), (derived, derived),
+                 (full, center), (center, center), (full, np.zeros((0, 4)))):
+        got, want = grp._bracket_span(a, b, p), oracle.bracket_span(a, b, p)
+        assert got.shape == want.shape
+        assert np.allclose(projector(got), projector(want), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("B", oracle.BENCH_B)
+def test_subalgebra_closure_decision_matches_the_loop(B):
+    p = ModelParams(B)
+    for k in (2, 3):
+        for rows in itertools.combinations(CANDIDATES, k):
+            basis = tuple(AlgebraElement(r) for r in rows)
+            errors = []
+            for check in (lambda: orb.Subalgebra(basis, "cand", p),
+                          lambda: oracle.check_closure(SimpleNamespace(
+                              basis=basis, name="cand", params=p))):
+                try:
+                    check()
+                    errors.append(None)
+                except ValueError as exc:
+                    errors.append(str(exc))
+            assert errors[0] == errors[1], rows
+
+
+#: a perturbation per component: on the orbit, within round-off, or off it
+PERTURBATION = st.sampled_from((0.0, 0.0, 0.0, 1e-13, -1e-7, 0.25, -2.0))
+
+
+@given(B=st.sampled_from(oracle.BENCH_B),
+       zeta=st.sampled_from([u for us in ZETAS.values() for u in us]),
+       points=st.lists(st.tuples(st.tuples(*[st.floats(-2, 2)] * 4),
+                                 st.tuples(*[PERTURBATION] * 4),
+                                 st.booleans()),
+                       min_size=1, max_size=8))
+def test_on_orbit_batch_is_the_row_by_row_scalar_calls(B, zeta, points):
+    # points moved along the orbit, then perturbed or mirrored through the
+    # origin of (u0, u1) (the opposite light cone component in CaseC)
+    p, zeta = ModelParams(B), CoadjointPoint(zeta)
+    rows = []
+    for g, shift, mirror in points:
+        u = coadjoint_action(GroupElement(*g), zeta, p).array + shift
+        if mirror:
+            u[:2] = -u[:2]
+        rows.append(u)
+    batch = orb.on_orbit(CoadjointPoint(np.array(rows)), zeta, p)
+    scalar = [orb.on_orbit(CoadjointPoint(u), zeta, p) for u in rows]
+    assert all(type(v) is bool for v in scalar)
+    assert batch.shape == (len(rows),) and list(batch) == scalar
+    assert scalar == [oracle.on_orbit(CoadjointPoint(u), zeta, p)
+                      for u in rows]
+
+
+@pytest.mark.parametrize("B", oracle.BENCH_B)
+def test_suites_equal_the_loop_reports(B):
+    p = ModelParams(B)
+    got = [cli.suite_orbits(p, 42), cli.suite_structure(p, 42),
+           cli.suite_classical(p, 42)]
+    with oracle.oracle_sweeps():
+        want = [cli.suite_orbits(p, 42), cli.suite_structure(p, 42)]
+    want.append(oracle.suite_classical(p, 42))
+    assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
+
+
+@given(B=st.sampled_from(oracle.BENCH_B), m=st.floats(0.1, 3.0),
+       qp=st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+                   min_size=1, max_size=8))
+def test_comoments_batch_is_the_row_by_row_scalar_calls(B, m, qp):
+    # a batch squares q exactly (q * q), a single point through pow, which
+    # can differ in the last bit: the gap is bounded by a few eps of the
+    # sizes of u2's terms
+    p = ModelParams(B)
+    q, mom = np.array(qp).T
+    batch = qz.comoments(qz.PhasePoint(q, mom), p, m).array
+    scalar = np.array([qz.comoments(qz.PhasePoint(*row), p, m).array
+                       for row in qp])
+    size = m * m / (2 * abs(B)) + abs(B) / 2 * q * q + np.abs(q * mom)
+    assert np.array_equal(np.delete(batch, 2, axis=1),
+                          np.delete(scalar, 2, axis=1))
+    assert np.all(np.abs(batch[:, 2] - scalar[:, 2])
+                  <= 4 * np.finfo(float).eps * size)
+    assert np.array_equal(qz.momentum_map(qz.PhasePoint(q, mom), p, m).array,
+                          batch / p.hbar)
