@@ -28,6 +28,10 @@ SCHEMA = 1
 REP_GATES = {"homomorphism": 1e-8, "unitarity": 1e-8,
              "commutators": 1e-9, "casimir": 1e-9}
 
+#: pass threshold of the generator gaps (irreps.generator_gaps), relative
+#: coefficient gaps that read round-off
+GENERATOR_GATE = 1e-12
+
 #: labels of the representation each family is checked at, and the
 #: defaults of the matching `rep` options
 REP_LABELS = {"A": {"c2": 1.0, "z3": -1.0},
@@ -131,23 +135,11 @@ def suite_reps(params: ModelParams, seed: int, trials: int = 200) -> dict:
 
 def suite_generators(params: ModelParams, seed: int) -> dict:
     from . import irreps as ir
-    from .wavefunctions import hermite_wf
-    report = {}
-    ok = True
-    probe = hermite_wf(1)
-    for family in ("A", "C"):
-        rep = _rep_for_family(family, params)
-        res = ir.generator_consistency(rep, probe)
-        fam = {}
-        for name, errs in res.items():
-            # second-order convergence: halving the step shrinks the
-            # residual by ~4 (skip directions already at round-off)
-            ratios = [errs[k] / errs[k + 1] for k in range(len(errs) - 1)
-                      if errs[k] > 1e-12]
-            conv = all(r > 3.0 for r in ratios)
-            fam[name] = {"residuals": errs, "second_order": conv}
-            ok = ok and conv
-        report[family] = fam
+    # exact coefficient arithmetic: no draws, and a gate at round-off
+    report = {family: ir.generator_gaps(_rep_for_family(family, params))
+              for family in ("A", "C")}
+    ok = all(gap <= GENERATOR_GATE
+             for gaps in report.values() for gap in gaps.values())
     return {"families": report, "pass": ok}
 
 

@@ -23,8 +23,11 @@ coefficient gaps, each function's size taken as its coefficient bound
 on the probes' image window (AffinePhase.gap, AffinePhase.unitarity_gap).
 The commutator-table and Casimir checks are exact operator products on
 the generator table, their residuals ||R f|| / ||f|| in Gaussian moments.
-The generator-consistency, faithfulness and right-invariance checks are
-quadrature residuals.
+Generator consistency is exact too: dT(X) = d/dt T(exp tX) at t = 0, the
+derivative taken on first-order jets (Jet) run through the coefficient
+code of T(g) itself, and compared with the table coefficient by
+coefficient (generator_gaps).  No check here integrates; the quadrature
+versions are the test oracle.
 """
 
 from __future__ import annotations
@@ -36,31 +39,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conventions import SQRT_MINUS_H
-from .group import (
-    AlgebraElement,
-    GroupElement,
-    ModelParams,
-    compose,
-    exp_map,
-    structure_constants,
-)
+from .group import GroupElement, ModelParams, compose, structure_constants
 from .wavefunctions import (
     WaveFunction,
     _derivative_coeffs,
     _window,
     exp_poly_tower,
     hermite_wf,
-    l2_diff,
-    norm,
     wf_add,
     wf_affine,
     wf_mul,
     wf_scale,
-    wf_sub,
 )
 
 __all__ = [
     "AffinePhase",
+    "Jet",
     "QuantOperator",
     "ExpOperator",
     "RepParams",
@@ -79,9 +73,7 @@ __all__ = [
     "verify_unitarity",
     "verify_commutators",
     "verify_casimir",
-    "generator_consistency",
-    "right_invariance_residual",
-    "faithfulness_residuals",
+    "generator_gaps",
     "default_probes",
     "rep_suite",
     "BASIS_NAMES",
@@ -441,6 +433,49 @@ class ExpOperator:
         return ExpOperator({key: v for key, v in out.items() if v != 0.0})
 
 
+class Jet:
+    """First-order jet v + d eps, eps^2 = 0 (a dual number): exact first
+    derivatives by arithmetic.  d may be an array, one slope per direction;
+    a number is a constant.  Division is by constants only.  A plain class,
+    not a dataclass: a cold CLI start that imports irreps builds it."""
+
+    __slots__ = ("v", "d")
+
+    #: numpy-scalar * jet defers to __rmul__
+    __array_ufunc__ = None
+
+    def __init__(self, v: complex, d: np.ndarray):
+        self.v, self.d = v, d
+
+    def exp(self) -> "Jet":
+        e = np.exp(self.v)
+        return Jet(e, e * self.d)
+
+    def __add__(self, other) -> "Jet":
+        if isinstance(other, Jet):
+            return Jet(self.v + other.v, self.d + other.d)
+        return Jet(self.v + other, self.d)
+
+    def __neg__(self) -> "Jet":
+        return Jet(-self.v, -self.d)
+
+    def __sub__(self, other) -> "Jet":
+        return self + -other
+
+    def __rsub__(self, other) -> "Jet":
+        return -self + other
+
+    def __mul__(self, other) -> "Jet":
+        if isinstance(other, Jet):
+            return Jet(self.v * other.v, self.v * other.d + self.d * other.v)
+        return Jet(self.v * other, self.d * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Jet":
+        return Jet(self.v / other, self.d / other)
+
+
 def _apply_columns(f: WaveFunction, columns) -> WaveFunction:
     """sum_j m_j D^j f over the (j, m_j) of columns, m_j an evaluator (x, n)
     of a multiplier's derivatives; f is differentiated only as far as needed."""
@@ -571,32 +606,40 @@ def _columns(g: GroupElement):
     return tuple(np.asarray(c)[..., None] for c in coords)
 
 
+def _phase_coefficients(rep: RepParams, t0, t1, al, be, exp=np.exp):
+    """(amp, a, b, c, basis) of T(g) at g's coordinates: its AffinePhase fields.
+
+    The arithmetic is +, -, *, / and exp alone, so coordinate columns and
+    jets (Jet, with exp=Jet.exp) run the same code.
+    """
+    if rep.family == "B":
+        return 1.0, 1.0, 0.0, (1j * al * rep.zeta2,), "poly"
+    if rep.family == "C":
+        # phase exp(i zeta_a Lambda(alpha)^a_b theta^b) and a shift by alpha
+        return 1.0, 1.0, al, (1j * (rep.zeta0 * t0 + rep.zeta1 * t1),
+                              1j * (-rep.zeta0 * t1 - rep.zeta1 * t0)), "hyp"
+    # family A: Jacobian amplitude, affine argument map, quadratic phase
+    B, z3 = rep.params.B, rep.z3
+    a, e2 = exp(-al), exp(-2.0 * al)
+    d = t0 - t1
+    c0 = (be - (B / 4.0) * (t0 * t0 - t1 * t1) - (B / 4.0) * e2 * d * d) * z3 \
+        - al * rep.c2 * SQRT_MINUS_H / (2.0 * B * z3)
+    c1 = ((B / 2.0) * (t0 + t1) + (B / 2.0) * e2 * d) * z3
+    c2x = (B / 4.0) * (1.0 - e2) * z3
+    return exp(-al / 2.0), a, (t1 - t0) * a, (1j * c0, 1j * c1, 1j * c2x), "poly"
+
+
 def _affine_phase(rep: RepParams, g: GroupElement) -> AffinePhase:
     """T(g) of the family as an AffinePhase; a batch g gives batch columns."""
     t0, t1, al, be = _columns(g)
-    if rep.family == "B":
-        return AffinePhase(1.0, 1.0, 0.0, (1j * al * rep.zeta2,))
-    if rep.family == "C":
-        # phase exp(i zeta_a Lambda(alpha)^a_b theta^b) and a shift by alpha
-        return AffinePhase(1.0, 1.0, al, (1j * (rep.zeta0 * t0 + rep.zeta1 * t1),
-                                          1j * (-rep.zeta0 * t1 - rep.zeta1 * t0)), "hyp")
-    # family A: Jacobian amplitude, affine argument map, quadratic phase.
     # AffinePhase names a coefficient that leaves the float range (a tiny
     # B in c2 / (2 B z3)), so numpy's warnings are off
-    B, z3 = rep.params.B, rep.z3
     with np.errstate(all="ignore"):
-        a = np.exp(-al)
-        e2 = np.exp(-2.0 * al)
-        if not np.all((a > 0.0) & (e2 < math.inf)):
+        if rep.family == "A" and not np.all((np.exp(-al) > 0.0)
+                                            & (np.exp(-2.0 * al) < math.inf)):
             raise ValueError(f"alpha = {g.alpha!r} leaves the float range: "
                              "exp(-alpha) or exp(-2 alpha) under- or overflows")
-        d = t0 - t1
-        c0 = (be - (B / 4.0) * (t0 * t0 - t1 * t1) - (B / 4.0) * e2 * d * d) * z3 \
-            - al * rep.c2 * SQRT_MINUS_H / (2.0 * B * z3)
-        c1 = ((B / 2.0) * (t0 + t1) + (B / 2.0) * e2 * d) * z3
-        c2x = (B / 4.0) * (1.0 - e2) * z3
-        return AffinePhase(np.exp(-al / 2.0), a, (t1 - t0) * a,
-                           (1j * c0, 1j * c1, 1j * c2x))
+        return AffinePhase(*_phase_coefficients(rep, t0, t1, al, be))
 
 
 def _generators(rep: RepParams) -> dict:
@@ -641,6 +684,34 @@ def generator_apply(rep: RepParams, name: str, f):
     return op.c[0, 0] * f if rep.family == "B" else op.apply(f)
 
 
+def _slope(x):
+    """The slopes of x along the basis directions; a constant has none."""
+    return x.d if isinstance(x, Jet) else np.zeros(len(BASIS_NAMES))
+
+
+def _derivative_coefficients(rep: RepParams) -> dict:
+    """d/dt T(exp t X_k) at t = 0, for k over BASIS_NAMES, as {key: slopes}.
+
+    exp(t X_k) = t e_k (exp_map's closed form on a coordinate line), so
+    this is the slope of _phase_coefficients along e_k, exact on jets.  As
+    T(1) = 1, it is the operator amp' + phi'(x) + (a' x + b') D, keyed as
+    _generators: (i, j) of x^i D^j, or (k, j) of e^{kx} D^j for a
+    hyperbolic phi' = p' cosh x + q' sinh x.
+    """
+    with np.errstate(all="ignore"):  # generator_gaps names what overflows
+        amp, a, b, c, basis = _phase_coefficients(
+            rep, *(Jet(0.0, e) for e in np.eye(len(BASIS_NAMES))), exp=Jet.exp)
+    if basis == "poly":
+        out = {(i, 0): _slope(ci) for i, ci in enumerate(c)}
+        out[(1, 1)] = _slope(a)
+    else:  # a hyperbolic phase moves by translations only: a = 1
+        p, q = (_slope(ci) for ci in c)
+        out = {(1, 0): (p + q) / 2.0, (-1, 0): (p - q) / 2.0}
+    out[(0, 0)] = out.get((0, 0), 0.0) + _slope(amp)
+    out[(0, 1)] = _slope(b)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Borel section and induced-function picture
 
@@ -674,38 +745,6 @@ def lifted_function(rep: RepParams, f):
     def F(g: GroupElement) -> complex:
         return character(g, rep) * f
     return F
-
-
-def _random_subgroup_element(rep: RepParams, rng) -> GroupElement:
-    a, b, c = rng.uniform(-1.5, 1.5, size=3)
-    if rep.family == "A":
-        return GroupElement(a, a, b, c)
-    if rep.family == "C":
-        return GroupElement(a, b, 0.0, c)
-    return GroupElement(a, b, c, rng.uniform(-1.5, 1.5))
-
-
-def right_invariance_residual(rep: RepParams, f, samples: int = 100,
-                              seed: int = 0) -> float:
-    """Defining covariance of the lifted function, F(h g) = D^-1/2 chi(h) F(g).
-
-    Family B's lifted value is a carrier vector, a WaveFunction when f is
-    one, and is compared in the L2 norm.
-    """
-    rng = np.random.default_rng(seed)
-    F = lifted_function(rep, f)
-    worst = 0.0
-    for _ in range(samples):
-        h = _random_subgroup_element(rep, rng)
-        g = GroupElement(*rng.uniform(-1.5, 1.5, size=4))
-        lhs = F(compose(h, g, rep.params))
-        rhs = subgroup_modulus(h, rep.family) ** -0.5 * character(h, rep) * F(g)
-        if isinstance(rhs, WaveFunction):
-            gap = l2_diff(lhs, rhs) / max(norm(rhs), 1e-30)
-        else:
-            gap = abs(lhs - rhs) / max(abs(rhs), 1e-30)
-        worst = max(worst, float(gap))
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -774,33 +813,26 @@ def verify_casimir(rep: RepParams, probes) -> float:
     return float(np.max(_relative_residual(defect, probes)))
 
 
-def generator_consistency(rep: RepParams, f):
-    """Central-difference derivative of the flow vs the generator.
+def generator_gaps(rep: RepParams) -> dict:
+    """{name: gap} of each generator dT(X) of the table _generators against
+    the derivative d/dt T(exp tX) at t = 0 (_derivative_coefficients).
 
-    Returns {name: [residual per step]} for the steps 1e-2, 5e-3 and
-    2.5e-3; residuals shrink ~ t^2.
+    The gap is the largest relative gap of one coefficient,
+    |got - want| / max(|got|, |want|), 0 where both vanish, so a wrong
+    coefficient shows at every B however small it is beside the others.
+    A coefficient that is not finite raises ValueError.
     """
-    out = {}
+    got, table, out = _derivative_coefficients(rep), _generators(rep), {}
     for k, name in enumerate(BASIS_NAMES):
-        direction = tuple(1.0 if i == k else 0.0 for i in range(4))
-        target = generator_apply(rep, name, f)
-        res = []
-        for t in (1e-2, 5e-3, 2.5e-3):
-            gp = exp_map(AlgebraElement(tuple(t * c for c in direction)), rep.params)
-            gm = exp_map(AlgebraElement(tuple(-t * c for c in direction)), rep.params)
-            diff = wf_scale(wf_sub(rep_apply(rep, gp, f), rep_apply(rep, gm, f)),
-                            1.0 / (2.0 * t))
-            res.append(l2_diff(diff, target) / norm(f))
-        out[name] = res
-    return out
-
-
-def faithfulness_residuals(rep: RepParams, elements, probes):
-    """max_f ||T(g) f - f|| / ||f|| for each test element."""
-    out = []
-    for g in elements:
-        out.append(max(l2_diff(rep_apply(rep, g, f), f) / norm(f)
-                       for f in probes))
+        c = table[name].c
+        want = c if isinstance(c, dict) else dict(np.ndenumerate(c))
+        keys = got.keys() | want.keys()
+        g = np.array([got[key][k] if key in got else 0.0 for key in keys])
+        w = np.array([want.get(key, 0.0) for key in keys], dtype=complex)
+        if not np.all(np.isfinite(g) & np.isfinite(w)):
+            raise ValueError(f"generator {name}: a coefficient is not finite")
+        size = np.maximum(np.abs(g), np.abs(w))
+        out[name] = float(np.max(np.abs(g - w) / np.where(size > 0.0, size, 1.0)))
     return out
 
 

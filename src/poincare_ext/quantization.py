@@ -139,7 +139,10 @@ class PolynomialObservable:
         return max((i + j for (i, j), _ in self.coeffs), default=0)
 
     def __call__(self, s: PhasePoint) -> float:
-        return sum(v * s.q ** i * s.p ** j for (i, j), v in self.coeffs)
+        # squares as products: pow(q, 2) can miss the rounded q * q by a
+        # bit, and numpy squares arrays as q * q, so a point and a batch agree
+        q, p = ((x ** 0, x, x * x) for x in (s.q, s.p))
+        return sum(v * q[i] * p[j] for (i, j), v in self.coeffs)
 
     def __add__(self, other):
         return PolynomialObservable(self.c + other.c)
@@ -228,8 +231,8 @@ def comoment_observables(params: ModelParams, m: float,
 def comoments(s: PhasePoint, params: ModelParams, m: float) -> CoadjointPoint:
     """The comoments (u0, u1, u2, u3) at s, as one CoadjointPoint.
 
-    A batch s of shape S gives a batch of shape S.  A batch squares q as
-    q * q and a single point through pow, so u2 may differ in its last bit.
+    A batch s of shape S gives a batch of shape S, each point bit for bit
+    the comoments of that point alone.
     """
     return CoadjointPoint(*(u(s) for u in comoment_observables(params, m)))
 

@@ -6,15 +6,34 @@ of a check on the union of the functions' windows.  The representation
 and quantization suites check the same identities exactly, on coefficient
 arrays and Gaussian moments; these helpers compute them the independent
 way, by operator chains on evaluators and composite Gauss-Legendre sums.
+
+The module also keeps the representation checks that only ever ran by
+quadrature: the central-difference generator ladder (the oracle of
+irreps.generator_gaps), faithfulness, and the right invariance of the
+lifted functions.
 """
 
 import numpy as np
 
+from poincare_ext.group import AlgebraElement, GroupElement, compose, exp_map
+from poincare_ext.irreps import (
+    BASIS_NAMES,
+    RepParams,
+    character,
+    generator_apply,
+    lifted_function,
+    rep_apply,
+    subgroup_modulus,
+)
 from poincare_ext.wavefunctions import (
     WaveFunction,
     _latest_values,
     _window,
     integrate_vec,
+    l2_diff,
+    norm,
+    wf_scale,
+    wf_sub,
 )
 
 
@@ -82,3 +101,77 @@ def relative_l2(diffs, f, cross=lambda x: []):
     sq, ips = integrate_stack([squares, cross], f, *(g for d in diffs for g in d))
     root = np.sqrt(np.maximum(sq, 0.0))
     return root[:-1] / root[-1], ips
+
+
+# ---------------------------------------------------------------------------
+# representation checks by quadrature
+
+
+def generator_consistency(rep: RepParams, f):
+    """Central-difference derivative of the flow vs the generator.
+
+    Returns {name: [residual per step]} for the steps 1e-2, 5e-3 and
+    2.5e-3; residuals shrink ~ t^2.
+    """
+    out = {}
+    for k, name in enumerate(BASIS_NAMES):
+        direction = tuple(1.0 if i == k else 0.0 for i in range(4))
+        target = generator_apply(rep, name, f)
+        res = []
+        for t in (1e-2, 5e-3, 2.5e-3):
+            gp = exp_map(AlgebraElement(tuple(t * c for c in direction)), rep.params)
+            gm = exp_map(AlgebraElement(tuple(-t * c for c in direction)), rep.params)
+            diff = wf_scale(wf_sub(rep_apply(rep, gp, f), rep_apply(rep, gm, f)),
+                            1.0 / (2.0 * t))
+            res.append(l2_diff(diff, target) / norm(f))
+        out[name] = res
+    return out
+
+
+def second_order(errs) -> bool:
+    """The ladder's verdict: halving the step shrinks the residual by ~4
+    (a direction already at round-off, 1e-12, is skipped)."""
+    return all(errs[k] / errs[k + 1] > 3.0 for k in range(len(errs) - 1)
+               if errs[k] > 1e-12)
+
+
+def faithfulness_residuals(rep: RepParams, elements, probes):
+    """max_f ||T(g) f - f|| / ||f|| for each test element."""
+    out = []
+    for g in elements:
+        out.append(max(l2_diff(rep_apply(rep, g, f), f) / norm(f)
+                       for f in probes))
+    return out
+
+
+def random_subgroup_element(rep: RepParams, rng) -> GroupElement:
+    """An element of the family's inducing subgroup, coordinates in [-1.5, 1.5)."""
+    a, b, c = rng.uniform(-1.5, 1.5, size=3)
+    if rep.family == "A":
+        return GroupElement(a, a, b, c)
+    if rep.family == "C":
+        return GroupElement(a, b, 0.0, c)
+    return GroupElement(a, b, c, rng.uniform(-1.5, 1.5))
+
+
+def right_invariance_residual(rep: RepParams, f, samples: int = 100,
+                              seed: int = 0) -> float:
+    """Defining covariance of the lifted function, F(h g) = D^-1/2 chi(h) F(g).
+
+    Family B's lifted value is a carrier vector, a WaveFunction when f is
+    one, and is compared in the L2 norm.
+    """
+    rng = np.random.default_rng(seed)
+    F = lifted_function(rep, f)
+    worst = 0.0
+    for _ in range(samples):
+        h = random_subgroup_element(rep, rng)
+        g = GroupElement(*rng.uniform(-1.5, 1.5, size=4))
+        lhs = F(compose(h, g, rep.params))
+        rhs = subgroup_modulus(h, rep.family) ** -0.5 * character(h, rep) * F(g)
+        if isinstance(rhs, WaveFunction):
+            gap = l2_diff(lhs, rhs) / max(norm(rhs), 1e-30)
+        else:
+            gap = abs(lhs - rhs) / max(abs(rhs), 1e-30)
+        worst = max(worst, float(gap))
+    return worst

@@ -87,7 +87,7 @@ def test_criterion_6_generator_finite_difference():
     t0 = time.time()
     rep6 = suite_generators(P, SEED)
     ok = rep6["pass"] and time.time() - t0 < 10.0
-    report(6, "generator/finite-difference second-order convergence", ok)
+    report(6, "generators dT(X) = d/dt T(exp tX) at 0 (exact jet derivative, 1e-12)", ok)
 
 
 def test_criterion_7_quantization():

@@ -297,26 +297,42 @@ def counted_rules(monkeypatch):
 def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
     # every integral of the report passes its first 8 -> 16 panel check;
     # a change that makes some integrand refine shows up as 32 panels here.
-    # The generator-consistency and dynamics checks integrate, and the
-    # representation and quantization checks make no quadrature (closed
-    # form), so a report makes 50; more is a regression
+    # Only the dynamics oracles integrate; the representation, generator
+    # and quantization checks make no quadrature (closed form), so a
+    # report makes 25; more is a regression
     panels = counted_rules(monkeypatch)
     cli.run(["all-checks", "--seed", "42", f"--B={B}"])
     capsys.readouterr()
     assert set(panels) == {8, 16} and panels[8] == panels[16], panels
-    assert panels[8] <= 50, panels
+    assert panels[8] <= 25, panels
 
 
-@pytest.mark.parametrize("suite", (cli.suite_quantization, cli.suite_reps),
-                         ids=("quantization", "representations"))
+@pytest.mark.parametrize("suite", (cli.suite_quantization, cli.suite_reps,
+                                   cli.suite_generators),
+                         ids=("quantization", "representations", "generators"))
 @pytest.mark.parametrize("B", (1.0, -1.3))
 def test_quantization_suite_makes_no_quadrature(B, suite, monkeypatch):
-    # Dirac, hermiticity and covariance, and the representations'
-    # homomorphism, unitarity, commutator and Casimir checks, are exact:
-    # coefficient arithmetic and sums of Gaussian moments
+    # Dirac, hermiticity and covariance, the representations' homomorphism,
+    # unitarity, commutator and Casimir checks, and generator consistency
+    # are exact: coefficient arithmetic, jets and sums of Gaussian moments
     panels = counted_rules(monkeypatch)
     assert suite(ModelParams(B=B), 42)["pass"]
     assert not panels, panels
+
+
+#: the fixed B list of the sweep over the domain, both signs
+SWEEP_B = [s * b for b in (1e-8, 1e-4, 1e-2, 10.0, 100.0, 1e4) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("B", SWEEP_B)
+def test_generators_suite_passes_at_every_sweep_B(B):
+    # the central-difference ladder failed at |B| <= 1e-3 and >= 100, where
+    # the phase rate outgrew its fixed steps; the jet derivative is exact,
+    # and the suite draws nothing, so no seed changes it
+    p = ModelParams(B=B)
+    report = cli.suite_generators(p, 42)
+    assert report["pass"], report
+    assert cli.suite_generators(p, 7) == report
 
 
 @pytest.mark.parametrize("B", (1e-8, -1e-8, 1e4, -1e4))

@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincare_ext import irreps as ir
-from poincare_ext.cli import REP_GATES
+from poincare_ext.cli import GENERATOR_GATE, REP_GATES
 from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
-                                bracket, compose, identity)
+                                bracket, compose, exp_map, identity)
 from poincare_ext.wavefunctions import (WaveFunction, gauss_legendre, hermite_wf,
                                         inner, l2_diff, norm, wf_add, wf_scale,
                                         wf_sub)
-from quadrature_oracle import integrate_stack, relative_l2, wf_stack
+from quadrature_oracle import (faithfulness_residuals, generator_consistency,
+                               integrate_stack, random_subgroup_element,
+                               relative_l2, right_invariance_residual,
+                               second_order, wf_stack)
 
 P = ModelParams()
 REP_A = ir.case_a(1.0, -1.0, P)
@@ -53,8 +56,8 @@ def test_character_multiplicative_on_subgroup():
     rng = np.random.default_rng(0)
     for rep in (REP_A, REP_B, REP_C):
         for _ in range(50):
-            h2 = ir._random_subgroup_element(rep, rng)
-            h1 = ir._random_subgroup_element(rep, rng)
+            h2 = random_subgroup_element(rep, rng)
+            h1 = random_subgroup_element(rep, rng)
             prod = ir.character(compose(h2, h1, P), rep)
             assert abs(prod - ir.character(h2, rep) * ir.character(h1, rep)) < 1e-12
             assert abs(abs(prod) - 1.0) < 1e-14
@@ -135,11 +138,8 @@ def test_generator_scalar_actions():
 def test_generator_finite_difference_second_order():
     f = hermite_wf(1)
     for rep in (REP_A, REP_C):
-        table = ir.generator_consistency(rep, f)
-        for name, errs in table.items():
-            for k in range(len(errs) - 1):
-                if errs[k] > 1e-12:
-                    assert errs[k] / errs[k + 1] > 3.0, (rep.family, name, errs)
+        for name, errs in generator_consistency(rep, f).items():
+            assert second_order(errs), (rep.family, name, errs)
 
 
 def test_faithfulness_family_a():
@@ -149,7 +149,7 @@ def test_faithfulness_family_a():
     # central elements act by a nontrivial phase unless beta*z3 is 2*pi*k
     elements += [GroupElement(0.0, 0.0, 0.0, 1.0),
                  GroupElement(0.0, 0.0, 0.0, -2.0)]
-    for res in ir.faithfulness_residuals(REP_A, elements, probes):
+    for res in faithfulness_residuals(REP_A, elements, probes):
         assert res > 1e-3
 
 
@@ -163,8 +163,8 @@ def test_family_b_unfaithful():
 
 def test_right_invariance_of_lifted_functions():
     f = hermite_wf(0)
-    assert ir.right_invariance_residual(REP_A, f, samples=100, seed=4) < 1e-10
-    assert ir.right_invariance_residual(REP_C, f, samples=100, seed=5) < 1e-10
+    assert right_invariance_residual(REP_A, f, samples=100, seed=4) < 1e-10
+    assert right_invariance_residual(REP_C, f, samples=100, seed=5) < 1e-10
 
 
 def test_borel_decomposition_reconstructs():
@@ -191,7 +191,7 @@ def test_rep_from_orbit_dispatch():
 def test_right_invariance_of_lifted_function_family_b():
     # the lifted value of a point orbit is the carrier vector chi(g) f
     f = hermite_wf(0)
-    assert ir.right_invariance_residual(REP_B, f, samples=100, seed=6) < 1e-10
+    assert right_invariance_residual(REP_B, f, samples=100, seed=6) < 1e-10
 
 
 def stacked(seed, count=7):
@@ -450,12 +450,23 @@ def _cosh_sinh_mutant(generators):
     return mutant
 
 
-@pytest.mark.parametrize("mutant, rep", ((_j_sign_mutant, REP_A),
-                                         (_cosh_sinh_mutant, REP_C)),
-                         ids=("A-J-xD-sign", "C-cosh-sinh"))
-def test_planted_generator_defect_fails_closed_form_and_oracle(mutant, rep,
+def _i_coefficient_mutant(generators):
+    # family A's I: i z3 -> 1.01 i z3
+    def mutant(rep):
+        gens = generators(rep)
+        return {**gens, "I": 1.01 * gens["I"]}
+    return mutant
+
+
+@pytest.mark.parametrize("mutant, rep, name", (
+    (_j_sign_mutant, REP_A, "J"),
+    (_cosh_sinh_mutant, REP_C, "P0"),
+    (_i_coefficient_mutant, REP_A, "I"),
+), ids=("A-J-xD-sign", "C-cosh-sinh", "A-I-coefficient"))
+def test_planted_generator_defect_fails_closed_form_and_oracle(mutant, rep, name,
                                                                monkeypatch):
-    # the oracle's generator chains read the same table (generator_apply)
+    # the oracles' generator chains read the same table (generator_apply);
+    # the jets of generator_gaps read T(g), not the table
     monkeypatch.setattr(ir, "_generators", mutant(ir._generators))
     report = ir.rep_suite(rep, trials=200, seed=42)
     oracles = oracle_checks(rep)
@@ -463,6 +474,65 @@ def test_planted_generator_defect_fails_closed_form_and_oracle(mutant, rep,
         value = oracles[field]()
         assert report[field] > REP_GATES[field] and value > REP_GATES[field], \
             (field, report[field], value)
+    gaps = ir.generator_gaps(rep)
+    assert gaps[name] > GENERATOR_GATE, gaps
+    assert all(gap <= GENERATOR_GATE for n, gap in gaps.items() if n != name), gaps
+    assert not second_order(generator_consistency(rep, hermite_wf(1))[name])
+
+
+# ---------------------------------------------------------------------------
+# generator consistency: the exact jet derivative and its quadrature ladder
+
+
+def test_jet_arithmetic_is_the_first_derivative():
+    # d/dx of x * exp(-2 x) / 4 - 3 at x = 0.5, with two slopes at once
+    x = ir.Jet(0.5, np.array([1.0, 2.0]))
+    y = x * (-2.0 * x).exp() / 4.0 - 3.0
+    want = (1.0 - 2.0 * 0.5) * math.exp(-1.0) / 4.0
+    assert y.v == 0.5 * math.exp(-1.0) / 4.0 - 3.0
+    assert np.allclose(y.d, [want, 2.0 * want], rtol=1e-15, atol=1e-17)
+    assert (1.0 - x).d.tolist() == [-1.0, -2.0] and (x - x).d.tolist() == [0.0, 0.0]
+    assert (np.float64(3.0) * x).d.tolist() == [3.0, 6.0]
+
+
+@pytest.mark.parametrize("t", (1e-3, 0.7, -2.0))
+def test_exp_map_of_a_basis_direction_is_the_coordinate_line(t):
+    # the fact the jet derivative rests on: exp(t X_k) = t e_k
+    for k in range(4):
+        v = tuple(t if i == k else 0.0 for i in range(4))
+        for B in (1.0, -1.3, 1e-8, 1e4):
+            assert exp_map(AlgebraElement(v), ModelParams(B=B)).array.tolist() == list(v)
+
+
+@pytest.mark.parametrize("B", (1.0, -1.3, 1e-8, 1e4))
+@pytest.mark.parametrize("family", ("A", "B", "C"))
+def test_jet_derivative_is_the_central_difference(family, B):
+    # the jets against a 1e-6 central difference of T's coefficients along
+    # each basis direction, for all three families (the suite checks A, C)
+    p = ModelParams(B=B)
+    rep = {"A": ir.case_a(1.0, -1.0, p), "B": ir.case_b(0.7, p),
+           "C": ir.case_c(1.0, 0.3, p)}[family]
+    one = ir._affine_phase(rep, identity())  # the jets assume T(1) = 1
+    assert (one.amp, one.a, one.b, *one.c) == (1.0, 1.0, 0.0) + (0.0,) * len(one.c)
+    got = ir._derivative_coefficients(rep)
+    h = 1e-6
+    for k in range(4):
+        ops = [ir._affine_phase(rep, GroupElement(*(s * h * np.eye(4)[k])))
+               for s in (1.0, -1.0)]
+        slope = [(u - v) / (2.0 * h) for u, v in zip(
+            *((op.amp, op.a, op.b, *op.c) for op in ops))]
+        amp, a, b, *c = slope
+        if family == "C":
+            want = {(0, 0): amp, (0, 1): b, (1, 0): (c[0] + c[1]) / 2,
+                    (-1, 0): (c[0] - c[1]) / 2}
+        else:
+            want = {(i, 0): ci for i, ci in enumerate(c)}
+            want[(0, 0)] += amp
+            want |= {(0, 1): b, (1, 1): a}
+        size = max(abs(w) for w in want.values())
+        for key, w in want.items():
+            assert abs(got[key][k] - w) <= 1e-8 * size, (k, key, got[key][k], w)
+    assert ir.generator_gaps(rep) == dict.fromkeys(ir.BASIS_NAMES, 0.0)
 
 
 def _random_affine_phase(rng, basis):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from poincare_ext import model
 from poincare_ext import orbits as orb
-from poincare_ext.conventions import minkowski_square
+from poincare_ext.conventions import SQRT_MINUS_H, minkowski_square
 from poincare_ext.group import (
     CoadjointPoint,
     GroupElement,
@@ -102,6 +102,23 @@ def test_on_orbit_rejects_other_orbits():
     zc = CoadjointPoint((1.0, 0.0, 0.0, 0.0))
     # opposite light-cone component is a different orbit on the same shell
     assert not orb.on_orbit(CoadjointPoint((-1.0, 0.0, 0.0, 0.0)), zc, P)
+
+
+@given(B=st.sampled_from([s * b for b in (1e-2, 0.5, 1.3, 3.0, 100.0)
+                          for s in (1.0, -1.0)]),
+       zeta=st.sampled_from([(0.0, 0.0, 0.5, -1.0), (0.4, -1.2, 2.0, 0.3)]),
+       g=st.tuples(*[st.floats(-2.0, 2.0)] * 4),
+       shift=st.floats(1e-6, 0.5), sign=st.sampled_from((1.0, -1.0)))
+def test_on_orbit_rejects_a_point_off_in_u3_alone(B, zeta, g, shift, sign):
+    # u3 is central, so a point that meets the Casimir with another u3 is on
+    # another orbit: u3 moved, and u2 set to what the u2 test wants there
+    p, zeta = ModelParams(B), CoadjointPoint(zeta)
+    casimir = orb.classify(zeta, p).labels["casimir"]
+    u = coadjoint_action(GroupElement(*g), zeta, p).array.copy()
+    u[3] *= 1.0 + sign * shift
+    u[2] = (minkowski_square(u[:2]) - casimir) * SQRT_MINUS_H / (2.0 * B * u[3])
+    assert orb.on_orbit(CoadjointPoint(u), zeta, p) is False
+    assert not orb.on_orbit(CoadjointPoint(np.stack([u, u])), zeta, p).any()
 
 
 def test_subalgebras_subordinate_at_representatives():

@@ -41,3 +41,22 @@ def test_all_names_resolve(path):
     missing = [name for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == []
+
+
+#: the quadrature entry points of wavefunctions
+QUADRATURE = {"integrate_vec", "integrate_fourier", "inner", "norm", "l2_diff"}
+
+
+def test_irreps_imports_no_quadrature():
+    # the representation and generator checks are exact; their quadrature
+    # versions are the oracle in tests/quadrature_oracle.py
+    tree = ast.parse((SRC / "irreps.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    from_wavefunctions = {a.name for node in imports
+                          if (node.module or "").split(".")[-1] == "wavefunctions"
+                          for a in node.names}
+    assert from_wavefunctions and not from_wavefunctions & QUADRATURE
+    # nor the module itself, whose attributes would reach the rest
+    modules = {a.name.split(".")[-1] for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert "wavefunctions" not in modules
