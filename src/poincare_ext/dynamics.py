@@ -9,10 +9,12 @@ spectral amplitude transport c_E(tau), eigenstate evolution with its
 unimodular phase, transition probabilities, and the total-energy
 expectation.
 
-The closed form is validated against two independent oracles: exact
-position-space propagation along characteristics (a), and the spectral
-transport equation solved by its integrating factor (b).  The oracle
-aborts if (a) and (b) disagree beyond 1e-8.
+The closed form is validated against two independent oracles: the
+position-space packet transported exactly along characteristics and
+projected on the eigenfunctions as its exact Gaussian integral (a), and
+the spectral transport equation solved by its integrating factor (b).
+The oracle aborts if (a) and (b) disagree beyond 1e-8.  The quadrature
+version of (a)'s projection is kept in tests/quadrature_oracle.py.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ import numpy as np
 from .model import (ClassicalState, ModelParams, classical_trajectory,
                     kinematical_momentum, proper_time, relativistic_energy,
                     velocity)
-from .wavefunctions import (WaveFunction, exp_poly_tower, integrate_fourier,
-                            integrate_vec)
+from .wavefunctions import WaveFunction, exp_poly_tower, integrate_vec
 
 __all__ = [
     "ClassicalState",
@@ -227,88 +228,41 @@ def default_e_grid(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
     return np.linspace(center - half, center + half, n)
 
 
-def _position_packet(cs: ClassicalState, c0: SpectralAmplitude, tau: float):
-    """Oracle (a): exact transport of the position-space packet.
-
-    The generator is affine in position and momentum, so the packet
-    moves rigidly along x with drift integral X(tau) and acquires a
-    phase linear in x; both integrals are one-dimensional quadratures.
-    """
-    p = cs.params
-    h, B = p.hbar, p.B
-    E0, sigma = c0.center, c0.width
-    dtau = tau - cs.tau0
-
+def _drift(cs: ClassicalState, tau: float):
+    """(X, I2): the drift integral of 1 - v and its first moment in time."""
     X = _time_integral(lambda s: 1.0 - _velocities(cs, s), cs, tau)
     I2 = _time_integral(lambda s: (1.0 - _velocities(cs, s)) * (s - cs.tau0),
                         cs, tau)
-
-    amp = (2.0 * math.pi * sigma * sigma) ** -0.25 \
-        * (2.0 * math.pi * h) ** -0.5 * 2.0 * sigma * math.sqrt(math.pi)
-
-    def psi0(x):
-        return amp * np.exp(-(sigma * x / h) ** 2
-                            - 1j * (E0 * x + 0.5 * B * x * x) / h)
-
-    def psi(x):
-        return psi0(x - X) * np.exp(-1j * B / h * (x * dtau - I2))
-
-    x_width = h / sigma
-    return psi, X, x_width
-
-
-#: E rows of oracle (a) projected at once.  One integrate_fourier call
-#: serves a block, so memory stays flat however long the grid is.  At n
-#: panels a block holds the base exponentials (512 x 32), the shift
-#: exponentials (512 x n) and their contraction with the weighted packet,
-#: inner (512 x n), with no E-by-node kernel: at 16 panels 0.26 + 0.13 +
-#: 0.13 MB of complex128.  The default 400-point grid is one block, as few
-#: numpy calls as possible
-_E_BLOCK = 512
+    return X, I2
 
 
 def _project_oracle_a(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
                       e_grid):
-    """<E|psi(tau)> on the E-grid by quadrature over the position packet.
+    """Oracle (a): <E|psi(tau)> for the exactly transported position packet.
 
-    Each block of E rows is one integrate_fourier call on the shared
-    8 -> 16 panel ladder over X +- 14 hbar/sigma, refined to at most 256
-    panels and converged per E to 1e-10 absolute, else OracleError.  The
-    Fourier sum of the weighted packet is contracted panel by panel: one
-    exponential per (E, panel-0 node) and one per (E, panel), and the
-    E-by-node kernel exp(i E x / hbar) is never formed.  The
-    integrand is a Gaussian times unimodular phases, so the rule converges
-    exponentially and 8 panels are ample: they agree with a 256-panel
-    projection to 6.5e-15 over 46 cases (the suite's five (B, m) pairs at
-    grids of 400 and 1600 points; B in +-{0.5, 3}, m in {0.5, 1, 2}, tau
-    in {0.5, 1.6, 3} at 1600).  The first 8 -> 16 check passes in each of
-    them, and in all 1650 blocks of those cases and of 200 random `evolve`
-    runs like the benchmark's (grids of 400 and 1600, 0.5 <= |B| <= 3,
-    m in {0.5, 1, 2}, tau in [0.5, 3]); those runs stay within 8.0e-15 of
-    the closed form.
+    The generator is affine in position and momentum, so the packet
+    psi0(x) = amp exp(-(sigma x / hbar)^2 - i (E0 x + B x^2 / 2) / hbar)
+    moves rigidly along x by the drift integral X(tau) and acquires the
+    phase exp(-i B (x dtau - I2) / hbar); X and I2 are time quadratures.
+    Against <x|E> the chirps exp(+-i B x^2 / 2 hbar) cancel, which leaves a
+    Gaussian integral in y = x - X, exact over the real line:
+
+        c_a(E) = (2 pi sigma^2)^(-1/4) exp(-(E - E0 + B (X - dtau))^2
+                 / 4 sigma^2) exp(i [E (X - dtau) + B X^2 / 2 - B X dtau
+                 + B I2] / hbar).
+
+    Its quadrature over X +- 14 hbar/sigma, which drops about e^-196 of the
+    packet, is the test oracle (tests/quadrature_oracle.py).
     """
-    p = cs.params
-    h, B = p.hbar, p.B
-    psi, X, w = _position_packet(cs, c0, tau)
+    h, B = cs.params.hbar, cs.params.B
+    E0, sigma = c0.center, c0.width
     dtau = tau - cs.tau0
-    lo, hi = X - 14.0 * w, X + 14.0 * w
-
-    def packet(x):
-        # psi with the E-independent half of the conjugate eigenfunction
-        # phase and its normalisation
-        return np.exp(0.5j * B * x * x / h) / math.sqrt(2.0 * math.pi * h) \
-            * psi(x)
-
-    out = np.empty(len(e_grid), dtype=complex)
-    for i in range(0, len(e_grid), _E_BLOCK):
-        e = e_grid[i:i + _E_BLOCK]
-        try:
-            out[i:i + _E_BLOCK] = integrate_fourier(
-                e / h, packet, lo, hi, rtol=0.0, atol=1e-10, max_panels=256)
-        except RuntimeError as exc:
-            raise OracleError("position-space projection did not converge") \
-                from exc
-    return np.exp(-1j * e_grid * dtau / h) * out
+    X, I2 = _drift(cs, tau)
+    e = np.asarray(e_grid, dtype=float)
+    phase = e * (X - dtau) + B * (0.5 * X * X - X * dtau + I2)
+    return (2.0 * math.pi * sigma * sigma) ** -0.25 \
+        * np.exp(-((e - E0 + B * (X - dtau)) / (2.0 * sigma)) ** 2
+                 + 1j * phase / h)
 
 
 def _transport_oracle_b(cs: ClassicalState, c0: SpectralAmplitude, tau: float,

@@ -20,10 +20,8 @@ All integrals run on [center - 12 width, center + 12 width] with a
 panel-doubling composite Gauss-Legendre rule (vectorized evaluations) that
 starts at 8 panels and is converged to relative tolerance 1e-10.  The rule
 on [0, 1] is built once per panel count and only scaled to each window.
-One panel-doubling ladder (_ladder) serves both quadratures: integrate_vec
-sums w fn(x) at each level, and integrate_fourier sums w exp(i k x) fn(x)
-for a vector of k as a contraction over the rule's panels, without the
-k-by-node kernel.
+The panel-doubling driver (_ladder) is kept apart from integrate_vec's
+weighted sum, so the test oracles can run other sums on the same ladder.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ __all__ = [
     "norm",
     "l2_diff",
     "integrate_vec",
-    "integrate_fourier",
     "gauss_legendre",
 ]
 
@@ -93,50 +90,6 @@ def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
         return np.sum(w * fn(x), axis=-1)
 
     return _ladder(level, lo, hi, rtol, atol, max_panels)[()]
-
-
-def integrate_fourier(k, fn, lo, hi, rtol: float = 1e-10,
-                      atol: float = 1e-13, max_panels: int = 4096):
-    """integral of exp(i k x) fn(x) over [lo, hi], one value per entry of k.
-
-    The ladder is integrate_vec's, on one window.  Panel p's nodes are
-    panel 0's shifted by d_p, so on each level the sum over the nodes
-    x[p, j] is sum_p exp(i k d_p) sum_j exp(i k x[0, j]) (w fn)[p, j]: two
-    small exponential tables (k.shape + (32,) and k.shape + (panels,)) and
-    one contraction, without the k-by-node kernel.  The shift structure is
-    checked to 8 eps max|x| (gauss_legendre's nodes meet it within
-    2.4 eps), so the error stays within a few eps (1 + |k| max|x|) of the
-    plain weighted sum; other nodes raise ValueError.
-    """
-    k = np.asarray(k, dtype=float)
-    size = _GL_NODES.size
-
-    def level(n):
-        x, w = gauss_legendre(lo, hi, n)
-        if x.ndim != 1 or x.size == 0 or x.size % size:
-            raise ValueError(f"integrate_fourier: nodes of shape {x.shape} "
-                             f"are not one composite {size}-point rule")
-        rows = x.reshape(-1, size)
-        base, shifts = rows[0], rows[:, 0] - rows[0, 0]
-        off = np.abs(rows - shifts[:, None] - base)
-        if np.any(off > 8.0 * np.finfo(float).eps * np.max(np.abs(x))):
-            raise ValueError(f"integrate_fourier: panels are not shifts of the "
-                             f"first one (off by up to {np.max(off):.3g})")
-        # einsum sums in its own loops; a matmul here would start BLAS
-        # worker threads for a product this small
-        inner = np.einsum("...j,pj->...p", _cis(np.multiply.outer(k, base)),
-                          (w * fn(x)).reshape(rows.shape))
-        return np.sum(_cis(np.multiply.outer(k, shifts)) * inner, axis=-1)
-
-    return _ladder(level, lo, hi, rtol, atol, max_panels)[()]
-
-
-def _cis(t):
-    """exp(i t) for real t, from cos and sin: faster than the complex exp."""
-    out = np.empty(t.shape, dtype=complex)
-    np.cos(t, out=out.real)
-    np.sin(t, out=out.imag)
-    return out
 
 
 def _ladder(level, lo, hi, rtol, atol, max_panels):

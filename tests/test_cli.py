@@ -297,14 +297,16 @@ def counted_rules(monkeypatch):
 def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
     # every integral of the report passes its first 8 -> 16 panel check;
     # a change that makes some integrand refine shows up as 32 panels here.
-    # Only the dynamics oracles integrate; the representation, generator
-    # and quantization checks make no quadrature (closed form), so a
-    # report makes 25; more is a regression
+    # Only the dynamics oracles' time integrals remain: X and I2 for (a),
+    # whose projection is an exact Gaussian integral, and two for (b), at
+    # each of the five sweep pairs; the representation, generator and
+    # quantization checks make no quadrature (closed form), so a report
+    # makes 20; more is a regression
     panels = counted_rules(monkeypatch)
     cli.run(["all-checks", "--seed", "42", f"--B={B}"])
     capsys.readouterr()
     assert set(panels) == {8, 16} and panels[8] == panels[16], panels
-    assert panels[8] <= 25, panels
+    assert panels[8] <= 20, panels
 
 
 @pytest.mark.parametrize("suite", (cli.suite_quantization, cli.suite_reps,
@@ -333,6 +335,29 @@ def test_generators_suite_passes_at_every_sweep_B(B):
     report = cli.suite_generators(p, 42)
     assert report["pass"], report
     assert cli.suite_generators(p, 7) == report
+
+
+#: |B| -> the measured cause of the dynamics suite's failure there; each
+#: strict xfail must flip when its cause is mended
+DYNAMICS_XFAIL = {
+    1e-8: "minimum_located: the golden-section bracket grows with tau* = 2/B "
+          "(3.73 wide at |B| = 1e-8) against the absolute 0.005 tau cap, "
+          "where the expectation is flat",
+    1e4: "minimum_located: the minimum value is off by 4.07e-10 against the "
+         "absolute 1e-10 value gate",
+}
+
+
+@pytest.mark.parametrize("B", [
+    pytest.param(B, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=DYNAMICS_XFAIL[abs(B)]))
+    if abs(B) in DYNAMICS_XFAIL else B
+    for B in SWEEP_B])
+def test_dynamics_suite_at_every_sweep_B(B):
+    # the oracle sweep runs at its own (B, m) pairs; only the minimum of
+    # the total-energy expectation is located at the report's B
+    report = cli.suite_dynamics(ModelParams(B=B), 42)
+    assert report["pass"], report
 
 
 @pytest.mark.parametrize("B", (1e-8, -1e-8, 1e4, -1e4))

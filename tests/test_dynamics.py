@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import quadrature_oracle as qo
 from poincare_ext import dynamics as dy
 from poincare_ext.group import ModelParams
 from poincare_ext.irreps import default_probes
@@ -11,6 +12,9 @@ from poincare_ext.wavefunctions import gauss_legendre, l2_diff, norm
 
 P = ModelParams()
 CS = dy.ClassicalState(q1_0=0.0, ptilde_0=-2.0, tau0=0.0, m=1.0, params=P)
+
+#: the (B, m) pairs of the dynamics suite's oracle sweep
+SWEEP = [(1.0, 0.5), (-1.0, 1.0), (2.0, 2.0), (-2.0, 0.5), (1.0, 2.0)]
 
 
 def test_state_validation():
@@ -190,7 +194,7 @@ def test_oracles_agree_with_closed_form():
 
 def test_oracle_parameter_sweep():
     c0 = dy.gaussian_spectral(0.0, 1.0)
-    for B, m in [(1.0, 0.5), (-1.0, 1.0), (2.0, 2.0), (-2.0, 0.5), (1.0, 2.0)]:
+    for B, m in SWEEP:
         cs = dy.ClassicalState(0.0, 0.7, 0.1, m, ModelParams(B=B))
         grid, c = dy.oracle_propagate(cs, c0, 1.6)
         cf = dy.c_closed_form(cs, grid, 1.6, c0)
@@ -198,27 +202,45 @@ def test_oracle_parameter_sweep():
         assert abs(dy.spectral_norm(grid, c) - 1.0) < 1e-8
 
 
+def peak_memory(fn, *args):
+    """Peak traced allocation, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_oracle_kernel_memory_flat_in_grid():
-    # oracle (a) builds its E-by-node kernel a block of E rows at a time,
-    # so a grid four blocks long peaks near one block, not four
+    # the quadrature oracle builds its exponential tables a block of E rows
+    # at a time, so a grid four blocks long peaks near one block, not four
     cs = dy.ClassicalState(0.0, 0.7, 0.1, 1.0, P)
     c0 = dy.gaussian_spectral(0.0, 1.0)
-    peaks = []
-    for n in (dy._E_BLOCK, 4 * dy._E_BLOCK):
-        grid = dy.default_e_grid(cs, c0, 1.6, n=n)
-        tracemalloc.start()
-        try:
-            dy._project_oracle_a(cs, c0, 1.6, grid)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [peak_memory(qo.project_oracle_a, cs, c0, 1.6,
+                         dy.default_e_grid(cs, c0, 1.6, n=n))
+             for n in (qo.E_BLOCK, 4 * qo.E_BLOCK)]
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_closed_form_projection_memory_linear_in_grid():
+    # the exact Gaussian integral holds a few arrays of the grid's length
+    # (about 64 bytes per E row measured) and no E-by-node array, which on
+    # the smallest rule, 8 panels of 32 nodes, would be 4096 bytes a row;
+    # each added row may cost 16 complex values at most
+    cs = dy.ClassicalState(0.0, 0.7, 0.1, 1.0, P)
+    c0 = dy.gaussian_spectral(0.0, 1.0)
+    n = 1600
+    peaks = [peak_memory(dy._project_oracle_a, cs, c0, 1.6,
+                         dy.default_e_grid(cs, c0, 1.6, n=k * n))
+             for k in (1, 4)]
+    assert peaks[1] - peaks[0] <= 256 * 3 * n, peaks
 
 
 def fixed_projection(cs, c0, tau, e_grid, panels=256):
     """Oracle (a) on one fixed composite rule, a kernel block at a time."""
     h, B = cs.params.hbar, cs.params.B
-    psi, X, w = dy._position_packet(cs, c0, tau)
+    psi, X, w = qo.position_packet(cs, c0, tau)
     x, wts = gauss_legendre(X - 14.0 * w, X + 14.0 * w, panels)
     v = wts * psi(x)
     out = np.concatenate([np.exp(1j * (np.outer(e, x) + 0.5 * B * x * x) / h) @ v
@@ -229,14 +251,45 @@ def fixed_projection(cs, c0, tau, e_grid, panels=256):
 
 @pytest.mark.parametrize("n", (400, 1600))
 def test_oracle_a_matches_fixed_rule(n):
-    # the 8 -> 16 panel ladder against 256 panels, over the suite's sweep
+    # the quadrature oracle's 8 -> 16 panel ladder against 256 panels, over
+    # the suite's sweep
     c0 = dy.gaussian_spectral(0.0, 1.0)
-    for B, m in [(1.0, 0.5), (-1.0, 1.0), (2.0, 2.0), (-2.0, 0.5), (1.0, 2.0)]:
+    for B, m in SWEEP:
         cs = dy.ClassicalState(0.0, 0.7, 0.1, m, ModelParams(B=B))
         grid = dy.default_e_grid(cs, c0, 1.6, n=n)
-        gap = np.max(np.abs(dy._project_oracle_a(cs, c0, 1.6, grid)
+        gap = np.max(np.abs(qo.project_oracle_a(cs, c0, 1.6, grid)
                             - fixed_projection(cs, c0, 1.6, grid)))
         assert gap <= 1e-13, (B, m, gap)
+
+
+@pytest.mark.parametrize("hbar", (0.3, 1.0, 3.0))
+@pytest.mark.parametrize("n", (400, 1600))
+def test_closed_form_projection_matches_quadrature(n, hbar):
+    # oracle (a) as the exact Gaussian integral against its Fourier
+    # quadrature over the truncated packet (measured gap at most 3.6e-15)
+    c0 = dy.gaussian_spectral(0.0, 1.0)
+    for B, m in SWEEP:
+        cs = dy.ClassicalState(0.0, 0.7, 0.1, m, ModelParams(B=B, hbar=hbar))
+        grid = dy.default_e_grid(cs, c0, 1.6, n=n)
+        gap = np.max(np.abs(dy._project_oracle_a(cs, c0, 1.6, grid)
+                            - qo.project_oracle_a(cs, c0, 1.6, grid)))
+        assert gap <= 1e-13, (B, m, gap)
+
+
+@pytest.mark.parametrize("B, m", SWEEP)
+def test_planted_B_I2_sign_fails_the_dual_oracle(B, m, monkeypatch):
+    # a planted defect: the sign of the B I2 phase term flipped in the
+    # closed form (I2 enters it there alone), which oracle (b) must catch
+    real = dy._drift
+
+    def flipped(cs, tau):
+        X, I2 = real(cs, tau)
+        return X, -I2
+
+    monkeypatch.setattr(dy, "_drift", flipped)
+    cs = dy.ClassicalState(0.0, 0.7, 0.1, m, ModelParams(B=B))
+    with pytest.raises(dy.OracleError, match="oracle disagreement"):
+        dy.oracle_propagate(cs, dy.gaussian_spectral(0.0, 1.0), 1.6)
 
 
 def test_expectation_from_oracle_state():

@@ -43,20 +43,39 @@ def test_all_names_resolve(path):
     assert missing == []
 
 
-#: the quadrature entry points of wavefunctions
+#: the quadrature entry points of wavefunctions, with the Fourier sum that
+#: moved to tests/quadrature_oracle.py
 QUADRATURE = {"integrate_vec", "integrate_fourier", "inner", "norm", "l2_diff"}
+
+
+def wavefunctions_imports(module):
+    """(names imported from wavefunctions, last parts of every imported module
+    and name) in module's source."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = {a.name for node in imports if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "wavefunctions"
+             for a in node.names}
+    modules = {a.name.split(".")[-1] for node in imports for a in node.names}
+    return names, modules
 
 
 def test_irreps_imports_no_quadrature():
     # the representation and generator checks are exact; their quadrature
     # versions are the oracle in tests/quadrature_oracle.py
-    tree = ast.parse((SRC / "irreps.py").read_text())
-    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
-    from_wavefunctions = {a.name for node in imports
-                          if (node.module or "").split(".")[-1] == "wavefunctions"
-                          for a in node.names}
-    assert from_wavefunctions and not from_wavefunctions & QUADRATURE
+    names, modules = wavefunctions_imports("irreps")
+    assert names and not names & QUADRATURE
     # nor the module itself, whose attributes would reach the rest
-    modules = {a.name.split(".")[-1] for node in ast.walk(tree)
-               if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
     assert "wavefunctions" not in modules
+
+
+def test_dynamics_imports_no_fourier_quadrature():
+    # oracle (a)'s projection is its exact Gaussian integral; the Fourier
+    # quadrature is its oracle in tests/quadrature_oracle.py, and the
+    # package keeps no copy
+    names, modules = wavefunctions_imports("dynamics")
+    assert names and "integrate_fourier" not in names
+    assert "wavefunctions" not in modules
+    wavefunctions = importlib.import_module("poincare_ext.wavefunctions")
+    assert not hasattr(wavefunctions, "integrate_fourier")

