@@ -2,8 +2,8 @@
 
 Works for any finite-dimensional real Lie algebra handed over as
 structure constants.  The constants are held as exact fractions (every
-float is one), and ranks come from exact Gaussian elimination over the
-rationals: cohomology dimensions are integers and must not depend on a
+float is one), and ranks come from `model.rank`, the package's one exact
+elimination: cohomology dimensions are integers and must not depend on a
 tolerance.  The module imports no numpy.
 """
 
@@ -12,15 +12,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .model import BASIS_NAMES, ModelParams, brackets
+from .model import BASIS_NAMES, ModelParams, brackets, rank
 
 __all__ = [
     "StructureConstants",
-    "CochainSpace",
     "ce_differential",
     "cohomology_dim",
     "catalog_algebra",
@@ -75,35 +74,6 @@ class StructureConstants:
             object.__setattr__(self, "basis_names", tuple(f"T{i}" for i in range(self.n)))
 
 
-@dataclass(frozen=True)
-class CochainSpace:
-    """Basis bookkeeping for Lambda^k of the dual space."""
-
-    n: int
-    degree: int
-    basis: tuple = field(init=False)
-
-    def __post_init__(self):
-        if not 0 <= self.degree <= self.n:
-            raise ValueError(f"degree {self.degree} out of range for dimension {self.n}")
-        object.__setattr__(
-            self, "basis", tuple(itertools.combinations(range(self.n), self.degree)))
-
-    @property
-    def dim(self) -> int:
-        assert len(self.basis) == math.comb(self.n, self.degree)
-        return len(self.basis)
-
-
-def _insertion_sign(c: int, rest: tuple):
-    """Sort (c,) + rest; return (sorted tuple, permutation sign) or None if repeated."""
-    if c in rest:
-        return None
-    pos = sum(1 for r in rest if r < c)
-    ordered = tuple(sorted((c,) + rest))
-    return ordered, (-1) ** pos
-
-
 def ce_differential(k: int, sc: StructureConstants) -> list:
     """Exact rows of d_k : Lambda^k -> Lambda^{k+1} for trivial coefficients.
 
@@ -113,47 +83,24 @@ def ce_differential(k: int, sc: StructureConstants) -> list:
     """
     if not 0 <= k <= sc.n:
         raise ValueError(f"degree {k} out of range for dimension {sc.n}")
-    dom = CochainSpace(sc.n, k)
     if k == sc.n:
         return []
-    cod = CochainSpace(sc.n, k + 1)
-    index = {t: i for i, t in enumerate(dom.basis)}
-    mat = [[Fraction(0)] * dom.dim for _ in cod.basis]
-    for row, s_tuple in enumerate(cod.basis):
+    # the basis k- and (k+1)-forms, as sorted index tuples
+    index = {t: i for i, t in enumerate(itertools.combinations(range(sc.n), k))}
+    cod = list(itertools.combinations(range(sc.n), k + 1))
+    mat = [[Fraction(0)] * len(index) for _ in cod]
+    for row, s_tuple in enumerate(cod):
         for i, j in itertools.combinations(range(k + 1), 2):
             rest = tuple(s_tuple[m] for m in range(k + 1) if m != i and m != j)
             pair_sign = (-1) ** (i + j)
             for c_idx in range(sc.n):
                 coeff = sc.c[c_idx][s_tuple[i]][s_tuple[j]]
-                if not coeff:
-                    continue
-                hit = _insertion_sign(c_idx, rest)
-                if hit is None:
-                    continue
-                ordered, sign = hit
-                col = index.get(ordered)
-                if col is not None:
+                if coeff and c_idx not in rest:
+                    # sorting (c,) + rest moves c past the indices below it
+                    sign = (-1) ** sum(1 for r in rest if r < c_idx)
+                    col = index[tuple(sorted((c_idx,) + rest))]
                     mat[row][col] += pair_sign * sign * coeff
     return mat
-
-
-def _rank(mat: list) -> int:
-    """Exact rank by Gaussian elimination over the rationals."""
-    rows = [list(row) for row in mat]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def cohomology_dim(k: int, sc: StructureConstants) -> int:
@@ -162,8 +109,8 @@ def cohomology_dim(k: int, sc: StructureConstants) -> int:
         raise ValueError(f"degree {k} out of range for dimension {sc.n}")
     d_k = ce_differential(k, sc)
     dim_k = math.comb(sc.n, k)
-    kernel = dim_k - _rank(d_k)
-    image = _rank(ce_differential(k - 1, sc)) if k >= 1 else 0
+    kernel = dim_k - rank(d_k)
+    image = rank(ce_differential(k - 1, sc)) if k >= 1 else 0
     return kernel - image
 
 

@@ -3,9 +3,10 @@
 Basis order for the algebra is (P0, P1, J, I); group elements carry the
 global coordinates (theta0, theta1, alpha, beta) of the coset
 decomposition exp(theta^a P_a) exp(alpha J) exp(beta I).  The defining
-brackets, ModelParams and the Casimir on components live in `model`.  The
-group is solvable exponential, so exp is a global diffeomorphism; exp and
-log are evaluated in closed form and every operation here is total.
+brackets, ModelParams, the Casimir on components and the exact elimination
+that decides the central and derived series live in `model`.  The group
+is solvable exponential, so exp is a global diffeomorphism; exp and log
+are evaluated in closed form and every operation here is total.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .conventions import (
     lorentz_matrix,
     minkowski_square,
 )
-from .model import ModelParams, brackets, casimir
+from . import model
+from .model import ModelParams, brackets, casimir, row_basis
 
 __all__ = [
     "ModelParams",
@@ -363,48 +365,31 @@ def casimir_pairing(u, p: ModelParams = ModelParams()):
 # structural classification
 
 
-def row_and_null_space(mat, rcond: float = 1e-10):
-    """Orthonormal bases, as rows, of the row space and the null space of mat.
-
-    Singular values at most rcond times the largest one count as zero.
-    """
-    _, s, vt = np.linalg.svd(mat)
-    rank = int(np.sum(s > rcond * s[0])) if s.size else 0
-    return vt[:rank], vt[rank:]
-
-
-def _bracket_span(basis_a, basis_b, p: ModelParams):
-    """Orthonormal basis of span{[x, y] : x in A, y in B}; A and B hold rows."""
-    prods = bracket(AlgebraElement(np.asarray(basis_a)[:, None]),
-                    AlgebraElement(np.asarray(basis_b)[None, :]), p)
-    return row_and_null_space(prods.array.reshape(-1, 4))[0]
-
-
 def structural_report(p: ModelParams = ModelParams(), samples: int = 1000,
                       seed: int = 0) -> dict:
     """Numerical evidence for the structural claims about the algebra.
 
-    Returns the descending central and derived series dimensions, the
+    Returns the descending central and derived series dimensions (exact), the
     largest imaginary part and trace of ad(X) over random samples, and
     whether some sampled ad(X) has a nonzero real eigenvalue.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    full = np.eye(4)
+    full = [[int(a == b) for b in range(4)] for a in range(4)]
 
     central = [4]
     term = full
     for _ in range(8):
-        term = _bracket_span(full, term, p)
-        central.append(term.shape[0])
+        term = row_basis([model.bracket(x, y, p.B) for x in full for y in term])
+        central.append(len(term))
         if len(central) >= 3 and central[-1] == central[-2]:
             break
 
     derived = [4]
     term = full
-    while term.shape[0] > 0:
-        term = _bracket_span(term, term, p)
-        derived.append(term.shape[0])
+    while len(term):
+        term = row_basis([model.bracket(x, y, p.B) for x in term for y in term])
+        derived.append(len(term))
 
     rng = np.random.default_rng(seed)
     m = ad_matrix(AlgebraElement(rng.uniform(-5.0, 5.0, (samples, 4))), p)

@@ -6,9 +6,11 @@ Basis order (P0, P1, J, I).  The defining brackets
 
 with J and I commuting with I, are stated here once; `group` builds its
 float structure constants from them, and `cohomology` its exact ones.
-So are the Casimir on components, the three coadjoint orbit cases and the
-classical particle's closed forms, which `group`, `orbits` and `dynamics`
-use or re-export.  Without numpy, `cohomology`, `orbit classify` and
+One exact elimination here (`rank`, `row_basis`, `kernel`, with `bracket`
+on the table) decides every algebra dimension.  The Casimir on
+components, the three coadjoint orbit cases and the classical particle's
+closed forms are here too, which `group`, `orbits` and `dynamics` use or
+re-export.  Without numpy, `cohomology`, `orbit classify` and
 `trajectory` load this module alone.
 """
 
@@ -16,8 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-__all__ = ["ModelParams", "BASIS_NAMES", "brackets", "casimir", "OrbitClass",
+__all__ = ["ModelParams", "BASIS_NAMES", "brackets", "bracket", "rank",
+           "row_basis", "kernel", "casimir", "OrbitClass",
            "classify", "ClassicalState", "kinematical_momentum",
            "relativistic_energy", "velocity", "classical_trajectory",
            "proper_time"]
@@ -51,6 +55,60 @@ def brackets(B) -> tuple:
     return ((0, 1, (0, 0, 0, -B)),   # [P0, P1] = B eps_{01} I
             (0, 2, (0, 1, 0, 0)),    # [P0, J] = eps_0^1 P1
             (1, 2, (1, 0, 0, 0)))    # [P1, J] = eps_1^0 P0
+
+
+def bracket(x, y, B) -> tuple:
+    """[x, y] from the table; exact for int or Fraction x and y (B is read exactly)."""
+    z = [0, 0, 0, 0]
+    for a, c, coeffs in brackets(Fraction(B)):
+        minor = x[a] * y[c] - x[c] * y[a]
+        if minor:
+            z = [s + minor * k if k else s for s, k in zip(z, coeffs)]
+    return tuple(z)
+
+
+def row_basis(rows) -> list:
+    """An integer basis of the span of rows: their reduced echelon form.
+
+    Rows are scaled to integers (`as_integer_ratio` is exact for int, float
+    and Fraction) and reduced fraction-free (Bareiss, Math. Comp. 22 (1968)
+    565): each division by the last pivot is exact, and all pivots end equal.
+    """
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    rows = [[n * (lcm // d) for n, d in ratio]
+            for ratio, lcm in ((q, math.lcm(*(d for _, d in q))) for q in ratios)]
+    r, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pick = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pick is None:
+            continue
+        rows[r], rows[pick] = rows[pick], rows[r]
+        top = rows[r]
+        rows = [row if i == r else
+                [(top[col] * a - row[col] * b) // prev for a, b in zip(row, top)]
+                for i, row in enumerate(rows)]
+        prev, r = top[col], r + 1
+    return rows[:r]
+
+
+def rank(rows) -> int:
+    """The exact rank of rows of int, float or Fraction."""
+    return len(row_basis(rows))
+
+
+def kernel(rows, n: int) -> list:
+    """An integer basis of {x in Q^n : r . x = 0 for every row r}."""
+    basis = row_basis(rows)
+    pivots = [next(j for j, v in enumerate(row) if v) for row in basis]
+    kern = []
+    for free in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[free] = basis[0][pivots[0]] if basis else 1  # the common pivot
+        for row, col in zip(basis, pivots):
+            x[col] = -row[free]
+        g = math.gcd(*x)
+        kern.append([v // g for v in x])
+    return kern
 
 
 def casimir(u, B):

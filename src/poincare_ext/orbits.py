@@ -5,25 +5,28 @@ paraboloid-like surfaces in the hyperplane u3 = zeta3), the point orbits
 on the u2 axis, and the mass-shell type surfaces u^a u_a = const in the
 hyperplane u3 = 0, which gather into eight families separated by the
 signs of the light-cone components u0 + u1 and u0 - u1.  `classify` and
-`OrbitClass` are re-exported from `model`.
+`OrbitClass` are re-exported from `model`, whose exact elimination decides
+closure, h^perp, the Kirillov rank and subordination with no tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
-from .group import (AlgebraElement, CoadjointPoint, bracket, row_and_null_space,
-                    structure_constants)
+from .group import AlgebraElement, CoadjointPoint
 from .conventions import SQRT_MINUS_H, minkowski_square
-from .model import ModelParams, OrbitClass, classify
+from .model import (ModelParams, OrbitClass, bracket, brackets, classify, kernel,
+                    rank, row_basis)
 
 __all__ = [
     "OrbitClass",
     "Subalgebra",
     "kirillov_form",
-    "stability_subalgebra",
     "classify",
     "on_orbit",
     "subordination_check",
@@ -41,34 +44,34 @@ class MaximalityError(ValueError):
 
 @dataclass(frozen=True)
 class Subalgebra:
-    """Span of algebra elements, checked for closure under the bracket."""
+    """Span of algebra elements, checked exactly for closure under the bracket."""
 
     basis: tuple
     name: str = ""
     params: ModelParams = field(default=ModelParams())
 
     def __post_init__(self):
-        mat = self.matrix
-        if np.linalg.matrix_rank(mat, tol=1e-12) != len(self.basis):
+        rows = self.rows
+        if len(rows) != self.dim:
             raise ValueError("subalgebra basis is linearly dependent")
-        # every pair's bracket, as the columns of z, projected on the span
-        z = bracket(AlgebraElement(mat[:, None]), AlgebraElement(mat[None, :]),
-                    self.params).array.reshape(-1, 4).T
-        resid = z - mat.T @ np.linalg.lstsq(mat.T, z, rcond=None)[0]
-        if np.any(np.abs(resid) > 1e-10 * (1.0 + np.max(np.abs(z), axis=0))):
-            raise ValueError(f"basis not closed under bracket: {self.name or mat}")
+        # closed iff no pair's bracket raises the rank of the span
+        if rank(rows + [bracket(x, y, self.params.B)
+                        for x, y in combinations(rows, 2)]) > self.dim:
+            raise ValueError(f"basis not closed under bracket: {self.name or rows}")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([b.array for b in self.basis])
+    @cached_property
+    def rows(self) -> list:
+        """An exact integer basis of the span, as rows."""
+        return row_basis(b.v for b in self.basis)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def annihilator(self) -> np.ndarray:
-        """Basis (rows) of the annihilator of the span in the dual space."""
-        return row_and_null_space(self.matrix, rcond=0.0)[1]  # basis is independent
+        """Basis (rows) of the span's annihilator: the exact kernel, rows at max-norm 1."""
+        kern = kernel(self.rows, 4)
+        return np.array([[v / max(map(abs, x)) for v in x] for x in kern]).reshape(-1, 4)
 
 
 def CASE_A_SUBALGEBRA(p: ModelParams = ModelParams()) -> Subalgebra:
@@ -92,19 +95,17 @@ def CASE_C_SUBALGEBRA(p: ModelParams = ModelParams()) -> Subalgebra:
 
 
 def kirillov_form(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> np.ndarray:
-    """Antisymmetric matrix K_{AB} = <zeta, [T_A, T_B]> = zeta_C c^C_{AB}."""
-    return np.einsum("c,cab->ab", zeta.array, structure_constants(p))
-
-
-def stability_subalgebra(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> Subalgebra:
-    """Kernel of the Kirillov form; orbit dimension is 4 minus its dimension."""
-    kern = row_and_null_space(kirillov_form(zeta, p), rcond=1e-10)[1]
-    return Subalgebra(tuple(AlgebraElement(row) for row in kern),
-                      name=f"stab({zeta.u})", params=p)
+    """Antisymmetric K_{AB} = <zeta, [T_A, T_B]> = zeta_C c^C_{AB} in exact Fractions."""
+    u = [Fraction(x) for x in zeta.u]
+    k = np.zeros((4, 4), dtype=object)
+    for a, b, coeffs in brackets(Fraction(p.B)):
+        k[a, b] = sum(x * c for x, c in zip(u, coeffs) if c)
+        k[b, a] = -k[a, b]
+    return k
 
 
 def orbit_dimension(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> int:
-    return 4 - stability_subalgebra(zeta, p).dim
+    return rank(kirillov_form(zeta, p))
 
 
 def _lightcone_signs(u, tol: float) -> np.ndarray:
@@ -144,11 +145,11 @@ def on_orbit(mu: CoadjointPoint, zeta: CoadjointPoint,
 
 
 def subordination_check(h: Subalgebra, zeta: CoadjointPoint,
-                        p: ModelParams = ModelParams(), tol: float = 1e-12) -> bool:
-    """True iff <zeta, [h, h]> = 0 on all basis pairs."""
-    scale = 1.0 + float(np.max(np.abs(zeta.array)))
-    pairs = np.triu(h.matrix @ kirillov_form(zeta, p) @ h.matrix.T, 1)
-    return not np.any(np.abs(pairs) > tol * scale)
+                        p: ModelParams = ModelParams()) -> bool:
+    """True iff <zeta, [x, y]> = x K y^T is exactly 0 on all basis pairs of h."""
+    u = [Fraction(x) for x in zeta.u]
+    return not any(sum(a * b for a, b in zip(u, bracket(x, y, p.B)) if b)
+                   for x, y in combinations(h.rows, 2))
 
 
 def pukanszky_check(h: Subalgebra, zeta: CoadjointPoint,

@@ -1,11 +1,13 @@
-"""Per-pair and per-sample loops: the test oracle of the batched sweeps.
+"""Per-pair and per-sample loops in float64: the test oracle of the sweeps.
 
-`orbits`, `group._bracket_span` and the classical suite evaluate their
-sweeps as numpy contractions over the structure constants and over
-batches of points.  These are the same checks written one bracket call
-per basis pair and one scalar call per sample, with the same draws,
-tolerances and decisions.  `oracle_sweeps` swaps them into the package,
-so a suite run inside it takes the loop path end to end.
+`orbits` and `group.structural_report` decide their ranks and kernels
+exactly on the model's bracket table, and evaluate `on_orbit` over
+batches of points; the classical suite evaluates its sweep over a batch.
+These are the same checks written one float bracket call per basis pair
+and one scalar call per sample, with the same draws, and with the float
+rank tolerances (SVD, `matrix_rank`, `lstsq`) the package no longer has.
+`oracle_sweeps` swaps them into the package, so a suite run inside it
+takes the loop path end to end.
 """
 
 import contextlib
@@ -24,11 +26,25 @@ from poincare_ext.group import (
     ad_matrix,
     bracket,
     casimir_pairing,
-    row_and_null_space,
 )
 
 #: the central charges the benchmark draws all-checks reports at
 BENCH_B = (-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0)
+
+
+def row_and_null_space(mat, rcond=1e-10):
+    """Orthonormal bases, as rows, of the row space and the null space of mat.
+
+    Singular values at most rcond times the largest one count as zero.
+    """
+    _, s, vt = np.linalg.svd(mat)
+    rank = int(np.sum(s > rcond * s[0])) if s.size else 0
+    return vt[:rank], vt[rank:]
+
+
+def row_space(rows):
+    """The float span of rows, as a list of orthonormal rows."""
+    return list(row_and_null_space(np.array(rows, dtype=float))[0])
 
 
 def kirillov_form(zeta, p=ModelParams()):
@@ -50,6 +66,16 @@ def subordination_check(h, zeta, p=ModelParams(), tol=1e-12):
             if abs(zeta.array @ bracket(x, y, p).array) > tol * scale:
                 return False
     return True
+
+
+def orbit_dimension(zeta, p=ModelParams()):
+    """The SVD rank of the float Kirillov form."""
+    return row_and_null_space(kirillov_form(zeta, p))[0].shape[0]
+
+
+def annihilator(h):
+    mat = np.array([b.array for b in h.basis])
+    return row_and_null_space(mat, rcond=0.0)[1]  # basis is independent
 
 
 def bracket_span(basis_a, basis_b, p):
@@ -106,11 +132,11 @@ def on_orbit(mu, zeta, p=ModelParams(), tol=1e-9):
 def pukanszky_check(h, zeta, p=ModelParams(), samples=100, seed=0):
     if not subordination_check(h, zeta, p):
         raise ValueError("subalgebra is not subordinate to zeta")
-    odim = orb.orbit_dimension(zeta, p)
+    odim = orbit_dimension(zeta, p)
     if 4 - h.dim != odim // 2:
         raise orb.MaximalityError(
             f"codim {4 - h.dim} != half orbit dimension {odim // 2}")
-    perp = h.annihilator()
+    perp = annihilator(h)
     if perp.shape[0] == 0:
         return on_orbit(zeta, zeta, p)
     rng = np.random.default_rng(seed)
@@ -164,9 +190,9 @@ def suite_classical(params, seed, m=1.0):
 
 @contextlib.contextmanager
 def oracle_sweeps():
-    """Run orbits and the structural report on the loops above."""
+    """Run orbits and the structural report on the float loops above."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grp, "_bracket_span", bracket_span)
+        mp.setattr(grp, "row_basis", row_space)
         mp.setattr(orb.Subalgebra, "__post_init__", check_closure)
         for fn in (kirillov_form, subordination_check, on_orbit,
                    pukanszky_check):

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from poincare_ext import cohomology as coh
+from poincare_ext import model
 from poincare_ext.cli import suite_cohomology
 from poincare_ext.conventions import EPS_LOWER, EPS_MIXED_LOWER, SQRT_MINUS_H
 from poincare_ext.group import ModelParams, structure_constants
@@ -89,7 +92,46 @@ def test_rational_and_svd_ranks_agree():
             for k in range(sc.n + 1):
                 mat = coh.ce_differential(k, sc)
                 assert all(isinstance(x, Fraction) for row in mat for x in row)
-                assert svd_rank(mat) == coh._rank(mat), (B, name, k)
+                assert svd_rank(mat) == model.rank(mat), (B, name, k)
+
+
+def rational_rank(mat):
+    """Gaussian elimination in Fractions, the oracle of Bareiss's integers."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+#: entries of every kind the elimination takes, zero often, and the float
+#: extremes whose integer scales are longest
+ENTRY = st.one_of(st.just(0), st.integers(-3, 3),
+                  st.fractions(max_denominator=7).filter(lambda x: abs(x) < 9),
+                  st.sampled_from((0.5, -1.3, 5e-324, 1e-300, 1e300, -1e300)))
+
+
+@given(n=st.integers(1, 5), data=st.data())
+def test_bareiss_rank_and_kernel_are_exact(n, data):
+    rows = data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), max_size=5))
+    # a dependent row, so that rank deficiency is drawn often
+    if rows and data.draw(st.booleans()):
+        rows.append([Fraction(a) - 2 * Fraction(b) for a, b in zip(rows[0], rows[-1])])
+    r = model.rank(rows)
+    assert r == rational_rank(rows) == len(model.row_basis(rows))
+    assert model.rank(rows + model.row_basis(rows)) == r
+    kern = model.kernel(rows, n)
+    assert len(kern) == n - r and model.rank(kern) == len(kern)
+    assert all(type(x) is int for v in kern for x in v)
+    assert all(sum(Fraction(a) * b for a, b in zip(row, v)) == 0
+               for row in rows for v in kern)
 
 
 @pytest.mark.parametrize("B", BENCH_B + EXTREME_B)

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from poincare_ext import model
+from poincare_ext import cli, model
+from poincare_ext import cohomology as coh
+from poincare_ext import group as grp
 from poincare_ext import orbits as orb
 from poincare_ext.conventions import SQRT_MINUS_H, minkowski_square
 from poincare_ext.group import (
+    AlgebraElement,
     CoadjointPoint,
     GroupElement,
     ModelParams,
@@ -76,13 +79,16 @@ def test_point_orbits_are_fixed():
 
 
 def test_kirillov_form_rank_matches_orbit_dim():
+    # the exact form is antisymmetric exactly; its exact rank is the orbit
+    # dimension, and the float rank of its rounded entries is the oracle
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        z = CoadjointPoint(tuple(rng.uniform(-2, 2, 4)))
+    for u in [tuple(rng.uniform(-2, 2, 4)) for _ in range(20)] + [
+            (0.0, 0.0, 0.7, 0.0), (1.0, 0.3, 0.0, 0.0)]:
+        z = CoadjointPoint(u)
         K = orb.kirillov_form(z, P)
-        assert np.max(np.abs(K + K.T)) == 0.0
-        rank = np.linalg.matrix_rank(K, tol=1e-10)
-        assert rank == orb.orbit_dimension(z, P)
+        assert not (K + K.T).any()
+        rank = np.linalg.matrix_rank(K.astype(float), tol=1e-10)
+        assert rank == orb.orbit_dimension(z, P) == orb.classify(z, P).orbit_dim
 
 
 def test_on_orbit_by_coadjoint_sampling():
@@ -149,7 +155,6 @@ def test_pukanszky_rejects_non_subordinate():
 
 def test_pukanszky_rejects_non_maximal():
     # the center alone is subordinate but far from maximal at a CaseA point
-    from poincare_ext.group import AlgebraElement
     tiny = orb.Subalgebra((AlgebraElement((0.0, 0.0, 0.0, 1.0)),), "center", P)
     z = CoadjointPoint((0.0, 0.0, 0.5, -1.0))
     assert orb.subordination_check(tiny, z, P)
@@ -158,7 +163,6 @@ def test_pukanszky_rejects_non_maximal():
 
 
 def test_subalgebra_closure_enforced():
-    from poincare_ext.group import AlgebraElement
     p0, p1, j = (AlgebraElement(np.eye(4)[i]) for i in range(3))
     with pytest.raises(ValueError) as exc:
         # span{P0, J} is not closed: [P0, J] = P1
@@ -167,3 +171,29 @@ def test_subalgebra_closure_enforced():
     with pytest.raises(ValueError) as exc:
         orb.Subalgebra((p0, p1, p0 + p1), "dependent", P)
     assert str(exc.value) == "subalgebra basis is linearly dependent"
+
+
+@pytest.mark.parametrize("names", (("P0", "P1"), ("P0", "P1", "J")))
+def test_closure_is_exact_at_small_B(names):
+    # [P0, P1] = -B I leaves the span at every B != 0; at 1e-12 it fell
+    # under the float check's 1e-10 closure tolerance and was accepted
+    p = ModelParams(1e-12)
+    basis = tuple(AlgebraElement(np.eye(4)[model.BASIS_NAMES.index(n)])
+                  for n in names)
+    with pytest.raises(ValueError, match="basis not closed under bracket"):
+        orb.Subalgebra(basis, "open", p)
+
+
+def no_central_term(B, brackets=model.brackets):
+    """The bracket table with [P0, P1] = B eps_01 I dropped: a planted defect."""
+    return tuple(row for row in brackets(B) if row[:2] != (0, 1))
+
+
+@pytest.mark.parametrize("B", (1e-8, 1.0, 1e4))
+def test_dropped_central_term_fails_every_algebra_suite(B, monkeypatch):
+    # each module reads the table where it imported it
+    for mod in (model, grp, coh, orb):
+        monkeypatch.setattr(mod, "brackets", no_central_term)
+    p = ModelParams(B)
+    for suite in (cli.suite_structure, cli.suite_orbits, cli.suite_cohomology):
+        assert not suite(p, 42)["pass"], suite.__name__

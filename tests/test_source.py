@@ -79,3 +79,53 @@ def test_dynamics_imports_no_fourier_quadrature():
     assert "wavefunctions" not in modules
     wavefunctions = importlib.import_module("poincare_ext.wavefunctions")
     assert not hasattr(wavefunctions, "integrate_fourier")
+
+
+def called_names(module):
+    """Names of every function called in module's source, bare or as an attribute."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return {node.func.attr if isinstance(node.func, ast.Attribute) else
+            getattr(node.func, "id", None)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+def imported_modules(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return {a.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for a in node.names} | {
+        (node.module or "").split(".")[0] for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)}
+
+
+@pytest.mark.parametrize("module", ("group", "orbits"))
+def test_no_float_rank_decisions(module):
+    # ranks, spans and kernels are decided by model's exact elimination;
+    # the float SVD versions are the oracle in tests/sweep_oracle.py
+    assert not called_names(module) & {"svd", "matrix_rank", "lstsq", "null_space"}
+
+
+def test_orbits_brackets_exactly():
+    # the Kirillov form, closure and subordination read model's table, not
+    # group's float bracket and structure constants
+    tree = ast.parse((SRC / "orbits.py").read_text())
+    from_group = {a.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "group"
+                  for a in node.names}
+    assert from_group and not from_group & {"bracket", "structure_constants"}
+
+
+def test_one_exact_elimination():
+    # cohomology takes its rank from model and defines no elimination
+    tree = ast.parse((SRC / "cohomology.py").read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_rank", "rank", "_echelon", "row_basis", "kernel"}
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "model"
+               and "rank" in {a.name for a in node.names}
+               for node in ast.walk(tree))
+
+
+@pytest.mark.parametrize("module", ("model", "cohomology"))
+def test_exact_modules_import_no_numpy(module):
+    # with the FOOTPRINTS rows of tests/test_cli.py, which run the commands
+    assert "numpy" not in imported_modules(module)

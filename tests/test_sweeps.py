@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import sweep_oracle as oracle
 from poincare_ext import cli
-from poincare_ext import group as grp
+from poincare_ext import model
 from poincare_ext import orbits as orb
 from poincare_ext import quantization as qz
 from poincare_ext.group import (
@@ -48,11 +48,18 @@ def projector(rows):
     return rows.T @ rows
 
 
+def orthonormal(rows):
+    """Orthonormal rows spanning the rows given."""
+    return np.linalg.qr(np.array(rows, dtype=float).reshape(-1, 4).T)[0].T
+
+
 @pytest.mark.parametrize("B", oracle.BENCH_B)
 def test_kirillov_and_subordination_match_the_loops(B):
+    # the exact form rounds to the float loop's entries bit for bit: each
+    # is one product, correctly rounded both ways
     p = ModelParams(B)
     for zeta in zetas():
-        assert np.array_equal(orb.kirillov_form(zeta, p),
+        assert np.array_equal(orb.kirillov_form(zeta, p).astype(float),
                               oracle.kirillov_form(zeta, p))
         for h in SUBALGEBRAS:
             h = h(p)
@@ -62,14 +69,19 @@ def test_kirillov_and_subordination_match_the_loops(B):
 
 @pytest.mark.parametrize("B", oracle.BENCH_B)
 def test_bracket_span_matches_the_loop(B):
+    # the exact spans of the central and derived series against the float
+    # SVD spans of the loop
     p = ModelParams(B)
-    full, center = np.eye(4), np.eye(4)[3:]
-    derived = oracle.bracket_span(full, full, p)
+    full, center = np.eye(4, dtype=int).tolist(), [[0, 0, 0, 1]]
+    derived = model.row_basis([model.bracket(x, y, B) for x in full for y in full])
     for a, b in ((full, full), (full, derived), (derived, derived),
-                 (full, center), (center, center), (full, np.zeros((0, 4)))):
-        got, want = grp._bracket_span(a, b, p), oracle.bracket_span(a, b, p)
-        assert got.shape == want.shape
-        assert np.allclose(projector(got), projector(want), rtol=0, atol=1e-12)
+                 (full, center), (center, center), (full, [])):
+        got = model.row_basis([model.bracket(x, y, B) for x in a for y in b])
+        want = oracle.bracket_span(*(np.array(r, dtype=float).reshape(-1, 4)
+                                     for r in (a, b)), p)
+        assert len(got) == want.shape[0]
+        assert np.allclose(projector(orthonormal(got)), projector(want),
+                           rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("B", oracle.BENCH_B)
