@@ -9,6 +9,7 @@ tolerance.  The module imports no numpy.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -22,6 +23,7 @@ __all__ = [
     "StructureConstants",
     "ce_differential",
     "cohomology_dim",
+    "cohomology_dims",
     "catalog_algebra",
     "load_algebra_file",
     "CATALOG_NAMES",
@@ -105,13 +107,19 @@ def ce_differential(k: int, sc: StructureConstants) -> list:
 
 def cohomology_dim(k: int, sc: StructureConstants) -> int:
     """dim H^k = dim ker d_k - rank d_{k-1}."""
-    if not 0 <= k <= sc.n:
-        raise ValueError(f"degree {k} out of range for dimension {sc.n}")
-    d_k = ce_differential(k, sc)
-    dim_k = math.comb(sc.n, k)
-    kernel = dim_k - rank(d_k)
-    image = rank(ce_differential(k - 1, sc)) if k >= 1 else 0
-    return kernel - image
+    return cohomology_dims((k,), sc)[k]
+
+
+def cohomology_dims(degrees, sc: StructureConstants) -> dict:
+    """{k: dim H^k} for each k of degrees, each differential ranked once, so
+    rank d_{k-1} serves both degree k - 1 and degree k."""
+    for k in degrees:
+        if not 0 <= k <= sc.n:
+            raise ValueError(f"degree {k} out of range for dimension {sc.n}")
+    ranks = {-1: 0}
+    for d in sorted({d for k in degrees for d in (k - 1, k)} - {-1}):
+        ranks[d] = rank(ce_differential(d, sc))
+    return {k: math.comb(sc.n, k) - ranks[k] - ranks[k - 1] for k in degrees}
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +159,19 @@ def catalog_algebra(name: str, B: float = 1.0) -> StructureConstants:
 
     i12 is the extended Poincare algebra, built from the model's defining
     brackets so the B parameter threads through; the rest are loaded
-    from the shipped data files.
+    from the shipped data files, once per process (_catalog_file).
     """
     if name == "i12":
         ModelParams(B=B)  # a nonzero B, or the model's ValueError
         return StructureConstants(n=4, c=_from_brackets(4, brackets(B)),
                                   basis_names=BASIS_NAMES, name="i12")
+    return _catalog_file(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_file(name: str) -> StructureConstants:
+    """A shipped algebra file, parsed and validated on first use; a
+    StructureConstants is immutable, so every caller shares it."""
     path = _DATA_DIR / f"{name}.json"
     if not path.exists():
         raise KeyError(f"unknown algebra {name!r}; catalog: {CATALOG_NAMES}")

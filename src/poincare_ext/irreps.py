@@ -12,9 +12,11 @@ Every operator T(g) is an AffinePhase, f(x) -> A e^{phi(x)} f(a x + b):
 The generators dT(X) are written once, as coefficient arrays (_generators):
 families A and B as polynomial differential operators sum c[i, j] x^i D^j
 (QuantOperator), family C as sum c[(k, j)] e^{kx} D^j (ExpOperator).  Both
-types add and multiply exactly in their coefficients, and both map a
-Hermite probe r(y) e^{-y^2/2} to sum_k e^{kx} s_k(y) e^{-y^2/2}, whose inner
-products are finite sums of Gaussian moments.
+types add and multiply exactly in their coefficients.  On the Hermite
+coefficients of the probes r(y) e^{-y^2/2}, each is one matrix per
+exponent e^{kx}, and the inner products are Gaussian-moment matrices
+(_kernel): every operator residual is a few contractions over all probes
+and batch members at once.
 
 The module also carries the verification harness.  The homomorphism and
 unitarity checks are closed form: AffinePhase.compose multiplies two
@@ -32,7 +34,7 @@ versions are the test oracle.
 
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +44,6 @@ from .conventions import SQRT_MINUS_H
 from .group import GroupElement, ModelParams, compose, structure_constants
 from .wavefunctions import (
     WaveFunction,
-    _derivative_coeffs,
     _window,
     exp_poly_tower,
     hermite_wf,
@@ -62,13 +63,9 @@ __all__ = [
     "case_b",
     "case_c",
     "rep_from_orbit",
-    "character",
-    "subgroup_modulus",
     "rep_apply",
     "generator_apply",
     "hermiticity_residual",
-    "borel_decompose",
-    "lifted_function",
     "verify_homomorphism",
     "verify_unitarity",
     "verify_commutators",
@@ -130,26 +127,6 @@ def rep_from_orbit(zeta, params: ModelParams = ModelParams()) -> RepParams:
         return case_b(cls.labels["zeta2"], params)
     z0, z1 = cls.labels["zeta_a"]
     return case_c(z0, z1, params)
-
-
-# ---------------------------------------------------------------------------
-# characters and subgroup moduli
-
-
-def character(h: GroupElement, rep: RepParams) -> complex:
-    """Unit-modulus character of the inducing subgroup element h."""
-    if rep.family == "A":
-        s = SQRT_MINUS_H
-        return cmath.exp(1j * (-h.alpha * rep.c2 * s / (2.0 * rep.params.B * rep.z3)
-                               + h.beta * rep.z3))
-    if rep.family == "B":
-        return cmath.exp(1j * h.alpha * rep.zeta2)
-    return cmath.exp(1j * (h.theta0 * rep.zeta0 + h.theta1 * rep.zeta1))
-
-
-def subgroup_modulus(h: GroupElement, family: str) -> float:
-    """Modulus of the inducing subgroup: e^alpha for family A, else 1."""
-    return math.exp(h.alpha) if family == "A" else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +216,22 @@ class AffinePhase:
             return (1.0, r), (np.cosh(r), np.sinh(r))
         return (1.0, r), tuple(r ** k for k in range(len(self.c)))
 
-    def gap(self, other: "AffinePhase", lo, hi):
+    def gap(self, other: "AffinePhase", lo, hi, phase_size=None):
         """Relative coefficient gap to other, for probes on the window [lo, hi].
 
         The sum of |d amp| / |amp|, of the size of the change of the map
         x -> a x + b over the size of the map, and of the size of the
-        change of phi over the size of phi.  A size is the bound _size on
-        other's image of the window, taken at least 1 (one radian; one
-        unit of the probe's argument).
+        change of phi over phase_size (default: the size of other's phi).
+        A size is the bound _size on other's image of the window, taken at
+        least 1 (one radian; one unit of the probe's argument).
         """
         maps, sups = other._sups(lo, hi)
         d_map = (_size((self.b - other.b, self.a - other.a), maps)
                  / np.maximum(_size((other.b, other.a), maps), 1.0))
+        if phase_size is None:
+            phase_size = _size(other.c, sups)
         d_phi = (_size([p - q for p, q in zip(self.c, other.c)], sups)
-                 / np.maximum(_size(other.c, sups), 1.0))
+                 / np.maximum(phase_size, 1.0))
         return np.abs(self.amp - other.amp) / np.abs(other.amp) + d_map + d_phi
 
     def unitarity_gap(self, lo, hi):
@@ -263,11 +242,6 @@ class AffinePhase:
 
 # ---------------------------------------------------------------------------
 # operator algebra: differential operators as coefficient arrays
-
-#: q of a probe's Gaussian g = e^q, q = -y^2/2 with x = center + width y, so
-#: (d/dy)^j (r g) = r_j g (_derivative_coeffs) and D acts as d/dy / width
-_GAUSS = (0.0, 0.0, -0.5)
-
 
 @dataclass(frozen=True, eq=False)
 class QuantOperator:
@@ -303,17 +277,6 @@ class QuantOperator:
         """The image of f; f is differentiated only as far as c needs."""
         return _apply_columns(f, [(j, exp_poly_tower(np.asarray(col, dtype=complex)))
                                   for j, col in self._nonzero_columns()])
-
-    def image(self, r, center, width) -> dict:
-        """{0: s} with self (r g) = s g for g = e^{-y^2/2} (_GAUSS); s has its
-        degree on axis 0, then c's batch axes."""
-        out = np.zeros((len(self.c) + len(r) - 1,) + self.c.shape[2:], dtype=complex)
-        tower = _derivative_coeffs(r, _GAUSS)
-        for j, col in self._nonzero_columns():
-            mult = np.asarray(_poly_pullback(col, width, center))
-            term = _polymul2(mult[:, None] / width ** j, np.asarray(tower(j))[:, None])
-            out[:len(term)] += term[:, 0]
-        return {0: out}
 
     def __add__(self, other: "QuantOperator") -> "QuantOperator":
         n, nd = max(len(self.c), len(other.c)), max(self.c.ndim, other.c.ndim)
@@ -400,16 +363,6 @@ class ExpOperator:
             exps = [(k, v) for (k, i), v in self.c.items() if i == j]
             return lambda x, n: sum(v * k ** n * np.exp(k * x) for k, v in exps)
         return _apply_columns(f, [(j, column(j)) for j in sorted({j for _, j in self.c})])
-
-    def image(self, r, center, width) -> dict:
-        """{k: s_k} with self (r g) = sum_k e^{kx} s_k g, g = e^{-y^2/2} (_GAUSS)."""
-        tower, out = _derivative_coeffs(r, _GAUSS), {}
-        size = len(r) + max((j for _, j in self.c), default=0)
-        for (k, j), v in self.c.items():
-            if np.any(v):
-                s = out.setdefault(k, np.zeros((size,) + np.shape(v), dtype=complex))
-                s[:len(r) + j] += np.multiply.outer(tower(j), v / width ** j)
-        return out
 
     def __add__(self, other: "ExpOperator") -> "ExpOperator":
         return ExpOperator({key: self.c.get(key, 0.0) + other.c.get(key, 0.0)
@@ -529,11 +482,66 @@ def _multiplier(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# operators on Hermite probes, in Gaussian moments
+# operators on Hermite probes: one matrix kernel in Gaussian moments
+#
+# A probe is r(y) g, g = e^{-y^2/2} and x = center + width y, held as the
+# column of r's coefficients.  On columns of length N, x acts as
+# X = center + width Y (Y raises the degree by one) and d/dx as
+# D = (d/dy - Y) / width, so an operator sum_k e^{kx} sum c_k[i, j] x^i D^j
+# is one matrix M_k = sum c_k[i, j] X^i D^j per exponent, and
+# <e^{kx} s g, e^{lx} t g> = s^H G_{k+l} t.  With N the probes' length plus
+# the operator's size - 1, nothing is truncated.
 
 
-def _gauss_polys(probes):
-    """The polynomials r of probes r(y) e^{-y^2/2}, and their center and width.
+@functools.lru_cache(maxsize=64)
+def _xd_powers(n: int, size: int, center: float, width: float):
+    """Read-only (n, n, size, size) array of the matrices X^i D^j, i, j < n."""
+    y = np.eye(size, k=-1)
+    x = center * np.eye(size) + width * y
+    d = (np.diag(np.arange(1.0, size), k=1) - y) / width
+    xs, ds = [np.eye(size)], [np.eye(size)]
+    for _ in range(n - 1):
+        xs.append(x @ xs[-1])
+        ds.append(d @ ds[-1])
+    out = np.einsum("iab,jbc->ijac", xs, ds)
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _moments(size: int, k: float, center: float, width: float):
+    """Read-only G_k[a, b] = <y^a g, e^{kx} y^b g>, a Hankel matrix in a + b.
+
+    e^{kx} e^{-y^2} = e^{k center + m^2} e^{-(y - m)^2} with m = k width / 2,
+    so by the binomial expansion about m and the integral Gamma((r + 1) / 2)
+    of u^r e^{-u^2} for even r, dx = width dy:
+    G_k[a, b] = width e^{k center + m^2} sum_{r even} C(a + b, r) m^(a+b-r)
+    Gamma((r + 1) / 2).
+    """
+    m = k * width / 2.0
+    h = [sum(math.comb(n, r) * m ** (n - r) * math.gamma((r + 1) / 2)
+             for r in range(0, n + 1, 2)) for n in range(2 * size - 1)]
+    idx = np.add.outer(np.arange(size), np.arange(size))
+    out = width * math.exp(k * center + m * m) * np.array(h)[idx]
+    out.setflags(write=False)
+    return out
+
+
+def _exp_terms(op) -> dict:
+    """{k: c_k}, op = sum_k e^{kx} sum c_k[i, j] x^i D^j, c_k with op's batch axes."""
+    if isinstance(op, QuantOperator):
+        return {0: op.c}
+    n = 1 + max((j for _, j in op.c), default=0)
+    batch = np.broadcast_shapes(*(np.shape(v) for v in op.c.values()))
+    out = {}
+    for (k, j), v in op.c.items():
+        out.setdefault(k, np.zeros((n, n) + batch, dtype=complex))[0, j] += v
+    return out
+
+
+def _kernel(op, probes):
+    """(M, R, G): M[k] the matrices M_k of op with its batch axes first, R the
+    probes' coefficient columns, G(K) the moments G_K, all of one size N.
 
     A probe that is not a Gaussian polynomial (gauss_poly_wf), or probes
     on different Gaussians, raise ValueError.
@@ -543,59 +551,47 @@ def _gauss_polys(probes):
                          "probes (gauss_poly_wf)")
     if len({(f.center, f.width) for f in probes}) > 1:
         raise ValueError("operator checks need probes on one Gaussian")
-    return [f.poly for f in probes], probes[0].center, probes[0].width
+    center, width = probes[0].center, probes[0].width
+    terms = _exp_terms(op)
+    n = max((len(c) for c in terms.values()), default=1)
+    size = max(len(f.poly) for f in probes) + n - 1
+    r = np.zeros((size, len(probes)), dtype=complex)
+    for p, f in enumerate(probes):
+        r[:len(f.poly), p] = f.poly
+    powers = _xd_powers(n, size, center, width)
+    return ({k: np.einsum("ij...,ijab->...ab", c, powers) for k, c in terms.items()},
+            r, lambda k: _moments(size, k, center, width))
 
 
-def _gauss_inner(s, t, width, k=0, center=0.0):
-    """<s e^{-y^2/2}, e^{kx} t e^{-y^2/2}>, s and t with their degree on axis 0.
-
-    The integral of y^n e^{-y^2} is Gamma((n + 1) / 2) for even n and 0
-    for odd n, and dx = width dy.  With x = center + width y, e^{kx}
-    e^{-y^2} is e^{k center + m^2} e^{-(y - m)^2}, m = k width / 2, so a
-    nonzero k shifts s and t by m and gains that factor.
-    """
-    scale = width
-    if k:
-        m = k * width / 2.0
-        s, t = _poly_pullback(s, 1.0, m), _poly_pullback(t, 1.0, m)
-        scale = width * math.exp(k * center + m * m)
-    return scale * sum(si * t[j] * math.gamma((i + j + 1) / 2)
-                       for i, si in enumerate(np.conj(s))
-                       for j in range(i % 2, len(t), 2))
-
-
-def _images_inner(a, b, center, width):
-    """<sum_k e^{kx} a_k g, sum_l e^{lx} b_l g>, g = e^{-y^2/2}; e^{kx} is real."""
-    return sum(_gauss_inner(s, t, width, k + l, center)
-               for k, s in a.items() for l, t in b.items())
+def _square_norms(op, probes):
+    """||op f||^2 for each probe f, on a last axis after op's batch axes."""
+    mats, r, gram = _kernel(op, probes)
+    ks = list(mats)
+    if not ks:
+        return np.zeros(len(probes))
+    s = np.stack([mats[k] @ r for k in ks])
+    g = np.array([[gram(k + l) for l in ks] for k in ks])
+    return np.real(np.einsum("k...ap,klab,l...bp->...p", s.conj(), g, s))
 
 
 def _relative_residual(op, probes, ref=None):
     """max over probes of ||op f|| / ||ref f|| (ref None: ||f||), batch-wise."""
-    rs, center, width = _gauss_polys(probes)
-    worst = 0.0
-    for r in rs:
-        num, den = (np.real(_images_inner(s, s, center, width)) for s in (
-            op.image(r, center, width),
-            {0: r} if ref is None else ref.image(r, center, width)))
-        worst = np.maximum(worst, np.sqrt(np.maximum(num, 0.0) / den))
-    return worst
+    den = _square_norms(QuantOperator.one() if ref is None else ref, probes)
+    return np.max(np.sqrt(np.maximum(_square_norms(op, probes), 0.0) / den), axis=-1)
 
 
 def hermiticity_residual(op, probes) -> float:
     """max over probe pairs (i, j) of |<A f_i, f_j> - <f_i, A f_j>|.
 
-    Exact on Gaussian-polynomial probes: A f_i = sum_k e^{kx} s_k
-    e^{-y^2/2} (image), and each inner product is a sum of Gaussian
-    moments (_gauss_inner).
+    Exact on Gaussian-polynomial probes: with A f = sum_k e^{kx} M_k r g,
+    the pairs are the entries of R^H (sum_k M_k^H G_k - G_k M_k) R.
     """
     if not probes:
         return 0.0
-    rs, center, width = _gauss_polys(probes)
-    pairs = [({0: r}, op.image(r, center, width)) for r in rs]
-    return float(max(np.max(np.abs(_images_inner(si, fj, center, width)
-                                   - _images_inner(fi, sj, center, width)))
-                     for fi, si in pairs for fj, sj in pairs))
+    mats, r, gram = _kernel(op, probes)
+    h = sum((np.swapaxes(m.conj(), -1, -2) @ gram(k) - gram(k) @ m
+             for k, m in mats.items()), np.zeros((len(r),) * 2))
+    return float(np.max(np.abs(r.conj().T @ h @ r)))
 
 
 def _columns(g: GroupElement):
@@ -713,47 +709,21 @@ def _derivative_coefficients(rep: RepParams) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Borel section and induced-function picture
-
-
-def borel_decompose(g: GroupElement, p: ModelParams):
-    """Split g = h . s(x) with h a null-translation subgroup element.
-
-    The section s(x) is the pure space translation by x; h carries equal
-    light-cone translation components theta0 = theta1 = theta_plus.
-    """
-    x = (g.theta1 - g.theta0) * math.exp(-g.alpha)
-    theta_plus = g.theta0 + x * math.sinh(g.alpha)
-    beta_h = g.beta + (p.B / 2.0) * theta_plus * x * math.exp(g.alpha)
-    h = GroupElement(theta_plus, theta_plus, g.alpha, beta_h)
-    return h, x
-
-
-def lifted_function(rep: RepParams, f):
-    """Equivariant function on the group built from a carrier-space f."""
-    if rep.family == "A":
-        def F(g: GroupElement) -> complex:
-            h, x = borel_decompose(g, rep.params)
-            return (subgroup_modulus(h, "A") ** -0.5 * character(h, rep)
-                    * complex(f(x)))
-        return F
-    if rep.family == "C":
-        def F(g: GroupElement) -> complex:
-            h = GroupElement(g.theta0, g.theta1, 0.0, g.beta)
-            return character(h, rep) * complex(f(g.alpha))
-        return F
-    def F(g: GroupElement) -> complex:
-        return character(g, rep) * f
-    return F
-
-
-# ---------------------------------------------------------------------------
 # verification harness
 
 
-def default_probes(count: int = 5):
-    """The first count Hermite functions, analytic to depth 4."""
-    return [hermite_wf(k) for k in range(count)]
+@functools.lru_cache(maxsize=1)
+def _hermite_probes() -> tuple:
+    """h_0, ..., h_4, built on first use; a WaveFunction is immutable, so
+    every check shares them."""
+    return tuple(hermite_wf(k) for k in range(5))
+
+
+def default_probes(count: int = 5) -> tuple:
+    """The first count (at most 5) Hermite functions, analytic to depth 4."""
+    if count > 5:
+        raise ValueError(f"default_probes: {count} probes asked, 5 kept")
+    return _hermite_probes()[:count]
 
 
 def verify_homomorphism(rep: RepParams, g2: GroupElement, g1: GroupElement,

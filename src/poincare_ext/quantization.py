@@ -16,9 +16,9 @@ The Dirac, hermiticity and covariance checks are exact algebra, with no
 quadrature, on the operator algebra of irreps, which the representation
 checks share.  Operators multiply in the Weyl algebra (QuantOperator @),
 family A's T(g) conjugates a polynomial operator into another
-(QuantOperator.conjugated), and an operator maps a Hermite probe
-r(y) e^{-y^2/2} to s(y) e^{-y^2/2}, whose inner products are finite
-sums of Gaussian moments.
+(QuantOperator.conjugated), and the residuals are norms and inner
+products on the probes' Hermite coefficients, in irreps' Gaussian-moment
+matrix kernel.
 """
 
 from __future__ import annotations
@@ -46,8 +46,10 @@ from .irreps import (
     RepParams,
     _affine_phase,
     _columns,
+    _poly_pullback,
     _polymul2,
     _relative_residual,
+    _size,
     _terms,
     case_a,
     default_probes,
@@ -328,16 +330,22 @@ def _covariance_residual(g: GroupElement, pulled: QuantOperator,
     One value per member of a batch g, whose operators are batch columns.
     T(g^-1) qf T(g) is taken as U^-1 qf U with U = T(g) (conjugated), and
     the gap of T(g^-1) T(g) to the identity on the probes' window
-    (AffinePhase.gap) is added, so T(g^-1) is still checked.  The residual
-    is relative to the image, whose size grows with hbar^2 for a p^2 term.
+    (AffinePhase.gap) is added, so T(g^-1) is still checked.  That gap's
+    phase is relative to the two phases the composition cancels, sized on
+    the window: its constant reads one ulp of them, of order 1/B.  The
+    residual is relative to the image, whose size grows with hbar^2 for a
+    p^2 term.
     """
     if not probes:
         return 0.0
     rep = rep_for_mass(params, m)
     u = _affine_phase(rep, g)
-    round_trip = _affine_phase(rep, inverse(g, params)).compose(u)
-    gap = round_trip.gap(AffinePhase(1.0, 1.0, 0.0, (0.0,) * len(u.c)),
-                         *_window(*probes))
+    inv = _affine_phase(rep, inverse(g, params))
+    ident = AffinePhase(1.0, 1.0, 0.0, (0.0,) * len(u.c))
+    lo, hi = _window(*probes)
+    sups = ident._sups(lo, hi)[1]
+    cancelled = _size(inv.c, sups) + _size(_poly_pullback(u.c, inv.a, inv.b), sups)
+    gap = inv.compose(u).gap(ident, lo, hi, cancelled)
     return _relative_residual(pulled - qf.conjugated(u), probes, pulled) + gap
 
 

@@ -10,29 +10,35 @@ way, by operator chains on evaluators and composite Gauss-Legendre sums.
 The module also keeps the representation checks that only ever ran by
 quadrature: the central-difference generator ladder (the oracle of
 irreps.generator_gaps), faithfulness, and the right invariance of the
-lifted functions.  Last, the Fourier quadrature of the transported
-position packet onto the H0 eigenfunctions is the oracle of dynamics
-oracle (a)'s exact Gaussian integral.
+lifted functions, with the characters, subgroup moduli and Borel section
+they are built from.  The per-probe Gaussian-moment sums (quant_image,
+exp_image, gauss_inner, images_inner) are the oracle of irreps' moment
+matrix kernel.  Last, the Fourier quadrature of the transported position
+packet onto the H0 eigenfunctions is the oracle of dynamics oracle (a)'s
+exact Gaussian integral.
 """
 
+import cmath
 import math
 
 import numpy as np
 
 from poincare_ext import dynamics as dy
 from poincare_ext import wavefunctions as wfm
-from poincare_ext.group import AlgebraElement, GroupElement, compose, exp_map
+from poincare_ext.conventions import SQRT_MINUS_H
+from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
+                                compose, exp_map)
 from poincare_ext.irreps import (
     BASIS_NAMES,
     RepParams,
-    character,
+    _poly_pullback,
+    _polymul2,
     generator_apply,
-    lifted_function,
     rep_apply,
-    subgroup_modulus,
 )
 from poincare_ext.wavefunctions import (
     WaveFunction,
+    _derivative_coeffs,
     _latest_values,
     _window,
     integrate_vec,
@@ -107,6 +113,114 @@ def relative_l2(diffs, f, cross=lambda x: []):
     sq, ips = integrate_stack([squares, cross], f, *(g for d in diffs for g in d))
     root = np.sqrt(np.maximum(sq, 0.0))
     return root[:-1] / root[-1], ips
+
+
+# ---------------------------------------------------------------------------
+# operators on Hermite probes, one probe at a time, in Gaussian moments
+
+#: q of a probe's Gaussian g = e^q, q = -y^2/2 with x = center + width y, so
+#: (d/dy)^j (r g) = r_j g (_derivative_coeffs) and D acts as d/dy / width
+GAUSS = (0.0, 0.0, -0.5)
+
+
+def quant_image(op, r, center, width) -> dict:
+    """{0: s} with op (r g) = s g for g = e^{-y^2/2} (GAUSS), op a
+    QuantOperator; s has its degree on axis 0, then op's batch axes."""
+    c = op.c
+    out = np.zeros((len(c) + len(r) - 1,) + c.shape[2:], dtype=complex)
+    tower = _derivative_coeffs(r, GAUSS)
+    for j, col in op._nonzero_columns():
+        mult = np.asarray(_poly_pullback(col, width, center))
+        term = _polymul2(mult[:, None] / width ** j, np.asarray(tower(j))[:, None])
+        out[:len(term)] += term[:, 0]
+    return {0: out}
+
+
+def exp_image(op, r, center, width) -> dict:
+    """{k: s_k} with op (r g) = sum_k e^{kx} s_k g, g = e^{-y^2/2} (GAUSS),
+    op an ExpOperator."""
+    tower, out = _derivative_coeffs(r, GAUSS), {}
+    size = len(r) + max((j for _, j in op.c), default=0)
+    for (k, j), v in op.c.items():
+        if np.any(v):
+            s = out.setdefault(k, np.zeros((size,) + np.shape(v), dtype=complex))
+            s[:len(r) + j] += np.multiply.outer(tower(j), v / width ** j)
+    return out
+
+
+def gauss_inner(s, t, width, k=0, center=0.0):
+    """<s e^{-y^2/2}, e^{kx} t e^{-y^2/2}>, s and t with their degree on axis 0.
+
+    The integral of y^n e^{-y^2} is Gamma((n + 1) / 2) for even n and 0
+    for odd n, and dx = width dy.  With x = center + width y, e^{kx}
+    e^{-y^2} is e^{k center + m^2} e^{-(y - m)^2}, m = k width / 2, so a
+    nonzero k shifts s and t by m and gains that factor.
+    """
+    scale = width
+    if k:
+        m = k * width / 2.0
+        s, t = _poly_pullback(s, 1.0, m), _poly_pullback(t, 1.0, m)
+        scale = width * math.exp(k * center + m * m)
+    return scale * sum(si * t[j] * math.gamma((i + j + 1) / 2)
+                       for i, si in enumerate(np.conj(s))
+                       for j in range(i % 2, len(t), 2))
+
+
+def images_inner(a, b, center, width):
+    """<sum_k e^{kx} a_k g, sum_l e^{lx} b_l g>, g = e^{-y^2/2}; e^{kx} is real."""
+    return sum(gauss_inner(s, t, width, k + l, center)
+               for k, s in a.items() for l, t in b.items())
+
+
+# ---------------------------------------------------------------------------
+# characters, subgroup moduli and the Borel section
+
+
+def character(h: GroupElement, rep: RepParams) -> complex:
+    """Unit-modulus character of the inducing subgroup element h."""
+    if rep.family == "A":
+        s = SQRT_MINUS_H
+        return cmath.exp(1j * (-h.alpha * rep.c2 * s / (2.0 * rep.params.B * rep.z3)
+                               + h.beta * rep.z3))
+    if rep.family == "B":
+        return cmath.exp(1j * h.alpha * rep.zeta2)
+    return cmath.exp(1j * (h.theta0 * rep.zeta0 + h.theta1 * rep.zeta1))
+
+
+def subgroup_modulus(h: GroupElement, family: str) -> float:
+    """Modulus of the inducing subgroup: e^alpha for family A, else 1."""
+    return math.exp(h.alpha) if family == "A" else 1.0
+
+
+def borel_decompose(g: GroupElement, p: ModelParams):
+    """Split g = h . s(x) with h a null-translation subgroup element.
+
+    The section s(x) is the pure space translation by x; h carries equal
+    light-cone translation components theta0 = theta1 = theta_plus.
+    """
+    x = (g.theta1 - g.theta0) * math.exp(-g.alpha)
+    theta_plus = g.theta0 + x * math.sinh(g.alpha)
+    beta_h = g.beta + (p.B / 2.0) * theta_plus * x * math.exp(g.alpha)
+    h = GroupElement(theta_plus, theta_plus, g.alpha, beta_h)
+    return h, x
+
+
+def lifted_function(rep: RepParams, f):
+    """Equivariant function on the group built from a carrier-space f."""
+    if rep.family == "A":
+        def F(g: GroupElement) -> complex:
+            h, x = borel_decompose(g, rep.params)
+            return (subgroup_modulus(h, "A") ** -0.5 * character(h, rep)
+                    * complex(f(x)))
+        return F
+    if rep.family == "C":
+        def F(g: GroupElement) -> complex:
+            h = GroupElement(g.theta0, g.theta1, 0.0, g.beta)
+            return character(h, rep) * complex(f(g.alpha))
+        return F
+    def F(g: GroupElement) -> complex:
+        return character(g, rep) * f
+    return F
 
 
 # ---------------------------------------------------------------------------

