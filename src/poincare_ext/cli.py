@@ -83,8 +83,11 @@ def suite_coadjoint(params: ModelParams, seed: int) -> dict:
     zeta = CoadjointPoint(-3.0 + 6.0 * u[:, 0])
     g = GroupElement(*(-2.0 + 4.0 * u[:, 1]).T)
     moved = coadjoint_action(g, zeta, params)
-    c0, c1 = casimir_pairing(zeta, params), casimir_pairing(moved, params)
-    worst_cas = float(np.max(np.abs(c1 - c0) / np.maximum(np.abs(c0), 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0, c1 = casimir_pairing(zeta, params), casimir_pairing(moved, params)
+        worst_cas = float(np.max(np.abs(c1 - c0) / np.maximum(np.abs(c0), 1.0)))
+    if not math.isfinite(worst_cas):  # moved components of order B, squared
+        raise ValueError("the coadjoint Casimir residual leaves the float range")
     worst_u3 = float(np.max(np.abs(moved.u[3] - zeta.u[3])))
     return {"casimir_residual": worst_cas, "u3_residual": worst_u3,
             "pass": worst_cas <= 1e-12 and worst_u3 <= 1e-12}
@@ -170,8 +173,11 @@ def suite_classical(params: ModelParams, seed: int, m: float = 1.0) -> dict:
     from .group import casimir_pairing
     rng = np.random.default_rng(seed)
     s = qz.PhasePoint(*rng.uniform(-3, 3, size=(100, 2)).T)
-    c = casimir_pairing(qz.comoments(s, params, m), params)
-    worst = float(np.max(np.abs(c - m * m)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = casimir_pairing(qz.comoments(s, params, m), params)
+        worst = float(np.max(np.abs(c - m * m)))
+    if not math.isfinite(worst):  # comoments of order B, squared
+        raise ValueError("the comoment Casimir residual leaves the float range")
     q0 = qz.PolynomialObservable({(0, 1): -1.0 / params.B})
     q1 = qz.PolynomialObservable({(1, 0): -1.0, (0, 1): -1.0 / params.B})
     pb = qz.poisson_bracket(q0, q1, params)
@@ -461,8 +467,13 @@ def run(argv=None) -> int:
 
         elif args.cmd == "quantize":
             if args.q_cmd == "check":
-                rep = suite_quantization(params, args.seed, m=args.m)
-                rep["classical"] = suite_classical(params, args.seed, m=args.m)
+                # a residual that leaves the float range is a usage error,
+                # as for rep verify
+                try:
+                    rep = suite_quantization(params, args.seed, m=args.m)
+                    rep["classical"] = suite_classical(params, args.seed, m=args.m)
+                except ValueError as exc:
+                    ap.error(f"quantize check at B={args.B!r}: {exc}")
                 _emit_json(rep, stream)
                 code = 0 if rep["pass"] and rep["classical"]["pass"] else 1
             else:

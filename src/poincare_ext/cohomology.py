@@ -13,11 +13,10 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .model import BASIS_NAMES, ModelParams, brackets, rank
+from .model import BASIS_NAMES, ModelParams, _Record, brackets, rank
 
 __all__ = [
     "StructureConstants",
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(_Record):
     """Structure constants c^C_{AB} with [T_A, T_B] = c^C_{AB} T_C.
 
     c is any nested n x n x n sequence of numbers, an array included; it is
@@ -39,22 +37,17 @@ class StructureConstants:
     algebra exactly: round-off in a constant would read as rank.
     """
 
-    n: int
-    c: tuple
-    basis_names: tuple = ()
-    name: str = ""
+    __slots__ = ("n", "c", "basis_names", "name")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, c: tuple, basis_names: tuple = (), name: str = ""):
         try:
             c = tuple(tuple(tuple(map(Fraction, row)) for row in plane)
-                      for plane in self.c)
+                      for plane in c)
         except (TypeError, ValueError, OverflowError):
             c = ()
         if len(c) != n or any(len(plane) != n or any(len(row) != n for row in plane)
                               for plane in c):
             raise ValueError(f"structure constants must be {n}^3 finite numbers")
-        object.__setattr__(self, "c", c)
         if any(c[e][a][b] != -c[e][b][a]
                for e in range(n) for a in range(n) for b in range(a, n)):
             raise ValueError("structure constants are not exactly antisymmetric "
@@ -72,8 +65,7 @@ class StructureConstants:
             if any(jac.values()):
                 raise ValueError("structure constants do not satisfy the Jacobi "
                                  "identity exactly")
-        if not self.basis_names:
-            object.__setattr__(self, "basis_names", tuple(f"T{i}" for i in range(self.n)))
+        super().__init__(n, c, basis_names or tuple(f"T{i}" for i in range(n)), name)
 
 
 def ce_differential(k: int, sc: StructureConstants) -> list:
@@ -147,7 +139,7 @@ def load_algebra_file(path) -> StructureConstants:
     listing [T_A, T_B] for A < B; antisymmetry is filled in.  A decimal
     is read as the rational it spells: 0.1 is 1/10.
     """
-    spec = json.loads(Path(path).read_text(), parse_float=Fraction)
+    spec = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=Fraction)
     n = int(spec["dim"])
     return StructureConstants(n=n, c=_from_brackets(n, spec["brackets"]),
                               basis_names=tuple(spec.get("basis_names", ())),

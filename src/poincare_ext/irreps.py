@@ -580,6 +580,23 @@ def _relative_residual(op, probes, ref=None):
     return np.max(np.sqrt(np.maximum(_square_norms(op, probes), 0.0) / den), axis=-1)
 
 
+def _in_float_range(what: str):
+    """Decorate a residual check: numpy's overflow warnings are off while it
+    runs, and a result that is not finite (a coefficient product of order
+    B^2 past the float range, say) is a ValueError naming what."""
+    def wrap(check):
+        @functools.wraps(check)
+        def checked(*args, **kwargs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = check(*args, **kwargs)
+            if not np.all(np.isfinite(res)):
+                raise ValueError(f"the {what} residual leaves the float range")
+            return res
+        return checked
+    return wrap
+
+
+@_in_float_range("hermiticity")
 def hermiticity_residual(op, probes) -> float:
     """max over probe pairs (i, j) of |<A f_i, f_j> - <f_i, A f_j>|.
 
@@ -743,6 +760,7 @@ def verify_unitarity(rep: RepParams, g: GroupElement, probes) -> float:
     return float(np.max(_affine_phase(rep, g).unitarity_gap(*_window(*probes))))
 
 
+@_in_float_range("commutator")
 def verify_commutators(rep: RepParams, probes) -> float:
     """Bracket table through the representation, plus anti-Hermiticity.
 
@@ -764,10 +782,12 @@ def verify_commutators(rep: RepParams, probes) -> float:
                 if c:
                     defect = defect - c * g
             defects.append(defect)
-    return max(hermiticity_residual(1j * stack(gens), probes[:2]),
-               float(np.max(_relative_residual(stack(defects), probes))))
+    # np.max, not max: a NaN defect must not hide behind a finite one
+    return float(np.max((hermiticity_residual(1j * stack(gens), probes[:2]),
+                         np.max(_relative_residual(stack(defects), probes)))))
 
 
+@_in_float_range("Casimir")
 def verify_casimir(rep: RepParams, probes) -> float:
     """2B I J f = sqrt(-h) (P^a P_a f + c f), c the family's Casimir label.
 

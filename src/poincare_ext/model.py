@@ -17,7 +17,6 @@ re-export.  Without numpy, `cohomology`, `orbit classify` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = ["ModelParams", "BASIS_NAMES", "brackets", "bracket", "rank",
@@ -29,21 +28,55 @@ __all__ = ["ModelParams", "BASIS_NAMES", "brackets", "bracket", "rank",
 BASIS_NAMES = ("P0", "P1", "J", "I")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Record:
+    """An immutable record: its fields are the subclass's __slots__, and ==,
+    hash, repr and assignment behave as in a frozen dataclass, whose import
+    would cost a cold numpy-free command about 10 ms."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):  # the subclass's __init__ validates first
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+
+class ModelParams(_Record):
     """Central charge B and hbar."""
 
-    B: float = 1.0
-    hbar: float = 1.0
+    __slots__ = ("B", "hbar")
 
-    def __post_init__(self):
-        for name, value in (("B", self.B), ("hbar", self.hbar)):
+    def __init__(self, B: float = 1.0, hbar: float = 1.0):
+        for name, value in (("B", B), ("hbar", hbar)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.B == 0:
+        if B == 0:
             raise ValueError("central charge B must be nonzero (the extension degenerates)")
-        if not self.hbar > 0:
+        if not hbar > 0:
             raise ValueError("hbar must be positive")
+        super().__init__(B, hbar)
 
 
 def brackets(B) -> tuple:
@@ -117,17 +150,15 @@ def casimir(u, B):
     return u0 * u0 - u1 * u1 - 2.0 * B * u2 * u3
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    """Orbit tag with its classifying labels."""
+class OrbitClass(_Record):
+    """Orbit tag ("CaseA", "CaseB" or "CaseC") with its classifying labels."""
 
-    tag: str                   # "CaseA" | "CaseB" | "CaseC"
-    labels: dict
-    orbit_dim: int
+    __slots__ = ("tag", "labels", "orbit_dim")
 
-    def __post_init__(self):
-        if self.tag not in ("CaseA", "CaseB", "CaseC"):
-            raise ValueError(f"unknown orbit tag {self.tag!r}")
+    def __init__(self, tag: str, labels: dict, orbit_dim: int):
+        if tag not in ("CaseA", "CaseB", "CaseC"):
+            raise ValueError(f"unknown orbit tag {tag!r}")
+        super().__init__(tag, labels, orbit_dim)
 
 
 _FAMILY_ORDER = {
@@ -160,21 +191,18 @@ def classify(zeta, p: ModelParams = ModelParams()) -> OrbitClass:
 # the classical particle, with ptilde(tau) = ptilde0 + B (tau - tau0)
 
 
-@dataclass(frozen=True)
-class ClassicalState:
+class ClassicalState(_Record):
     """Initial data of the uniformly accelerated particle."""
 
-    q1_0: float = 0.0
-    ptilde_0: float = 0.0
-    tau0: float = 0.0
-    m: float = 1.0
-    params: ModelParams = field(default_factory=ModelParams)
+    __slots__ = ("q1_0", "ptilde_0", "tau0", "m", "params")
 
-    def __post_init__(self):
-        if not math.isfinite(self.m):
-            raise ValueError(f"mass must be finite, got {self.m!r}")
-        if self.m <= 0.0:
+    def __init__(self, q1_0: float = 0.0, ptilde_0: float = 0.0, tau0: float = 0.0,
+                 m: float = 1.0, params: ModelParams = ModelParams()):
+        if not math.isfinite(m):
+            raise ValueError(f"mass must be finite, got {m!r}")
+        if m <= 0.0:
             raise ValueError("mass must be positive")
+        super().__init__(q1_0, ptilde_0, tau0, m, params)
 
 
 def kinematical_momentum(cs: ClassicalState, tau: float) -> float:

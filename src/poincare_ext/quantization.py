@@ -28,7 +28,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .conventions import SQRT_MINUS_H
 from .group import (
@@ -46,6 +45,7 @@ from .irreps import (
     RepParams,
     _affine_phase,
     _columns,
+    _in_float_range,
     _poly_pullback,
     _polymul2,
     _relative_residual,
@@ -205,8 +205,10 @@ def poisson_bracket(f: PolynomialObservable, g: PolynomialObservable,
     The orientation is the one under which the comoments realize the
     group brackets; with it {q, p} = -1 and {q^a, q^b} = eps^{ab}/B.
     """
-    fq, fp = P.polyder(f.c, axis=0), P.polyder(f.c, axis=1)
-    gq, gp = P.polyder(g.c, axis=0), P.polyder(g.c, axis=1)
+    # numpy's polyder, without its import: the same products k * c[k]
+    k = np.arange(1, 3)
+    fq, fp = f.c[1:] * k[:, None], f.c[:, 1:] * k
+    gq, gp = g.c[1:] * k[:, None], g.c[:, 1:] * k
     return PolynomialObservable(_polymul2(fp, gq) - _polymul2(fq, gp))
 
 
@@ -291,6 +293,7 @@ def verify_dirac(params: ModelParams, m: float, probes,
     return dirac_residuals(params, m, probes, (z3,))[0]
 
 
+@_in_float_range("Dirac")
 def dirac_residuals(params: ModelParams, m: float, probes, z3s) -> list:
     """verify_dirac's residual at each z3 of z3s.
 
@@ -349,6 +352,7 @@ def _covariance_residual(g: GroupElement, pulled: QuantOperator,
     return _relative_residual(pulled - qf.conjugated(u), probes, pulled) + gap
 
 
+@_in_float_range("covariance")
 def verify_covariance(g: GroupElement, f: PolynomialObservable,
                       params: ModelParams, m: float, probes) -> float:
     """Residual of Q(f . l_g) = T(g^-1) Q(f) T(g) on the probe class."""
@@ -369,6 +373,7 @@ def _covariance_observables(params: ModelParams, m: float):
             comoment_observables(params, m)[2]]
 
 
+@_in_float_range("covariance")
 def covariance_suite(params: ModelParams, m: float, trials: int = 50,
                      seed: int = 42, probes=None) -> float:
     """Largest verify_covariance residual over random (g, observable) trials.

@@ -50,16 +50,22 @@ __all__ = [
     "gauss_legendre",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+#: nodes of the Gauss-Legendre rule on each panel
+_GL_POINTS = 32
 
 
 @functools.lru_cache(maxsize=16)
 def _unit_rule(panels: int):
-    """Read-only (u, w) of the composite rule on [0, 1], built once per count."""
+    """Read-only (u, w) of the composite rule on [0, 1], built once per count.
+
+    numpy.polynomial is imported on the first call, not with the module,
+    so a command that runs no quadrature (quantize op) does not load it.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
     half = 0.5 / panels
     mid = (np.arange(panels) + 0.5) / panels
-    u = (mid[:, None] + half * _GL_NODES).ravel()
-    w = np.tile(half * _GL_WEIGHTS, panels)
+    u = (mid[:, None] + half * nodes).ravel()
+    w = np.tile(half * weights, panels)
     u.setflags(write=False)
     w.setflags(write=False)
     return u, w

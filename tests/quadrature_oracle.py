@@ -317,7 +317,7 @@ def integrate_fourier(k, fn, lo, hi, rtol: float = 1e-10,
     wavefunctions.gauss_legendre reaches this sum too.
     """
     k = np.asarray(k, dtype=float)
-    size = wfm._GL_NODES.size
+    size = wfm._GL_POINTS
 
     def level(n):
         x, w = wfm.gauss_legendre(lo, hi, n)

@@ -391,18 +391,59 @@ def test_representations_suite_passes_at_edge_B(B):
     assert cli.suite_reps(ModelParams(B=B), 42)["pass"]
 
 
-@pytest.mark.parametrize("B", ("30", "-30", "1e300"))
+def strict_json(text):
+    """json.loads, refusing the NaN and Infinity that json.dump writes."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("B", ("30", "-30", "1e300", "-1e300"))
 def test_all_checks_at_large_B_is_a_whole_report(B):
     # a numeric failure, not a traceback: suites that fail there (a numpy
-    # bool in pass, a cohomology rank disagreement) still print whole JSON
+    # bool in pass, a cohomology rank disagreement) still print whole JSON.
+    # At |B| = 1e300 the comoment and coadjoint Casimirs, the Dirac and the
+    # family A residuals left the float range as NaN and numpy warnings;
+    # they are named error entries
     code, out, err = run_cli("all-checks", f"--B={B}")
-    assert code == 1 and "Traceback" not in err, err
-    report = json.loads(out)
+    assert code == 1 and err == "", err
+    report = strict_json(out)
     assert report["pass"] is False
     for name, entry in report.items():
         if name != "schema":
             verdict = entry if name == "pass" else entry["pass"]
             assert type(verdict) is bool, (name, verdict)
+
+
+@pytest.mark.parametrize("B", ("1e300", "-1e300"))
+def test_all_checks_names_the_residuals_past_the_float_range(B):
+    report = strict_json(run_cli("all-checks", f"--B={B}")[1])
+    leaves = "residual leaves the float range"
+    assert {name: report[name].get("error") for name in
+            ("classical", "coadjoint", "quantization", "representations")} == {
+        "classical": f"the comoment Casimir {leaves}",
+        "coadjoint": f"the coadjoint Casimir {leaves}",
+        "quantization": f"the Dirac {leaves}",
+        # its NaN defect hid behind the finite anti-Hermiticity in max()
+        "representations": f"the commutator {leaves}"}
+
+
+@pytest.mark.parametrize("argv, message", (
+    (("rep", "verify", "--family=A", "--B=1e300"),
+     "family A at B=1e+300: the commutator residual leaves the float range"),
+    (("quantize", "check", "--B=-1e300"),
+     "quantize check at B=-1e+300: the Dirac residual leaves the float range"),
+    # a traceback before: covariance met the non-finite phase of T(g)
+    (("quantize", "check", "--B=5e-324"),
+     "quantize check at B=5e-324: the Dirac residual leaves the float range")),
+    ids=("rep-verify-1e300", "quantize-check--1e300", "quantize-check-5e-324"))
+def test_checks_past_the_float_range_are_usage_errors(argv, message, capsys):
+    # as the rep commands at subnormal B: one error line that names B
+    with pytest.raises(SystemExit) as exc:
+        cli.run(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == f"poincare-ext: error: {message}"
 
 
 @pytest.mark.parametrize("B", ("1e-10", "1e300"))
@@ -509,16 +550,21 @@ def test_cli_import_loads_no_thread_pool():
 #: interpreter arguments, and the modules each must leave unloaded beyond
 #: scipy (the runtime needs none) and concurrent.futures (the suites run in
 #: turn; the thread pool's import alone cost about 5 ms)
+#: what the numpy-free commands leave unloaded besides numpy: frozen
+#: dataclasses would bring inspect, ast, dis and tokenize
+NO_DATACLASSES = ("dataclasses", "inspect")
+
 FOOTPRINTS = {
-    "import-package": (["-c", "import poincare_ext"], ("numpy",)),
-    "import-cli": (["-c", "import poincare_ext.cli"], ("numpy",)),
+    "import-package": (["-c", "import poincare_ext"], ("numpy",) + NO_DATACLASSES),
+    "import-cli": (["-c", "import poincare_ext.cli"], ("numpy",) + NO_DATACLASSES),
     "cohomology": (["-m", "poincare_ext.cli", "cohomology", "--algebra=i12"],
-                   ("numpy",)),
+                   ("numpy",) + NO_DATACLASSES),
     "orbit-classify": (["-m", "poincare_ext.cli", "orbit", "classify",
                         "--zeta=0,0,0.5,-1"],
                        ("numpy", "poincare_ext.group", "poincare_ext.orbits",
                         "poincare_ext.irreps", "poincare_ext.wavefunctions",
-                        "poincare_ext.quantization", "poincare_ext.dynamics")),
+                        "poincare_ext.quantization", "poincare_ext.dynamics")
+                       + NO_DATACLASSES),
     "rep-apply": (["-m", "poincare_ext.cli", "rep", "apply", "--family=C",
                    "--g=0.1,0.2,0.3,0.4", "--emit-samples=-1:1:3"],
                   ("poincare_ext.dynamics", "poincare_ext.quantization",
@@ -529,7 +575,13 @@ FOOTPRINTS = {
     "trajectory": (["-m", "poincare_ext.cli", "trajectory", "--span=0:1:3"],
                    ("numpy", "poincare_ext.group", "poincare_ext.orbits",
                     "poincare_ext.dynamics", "poincare_ext.wavefunctions",
-                    "poincare_ext.irreps", "poincare_ext.quantization")),
+                    "poincare_ext.irreps", "poincare_ext.quantization")
+                   + NO_DATACLASSES),
+    # the Poisson bracket's derivatives and the quadrature rule need no
+    # numpy.polynomial at import
+    "quantize-op": (["-m", "poincare_ext.cli", "quantize", "op", "--poly=q^2+2qp"],
+                    ("numpy.polynomial", "poincare_ext.dynamics",
+                     "poincare_ext.orbits")),
     "evolve": (["-m", "poincare_ext.cli", "evolve", "--emit=json", "--grid=20"],
                ("poincare_ext.irreps", "poincare_ext.quantization",
                 "poincare_ext.orbits")),

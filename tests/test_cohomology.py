@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +200,21 @@ def test_load_algebra_reads_decimals_exactly(tmp_path):
     sc = coh.load_algebra_file(path)
     assert sc.c[0][0][1] == Fraction(1, 10) == -sc.c[0][1][0]
     assert sc.basis_names == ("T0", "T1") and sc.name == "alg"
+
+
+def test_load_algebra_reads_utf8_in_the_c_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259): under the C locale, with no UTF-8 mode,
+    # the locale's ASCII reading raised UnicodeDecodeError
+    path = tmp_path / "alg.json"
+    path.write_bytes('{"dim": 2, "basis_names": ["Π0", "Π1"], "brackets": []}'
+                     .encode("utf-8"))
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+           "PYTHONUTF8": "0"}
+    code = ("import sys\nfrom poincare_ext import cohomology as coh\n"
+            "print(ascii(coh.load_algebra_file(sys.argv[1]).basis_names))")
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ascii(("Π0", "Π1"))
 
 
 def test_unknown_catalog_name():

@@ -190,6 +190,19 @@ def test_weyl_rule_equals_six_branch_reference(table, hbar):
     assert np.array_equal(qz.quantize(f, p).c, six_branch_quantize(f, p))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(f=TABLES, g=TABLES)
+def test_poisson_bracket_equals_polyder_reference(f, g):
+    # the bracket's derivatives are numpy.polynomial's polyder, bit for bit
+    from numpy.polynomial import polynomial as npp
+
+    f, g = qz.PolynomialObservable(f), qz.PolynomialObservable(g)
+    fq, fp = npp.polyder(f.c, axis=0), npp.polyder(f.c, axis=1)
+    gq, gp = npp.polyder(g.c, axis=0), npp.polyder(g.c, axis=1)
+    want = qz.PolynomialObservable(ir._polymul2(fp, gq) - ir._polymul2(fq, gp))
+    assert np.array_equal(qz.poisson_bracket(f, g, ModelParams()).c, want.c)
+
+
 AFFINE = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
 
 

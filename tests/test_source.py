@@ -133,6 +133,13 @@ def test_exact_modules_import_no_numpy(module):
     assert "numpy" not in imported_modules(module)
 
 
+@pytest.mark.parametrize("module", ("__init__", "model", "cohomology", "cli"))
+def test_numpy_free_modules_import_no_dataclasses(module):
+    # model's records stand in for frozen dataclasses, whose import loads
+    # inspect; the FOOTPRINTS rows of tests/test_cli.py run the commands
+    assert "dataclasses" not in imported_modules(module)
+
+
 def test_import_builds_no_probes_or_moment_matrices():
     # the moment kernel's caches fill on first use, so a cold start of a
     # command that imports quantization (quantize op, rep apply) pays for
