@@ -13,8 +13,12 @@ The closed form is validated against two independent oracles: the
 position-space packet transported exactly along characteristics and
 projected on the eigenfunctions as its exact Gaussian integral (a), and
 the spectral transport equation solved by its integrating factor (b).
-The oracle aborts if (a) and (b) disagree beyond 1e-8.  The quadrature
-version of (a)'s projection is kept in tests/quadrature_oracle.py.
+The oracle aborts if (a) and (b) disagree beyond 1e-8.  Both oracles
+need only the drift integrals of the velocity, D and W, which `model`
+gives in closed form; the closed form itself takes the energy change as
+B D and the proper time from delta/B, so no term divides by B.  The
+quadrature versions of (a)'s projection and of D and W are kept in
+tests/quadrature_oracle.py.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ClassicalState, ModelParams, classical_trajectory,
-                    kinematical_momentum, proper_time, relativistic_energy,
-                    velocity)
-from .wavefunctions import WaveFunction, exp_poly_tower, integrate_vec
+                    drift_integrals, kinematical_momentum, proper_time,
+                    relativistic_energy, velocity)
+from .wavefunctions import WaveFunction, exp_poly_tower
 
 __all__ = [
     "ClassicalState",
@@ -56,16 +60,6 @@ __all__ = [
 
 class OracleError(RuntimeError):
     """The two independent propagation oracles disagree."""
-
-
-def _velocities(cs: ClassicalState, s: np.ndarray) -> np.ndarray:
-    """velocity at an array of times, for quadrature."""
-    pt = kinematical_momentum(cs, s)
-    return pt / np.hypot(cs.m, pt)
-
-
-def _time_integral(fn, cs: ClassicalState, tau: float) -> float:
-    return integrate_vec(fn, cs.tau0, tau, rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +109,6 @@ class SpectralAmplitude:
     def __call__(self, E):
         return self.fn(np.asarray(E, dtype=float))
 
-    def l2_norm_sq(self) -> float:
-        val = integrate_vec(lambda E: np.abs(self.fn(E)) ** 2,
-                            self.center - 12 * self.width,
-                            self.center + 12 * self.width)
-        return float(np.real(val))
-
 
 def gaussian_spectral(E0: float, sigma: float) -> SpectralAmplitude:
     amp = (2.0 * math.pi * sigma * sigma) ** -0.25
@@ -130,37 +118,41 @@ def gaussian_spectral(E0: float, sigma: float) -> SpectralAmplitude:
 
 
 def _deltas(cs: ClassicalState, tau: float):
-    dE = relativistic_energy(cs, tau) - relativistic_energy(cs, cs.tau0)
-    dtp = proper_time(cs, tau) - proper_time(cs, cs.tau0)
-    return dE, dtp, tau - cs.tau0
+    """(D, tau - tau0, phi): the energy changes by B D, and hbar times the
+    E-independent phase is phi = (ptilde0 D + m dtp - E(tau) dtau) / 2,
+    with dtp = m delta / B the proper time elapsed."""
+    dtau = tau - cs.tau0
+    D, _, delta_b = drift_integrals(cs, tau)
+    phi = 0.5 * (cs.ptilde_0 * D + cs.m * (cs.m * delta_b)
+                 - relativistic_energy(cs, tau) * dtau)
+    return D, dtau, phi
 
 
 def c_closed_form(cs: ClassicalState, E, tau: float, c0) -> complex:
-    """Transport-with-phase solution of the spectral evolution equations."""
+    """Transport-with-phase solution of the spectral evolution equations.
+
+    c(E, tau) = c0(E - dE) exp(i [((E - dE)^2 - E^2) / 2B + phi] / hbar)
+    with dE = B D, where ((E - dE)^2 - E^2) / 2B = D (B D / 2 - E).
+    """
     h, B = cs.params.hbar, cs.params.B
-    dE, dtp, dtau = _deltas(cs, tau)
+    D, _, phi = _deltas(cs, tau)
     E = np.asarray(E, dtype=float)
-    phase1 = np.exp(1j * ((E - dE) ** 2 - E ** 2) / (2.0 * B * h))
-    phase2 = np.exp(-1j / h * (-cs.ptilde_0 * dE / (2.0 * B)
-                               - cs.m * dtp / 2.0
-                               + relativistic_energy(cs, tau) * dtau / 2.0))
-    out = phase1 * phase2 * c0(E - dE)
+    phase = D * (0.5 * B * D - E) + phi
+    out = np.exp(1j * phase / h) * c0(E - B * D)
     return complex(out) if out.ndim == 0 else out
 
 
 def evolve_eigenstate(cs: ClassicalState, E: float, tau: float):
     """(phase, E_final) for a system prepared in the eigenstate of H0 at E.
 
-    The state at tau is phase * |E_final> with E_final = E + Delta E and
-    a product of three unimodular factors.
+    The state at tau is phase * |E_final> with E_final = E + B D and a
+    unimodular phase, (E^2 - E_final^2) / 2B = -D (E + B D / 2) in it.
     """
     h, B = cs.params.hbar, cs.params.B
-    dE, dtp, dtau = _deltas(cs, tau)
-    f1 = np.exp(1j * (E ** 2 - (E + dE) ** 2) / (2.0 * B * h))
-    f2 = np.exp(1j * (E + dE) * dtau / h)
-    f3 = np.exp(-1j / h * (-cs.ptilde_0 * dE / (2.0 * B) - cs.m * dtp / 2.0
-                           + relativistic_energy(cs, tau) * dtau / 2.0))
-    return complex(f1 * f2 * f3), E + dE
+    D, dtau, phi = _deltas(cs, tau)
+    e_final = E + B * D
+    phase = -D * (E + 0.5 * B * D) + e_final * dtau + phi
+    return complex(np.exp(1j * phase / h)), e_final
 
 
 def transition_probability(cs: ClassicalState, e_prime: float, E: float,
@@ -222,18 +214,26 @@ def locate_minimum(f, t0: float):
 
 def default_e_grid(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
                    n: int = 400):
-    dE, _, _ = _deltas(cs, tau)
-    center = c0.center + dE
+    """n energies over 10 widths either side of the transported packet.
+
+    ValueError where they are not distinct floats, which they stop being
+    once the float spacing at the center, about 2e-16 |B D|, passes theirs.
+    """
+    center = c0.center + cs.params.B * _deltas(cs, tau)[0]
     half = 10.0 * c0.width
-    return np.linspace(center - half, center + half, n)
+    grid = np.linspace(center - half, center + half, n)
+    if not np.all(np.diff(grid) > 0.0):  # nan fails too
+        raise ValueError(f"the energy grid around {center:.6g} does not "
+                         "resolve the packet")
+    return grid
 
 
 def _drift(cs: ClassicalState, tau: float):
-    """(X, I2): the drift integral of 1 - v and its first moment in time."""
-    X = _time_integral(lambda s: 1.0 - _velocities(cs, s), cs, tau)
-    I2 = _time_integral(lambda s: (1.0 - _velocities(cs, s)) * (s - cs.tau0),
-                        cs, tau)
-    return X, I2
+    """(X, I2): the drift integral of 1 - v and its first moment in time,
+    T - D and T^2 / 2 - W."""
+    T = tau - cs.tau0
+    D, W, _ = drift_integrals(cs, tau)
+    return T - D, 0.5 * T * T - W
 
 
 def _project_oracle_a(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
@@ -243,7 +243,7 @@ def _project_oracle_a(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
     The generator is affine in position and momentum, so the packet
     psi0(x) = amp exp(-(sigma x / hbar)^2 - i (E0 x + B x^2 / 2) / hbar)
     moves rigidly along x by the drift integral X(tau) and acquires the
-    phase exp(-i B (x dtau - I2) / hbar); X and I2 are time quadratures.
+    phase exp(-i B (x dtau - I2) / hbar); X and I2 come from `_drift`.
     Against <x|E> the chirps exp(+-i B x^2 / 2 hbar) cancel, which leaves a
     Gaussian integral in y = x - X, exact over the real line:
 
@@ -273,18 +273,17 @@ def _transport_oracle_b(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
     equations reduce to the diagonal linear equation dc/ds = -i k_E(s) c
     with k_E(s) = (v(s)/hbar)(E(s) + B (s - tau0)).  Its integrating
     factor gives c(tau) = c(tau0) exp(-i int k_E), and int k_E is affine
-    in E, so two scalar quadratures serve the whole grid.
+    in E: its two time integrals are D and p0 T + B T^2 / 2 + B W.
     """
-    p = cs.params
-    h, B = p.hbar, p.B
-    dE_final, _, _ = _deltas(cs, tau)
+    h, B = cs.params.hbar, cs.params.B
+    T = tau - cs.tau0
+    D, W, _ = drift_integrals(cs, tau)
+    dE_final = B * D
     e0 = relativistic_energy(cs, cs.tau0)
 
     # v E(s) = v (E - Delta_E(tau) - e0) + ptilde(s), as v e(s) = ptilde(s)
-    drift = _time_integral(lambda s: _velocities(cs, s), cs, tau)
-    rest = _time_integral(lambda s: kinematical_momentum(cs, s)
-                          + B * (s - cs.tau0) * _velocities(cs, s), cs, tau)
-    phase = ((e_grid - dE_final - e0) * drift + rest) / h
+    rest = cs.ptilde_0 * T + 0.5 * B * T * T + B * W
+    phase = ((e_grid - dE_final - e0) * D + rest) / h
     return np.asarray(c0(e_grid - dE_final), dtype=complex) * np.exp(-1j * phase)
 
 

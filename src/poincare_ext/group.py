@@ -25,7 +25,7 @@ from .conventions import (
     minkowski_square,
 )
 from . import model
-from .model import ModelParams, brackets, casimir, row_basis
+from .model import ModelParams, _sinh_defect, brackets, casimir, row_basis
 
 __all__ = [
     "ModelParams",
@@ -53,8 +53,10 @@ def _finite(values, what: str) -> np.ndarray:
     except ValueError:
         raise ValueError(f"{what} components must be numbers, or arrays of "
                          "one shape") from None
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what} must have finite real components, got {values!r}")
+    bad = arr.size - np.count_nonzero(np.isfinite(arr))
+    if bad:
+        raise ValueError(f"{what} must have finite real components, got {bad} "
+                         f"not finite of shape {arr.shape}")
     return arr
 
 
@@ -266,18 +268,6 @@ def _phi_divide(c: float, x: float) -> float:
     if x <= _LOG_MAX:
         return c / _phi(x)
     return _exp_times(-x, c * x)
-
-
-#: 1/(2k+3)!, k = 8..0: (sinh a - a)/a^2 = sum_k a^(2k+1)/(2k+3)! to round-off
-#: for |a| < 1, where the direct quotient would lose up to 6 eps/a^2
-_SINH_SERIES = [1.0 / math.factorial(n) for n in range(19, 2, -2)]
-
-
-def _sinh_defect(a: float) -> float:
-    """(sinh a - a) / a^2."""
-    if abs(a) < 1.0:
-        return a * float(np.polyval(_SINH_SERIES, a * a))
-    return (math.sinh(a) - a) / (a * a)
 
 
 def _sinh_defect_times(c: float, a: float) -> float:

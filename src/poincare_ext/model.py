@@ -9,9 +9,10 @@ float structure constants from them, and `cohomology` its exact ones.
 One exact elimination here (`rank`, `row_basis`, `kernel`, with `bracket`
 on the table) decides every algebra dimension.  The Casimir on
 components, the three coadjoint orbit cases and the classical particle's
-closed forms are here too, which `group`, `orbits` and `dynamics` use or
-re-export.  Without numpy, `cohomology`, `orbit classify` and
-`trajectory` load this module alone.
+closed forms, with the two drift integrals of its velocity that the
+dynamics oracles need, are here too, which `group`, `orbits` and
+`dynamics` use or re-export.  Without numpy, `cohomology`, `orbit
+classify` and `trajectory` load this module alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ __all__ = ["ModelParams", "BASIS_NAMES", "brackets", "bracket", "rank",
            "row_basis", "kernel", "casimir", "OrbitClass",
            "classify", "ClassicalState", "kinematical_momentum",
            "relativistic_energy", "velocity", "classical_trajectory",
-           "proper_time"]
+           "proper_time", "drift_integrals"]
 
 BASIS_NAMES = ("P0", "P1", "J", "I")
 
@@ -218,16 +219,19 @@ def velocity(cs: ClassicalState, tau: float) -> float:
     return kinematical_momentum(cs, tau) / relativistic_energy(cs, tau)
 
 
-def classical_trajectory(cs: ClassicalState, tau: float):
-    """(q0, q1, ptilde) at time tau; q0 is the time coordinate itself.
+def _displacement(cs: ClassicalState, tau: float) -> float:
+    """D = q1(tau) - q1(tau0), the integral of the velocity from tau0.
 
-    q1 - q1_0 = (E(tau) - E(tau0)) / B is evaluated in the equal form
+    (E(tau) - E(tau0)) / B is evaluated in the equal form
     (tau - tau0)(ptilde + ptilde0) / (E(tau) + E(tau0)), finite at any B.
     """
-    pt = kinematical_momentum(cs, tau)
-    q1 = cs.q1_0 + (tau - cs.tau0) * (pt + cs.ptilde_0) \
+    return (tau - cs.tau0) * (kinematical_momentum(cs, tau) + cs.ptilde_0) \
         / (relativistic_energy(cs, tau) + relativistic_energy(cs, cs.tau0))
-    return tau, q1, pt
+
+
+def classical_trajectory(cs: ClassicalState, tau: float):
+    """(q0, q1, ptilde) at time tau; q0 is the time coordinate itself."""
+    return tau, cs.q1_0 + _displacement(cs, tau), kinematical_momentum(cs, tau)
 
 
 def proper_time(cs: ClassicalState, tau: float) -> float:
@@ -239,3 +243,62 @@ def proper_time(cs: ClassicalState, tau: float) -> float:
     """
     return cs.m * (math.asinh(kinematical_momentum(cs, tau) / cs.m)
                    / cs.params.B)
+
+
+#: 1/(2k+3)!, k = 8..0: (sinh a - a)/a^2 = sum_k a^(2k+1)/(2k+3)! to round-off
+#: for |a| < 1, where the direct quotient would lose up to 6 eps/a^2
+_SINH_SERIES = [1.0 / math.factorial(n) for n in range(19, 2, -2)]
+
+
+def _sinh_defect(a: float) -> float:
+    """(sinh a - a) / a^2."""
+    if abs(a) < 1.0:
+        x, out = a * a, 0.0
+        for c in _SINH_SERIES:  # Horner's rule, as numpy.polyval
+            out = out * x + c
+        return a * out
+    return (math.sinh(a) - a) / (a * a)
+
+
+def drift_integrals(cs: ClassicalState, tau: float):
+    """(D, W, delta/B): the time integrals of the velocity v from tau0 to tau.
+
+    With u = s - tau0 and T = tau - tau0, D = int v du and W = int u v du.
+    In the rapidity theta = asinh(ptilde/m), ptilde = m sinh theta and
+    u = m (sinh theta - sinh theta0) / B, so with delta = theta(tau) -
+    theta(tau0) and c the mean of the two (Rindler, Relativity, 2nd ed.,
+    OUP 2006, on hyperbolic motion)
+
+        D = (E(tau) - E(tau0)) / B,
+        W = (m/B)^2 [(sinh delta - delta) / 2 + sinh 2c sinh^2(delta/2)],
+
+    and m delta / B is the proper time elapsed.  Every 1/B comes out
+    exactly: D is `_displacement`'s form, and sinh delta / B =
+    T (1 + cosh delta) / (E0 + E1).  The hyperbolic functions of delta and
+    c are algebraic in the momenta,
+
+        cosh delta = (E0 E1 - p0 p1) / m^2,   m^2 sinh 2c = p0 E1 + E0 p1,
+
+    each taken as a quotient where its terms would cancel.  So W =
+    m^2 (delta/B)^2 S(delta) / 2 + m^2 sinh 2c (sinh delta / B)^2 /
+    (2 (1 + cosh delta)) with S = _sinh_defect, and no term cancels as
+    B -> 0 or grows with |B|.
+    """
+    m, T = cs.m, tau - cs.tau0
+    p0, p1 = cs.ptilde_0, kinematical_momentum(cs, tau)
+    e0, e1 = math.hypot(m, p0), math.hypot(m, p1)
+    if p0 * p1 > 0.0:
+        h = math.hypot(m, p0, p1)
+        cosh_d = h / (e0 * e1 + p0 * p1) * h
+        m2_sinh_2c = p0 * e1 + e0 * p1
+    else:
+        cosh_d = (e0 * e1 - p0 * p1) / (m * m)
+        m2_sinh_2c = (p0 - p1) / (p0 * e1 - e0 * p1) * (p0 + p1) * m * m \
+            if p0 != p1 else 0.0
+    sinh_b = T * (1.0 + cosh_d) / (e0 + e1)
+    s = cs.params.B * sinh_b
+    delta = math.asinh(s)
+    delta_b = (delta / s if s else 1.0) * sinh_b
+    W = 0.5 * m * m * delta_b * delta_b * _sinh_defect(delta) \
+        + m2_sinh_2c * sinh_b * sinh_b / (2.0 * (1.0 + cosh_d))
+    return _displacement(cs, tau), W, delta_b

@@ -1,27 +1,23 @@
-"""Evaluatable wavefunctions on the real line, with quadrature.
+"""Evaluatable wavefunctions on the real line.
 
 A WaveFunction wraps one numpy-vectorized complex evaluator fn(x, k),
 the k-th derivative at nodes x for 0 <= k <= depth, together with a
-(center, width) quadrature hint.  Representation operators act by
+(center, width) window hint.  Representation operators act by
 composing evaluators -- affine argument maps, sums, and Leibniz products
 with multipliers that are themselves evaluators of (x, k) -- so every
-derivative stays analytic and inner products are limited only by
-quadrature accuracy.  exp_poly_tower gives the derivatives of
+derivative stays analytic.  exp_poly_tower gives the derivatives of
 r(x) exp(q(x)) for polynomials r and q: polynomial multipliers,
 Gaussian-polynomial probes, and quadratic phases all come from it.
 
 A WaveFunction may also be a batch, one function per member of a batch of
 group elements: its parameters and its hint then have the batch shape S
 plus a trailing axis of length 1, and evaluating it at nodes of shape (N,)
-or S + (N,) gives S + (N,).  inner, norm and l2_diff return one integral
-per member, and integrate_vec tests each member's convergence on its own.
+or S + (N,) gives S + (N,).
 
-All integrals run on [center - 12 width, center + 12 width] with a
-panel-doubling composite Gauss-Legendre rule (vectorized evaluations) that
-starts at 8 panels and is converged to relative tolerance 1e-10.  The rule
-on [0, 1] is built once per panel count and only scaled to each window.
-The panel-doubling driver (_ladder) is kept apart from integrate_vec's
-weighted sum, so the test oracles can run other sums on the same ladder.
+The package integrates no wavefunction: every residual is a closed form
+on coefficients.  The composite Gauss-Legendre quadrature over the window
+[center - 12 width, center + 12 width], with inner, norm and l2_diff, is
+the test oracle in tests/quadrature_oracle.py.
 """
 
 from __future__ import annotations
@@ -43,102 +39,7 @@ __all__ = [
     "wf_affine",
     "wf_mul",
     "exp_poly_tower",
-    "inner",
-    "norm",
-    "l2_diff",
-    "integrate_vec",
-    "gauss_legendre",
 ]
-
-#: nodes of the Gauss-Legendre rule on each panel
-_GL_POINTS = 32
-
-
-@functools.lru_cache(maxsize=16)
-def _unit_rule(panels: int):
-    """Read-only (u, w) of the composite rule on [0, 1], built once per count.
-
-    numpy.polynomial is imported on the first call, not with the module,
-    so a command that runs no quadrature (quantize op) does not load it.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
-    half = 0.5 / panels
-    mid = (np.arange(panels) + 0.5) / panels
-    u = (mid[:, None] + half * nodes).ravel()
-    w = np.tile(half * weights, panels)
-    u.setflags(write=False)
-    w.setflags(write=False)
-    return u, w
-
-
-def gauss_legendre(lo, hi, panels: int):
-    """(x, w) of the 32-point Gauss-Legendre rule on equal panels of [lo, hi].
-
-    Exact for polynomials of degree <= 63 on each panel.  lo and hi may be
-    batch columns (trailing axis of length 1), one window per member.
-    """
-    u, w = _unit_rule(panels)
-    span = hi - lo
-    return lo + span * u, span * w
-
-
-def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
-                  atol: float = 1e-13, max_panels: int = 4096):
-    """Composite 32-point Gauss-Legendre with panel doubling from 8 panels.
-
-    fn maps an ndarray of nodes to values whose last axis runs over the
-    nodes; leading axes are a batch, and the result has one integral per
-    member.  Convergence and non-finite integrals are handled as in
-    _ladder.
-    """
-    def level(n):
-        x, w = gauss_legendre(lo, hi, n)
-        return np.sum(w * fn(x), axis=-1)
-
-    return _ladder(level, lo, hi, rtol, atol, max_panels)[()]
-
-
-def _ladder(level, lo, hi, rtol, atol, max_panels):
-    """The panel-doubling driver: level(n) is the flat integrals at n panels.
-
-    A member has converged when two consecutive refinements agree
-    to rtol/atol, and keeps the value of the level where it first did.
-    The integrands here are analytic with Gaussian decay, on which Gauss
-    rules converge exponentially, so the first 8 -> 16 check passes for
-    every integral of an all-checks report.
-
-    A level with a non-finite integral raises RuntimeError at once, since
-    refining cannot repair it; the message names how many integrals are
-    bad and the extent of the windows.
-    """
-    def checked(n):
-        out = level(n)
-        bad = np.count_nonzero(~np.isfinite(out))
-        if bad:
-            raise RuntimeError(f"quadrature: {bad} of {np.size(out)} integrals "
-                               f"are not finite on {_extent(lo, hi)}")
-        return out
-
-    n = 8
-    prev = checked(n)
-    out = prev
-    done = np.zeros(np.shape(prev), dtype=bool)
-    while n < max_panels:
-        n *= 2
-        cur = checked(n)
-        out = np.where(done, out, cur)
-        done |= np.abs(cur - prev) <= np.maximum(atol, rtol * np.abs(cur))
-        if done.all():
-            return out
-        prev = cur
-    raise RuntimeError(f"quadrature: {np.count_nonzero(~done)} of {done.size} "
-                       f"integrals did not converge on {_extent(lo, hi)}")
-
-
-def _extent(lo, hi) -> str:
-    """[min lo, max hi] of one window or of a batch of windows."""
-    return f"[{np.min(lo):.6g}, {np.max(hi):.6g}]"
-
 
 def _horner(coeffs, x):
     """Polynomial with coefficients in increasing degree, evaluated at x.
@@ -154,7 +55,7 @@ def _horner(coeffs, x):
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex-valued function on R with its derivatives and a quadrature hint.
+    """Complex-valued function on R with its derivatives and a window hint.
 
     fn(x, k) is the k-th derivative at an ndarray of nodes x, for
     0 <= k <= depth; calling the WaveFunction gives k = 0.  poly is set
@@ -192,7 +93,7 @@ class WaveFunction:
 
 
 def _window(*wfs):
-    """Smallest interval holding every function's quadrature window."""
+    """Smallest interval holding every function's window."""
     los, his = zip(*(w.interval() for w in wfs))
     return functools.reduce(np.minimum, los), functools.reduce(np.maximum, his)
 
@@ -324,30 +225,3 @@ def hermite_wf(k: int, depth: int = 4, center: float = 0.0,
     nrm = 1.0 / math.sqrt(2.0 ** k * math.factorial(k) * math.sqrt(math.pi) * width)
     return gauss_poly_wf(np.asarray(coeffs) * nrm, depth=depth,
                          center=center, width=width)
-
-
-def inner(f: WaveFunction, g: WaveFunction):
-    """<f, g> = integral conj(f) g."""
-    lo, hi = _window(f, g)
-    return integrate_vec(lambda x: np.conj(f.fn(x, 0)) * g.fn(x, 0), lo, hi)
-
-
-def norm(f: WaveFunction):
-    """L2 norm, integrated once per wavefunction and then remembered.
-
-    A WaveFunction is immutable, so the stored value stays valid; a fixed
-    probe is normalised once however many residuals divide by it.
-    """
-    cached = f.__dict__.get("_norm")
-    if cached is None:
-        lo, hi = f.interval()
-        val = integrate_vec(lambda x: np.abs(f.fn(x, 0)) ** 2, lo, hi)
-        cached = np.sqrt(np.maximum(np.real(val), 0.0))
-        object.__setattr__(f, "_norm", cached)
-    return cached
-
-
-def l2_diff(f: WaveFunction, g: WaveFunction):
-    lo, hi = _window(f, g)
-    val = integrate_vec(lambda x: np.abs(f.fn(x, 0) - g.fn(x, 0)) ** 2, lo, hi)
-    return np.sqrt(np.maximum(np.real(val), 0.0))

@@ -1,4 +1,8 @@
-"""The stacked-probe quadrature: the test oracle of the exact operator checks.
+"""The quadrature oracles of the package's closed forms.
+
+The package runs no quadrature.  This module holds the one the oracles
+use: the composite 32-point Gauss-Legendre rule with its panel-doubling
+ladder (integrate_vec), and inner, norm and l2_diff on wavefunctions.
 
 wf_stack makes one batch function of a probe list, so an operator chain
 built once acts on the whole set, and integrate_stack takes the integrals
@@ -15,16 +19,17 @@ they are built from.  The per-probe Gaussian-moment sums (quant_image,
 exp_image, gauss_inner, images_inner) are the oracle of irreps' moment
 matrix kernel.  Last, the Fourier quadrature of the transported position
 packet onto the H0 eigenfunctions is the oracle of dynamics oracle (a)'s
-exact Gaussian integral.
+exact Gaussian integral, and the time quadratures of the velocity are the
+oracle of model.drift_integrals, which both dynamics oracles use.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
 
 from poincare_ext import dynamics as dy
-from poincare_ext import wavefunctions as wfm
 from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
                                 compose, exp_map)
@@ -36,17 +41,140 @@ from poincare_ext.irreps import (
     generator_apply,
     rep_apply,
 )
+from poincare_ext.model import kinematical_momentum
 from poincare_ext.wavefunctions import (
     WaveFunction,
     _derivative_coeffs,
     _latest_values,
     _window,
-    integrate_vec,
-    l2_diff,
-    norm,
     wf_scale,
     wf_sub,
 )
+
+
+# ---------------------------------------------------------------------------
+# the composite Gauss-Legendre quadrature
+
+#: the quadrature entry points, which the package neither defines nor runs:
+#: the composite rule, its ladder and sums and the wavefunction norms here,
+#: and numpy's Gauss-Legendre nodes
+QUADRATURE = {"integrate_vec", "integrate_fourier", "gauss_legendre", "_ladder",
+              "inner", "norm", "l2_diff", "leggauss"}
+
+#: nodes of the Gauss-Legendre rule on each panel
+_GL_POINTS = 32
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_rule(panels: int):
+    """Read-only (u, w) of the composite rule on [0, 1], built once per count."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
+    half = 0.5 / panels
+    mid = (np.arange(panels) + 0.5) / panels
+    u = (mid[:, None] + half * nodes).ravel()
+    w = np.tile(half * weights, panels)
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
+def gauss_legendre(lo, hi, panels: int):
+    """(x, w) of the 32-point Gauss-Legendre rule on equal panels of [lo, hi].
+
+    Exact for polynomials of degree <= 63 on each panel.  lo and hi may be
+    batch columns (trailing axis of length 1), one window per member.
+    """
+    u, w = _unit_rule(panels)
+    span = hi - lo
+    return lo + span * u, span * w
+
+
+def integrate_vec(fn, lo, hi, rtol: float = 1e-10,
+                  atol: float = 1e-13, max_panels: int = 4096):
+    """Composite 32-point Gauss-Legendre with panel doubling from 8 panels.
+
+    fn maps an ndarray of nodes to values whose last axis runs over the
+    nodes; leading axes are a batch, and the result has one integral per
+    member.  Convergence and non-finite integrals are handled as in
+    _ladder.
+    """
+    def level(n):
+        x, w = gauss_legendre(lo, hi, n)
+        return np.sum(w * fn(x), axis=-1)
+
+    return _ladder(level, lo, hi, rtol, atol, max_panels)[()]
+
+
+def _ladder(level, lo, hi, rtol, atol, max_panels):
+    """The panel-doubling driver: level(n) is the flat integrals at n panels.
+
+    A member has converged when two consecutive refinements agree
+    to rtol/atol, and keeps the value of the level where it first did.
+    The integrands here are analytic, mostly with Gaussian decay, on
+    which Gauss rules converge exponentially.
+
+    A level with a non-finite integral raises RuntimeError at once, since
+    refining cannot repair it; the message names how many integrals are
+    bad and the extent of the windows.
+    """
+    def checked(n):
+        out = level(n)
+        bad = np.count_nonzero(~np.isfinite(out))
+        if bad:
+            raise RuntimeError(f"quadrature: {bad} of {np.size(out)} integrals "
+                               f"are not finite on {_extent(lo, hi)}")
+        return out
+
+    n = 8
+    prev = checked(n)
+    out = prev
+    done = np.zeros(np.shape(prev), dtype=bool)
+    while n < max_panels:
+        n *= 2
+        cur = checked(n)
+        out = np.where(done, out, cur)
+        done |= np.abs(cur - prev) <= np.maximum(atol, rtol * np.abs(cur))
+        if done.all():
+            return out
+        prev = cur
+    raise RuntimeError(f"quadrature: {np.count_nonzero(~done)} of {done.size} "
+                       f"integrals did not converge on {_extent(lo, hi)}")
+
+
+def _extent(lo, hi) -> str:
+    """[min lo, max hi] of one window or of a batch of windows."""
+    return f"[{np.min(lo):.6g}, {np.max(hi):.6g}]"
+
+
+def inner(f: WaveFunction, g: WaveFunction):
+    """<f, g> = integral conj(f) g."""
+    lo, hi = _window(f, g)
+    return integrate_vec(lambda x: np.conj(f.fn(x, 0)) * g.fn(x, 0), lo, hi)
+
+
+def norm(f: WaveFunction):
+    """L2 norm, integrated once per wavefunction and then remembered.
+
+    A WaveFunction is immutable, so the stored value stays valid; a fixed
+    probe is normalised once however many residuals divide by it.
+    """
+    cached = f.__dict__.get("_norm")
+    if cached is None:
+        lo, hi = f.interval()
+        val = integrate_vec(lambda x: np.abs(f.fn(x, 0)) ** 2, lo, hi)
+        cached = np.sqrt(np.maximum(np.real(val), 0.0))
+        object.__setattr__(f, "_norm", cached)
+    return cached
+
+
+def l2_diff(f: WaveFunction, g: WaveFunction):
+    lo, hi = _window(f, g)
+    val = integrate_vec(lambda x: np.abs(f.fn(x, 0) - g.fn(x, 0)) ** 2, lo, hi)
+    return np.sqrt(np.maximum(np.real(val), 0.0))
+
+
+# ---------------------------------------------------------------------------
+# stacked probes
 
 
 def wf_stack(fs) -> WaveFunction:
@@ -313,14 +441,14 @@ def integrate_fourier(k, fn, lo, hi, rtol: float = 1e-10,
     checked to 8 eps max|x| (gauss_legendre's nodes meet it within
     2.4 eps), so the error stays within a few eps (1 + |k| max|x|) of the
     plain weighted sum; other nodes raise ValueError.  The rule is looked
-    up on the wavefunctions module at each level, so a test that replaces
-    wavefunctions.gauss_legendre reaches this sum too.
+    up on this module at each level, so a test that replaces
+    gauss_legendre here reaches this sum too.
     """
     k = np.asarray(k, dtype=float)
-    size = wfm._GL_POINTS
+    size = _GL_POINTS
 
     def level(n):
-        x, w = wfm.gauss_legendre(lo, hi, n)
+        x, w = gauss_legendre(lo, hi, n)
         if x.ndim != 1 or x.size == 0 or x.size % size:
             raise ValueError(f"integrate_fourier: nodes of shape {x.shape} "
                              f"are not one composite {size}-point rule")
@@ -336,7 +464,7 @@ def integrate_fourier(k, fn, lo, hi, rtol: float = 1e-10,
                           (w * fn(x)).reshape(rows.shape))
         return np.sum(_cis(np.multiply.outer(k, shifts)) * inner, axis=-1)
 
-    return wfm._ladder(level, lo, hi, rtol, atol, max_panels)[()]
+    return _ladder(level, lo, hi, rtol, atol, max_panels)[()]
 
 
 def _cis(t):
@@ -412,3 +540,33 @@ def project_oracle_a(cs, c0, tau, e_grid):
             raise dy.OracleError("position-space projection did not "
                                  "converge") from exc
     return np.exp(-1j * e_grid * dtau / h) * out
+
+
+# ---------------------------------------------------------------------------
+# the drift integrals by time quadrature
+
+
+def drift_by_quadrature(cs, tau):
+    """(D, W) = (int v du, int u v du) over u = s - tau0 in [0, tau - tau0].
+
+    The velocity v = ptilde / E is summed on the ladder to 1e-13, which is
+    how the dynamics oracles took these integrals before model gave them
+    in closed form.  Where v turns sign too sharply for 4096 panels the
+    ladder raises RuntimeError: at ptilde0 = 0.7, T = 1.5 and m = 0.5 it
+    does at B = -1e4, not at +2e4.
+    """
+    def v(s):
+        pt = kinematical_momentum(cs, s)
+        return pt / np.hypot(cs.m, pt)
+
+    def integral(fn):
+        return integrate_vec(fn, cs.tau0, tau, rtol=1e-13, atol=1e-13)
+
+    return integral(v), integral(lambda s: (s - cs.tau0) * v(s))
+
+
+def l2_norm_sq(c0):
+    """int |c0(E)|^2 dE over the spectral amplitude's window of 12 widths."""
+    val = integrate_vec(lambda E: np.abs(c0.fn(E)) ** 2,
+                        c0.center - 12 * c0.width, c0.center + 12 * c0.width)
+    return float(np.real(val))

@@ -1,7 +1,7 @@
 import cmath
-import collections
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -10,11 +10,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import quadrature_oracle as qo
 from poincare_ext import cli
 from poincare_ext import dynamics as dy
-from poincare_ext import wavefunctions as wfm
 from poincare_ext.group import ModelParams
 from poincare_ext.wavefunctions import hermite_wf
+
+SRC = pathlib.Path(cli.__file__).parent
 
 #: values that parse as strings but are malformed for their option
 MALFORMED = (
@@ -264,6 +266,31 @@ def test_dynamics_minimum_located_at_every_bench_B(dynamics_reports):
         == [True] * len(BENCH_B)
 
 
+def test_dynamics_suite_passes_at_every_bench_B(dynamics_reports):
+    # the closed form and both oracles run at these B (times +-1, +-2), and
+    # every field holds its gate
+    assert [r["pass"] for r in dynamics_reports["exact"]] == [True] * len(BENCH_B)
+
+
+#: the (b, m) pairs of the dynamics suite's oracle sweep, run at B = b times
+#: the report's B
+DYNAMICS_SWEEP = [(1.0, 0.5), (-1.0, 1.0), (2.0, 2.0), (-2.0, 0.5), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("B", (-1.3, 1e-8, 1e4))
+def test_dynamics_oracles_run_at_the_report_B(B, monkeypatch):
+    # every pair of the sweep runs at b times the report's B
+    real, seen = dy.oracle_propagate, []
+
+    def recorded(cs, *args, **kwargs):
+        seen.append((cs.params.B, cs.m))
+        return real(cs, *args, **kwargs)
+
+    monkeypatch.setattr(dy, "oracle_propagate", recorded)
+    cli.suite_dynamics(ModelParams(B=B), 42)
+    assert seen == [(B * b, m) for b, m in DYNAMICS_SWEEP]
+
+
 def test_dynamics_minimum_catches_a_shifted_tau_star(dynamics_reports):
     # a planted defect: tau* moved by 1e-3 fails the check at every B, while
     # the value gate alone would let it through
@@ -280,46 +307,48 @@ def test_seed_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def counted_rules(monkeypatch):
-    """Counter of the composite rules gauss_legendre makes, by panel count."""
-    panels = collections.Counter()
-    rule = wfm.gauss_legendre
+def quadrature_calls(fn, *args):
+    """fn(*args), with the quadrature functions that ran during it.
 
-    def counted(lo, hi, n):
-        panels[n] += 1
-        return rule(lo, hi, n)
+    A profile hook records every Python call: one to a function named in
+    quadrature_oracle.QUADRATURE counts when its code is in the package,
+    in quadrature_oracle or in numpy's Legendre module.
+    """
+    homes = (str(SRC), qo.__file__, np.polynomial.legendre.__file__)
+    calls = []
 
-    monkeypatch.setattr(wfm, "gauss_legendre", counted)
-    return panels
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name in qo.QUADRATURE
+                and code.co_filename.startswith(homes)):
+            calls.append(code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        return fn(*args), calls
+    finally:
+        sys.setprofile(None)
 
 
 @pytest.mark.parametrize("B", ("1", "-1.3"))
-def test_all_checks_quadrature_budget(B, capsys, monkeypatch):
-    # every integral of the report passes its first 8 -> 16 panel check;
-    # a change that makes some integrand refine shows up as 32 panels here.
-    # Only the dynamics oracles' time integrals remain: X and I2 for (a),
-    # whose projection is an exact Gaussian integral, and two for (b), at
-    # each of the five sweep pairs; the representation, generator and
-    # quantization checks make no quadrature (closed form), so a report
-    # makes 20; more is a regression
-    panels = counted_rules(monkeypatch)
-    cli.run(["all-checks", "--seed", "42", f"--B={B}"])
+def test_all_checks_quadrature_budget(B, capsys):
+    # a report runs no quadrature: the dynamics oracles' drift integrals
+    # are closed forms (tests/test_source.py checks the source too)
+    code, calls = quadrature_calls(cli.run, ["all-checks", "--seed", "42", f"--B={B}"])
     capsys.readouterr()
-    assert set(panels) == {8, 16} and panels[8] == panels[16], panels
-    assert panels[8] <= 20, panels
+    assert code == 0 and calls == []
 
 
 @pytest.mark.parametrize("suite", (cli.suite_quantization, cli.suite_reps,
                                    cli.suite_generators),
                          ids=("quantization", "representations", "generators"))
 @pytest.mark.parametrize("B", (1.0, -1.3))
-def test_quantization_suite_makes_no_quadrature(B, suite, monkeypatch):
+def test_quantization_suite_makes_no_quadrature(B, suite):
     # Dirac, hermiticity and covariance, the representations' homomorphism,
     # unitarity, commutator and Casimir checks, and generator consistency
     # are exact: coefficient arithmetic, jets and sums of Gaussian moments
-    panels = counted_rules(monkeypatch)
-    assert suite(ModelParams(B=B), 42)["pass"]
-    assert not panels, panels
+    report, calls = quadrature_calls(suite, ModelParams(B=B), 42)
+    assert report["pass"] and calls == []
 
 
 #: the fixed B list of the sweep over the domain, both signs
@@ -377,8 +406,9 @@ DYNAMICS_XFAIL = {
     if abs(B) in DYNAMICS_XFAIL else B
     for B in SWEEP_B])
 def test_dynamics_suite_at_every_sweep_B(B):
-    # the oracle sweep runs at its own (B, m) pairs; only the minimum of
-    # the total-energy expectation is located at the report's B
+    # the closed form and both oracles run at the report's B times +-1 and
+    # +-2; at every B here they agree within their gates, and only the
+    # located minimum fails, at the four B of DYNAMICS_XFAIL
     report = cli.suite_dynamics(ModelParams(B=B), 42)
     assert report["pass"], report
 
@@ -426,6 +456,11 @@ def test_all_checks_names_the_residuals_past_the_float_range(B):
         "quantization": f"the Dirac {leaves}",
         # its NaN defect hid behind the finite anti-Hermiticity in max()
         "representations": f"the commutator {leaves}"}
+    # the packet, moved by B D = 1.5e300 in energy, is narrower than the
+    # float spacing there
+    assert report["dynamics"] == {
+        "error": "the energy grid around 1.5e+300 does not resolve the packet",
+        "pass": False}
 
 
 @pytest.mark.parametrize("argv, message", (
@@ -435,8 +470,17 @@ def test_all_checks_names_the_residuals_past_the_float_range(B):
      "quantize check at B=-1e+300: the Dirac residual leaves the float range"),
     # a traceback before: covariance met the non-finite phase of T(g)
     (("quantize", "check", "--B=5e-324"),
-     "quantize check at B=5e-324: the Dirac residual leaves the float range")),
-    ids=("rep-verify-1e300", "quantize-check--1e300", "quantize-check-5e-324"))
+     "quantize check at B=5e-324: the Dirac residual leaves the float range"),
+    # B D = 2e300: the packet is narrower than the float spacing there
+    (("evolve", "--emit=json", "--B=-1e300"),
+     "evolve at B=-1e+300: the energy grid around 2e+300 does not resolve "
+     "the packet"),
+    # the momentum at tau overflows, and D = inf / inf
+    (("evolve", "--emit=json", "--B=1e308"),
+     "evolve at B=1e+308: the energy grid around nan does not resolve "
+     "the packet")),
+    ids=("rep-verify-1e300", "quantize-check--1e300", "quantize-check-5e-324",
+         "evolve--1e300", "evolve-1e308"))
 def test_checks_past_the_float_range_are_usage_errors(argv, message, capsys):
     # as the rep commands at subnormal B: one error line that names B
     with pytest.raises(SystemExit) as exc:
@@ -458,16 +502,36 @@ def test_cohomology_at_extreme_B_is_exact(B):
 
 @pytest.mark.parametrize("emit", ("json", "csv"))
 @pytest.mark.parametrize("B", ("5e-324", "1e-310"))
-def test_evolve_at_subnormal_B_is_a_usage_error(B, emit, capsys):
-    # the closed form's phase, of order 1 / B, overflows: one error line
-    # that names B, and no nan on stdout
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["evolve", f"--B={B}", f"--emit={emit}", "--grid=20"])
-    assert exc.value.code == 2
+def test_evolve_at_subnormal_B_runs(B, emit, monkeypatch, capsys):
+    # the closed form's phase is D (B D / 2 - E) / hbar, with no 1 / B left
+    # to overflow: the amplitudes are finite, and the dual-oracle guard
+    # (1e-8) passed on them
+    calls, real = [], dy.oracle_propagate
+
+    def guarded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dy, "oracle_propagate", guarded)
+    assert cli.run(["evolve", f"--B={B}", f"--emit={emit}", "--grid=20"]) == 0
     out, err = capsys.readouterr()
-    assert out == "" and err.splitlines()[-1] == (
-        f"poincare-ext: error: evolve at B={float(B)!r}: the amplitudes "
-        "leave the float range")
+    assert err == "" and len(calls) == 1
+    if emit == "json":
+        assert strict_json(out)["max_deviation"] <= 1e-15
+    else:
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 20
+        assert all(math.isfinite(v) for row in rows for v in row)
+        assert max(row[4] for row in rows) <= 1e-15
+
+
+@pytest.mark.parametrize("B", ("1e-6", "1e-8", "1e-10", "1e-12"))
+def test_evolve_keeps_its_accuracy_at_small_B(B):
+    # dE = B D and the proper time m (delta / B) divide nothing by B; taken
+    # as differences over B, the deviation would read 1.35e-4 at 1e-12
+    code, out, err = run_cli("evolve", "--emit=json", f"--B={B}")
+    assert code == 0 and err == ""
+    assert strict_json(out)["max_deviation"] <= 1e-12
 
 
 @pytest.mark.parametrize("B", ("1", "-1.3"))
@@ -505,6 +569,18 @@ def test_all_checks_at_subnormal_B_reports_failed_suites(B, capsys):
             raised.append(name)
             assert payload[name] == {"error": str(exc), "pass": False}, name
     assert "representations" in raised, raised
+
+
+@pytest.mark.parametrize("B", ("5e-324", "1e-310"))
+def test_all_checks_at_subnormal_B_names_its_errors_briefly(B):
+    # strict JSON, an empty stderr, and error entries that name a count and
+    # a shape: the reprs of the classical suite's arrays would take 4 KB
+    code, out, err = run_cli("all-checks", f"--B={B}")
+    assert code == 1 and err == "", err
+    report = strict_json(out)
+    errors = [entry["error"] for entry in report.values()
+              if isinstance(entry, dict) and "error" in entry]
+    assert errors and all(len(e) < 200 and "array(" not in e for e in errors), errors
 
 
 @pytest.mark.parametrize("B", ("5e-324", "1e-310"))
@@ -582,9 +658,10 @@ FOOTPRINTS = {
     "quantize-op": (["-m", "poincare_ext.cli", "quantize", "op", "--poly=q^2+2qp"],
                     ("numpy.polynomial", "poincare_ext.dynamics",
                      "poincare_ext.orbits")),
+    # the drift integrals are closed forms, so no Gauss-Legendre nodes
     "evolve": (["-m", "poincare_ext.cli", "evolve", "--emit=json", "--grid=20"],
-               ("poincare_ext.irreps", "poincare_ext.quantization",
-                "poincare_ext.orbits")),
+               ("numpy.polynomial", "poincare_ext.irreps",
+                "poincare_ext.quantization", "poincare_ext.orbits")),
 }
 
 

@@ -1,20 +1,29 @@
+import inspect
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadrature_oracle as qo
+from poincare_ext import cli, model
 from poincare_ext import dynamics as dy
 from poincare_ext.group import ModelParams
 from poincare_ext.irreps import default_probes
-from poincare_ext.wavefunctions import gauss_legendre, l2_diff, norm
 
 P = ModelParams()
 CS = dy.ClassicalState(q1_0=0.0, ptilde_0=-2.0, tau0=0.0, m=1.0, params=P)
 
-#: the (B, m) pairs of the dynamics suite's oracle sweep
+#: the (b, m) pairs of the dynamics suite's oracle sweep, which runs at
+#: b times the report's B; at B = 1 they are its (B, m)
 SWEEP = [(1.0, 0.5), (-1.0, 1.0), (2.0, 2.0), (-2.0, 0.5), (1.0, 2.0)]
+
+#: report B the suite is tested at: test_cli's SWEEP_B, then the bench's B
+DRIFT_B = [s * b for b in (1e-8, 1e-4, 1e-2, 10.0, 100.0, 1e4) for s in (1.0, -1.0)] \
+    + [-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0]
 
 
 def test_state_validation():
@@ -105,8 +114,7 @@ def test_eigenfunction_delta_normalization_window():
 
 
 def _window_overlap(f, g, L):
-    from poincare_ext.wavefunctions import integrate_vec
-    v = integrate_vec(lambda x: np.conj(f(x)) * g(x), -L, L)
+    v = qo.integrate_vec(lambda x: np.conj(f(x)) * g(x), -L, L)
     return v.real, v.imag
 
 
@@ -241,7 +249,7 @@ def fixed_projection(cs, c0, tau, e_grid, panels=256):
     """Oracle (a) on one fixed composite rule, a kernel block at a time."""
     h, B = cs.params.hbar, cs.params.B
     psi, X, w = qo.position_packet(cs, c0, tau)
-    x, wts = gauss_legendre(X - 14.0 * w, X + 14.0 * w, panels)
+    x, wts = qo.gauss_legendre(X - 14.0 * w, X + 14.0 * w, panels)
     v = wts * psi(x)
     out = np.concatenate([np.exp(1j * (np.outer(e, x) + 0.5 * B * x * x) / h) @ v
                           for e in np.array_split(e_grid, len(e_grid) // 200)])
@@ -292,6 +300,111 @@ def test_planted_B_I2_sign_fails_the_dual_oracle(B, m, monkeypatch):
         dy.oracle_propagate(cs, dy.gaussian_spectral(0.0, 1.0), 1.6)
 
 
+def mutated(fn, old, new):
+    """fn compiled again from its source with the one occurrence of old
+    replaced by new: a planted defect, resolving names where fn does."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, old
+    namespace = {}
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+#: model.drift_integrals with the sign of W's sinh 2c term flipped
+FLIPPED_SINH_2C = ("+ m2_sinh_2c * sinh_b", "- m2_sinh_2c * sinh_b")
+
+
+def direct_sinh_defect(a):
+    """(sinh a - a) / a^2 as the plain quotient, without the small-a series."""
+    return (math.sinh(a) - a) / (a * a)
+
+
+def drift_gap(cs, tau, drift=model.drift_integrals):
+    """Largest gap of drift's (D, W) to their quadrature, or None where the
+    ladder does not converge.
+
+    The gaps are relative to |T| max|v| and T^2 max|v| / 2, which bound
+    the integrals of |v| and |u v|: where v changes sign, D and W are
+    smaller than the terms they are summed from.
+    """
+    try:
+        dq, wq = qo.drift_by_quadrature(cs, tau)
+    except RuntimeError as exc:
+        assert "did not converge" in str(exc)
+        return None
+    D, W, _ = drift(cs, tau)
+    T = tau - cs.tau0
+    vmax = max(abs(model.velocity(cs, cs.tau0)), abs(model.velocity(cs, tau)))
+    return max(abs(D - dq) / (abs(T) * vmax), abs(W - wq) / (0.5 * T * T * vmax))
+
+
+def sweep_gaps(B, drift=model.drift_integrals):
+    """drift_gap at each pair of the dynamics suite's sweep at report B."""
+    return [drift_gap(dy.ClassicalState(0.0, 0.7, 0.1, m, ModelParams(B * b)),
+                      1.6, drift) for b, m in SWEEP]
+
+
+@pytest.mark.parametrize("B", DRIFT_B)
+def test_drift_integrals_match_quadrature(B):
+    # measured at most 7.9e-16 of the scale (1.3e-15 on D and 6.1e-14 on W
+    # relative to |D| and |W| themselves, where W nearly cancels at
+    # B = -1.4); the ladder does not converge at B = -1e4 and -2e4 with
+    # m = 0.5
+    gaps = [g for g in sweep_gaps(B) if g is not None]
+    assert gaps and max(gaps) <= 1e-13, gaps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p0=st.floats(-5.0, 5.0), m=st.floats(0.2, 5.0),
+       T=st.floats(0.01, 3.0), sign_t=st.sampled_from((1.0, -1.0)),
+       log_b=st.floats(-12.0, 3.0), sign_b=st.sampled_from((1.0, -1.0)))
+def test_drift_integrals_match_quadrature_everywhere(p0, m, T, sign_t, log_b,
+                                                     sign_b):
+    cs = dy.ClassicalState(0.0, p0, 0.3, m, ModelParams(sign_b * 10.0 ** log_b))
+    gap = drift_gap(cs, 0.3 + sign_t * T)
+    assert gap is None or gap <= 1e-13, gap
+
+
+def test_planted_sinh_2c_sign_fails_the_quadrature():
+    # W moves by twice its sinh 2c term: measured at least 0.13 of the scale
+    drift = mutated(model.drift_integrals, *FLIPPED_SINH_2C)
+    for B in DRIFT_B:
+        gaps = [g for g in sweep_gaps(B, drift) if g is not None]
+        assert gaps and min(gaps) > 1e-13, (B, gaps)
+
+
+@pytest.mark.parametrize("B", (1e-8, -1e-8, 1e-4, -1e-4))
+def test_planted_direct_quotient_fails_the_quadrature(B, monkeypatch):
+    # the plain quotient loses about eps / delta^2, and delta is about
+    # B T / E: measured 6e-9 to 1e-8 at |B| = 1e-8 and 2e-12 at 1e-4
+    monkeypatch.setattr(model, "_sinh_defect", direct_sinh_defect)
+    assert max(sweep_gaps(B)) > 1e-13
+
+
+@pytest.mark.parametrize("B", (1.0, -1.3, 1e-4))
+def test_planted_W_defect_fails_closed_vs_oracle_alone(B, monkeypatch):
+    # a wrong W moves both oracles' phases alike, so their guard agrees;
+    # the closed form does not use W, so closed_vs_oracle sees it
+    monkeypatch.setattr(dy, "drift_integrals",
+                        mutated(model.drift_integrals, *FLIPPED_SINH_2C))
+    report = cli.suite_dynamics(ModelParams(B), 42)
+    assert report["closed_vs_oracle"] > 1e-6 and not report["pass"], report
+
+
+def test_planted_energy_difference_fails_closed_vs_oracle(monkeypatch):
+    # D back in the form (E(tau) - E(tau0)) / B, a difference over B: at
+    # B = 1e-10 the closed form's phase loses about eps E^2 / B (measured
+    # 1.7e-6), while B D with D from model reads 3.1e-16
+    p = ModelParams(1e-10)
+    assert cli.suite_dynamics(p, 42)["closed_vs_oracle"] <= 1e-15
+    monkeypatch.setattr(dy, "_deltas", mutated(
+        dy._deltas, "D, _, delta_b = drift_integrals(cs, tau)",
+        "_, _, delta_b = drift_integrals(cs, tau); D = (relativistic_energy("
+        "cs, tau) - relativistic_energy(cs, cs.tau0)) / cs.params.B"))
+    assert cli.suite_dynamics(p, 42)["closed_vs_oracle"] > 1e-6
+
+
 def test_expectation_from_oracle_state():
     c0 = dy.gaussian_spectral(0.0, 1.0)
     tau = 2.0
@@ -315,7 +428,7 @@ def test_total_energy_operator_commutes_with_h0():
     for f in default_probes(4):
         from poincare_ext.wavefunctions import wf_sub
         comm = wf_sub(h0.apply(hc.apply(f)), hc.apply(h0.apply(f)))
-        worst = max(worst, l2_diff(comm, wf_sub(f, f)) / norm(f))
+        worst = max(worst, qo.l2_diff(comm, wf_sub(f, f)) / qo.norm(f))
     assert worst < 1e-10
 
 
@@ -332,7 +445,7 @@ def test_h0_is_minus_twice_potential_energy():
 
 def test_spectral_amplitude_normalization():
     c0 = dy.gaussian_spectral(0.7, 1.3)
-    assert abs(c0.l2_norm_sq() - 1.0) < 1e-10
+    assert abs(qo.l2_norm_sq(c0) - 1.0) < 1e-10
 
 
 def test_oracle_disagreement_guard():

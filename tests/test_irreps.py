@@ -13,12 +13,12 @@ from poincare_ext.cli import GENERATOR_GATE, REP_GATES
 from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
                                 bracket, compose, exp_map, identity)
-from poincare_ext.wavefunctions import (WaveFunction, gauss_legendre, hermite_wf,
-                                        inner, l2_diff, norm, wf_add, wf_scale,
-                                        wf_sub)
+from poincare_ext.wavefunctions import (WaveFunction, hermite_wf, wf_add,
+                                        wf_scale, wf_sub)
 from quadrature_oracle import (borel_decompose, character,
-                               faithfulness_residuals, generator_consistency,
-                               integrate_stack, random_subgroup_element,
+                               faithfulness_residuals, gauss_legendre,
+                               generator_consistency, inner, integrate_stack,
+                               l2_diff, norm, random_subgroup_element,
                                relative_l2, right_invariance_residual,
                                second_order, subgroup_modulus, wf_stack)
 

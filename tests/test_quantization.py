@@ -23,14 +23,12 @@ from poincare_ext.wavefunctions import (
     _window,
     gauss_poly_wf,
     hermite_wf,
-    inner,
-    integrate_vec,
     wf_scale,
     wf_sub,
 )
-from quadrature_oracle import (exp_image, gauss_inner, images_inner,
-                               integrate_stack, quant_image, relative_l2,
-                               wf_stack)
+from quadrature_oracle import (exp_image, gauss_inner, images_inner, inner,
+                               integrate_stack, integrate_vec, quant_image,
+                               relative_l2, wf_stack)
 
 P = ModelParams()
 M = 1.0

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from quadrature_oracle import QUADRATURE
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "poincare_ext"
 
 
@@ -45,11 +47,6 @@ def test_all_names_resolve(path):
     assert missing == []
 
 
-#: the quadrature entry points of wavefunctions, with the Fourier sum that
-#: moved to tests/quadrature_oracle.py
-QUADRATURE = {"integrate_vec", "integrate_fourier", "inner", "norm", "l2_diff"}
-
-
 def wavefunctions_imports(module):
     """(names imported from wavefunctions, last parts of every imported module
     and name) in module's source."""
@@ -73,14 +70,32 @@ def test_irreps_imports_no_quadrature():
 
 
 def test_dynamics_imports_no_fourier_quadrature():
-    # oracle (a)'s projection is its exact Gaussian integral; the Fourier
-    # quadrature is its oracle in tests/quadrature_oracle.py, and the
-    # package keeps no copy
+    # oracle (a)'s projection is its exact Gaussian integral and both
+    # oracles' drift integrals are model's closed forms; the Fourier and
+    # time quadratures are their oracles in tests/quadrature_oracle.py, and
+    # the package keeps no copy
     names, modules = wavefunctions_imports("dynamics")
-    assert names and "integrate_fourier" not in names
+    assert names and not names & QUADRATURE
     assert "wavefunctions" not in modules
     wavefunctions = importlib.import_module("poincare_ext.wavefunctions")
-    assert not hasattr(wavefunctions, "integrate_fourier")
+    assert not {name for name in QUADRATURE if hasattr(wavefunctions, name)}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_defines_imports_or_calls_a_quadrature(path):
+    # the package runs no quadrature, so a report makes none at any B; this
+    # replaces the budget that counted the rules a report made (at most 20,
+    # all in the dynamics oracles' drift integrals)
+    tree = ast.parse(path.read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    imported = {(a.asname or a.name).split(".")[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names}
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else
+              getattr(node.func, "id", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not (defined | imported | called) & QUADRATURE
 
 
 def called_names(module):

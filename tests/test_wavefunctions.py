@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as P
 
 from poincare_ext import wavefunctions as wfm
+import quadrature_oracle as qo
 from quadrature_oracle import integrate_fourier, integrate_stack, wf_stack
 
 
@@ -16,7 +17,7 @@ def test_hermite_orthonormality():
     fs = [wfm.hermite_wf(k) for k in range(5)]
     for i in range(5):
         for j in range(5):
-            v = wfm.inner(fs[i], fs[j])
+            v = qo.inner(fs[i], fs[j])
             assert abs(v - (1.0 if i == j else 0.0)) < 1e-12
 
 
@@ -41,7 +42,7 @@ def test_affine_substitution():
     g = wfm.wf_affine(f, 2.0, 1.0)
     x = np.linspace(-2, 2, 9)
     assert np.max(np.abs(g(x) - f(2 * x + 1))) == 0.0
-    assert abs(wfm.norm(g) - 1.0 / math.sqrt(2.0)) < 1e-12
+    assert abs(qo.norm(g) - 1.0 / math.sqrt(2.0)) < 1e-12
     # chain rule through the derivative tower
     assert np.max(np.abs(g.derivative()(x) - 2.0 * f.derivative()(2 * x + 1))) < 1e-14
 
@@ -60,7 +61,7 @@ def test_polynomial_multiplication_leibniz():
 def test_scale_and_sub():
     f, g = wfm.hermite_wf(0), wfm.hermite_wf(2)
     h = wfm.wf_sub(wfm.wf_scale(f, 2.0), g)
-    assert abs(wfm.norm(h) ** 2 - 5.0) < 1e-11
+    assert abs(qo.norm(h) ** 2 - 5.0) < 1e-11
 
 
 def test_oscillatory_integral():
@@ -68,26 +69,26 @@ def test_oscillatory_integral():
     f = wfm.hermite_wf(0)
     k = 7.3
     g = wfm.wf_mul(f, lambda x, n: (1j * k) ** n * np.exp(1j * k * x), 1)
-    val = wfm.inner(f, g)
+    val = qo.inner(f, g)
     assert abs(val - math.exp(-k * k / 4.0)) < 1e-12
 
 
 def test_integrate_vec_convergence_guard():
     with pytest.raises(RuntimeError):
         # genuinely divergent oscillation density never converges
-        wfm.integrate_vec(lambda x: np.sin(1e6 * x * x), 0.0, 30.0,
+        qo.integrate_vec(lambda x: np.sin(1e6 * x * x), 0.0, 30.0,
                           rtol=1e-13, atol=0.0, max_panels=64)
 
 
 def test_l2_diff():
     f, g = wfm.hermite_wf(0), wfm.hermite_wf(1)
-    assert wfm.l2_diff(f, f) < 1e-13
-    assert abs(wfm.l2_diff(f, g) - math.sqrt(2.0)) < 1e-11
+    assert qo.l2_diff(f, f) < 1e-13
+    assert abs(qo.l2_diff(f, g) - math.sqrt(2.0)) < 1e-11
 
 
 def test_gauss_legendre_rule():
     lo, hi, panels = -1.5, 2.5, 5
-    x, w = wfm.gauss_legendre(lo, hi, panels)
+    x, w = qo.gauss_legendre(lo, hi, panels)
     assert x.shape == w.shape == (panels * 32,)
     assert math.isclose(w.sum(), hi - lo, rel_tol=1e-14)
     # 32 nodes per panel integrate degree 63 exactly; the power 63 scales
@@ -104,7 +105,7 @@ def test_gauss_legendre_rule():
 def one_rule(monkeypatch, x, w=None):
     """Make every level of the quadrature ladder use the nodes x."""
     w = np.ones_like(x) if w is None else w
-    monkeypatch.setattr(wfm, "gauss_legendre", lambda lo, hi, n: (x, w))
+    monkeypatch.setattr(qo, "gauss_legendre", lambda lo, hi, n: (x, w))
 
 
 @pytest.mark.parametrize("panels", (8, 16, 256))
@@ -116,7 +117,7 @@ def test_integrate_fourier_matches_dense_sum(panels, monkeypatch):
     eps = np.finfo(float).eps
     for _ in range(20):
         centre, half = rng.uniform(-30.0, 30.0), rng.uniform(0.01, 20.0)
-        x, w = wfm.gauss_legendre(centre - half, centre + half, panels)
+        x, w = qo.gauss_legendre(centre - half, centre + half, panels)
         k = rng.uniform(-40.0, 40.0, 50)
 
         def f(x):
@@ -135,9 +136,9 @@ def test_integrate_fourier_matches_dense_sum(panels, monkeypatch):
     np.linspace(0.0, 1.0, 64) ** 2,                 # panels not shifts
     np.linspace(0.0, 1.0, 48),                      # not whole panels
     np.empty(0),
-    wfm.gauss_legendre(0.0, 1.0, 4)[0].reshape(4, 32),   # not 1-D
-    np.concatenate([wfm.gauss_legendre(0.0, 1.0, 2)[0],
-                    wfm.gauss_legendre(0.0, 2.0, 2)[0]]),  # two rules
+    qo.gauss_legendre(0.0, 1.0, 4)[0].reshape(4, 32),   # not 1-D
+    np.concatenate([qo.gauss_legendre(0.0, 1.0, 2)[0],
+                    qo.gauss_legendre(0.0, 2.0, 2)[0]]),  # two rules
 ), ids=("squares", "partial-panel", "empty", "2-d", "two-rules"))
 def test_integrate_fourier_rejects_nodes_of_no_rule(x, monkeypatch):
     one_rule(monkeypatch, x)
@@ -224,10 +225,10 @@ def test_integrate_stack_sums_each_dtype_apart():
     real, cplx, empty = integrate_stack(groups, stack, g)
     lo, hi = wfm._window(stack, g)
     assert real.dtype == float and real.shape == (1, 3)
-    assert np.array_equal(real, wfm.integrate_vec(
+    assert np.array_equal(real, qo.integrate_vec(
         lambda x: np.abs(stack.fn(x, 0))[None] ** 2, lo, hi))
     assert cplx.dtype == complex and cplx.shape == (1,)
-    assert cplx[0] == wfm.inner(g, fs[0])
+    assert cplx[0] == qo.inner(g, fs[0])
     assert empty.shape == (0,)
 
 
@@ -298,7 +299,7 @@ def test_non_finite_integral_fails_at_the_first_level():
 
     lo = np.linspace(-5.0, -1.0, 1000)[:, None]
     with pytest.raises(RuntimeError) as info:
-        wfm.integrate_vec(fn, lo, lo + 7.0)
+        qo.integrate_vec(fn, lo, lo + 7.0)
     assert len(calls) == 1
     msg = str(info.value)
     assert "3 of 1000 integrals are not finite on [-5, 6]" in msg and len(msg) < 100
@@ -309,13 +310,13 @@ def test_family_a_at_subnormal_B_fails_within_one_level(monkeypatch):
     from poincare_ext.group import ModelParams
 
     levels = []
-    rule = wfm.gauss_legendre
+    rule = qo.gauss_legendre
 
     def counted(lo, hi, panels):
         levels.append(panels)
         return rule(lo, hi, panels)
 
-    monkeypatch.setattr(wfm, "gauss_legendre", counted)
+    monkeypatch.setattr(qo, "gauss_legendre", counted)
     # c2 / (2 B z3) overflows, and the operator's coefficients say so
     # before any quadrature runs
     for B in (5e-324, 1e-310):
