@@ -495,11 +495,12 @@ def run(argv=None) -> int:
         elif args.cmd == "evolve":
             import numpy as np
             from . import dynamics as dy
+            # a grid the floats do not resolve, or oracles that disagree
             try:
                 grid = dy.default_e_grid(cs, args.packet, args.tau, n=args.grid)
-            except ValueError as exc:
+                grid, c = dy.oracle_propagate(cs, args.packet, args.tau, grid)
+            except (ValueError, dy.OracleError) as exc:
                 ap.error(f"evolve at B={args.B!r}: {exc}")
-            grid, c = dy.oracle_propagate(cs, args.packet, args.tau, grid)
             # an amplitude past the float range is an error line, not a nan
             with np.errstate(all="ignore"):
                 cf = dy.c_closed_form(cs, grid, args.tau, args.packet)

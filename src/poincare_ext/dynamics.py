@@ -216,13 +216,21 @@ def default_e_grid(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
                    n: int = 400):
     """n energies over 10 widths either side of the transported packet.
 
-    ValueError where they are not distinct floats, which they stop being
-    once the float spacing at the center, about 2e-16 |B D|, passes theirs.
+    ValueError where the float spacing u at the grid's largest |E| is too
+    coarse for its step h.  Rounding moves each node by up to u / 2, and
+    the amplitudes are taken at the rounded nodes, so spectral_norm's
+    trapezoid sum of f = |c|^2 moves only at second order, by up to
+    u^2 / (4 h) int |f'| + u^2 / 8 int |f''|: u^2 (0.2 / (h s) + 0.12 / s^2)
+    of int f for a Gaussian packet of width s.  The norm moves by half as
+    much, so the 1e-8 norm bound asks u^2 (0.2 s + 0.12 h) <= 2e-8 h s^2.
+    At the defaults that holds up to |B| of about 2.7e11; at B = 1e14
+    (u = 0.03, h = 0.05) the norm read 1.00000017.
     """
     center = c0.center + cs.params.B * _deltas(cs, tau)[0]
-    half = 10.0 * c0.width
-    grid = np.linspace(center - half, center + half, n)
-    if not np.all(np.diff(grid) > 0.0):  # nan fails too
+    s = c0.width
+    grid = np.linspace(center - 10.0 * s, center + 10.0 * s, n)
+    h, u = 20.0 * s / max(n - 1, 1), float(np.spacing(np.max(np.abs(grid))))
+    if not u * u * (0.2 * s + 0.12 * h) <= 2e-8 * h * s * s:  # nan fails too
         raise ValueError(f"the energy grid around {center:.6g} does not "
                          "resolve the packet")
     return grid

@@ -9,14 +9,14 @@ Every operator T(g) is an AffinePhase, f(x) -> A e^{phi(x)} f(a x + b):
 * family C (massive/tachyonic/null orbits at z3 = 0): operators on
   L2(R, d alpha) with a hyperbolic multiplicative phase and a shift.
 
-The generators dT(X) are written once, as coefficient arrays (_generators):
-families A and B as polynomial differential operators sum c[i, j] x^i D^j
-(QuantOperator), family C as sum c[(k, j)] e^{kx} D^j (ExpOperator).  Both
-types add and multiply exactly in their coefficients.  On the Hermite
-coefficients of the probes r(y) e^{-y^2/2}, each is one matrix per
-exponent e^{kx}, and the inner products are Gaussian-moment matrices
-(_kernel): every operator residual is a few contractions over all probes
-and batch members at once.
+The generators dT(X) are written once, as coefficient arrays (_generators),
+each a differential operator sum_k e^{kx} sum c_k[i, j] x^i D^j
+(QuantOperator): families A and B at k = 0 alone, family C with its
+hyperbolic phases' e^{+-x}.  The operators add and multiply exactly in
+their coefficients.  On the Hermite coefficients of the probes
+r(y) e^{-y^2/2}, each is one matrix per exponent e^{kx}, and the inner
+products are Gaussian-moment matrices (_kernel): every operator residual
+is a few contractions over all probes and batch members at once.
 
 The module also carries the verification harness.  The homomorphism and
 unitarity checks are closed form: AffinePhase.compose multiplies two
@@ -57,7 +57,6 @@ __all__ = [
     "AffinePhase",
     "Jet",
     "QuantOperator",
-    "ExpOperator",
     "RepParams",
     "case_a",
     "case_b",
@@ -245,145 +244,115 @@ class AffinePhase:
 
 @dataclass(frozen=True, eq=False)
 class QuantOperator:
-    """Operator sum of c[i, j] x^i (d/dx)^j, with complex coefficients.
+    """Operator sum_k e^{kx} sum c_k[i, j] x^i (d/dx)^j, complex coefficients.
 
-    c is square and of total degree below its size: c[i, j] = 0 for
-    i + j >= len(c).  It may carry batch columns on trailing axes (shape
-    (3, 3, n, 1)), one operator per member; apply then gives a batch
-    image.  Sums pad to the larger size, and op @ other is the operator
-    product in the same x-left order.
+    exps holds the distinct exponents k, and c the arrays c_k on a leading
+    axis, c[e] = c_k for k = exps[e]: (0,) for a polynomial operator, ()
+    for the zero operator.  Each c_k is square and of total degree below
+    its size: c_k[i, j] = 0 for i + j >= size.  c may carry batch columns
+    on trailing axes (shape (1, 3, 3, n, 1)), one operator per member;
+    apply then gives a batch image.  Sums join the exponents and pad to the
+    larger size, and op @ other is the operator product in the same
+    x-left order.
     """
 
     c: np.ndarray
+    exps: tuple = (0,)
 
     #: ndarray * op and numpy-scalar * op defer to __rmul__
     __array_ufunc__ = None
 
     @staticmethod
     def one() -> "QuantOperator":
-        return QuantOperator(np.ones((1, 1)))
+        return QuantOperator(np.ones((1, 1, 1)))
 
     @staticmethod
     def stack(ops) -> "QuantOperator":
         """One batch operator whose member k is ops[k]."""
-        return QuantOperator(np.stack([op.c for op in ops], axis=-1)[..., None])
-
-    def _nonzero_columns(self):
-        """The (j, c[:, j]) of the nonzero columns, cut to the x^i with i + j < len(c)."""
-        cols = ((j, self.c[:len(self.c) - j, j]) for j in range(len(self.c)))
-        return [(j, col) for j, col in cols if np.any(col)]
+        exps, cs = _aligned(ops)
+        return QuantOperator(np.stack(cs, axis=-1)[..., None], exps)
 
     def apply(self, f: WaveFunction) -> WaveFunction:
         """The image of f; f is differentiated only as far as c needs."""
-        return _apply_columns(f, [(j, exp_poly_tower(np.asarray(col, dtype=complex)))
-                                  for j, col in self._nonzero_columns()])
+        columns = []
+        for j in range(self.c.shape[1]):
+            towers = [exp_poly_tower(np.asarray(col, dtype=complex), (0.0, k) if k else ())
+                      for k, col in zip(self.exps, self.c[:, :self.c.shape[1] - j, j])
+                      if np.any(col)]
+            if towers:
+                columns.append((j, lambda x, n, ts=towers: sum(t(x, n) for t in ts)))
+        return _apply_columns(f, columns)
 
     def __add__(self, other: "QuantOperator") -> "QuantOperator":
-        n, nd = max(len(self.c), len(other.c)), max(self.c.ndim, other.c.ndim)
-        return QuantOperator(_padded(_lifted(self.c, nd), n)
-                             + _padded(_lifted(other.c, nd), n))
+        exps, (a, b) = _aligned((self, other))
+        return QuantOperator(a + b, exps)
 
     def __sub__(self, other: "QuantOperator") -> "QuantOperator":
         return self + (-1.0) * other
 
     def __rmul__(self, s: complex) -> "QuantOperator":
-        return QuantOperator(s * self.c)
+        return QuantOperator(s * self.c, self.exps)
 
     def __matmul__(self, other: "QuantOperator") -> "QuantOperator":
-        """The product, by (x^i D^j)(x^k D^l) = sum_r C(j, r) k!/(k-r)! x^(i+k-r) D^(j+l-r)."""
+        """The product, by e^{px} x^i D^j e^{qx} x^k D^l = e^{(p+q)x} x^i (D + q)^j x^k D^l
+        and D^s x^k = sum_r C(s, r) k!/(k-r)! x^(k-r) D^(s-r)."""
         a, b = self.c, other.c
-        n = len(a) + len(b) - 1
-        out = np.zeros((n, n) + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+        n = a.shape[1] + b.shape[1] - 1
+        index = {k: o for o, k in enumerate(
+            dict.fromkeys(p + q for p in self.exps for q in other.exps))}
+        out = np.zeros((len(index), n, n) + np.broadcast_shapes(a.shape[3:], b.shape[3:]),
                        dtype=complex)
-        for i, j in _terms(a):
-            for k, l in _terms(b):
-                for r in range(min(j, k) + 1):
-                    out[i + k - r, j + l - r] += (math.comb(j, r) * math.perm(k, r)
-                                                  * a[i, j] * b[k, l])
-        return QuantOperator(out)
+        right = [(other.exps[f], k, l, b[f, k, l]) for f, k, l in _terms(b, 3)]
+        shifts = {q: _shift(q, a.shape[1]) for q in other.exps}
+        for e, i, j in _terms(a, 3):
+            u, p = a[e, i, j], self.exps[e]
+            for q, k, l, v in right:
+                o = index[p + q]
+                for s, m in shifts[q][j]:
+                    for r in range(min(s, k) + 1):
+                        out[o, i + k - r, s + l - r] += (m * math.comb(s, r) * math.perm(k, r)
+                                                         * u * v)
+        return QuantOperator(out, tuple(index))
 
     def conjugated(self, u: AffinePhase) -> "QuantOperator":
         """U^-1 . self . U for U f(x) = amp e^phi(x) f(a x + b), phi a polynomial.
 
         U^-1 x U = (x - b) / a and U^-1 D U = a D + phi'((x - b) / a).  A
-        hyperbolic phase (family C) has no polynomial image: ValueError.
+        hyperbolic phase (family C) or an e^{kx} term, k != 0, has no
+        polynomial image: ValueError.
         """
-        if u.basis != "poly":
-            raise ValueError("QuantOperator.conjugated: a hyperbolic phase "
-                             "has no polynomial conjugate")
+        if u.basis != "poly" or self.exps != (0,):
+            raise ValueError("QuantOperator.conjugated: a hyperbolic phase or an "
+                             "e^{kx} term has no polynomial conjugate")
         inv, shift = 1.0 / u.a, -u.b / u.a
         dphi = _poly_pullback([k * c for k, c in enumerate(u.c)][1:], inv, shift)
-        d = _padded(_multiplier(dphi), max(len(dphi), 2))
-        d[0, 1] = u.a
+        d = _multiplier(dphi, 2)
+        d[0, 0, 1] = u.a
         out = power = QuantOperator.one()
-        for j in range(len(self.c)):
+        c = self.c[0]
+        for j in range(len(c)):
             if j:
                 power = power @ QuantOperator(d)
-            mult = _poly_pullback(self.c[:len(self.c) - j, j], inv, shift)
+            mult = _poly_pullback(c[:len(c) - j, j], inv, shift)
             term = QuantOperator(_multiplier(mult)) @ power
             out = out + term if j else term
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QuantOperator) and np.array_equal(self.c, other.c)
+        return (isinstance(other, QuantOperator) and self.exps == other.exps
+                and np.array_equal(self.c, other.c))
 
     def describe(self) -> str:
+        """The terms of a polynomial operator; ValueError for an e^{kx} term."""
+        if self.exps != (0,):
+            raise ValueError("QuantOperator.describe: an e^{kx} term is not described")
         terms = []
-        for (j, i), v in np.ndenumerate(self.c.T):
+        for (j, i), v in np.ndenumerate(self.c[0].T):
             if v:
                 x = "" if i == 0 else "x" if i == 1 else f"x^{i}"
                 d = "" if j == 0 else "d/dx" if j == 1 else f"d{j}/dx{j}"
                 terms.append("*".join([f"({v:g})"] + [s for s in (x, d) if s]))
         return " + ".join(terms) if terms else "0"
-
-
-@dataclass(frozen=True)
-class ExpOperator:
-    """Operator sum of c[(k, j)] e^{kx} (d/dx)^j, c a dict of complex numbers:
-    family C's generators, whose hyperbolic phases differentiate to e^{+-x}."""
-
-    c: dict
-
-    #: ndarray * op and numpy-scalar * op defer to __rmul__
-    __array_ufunc__ = None
-
-    @staticmethod
-    def one() -> "ExpOperator":
-        return ExpOperator({(0, 0): 1.0})
-
-    @staticmethod
-    def stack(ops) -> "ExpOperator":
-        """One batch operator whose member k is ops[k]; image then gives batch s_k."""
-        return ExpOperator({key: np.array([op.c.get(key, 0.0) for op in ops])[:, None]
-                            for key in dict.fromkeys(k for op in ops for k in op.c)})
-
-    def apply(self, f: WaveFunction) -> WaveFunction:
-        """The image of f: D^j f times sum_k c[(k, j)] e^{kx}, summed over j."""
-        def column(j):
-            exps = [(k, v) for (k, i), v in self.c.items() if i == j]
-            return lambda x, n: sum(v * k ** n * np.exp(k * x) for k, v in exps)
-        return _apply_columns(f, [(j, column(j)) for j in sorted({j for _, j in self.c})])
-
-    def __add__(self, other: "ExpOperator") -> "ExpOperator":
-        return ExpOperator({key: self.c.get(key, 0.0) + other.c.get(key, 0.0)
-                            for key in self.c | other.c})
-
-    def __sub__(self, other: "ExpOperator") -> "ExpOperator":
-        return self + (-1.0) * other
-
-    def __rmul__(self, s: complex) -> "ExpOperator":
-        return ExpOperator({key: s * v for key, v in self.c.items()})
-
-    def __matmul__(self, other: "ExpOperator") -> "ExpOperator":
-        """The product, by (e^{ax} D^j)(e^{bx} D^l) = sum_r C(j, r) b^r e^{(a+b)x} D^(j+l-r),
-        without the terms that cancel exactly."""
-        out = {}
-        for (a, j), u in self.c.items():
-            for (b, l), v in other.c.items():
-                for r in range(j + 1):
-                    key = (a + b, j + l - r)
-                    out[key] = out.get(key, 0.0) + math.comb(j, r) * b ** r * u * v
-        return ExpOperator({key: v for key, v in out.items() if v != 0.0})
 
 
 class Jet:
@@ -442,9 +411,37 @@ def _apply_columns(f: WaveFunction, columns) -> WaveFunction:
     return wf_scale(f, 0.0) if out is None else out
 
 
-def _terms(c):
-    """The (i, j) of c[i, j] that are nonzero in some batch member."""
-    return zip(*np.nonzero(np.any(c != 0.0, axis=tuple(range(2, c.ndim)))))
+def _terms(c, core: int = 2):
+    """The index tuples over c's first core axes that are nonzero in some
+    batch member (the axes past them)."""
+    if c.ndim > core:
+        c = (c != 0.0).any(axis=tuple(range(core, c.ndim)))
+    return zip(*np.nonzero(c))
+
+
+@functools.lru_cache(maxsize=64)
+def _shift(q, n: int) -> tuple:
+    """For each j < n, (D + q)^j = e^{-qx} D^j e^{qx} as its terms
+    ((s, C(j, s) q^(j-s)), ...) of D^s."""
+    return tuple(tuple((s, math.comb(j, s) * q ** (j - s))
+                       for s in range(0 if q else j, j + 1)) for j in range(n))
+
+
+def _aligned(ops):
+    """(exps, cs): the ops' exponents joined in order of appearance, and each
+    op's coefficients on them, padded to the largest size and lifted to the
+    most batch axes."""
+    exps = tuple(dict.fromkeys(k for op in ops for k in op.exps))
+    n, nd = max(op.c.shape[1] for op in ops), max(op.c.ndim for op in ops)
+    cs = []
+    for op in ops:
+        c = _lifted(op.c, nd, 3)
+        if op.exps != exps or c.shape[1] != n:
+            out = np.zeros((len(exps), n, n) + c.shape[3:], dtype=c.dtype)
+            out[[exps.index(k) for k in op.exps], :c.shape[1], :c.shape[2]] = c
+            c = out
+        cs.append(c)
+    return exps, cs
 
 
 def _polymul2(a, b):
@@ -461,23 +458,18 @@ def _polymul2(a, b):
     return out
 
 
-def _lifted(c, ndim: int):
-    """c with singleton batch axes inserted after its first two, to ndim axes."""
-    return c.reshape(c.shape[:2] + (1,) * (ndim - c.ndim) + c.shape[2:])
+def _lifted(c, ndim: int, core: int = 2):
+    """c with singleton batch axes inserted after its first core, to ndim axes."""
+    return c.reshape(c.shape[:core] + (1,) * (ndim - c.ndim) + c.shape[core:])
 
 
-def _padded(c, n: int):
-    """c zero-padded to an n x n operator array, batch axes kept."""
-    out = np.zeros((n, n) + c.shape[2:], dtype=c.dtype)
-    out[:c.shape[0], :c.shape[1]] = c
-    return out
-
-
-def _multiplier(coeffs):
-    """The operator array of multiplication by sum_i coeffs[i] x^i."""
+def _multiplier(coeffs, n: int = 1):
+    """The operator array of multiplication by sum_i coeffs[i] x^i, of size
+    at least n."""
     coeffs = np.asarray(coeffs)
-    out = np.zeros((len(coeffs),) * 2 + coeffs.shape[1:], dtype=complex)
-    out[:, 0] = coeffs
+    size = max(len(coeffs), n)
+    out = np.zeros((1, size, size) + coeffs.shape[1:], dtype=complex)
+    out[0, :len(coeffs), 0] = coeffs
     return out
 
 
@@ -527,21 +519,10 @@ def _moments(size: int, k: float, center: float, width: float):
     return out
 
 
-def _exp_terms(op) -> dict:
-    """{k: c_k}, op = sum_k e^{kx} sum c_k[i, j] x^i D^j, c_k with op's batch axes."""
-    if isinstance(op, QuantOperator):
-        return {0: op.c}
-    n = 1 + max((j for _, j in op.c), default=0)
-    batch = np.broadcast_shapes(*(np.shape(v) for v in op.c.values()))
-    out = {}
-    for (k, j), v in op.c.items():
-        out.setdefault(k, np.zeros((n, n) + batch, dtype=complex))[0, j] += v
-    return out
-
-
 def _kernel(op, probes):
-    """(M, R, G): M[k] the matrices M_k of op with its batch axes first, R the
-    probes' coefficient columns, G(K) the moments G_K, all of one size N.
+    """(M, R, G): M[k] the matrices M_k of op's nonzero c_k with its batch
+    axes first, R the probes' coefficient columns, G(K) the moments G_K,
+    all of one size N.
 
     A probe that is not a Gaussian polynomial (gauss_poly_wf), or probes
     on different Gaussians, raise ValueError.
@@ -552,14 +533,14 @@ def _kernel(op, probes):
     if len({(f.center, f.width) for f in probes}) > 1:
         raise ValueError("operator checks need probes on one Gaussian")
     center, width = probes[0].center, probes[0].width
-    terms = _exp_terms(op)
-    n = max((len(c) for c in terms.values()), default=1)
+    n = max(op.c.shape[1], 1)
     size = max(len(f.poly) for f in probes) + n - 1
     r = np.zeros((size, len(probes)), dtype=complex)
     for p, f in enumerate(probes):
         r[:len(f.poly), p] = f.poly
     powers = _xd_powers(n, size, center, width)
-    return ({k: np.einsum("ij...,ijab->...ab", c, powers) for k, c in terms.items()},
+    return ({k: np.einsum("ij...,ijab->...ab", c, powers)
+             for k, c in zip(op.exps, op.c) if c.any()},
             r, lambda k: _moments(size, k, center, width))
 
 
@@ -568,7 +549,7 @@ def _square_norms(op, probes):
     mats, r, gram = _kernel(op, probes)
     ks = list(mats)
     if not ks:
-        return np.zeros(len(probes))
+        return np.zeros(op.c.shape[3:] + (len(probes),))
     s = np.stack([mats[k] @ r for k in ks])
     g = np.array([[gram(k + l) for l in ks] for k in ks])
     return np.real(np.einsum("k...ap,klab,l...bp->...p", s.conj(), g, s))
@@ -657,24 +638,26 @@ def _affine_phase(rep: RepParams, g: GroupElement) -> AffinePhase:
 
 def _generators(rep: RepParams) -> dict:
     """dT(X) for each X of BASIS_NAMES, the derivative of _affine_phase at 1:
-    QuantOperators for families A and B, ExpOperators for family C."""
+    polynomial for families A and B, in e^{+-x} and D for family C."""
     if rep.family == "B":  # 1 x 1: J is the scalar i zeta_2, the rest 0
-        return {name: QuantOperator(np.array([[1j * rep.zeta2 * (name == "J")]]))
+        return {name: QuantOperator(np.array([[[1j * rep.zeta2 * (name == "J")]]]))
                 for name in BASIS_NAMES}
     if rep.family == "C":
         # P0 = i (zeta_0 cosh x - zeta_1 sinh x), P1 = i (zeta_1 cosh x - zeta_0 sinh x)
         z0, z1 = rep.zeta0, rep.zeta1
-        return {"P0": ExpOperator({(1, 0): 0.5j * (z0 - z1), (-1, 0): 0.5j * (z0 + z1)}),
-                "P1": ExpOperator({(1, 0): 0.5j * (z1 - z0), (-1, 0): 0.5j * (z0 + z1)}),
-                "J": ExpOperator({(0, 1): 1.0}),
-                "I": ExpOperator({})}
+        return {"P0": QuantOperator(np.array([[[0.5j * (z0 - z1)]], [[0.5j * (z0 + z1)]]]),
+                                    (1, -1)),
+                "P1": QuantOperator(np.array([[[0.5j * (z1 - z0)]], [[0.5j * (z0 + z1)]]]),
+                                    (1, -1)),
+                "J": QuantOperator(np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)),
+                "I": QuantOperator(np.zeros((0, 0, 0), dtype=complex), ())}
     B, z3 = rep.params.B, rep.z3
-    ops = {name: np.zeros((3, 3), dtype=complex) for name in BASIS_NAMES}
-    ops["I"][0, 0] = 1j * z3
-    ops["P1"][0, 1] = 1.0
-    ops["P0"][1, 0], ops["P0"][0, 1] = 1j * B * z3, -1.0
-    ops["J"][0, 0] = -0.5 - 1j * rep.c2 * SQRT_MINUS_H / (2.0 * B * z3)
-    ops["J"][2, 0], ops["J"][1, 1] = 1j * (B / 2.0) * z3, -1.0
+    ops = {name: np.zeros((1, 3, 3), dtype=complex) for name in BASIS_NAMES}
+    ops["I"][0, 0, 0] = 1j * z3
+    ops["P1"][0, 0, 1] = 1.0
+    ops["P0"][0, 1, 0], ops["P0"][0, 0, 1] = 1j * B * z3, -1.0
+    ops["J"][0, 0, 0] = -0.5 - 1j * rep.c2 * SQRT_MINUS_H / (2.0 * B * z3)
+    ops["J"][0, 2, 0], ops["J"][0, 1, 1] = 1j * (B / 2.0) * z3, -1.0
     return {name: QuantOperator(c) for name, c in ops.items()}
 
 
@@ -694,7 +677,7 @@ def generator_apply(rep: RepParams, name: str, f):
     if name not in BASIS_NAMES:
         raise ValueError(f"unknown basis element {name!r}")
     op = _generators(rep)[name]
-    return op.c[0, 0] * f if rep.family == "B" else op.apply(f)
+    return op.c[0, 0, 0] * f if rep.family == "B" else op.apply(f)
 
 
 def _slope(x):
@@ -702,27 +685,27 @@ def _slope(x):
     return x.d if isinstance(x, Jet) else np.zeros(len(BASIS_NAMES))
 
 
-def _derivative_coefficients(rep: RepParams) -> dict:
-    """d/dt T(exp t X_k) at t = 0, for k over BASIS_NAMES, as {key: slopes}.
+def _derivative_coefficients(rep: RepParams) -> QuantOperator:
+    """d/dt T(exp t X_k) at t = 0, member k of a batch operator for k over
+    BASIS_NAMES.
 
     exp(t X_k) = t e_k (exp_map's closed form on a coordinate line), so
     this is the slope of _phase_coefficients along e_k, exact on jets.  As
-    T(1) = 1, it is the operator amp' + phi'(x) + (a' x + b') D, keyed as
-    _generators: (i, j) of x^i D^j, or (k, j) of e^{kx} D^j for a
-    hyperbolic phi' = p' cosh x + q' sinh x.
+    T(1) = 1, it is the operator amp' + phi'(x) + (a' x + b') D, with
+    phi' = sum c_i' x^i, or p' cosh x + q' sinh x for a hyperbolic phase.
     """
     with np.errstate(all="ignore"):  # generator_gaps names what overflows
         amp, a, b, c, basis = _phase_coefficients(
             rep, *(Jet(0.0, e) for e in np.eye(len(BASIS_NAMES))), exp=Jet.exp)
+    out = np.zeros((3, 3, 3, len(BASIS_NAMES)), dtype=complex)
     if basis == "poly":
-        out = {(i, 0): _slope(ci) for i, ci in enumerate(c)}
-        out[(1, 1)] = _slope(a)
-    else:  # a hyperbolic phase moves by translations only: a = 1
+        out[0, :len(c), 0] = [_slope(ci) for ci in c]
+    else:  # the e^{x} and e^{-x} terms
         p, q = (_slope(ci) for ci in c)
-        out = {(1, 0): (p + q) / 2.0, (-1, 0): (p - q) / 2.0}
-    out[(0, 0)] = out.get((0, 0), 0.0) + _slope(amp)
-    out[(0, 1)] = _slope(b)
-    return out
+        out[1, 0, 0], out[2, 0, 0] = (p + q) / 2.0, (p - q) / 2.0
+    out[0, 0, 0] += _slope(amp)
+    out[0, 1, 1], out[0, 0, 1] = _slope(a), _slope(b)
+    return QuantOperator(out, (0, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +755,6 @@ def verify_commutators(rep: RepParams, probes) -> float:
     if not probes:
         return 0.0
     gens = [_generators(rep)[name] for name in BASIS_NAMES]
-    stack = type(gens[0]).stack
     consts = structure_constants(rep.params)
     defects = []
     for a in range(4):
@@ -783,8 +765,9 @@ def verify_commutators(rep: RepParams, probes) -> float:
                     defect = defect - c * g
             defects.append(defect)
     # np.max, not max: a NaN defect must not hide behind a finite one
-    return float(np.max((hermiticity_residual(1j * stack(gens), probes[:2]),
-                         np.max(_relative_residual(stack(defects), probes)))))
+    return float(np.max((
+        hermiticity_residual(1j * QuantOperator.stack(gens), probes[:2]),
+        np.max(_relative_residual(QuantOperator.stack(defects), probes)))))
 
 
 @_in_float_range("Casimir")
@@ -798,7 +781,7 @@ def verify_casimir(rep: RepParams, probes) -> float:
     g = _generators(rep)
     # Casimir labels: c2 on the orbit, 0 on the points, zeta^a zeta_a at z3 = 0
     c = {"A": rep.c2, "B": 0.0, "C": rep.zeta0 ** 2 - rep.zeta1 ** 2}[rep.family]
-    pp = g["P0"] @ g["P0"] - g["P1"] @ g["P1"] + c * g["I"].one()
+    pp = g["P0"] @ g["P0"] - g["P1"] @ g["P1"] + c * QuantOperator.one()
     defect = (2.0 * rep.params.B) * (g["I"] @ g["J"]) - SQRT_MINUS_H * pp
     return float(np.max(_relative_residual(defect, probes)))
 
@@ -814,11 +797,7 @@ def generator_gaps(rep: RepParams) -> dict:
     """
     got, table, out = _derivative_coefficients(rep), _generators(rep), {}
     for k, name in enumerate(BASIS_NAMES):
-        c = table[name].c
-        want = c if isinstance(c, dict) else dict(np.ndenumerate(c))
-        keys = got.keys() | want.keys()
-        g = np.array([got[key][k] if key in got else 0.0 for key in keys])
-        w = np.array([want.get(key, 0.0) for key in keys], dtype=complex)
+        _, (g, w) = _aligned((QuantOperator(got.c[..., k], got.exps), table[name]))
         if not np.all(np.isfinite(g) & np.isfinite(w)):
             raise ValueError(f"generator {name}: a coefficient is not finite")
         size = np.maximum(np.abs(g), np.abs(w))

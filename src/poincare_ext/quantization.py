@@ -264,7 +264,7 @@ def quantize(f: PolynomialObservable, params: ModelParams) -> QuantOperator:
     in x-left order, and the map is linear on coefficient tables: q -> x,
     p -> -i hbar d/dx, qp -> -i hbar (x d/dx + 1/2).
     """
-    return QuantOperator(_weyl(f.c, params.hbar))
+    return QuantOperator(_weyl(f.c, params.hbar)[None])
 
 
 def _weyl(c, h: float):
@@ -388,8 +388,8 @@ def covariance_suite(params: ModelParams, m: float, trials: int = 50,
     c = np.stack([base[k % len(base)].c for k in range(trials)], axis=-1)[..., None]
     g = GroupElement(*coords.T)
     pulled = _substituted(c, *_left_action_maps(g, params))
-    res = _covariance_residual(g, QuantOperator(_weyl(pulled, params.hbar)),
-                               QuantOperator(_weyl(c, params.hbar)),
+    res = _covariance_residual(g, QuantOperator(_weyl(pulled, params.hbar)[None]),
+                               QuantOperator(_weyl(c, params.hbar)[None]),
                                params, m, probes)
     return float(np.max(res, initial=0.0))
 

@@ -15,9 +15,9 @@ The module also keeps the representation checks that only ever ran by
 quadrature: the central-difference generator ladder (the oracle of
 irreps.generator_gaps), faithfulness, and the right invariance of the
 lifted functions, with the characters, subgroup moduli and Borel section
-they are built from.  The per-probe Gaussian-moment sums (quant_image,
-exp_image, gauss_inner, images_inner) are the oracle of irreps' moment
-matrix kernel.  Last, the Fourier quadrature of the transported position
+they are built from.  The per-probe Gaussian-moment sums
+(operator_image, gauss_inner, images_inner) are the oracle of irreps'
+moment matrix kernel.  Last, the Fourier quadrature of the transported position
 packet onto the H0 eigenfunctions is the oracle of dynamics oracle (a)'s
 exact Gaussian integral, and the time quadratures of the velocity are the
 oracle of model.drift_integrals, which both dynamics oracles use.
@@ -251,28 +251,19 @@ def relative_l2(diffs, f, cross=lambda x: []):
 GAUSS = (0.0, 0.0, -0.5)
 
 
-def quant_image(op, r, center, width) -> dict:
-    """{0: s} with op (r g) = s g for g = e^{-y^2/2} (GAUSS), op a
-    QuantOperator; s has its degree on axis 0, then op's batch axes."""
-    c = op.c
-    out = np.zeros((len(c) + len(r) - 1,) + c.shape[2:], dtype=complex)
-    tower = _derivative_coeffs(r, GAUSS)
-    for j, col in op._nonzero_columns():
-        mult = np.asarray(_poly_pullback(col, width, center))
-        term = _polymul2(mult[:, None] / width ** j, np.asarray(tower(j))[:, None])
-        out[:len(term)] += term[:, 0]
-    return {0: out}
-
-
-def exp_image(op, r, center, width) -> dict:
-    """{k: s_k} with op (r g) = sum_k e^{kx} s_k g, g = e^{-y^2/2} (GAUSS),
-    op an ExpOperator."""
-    tower, out = _derivative_coeffs(r, GAUSS), {}
-    size = len(r) + max((j for _, j in op.c), default=0)
-    for (k, j), v in op.c.items():
-        if np.any(v):
-            s = out.setdefault(k, np.zeros((size,) + np.shape(v), dtype=complex))
-            s[:len(r) + j] += np.multiply.outer(tower(j), v / width ** j)
+def operator_image(op, r, center, width) -> dict:
+    """{k: s_k} with op (r g) = sum_k e^{kx} s_k g for g = e^{-y^2/2} (GAUSS),
+    op a QuantOperator; each s_k has its degree on axis 0, then op's batch
+    axes."""
+    n, tower, out = op.c.shape[1], _derivative_coeffs(r, GAUSS), {}
+    for k, c in zip(op.exps, op.c):
+        s = out[k] = np.zeros((n + len(r) - 1,) + c.shape[2:], dtype=complex)
+        for j in range(n):
+            if np.any(c[:n - j, j]):
+                mult = np.asarray(_poly_pullback(c[:n - j, j], width, center))
+                term = _polymul2(mult[:, None] / width ** j,
+                                 np.asarray(tower(j))[:, None])
+                s[:len(term)] += term[:, 0]
     return out
 
 

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -413,12 +414,53 @@ def test_dynamics_suite_at_every_sweep_B(B):
     assert report["pass"], report
 
 
-@pytest.mark.parametrize("B", (1e-8, -1e-8, 1e4, -1e4))
+@pytest.mark.parametrize("B", SWEEP_B)
 def test_representations_suite_passes_at_edge_B(B):
     # the bracket table and the Casimir hold at every B != 0; their
     # quadrature read 6.8e-9 at |B| = 1e-8 and 8.7e-8 at 1e4, over the
     # 1e-9 gate, and the exact checks read round-off
-    assert cli.suite_reps(ModelParams(B=B), 42)["pass"]
+    report = cli.suite_reps(ModelParams(B=B), 42)
+    assert report["pass"], report
+
+
+#: B -> the measured cause (seed 42) of the coadjoint suite's failure there;
+#: each strict xfail must flip when its cause is mended
+COADJOINT_XFAIL = {
+    B: f"casimir_residual {value} against its 1e-12 gate: the moved point, "
+       "of order B, is stored in float64 before the Casimir pairing"
+    for B, value in ((-10.0, "2.6e-12"), (100.0, "6.4e-11"), (-100.0, "2.0e-11"),
+                     (1e4, "3.7e-9"), (-1e4, "6.2e-9"))}
+
+
+@pytest.mark.parametrize("B", [
+    pytest.param(B, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=COADJOINT_XFAIL[B]))
+    if B in COADJOINT_XFAIL else B
+    for B in SWEEP_B])
+def test_coadjoint_suite_at_every_sweep_B(B):
+    report = cli.suite_coadjoint(ModelParams(B=B), 42)
+    assert report["pass"], report
+
+
+#: B -> the measured cause (seed 42) of the classical suite's failure there
+CLASSICAL_XFAIL = {
+    **{B: f"pullback {value} against its 1e-6 gate: u2 carries m^2 / (2B), "
+          "whose digits the 1e-5 central differences lose"
+       for B, value in ((1e-8, "4.8e-4"), (-1e-8, "4.8e-4"), (1e-4, "1.3e-6"))},
+    **{B: f"comoment_casimir {value} against its 1e-12 gate: comoments of "
+          "order B, squared in float64"
+       for B, value in ((100.0, "2.9e-11"), (-100.0, "4.4e-11"), (1e4, "2.4e-7"),
+                        (-1e4, "3.6e-7"))}}
+
+
+@pytest.mark.parametrize("B", [
+    pytest.param(B, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason=CLASSICAL_XFAIL[B]))
+    if B in CLASSICAL_XFAIL else B
+    for B in SWEEP_B])
+def test_classical_suite_at_every_sweep_B(B):
+    report = cli.suite_classical(ModelParams(B=B), 42)
+    assert report["pass"], report
 
 
 def strict_json(text):
@@ -523,6 +565,28 @@ def test_evolve_at_subnormal_B_runs(B, emit, monkeypatch, capsys):
         assert len(rows) == 20
         assert all(math.isfinite(v) for row in rows for v in row)
         assert max(row[4] for row in rows) <= 1e-15
+
+
+@pytest.mark.parametrize("B, message", (
+    # the two oracles disagree past their 1e-8 guard: a traceback before
+    ("1e8", r"evolve at B=100000000\.0: oracle disagreement \d\.\d{3}e-08 "
+            r"exceeds 1\.0e-08"),
+    # the nodes round to multiples of 0.004 (0.03) against a step of 0.05:
+    # an oracle traceback at 1e13, and a norm of 1.00000017 at 1e14
+    ("1e13", r"evolve at B=10000000000000\.0: the energy grid around 2e\+13 "
+             r"does not resolve the packet"),
+    ("1e14", r"evolve at B=100000000000000\.0: the energy grid around 2e\+14 "
+             r"does not resolve the packet")), ids=("oracles", "grid-1e13", "grid-1e14"))
+def test_evolve_failures_are_usage_errors(B, message):
+    code, out, err = run_cli("evolve", "--emit=json", f"--B={B}")
+    assert code == 2 and out == "" and "Traceback" not in err, err
+    assert re.fullmatch(f"poincare-ext: error: {message}", err.splitlines()[-1]), err
+
+
+@pytest.mark.parametrize("B", BENCH_B)
+def test_evolve_defaults_pass_the_grid_bound_at_every_bench_B(B, capsys):
+    assert cli.run(["evolve", "--emit=json", f"--B={B}"]) == 0
+    assert abs(strict_json(capsys.readouterr().out)["norm"] - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("B", ("1e-6", "1e-8", "1e-10", "1e-12"))

@@ -444,7 +444,7 @@ def _j_sign_mutant(generators):
     def mutant(rep):
         gens = generators(rep)
         c = gens["J"].c.copy()
-        c[1, 1] = -c[1, 1]
+        c[0, 1, 1] = -c[0, 1, 1]
         return {**gens, "J": ir.QuantOperator(c)}
     return mutant
 
@@ -454,9 +454,10 @@ def _cosh_sinh_mutant(generators):
     # zeta_1 cosh x), which flips the sign of its e^(-x) term
     def mutant(rep):
         gens = generators(rep)
-        c = dict(gens["P0"].c)
-        c[(-1, 0)] = -c[(-1, 0)]
-        return {**gens, "P0": ir.ExpOperator(c)}
+        op = gens["P0"]
+        c = op.c.copy()
+        c[op.exps.index(-1)] = -c[op.exps.index(-1)]
+        return {**gens, "P0": ir.QuantOperator(c, op.exps)}
     return mutant
 
 
@@ -525,6 +526,10 @@ def test_jet_derivative_is_the_central_difference(family, B):
     one = ir._affine_phase(rep, identity())  # the jets assume T(1) = 1
     assert (one.amp, one.a, one.b, *one.c) == (1.0, 1.0, 0.0) + (0.0,) * len(one.c)
     got = ir._derivative_coefficients(rep)
+    # (e, i, j) -> the slopes of the coefficient of e^{ex} x^i D^j, one
+    # per basis direction
+    slopes = {(e, i, j): got.c[got.exps.index(e), i, j]
+              for e in got.exps for i in range(3) for j in range(3)}
     h = 1e-6
     for k in range(4):
         ops = [ir._affine_phase(rep, GroupElement(*(s * h * np.eye(4)[k])))
@@ -533,15 +538,16 @@ def test_jet_derivative_is_the_central_difference(family, B):
             *((op.amp, op.a, op.b, *op.c) for op in ops))]
         amp, a, b, *c = slope
         if family == "C":
-            want = {(0, 0): amp, (0, 1): b, (1, 0): (c[0] + c[1]) / 2,
-                    (-1, 0): (c[0] - c[1]) / 2}
+            want = {(0, 0, 0): amp, (0, 0, 1): b, (1, 0, 0): (c[0] + c[1]) / 2,
+                    (-1, 0, 0): (c[0] - c[1]) / 2}
         else:
-            want = {(i, 0): ci for i, ci in enumerate(c)}
-            want[(0, 0)] += amp
-            want |= {(0, 1): b, (1, 1): a}
+            want = {(0, i, 0): ci for i, ci in enumerate(c)}
+            want[(0, 0, 0)] += amp
+            want |= {(0, 0, 1): b, (0, 1, 1): a}
         size = max(abs(w) for w in want.values())
-        for key, w in want.items():
-            assert abs(got[key][k] - w) <= 1e-8 * size, (k, key, got[key][k], w)
+        for key, got_k in slopes.items():
+            w = want.get(key, 0.0)
+            assert abs(got_k[k] - w) <= 1e-8 * size, (k, key, got_k[k], w)
     assert ir.generator_gaps(rep) == dict.fromkeys(ir.BASIS_NAMES, 0.0)
 
 

@@ -26,8 +26,8 @@ from poincare_ext.wavefunctions import (
     wf_scale,
     wf_sub,
 )
-from quadrature_oracle import (exp_image, gauss_inner, images_inner, inner,
-                               integrate_stack, integrate_vec, quant_image,
+from quadrature_oracle import (gauss_inner, images_inner, inner,
+                               integrate_stack, integrate_vec, operator_image,
                                relative_l2, wf_stack)
 
 P = ModelParams()
@@ -122,9 +122,9 @@ def test_parse_poly():
 
 
 def unit(i, j, v=1.0):
-    """The 3 x 3 operator array with the single entry c[i, j] = v."""
-    c = np.zeros((3, 3), dtype=complex)
-    c[i, j] = v
+    """The 3 x 3 operator array (exps (0,)) with the single entry c_0[i, j] = v."""
+    c = np.zeros((1, 3, 3), dtype=complex)
+    c[0, i, j] = v
     return c
 
 
@@ -168,8 +168,8 @@ def six_branch_quantize(f, params):
             # (q p + p q)/2 -> -i hbar (x d/dx + 1/2)
             nc[1] += -1j * h * v
             mc[0] += -0.5j * h * v
-    c = np.zeros((3, 3), dtype=complex)
-    c[:, 0], c[:2, 1], c[0, 2] = mc, nc, s2
+    c = np.zeros((1, 3, 3), dtype=complex)
+    c[0, :, 0], c[0, :2, 1], c[0, 0, 2] = mc, nc, s2
     return c
 
 
@@ -361,12 +361,13 @@ def test_u2_offset_keeps_homomorphism():
 # the operator algebra behind the closed-form checks
 
 
-def random_operator(rng, size=3, batch=()):
-    c = (rng.uniform(-1, 1, (size, size) + batch)
-         + 1j * rng.uniform(-1, 1, (size, size) + batch))
+def random_operator(rng, size=3, batch=(), exps=(0,)):
+    """sum_k e^{kx} sum c_k[i, j] x^i D^j over k in exps, complex batch columns."""
+    shape = (len(exps), size, size) + batch
+    c = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
     # total degree below the size
-    c[np.add.outer(np.arange(size), np.arange(size)) >= size] = 0.0
-    return qz.QuantOperator(c)
+    c[:, np.add.outer(np.arange(size), np.arange(size)) >= size] = 0.0
+    return qz.QuantOperator(c, exps)
 
 
 def test_weyl_product_is_the_operator_product():
@@ -380,9 +381,9 @@ def test_weyl_product_is_the_operator_product():
         rhs = a.apply(b.apply(f))(x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
     # the canonical commutator [D, x] = 1
-    d, xo = qz.QuantOperator(np.array([[0, 1], [0, 0]])), \
-        qz.QuantOperator(np.array([[0, 0], [1, 0]]))
-    assert (d @ xo - xo @ d) == qz.QuantOperator(np.diag([1.0, 0.0, 0.0]))
+    d, xo = qz.QuantOperator(np.array([[[0, 1], [0, 0]]])), \
+        qz.QuantOperator(np.array([[[0, 0], [1, 0]]]))
+    assert (d @ xo - xo @ d) == qz.QuantOperator(np.diag([1.0, 0.0, 0.0])[None])
 
 
 def test_weyl_product_on_batch_columns():
@@ -392,9 +393,41 @@ def test_weyl_product_on_batch_columns():
     a, b = random_operator(rng, batch=(4, 1)), random_operator(rng)
     prod = (a @ b).c
     for k in range(4):
-        single = (qz.QuantOperator(a.c[:, :, k, 0]) @ b).c
-        assert np.max(np.abs(prod[:, :, k, 0] - single)) \
+        single = (qz.QuantOperator(a.c[..., k, 0]) @ b).c
+        assert np.max(np.abs(prod[..., k, 0] - single)) \
             <= 8 * np.finfo(float).eps * np.max(np.abs(single))
+
+
+def product_gap(a, b, f, x):
+    """Largest pointwise gap of (a b) f to a (b f), relative to a (b f)."""
+    lhs, rhs = (a @ b).apply(f)(x), a.apply(b.apply(f))(x)
+    return np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))
+
+
+def test_operator_product_on_mixed_terms():
+    # e^{kx} x^i D^j terms at k = -1, 0, 1 and i + j <= 2, on batch columns:
+    # the shift e^{-qx} D e^{qx} = D + q meets the x-left rule
+    rng = np.random.default_rng(5)
+    f, x = hermite_wf(3, depth=8), np.linspace(-3.0, 3.0, 31)
+    for _ in range(10):
+        a, b = (random_operator(rng, 3, (2, 1), (-1, 0, 1)) for _ in range(2))
+        assert product_gap(a, b, f, x) <= 1e-12
+
+
+def test_product_without_its_exponential_shift_fails(monkeypatch):
+    # a planted defect: (D + q)^j taken as D^j.  Family C's bracket table
+    # fails, and so does the pointwise product, on its generators and on
+    # mixed terms
+    rep = ir.case_c(1.0, 0.3, P)
+    rng = np.random.default_rng(5)
+    a, b = (random_operator(rng, 3, (2, 1), (-1, 0, 1)) for _ in range(2))
+    monkeypatch.setattr(ir, "_shift", lambda q, n: [[(j, 1)] for j in range(n)])
+    report = ir.rep_suite(rep, trials=200, seed=42)
+    assert report["commutators"] > cli.REP_GATES["commutators"], report
+    gens = ir._generators(rep)
+    f, x = hermite_wf(3, depth=8), np.linspace(-3.0, 3.0, 31)
+    assert product_gap(gens["J"], gens["P0"], f, x) > 0.1
+    assert product_gap(a, b, f, x) > 0.1
 
 
 def test_conjugation_by_affine_phase():
@@ -451,14 +484,8 @@ def test_gaussian_moments_are_the_inner_product():
                             center=center, width=width) for _ in range(2)]
         op = random_operator(rng)
         closed = gauss_inner(
-            quant_image(op, fs[0].poly, center, width)[0], fs[1].poly, width)
+            operator_image(op, fs[0].poly, center, width)[0], fs[1].poly, width)
         assert abs(closed - inner(op.apply(fs[0]), fs[1])) <= 1e-12 * abs(closed)
-
-
-def random_exp_operator(rng, batch=(4, 1)):
-    """sum c[(k, j)] e^{kx} D^j over k in {-1, 0, 1} and j <= 2, complex batch columns."""
-    return ir.ExpOperator({(k, j): rng.uniform(-1, 1, batch) + 1j * rng.uniform(-1, 1, batch)
-                           for k in (-1, 0, 1) for j in range(3)})
 
 
 def kernel_oracle_gap(op, probes):
@@ -472,9 +499,8 @@ def kernel_oracle_gap(op, probes):
                         for k in s for l in s),
               "Af": sum(np.swapaxes(s[k].conj(), -1, -2) @ gram(k) @ r for k in s),
               "fA": sum(r.conj().T @ gram(k) @ s[k] for k in s)}
-    image = quant_image if isinstance(op, qz.QuantOperator) else exp_image
     center, width = probes[0].center, probes[0].width
-    a = [image(op, f.poly, center, width) for f in probes]
+    a = [operator_image(op, f.poly, center, width) for f in probes]
     f = [{0: x.poly} for x in probes]
 
     def table(left, right):
@@ -502,12 +528,12 @@ def shifted_probes(rng, count=3, degree=4):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_moment_kernel_equals_per_probe_oracle(seed):
-    # batched operators of sizes 3 and 5 and e^{kx} D^j terms, on complex
-    # probes of a shifted, widened Gaussian
+    # batched operators of sizes 3 and 5, and one with e^{kx} x^i D^j terms
+    # at k = -1, 0, 1, on complex probes of a shifted, widened Gaussian
     rng = np.random.default_rng(seed)
     probes = shifted_probes(rng)
     for op in (random_operator(rng, 3, (4, 1)), random_operator(rng, 5, (4, 1)),
-               random_exp_operator(rng)):
+               random_operator(rng, 3, (4, 1), (-1, 0, 1))):
         assert kernel_oracle_gap(op, probes) <= 1e-13
 
 
@@ -519,7 +545,7 @@ def test_moments_without_their_shift_factor_fail_the_oracle(monkeypatch):
         return real(size, k, center, width) / math.exp(k * center + (k * width / 2.0) ** 2)
 
     rng = np.random.default_rng(11)
-    probes, op = shifted_probes(rng), random_exp_operator(rng)
+    probes, op = shifted_probes(rng), random_operator(rng, 3, (4, 1), (-1, 0, 1))
     assert kernel_oracle_gap(op, probes) <= 1e-13
     monkeypatch.setattr(ir, "_moments", mutant)
     assert kernel_oracle_gap(op, probes) > 1e-3
