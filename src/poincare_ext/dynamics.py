@@ -4,10 +4,10 @@ Classical layer: trajectories q1(tau), linearly growing kinematical
 momentum ptilde(tau) = ptilde0 + B (tau - tau0), proper time (from `model`).
 
 Quantum layer: the split Hamiltonian H0 + V(tau) with H0 = -B qhat -
-phat, its delta-normalized eigenfunctions <x|E>, the closed-form
-spectral amplitude transport c_E(tau), eigenstate evolution with its
-unimodular phase, transition probabilities, and the total-energy
-expectation.
+phat, in the basis of its delta-normalized eigenfunctions <x|E>: the
+closed-form spectral amplitude transport c_E(tau), eigenstate evolution
+with its unimodular phase, transition probabilities, and the
+total-energy expectation.
 
 The closed form is validated against two independent oracles: the
 position-space packet transported exactly along characteristics and
@@ -28,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ClassicalState, ModelParams, classical_trajectory,
-                    drift_integrals, kinematical_momentum, proper_time,
-                    relativistic_energy, velocity)
-from .wavefunctions import WaveFunction, exp_poly_tower
+from .model import (ClassicalState, classical_trajectory, drift_integrals,
+                    kinematical_momentum, proper_time, relativistic_energy,
+                    velocity)
 
 __all__ = [
     "ClassicalState",
@@ -43,9 +42,6 @@ __all__ = [
     "kinematical_momentum",
     "relativistic_energy",
     "velocity",
-    "h0_eigenfunction",
-    "h0_operator",
-    "total_energy_operator",
     "c_closed_form",
     "evolve_eigenstate",
     "transition_probability",
@@ -60,38 +56,6 @@ __all__ = [
 
 class OracleError(RuntimeError):
     """The two independent propagation oracles disagree."""
-
-
-# ---------------------------------------------------------------------------
-# operators
-
-
-def h0_operator(params: ModelParams):
-    """H0 = -B qhat - phat; classically the comoment u0 = B q1."""
-    from .quantization import PolynomialObservable, quantize
-    return quantize(PolynomialObservable({(1, 0): -params.B, (0, 1): -1.0}),
-                    params)
-
-
-def total_energy_operator(cs: ClassicalState, tau: float):
-    """E(tau) - H0/2; commutes with H0, so its eigenstates are shared."""
-    from .quantization import PolynomialObservable, quantize
-    p = cs.params
-    return quantize(PolynomialObservable(
-        {(0, 0): relativistic_energy(cs, tau),
-         (1, 0): p.B / 2.0, (0, 1): 0.5}), p)
-
-
-def h0_eigenfunction(E: float, params: ModelParams) -> WaveFunction:
-    """<x|E> = (2 pi hbar)^(-1/2) exp[-(i/hbar)(E x + B x^2 / 2)].
-
-    Not square-integrable; the width hint of 6 only scopes windowed
-    quadrature against genuinely normalizable partners.
-    """
-    h, B = params.hbar, params.B
-    amp = 1.0 / math.sqrt(2.0 * math.pi * h)
-    return WaveFunction(exp_poly_tower([amp], [0.0, -1j * E / h, -0.5j * B / h]),
-                        2, 0.0, 6.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Unitary irreducible representations of the extended Poincare group.
 
-Every operator T(g) is an AffinePhase, f(x) -> A e^{phi(x)} f(a x + b):
+Every operator T(g) is an AffinePhase, f(x) -> A e^{phi(x)} f(a x + b),
+held as its coefficients:
 
 * family A (nonzero central label z3): operators on L2(R) with an affine
   argument map, a quadratic multiplicative phase, and a Jacobian factor;
 * family B (point orbits, label zeta2): one-dimensional, the pure phase
-  exp(i alpha zeta2), which multiplies a wavefunction or a scalar alike;
+  exp(i alpha zeta2);
 * family C (massive/tachyonic/null orbits at z3 = 0): operators on
   L2(R, d alpha) with a hyperbolic multiplicative phase and a shift.
+
+rep_apply evaluates the image of a probe by value, A e^{phi(x)} f(a x + b)
+at the nodes asked for; no operator here acts on a function otherwise.
 
 The generators dT(X) are written once, as coefficient arrays (_generators),
 each a differential operator sum_k e^{kx} sum c_k[i, j] x^i D^j
@@ -28,8 +32,9 @@ the generator table, their residuals ||R f|| / ||f|| in Gaussian moments.
 Generator consistency is exact too: dT(X) = d/dt T(exp tX) at t = 0, the
 derivative taken on first-order jets (Jet) run through the coefficient
 code of T(g) itself, and compared with the table coefficient by
-coefficient (generator_gaps).  No check here integrates; the quadrature
-versions are the test oracle.
+coefficient (generator_gaps).  No check here integrates or differentiates
+a function; the quadrature versions, with the derivative evaluators they
+act on, are the test oracle.
 """
 
 from __future__ import annotations
@@ -42,16 +47,7 @@ import numpy as np
 
 from .conventions import SQRT_MINUS_H
 from .group import GroupElement, ModelParams, compose, structure_constants
-from .wavefunctions import (
-    WaveFunction,
-    _window,
-    exp_poly_tower,
-    hermite_wf,
-    wf_add,
-    wf_affine,
-    wf_mul,
-    wf_scale,
-)
+from .wavefunctions import _horner, _window, hermite_probe
 
 __all__ = [
     "AffinePhase",
@@ -63,7 +59,6 @@ __all__ = [
     "case_c",
     "rep_from_orbit",
     "rep_apply",
-    "generator_apply",
     "hermiticity_residual",
     "verify_homomorphism",
     "verify_unitarity",
@@ -132,27 +127,6 @@ def rep_from_orbit(zeta, params: ModelParams = ModelParams()) -> RepParams:
 # representation operators
 
 
-def _hyperbolic_exp(amp, a: complex, c: complex):
-    """Evaluator (x, k) of the derivatives of amp exp(phi), phi = a cosh x + c sinh x.
-
-    Derivatives of exp(phi) are polynomial in (phi', phi'' = phi, ...);
-    explicit formulas are used through third order, so the product that
-    takes this factor has depth at most 3.
-    """
-    def m(x, k):
-        phi = a * np.cosh(x) + c * np.sinh(x)
-        e = amp * np.exp(phi)
-        if k == 0:
-            return e
-        dphi = a * np.sinh(x) + c * np.cosh(x)
-        if k == 1:
-            return dphi * e
-        if k == 2:
-            return (phi + dphi ** 2) * e
-        return (dphi * (1.0 + 3.0 * phi) + dphi ** 3) * e
-    return m
-
-
 def _poly_pullback(c, a, b):
     """Coefficients of sum_k c_k (a x + b)^k, in increasing degree."""
     return tuple(a ** j * sum(math.comb(k, j) * b ** (k - j) * c[k]
@@ -188,11 +162,15 @@ class AffinePhase:
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"operator {name} is not finite")
 
-    def apply(self, f: WaveFunction) -> WaveFunction:
-        """The image of f, analytic to depth at most 3."""
-        m = (_hyperbolic_exp(self.amp, *self.c) if self.basis == "hyp"
-             else exp_poly_tower([self.amp], self.c))
-        return wf_mul(wf_affine(f, self.a, self.b), m, 3)
+    def image(self, f, x):
+        """amp e^{phi(x)} f(a x + b) at the nodes x, by value: one row per
+        batch member when the fields are batch columns."""
+        x = np.asarray(x, dtype=float)
+        if self.basis == "hyp":
+            phi = self.c[0] * np.cosh(x) + self.c[1] * np.sinh(x)
+        else:
+            phi = _horner(self.c, x)
+        return self.amp * np.exp(phi) * f(self.a * x + self.b)
 
     def compose(self, first: "AffinePhase") -> "AffinePhase":
         """self . first: first's map and phase pulled back by x -> a x + b."""
@@ -250,10 +228,9 @@ class QuantOperator:
     axis, c[e] = c_k for k = exps[e]: (0,) for a polynomial operator, ()
     for the zero operator.  Each c_k is square and of total degree below
     its size: c_k[i, j] = 0 for i + j >= size.  c may carry batch columns
-    on trailing axes (shape (1, 3, 3, n, 1)), one operator per member;
-    apply then gives a batch image.  Sums join the exponents and pad to the
-    larger size, and op @ other is the operator product in the same
-    x-left order.
+    on trailing axes (shape (1, 3, 3, n, 1)), one operator per member.
+    Sums join the exponents and pad to the larger size, and op @ other is
+    the operator product in the same x-left order.
     """
 
     c: np.ndarray
@@ -271,17 +248,6 @@ class QuantOperator:
         """One batch operator whose member k is ops[k]."""
         exps, cs = _aligned(ops)
         return QuantOperator(np.stack(cs, axis=-1)[..., None], exps)
-
-    def apply(self, f: WaveFunction) -> WaveFunction:
-        """The image of f; f is differentiated only as far as c needs."""
-        columns = []
-        for j in range(self.c.shape[1]):
-            towers = [exp_poly_tower(np.asarray(col, dtype=complex), (0.0, k) if k else ())
-                      for k, col in zip(self.exps, self.c[:, :self.c.shape[1] - j, j])
-                      if np.any(col)]
-            if towers:
-                columns.append((j, lambda x, n, ts=towers: sum(t(x, n) for t in ts)))
-        return _apply_columns(f, columns)
 
     def __add__(self, other: "QuantOperator") -> "QuantOperator":
         exps, (a, b) = _aligned((self, other))
@@ -398,19 +364,6 @@ class Jet:
         return Jet(self.v / other, self.d / other)
 
 
-def _apply_columns(f: WaveFunction, columns) -> WaveFunction:
-    """sum_j m_j D^j f over the (j, m_j) of columns, m_j an evaluator (x, n)
-    of a multiplier's derivatives; f is differentiated only as far as needed."""
-    out = None
-    for j, m in columns:
-        dj = f
-        for _ in range(j):
-            dj = dj.derivative()
-        term = wf_mul(dj, m, dj.depth)
-        out = term if out is None else wf_add(out, term)
-    return wf_scale(f, 0.0) if out is None else out
-
-
 def _terms(c, core: int = 2):
     """The index tuples over c's first core axes that are nonzero in some
     batch member (the axes past them)."""
@@ -524,12 +477,12 @@ def _kernel(op, probes):
     axes first, R the probes' coefficient columns, G(K) the moments G_K,
     all of one size N.
 
-    A probe that is not a Gaussian polynomial (gauss_poly_wf), or probes
-    on different Gaussians, raise ValueError.
+    A probe that is not a Gaussian polynomial (a Probe), or probes on
+    different Gaussians, raise ValueError.
     """
     if any(f.poly is None for f in probes):
         raise ValueError("operator checks need Gaussian-polynomial "
-                         "probes (gauss_poly_wf)")
+                         "probes (Probe)")
     if len({(f.center, f.width) for f in probes}) > 1:
         raise ValueError("operator checks need probes on one Gaussian")
     center, width = probes[0].center, probes[0].width
@@ -661,23 +614,13 @@ def _generators(rep: RepParams) -> dict:
     return {name: QuantOperator(c) for name, c in ops.items()}
 
 
-def rep_apply(rep: RepParams, g: GroupElement, f):
-    """Act with the group element g; a batch g gives a batch image.
+def rep_apply(rep: RepParams, g: GroupElement, f, x):
+    """The values of T(g) f at the nodes x; a batch g gives one row per member.
 
-    Family B is one-dimensional: its phase scales a wavefunction or a
-    scalar alike.
+    Family B is one-dimensional: its phase scales the probe's values.
     """
     op = _affine_phase(rep, g)
-    return np.exp(op.c[0]) * f if rep.family == "B" else op.apply(f)
-
-
-def generator_apply(rep: RepParams, name: str, f):
-    """dT(name) f, from the table _generators.  Family B's generators are
-    scalars, which scale a wavefunction or a scalar alike."""
-    if name not in BASIS_NAMES:
-        raise ValueError(f"unknown basis element {name!r}")
-    op = _generators(rep)[name]
-    return op.c[0, 0, 0] * f if rep.family == "B" else op.apply(f)
+    return np.exp(op.c[0]) * f(x) if rep.family == "B" else op.image(f, x)
 
 
 def _slope(x):
@@ -714,13 +657,13 @@ def _derivative_coefficients(rep: RepParams) -> QuantOperator:
 
 @functools.lru_cache(maxsize=1)
 def _hermite_probes() -> tuple:
-    """h_0, ..., h_4, built on first use; a WaveFunction is immutable, so
-    every check shares them."""
-    return tuple(hermite_wf(k) for k in range(5))
+    """h_0, ..., h_4, built on first use; a Probe is immutable, so every
+    check shares them."""
+    return tuple(hermite_probe(k) for k in range(5))
 
 
 def default_probes(count: int = 5) -> tuple:
-    """The first count (at most 5) Hermite functions, analytic to depth 4."""
+    """The first count (at most 5) Hermite functions."""
     if count > 5:
         raise ValueError(f"default_probes: {count} probes asked, 5 kept")
     return _hermite_probes()[:count]

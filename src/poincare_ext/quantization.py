@@ -18,7 +18,9 @@ checks share.  Operators multiply in the Weyl algebra (QuantOperator @),
 family A's T(g) conjugates a polynomial operator into another
 (QuantOperator.conjugated), and the residuals are norms and inner
 products on the probes' Hermite coefficients, in irreps' Gaussian-moment
-matrix kernel.
+matrix kernel.  A probe is a coefficient record (wavefunctions.Probe):
+no operator here acts on a function.  The operator chains on derivative
+evaluators and their quadrature are the test oracle.
 """
 
 from __future__ import annotations

@@ -1,15 +1,31 @@
-"""The quadrature oracles of the package's closed forms.
+"""The derivative evaluators and quadrature oracles of the package's closed forms.
 
-The package runs no quadrature.  This module holds the one the oracles
-use: the composite 32-point Gauss-Legendre rule with its panel-doubling
-ladder (integrate_vec), and inner, norm and l2_diff on wavefunctions.
+The package differentiates and integrates no function: a probe is a
+record of Hermite coefficients (wavefunctions.Probe), every residual is
+exact algebra on them, and `rep apply` evaluates an image by value.
+This module keeps the independent way to compute the same things.
 
-wf_stack makes one batch function of a probe list, so an operator chain
-built once acts on the whole set, and integrate_stack takes the integrals
-of a check on the union of the functions' windows.  The representation
-and quantization suites check the same identities exactly, on coefficient
-arrays and Gaussian moments; these helpers compute them the independent
-way, by operator chains on evaluators and composite Gauss-Legendre sums.
+The derivative evaluators come first.  A WaveFunction wraps one
+numpy-vectorized complex evaluator fn(x, k), the k-th derivative at
+nodes x for 0 <= k <= depth, with a (center, width) window hint.
+Operators act by composing evaluators -- affine argument maps, sums and
+Leibniz products with multipliers that are themselves evaluators of
+(x, k) -- so every derivative stays analytic: exp_poly_tower gives the
+derivatives of r(x) exp(q(x)) for polynomials r and q.  affine_apply,
+rep_image, operator_apply and generator_apply act with an AffinePhase,
+a group element, a QuantOperator and a generator on them; tower lifts a
+probe record to its evaluator.  rep_image is the reference `rep apply`'s
+values are compared with, bit for bit.
+
+The composite 32-point Gauss-Legendre rule with its panel-doubling
+ladder (integrate_vec), and inner, norm and l2_diff on wavefunctions,
+come next.  wf_stack makes one batch function of a probe list, so an
+operator chain built once acts on the whole set, and integrate_stack
+takes the integrals of a check on the union of the functions' windows.
+The representation and quantization suites check the same identities
+exactly, on coefficient arrays and Gaussian moments; these helpers
+compute them by operator chains on evaluators and composite
+Gauss-Legendre sums.
 
 The module also keeps the representation checks that only ever ran by
 quadrature: the central-difference generator ladder (the oracle of
@@ -26,10 +42,13 @@ oracle of model.drift_integrals, which both dynamics oracles use.
 import cmath
 import functools
 import math
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from poincare_ext import dynamics as dy
+from poincare_ext import irreps as ir
 from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
                                 compose, exp_map)
@@ -38,18 +57,258 @@ from poincare_ext.irreps import (
     RepParams,
     _poly_pullback,
     _polymul2,
-    generator_apply,
-    rep_apply,
 )
 from poincare_ext.model import kinematical_momentum
-from poincare_ext.wavefunctions import (
-    WaveFunction,
-    _derivative_coeffs,
-    _latest_values,
-    _window,
-    wf_scale,
-    wf_sub,
-)
+from poincare_ext.wavefunctions import _horner, _window
+
+#: the derivative-evaluator layer, which the package neither defines nor
+#: imports: the evaluators and their combinators here, and the operators'
+#: action on them (the methods apply and derivative included)
+EVALUATORS = {"WaveFunction", "exp_poly_tower", "_derivative_coeffs",
+              "_latest_values", "wf_scale", "_combine", "wf_add", "wf_sub",
+              "wf_affine", "wf_mul", "wf_stack", "gauss_poly_wf", "hermite_wf",
+              "tower", "_hyperbolic_exp", "affine_apply", "rep_image",
+              "_apply_columns", "operator_apply", "generator_apply", "apply",
+              "derivative", "h0_eigenfunction", "h0_operator",
+              "total_energy_operator"}
+
+
+# ---------------------------------------------------------------------------
+# the derivative evaluators
+
+
+@dataclass(frozen=True)
+class WaveFunction:
+    """Complex-valued function on R with its derivatives and a window hint.
+
+    fn(x, k) is the k-th derivative at an ndarray of nodes x, for
+    0 <= k <= depth; calling the WaveFunction gives k = 0.  poly is set
+    on a Gaussian-polynomial probe r(y) exp(-y^2 / 2), y = (x - center) /
+    width, alone: the coefficients of r in increasing degree, which the
+    package's moment kernel reads as it reads a Probe's.
+
+    A WaveFunction may also be a batch, one function per member of a batch
+    of group elements: its parameters and its hint then have the batch
+    shape S plus a trailing axis of length 1, and evaluating it at nodes of
+    shape (N,) or S + (N,) gives S + (N,).
+    """
+
+    fn: callable
+    depth: int = 0
+    center: float = 0.0
+    width: float = 1.0
+    poly: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    #: ndarray * f and numpy-scalar * f defer to __rmul__ instead of
+    #: building an object array
+    __array_ufunc__ = None
+
+    def __call__(self, x):
+        return self.fn(np.asarray(x, dtype=float), 0)
+
+    def interval(self):
+        return self.center - 12.0 * self.width, self.center + 12.0 * self.width
+
+    def derivative(self) -> "WaveFunction":
+        """The first derivative, analytic to one order less."""
+        if not self.depth:
+            raise ValueError("wavefunction has no analytic derivative")
+        fn = self.fn
+        return WaveFunction(lambda x, k: fn(x, k + 1), self.depth - 1,
+                            self.center, self.width)
+
+    def __rmul__(self, c: complex) -> "WaveFunction":
+        """c * f, the scalar multiple, as wf_scale(f, c)."""
+        return wf_scale(self, c)
+
+
+def wf_scale(wf: WaveFunction, c: complex) -> WaveFunction:
+    fn = wf.fn
+    return WaveFunction(lambda x, k: c * fn(x, k), wf.depth, wf.center, wf.width)
+
+
+def _combine(op, f: WaveFunction, g: WaveFunction) -> WaveFunction:
+    """op(f, g) pointwise, to the smaller depth, on the union of the windows."""
+    lo, hi = _window(f, g)
+    return WaveFunction(lambda x, k: op(f.fn(x, k), g.fn(x, k)),
+                        min(f.depth, g.depth), 0.5 * (lo + hi), (hi - lo) / 24.0)
+
+
+def wf_add(f: WaveFunction, g: WaveFunction) -> WaveFunction:
+    return _combine(operator.add, f, g)
+
+
+def wf_sub(f: WaveFunction, g: WaveFunction) -> WaveFunction:
+    return _combine(operator.sub, f, g)
+
+
+def wf_affine(f: WaveFunction, a: float, b: float) -> WaveFunction:
+    """x -> f(a x + b); the k-th derivative picks up the chain-rule factor a^k."""
+    fn = f.fn
+
+    def g(x, k):
+        vals = fn(a * x + b, k)
+        return vals if k == 0 else a ** k * vals
+
+    return WaveFunction(g, f.depth, (f.center - b) / a, f.width / abs(a))
+
+
+def wf_mul(f: WaveFunction, m, depth: int) -> WaveFunction:
+    """Multiply by the function whose k-th derivative is m(x, k), k <= depth.
+
+    The product's derivatives come from the Leibniz rule.
+    """
+    fn = f.fn
+
+    def g(x, k):
+        if k == 0:
+            return m(x, 0) * fn(x, 0)
+        return sum(math.comb(k, j) * m(x, k - j) * fn(x, j)
+                   for j in range(k + 1))
+
+    return WaveFunction(g, min(f.depth, depth), f.center, f.width)
+
+
+def exp_poly_tower(r, q=()):
+    """Evaluator (x, k) -> k-th derivative of r(x) exp(q(x)), r, q polynomials.
+
+    Coefficients run in increasing degree and may be batch columns.  The
+    derivatives stay in the class r_k(x) exp(q(x)) (_derivative_coeffs),
+    so every order is exact; an empty q leaves the polynomial r alone.
+    """
+    coeffs = _derivative_coeffs(r, q)
+    if not len(q):
+        return lambda x, k: _horner(coeffs(k), x)
+    return lambda x, k: _horner(coeffs(k), x) * np.exp(_horner(q, x))
+
+
+def _derivative_coeffs(r, q):
+    """k -> r_k of (r exp(q))^(k) = r_k exp(q), r_{k+1} = r_k' + q' r_k, each
+    r_k built the first time it is asked for."""
+    dq = [n * q[n] for n in range(1, len(q))]
+    rs = {0: list(r)}
+
+    def coeffs(k):
+        if k not in rs:
+            prev = coeffs(k - 1)
+            # a constant's derivative is the zero constant, not empty
+            nxt = [0.0] * max(len(prev) + len(dq) - 1, 1)
+            for n in range(1, len(prev)):
+                nxt[n - 1] = n * prev[n]
+            for i, a in enumerate(dq):
+                for j, b in enumerate(prev):
+                    nxt[i + j] = nxt[i + j] + a * b
+            rs[k] = nxt
+        return rs[k]
+    return coeffs
+
+
+def gauss_poly_wf(coeffs, depth: int = 4, center: float = 0.0,
+                  width: float = 1.0) -> WaveFunction:
+    """p(y) exp(-y^2 / 2) with y = (x - center) / width, analytic to any depth."""
+    scale = 1.0 / width
+    # real coefficients stay real, which makes a Hermite probe three times
+    # cheaper
+    coeffs = np.asarray(coeffs)
+    coeffs = coeffs.astype(np.result_type(coeffs, 1.0))
+    m = exp_poly_tower(coeffs, (0.0, 0.0, -0.5))
+
+    def fn(x, k):
+        y = (x - center) * scale
+        return m(y, 0) if k == 0 else scale ** k * m(y, k)
+
+    return WaveFunction(fn, depth, center, width, coeffs)
+
+
+def hermite_wf(k: int, depth: int = 4, center: float = 0.0,
+               width: float = 1.0) -> WaveFunction:
+    """L2-normalized Hermite function h_k, its coefficients from numpy's
+    herm2poly: a reference independent of the package's integer
+    recurrence (wavefunctions.hermite_coefficients)."""
+    coeffs = np.polynomial.hermite.herm2poly([0.0] * k + [1.0])
+    nrm = 1.0 / math.sqrt(2.0 ** k * math.factorial(k) * math.sqrt(math.pi) * width)
+    return gauss_poly_wf(np.asarray(coeffs) * nrm, depth=depth,
+                         center=center, width=width)
+
+
+def tower(probe, depth: int = 4) -> WaveFunction:
+    """The evaluator of a probe record (wavefunctions.Probe), analytic to depth."""
+    return gauss_poly_wf(probe.poly, depth, probe.center, probe.width)
+
+
+def _hyperbolic_exp(amp, a: complex, c: complex):
+    """Evaluator (x, k) of the derivatives of amp exp(phi), phi = a cosh x + c sinh x.
+
+    Derivatives of exp(phi) are polynomial in (phi', phi'' = phi, ...);
+    explicit formulas are used through third order, so the product that
+    takes this factor has depth at most 3.
+    """
+    def m(x, k):
+        phi = a * np.cosh(x) + c * np.sinh(x)
+        e = amp * np.exp(phi)
+        if k == 0:
+            return e
+        dphi = a * np.sinh(x) + c * np.cosh(x)
+        if k == 1:
+            return dphi * e
+        if k == 2:
+            return (phi + dphi ** 2) * e
+        return (dphi * (1.0 + 3.0 * phi) + dphi ** 3) * e
+    return m
+
+
+def affine_apply(op, f: WaveFunction) -> WaveFunction:
+    """The image of f under the AffinePhase op, analytic to depth at most 3."""
+    m = (_hyperbolic_exp(op.amp, *op.c) if op.basis == "hyp"
+         else exp_poly_tower([op.amp], op.c))
+    return wf_mul(wf_affine(f, op.a, op.b), m, 3)
+
+
+def rep_image(rep: RepParams, g: GroupElement, f):
+    """T(g) f as an evaluator; a batch g gives a batch image.
+
+    Family B is one-dimensional: its phase scales a wavefunction or a
+    scalar alike.  irreps._affine_phase is looked up at each call, so a
+    test that plants a defect there reaches this image too.
+    """
+    op = ir._affine_phase(rep, g)
+    return np.exp(op.c[0]) * f if rep.family == "B" else affine_apply(op, f)
+
+
+def _apply_columns(f: WaveFunction, columns) -> WaveFunction:
+    """sum_j m_j D^j f over the (j, m_j) of columns, m_j an evaluator (x, n)
+    of a multiplier's derivatives; f is differentiated only as far as needed."""
+    out = None
+    for j, m in columns:
+        dj = f
+        for _ in range(j):
+            dj = dj.derivative()
+        term = wf_mul(dj, m, dj.depth)
+        out = term if out is None else wf_add(out, term)
+    return wf_scale(f, 0.0) if out is None else out
+
+
+def operator_apply(op, f: WaveFunction) -> WaveFunction:
+    """The image of f under the QuantOperator op; f is differentiated only
+    as far as op's coefficients need."""
+    columns = []
+    for j in range(op.c.shape[1]):
+        towers = [exp_poly_tower(np.asarray(col, dtype=complex), (0.0, k) if k else ())
+                  for k, col in zip(op.exps, op.c[:, :op.c.shape[1] - j, j])
+                  if np.any(col)]
+        if towers:
+            columns.append((j, lambda x, n, ts=towers: sum(t(x, n) for t in ts)))
+    return _apply_columns(f, columns)
+
+
+def generator_apply(rep: RepParams, name: str, f):
+    """dT(name) f, from the table irreps._generators (looked up at each
+    call, as rep_image's operator).  Family B's generators are scalars,
+    which scale a wavefunction or a scalar alike."""
+    if name not in BASIS_NAMES:
+        raise ValueError(f"unknown basis element {name!r}")
+    op = ir._generators(rep)[name]
+    return op.c[0, 0, 0] * f if rep.family == "B" else operator_apply(op, f)
 
 
 # ---------------------------------------------------------------------------
@@ -184,26 +443,17 @@ def wf_stack(fs) -> WaveFunction:
     (N,) serve every member, and nodes of shape (len(fs), N) give member k
     row k.  The depth is the smallest depth among the members, and the
     window is the union of theirs.
-
-    Each derivative order keeps its values at the latest node array
-    (_latest_values).  An operator chain calls its base function many
-    times at the same nodes, so the members are evaluated once per
-    quadrature level rather than once per call.
     """
     if not fs:
         raise ValueError("wf_stack needs at least one wavefunction")
     depth = min(f.depth for f in fs)
     lo, hi = _window(*fs)
 
-    def order(k):
-        def fn(x):
-            rows = np.broadcast_to(x, (len(fs),) + x.shape[-1:])
-            return np.stack([f.fn(r, k) for f, r in zip(fs, rows)])
-        return _latest_values(fn)
+    def fn(x, k):
+        rows = np.broadcast_to(x, (len(fs),) + x.shape[-1:])
+        return np.stack([f.fn(r, k) for f, r in zip(fs, rows)])
 
-    orders = [order(k) for k in range(depth + 1)]
-    return WaveFunction(lambda x, k: orders[k](x), depth,
-                        0.5 * (lo + hi), (hi - lo) / 24.0)
+    return WaveFunction(fn, depth, 0.5 * (lo + hi), (hi - lo) / 24.0)
 
 
 def integrate_stack(groups, *fs):
@@ -360,7 +610,7 @@ def generator_consistency(rep: RepParams, f):
         for t in (1e-2, 5e-3, 2.5e-3):
             gp = exp_map(AlgebraElement(tuple(t * c for c in direction)), rep.params)
             gm = exp_map(AlgebraElement(tuple(-t * c for c in direction)), rep.params)
-            diff = wf_scale(wf_sub(rep_apply(rep, gp, f), rep_apply(rep, gm, f)),
+            diff = wf_scale(wf_sub(rep_image(rep, gp, f), rep_image(rep, gm, f)),
                             1.0 / (2.0 * t))
             res.append(l2_diff(diff, target) / norm(f))
         out[name] = res
@@ -378,7 +628,7 @@ def faithfulness_residuals(rep: RepParams, elements, probes):
     """max_f ||T(g) f - f|| / ||f|| for each test element."""
     out = []
     for g in elements:
-        out.append(max(l2_diff(rep_apply(rep, g, f), f) / norm(f)
+        out.append(max(l2_diff(rep_image(rep, g, f), f) / norm(f)
                        for f in probes))
     return out
 

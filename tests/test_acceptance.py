@@ -25,7 +25,6 @@ from poincare_ext.cli import (
     suite_structure,
 )
 from poincare_ext.group import CoadjointPoint, ModelParams, casimir_pairing
-from poincare_ext.wavefunctions import hermite_wf
 
 P = ModelParams()
 SEED = 42

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import quadrature_oracle as qo
 from poincare_ext import cli
 from poincare_ext import dynamics as dy
-from poincare_ext.group import ModelParams
-from poincare_ext.wavefunctions import hermite_wf
+from poincare_ext import irreps as ir
+from poincare_ext import wavefunctions as wfm
+from poincare_ext.group import GroupElement, ModelParams
 
 SRC = pathlib.Path(cli.__file__).parent
 
@@ -118,8 +119,50 @@ def test_rep_apply_family_b(capsys):
     rows = np.array([[float(t) for t in line.split(",")] for line in lines[1:]])
     x = np.linspace(-2.0, 2.0, 9)
     assert np.array_equal(rows[:, 0], x)
-    expect = cmath.exp(1j * 0.3 * 0.7) * hermite_wf(2)(x)
+    expect = cmath.exp(1j * 0.3 * 0.7) * qo.hermite_wf(2)(x)
     assert np.array_equal(rows[:, 1] + 1j * rows[:, 2], expect)
+
+
+#: the README's rep apply arguments, less the family
+README_APPLY = ("--g=0.3,-0.2,0.5,0.1", "--emit-samples=-2:2:9")
+
+
+@pytest.mark.parametrize("B", (1.0, -1.3, 1e-8, 1e4))
+@pytest.mark.parametrize("family", ("A", "B", "C"))
+def test_rep_apply_csv_is_the_tower_image(family, B, tmp_path):
+    # the values by value against the evaluator tower the command printed
+    # before, bit for bit, on the README grid and element
+    rep = cli._rep_for_family(family, ModelParams(B=B))
+    g = GroupElement(0.3, -0.2, 0.5, 0.1)
+    xs = cli._linspace(-2.0, 2.0, 9)
+    for k in range(5):
+        out = tmp_path / f"{k}.csv"
+        assert cli.run(["rep", "apply", f"--family={family}", f"--B={B!r}",
+                        f"--probe=hermite:{k}", *README_APPLY,
+                        f"--output={out}"]) == 0
+        image = qo.rep_image(rep, g, qo.hermite_wf(k))(np.array(xs))
+        want = "x,re,im\n" + "".join(
+            f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n"
+            for x, v in zip(xs, image))
+        assert out.read_text() == want, (family, B, k)
+
+
+def test_rep_apply_refuses_hermite_past_its_bound():
+    # h_k's monomial form holds 1e-12 up to HERMITE_MAX; past it the
+    # values drift (3.5e-10 at 30), and from 171 the normalisation
+    # 2^k k! leaves the float range
+    last = wfm.HERMITE_MAX
+    code, out, err = run_cli("rep", "apply", "--family=A", *README_APPLY,
+                             f"--probe=hermite:{last}")
+    assert code == 0 and err == "" and len(out.splitlines()) == 10
+    for k in (last + 1, 171):
+        code, out, err = run_cli("rep", "apply", "--family=A", *README_APPLY,
+                                 f"--probe=hermite:{k}")
+        assert code == 2 and out == "" and "Traceback" not in err, err
+        assert err.splitlines()[-1] == (
+            "poincare-ext rep apply: error: argument --probe: "
+            f"hermite:{k} is past hermite:{last}, the last index whose "
+            "values hold 1e-12"), err
 
 
 def test_quantize_op():
@@ -492,12 +535,20 @@ def test_all_checks_names_the_residuals_past_the_float_range(B):
     report = strict_json(run_cli("all-checks", f"--B={B}")[1])
     leaves = "residual leaves the float range"
     assert {name: report[name].get("error") for name in
-            ("classical", "coadjoint", "quantization", "representations")} == {
+            ("classical", "coadjoint", "quantization")} == {
         "classical": f"the comoment Casimir {leaves}",
         "coadjoint": f"the coadjoint Casimir {leaves}",
-        "quantization": f"the Dirac {leaves}",
-        # its NaN defect hid behind the finite anti-Hermiticity in max()
-        "representations": f"the commutator {leaves}"}
+        "quantization": f"the Dirac {leaves}"}
+    # family A fails alone (its NaN defect hid behind the finite
+    # anti-Hermiticity in max()); families B and C keep their fields and pass
+    reps = report["representations"]
+    assert reps["pass"] is False and "error" not in reps
+    assert reps["families"]["A"] == {"error": f"the commutator {leaves}",
+                                     "pass": False}
+    for family in ("B", "C"):
+        entry = reps["families"][family]
+        assert entry["pass"] is True and "error" not in entry, (family, entry)
+        assert all(entry[k] <= tol for k, tol in cli.REP_GATES.items()), entry
     # the packet, moved by B D = 1.5e300 in energy, is narrower than the
     # float spacing there
     assert report["dynamics"] == {
@@ -632,7 +683,14 @@ def test_all_checks_at_subnormal_B_reports_failed_suites(B, capsys):
         except (ValueError, RuntimeError) as exc:
             raised.append(name)
             assert payload[name] == {"error": str(exc), "pass": False}, name
-    assert "representations" in raised, raised
+    # the representations suite fails per family: A's phase leaves the float
+    # range, and B and C, which do not read B, pass
+    assert "representations" not in raised, raised
+    families = payload["representations"]["families"]
+    with pytest.raises(ValueError) as exc:
+        ir.rep_suite(cli._rep_for_family("A", params), trials=200, seed=42)
+    assert families["A"] == {"error": str(exc.value), "pass": False}
+    assert families["B"]["pass"] is True and families["C"]["pass"] is True
 
 
 @pytest.mark.parametrize("B", ("5e-324", "1e-310"))
@@ -705,10 +763,11 @@ FOOTPRINTS = {
                         "poincare_ext.irreps", "poincare_ext.wavefunctions",
                         "poincare_ext.quantization", "poincare_ext.dynamics")
                        + NO_DATACLASSES),
+    # the Hermite coefficients come from their integer recurrence
     "rep-apply": (["-m", "poincare_ext.cli", "rep", "apply", "--family=C",
                    "--g=0.1,0.2,0.3,0.4", "--emit-samples=-1:1:3"],
-                  ("poincare_ext.dynamics", "poincare_ext.quantization",
-                   "poincare_ext.orbits")),
+                  ("numpy.polynomial", "poincare_ext.dynamics",
+                   "poincare_ext.quantization", "poincare_ext.orbits")),
     "orbit-check": (["-m", "poincare_ext.cli", "orbit", "check"],
                     ("poincare_ext.irreps", "poincare_ext.wavefunctions",
                      "poincare_ext.quantization", "poincare_ext.dynamics")),

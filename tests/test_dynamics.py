@@ -13,6 +13,7 @@ from poincare_ext import cli, model
 from poincare_ext import dynamics as dy
 from poincare_ext.group import ModelParams
 from poincare_ext.irreps import default_probes
+from poincare_ext.quantization import PolynomialObservable, quantize
 
 P = ModelParams()
 CS = dy.ClassicalState(q1_0=0.0, ptilde_0=-2.0, tau0=0.0, m=1.0, params=P)
@@ -95,9 +96,33 @@ def test_proper_time():
         assert abs(d - gamma_inv) < 1e-9
 
 
+def h0_operator(params):
+    """H0 = -B qhat - phat; classically the comoment u0 = B q1."""
+    return quantize(PolynomialObservable({(1, 0): -params.B, (0, 1): -1.0}), params)
+
+
+def total_energy_operator(cs, tau):
+    """E(tau) - H0/2; commutes with H0, so its eigenstates are shared."""
+    p = cs.params
+    return quantize(PolynomialObservable(
+        {(0, 0): dy.relativistic_energy(cs, tau), (1, 0): p.B / 2.0, (0, 1): 0.5}), p)
+
+
+def h0_eigenfunction(E, params):
+    """<x|E> = (2 pi hbar)^(-1/2) exp[-(i/hbar)(E x + B x^2 / 2)].
+
+    Not square-integrable; the width hint of 6 only scopes windowed
+    quadrature against genuinely normalizable partners.
+    """
+    h, B = params.hbar, params.B
+    amp = 1.0 / math.sqrt(2.0 * math.pi * h)
+    return qo.WaveFunction(qo.exp_poly_tower([amp], [0.0, -1j * E / h, -0.5j * B / h]),
+                           2, 0.0, 6.0)
+
+
 def test_eigenfunction_pointwise_residual():
     E = 0.7
-    psi = dy.h0_eigenfunction(E, P)
+    psi = h0_eigenfunction(E, P)
     x = np.linspace(-6, 6, 50)
     # H0 = -B x + i hbar d/dx acting on the closure
     res = -P.B * x * psi(x) + 1j * P.hbar * psi.derivative()(x) - E * psi(x)
@@ -107,7 +132,7 @@ def test_eigenfunction_pointwise_residual():
 
 def test_eigenfunction_delta_normalization_window():
     E = 0.4
-    psi = dy.h0_eigenfunction(E, P)
+    psi = h0_eigenfunction(E, P)
     for L in (5.0, 10.0, 20.0):
         val, _ = _window_overlap(psi, psi, L)
         assert abs(val - L / (math.pi * P.hbar)) < 1e-10
@@ -422,13 +447,13 @@ def test_static_limit_keeps_amplitudes():
 
 
 def test_total_energy_operator_commutes_with_h0():
-    h0 = dy.h0_operator(P)
-    hc = dy.total_energy_operator(CS, 1.3)
+    h0 = h0_operator(P)
+    hc = total_energy_operator(CS, 1.3)
     worst = 0.0
-    for f in default_probes(4):
-        from poincare_ext.wavefunctions import wf_sub
-        comm = wf_sub(h0.apply(hc.apply(f)), hc.apply(h0.apply(f)))
-        worst = max(worst, qo.l2_diff(comm, wf_sub(f, f)) / qo.norm(f))
+    for f in map(qo.tower, default_probes(4)):
+        comm = qo.wf_sub(qo.operator_apply(h0, qo.operator_apply(hc, f)),
+                         qo.operator_apply(hc, qo.operator_apply(h0, f)))
+        worst = max(worst, qo.l2_diff(comm, qo.wf_sub(f, f)) / qo.norm(f))
     assert worst < 1e-10
 
 

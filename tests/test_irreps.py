@@ -13,14 +13,16 @@ from poincare_ext.cli import GENERATOR_GATE, REP_GATES
 from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
                                 bracket, compose, exp_map, identity)
-from poincare_ext.wavefunctions import (WaveFunction, hermite_wf, wf_add,
-                                        wf_scale, wf_sub)
-from quadrature_oracle import (borel_decompose, character,
-                               faithfulness_residuals, gauss_legendre,
-                               generator_consistency, inner, integrate_stack,
-                               l2_diff, norm, random_subgroup_element,
-                               relative_l2, right_invariance_residual,
-                               second_order, subgroup_modulus, wf_stack)
+from poincare_ext.wavefunctions import hermite_probe
+from quadrature_oracle import (WaveFunction, affine_apply, borel_decompose,
+                               character, faithfulness_residuals,
+                               gauss_legendre, generator_apply,
+                               generator_consistency, hermite_wf, inner,
+                               integrate_stack, l2_diff, norm,
+                               random_subgroup_element, relative_l2, rep_image,
+                               right_invariance_residual, second_order,
+                               subgroup_modulus, tower, wf_add, wf_scale,
+                               wf_stack, wf_sub)
 
 P = ModelParams()
 REP_A = ir.case_a(1.0, -1.0, P)
@@ -75,10 +77,10 @@ def test_subgroup_modulus():
 def test_rep_apply_identity_and_center():
     f = hermite_wf(1)
     for rep in (REP_A, REP_C):
-        out = ir.rep_apply(rep, identity(), f)
+        out = rep_image(rep, identity(), f)
         assert l2_diff(out, f) < 1e-13
     z = GroupElement(0.0, 0.0, 0.0, 0.9)
-    out = ir.rep_apply(REP_A, z, f)
+    out = rep_image(REP_A, z, f)
     phase = cmath.exp(1j * 0.9 * REP_A.z3)
     x = np.linspace(-4, 4, 33)
     assert np.max(np.abs(out(x) - phase * f(x))) < 1e-14
@@ -86,7 +88,7 @@ def test_rep_apply_identity_and_center():
 
 def test_boost_preserves_norm():
     f = hermite_wf(0)
-    out = ir.rep_apply(REP_A, GroupElement(0.0, 0.0, 1.5, 0.0), f)
+    out = rep_image(REP_A, GroupElement(0.0, 0.0, 1.5, 0.0), f)
     assert abs(norm(out) - norm(f)) < 1e-10
 
 
@@ -138,11 +140,11 @@ def test_probe_checks_on_no_probes():
 
 def test_generator_scalar_actions():
     f = hermite_wf(1)
-    out = ir.generator_apply(REP_A, "I", f)
+    out = generator_apply(REP_A, "I", f)
     x = np.linspace(-3, 3, 11)
     assert np.max(np.abs(out(x) - 1j * REP_A.z3 * f(x))) == 0.0
-    assert ir.generator_apply(REP_B, "P0", 1.0 + 0j) == 0.0
-    assert ir.generator_apply(REP_B, "J", 1.0 + 0j) == 1j * 0.7
+    assert generator_apply(REP_B, "P0", 1.0 + 0j) == 0.0
+    assert generator_apply(REP_B, "J", 1.0 + 0j) == 1j * 0.7
 
 
 def test_generator_finite_difference_second_order():
@@ -167,8 +169,8 @@ def test_family_b_unfaithful():
     # any two elements sharing alpha are represented identically
     g1 = GroupElement(0.4, -0.9, 0.3, 2.2)
     g2 = GroupElement(0.0, 0.0, 0.3, 0.0)
-    assert abs(ir.rep_apply(REP_B, g1, 1.0 + 0j)
-               - ir.rep_apply(REP_B, g2, 1.0 + 0j)) < 1e-15
+    assert abs(rep_image(REP_B, g1, 1.0 + 0j)
+               - rep_image(REP_B, g2, 1.0 + 0j)) < 1e-15
 
 
 def test_right_invariance_of_lifted_functions():
@@ -212,15 +214,30 @@ def stacked(seed, count=7):
 
 @pytest.mark.parametrize("rep", (REP_A, REP_B, REP_C), ids=("A", "B", "C"))
 def test_batch_rows_equal_scalar_images(rep):
+    # the evaluator tower's rows, and rep_apply's values by value against
+    # them bit for bit
     batch, elements = stacked(7)
     x = np.linspace(-4.0, 4.0, 41)
-    for f in (hermite_wf(0), hermite_wf(3)):
-        image = ir.rep_apply(rep, batch, f)
+    for k in (0, 3):
+        f = hermite_wf(k)
+        image = rep_image(rep, batch, f)
         assert isinstance(image, WaveFunction)
         rows = image(x)
         assert rows.shape == (len(elements), x.size)
+        assert np.array_equal(ir.rep_apply(rep, batch, hermite_probe(k), x), rows)
         for row, g in zip(rows, elements):
-            assert np.array_equal(row, ir.rep_apply(rep, g, f)(x))
+            assert np.array_equal(row, rep_image(rep, g, f)(x))
+            assert np.array_equal(row, ir.rep_apply(rep, g, hermite_probe(k), x))
+
+
+@pytest.mark.parametrize("basis", ("poly", "hyp"))
+def test_affine_phase_image_is_the_tower_image(basis):
+    rng = np.random.default_rng(14)
+    x = np.linspace(-3.0, 3.0, 61)
+    f = hermite_probe(2, 0.3, 1.4)
+    for _ in range(20):
+        op = _random_affine_phase(rng, basis)
+        assert np.array_equal(op.image(f, x), affine_apply(op, tower(f))(x))
 
 
 @pytest.mark.parametrize("rep", (REP_A, REP_B, REP_C), ids=("A", "B", "C"))
@@ -244,8 +261,8 @@ def quadrature_homomorphism(rep, g2, g1, probes):
     g21 = compose(g2, g1, rep.params)
     worst = 0.0
     for f in probes:
-        lhs = ir.rep_apply(rep, g2, ir.rep_apply(rep, g1, f))
-        rhs = ir.rep_apply(rep, g21, f)
+        lhs = rep_image(rep, g2, rep_image(rep, g1, f))
+        rhs = rep_image(rep, g21, f)
         worst = max(worst, float(np.max(l2_diff(lhs, rhs) / norm(f))))
     return worst
 
@@ -268,7 +285,7 @@ def _gram(fs):
 
 def quadrature_unitarity(rep, g, probes):
     """Largest change of a probe norm or Gram entry under T(g), over the batch g."""
-    pairs, gram = _gram([ir.rep_apply(rep, g, f) for f in probes])
+    pairs, gram = _gram([rep_image(rep, g, f) for f in probes])
     worst = 0.0
     for (i, j), after in zip(pairs, gram):
         if i == j:
@@ -282,7 +299,7 @@ def quadrature_unitarity(rep, g, probes):
 
 def _combination(rep, coeffs, f):
     """sum_k coeffs[k] dT(X_k) f, by generator_apply."""
-    terms = [wf_scale(ir.generator_apply(rep, name, f), c)
+    terms = [wf_scale(generator_apply(rep, name, f), c)
              for c, name in zip(coeffs, ir.BASIS_NAMES) if c]
     return functools.reduce(wf_add, terms) if terms else wf_scale(f, 0.0)
 
@@ -298,11 +315,11 @@ def quadrature_commutators(rep, probes):
     for a in range(4):
         for b in range(a + 1, 4):
             na, nb = ir.BASIS_NAMES[a], ir.BASIS_NAMES[b]
-            lhs = wf_sub(ir.generator_apply(rep, na, ir.generator_apply(rep, nb, f)),
-                         ir.generator_apply(rep, nb, ir.generator_apply(rep, na, f)))
+            lhs = wf_sub(generator_apply(rep, na, generator_apply(rep, nb, f)),
+                         generator_apply(rep, nb, generator_apply(rep, na, f)))
             diffs.append((lhs, _combination(
                 rep, bracket(basis[a], basis[b], rep.params).v, f)))
-    gens = [ir.generator_apply(rep, name, f) for name in ir.BASIS_NAMES] \
+    gens = [generator_apply(rep, name, f) for name in ir.BASIS_NAMES] \
         if len(probes) >= 2 else []
 
     def cross(x):
@@ -324,9 +341,9 @@ def quadrature_casimir(rep, probes):
     f = wf_stack(probes)
 
     def twice(name):
-        return ir.generator_apply(rep, name, ir.generator_apply(rep, name, f))
+        return generator_apply(rep, name, generator_apply(rep, name, f))
 
-    lhs = wf_scale(ir.generator_apply(rep, "I", ir.generator_apply(rep, "J", f)),
+    lhs = wf_scale(generator_apply(rep, "I", generator_apply(rep, "J", f)),
                    2.0 * rep.params.B)
     rhs = wf_scale(wf_add(wf_sub(twice("P0"), twice("P1")), wf_scale(f, c)),
                    SQRT_MINUS_H)
@@ -346,7 +363,8 @@ def oracle_checks(rep, seed=42):
 
     def record(field):
         def check(_, *args):
-            seen[field] = args
+            # the probe records the suite hands, as the oracle's evaluators
+            seen[field] = args[:-1] + ([tower(f) for f in args[-1]],)
             return 0.0
         return check
 
@@ -568,8 +586,8 @@ def test_compose_is_the_operator_product(basis):
     f = hermite_wf(2)
     for _ in range(50):
         second, first = (_random_affine_phase(rng, basis) for _ in range(2))
-        got = second.compose(first).apply(f)(x)
-        want = second.apply(first.apply(f))(x)
+        got = affine_apply(second.compose(first), f)(x)
+        want = affine_apply(second, affine_apply(first, f))(x)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         assert second.compose(first).gap(second.compose(first), -12.0, 12.0) == 0.0
 
@@ -590,7 +608,7 @@ def test_batched_gram_matches_fixed_rule(rep):
     # against 256 panels; family A's images widen or narrow by e^alpha
     coords = np.random.default_rng(12).uniform(-2.0, 2.0, size=(3, 4))
     coords[:, 2] = (-2.0, 0.0, 2.0)
-    images = [ir.rep_apply(rep, GroupElement(*coords.T), f)
+    images = [rep_image(rep, GroupElement(*coords.T), f)
               for f in (hermite_wf(0), hermite_wf(1))]
     pairs, gram = _gram(images)
     assert pairs == [(0, 0), (0, 1), (1, 1)] and gram.shape == (3, 3)
@@ -625,4 +643,4 @@ def test_rep_preserves_norm(family, p, k, g):
     # examples and 5.4e-15 over 6000 random ones, well inside the gate
     rep = ir.case_a(1.0, -1.0, p) if family == "A" else ir.case_c(1.0, 0.3, p)
     f = hermite_wf(k)
-    assert abs(norm(ir.rep_apply(rep, g, f)) - norm(f)) <= 1e-12
+    assert abs(norm(rep_image(rep, g, f)) - norm(f)) <= 1e-12

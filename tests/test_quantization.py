@@ -19,16 +19,12 @@ from poincare_ext.group import (
 )
 from poincare_ext.irreps import default_probes
 from poincare_ext.orbits import classify
-from poincare_ext.wavefunctions import (
-    _window,
-    gauss_poly_wf,
-    hermite_wf,
-    wf_scale,
-    wf_sub,
-)
-from quadrature_oracle import (gauss_inner, images_inner, inner,
-                               integrate_stack, integrate_vec, operator_image,
-                               relative_l2, wf_stack)
+from poincare_ext.wavefunctions import _window
+from quadrature_oracle import (affine_apply, gauss_inner, gauss_poly_wf,
+                               hermite_wf, images_inner, inner,
+                               integrate_stack, integrate_vec, operator_apply,
+                               operator_image, relative_l2, rep_image, tower,
+                               wf_scale, wf_stack, wf_sub)
 
 P = ModelParams()
 M = 1.0
@@ -292,10 +288,11 @@ def test_stacked_hermiticity_equals_per_pair_reference(B):
     # 4e-16), so they agree to 1e-14
     p = ModelParams(B=B)
     probes = default_probes(3)
+    fs = [tower(f) for f in probes]
     for u in qz.comoment_observables(p, M):
         op = qz.quantize(u, p)
-        ref = max(abs(inner(op.apply(f), g) - inner(f, op.apply(g)))
-                  for f in probes for g in probes)
+        ref = max(abs(inner(operator_apply(op, f), g) - inner(f, operator_apply(op, g)))
+                  for f in fs for g in fs)
         assert ref <= 1e-14
         assert abs(qz.hermiticity_residual(op, probes) - ref) <= 1e-14
 
@@ -377,8 +374,8 @@ def test_weyl_product_is_the_operator_product():
     x = np.linspace(-4.0, 4.0, 41)
     for _ in range(10):
         a, b = random_operator(rng), random_operator(rng)
-        lhs = (a @ b).apply(f)(x)
-        rhs = a.apply(b.apply(f))(x)
+        lhs = operator_apply(a @ b, f)(x)
+        rhs = operator_apply(a, operator_apply(b, f))(x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
     # the canonical commutator [D, x] = 1
     d, xo = qz.QuantOperator(np.array([[[0, 1], [0, 0]]])), \
@@ -400,7 +397,7 @@ def test_weyl_product_on_batch_columns():
 
 def product_gap(a, b, f, x):
     """Largest pointwise gap of (a b) f to a (b f), relative to a (b f)."""
-    lhs, rhs = (a @ b).apply(f)(x), a.apply(b.apply(f))(x)
+    lhs, rhs = operator_apply(a @ b, f)(x), operator_apply(a, operator_apply(b, f))(x)
     return np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))
 
 
@@ -444,8 +441,8 @@ def test_conjugation_by_affine_phase():
         u_inv = ir.AffinePhase(1.0 / 1.5, 1.0 / a, -b / a,
                                tuple(-c for c in ir._poly_pullback(phase, 1.0 / a, -b / a)))
         op = random_operator(rng)
-        lhs = op.conjugated(u).apply(f)(x)
-        rhs = u_inv.apply(op.apply(u.apply(f)))(x)
+        lhs = operator_apply(op.conjugated(u), f)(x)
+        rhs = affine_apply(u_inv, operator_apply(op, affine_apply(u, f)))(x)
         assert np.max(np.abs(lhs - rhs)) <= 1e-11 * np.max(np.abs(rhs))
 
 
@@ -485,7 +482,7 @@ def test_gaussian_moments_are_the_inner_product():
         op = random_operator(rng)
         closed = gauss_inner(
             operator_image(op, fs[0].poly, center, width)[0], fs[1].poly, width)
-        assert abs(closed - inner(op.apply(fs[0]), fs[1])) <= 1e-12 * abs(closed)
+        assert abs(closed - inner(operator_apply(op, fs[0]), fs[1])) <= 1e-12 * abs(closed)
 
 
 def kernel_oracle_gap(op, probes):
@@ -558,7 +555,7 @@ def test_moments_without_their_shift_factor_fail_the_oracle(monkeypatch):
 def quadrature_hermiticity(op, probes):
     """max over probe pairs of |<A f_i, f_j> - <f_i, A f_j>|, one quadrature."""
     f = wf_stack(probes)
-    af = op.apply(f)
+    af = operator_apply(op, f)
 
     def integrand(x):
         fx, ax = f.fn(x, 0), af.fn(x, 0)
@@ -577,9 +574,9 @@ def quadrature_dirac(params, m, probes, z3s):
     for a in range(4):
         for b in range(a + 1, 4):
             qbr = qz.quantize(qz.poisson_bracket(us[a], us[b], params), params)
-            comm = wf_sub(ops[a].apply(ops[b].apply(f)),
-                          ops[b].apply(ops[a].apply(f)))
-            chains.append((qbr.apply(f), comm))
+            comm = wf_sub(operator_apply(ops[a], operator_apply(ops[b], f)),
+                          operator_apply(ops[b], operator_apply(ops[a], f)))
+            chains.append((operator_apply(qbr, f), comm))
     diffs = [(lhs, wf_scale(comm, -1j * z3))
              for z3 in z3s for lhs, comm in chains]
     res = relative_l2(diffs, f)[0]
@@ -592,8 +589,8 @@ def quadrature_covariance(g, pulled, qf, params, m, probes):
     ginv = inverse(g, params)
     worst = 0.0
     for psi in probes:
-        lhs = pulled.apply(psi)
-        rhs = ir.rep_apply(rep, ginv, qf.apply(ir.rep_apply(rep, g, psi)))
+        lhs = operator_apply(pulled, psi)
+        rhs = rep_image(rep, ginv, operator_apply(qf, rep_image(rep, g, psi)))
         window = _window(lhs, rhs)
         sq = integrate_vec(lambda x: np.abs(lhs.fn(x, 0) - rhs.fn(x, 0)) ** 2, *window)
         n2 = integrate_vec(lambda x: np.abs(lhs.fn(x, 0)) ** 2, *window)
@@ -612,16 +609,17 @@ def suite_and_oracle(params, seed=42):
     real = {name: getattr(qz, name) for name in
             ("dirac_residuals", "hermiticity_residual", "_covariance_residual")}
 
-    def dirac(*args):
-        seen["dirac"] = args
-        return real["dirac_residuals"](*args)
+    # the probe records each check is handed, as the oracle's evaluators
+    def dirac(params, m, probes, z3s):
+        seen["dirac"] = (params, m, [tower(f) for f in probes], z3s)
+        return real["dirac_residuals"](params, m, probes, z3s)
 
-    def herm(*args):
-        seen["hermiticity"].append(args)
-        return real["hermiticity_residual"](*args)
+    def herm(op, probes):
+        seen["hermiticity"].append((op, [tower(f) for f in probes]))
+        return real["hermiticity_residual"](op, probes)
 
     def cov(*args):
-        seen["covariance"] = args
+        seen["covariance"] = args[:-1] + ([tower(f) for f in args[-1]],)
         return real["_covariance_residual"](*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -694,7 +692,7 @@ def test_planted_defect_fails_closed_form_and_oracle(plant, failing, B,
             "_affine_phase": ir._affine_phase}
     for name, fn in plant(real).items():
         monkeypatch.setattr(qz, name, fn)
-        if hasattr(ir, name):  # rep_apply of the oracle reads it there
+        if hasattr(ir, name):  # the oracle's rep_image reads it there
             monkeypatch.setattr(ir, name, fn)
     report, oracle = suite_and_oracle(ModelParams(B=B))
     assert not report["pass"]

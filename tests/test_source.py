@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from quadrature_oracle import QUADRATURE
+from quadrature_oracle import EVALUATORS, QUADRATURE
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "poincare_ext"
 
@@ -74,8 +74,10 @@ def test_dynamics_imports_no_fourier_quadrature():
     # oracles' drift integrals are model's closed forms; the Fourier and
     # time quadratures are their oracles in tests/quadrature_oracle.py, and
     # the package keeps no copy
+    # dynamics takes nothing from wavefunctions: the H0 eigenfunction and
+    # operators, whose only callers were tests, are in tests/test_dynamics.py
     names, modules = wavefunctions_imports("dynamics")
-    assert names and not names & QUADRATURE
+    assert not names
     assert "wavefunctions" not in modules
     wavefunctions = importlib.import_module("poincare_ext.wavefunctions")
     assert not {name for name in QUADRATURE if hasattr(wavefunctions, name)}
@@ -96,6 +98,29 @@ def test_no_module_defines_imports_or_calls_a_quadrature(path):
               getattr(node.func, "id", None)
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert not (defined | imported | called) & QUADRATURE
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_defines_or_imports_a_derivative_evaluator(path):
+    # a probe is a record of Hermite coefficients evaluated by value; the
+    # evaluator tower, the operators' action on it and the H0 eigenfunction
+    # are the test oracle in tests/quadrature_oracle.py and test_dynamics.py
+    tree = ast.parse(path.read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    imported = {(a.asname or a.name).split(".")[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names}
+    assert not (defined | imported) & EVALUATORS
+
+
+def test_wavefunctions_imports_cleanly_and_holds_the_probe_record():
+    wavefunctions = importlib.import_module("poincare_ext.wavefunctions")
+    assert not {name for name in EVALUATORS | QUADRATURE
+                if hasattr(wavefunctions, name)}
+    probe = wavefunctions.hermite_probe(2)
+    assert {name for name in dir(probe) if not name.startswith("_")} == {
+        "poly", "center", "width", "interval"}
 
 
 def called_names(module):

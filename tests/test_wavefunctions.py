@@ -14,7 +14,7 @@ from quadrature_oracle import integrate_fourier, integrate_stack, wf_stack
 
 
 def test_hermite_orthonormality():
-    fs = [wfm.hermite_wf(k) for k in range(5)]
+    fs = [qo.hermite_wf(k) for k in range(5)]
     for i in range(5):
         for j in range(5):
             v = qo.inner(fs[i], fs[j])
@@ -22,7 +22,7 @@ def test_hermite_orthonormality():
 
 
 def test_analytic_derivative_chain():
-    f = wfm.hermite_wf(0)
+    f = qo.hermite_wf(0)
     x = np.linspace(-5, 5, 41)
     d1 = f.derivative()
     assert np.max(np.abs(d1(x) + x * f(x))) < 1e-13
@@ -31,15 +31,15 @@ def test_analytic_derivative_chain():
 
 
 def test_stencil_fallback_and_gate():
-    f = wfm.hermite_wf(2)
-    bare = wfm.WaveFunction(f.fn, 0, f.center, f.width)
+    f = qo.hermite_wf(2)
+    bare = qo.WaveFunction(f.fn, 0, f.center, f.width)
     with pytest.raises(ValueError):
         bare.derivative()
 
 
 def test_affine_substitution():
-    f = wfm.hermite_wf(0)
-    g = wfm.wf_affine(f, 2.0, 1.0)
+    f = qo.hermite_wf(0)
+    g = qo.wf_affine(f, 2.0, 1.0)
     x = np.linspace(-2, 2, 9)
     assert np.max(np.abs(g(x) - f(2 * x + 1))) == 0.0
     assert abs(qo.norm(g) - 1.0 / math.sqrt(2.0)) < 1e-12
@@ -48,8 +48,8 @@ def test_affine_substitution():
 
 
 def test_polynomial_multiplication_leibniz():
-    f = wfm.hermite_wf(1)
-    m = wfm.wf_mul(f, wfm.exp_poly_tower([0.5, -1.0, 2.0]), f.depth)
+    f = qo.hermite_wf(1)
+    m = qo.wf_mul(f, qo.exp_poly_tower([0.5, -1.0, 2.0]), f.depth)
     x = np.linspace(-3, 3, 21)
     p = 0.5 - x + 2 * x * x
     dp = -1.0 + 4 * x
@@ -59,16 +59,16 @@ def test_polynomial_multiplication_leibniz():
 
 
 def test_scale_and_sub():
-    f, g = wfm.hermite_wf(0), wfm.hermite_wf(2)
-    h = wfm.wf_sub(wfm.wf_scale(f, 2.0), g)
+    f, g = qo.hermite_wf(0), qo.hermite_wf(2)
+    h = qo.wf_sub(qo.wf_scale(f, 2.0), g)
     assert abs(qo.norm(h) ** 2 - 5.0) < 1e-11
 
 
 def test_oscillatory_integral():
     # Fourier transform of the Gaussian probe: exact closed form
-    f = wfm.hermite_wf(0)
+    f = qo.hermite_wf(0)
     k = 7.3
-    g = wfm.wf_mul(f, lambda x, n: (1j * k) ** n * np.exp(1j * k * x), 1)
+    g = qo.wf_mul(f, lambda x, n: (1j * k) ** n * np.exp(1j * k * x), 1)
     val = qo.inner(f, g)
     assert abs(val - math.exp(-k * k / 4.0)) < 1e-12
 
@@ -81,7 +81,7 @@ def test_integrate_vec_convergence_guard():
 
 
 def test_l2_diff():
-    f, g = wfm.hermite_wf(0), wfm.hermite_wf(1)
+    f, g = qo.hermite_wf(0), qo.hermite_wf(1)
     assert qo.l2_diff(f, f) < 1e-13
     assert abs(qo.l2_diff(f, g) - math.sqrt(2.0)) < 1e-11
 
@@ -154,7 +154,7 @@ MEMBER = st.tuples(st.integers(0, 5), st.floats(-3.0, 3.0),
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(members=st.lists(MEMBER, min_size=1, max_size=4))
 def test_wf_stack_members_are_the_functions_alone(members):
-    fs = [wfm.hermite_wf(k, depth=d, center=c, width=w) for k, c, w, d in members]
+    fs = [qo.hermite_wf(k, depth=d, center=c, width=w) for k, c, w, d in members]
     stack = wf_stack(fs)
     assert stack.depth == min(f.depth for f in fs)
     lo = min(f.interval()[0] for f in fs)
@@ -171,19 +171,10 @@ def test_wf_stack_members_are_the_functions_alone(members):
             level, alone = level.derivative(), [f.derivative() for f in alone]
 
 
-def test_wf_stack_values_are_read_only():
-    stack = wf_stack([wfm.hermite_wf(0), wfm.hermite_wf(1)])
-    x = np.linspace(-1.0, 1.0, 5)
-    vals = stack(x)
-    assert stack(x) is vals and not vals.flags.writeable
-    y = x + 0.5
-    assert np.array_equal(stack(y)[1], wfm.hermite_wf(1)(y))
-
-
 def test_wf_stack_shared_between_threads():
-    # the remembered (nodes, values) pair is replaced whole, so threads that
-    # share one stack and evaluate it at different nodes each get their own
-    fs = [wfm.hermite_wf(k) for k in range(3)]
+    # threads that share one stack and evaluate it at different nodes each
+    # get their own values
+    fs = [qo.hermite_wf(k) for k in range(3)]
     stack = wf_stack(fs)
     xs = [np.linspace(-3.0, 3.0, 64) + 0.01 * i for i in range(4)]
     expect = [np.stack([f(x) for f in fs]) for x in xs]
@@ -215,9 +206,9 @@ def test_wf_stack_of_nothing_is_a_named_error():
 def test_integrate_stack_sums_each_dtype_apart():
     # a real integrand summed as complex rounds differently, so the real and
     # the complex group must match their own integrate_vec calls
-    fs = [wfm.hermite_wf(k) for k in range(3)]
+    fs = [qo.hermite_wf(k) for k in range(3)]
     stack = wf_stack(fs)
-    g = wfm.wf_mul(fs[1], lambda x, k: (0.7j) ** k * np.exp(0.7j * x), 1)
+    g = qo.wf_mul(fs[1], lambda x, k: (0.7j) ** k * np.exp(0.7j * x), 1)
     groups = [lambda x: [np.abs(stack.fn(x, 0)) ** 2],
               lambda x: [np.conj(g.fn(x, 0)) * stack.fn(x, 0)[0]],
               lambda x: []]
@@ -237,16 +228,16 @@ def test_poly_multiplier_batch_columns_and_polyder():
     x = np.linspace(-3.0, 3.0, 13)
     for n in (1, 2, 3, 5):
         c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        tower = wfm.exp_poly_tower(c)
+        tower = qo.exp_poly_tower(c)
         for k in range(n + 1):
             assert np.array_equal(tower(x, k) + 0 * x,
                                   P.polyval(x, P.polyder(c, k)))
     # one batch of three polynomials against each polynomial alone
     cols = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    f = wfm.hermite_wf(2)
-    batch = wfm.wf_mul(f, wfm.exp_poly_tower(tuple(c[:, None] for c in cols)), f.depth)
+    f = qo.hermite_wf(2)
+    batch = qo.wf_mul(f, qo.exp_poly_tower(tuple(c[:, None] for c in cols)), f.depth)
     level = batch
-    singles = [wfm.wf_mul(f, wfm.exp_poly_tower(cols[:, k]), f.depth) for k in range(4)]
+    singles = [qo.wf_mul(f, qo.exp_poly_tower(cols[:, k]), f.depth) for k in range(4)]
     for _ in range(f.depth + 1):
         assert np.array_equal(level(x), np.stack([s(x) for s in singles]))
         if level.depth:
@@ -266,7 +257,7 @@ def test_exp_poly_tower_matches_numpy_polynomial():
     for _ in range(20):
         r, q = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 for n in rng.integers(1, 5, size=2))
-        tower = wfm.exp_poly_tower(r, q)
+        tower = qo.exp_poly_tower(r, q)
         for k in range(5):
             ref = P.polyval(x, _tower_reference(r, q, k)) * np.exp(P.polyval(x, q))
             assert np.allclose(tower(x, k), ref, rtol=1e-12,
@@ -278,8 +269,8 @@ def test_exp_poly_tower_batch_columns_are_the_members_alone():
     x = np.linspace(-1.5, 1.5, 31)
     r = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     q = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-    batch = wfm.exp_poly_tower(list(r[:, :, None]), list(q[:, :, None]))
-    singles = [wfm.exp_poly_tower(r[:, m], q[:, m]) for m in range(5)]
+    batch = qo.exp_poly_tower(list(r[:, :, None]), list(q[:, :, None]))
+    singles = [qo.exp_poly_tower(r[:, m], q[:, m]) for m in range(5)]
     # numpy rounds a complex product of arrays apart from one of scalars,
     # so the coefficient products agree to rounding, not bit for bit
     for k in range(5):
@@ -325,3 +316,57 @@ def test_family_a_at_subnormal_B_fails_within_one_level(monkeypatch):
                                              "is not finite$"):
             ir.rep_suite(rep, trials=200, seed=42)
     assert levels == []
+
+
+# ---------------------------------------------------------------------------
+# the probe record: values by value, the Hermite coefficients exact
+
+
+def test_hermite_coefficients_are_herm2poly_bit_for_bit():
+    # the exact integer recurrence against numpy's float one at every index
+    # the CLI accepts, and the normalised probe against the oracle's
+    for k in range(wfm.HERMITE_MAX + 1):
+        exact = wfm.hermite_coefficients(k)
+        assert all(isinstance(c, int) for c in exact)
+        ref = np.polynomial.hermite.herm2poly([0.0] * k + [1.0])
+        assert np.array_equal(np.array(exact, dtype=float), ref)
+        probe, wf = wfm.hermite_probe(k), qo.hermite_wf(k)
+        assert probe.poly.dtype == wf.poly.dtype and np.array_equal(probe.poly, wf.poly)
+
+
+@pytest.mark.parametrize("center, width", ((0.0, 1.0), (-1.3, 0.4), (2.0, 3.0)))
+def test_probe_values_are_the_tower_values(center, width):
+    x = np.linspace(-6.0, 6.0, 97)
+    rows = np.stack([x, x + 0.25])  # a batch of node rows
+    for k in range(wfm.HERMITE_MAX + 1):
+        probe = wfm.hermite_probe(k, center, width)
+        wf = qo.hermite_wf(k, center=center, width=width)
+        assert np.array_equal(probe(x), wf(x)) and np.array_equal(probe(rows), wf(rows))
+        assert probe.interval() == wf.interval()
+    rng = np.random.default_rng(4)
+    c = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+    probe = wfm.Probe(c, center, width)
+    assert probe.poly.dtype == complex
+    assert np.array_equal(probe(x), qo.tower(probe)(x))
+    assert wfm.Probe([1, 2]).poly.dtype == float  # real stays real
+
+
+def _recurrence(k, x):
+    """h_0 .. h_k at x by the normalised three-term recurrence (DLMF 18.9.1)."""
+    hs = [np.pi ** -0.25 * np.exp(-0.5 * x * x)]
+    hs.append(math.sqrt(2.0) * x * hs[0])
+    for n in range(1, k):
+        hs.append(math.sqrt(2.0 / (n + 1)) * x * hs[n] - math.sqrt(n / (n + 1)) * hs[n - 1])
+    return hs
+
+
+def test_hermite_max_is_the_last_index_within_1e_12():
+    # the monomial form against the recurrence, relative to max |h_k| on
+    # [-12, 12]: 6.1e-13 at the bound, 1.2e-12 one past it
+    x = np.linspace(-12.0, 12.0, 240001)
+    hs = _recurrence(wfm.HERMITE_MAX + 1, x)
+
+    def gap(k):
+        return np.max(np.abs(wfm.hermite_probe(k)(x) - hs[k])) / np.max(np.abs(hs[k]))
+
+    assert gap(wfm.HERMITE_MAX) <= 1e-12 < gap(wfm.HERMITE_MAX + 1)
