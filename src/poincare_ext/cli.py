@@ -152,25 +152,41 @@ def suite_generators(params: ModelParams, seed: int) -> dict:
     return {"families": report, "pass": ok}
 
 
+def _field(check, *args):
+    """check(*args), or {"error": ...} where its residual leaves the float
+    range: one failing check of a suite leaves its siblings standing."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return {"error": str(exc)}
+
+
 def suite_quantization(params: ModelParams, seed: int, m: float = 1.0) -> dict:
+    import numpy as np
     from . import irreps as ir
     from . import quantization as qz
     probes = ir.default_probes(3)
-    # the wrong-sign z3 is the negative control
-    dirac, dirac_bad = qz.dirac_residuals(
-        params, m, probes, (-1.0 / params.hbar, +1.0 / params.hbar))
-    cov = qz.covariance_suite(params, m, trials=50, seed=seed)
-    herm = max(qz.hermiticity_residual(qz.quantize(u, params), probes[:2])
-               for u in qz.comoment_observables(params, m))
+    # the wrong-sign z3 is the negative control; both share one error
+    dirac = _field(qz.dirac_residuals, params, m, probes,
+                   (-1.0 / params.hbar, +1.0 / params.hbar))
+    dirac, dirac_bad = (dirac, dirac) if isinstance(dirac, dict) else dirac
+    cov = _field(qz.covariance_suite, params, m, 50, seed)
+    # a comoment past the float range quantizes to a non-finite operator,
+    # which hermiticity_residual names
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = [qz.quantize(u, params) for u in qz.comoment_observables(params, m)]
+    herm = _field(lambda: max(qz.hermiticity_residual(op, probes[:2]) for op in ops))
     try:
         qz.PolynomialObservable({(2, 1): 1.0})
         nogo = False
     except qz.NoGoError:
         nogo = True
-    ok = (dirac <= 1e-9 and dirac_bad > 0.1 and cov <= 1e-8
+    report = {"dirac": dirac, "dirac_wrong_sign": dirac_bad, "covariance": cov,
+              "hermiticity": herm, "degree3_rejected": nogo}
+    ok = (not any(isinstance(v, dict) for v in report.values())
+          and dirac <= 1e-9 and dirac_bad > 0.1 and cov <= 1e-8
           and herm <= 1e-9 and nogo)
-    return {"dirac": dirac, "dirac_wrong_sign": dirac_bad, "covariance": cov,
-            "hermiticity": herm, "degree3_rejected": nogo, "pass": ok}
+    return {**report, "pass": ok}
 
 
 def suite_classical(params: ModelParams, seed: int, m: float = 1.0) -> dict:
@@ -329,7 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if not sigma > 0.0:
             raise ValueError(text)
         from .dynamics import gaussian_spectral
-        return gaussian_spectral(float(opts.get("E0", 0.0)), sigma)
+        try:
+            return gaussian_spectral(float(opts.get("E0", 0.0)), sigma)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     ap = argparse.ArgumentParser(
         prog="poincare-ext",
@@ -483,9 +502,12 @@ def run(argv=None) -> int:
         elif args.cmd == "quantize":
             if args.q_cmd == "check":
                 # a residual that leaves the float range is a usage error,
-                # as for rep verify
+                # as for rep verify: the first, in the suite's order
                 try:
                     rep = suite_quantization(params, args.seed, m=args.m)
+                    errors = [v["error"] for v in rep.values() if isinstance(v, dict)]
+                    if errors:
+                        raise ValueError(errors[0])
                     rep["classical"] = suite_classical(params, args.seed, m=args.m)
                 except ValueError as exc:
                     ap.error(f"quantize check at B={args.B!r}: {exc}")

@@ -51,19 +51,3 @@ def minkowski_square(v):
     v = np.asarray(v, dtype=float)
     return v[..., 0] ** 2 - v[..., 1] ** 2
 
-
-def self_test() -> None:
-    """Executable consistency check of the sign conventions.
-
-    Verifies that eps_{01} = -1, that mixed tensors are consistent with
-    raising/lowering, and that Lambda satisfies the one-parameter group
-    property and has unit determinant.  Raises AssertionError on drift.
-    """
-    assert EPS_UPPER[0, 1] == 1.0 and EPS_LOWER[0, 1] == -1.0
-    assert np.allclose(EPS_MIXED_UPPER, [[0, -1], [-1, 0]])
-    assert np.allclose(EPS_MIXED_LOWER, [[0, 1], [1, 0]])
-    # raising the lowered index must reproduce eps^{ab}
-    assert np.allclose(METRIC @ EPS_LOWER @ METRIC, EPS_UPPER)
-    for a, b in [(0.3, -1.1), (2.0, 0.7)]:
-        assert np.allclose(lorentz_matrix(a) @ lorentz_matrix(b), lorentz_matrix(a + b))
-        assert abs(np.linalg.det(lorentz_matrix(a)) - 1.0) < 1e-12

@@ -5,9 +5,8 @@ momentum ptilde(tau) = ptilde0 + B (tau - tau0), proper time (from `model`).
 
 Quantum layer: the split Hamiltonian H0 + V(tau) with H0 = -B qhat -
 phat, in the basis of its delta-normalized eigenfunctions <x|E>: the
-closed-form spectral amplitude transport c_E(tau), eigenstate evolution
-with its unimodular phase, transition probabilities, and the
-total-energy expectation.
+closed-form spectral amplitude transport c_E(tau) and the total-energy
+expectation.
 
 The closed form is validated against two independent oracles: the
 position-space packet transported exactly along characteristics and
@@ -29,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ClassicalState, classical_trajectory, drift_integrals,
-                    kinematical_momentum, proper_time, relativistic_energy,
-                    velocity)
+                    kinematical_momentum, proper_time, relativistic_energy)
 
 __all__ = [
     "ClassicalState",
@@ -41,10 +39,7 @@ __all__ = [
     "proper_time",
     "kinematical_momentum",
     "relativistic_energy",
-    "velocity",
     "c_closed_form",
-    "evolve_eigenstate",
-    "transition_probability",
     "expectation_total_energy",
     "locate_minimum",
     "oracle_propagate",
@@ -75,7 +70,15 @@ class SpectralAmplitude:
 
 
 def gaussian_spectral(E0: float, sigma: float) -> SpectralAmplitude:
-    amp = (2.0 * math.pi * sigma * sigma) ** -0.25
+    """The normalised Gaussian packet of mean E0 and width sigma in E.
+
+    ValueError where sigma^2 underflows (sigma below about 1e-162), as its
+    normalisation (2 pi sigma^2)^(-1/4) then does.
+    """
+    var = 2.0 * math.pi * sigma * sigma
+    if not var > 0.0:
+        raise ValueError(f"sigma = {sigma!r}: sigma^2 underflows to 0")
+    amp = var ** -0.25
     return SpectralAmplitude(
         lambda E: amp * np.exp(-((E - E0) ** 2) / (4.0 * sigma * sigma)),
         E0, sigma)
@@ -104,26 +107,6 @@ def c_closed_form(cs: ClassicalState, E, tau: float, c0) -> complex:
     phase = D * (0.5 * B * D - E) + phi
     out = np.exp(1j * phase / h) * c0(E - B * D)
     return complex(out) if out.ndim == 0 else out
-
-
-def evolve_eigenstate(cs: ClassicalState, E: float, tau: float):
-    """(phase, E_final) for a system prepared in the eigenstate of H0 at E.
-
-    The state at tau is phase * |E_final> with E_final = E + B D and a
-    unimodular phase, (E^2 - E_final^2) / 2B = -D (E + B D / 2) in it.
-    """
-    h, B = cs.params.hbar, cs.params.B
-    D, dtau, phi = _deltas(cs, tau)
-    e_final = E + B * D
-    phase = -D * (E + 0.5 * B * D) + e_final * dtau + phi
-    return complex(np.exp(1j * phase / h)), e_final
-
-
-def transition_probability(cs: ClassicalState, e_prime: float, E: float,
-                           tau: float) -> int:
-    """Density-normalized transition indicator: 1 iff E' = E + Delta E."""
-    _, e_final = evolve_eigenstate(cs, E, tau)
-    return int(abs(e_prime - e_final) <= 1e-10 * (1.0 + abs(E)))
 
 
 def expectation_total_energy(cs: ClassicalState, E: float, tau: float) -> float:
@@ -259,20 +242,24 @@ def _transport_oracle_b(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
     return np.asarray(c0(e_grid - dE_final), dtype=complex) * np.exp(-1j * phase)
 
 
+#: the largest pointwise gap oracle_propagate allows between its oracles
+ORACLE_TOL = 1e-8
+
+
 def oracle_propagate(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
-                     e_grid=None, tol: float = 1e-8):
+                     e_grid=None):
     """Dual-oracle spectral amplitudes on an E-grid.
 
-    Both methods must agree pointwise to tol, else OracleError; returns
-    (e_grid, c) with c the position-space-oracle values.
+    Both methods must agree pointwise to ORACLE_TOL, else OracleError;
+    returns (e_grid, c) with c the position-space-oracle values.
     """
     if e_grid is None:
         e_grid = default_e_grid(cs, c0, tau)
     c_a = _project_oracle_a(cs, c0, tau, e_grid)
     c_b = _transport_oracle_b(cs, c0, tau, e_grid)
     gap = float(np.max(np.abs(c_a - c_b)))
-    if not gap <= tol:  # a nan gap fails too
-        raise OracleError(f"oracle disagreement {gap:.3e} exceeds {tol:.1e}")
+    if not gap <= ORACLE_TOL:  # a nan gap fails too
+        raise OracleError(f"oracle disagreement {gap:.3e} exceeds {ORACLE_TOL:.1e}")
     return np.asarray(e_grid), c_a
 
 

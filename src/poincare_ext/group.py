@@ -101,15 +101,6 @@ class AlgebraElement:
     def array(self) -> np.ndarray:
         return _stack_last(self.v)
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.array + other.array)
-
-    def __rmul__(self, c: float) -> "AlgebraElement":
-        return AlgebraElement(c * self.array)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(-self.array)
-
 
 @dataclass(frozen=True)
 class GroupElement:

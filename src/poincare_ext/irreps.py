@@ -47,16 +47,14 @@ import numpy as np
 
 from .conventions import SQRT_MINUS_H
 from .group import GroupElement, ModelParams, compose, structure_constants
-from .wavefunctions import _horner, _window, hermite_probe
+from .model import BASIS_NAMES
+from .wavefunctions import WINDOW, Probe, _horner, hermite_probe
 
 __all__ = [
     "AffinePhase",
     "Jet",
     "QuantOperator",
     "RepParams",
-    "case_a",
-    "case_b",
-    "case_c",
     "rep_from_orbit",
     "rep_apply",
     "hermiticity_residual",
@@ -69,8 +67,6 @@ __all__ = [
     "rep_suite",
     "BASIS_NAMES",
 ]
-
-BASIS_NAMES = ("P0", "P1", "J", "I")
 
 
 @dataclass(frozen=True)
@@ -98,29 +94,17 @@ class RepParams:
             raise ValueError(f"unknown family {self.family!r}")
 
 
-def case_a(c2: float, z3: float, params: ModelParams = ModelParams()) -> RepParams:
-    return RepParams("A", params, c2=c2, z3=z3)
-
-
-def case_b(zeta2: float, params: ModelParams = ModelParams()) -> RepParams:
-    return RepParams("B", params, zeta2=zeta2)
-
-
-def case_c(zeta0: float, zeta1: float, params: ModelParams = ModelParams()) -> RepParams:
-    return RepParams("C", params, zeta0=zeta0, zeta1=zeta1)
-
-
 def rep_from_orbit(zeta, params: ModelParams = ModelParams()) -> RepParams:
     """Representation labels of the orbit through a dual-space point."""
     from .orbits import classify
 
     cls = classify(zeta, params)
     if cls.tag == "CaseA":
-        return case_a(cls.labels["casimir"], cls.labels["zeta3"], params)
+        return RepParams("A", params, c2=cls.labels["casimir"], z3=cls.labels["zeta3"])
     if cls.tag == "CaseB":
-        return case_b(cls.labels["zeta2"], params)
+        return RepParams("B", params, zeta2=cls.labels["zeta2"])
     z0, z1 = cls.labels["zeta_a"]
-    return case_c(z0, z1, params)
+    return RepParams("C", params, zeta0=z0, zeta1=z1)
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +413,20 @@ def _multiplier(coeffs, n: int = 1):
 # ---------------------------------------------------------------------------
 # operators on Hermite probes: one matrix kernel in Gaussian moments
 #
-# A probe is r(y) g, g = e^{-y^2/2} and x = center + width y, held as the
-# column of r's coefficients.  On columns of length N, x acts as
-# X = center + width Y (Y raises the degree by one) and d/dx as
-# D = (d/dy - Y) / width, so an operator sum_k e^{kx} sum c_k[i, j] x^i D^j
-# is one matrix M_k = sum c_k[i, j] X^i D^j per exponent, and
+# A probe is r(x) g, g = e^{-x^2/2}, held as the column of r's
+# coefficients.  On columns of length N, x acts as X, which raises the
+# degree by one, and d/dx as D = P - X, P the derivative of r, so an operator
+# sum_k e^{kx} sum c_k[i, j] x^i D^j is one matrix
+# M_k = sum c_k[i, j] X^i D^j per exponent, and
 # <e^{kx} s g, e^{lx} t g> = s^H G_{k+l} t.  With N the probes' length plus
 # the operator's size - 1, nothing is truncated.
 
 
 @functools.lru_cache(maxsize=64)
-def _xd_powers(n: int, size: int, center: float, width: float):
+def _xd_powers(n: int, size: int):
     """Read-only (n, n, size, size) array of the matrices X^i D^j, i, j < n."""
-    y = np.eye(size, k=-1)
-    x = center * np.eye(size) + width * y
-    d = (np.diag(np.arange(1.0, size), k=1) - y) / width
+    x = np.eye(size, k=-1)
+    d = np.diag(np.arange(1.0, size), k=1) - x
     xs, ds = [np.eye(size)], [np.eye(size)]
     for _ in range(n - 1):
         xs.append(x @ xs[-1])
@@ -454,20 +437,19 @@ def _xd_powers(n: int, size: int, center: float, width: float):
 
 
 @functools.lru_cache(maxsize=64)
-def _moments(size: int, k: float, center: float, width: float):
-    """Read-only G_k[a, b] = <y^a g, e^{kx} y^b g>, a Hankel matrix in a + b.
+def _moments(size: int, k: float):
+    """Read-only G_k[a, b] = <x^a g, e^{kx} x^b g>, a Hankel matrix in a + b.
 
-    e^{kx} e^{-y^2} = e^{k center + m^2} e^{-(y - m)^2} with m = k width / 2,
-    so by the binomial expansion about m and the integral Gamma((r + 1) / 2)
-    of u^r e^{-u^2} for even r, dx = width dy:
-    G_k[a, b] = width e^{k center + m^2} sum_{r even} C(a + b, r) m^(a+b-r)
-    Gamma((r + 1) / 2).
+    e^{kx} e^{-x^2} = e^{m^2} e^{-(x - m)^2} with m = k / 2, so by the
+    binomial expansion about m and the integral Gamma((r + 1) / 2) of
+    u^r e^{-u^2} for even r:
+    G_k[a, b] = e^{m^2} sum_{r even} C(a + b, r) m^(a+b-r) Gamma((r + 1) / 2).
     """
-    m = k * width / 2.0
+    m = k / 2.0
     h = [sum(math.comb(n, r) * m ** (n - r) * math.gamma((r + 1) / 2)
              for r in range(0, n + 1, 2)) for n in range(2 * size - 1)]
     idx = np.add.outer(np.arange(size), np.arange(size))
-    out = width * math.exp(k * center + m * m) * np.array(h)[idx]
+    out = math.exp(m * m) * np.array(h)[idx]
     out.setflags(write=False)
     return out
 
@@ -477,24 +459,20 @@ def _kernel(op, probes):
     axes first, R the probes' coefficient columns, G(K) the moments G_K,
     all of one size N.
 
-    A probe that is not a Gaussian polynomial (a Probe), or probes on
-    different Gaussians, raise ValueError.
+    A probe that is not a Probe record raises ValueError.
     """
-    if any(f.poly is None for f in probes):
+    if not all(isinstance(f, Probe) for f in probes):
         raise ValueError("operator checks need Gaussian-polynomial "
-                         "probes (Probe)")
-    if len({(f.center, f.width) for f in probes}) > 1:
-        raise ValueError("operator checks need probes on one Gaussian")
-    center, width = probes[0].center, probes[0].width
+                         "probe records (Probe)")
     n = max(op.c.shape[1], 1)
     size = max(len(f.poly) for f in probes) + n - 1
     r = np.zeros((size, len(probes)), dtype=complex)
     for p, f in enumerate(probes):
         r[:len(f.poly), p] = f.poly
-    powers = _xd_powers(n, size, center, width)
+    powers = _xd_powers(n, size)
     return ({k: np.einsum("ij...,ijab->...ab", c, powers)
              for k, c in zip(op.exps, op.c) if c.any()},
-            r, lambda k: _moments(size, k, center, width))
+            r, lambda k: _moments(size, k))
 
 
 def _square_norms(op, probes):
@@ -671,19 +649,19 @@ def default_probes(count: int = 5) -> tuple:
 
 def verify_homomorphism(rep: RepParams, g2: GroupElement, g1: GroupElement,
                         probes) -> float:
-    """Largest AffinePhase.gap of T(g2) T(g1) to T(g2 g1), probes' window."""
+    """Largest AffinePhase.gap of T(g2) T(g1) to T(g2 g1), probes' WINDOW."""
     if not probes:
         return 0.0
     op = _affine_phase(rep, g2).compose(_affine_phase(rep, g1))
-    gap = op.gap(_affine_phase(rep, compose(g2, g1, rep.params)), *_window(*probes))
+    gap = op.gap(_affine_phase(rep, compose(g2, g1, rep.params)), *WINDOW)
     return float(np.max(gap))
 
 
 def verify_unitarity(rep: RepParams, g: GroupElement, probes) -> float:
-    """Largest AffinePhase.unitarity_gap of T(g), probes' window."""
+    """Largest AffinePhase.unitarity_gap of T(g), probes' WINDOW."""
     if not probes:
         return 0.0
-    return float(np.max(_affine_phase(rep, g).unitarity_gap(*_window(*probes))))
+    return float(np.max(_affine_phase(rep, g).unitarity_gap(*WINDOW)))
 
 
 @_in_float_range("commutator")

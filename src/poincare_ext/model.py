@@ -23,7 +23,7 @@ from fractions import Fraction
 __all__ = ["ModelParams", "BASIS_NAMES", "brackets", "bracket", "rank",
            "row_basis", "kernel", "casimir", "OrbitClass",
            "classify", "ClassicalState", "kinematical_momentum",
-           "relativistic_energy", "velocity", "classical_trajectory",
+           "relativistic_energy", "classical_trajectory",
            "proper_time", "drift_integrals"]
 
 BASIS_NAMES = ("P0", "P1", "J", "I")
@@ -215,10 +215,6 @@ def relativistic_energy(cs: ClassicalState, tau: float) -> float:
     return math.hypot(cs.m, pt)
 
 
-def velocity(cs: ClassicalState, tau: float) -> float:
-    return kinematical_momentum(cs, tau) / relativistic_energy(cs, tau)
-
-
 def _displacement(cs: ClassicalState, tau: float) -> float:
     """D = q1(tau) - q1(tau0), the integral of the velocity from tau0.
 
@@ -292,7 +288,7 @@ def drift_integrals(cs: ClassicalState, tau: float):
         cosh_d = h / (e0 * e1 + p0 * p1) * h
         m2_sinh_2c = p0 * e1 + e0 * p1
     else:
-        cosh_d = (e0 * e1 - p0 * p1) / (m * m)
+        cosh_d = (e0 * e1 - p0 * p1) / m / m  # m * m underflows from m ~ 1e-162
         m2_sinh_2c = (p0 - p1) / (p0 * e1 - e0 * p1) * (p0 + p1) * m * m \
             if p0 != p1 else 0.0
     sinh_b = T * (1.0 + cosh_d) / (e0 + e1)

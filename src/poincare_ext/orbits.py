@@ -115,12 +115,14 @@ def _lightcone_signs(u, tol: float) -> np.ndarray:
 
 
 def on_orbit(mu: CoadjointPoint, zeta: CoadjointPoint,
-             p: ModelParams = ModelParams(), tol: float = 1e-9) -> bool | np.ndarray:
-    """Membership test for mu on the coadjoint orbit through zeta.
+             p: ModelParams = ModelParams()) -> bool | np.ndarray:
+    """Membership test for mu on the coadjoint orbit through zeta, to a
+    relative 1e-9.
 
     A single point mu gives a bool; a batch of shape S gives an array of
     S bools, each the bool of that point alone.
     """
+    tol = 1e-9
     cls = classify(zeta, p)
     u = mu.array
     u2, u3 = u[..., 2], u[..., 3]

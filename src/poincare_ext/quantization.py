@@ -53,11 +53,10 @@ from .irreps import (
     _relative_residual,
     _size,
     _terms,
-    case_a,
     default_probes,
     hermiticity_residual,
 )
-from .wavefunctions import _window
+from .wavefunctions import WINDOW
 
 __all__ = [
     "NoGoError",
@@ -71,9 +70,7 @@ __all__ = [
     "momentum_map",
     "quantize",
     "hermiticity_residual",
-    "verify_dirac",
     "dirac_residuals",
-    "verify_covariance",
     "covariance_suite",
     "pullback_residual",
     "rep_for_mass",
@@ -93,15 +90,6 @@ class PhasePoint:
 
     q: float
     p: float
-
-    def lightcone(self, params: ModelParams):
-        """The underlying (q0, q1) pair; the bijection is exact."""
-        q0 = -self.p / params.B
-        return q0, -self.q + q0
-
-    @staticmethod
-    def from_lightcone(q0: float, q1: float, params: ModelParams) -> "PhasePoint":
-        return PhasePoint(q0 - q1, -params.B * q0)
 
 
 @dataclass(frozen=True)
@@ -138,28 +126,11 @@ class PolynomialObservable:
     def __getitem__(self, key) -> float:
         return dict(self.coeffs).get(key, 0.0)
 
-    @property
-    def degree(self) -> int:
-        return max((i + j for (i, j), _ in self.coeffs), default=0)
-
     def __call__(self, s: PhasePoint) -> float:
         # squares as products: pow(q, 2) can miss the rounded q * q by a
         # bit, and numpy squares arrays as q * q, so a point and a batch agree
         q, p = ((x ** 0, x, x * x) for x in (s.q, s.p))
         return sum(v * q[i] * p[j] for (i, j), v in self.coeffs)
-
-    def __add__(self, other):
-        return PolynomialObservable(self.c + other.c)
-
-    def __rmul__(self, c: float):
-        return PolynomialObservable(c * self.c)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def substitute_affine(self, q_map, p_map) -> "PolynomialObservable":
-        """Compose with q -> q_map, p -> p_map, both affine (cq, cp, c0)."""
-        return PolynomialObservable(_substituted(self.c, q_map, p_map))
 
 
 def _substituted(c, q_map, p_map):
@@ -218,17 +189,16 @@ def poisson_bracket(f: PolynomialObservable, g: PolynomialObservable,
 # comoments and momentum map
 
 
-def comoment_observables(params: ModelParams, m: float,
-                         u2_offset: float = 0.0):
+def comoment_observables(params: ModelParams, m: float):
     """The four comoments as polynomial observables (u0, u1, u2, u3).
 
-    u2 is defined up to an additive constant; u2_offset shifts the
-    standard representative.
+    u2 is defined up to an additive constant; this is its standard
+    representative.
     """
     B = params.B
     u0 = PolynomialObservable({(1, 0): -B, (0, 1): -1.0})
     u1 = PolynomialObservable({(0, 1): 1.0})
-    u2 = PolynomialObservable({(0, 0): m * m / (2.0 * B) + u2_offset,
+    u2 = PolynomialObservable({(0, 0): m * m / (2.0 * B),
                                (2, 0): -B / 2.0, (1, 1): -1.0})
     u3 = PolynomialObservable({(0, 0): -1.0})
     return u0, u1, u2, u3
@@ -251,7 +221,8 @@ def momentum_map(s: PhasePoint, params: ModelParams, m: float) -> CoadjointPoint
 def rep_for_mass(params: ModelParams, m: float) -> RepParams:
     """Representation labels selected by the quantum condition."""
     hbar = params.hbar
-    return case_a(m * m / (SQRT_MINUS_H * hbar * hbar), -1.0 / hbar, params)
+    return RepParams("A", params, c2=m * m / (SQRT_MINUS_H * hbar * hbar),
+                     z3=-1.0 / hbar)
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +255,10 @@ def _weyl(c, h: float):
 # verification
 
 
-def verify_dirac(params: ModelParams, m: float, probes,
-                 z3: float | None = None) -> float:
-    """Residual of Q({u_A, u_B}) = -i z3 [Q(u_A), Q(u_B)] over all pairs.
-
-    z3 defaults to -1/hbar, the value of the orbit's representation.
-    """
-    if z3 is None:
-        z3 = -1.0 / params.hbar
-    return dirac_residuals(params, m, probes, (z3,))[0]
-
-
 @_in_float_range("Dirac")
 def dirac_residuals(params: ModelParams, m: float, probes, z3s) -> list:
-    """verify_dirac's residual at each z3 of z3s.
+    """The residual of Q({u_A, u_B}) = -i z3 [Q(u_A), Q(u_B)] over all
+    pairs, at each z3 of z3s; the orbit's representation has z3 = -1/hbar.
 
     Each pair's defect Q({u_A, u_B}) + i z3 [Q(u_A), Q(u_B)] is one
     operator array, from the x-left product, and its residual is
@@ -334,7 +295,7 @@ def _covariance_residual(g: GroupElement, pulled: QuantOperator,
 
     One value per member of a batch g, whose operators are batch columns.
     T(g^-1) qf T(g) is taken as U^-1 qf U with U = T(g) (conjugated), and
-    the gap of T(g^-1) T(g) to the identity on the probes' window
+    the gap of T(g^-1) T(g) to the identity on the probes' WINDOW
     (AffinePhase.gap) is added, so T(g^-1) is still checked.  That gap's
     phase is relative to the two phases the composition cancels, sized on
     the window: its constant reads one ulp of them, of order 1/B.  The
@@ -347,21 +308,11 @@ def _covariance_residual(g: GroupElement, pulled: QuantOperator,
     u = _affine_phase(rep, g)
     inv = _affine_phase(rep, inverse(g, params))
     ident = AffinePhase(1.0, 1.0, 0.0, (0.0,) * len(u.c))
-    lo, hi = _window(*probes)
+    lo, hi = WINDOW
     sups = ident._sups(lo, hi)[1]
     cancelled = _size(inv.c, sups) + _size(_poly_pullback(u.c, inv.a, inv.b), sups)
     gap = inv.compose(u).gap(ident, lo, hi, cancelled)
     return _relative_residual(pulled - qf.conjugated(u), probes, pulled) + gap
-
-
-@_in_float_range("covariance")
-def verify_covariance(g: GroupElement, f: PolynomialObservable,
-                      params: ModelParams, m: float, probes) -> float:
-    """Residual of Q(f . l_g) = T(g^-1) Q(f) T(g) on the probe class."""
-    q_map, p_map = _left_action_maps(g, params)
-    pulled = quantize(f.substitute_affine(q_map, p_map), params)
-    return float(_covariance_residual(g, pulled, quantize(f, params),
-                                      params, m, probes))
 
 
 def _covariance_observables(params: ModelParams, m: float):
@@ -377,14 +328,13 @@ def _covariance_observables(params: ModelParams, m: float):
 
 @_in_float_range("covariance")
 def covariance_suite(params: ModelParams, m: float, trials: int = 50,
-                     seed: int = 42, probes=None) -> float:
-    """Largest verify_covariance residual over random (g, observable) trials.
+                     seed: int = 42) -> float:
+    """Largest residual of Q(f . l_g) = T(g^-1) Q(f) T(g) over random
+    (g, observable f) trials, on the first two probes.
 
     The trials run as one batch: the observables' tables are stacked as
     batch columns, and pulled back and quantized together.
     """
-    if probes is None:
-        probes = default_probes(2)
     coords = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(trials, 4))
     base = _covariance_observables(params, m)
     c = np.stack([base[k % len(base)].c for k in range(trials)], axis=-1)[..., None]
@@ -392,7 +342,7 @@ def covariance_suite(params: ModelParams, m: float, trials: int = 50,
     pulled = _substituted(c, *_left_action_maps(g, params))
     res = _covariance_residual(g, QuantOperator(_weyl(pulled, params.hbar)[None]),
                                QuantOperator(_weyl(c, params.hbar)[None]),
-                               params, m, probes)
+                               params, m, default_probes(2))
     return float(np.max(res, initial=0.0))
 
 

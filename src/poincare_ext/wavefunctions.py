@@ -1,12 +1,11 @@
 """Gaussian-polynomial probes on the real line.
 
-A probe is r(y) exp(-y^2 / 2) with y = (x - center) / width, held as one
-record: the coefficients of r in increasing degree (poly), center and
-width, with its window [center - 12 width, center + 12 width].  The
-record evaluates its values and nothing else.  The representation and
-quantization checks read only these fields, as exact algebra on the
-Hermite coefficients (irreps' Gaussian-moment kernel), and `rep apply`
-evaluates an image A e^{phi(x)} f(a x + b) by value.
+A probe is r(x) exp(-x^2 / 2), held as one record: the coefficients of r
+in increasing degree (poly).  Every probe lives on the one standard
+Gaussian, and its window is WINDOW = [-12, 12].  The record evaluates its
+values and nothing else.  The representation and quantization checks read
+only its coefficients, as exact algebra (irreps' Gaussian-moment kernel),
+and `rep apply` evaluates an image A e^{phi(x)} f(a x + b) by value.
 
 The package differentiates and integrates no wavefunction.  The
 derivative evaluators, the operators' action on them and the composite
@@ -15,19 +14,21 @@ Gauss-Legendre quadrature are the test oracle in tests/quadrature_oracle.py.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["HERMITE_MAX", "Probe", "hermite_coefficients", "hermite_probe"]
+__all__ = ["HERMITE_MAX", "WINDOW", "Probe", "hermite_coefficients", "hermite_probe"]
 
 #: the largest Hermite index whose monomial form stays within 1e-12 of the
 #: normalised three-term recurrence, relative to max |h_k| on [-12, 12]:
 #: 6.1e-13 at 18, 1.2e-12 at 19, 3.5e-10 at 30, and from 171 the
 #: normalisation leaves the float range
 HERMITE_MAX = 18
+
+#: the window of every probe, where e^{-x^2/2} has fallen to e^-72
+WINDOW = (-12.0, 12.0)
 
 
 def _horner(coeffs, x):
@@ -44,13 +45,11 @@ def _horner(coeffs, x):
 
 @dataclass(frozen=True, eq=False)
 class Probe:
-    """r(y) exp(-y^2 / 2), y = (x - center) / width; poly holds the
-    coefficients of r in increasing degree.  Real coefficients stay real,
-    which makes a Hermite probe three times cheaper to evaluate."""
+    """r(x) exp(-x^2 / 2); poly holds the coefficients of r in increasing
+    degree.  Real coefficients stay real, which makes a Hermite probe three
+    times cheaper to evaluate."""
 
     poly: np.ndarray
-    center: float = 0.0
-    width: float = 1.0
 
     def __post_init__(self):
         poly = np.asarray(self.poly)
@@ -58,17 +57,8 @@ class Probe:
 
     def __call__(self, x):
         """The values at the nodes x."""
-        y = (np.asarray(x, dtype=float) - self.center) * (1.0 / self.width)
-        return _horner(self.poly, y) * np.exp(-0.5 * y * y)
-
-    def interval(self):
-        return self.center - 12.0 * self.width, self.center + 12.0 * self.width
-
-
-def _window(*probes):
-    """Smallest interval holding every probe's window."""
-    los, his = zip(*(f.interval() for f in probes))
-    return functools.reduce(np.minimum, los), functools.reduce(np.maximum, his)
+        x = np.asarray(x, dtype=float)
+        return _horner(self.poly, x) * np.exp(-0.5 * x * x)
 
 
 def hermite_coefficients(k: int) -> list:
@@ -83,7 +73,7 @@ def hermite_coefficients(k: int) -> list:
     return cur
 
 
-def hermite_probe(k: int, center: float = 0.0, width: float = 1.0) -> Probe:
+def hermite_probe(k: int) -> Probe:
     """L2-normalized Hermite function h_k, the standard probe family."""
-    nrm = 1.0 / math.sqrt(2.0 ** k * math.factorial(k) * math.sqrt(math.pi) * width)
-    return Probe(np.array(hermite_coefficients(k), dtype=float) * nrm, center, width)
+    nrm = 1.0 / math.sqrt(2.0 ** k * math.factorial(k) * math.sqrt(math.pi))
+    return Probe(np.array(hermite_coefficients(k), dtype=float) * nrm)

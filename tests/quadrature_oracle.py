@@ -59,7 +59,7 @@ from poincare_ext.irreps import (
     _polymul2,
 )
 from poincare_ext.model import kinematical_momentum
-from poincare_ext.wavefunctions import _horner, _window
+from poincare_ext.wavefunctions import _horner
 
 #: the derivative-evaluator layer, which the package neither defines nor
 #: imports: the evaluators and their combinators here, and the operators'
@@ -120,6 +120,12 @@ class WaveFunction:
     def __rmul__(self, c: complex) -> "WaveFunction":
         """c * f, the scalar multiple, as wf_scale(f, c)."""
         return wf_scale(self, c)
+
+
+def _window(*fs):
+    """Smallest interval holding every function's window."""
+    los, his = zip(*(f.interval() for f in fs))
+    return functools.reduce(np.minimum, los), functools.reduce(np.maximum, his)
 
 
 def wf_scale(wf: WaveFunction, c: complex) -> WaveFunction:
@@ -233,7 +239,7 @@ def hermite_wf(k: int, depth: int = 4, center: float = 0.0,
 
 def tower(probe, depth: int = 4) -> WaveFunction:
     """The evaluator of a probe record (wavefunctions.Probe), analytic to depth."""
-    return gauss_poly_wf(probe.poly, depth, probe.center, probe.width)
+    return gauss_poly_wf(probe.poly, depth)
 
 
 def _hyperbolic_exp(amp, a: complex, c: complex):

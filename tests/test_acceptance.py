@@ -72,9 +72,9 @@ def test_criterion_4_pukanszky_subordination_maximality():
 def test_criterion_5_representation_suites():
     t0 = time.time()
     ok = True
-    for family, rep in (("A", ir.case_a(1.0, -1.0, P)),
-                        ("B", ir.case_b(0.7, P)),
-                        ("C", ir.case_c(1.0, 0.3, P))):
+    for family, rep in (("A", ir.RepParams("A", P, c2=1.0, z3=-1.0)),
+                        ("B", ir.RepParams("B", P, zeta2=0.7)),
+                        ("C", ir.RepParams("C", P, zeta0=1.0, zeta1=0.3))):
         res = ir.rep_suite(rep, trials=200, seed=SEED)
         ok = ok and res["homomorphism"] <= 1e-8 and res["unitarity"] <= 1e-8 \
             and res["commutators"] <= 1e-9 and res["casimir"] <= 1e-9

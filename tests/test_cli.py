@@ -535,10 +535,17 @@ def test_all_checks_names_the_residuals_past_the_float_range(B):
     report = strict_json(run_cli("all-checks", f"--B={B}")[1])
     leaves = "residual leaves the float range"
     assert {name: report[name].get("error") for name in
-            ("classical", "coadjoint", "quantization")} == {
+            ("classical", "coadjoint")} == {
         "classical": f"the comoment Casimir {leaves}",
-        "coadjoint": f"the coadjoint Casimir {leaves}",
-        "quantization": f"the Dirac {leaves}"}
+        "coadjoint": f"the coadjoint Casimir {leaves}"}
+    # the quantization suite fails per field: the Dirac pair shares one
+    # error and covariance has its own, while hermiticity keeps its value
+    # (5.0e-16) and passes its gate
+    quant = report["quantization"]
+    assert quant["pass"] is False and "error" not in quant
+    assert quant["dirac"] == quant["dirac_wrong_sign"] == {"error": f"the Dirac {leaves}"}
+    assert quant["covariance"] == {"error": f"the covariance {leaves}"}
+    assert quant["hermiticity"] <= 1e-9 and quant["degree3_rejected"] is True
     # family A fails alone (its NaN defect hid behind the finite
     # anti-Hermiticity in max()); families B and C keep their fields and pass
     reps = report["representations"]
@@ -649,6 +656,29 @@ def test_evolve_keeps_its_accuracy_at_small_B(B):
     assert strict_json(out)["max_deviation"] <= 1e-12
 
 
+@pytest.mark.parametrize("m", ("1e-170", "1e-300"))
+def test_evolve_at_tiny_mass_runs(m, capsys):
+    # cosh delta = (E0 E1 - p0 p1) / m^2 divides by m twice: m * m
+    # underflows to 0 from m of about 1e-162, a ZeroDivisionError before
+    assert cli.run(["evolve", "--emit=json", f"--m={m}"]) == 0
+    out, err = capsys.readouterr()
+    report = strict_json(out)
+    assert err == "" and report["max_deviation"] <= 1e-12
+    assert abs(report["norm"] - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("sigma", ("1e-170", "1e-300"))
+def test_evolve_refuses_a_packet_whose_variance_underflows(sigma, capsys):
+    # (2 pi sigma^2)^(-1/4) met 0.0 ** -0.25, a ZeroDivisionError before
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["evolve", "--emit=json", f"--packet=gaussian:sigma={sigma}"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "poincare-ext evolve: error: argument --packet: "
+        f"sigma = {float(sigma)!r}: sigma^2 underflows to 0")
+
+
 @pytest.mark.parametrize("B", ("1", "-1.3"))
 def test_all_checks_byte_identical_and_suite_by_suite(B, capsys):
     # the report must not depend on how its suites run: two reports are
@@ -691,6 +721,16 @@ def test_all_checks_at_subnormal_B_reports_failed_suites(B, capsys):
         ir.rep_suite(cli._rep_for_family("A", params), trials=200, seed=42)
     assert families["A"] == {"error": str(exc.value), "pass": False}
     assert families["B"]["pass"] is True and families["C"]["pass"] is True
+    # so does the quantization suite: each check that leaves the float
+    # range is its own error value
+    assert "quantization" not in raised, raised
+    quant = payload["quantization"]
+    assert quant["pass"] is False and quant["degree3_rejected"] is True
+    assert quant["dirac"] == quant["dirac_wrong_sign"] == {
+        "error": "the Dirac residual leaves the float range"}
+    assert quant["hermiticity"] == {
+        "error": "the hermiticity residual leaves the float range"}
+    assert quant["covariance"] == {"error": "operator phase coefficient c0 is not finite"}
 
 
 @pytest.mark.parametrize("B", ("5e-324", "1e-310"))

@@ -4,7 +4,18 @@ from poincare_ext import conventions as cv
 
 
 def test_self_test_passes():
-    cv.self_test()
+    """The sign conventions: eps_{01} = -1, mixed tensors consistent with
+    raising and lowering, and Lambda a one-parameter group of unit
+    determinant."""
+    assert cv.EPS_UPPER[0, 1] == 1.0 and cv.EPS_LOWER[0, 1] == -1.0
+    assert np.allclose(cv.EPS_MIXED_UPPER, [[0, -1], [-1, 0]])
+    assert np.allclose(cv.EPS_MIXED_LOWER, [[0, 1], [1, 0]])
+    # raising the lowered index must reproduce eps^{ab}
+    assert np.allclose(cv.METRIC @ cv.EPS_LOWER @ cv.METRIC, cv.EPS_UPPER)
+    for a, b in [(0.3, -1.1), (2.0, 0.7)]:
+        assert np.allclose(cv.lorentz_matrix(a) @ cv.lorentz_matrix(b),
+                           cv.lorentz_matrix(a + b))
+        assert abs(np.linalg.det(cv.lorentz_matrix(a)) - 1.0) < 1e-12
 
 
 def test_metric_and_epsilon_tables():

@@ -243,11 +243,14 @@ def test_exp_inverts_log(t0, t1, alpha, beta, p):
 @given(x=algebra_elements(st.floats(-1.5, 1.5)), s=st.floats(-1.0, 1.0),
        t=st.floats(-1.0, 1.0), p=PARAMS)
 def test_one_parameter_subgroup(x, s, t, p):
-    lhs = compose(exp_map(s * x, p), exp_map(t * x, p), p)
-    rhs = exp_map((s + t) * x, p)
+    def along(c):
+        return AlgebraElement(c * x.array)
+
+    lhs = compose(exp_map(along(s), p), exp_map(along(t), p), p)
+    rhs = exp_map(along(s + t), p)
     # compose adds (B/2) theta_s eps Lambda theta_t, up to about
     # |B| |V_P|^2 exp(2 |alpha|) in size however small the result is
-    scale = roundoff_scale((s + t) * x, rhs, p) + abs(p.B) * math.exp(
+    scale = roundoff_scale(along(s + t), rhs, p) + abs(p.B) * math.exp(
         2.0 * abs(x.v[2])) * float(np.max(np.abs(x.array[:2]))) ** 2
     assert np.max(np.abs(lhs.array - rhs.array)) <= 1e-12 * scale
 

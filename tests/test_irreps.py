@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincare_ext import irreps as ir
-from poincare_ext.cli import GENERATOR_GATE, REP_GATES
+from poincare_ext.cli import GENERATOR_GATE, REP_GATES, REP_LABELS
 from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
                                 bracket, compose, exp_map, identity)
-from poincare_ext.wavefunctions import hermite_probe
+from poincare_ext.wavefunctions import Probe, hermite_probe
 from quadrature_oracle import (WaveFunction, affine_apply, borel_decompose,
                                character, faithfulness_residuals,
                                gauss_legendre, generator_apply,
@@ -25,9 +25,9 @@ from quadrature_oracle import (WaveFunction, affine_apply, borel_decompose,
                                wf_stack, wf_sub)
 
 P = ModelParams()
-REP_A = ir.case_a(1.0, -1.0, P)
-REP_B = ir.case_b(0.7, P)
-REP_C = ir.case_c(1.0, 0.3, P)
+REP_A = ir.RepParams("A", P, c2=1.0, z3=-1.0)
+REP_B = ir.RepParams("B", P, zeta2=0.7)
+REP_C = ir.RepParams("C", P, zeta0=1.0, zeta1=0.3)
 
 
 def rand_g(rng, box=2.0):
@@ -36,9 +36,9 @@ def rand_g(rng, box=2.0):
 
 def test_label_validation():
     with pytest.raises(ValueError):
-        ir.case_a(1.0, 0.0, P)
+        ir.RepParams("A", P, c2=1.0, z3=0.0)
     with pytest.raises(ValueError):
-        ir.case_c(0.0, 0.0, P)
+        ir.RepParams("C", P, zeta0=0.0, zeta1=0.0)
     with pytest.raises(ValueError):
         ir.RepParams("D", P)
 
@@ -234,7 +234,7 @@ def test_batch_rows_equal_scalar_images(rep):
 def test_affine_phase_image_is_the_tower_image(basis):
     rng = np.random.default_rng(14)
     x = np.linspace(-3.0, 3.0, 61)
-    f = hermite_probe(2, 0.3, 1.4)
+    f = Probe(np.array([0.3, -1.2, 0.5, 0.25]))
     for _ in range(20):
         op = _random_affine_phase(rng, basis)
         assert np.array_equal(op.image(f, x), affine_apply(op, tower(f))(x))
@@ -385,8 +385,7 @@ def oracle_checks(rep, seed=42):
 @pytest.mark.parametrize("family", ("A", "B", "C"))
 def test_closed_form_agrees_with_quadrature_oracle(family, B):
     p = ModelParams(B=B)
-    rep = {"A": ir.case_a(1.0, -1.0, p), "B": ir.case_b(0.7, p),
-           "C": ir.case_c(1.0, 0.3, p)}[family]
+    rep = ir.RepParams(family, p, **REP_LABELS[family])
     report = ir.rep_suite(rep, trials=200, seed=42)
     oracles = oracle_checks(rep)
     for field in ("homomorphism", "unitarity"):
@@ -403,8 +402,7 @@ def test_stacked_probe_checks_equal_per_probe_reference(family, B):
     # quadrature they replaced, on the probes rep_suite hands them: both
     # pass their gates, and the exact checks read round-off
     p = ModelParams(B=B)
-    rep = {"A": ir.case_a(1.0, -1.0, p), "B": ir.case_b(0.7, p),
-           "C": ir.case_c(1.0, 0.3, p)}[family]
+    rep = ir.RepParams(family, p, **REP_LABELS[family])
     report = ir.rep_suite(rep, trials=200, seed=42)
     oracles = oracle_checks(rep)
     for field in ("commutators", "casimir"):
@@ -539,8 +537,7 @@ def test_jet_derivative_is_the_central_difference(family, B):
     # the jets against a 1e-6 central difference of T's coefficients along
     # each basis direction, for all three families (the suite checks A, C)
     p = ModelParams(B=B)
-    rep = {"A": ir.case_a(1.0, -1.0, p), "B": ir.case_b(0.7, p),
-           "C": ir.case_c(1.0, 0.3, p)}[family]
+    rep = ir.RepParams(family, p, **REP_LABELS[family])
     one = ir._affine_phase(rep, identity())  # the jets assume T(1) = 1
     assert (one.amp, one.a, one.b, *one.c) == (1.0, 1.0, 0.0) + (0.0,) * len(one.c)
     got = ir._derivative_coefficients(rep)
@@ -641,6 +638,6 @@ NORM_PARAMS = st.sampled_from([ModelParams(B=s * b) for s in (1.0, -1.0)
 def test_rep_preserves_norm(family, p, k, g):
     # ||T(g) f|| = ||f||; the worst gap measured is 1.4e-15 over these
     # examples and 5.4e-15 over 6000 random ones, well inside the gate
-    rep = ir.case_a(1.0, -1.0, p) if family == "A" else ir.case_c(1.0, 0.3, p)
+    rep = ir.RepParams(family, p, **REP_LABELS[family])
     f = hermite_wf(k)
     assert abs(norm(rep_image(rep, g, f)) - norm(f)) <= 1e-12

@@ -169,7 +169,7 @@ def test_subalgebra_closure_enforced():
         orb.Subalgebra((p0, j), "open", P)
     assert str(exc.value) == "basis not closed under bracket: open"
     with pytest.raises(ValueError) as exc:
-        orb.Subalgebra((p0, p1, p0 + p1), "dependent", P)
+        orb.Subalgebra((p0, p1, AlgebraElement(p0.array + p1.array)), "dependent", P)
     assert str(exc.value) == "subalgebra basis is linearly dependent"
 
 

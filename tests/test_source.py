@@ -119,8 +119,7 @@ def test_wavefunctions_imports_cleanly_and_holds_the_probe_record():
     assert not {name for name in EVALUATORS | QUADRATURE
                 if hasattr(wavefunctions, name)}
     probe = wavefunctions.hermite_probe(2)
-    assert {name for name in dir(probe) if not name.startswith("_")} == {
-        "poly", "center", "width", "interval"}
+    assert {name for name in dir(probe) if not name.startswith("_")} == {"poly"}
 
 
 def called_names(module):
@@ -194,3 +193,12 @@ def test_import_builds_no_probes_or_moment_matrices():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split("\n")[:2] == ["[0, 0, 0]", "[True, True, True]"]
+
+
+def test_basis_names_have_one_home():
+    # model states the basis order once; every other module imports it
+    homes = [path.stem for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assign)
+             and any(getattr(t, "id", None) == "BASIS_NAMES" for t in node.targets)]
+    assert homes == ["model"]

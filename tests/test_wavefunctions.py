@@ -214,7 +214,7 @@ def test_integrate_stack_sums_each_dtype_apart():
               lambda x: []]
 
     real, cplx, empty = integrate_stack(groups, stack, g)
-    lo, hi = wfm._window(stack, g)
+    lo, hi = qo._window(stack, g)
     assert real.dtype == float and real.shape == (1, 3)
     assert np.array_equal(real, qo.integrate_vec(
         lambda x: np.abs(stack.fn(x, 0))[None] ** 2, lo, hi))
@@ -311,7 +311,7 @@ def test_family_a_at_subnormal_B_fails_within_one_level(monkeypatch):
     # c2 / (2 B z3) overflows, and the operator's coefficients say so
     # before any quadrature runs
     for B in (5e-324, 1e-310):
-        rep = ir.case_a(1.0, -1.0, ModelParams(B))
+        rep = ir.RepParams("A", ModelParams(B), c2=1.0, z3=-1.0)
         with pytest.raises(ValueError, match="^operator phase coefficient c0 "
                                              "is not finite$"):
             ir.rep_suite(rep, trials=200, seed=42)
@@ -334,18 +334,16 @@ def test_hermite_coefficients_are_herm2poly_bit_for_bit():
         assert probe.poly.dtype == wf.poly.dtype and np.array_equal(probe.poly, wf.poly)
 
 
-@pytest.mark.parametrize("center, width", ((0.0, 1.0), (-1.3, 0.4), (2.0, 3.0)))
-def test_probe_values_are_the_tower_values(center, width):
+def test_probe_values_are_the_tower_values():
     x = np.linspace(-6.0, 6.0, 97)
     rows = np.stack([x, x + 0.25])  # a batch of node rows
     for k in range(wfm.HERMITE_MAX + 1):
-        probe = wfm.hermite_probe(k, center, width)
-        wf = qo.hermite_wf(k, center=center, width=width)
+        probe, wf = wfm.hermite_probe(k), qo.hermite_wf(k)
         assert np.array_equal(probe(x), wf(x)) and np.array_equal(probe(rows), wf(rows))
-        assert probe.interval() == wf.interval()
+        assert wfm.WINDOW == wf.interval()
     rng = np.random.default_rng(4)
     c = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-    probe = wfm.Probe(c, center, width)
+    probe = wfm.Probe(c)
     assert probe.poly.dtype == complex
     assert np.array_equal(probe(x), qo.tower(probe)(x))
     assert wfm.Probe([1, 2]).poly.dtype == float  # real stays real
