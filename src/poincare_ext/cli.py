@@ -105,7 +105,7 @@ def suite_orbits(params: ModelParams, seed: int) -> dict:
         zeta, h = CoadjointPoint(u), subalgebra(params)
         sub = orb.subordination_check(h, zeta, params)
         try:
-            puk = orb.pukanszky_check(h, zeta, params, samples=100, seed=seed)
+            puk = orb.pukanszky_check(h, zeta, params)
             report[tag] = {"subordinate": sub, "pukanszky": puk,
                            "orbit_dim": orb.classify(zeta, params).orbit_dim}
             ok = bool(ok and sub and puk)
@@ -192,21 +192,20 @@ def suite_quantization(params: ModelParams, seed: int, m: float = 1.0) -> dict:
 def suite_classical(params: ModelParams, seed: int, m: float = 1.0) -> dict:
     import numpy as np
     from . import quantization as qz
-    from .group import casimir_pairing
-    rng = np.random.default_rng(seed)
-    s = qz.PhasePoint(*rng.uniform(-3, 3, size=(100, 2)).T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = casimir_pairing(qz.comoments(s, params, m), params)
-        worst = float(np.max(np.abs(c - m * m)))
-    if not math.isfinite(worst):  # comoments of order B, squared
-        raise ValueError("the comoment Casimir residual leaves the float range")
-    q0 = qz.PolynomialObservable({(0, 1): -1.0 / params.B})
-    q1 = qz.PolynomialObservable({(1, 0): -1.0, (0, 1): -1.0 / params.B})
-    pb = qz.poisson_bracket(q0, q1, params)
-    bracket_ok = abs(pb[(0, 0)] - 1.0 / params.B) == 0.0 and len(pb.coeffs) == 1
-    pull = max(qz.pullback_residual(qz.PhasePoint(*rng.uniform(-2, 2, 2)),
-                                    params, m) for _ in range(5))
-    ok = bool(worst <= 1e-12 and bracket_ok and pull <= 1e-6)
+    worst = qz.casimir_defect(params, m)
+    # the light-cone coordinates q^0 = -p/B and q^1 = -q - p/B carry 1/B,
+    # which overflows at subnormal B: there is no float bracket to take
+    inv_b = 1.0 / params.B
+    bracket_ok = math.isfinite(inv_b)
+    if bracket_ok:
+        q0 = qz.PolynomialObservable({(0, 1): -inv_b})
+        q1 = qz.PolynomialObservable({(1, 0): -1.0, (0, 1): -inv_b})
+        pb = qz.poisson_bracket(q0, q1, params)
+        bracket_ok = pb[(0, 0)] == inv_b and len(pb.coeffs) == 1
+    points = np.random.default_rng(seed).uniform(-2, 2, size=(5, 2)).tolist()
+    pull = _field(qz.pullback_defect, params, m, points)
+    ok = bool(worst <= 1e-12 and bracket_ok
+              and not isinstance(pull, dict) and pull <= 1e-6)
     return {"comoment_casimir": worst, "lightcone_bracket_exact": bracket_ok,
             "pullback": pull, "pass": ok}
 

@@ -459,8 +459,11 @@ def _kernel(op, probes):
     axes first, R the probes' coefficient columns, G(K) the moments G_K,
     all of one size N.
 
-    A probe that is not a Probe record raises ValueError.
+    An empty probe list, or a probe that is not a Probe record, raises
+    ValueError.
     """
+    if not probes:
+        raise ValueError("operator checks need at least one probe")
     if not all(isinstance(f, Probe) for f in probes):
         raise ValueError("operator checks need Gaussian-polynomial "
                          "probe records (Probe)")
@@ -515,8 +518,6 @@ def hermiticity_residual(op, probes) -> float:
     Exact on Gaussian-polynomial probes: with A f = sum_k e^{kx} M_k r g,
     the pairs are the entries of R^H (sum_k M_k^H G_k - G_k M_k) R.
     """
-    if not probes:
-        return 0.0
     mats, r, gram = _kernel(op, probes)
     h = sum((np.swapaxes(m.conj(), -1, -2) @ gram(k) - gram(k) @ m
              for k, m in mats.items()), np.zeros((len(r),) * 2))
@@ -647,20 +648,15 @@ def default_probes(count: int = 5) -> tuple:
     return _hermite_probes()[:count]
 
 
-def verify_homomorphism(rep: RepParams, g2: GroupElement, g1: GroupElement,
-                        probes) -> float:
+def verify_homomorphism(rep: RepParams, g2: GroupElement, g1: GroupElement) -> float:
     """Largest AffinePhase.gap of T(g2) T(g1) to T(g2 g1), probes' WINDOW."""
-    if not probes:
-        return 0.0
     op = _affine_phase(rep, g2).compose(_affine_phase(rep, g1))
     gap = op.gap(_affine_phase(rep, compose(g2, g1, rep.params)), *WINDOW)
     return float(np.max(gap))
 
 
-def verify_unitarity(rep: RepParams, g: GroupElement, probes) -> float:
+def verify_unitarity(rep: RepParams, g: GroupElement) -> float:
     """Largest AffinePhase.unitarity_gap of T(g), probes' WINDOW."""
-    if not probes:
-        return 0.0
     return float(np.max(_affine_phase(rep, g).unitarity_gap(*WINDOW)))
 
 
@@ -673,8 +669,6 @@ def verify_commutators(rep: RepParams, probes) -> float:
     on each probe.  Anti-Hermiticity is the hermiticity_residual of
     i dT(X) on the first two probes.
     """
-    if not probes:
-        return 0.0
     gens = [_generators(rep)[name] for name in BASIS_NAMES]
     consts = structure_constants(rep.params)
     defects = []
@@ -697,8 +691,6 @@ def verify_casimir(rep: RepParams, probes) -> float:
 
     The residual of the defect operator, a product on the generator table.
     """
-    if not probes:
-        return 0.0
     g = _generators(rep)
     # Casimir labels: c2 on the orbit, 0 on the points, zeta^a zeta_a at z3 = 0
     c = {"A": rep.c2, "B": 0.0, "C": rep.zeta0 ** 2 - rep.zeta1 ** 2}[rep.family]
@@ -736,9 +728,9 @@ def rep_suite(rep: RepParams, trials: int = 200, seed: int = 42) -> dict:
     probes = default_probes(5)
     pairs = rng.uniform(-2.0, 2.0, size=(trials, 2, 4))
     g2, g1 = (GroupElement(*pairs[:, k].T) for k in range(2))
-    hom = verify_homomorphism(rep, g2, g1, probes[:1])
+    hom = verify_homomorphism(rep, g2, g1)
     g = GroupElement(*rng.uniform(-2.0, 2.0, size=(trials, 4)).T)
-    uni = verify_unitarity(rep, g, probes[:2])
+    uni = verify_unitarity(rep, g)
     comm = verify_commutators(rep, probes)
     cas = verify_casimir(rep, probes)
     return {

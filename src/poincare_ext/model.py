@@ -7,12 +7,12 @@ Basis order (P0, P1, J, I).  The defining brackets
 with J and I commuting with I, are stated here once; `group` builds its
 float structure constants from them, and `cohomology` its exact ones.
 One exact elimination here (`rank`, `row_basis`, `kernel`, with `bracket`
-on the table) decides every algebra dimension.  The Casimir on
-components, the three coadjoint orbit cases and the classical particle's
-closed forms, with the two drift integrals of its velocity that the
-dynamics oracles need, are here too, which `group`, `orbits` and
-`dynamics` use or re-export.  Without numpy, `cohomology`, `orbit
-classify` and `trajectory` load this module alone.
+and the Kirillov form `kirillov` on the table) decides every algebra
+dimension.  The Casimir on components, the three coadjoint orbit cases
+and the classical particle's closed forms, with the two drift integrals
+of its velocity that the dynamics oracles need, are here too, which
+`group`, `orbits` and `dynamics` use or re-export.  Without numpy,
+`cohomology`, `orbit classify` and `trajectory` load this module alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 __all__ = ["ModelParams", "BASIS_NAMES", "brackets", "bracket", "rank",
-           "row_basis", "kernel", "casimir", "OrbitClass",
+           "row_basis", "kernel", "casimir", "kirillov", "OrbitClass",
            "classify", "ClassicalState", "kinematical_momentum",
            "relativistic_energy", "classical_trajectory",
            "proper_time", "drift_integrals"]
@@ -146,9 +146,19 @@ def kernel(rows, n: int) -> list:
 
 
 def casimir(u, B):
-    """u^A u_A = u^a u_a - 2 (B / sqrt(-h)) u_2 u_3, on floats or arrays."""
+    """u^A u_A = u^a u_a - 2 (B / sqrt(-h)) u_2 u_3, on floats, arrays or
+    Fractions (exact for Fraction u and B)."""
     u0, u1, u2, u3 = u  # x * x rounds as numpy's x ** 2
-    return u0 * u0 - u1 * u1 - 2.0 * B * u2 * u3
+    return u0 * u0 - u1 * u1 - 2 * B * u2 * u3
+
+
+def kirillov(u, B) -> list:
+    """K_{AC} = <u, [T_A, T_C]> on the table, as rows; exact in the type of u and B."""
+    k = [[0] * 4 for _ in range(4)]
+    for a, c, coeffs in brackets(B):
+        k[a][c] = sum(x * y for x, y in zip(u, coeffs) if y)
+        k[c][a] = -k[a][c]
+    return k
 
 
 class OrbitClass(_Record):
@@ -278,7 +288,8 @@ def drift_integrals(cs: ClassicalState, tau: float):
     each taken as a quotient where its terms would cancel.  So W =
     m^2 (delta/B)^2 S(delta) / 2 + m^2 sinh 2c (sinh delta / B)^2 /
     (2 (1 + cosh delta)) with S = _sinh_defect, and no term cancels as
-    B -> 0 or grows with |B|.
+    B -> 0 or grows with |B|.  An m^2 so small that cosh delta overflows
+    raises ValueError naming m.
     """
     m, T = cs.m, tau - cs.tau0
     p0, p1 = cs.ptilde_0, kinematical_momentum(cs, tau)
@@ -288,7 +299,11 @@ def drift_integrals(cs: ClassicalState, tau: float):
         cosh_d = h / (e0 * e1 + p0 * p1) * h
         m2_sinh_2c = p0 * e1 + e0 * p1
     else:
-        cosh_d = (e0 * e1 - p0 * p1) / m / m  # m * m underflows from m ~ 1e-162
+        gap = e0 * e1 - p0 * p1
+        cosh_d = gap / m / m  # m * m underflows from m ~ 1e-162
+        if math.isfinite(gap) and math.isinf(cosh_d):  # m^2 too small
+            raise ValueError(f"mass m = {m!r}: cosh delta = (E0 E1 - p0 p1) / m^2 "
+                             "leaves the float range")
         m2_sinh_2c = (p0 - p1) / (p0 * e1 - e0 * p1) * (p0 + p1) * m * m \
             if p0 != p1 else 0.0
     sinh_b = T * (1.0 + cosh_d) / (e0 + e1)

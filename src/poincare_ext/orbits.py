@@ -6,7 +6,9 @@ on the u2 axis, and the mass-shell type surfaces u^a u_a = const in the
 hyperplane u3 = 0, which gather into eight families separated by the
 signs of the light-cone components u0 + u1 and u0 - u1.  `classify` and
 `OrbitClass` are re-exported from `model`, whose exact elimination decides
-closure, h^perp, the Kirillov rank and subordination with no tolerance.
+closure, h^perp, the Kirillov rank and subordination with no tolerance;
+Pukanszky's condition is decided exactly too, as polynomial identities of
+the orbit invariants on zeta + h^perp.
 """
 
 from __future__ import annotations
@@ -19,16 +21,14 @@ from itertools import combinations
 import numpy as np
 
 from .group import AlgebraElement, CoadjointPoint
-from .conventions import SQRT_MINUS_H, minkowski_square
-from .model import (ModelParams, OrbitClass, bracket, brackets, classify, kernel,
-                    rank, row_basis)
+from .model import (ModelParams, OrbitClass, bracket, casimir, classify, kernel,
+                    kirillov, rank, row_basis)
 
 __all__ = [
     "OrbitClass",
     "Subalgebra",
     "kirillov_form",
     "classify",
-    "on_orbit",
     "subordination_check",
     "pukanszky_check",
     "MaximalityError",
@@ -68,11 +68,6 @@ class Subalgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def annihilator(self) -> np.ndarray:
-        """Basis (rows) of the span's annihilator: the exact kernel, rows at max-norm 1."""
-        kern = kernel(self.rows, 4)
-        return np.array([[v / max(map(abs, x)) for v in x] for x in kern]).reshape(-1, 4)
-
 
 def CASE_A_SUBALGEBRA(p: ModelParams = ModelParams()) -> Subalgebra:
     """(J, P+, I) with P+ = P0 + P1."""
@@ -96,54 +91,47 @@ def CASE_C_SUBALGEBRA(p: ModelParams = ModelParams()) -> Subalgebra:
 
 def kirillov_form(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> np.ndarray:
     """Antisymmetric K_{AB} = <zeta, [T_A, T_B]> = zeta_C c^C_{AB} in exact Fractions."""
-    u = [Fraction(x) for x in zeta.u]
-    k = np.zeros((4, 4), dtype=object)
-    for a, b, coeffs in brackets(Fraction(p.B)):
-        k[a, b] = sum(x * c for x, c in zip(u, coeffs) if c)
-        k[b, a] = -k[a, b]
-    return k
+    return np.array(kirillov([Fraction(x) for x in zeta.u], Fraction(p.B)),
+                    dtype=object)
 
 
 def orbit_dimension(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> int:
     return rank(kirillov_form(zeta, p))
 
 
-def _lightcone_signs(u, tol: float) -> np.ndarray:
-    """Signs of u0 + u1 and u0 - u1, 0 within tol, over the last axis of u."""
-    cone = np.stack([u[..., 0] + u[..., 1], u[..., 0] - u[..., 1]], axis=-1)
-    return np.where(np.abs(cone) <= tol, 0.0, np.sign(cone))
+def _invariants(tag: str, B) -> dict:
+    """The invariants whose values at zeta cut its orbit out of the dual,
+    each a polynomial of degree <= 2 in u.
 
-
-def on_orbit(mu: CoadjointPoint, zeta: CoadjointPoint,
-             p: ModelParams = ModelParams()) -> bool | np.ndarray:
-    """Membership test for mu on the coadjoint orbit through zeta, to a
-    relative 1e-9.
-
-    A single point mu gives a bool; a batch of shape S gives an array of
-    S bools, each the bool of that point alone.
+    CaseA: u3 and the Casimir.  CaseB: the point itself.  CaseC: u3 (= 0),
+    the mass shell u^a u_a and the light-cone components u0 + u1 and
+    u0 - u1, whose signs name the orbit's family; an affine function keeps
+    its sign on a whole affine space only if it is constant there.
     """
-    tol = 1e-9
-    cls = classify(zeta, p)
-    u = mu.array
-    u2, u3 = u[..., 2], u[..., 3]
-    scale = 1.0 + float(np.max(np.abs(zeta.array)))
-    if cls.tag == "CaseA":
-        # a point with u3 = 0 fails the u3 test, whatever its want_u2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want_u2 = (minkowski_square(u[..., :2]) * SQRT_MINUS_H / (2 * p.B * u3)
-                       - cls.labels["casimir"] * SQRT_MINUS_H / (2 * p.B * u3))
-        ok = ((np.abs(u3 - zeta.u[3]) <= tol * scale)
-              & (np.abs(u2 - want_u2) <= tol * (1.0 + np.abs(want_u2))))
-    elif cls.tag == "CaseB":
-        ok = np.max(np.abs(u - zeta.array), axis=-1) <= tol * scale
-    else:
-        # CaseC: u3 = 0, same mass shell, same connected component
-        ok = ((np.abs(u3) <= tol * scale)
-              & (np.abs(minkowski_square(u[..., :2]) - cls.labels["mass_square"])
-                 <= tol * scale**2)
-              & np.all(_lightcone_signs(u, tol * scale)
-                       == _lightcone_signs(zeta.array, tol * scale), axis=-1))
-    return bool(ok) if u.ndim == 1 else ok
+    if tag == "CaseA":
+        return {"u3": lambda u: u[3], "casimir": lambda u: casimir(u, B)}
+    if tag == "CaseB":
+        return {"point": tuple}
+    return {"u3": lambda u: u[3],
+            "mass_shell": lambda u: u[0] * u[0] - u[1] * u[1],
+            "lightcone": lambda u: (u[0] + u[1], u[0] - u[1])}
+
+
+def _orbit_contains(zeta: CoadjointPoint, directions, p: ModelParams) -> bool:
+    """True iff the whole affine space zeta + span(directions) lies on the
+    orbit through zeta, decided exactly.
+
+    Along the space u = zeta + sum s_i n_i each invariant is a polynomial
+    of degree <= 2 in the coordinates s, and such a polynomial is constant
+    iff it takes its value at s = 0 also at each s = +-e_i and e_i + e_j
+    (i < j).  The invariants are compared there in Fractions.
+    """
+    u = [Fraction(x) for x in zeta.u]
+    steps = [[s * x for x in n] for n in directions for s in (1, -1)]
+    steps += [[a + b for a, b in zip(n, k)] for n, k in combinations(directions, 2)]
+    invariants = _invariants(classify(zeta, p).tag, Fraction(p.B)).values()
+    return all(f([a + b for a, b in zip(u, d)]) == f(u)
+               for f in invariants for d in steps)
 
 
 def subordination_check(h: Subalgebra, zeta: CoadjointPoint,
@@ -155,16 +143,13 @@ def subordination_check(h: Subalgebra, zeta: CoadjointPoint,
 
 
 def pukanszky_check(h: Subalgebra, zeta: CoadjointPoint,
-                    p: ModelParams = ModelParams(), samples: int = 100,
-                    seed: int = 0) -> bool:
-    """Sample the affine variety zeta + h^perp and test orbit membership.
+                    p: ModelParams = ModelParams()) -> bool:
+    """Pukanszky's condition zeta + h^perp in the orbit of zeta, decided
+    exactly on the integer annihilator basis (`model.kernel`).
 
-    Each sample adds to zeta a combination of the annihilator basis with
-    coefficients uniform in [-10, 10]; the samples are drawn as one batch
-    and tested by one on_orbit call.  Requires subordination and the
-    maximality condition dim h = dim g - (orbit dim)/2; the latter raises
-    MaximalityError so a maximality failure is not confused with a
-    Pukanszky failure.
+    Requires subordination and the maximality condition dim h = dim g -
+    (orbit dim)/2; the latter raises MaximalityError so a maximality
+    failure is not confused with a Pukanszky failure.
     """
     if not subordination_check(h, zeta, p):
         raise ValueError("subalgebra is not subordinate to zeta")
@@ -172,8 +157,4 @@ def pukanszky_check(h: Subalgebra, zeta: CoadjointPoint,
     if 4 - h.dim != odim // 2:
         raise MaximalityError(
             f"codim {4 - h.dim} != half orbit dimension {odim // 2}")
-    perp = h.annihilator()
-    coeffs = np.random.default_rng(seed).uniform(-10.0, 10.0,
-                                                 (samples, perp.shape[0]))
-    return bool(np.all(on_orbit(CoadjointPoint(zeta.array + coeffs @ perp),
-                                zeta, p)))
+    return _orbit_contains(zeta, kernel(h.rows, 4), p)

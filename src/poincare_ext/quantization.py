@@ -12,6 +12,9 @@ maps the first to the second, term by term.  Observables of degree
 three and higher are rejected: no consistent extension of the degree
 <= 2 map exists (Groenewold--Van Hove obstruction).
 
+The comoments are one table in any number type (comoment_table), which
+the classical checks (Casimir, pullback) read exactly in Fractions.
+
 The Dirac, hermiticity and covariance checks are exact algebra, with no
 quadrature, on the operator algebra of irreps, which the representation
 checks share.  Operators multiply in the Weyl algebra (QuantOperator @),
@@ -28,19 +31,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .conventions import SQRT_MINUS_H
-from .group import (
-    AlgebraElement,
-    CoadjointPoint,
-    GroupElement,
-    ModelParams,
-    ad_matrix,
-    bracket,
-    inverse,
-)
+from .group import GroupElement, ModelParams, inverse
 from .irreps import (
     AffinePhase,
     QuantOperator,
@@ -56,40 +52,29 @@ from .irreps import (
     default_probes,
     hermiticity_residual,
 )
+from .model import kirillov, row_basis
 from .wavefunctions import WINDOW
 
 __all__ = [
     "NoGoError",
-    "PhasePoint",
     "PolynomialObservable",
     "QuantOperator",
     "parse_poly",
     "poisson_bracket",
-    "comoments",
+    "comoment_table",
     "comoment_observables",
-    "momentum_map",
+    "casimir_defect",
+    "pullback_defect",
     "quantize",
     "hermiticity_residual",
     "dirac_residuals",
     "covariance_suite",
-    "pullback_residual",
     "rep_for_mass",
 ]
 
 
 class NoGoError(ValueError):
     """Raised when quantization of a degree >= 3 observable is requested."""
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    """Point of the reduced phase space in (q, p) coordinates.
-
-    q and p may be arrays of one shape S, a batch of points.
-    """
-
-    q: float
-    p: float
 
 
 @dataclass(frozen=True)
@@ -125,12 +110,6 @@ class PolynomialObservable:
 
     def __getitem__(self, key) -> float:
         return dict(self.coeffs).get(key, 0.0)
-
-    def __call__(self, s: PhasePoint) -> float:
-        # squares as products: pow(q, 2) can miss the rounded q * q by a
-        # bit, and numpy squares arrays as q * q, so a point and a batch agree
-        q, p = ((x ** 0, x, x * x) for x in (s.q, s.p))
-        return sum(v * q[i] * p[j] for (i, j), v in self.coeffs)
 
 
 def _substituted(c, q_map, p_map):
@@ -189,33 +168,89 @@ def poisson_bracket(f: PolynomialObservable, g: PolynomialObservable,
 # comoments and momentum map
 
 
-def comoment_observables(params: ModelParams, m: float):
-    """The four comoments as polynomial observables (u0, u1, u2, u3).
+def comoment_table(B, m) -> tuple:
+    """The comoments (u0, u1, u2, u3) as {(i, j): c} tables of q^i p^j.
 
-    u2 is defined up to an additive constant; this is its standard
+    One formula for every number type, as `model.brackets`: float B and m
+    give comoment_observables' coefficients, Fractions the exact ones.  u2
+    is defined up to an additive constant; this is its standard
     representative.
     """
-    B = params.B
-    u0 = PolynomialObservable({(1, 0): -B, (0, 1): -1.0})
-    u1 = PolynomialObservable({(0, 1): 1.0})
-    u2 = PolynomialObservable({(0, 0): m * m / (2.0 * B),
-                               (2, 0): -B / 2.0, (1, 1): -1.0})
-    u3 = PolynomialObservable({(0, 0): -1.0})
-    return u0, u1, u2, u3
+    return ({(1, 0): -B, (0, 1): -1},
+            {(0, 1): 1},
+            {(0, 0): m * m / (2 * B), (2, 0): -B / 2, (1, 1): -1},
+            {(0, 0): -1})
 
 
-def comoments(s: PhasePoint, params: ModelParams, m: float) -> CoadjointPoint:
-    """The comoments (u0, u1, u2, u3) at s, as one CoadjointPoint.
+def comoment_observables(params: ModelParams, m: float):
+    """The four comoments as polynomial observables (u0, u1, u2, u3)."""
+    return tuple(PolynomialObservable(t) for t in comoment_table(params.B, m))
 
-    A batch s of shape S gives a batch of shape S, each point bit for bit
-    the comoments of that point alone.
+
+def _product(f, g, scale=1) -> dict:
+    """scale f g on {(i, j): c} tables."""
+    out = {}
+    for (i, j), a in f.items():
+        for (k, l), b in g.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + scale * a * b
+    return out
+
+
+def casimir_defect(params: ModelParams, m: float) -> float:
+    """The comoments' Casimir minus m^2, a coefficient identity on the
+    exact table.
+
+    u0^2 - u1^2 - 2B u2 u3 - m^2 (`model.casimir`) is summed from four
+    tables; each of its coefficients is read relative to the largest of
+    the four it sums, so a wrong entry reads of order 1 at every B.  0.0
+    where the identity holds.
     """
-    return CoadjointPoint(*(u(s) for u in comoment_observables(params, m)))
+    B, m = Fraction(params.B), Fraction(m)
+    u0, u1, u2, u3 = comoment_table(B, m)
+    parts = (_product(u0, u0), _product(u1, u1, -1), _product(u2, u3, -2 * B),
+             {(0, 0): -m * m})
+    return float(max(abs(sum(t.get(k, 0) for t in parts))
+                     / max(abs(t.get(k, 0)) for t in parts)
+                     for k in set().union(*parts)))
 
 
-def momentum_map(s: PhasePoint, params: ModelParams, m: float) -> CoadjointPoint:
-    """comoments / hbar, over the batch of s as comoments."""
-    return CoadjointPoint(comoments(s, params, m).array / params.hbar)
+def _jets(tables, q, p) -> list:
+    """(f, df/dq, df/dp) at (q, p) of each {(i, j): c} table of q^i p^j,
+    of degree <= 2."""
+    mono = {(0, 0): 1, (1, 0): q, (0, 1): p, (2, 0): q * q, (1, 1): q * p,
+            (0, 2): p * p}
+    return [(sum(c * mono[i, j] for (i, j), c in t.items()),
+             sum(i * c * mono[i - 1, j] for (i, j), c in t.items() if i),
+             sum(j * c * mono[i, j - 1] for (i, j), c in t.items() if j))
+            for t in tables]
+
+
+def pullback_defect(params: ModelParams, m: float, points) -> float:
+    """max over the phase points (q, p) of |<z, [X, Y]> + 1/hbar|, exact.
+
+    z = u/hbar is the momentum map, u the comoments, and ad*_X z = K X for
+    the Kirillov form K at z (`model.kirillov`).  With K X = dz/dq and
+    K Y = dz/dp the orbit form <z, [X, Y]> = X . K Y = X . dz/dp must be
+    the phase-space pairing of (e_q, e_p) over hbar, -1/hbar.  K and dz
+    scale as 1/hbar, so X solves K(u) X = du/dq and the defect is
+    |X . du/dp + 1| / hbar.  One elimination of [K | du/dq | du/dp] gives
+    X; a tangent K does not reach, off the orbit, raises ValueError.
+    """
+    B = Fraction(params.B)
+    table = comoment_table(B, Fraction(m))
+    worst = 0
+    for q, p in points:
+        u, du_dq, du_dp = zip(*_jets(table, Fraction(q), Fraction(p)))
+        k = kirillov(u, B)
+        x = [0] * 4
+        for row in row_basis([k[r] + [du_dq[r], du_dp[r]] for r in range(4)]):
+            col = next(j for j, v in enumerate(row) if v)
+            if col >= 4:
+                raise ValueError(f"the momentum map at (q, p) = ({q!r}, {p!r}) "
+                                 "leaves the orbit")
+            x[col] = Fraction(row[4], row[col])
+        worst = max(worst, abs(sum(a * b for a, b in zip(x, du_dp)) + 1))
+    return float(worst / Fraction(params.hbar))
 
 
 def rep_for_mass(params: ModelParams, m: float) -> RepParams:
@@ -264,8 +299,6 @@ def dirac_residuals(params: ModelParams, m: float, probes, z3s) -> list:
     operator array, from the x-left product, and its residual is
     ||R f|| / ||f|| on each probe, exact in Gaussian moments.
     """
-    if not probes:
-        return [0.0] * len(z3s)
     us = comoment_observables(params, m)
     ops = [quantize(u, params) for u in us]
     pairs = [(quantize(poisson_bracket(us[a], us[b], params), params),
@@ -302,8 +335,6 @@ def _covariance_residual(g: GroupElement, pulled: QuantOperator,
     residual is relative to the image, whose size grows with hbar^2 for a
     p^2 term.
     """
-    if not probes:
-        return 0.0
     rep = rep_for_mass(params, m)
     u = _affine_phase(rep, g)
     inv = _affine_phase(rep, inverse(g, params))
@@ -344,29 +375,3 @@ def covariance_suite(params: ModelParams, m: float, trials: int = 50,
                                QuantOperator(_weyl(c, params.hbar)[None]),
                                params, m, default_probes(2))
     return float(np.max(res, initial=0.0))
-
-
-def pullback_residual(s: PhasePoint, params: ModelParams, m: float) -> float:
-    """Symplectic-form pullback along the momentum map by central differences.
-
-    The orbit form evaluated on the pushed-forward coordinate directions
-    must equal the phase-space pairing of those directions divided by
-    hbar; the pairing of (e_q, e_p) is -1 in this orientation.  The
-    differences take steps of 1e-5 in q and in p; s and its four
-    neighbours go through the momentum map as one batch.
-    """
-    h = 1e-5
-    z, q_plus, q_minus, p_plus, p_minus = momentum_map(
-        PhasePoint(s.q + np.array([0.0, h, -h, 0.0, 0.0]),
-                   s.p + np.array([0.0, 0.0, 0.0, h, -h])), params, m).array
-    v_q = (q_plus - q_minus) / (2.0 * h)
-    v_p = (p_plus - p_minus) / (2.0 * h)
-
-    # express each tangent vector as a coadjoint direction ad*_X zeta; the
-    # column of basis element T_k is -z ad(T_k)
-    M = (-z @ ad_matrix(AlgebraElement(np.eye(4)), params)).T
-    X, *_ = np.linalg.lstsq(M, v_q, rcond=None)
-    Y, *_ = np.linalg.lstsq(M, v_p, rcond=None)
-    b = float(z @ bracket(AlgebraElement(tuple(X)),
-                          AlgebraElement(tuple(Y)), params).array)
-    return abs(b - (-1.0) / params.hbar)

@@ -485,25 +485,24 @@ def test_coadjoint_suite_at_every_sweep_B(B):
     assert report["pass"], report
 
 
-#: B -> the measured cause (seed 42) of the classical suite's failure there
-CLASSICAL_XFAIL = {
-    **{B: f"pullback {value} against its 1e-6 gate: u2 carries m^2 / (2B), "
-          "whose digits the 1e-5 central differences lose"
-       for B, value in ((1e-8, "4.8e-4"), (-1e-8, "4.8e-4"), (1e-4, "1.3e-6"))},
-    **{B: f"comoment_casimir {value} against its 1e-12 gate: comoments of "
-          "order B, squared in float64"
-       for B, value in ((100.0, "2.9e-11"), (-100.0, "4.4e-11"), (1e4, "2.4e-7"),
-                        (-1e4, "3.6e-7"))}}
-
-
-@pytest.mark.parametrize("B", [
-    pytest.param(B, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason=CLASSICAL_XFAIL[B]))
-    if B in CLASSICAL_XFAIL else B
-    for B in SWEEP_B])
+@pytest.mark.parametrize("B", SWEEP_B + [B for B in EDGE_B if math.isfinite(1.0 / B)])
 def test_classical_suite_at_every_sweep_B(B):
-    report = cli.suite_classical(ModelParams(B=B), 42)
-    assert report["pass"], report
+    # the comoment Casimir and the pullback are exact identities: 0.0 at
+    # every B and seed.  At subnormal B, left out here, 1/B overflows and
+    # the light-cone bracket is not exact
+    for seed in range(20):
+        report = cli.suite_classical(ModelParams(B=B), seed)
+        assert report == {"comoment_casimir": 0.0, "lightcone_bracket_exact": True,
+                          "pullback": 0.0, "pass": True}, (seed, report)
+
+
+@pytest.mark.parametrize("B", ("5e-324", "1e-310"))
+def test_classical_suite_at_subnormal_B(B):
+    # the exact identities still read 0.0; the light-cone coordinates carry
+    # 1/B, past the float range, so their bracket is not exact
+    assert cli.suite_classical(ModelParams(B=float(B)), 42) == {
+        "comoment_casimir": 0.0, "lightcone_bracket_exact": False,
+        "pullback": 0.0, "pass": False}
 
 
 def strict_json(text):
@@ -534,10 +533,12 @@ def test_all_checks_at_large_B_is_a_whole_report(B):
 def test_all_checks_names_the_residuals_past_the_float_range(B):
     report = strict_json(run_cli("all-checks", f"--B={B}")[1])
     leaves = "residual leaves the float range"
-    assert {name: report[name].get("error") for name in
-            ("classical", "coadjoint")} == {
-        "classical": f"the comoment Casimir {leaves}",
-        "coadjoint": f"the coadjoint Casimir {leaves}"}
+    assert report["coadjoint"] == {"error": f"the coadjoint Casimir {leaves}",
+                                   "pass": False}
+    # the classical identities are exact: no float range to leave
+    assert report["classical"] == {"comoment_casimir": 0.0,
+                                   "lightcone_bracket_exact": True,
+                                   "pullback": 0.0, "pass": True}
     # the quantization suite fails per field: the Dirac pair shares one
     # error and covariance has its own, while hermiticity keeps its value
     # (5.0e-16) and passes its gate
@@ -665,6 +666,19 @@ def test_evolve_at_tiny_mass_runs(m, capsys):
     report = strict_json(out)
     assert err == "" and report["max_deviation"] <= 1e-12
     assert abs(report["norm"] - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("m", ("5e-324", "1e-310"))
+def test_evolve_names_a_mass_whose_square_leaves_the_float_range(m, capsys):
+    # cosh delta = (E0 E1 - p0 p1) / m^2 overflows: the error names the
+    # mass, not the two oracles whose gap it would turn to nan
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["evolve", "--emit=json", f"--m={m}"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"poincare-ext: error: evolve at B=1.0: mass m = {float(m)!r}: cosh delta "
+        "= (E0 E1 - p0 p1) / m^2 leaves the float range")
 
 
 @pytest.mark.parametrize("sigma", ("1e-170", "1e-300"))

@@ -444,7 +444,7 @@ def test_total_energy_operator_commutes_with_h0():
 
 def test_h0_is_minus_twice_potential_energy():
     # classically H0 = B q1: check at the coefficient level via comoments
-    from poincare_ext.quantization import PhasePoint, comoments
+    from sweep_oracle import PhasePoint, comoments
     rng = np.random.default_rng(3)
     for _ in range(20):
         s = PhasePoint(*rng.uniform(-3, 3, 2))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincare_ext import irreps as ir
+from poincare_ext import quantization as qz
 from poincare_ext.cli import GENERATOR_GATE, REP_GATES, REP_LABELS
 from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
@@ -94,19 +95,17 @@ def test_boost_preserves_norm():
 
 def test_homomorphism_random_pairs():
     rng = np.random.default_rng(1)
-    probes = [hermite_wf(0), hermite_wf(2)]
     for rep in (REP_A, REP_B, REP_C):
         for _ in range(20):
-            res = ir.verify_homomorphism(rep, rand_g(rng), rand_g(rng), probes)
+            res = ir.verify_homomorphism(rep, rand_g(rng), rand_g(rng))
             assert res < 1e-8
 
 
 def test_unitarity_random_elements():
     rng = np.random.default_rng(2)
-    probes = [hermite_wf(0), hermite_wf(1)]
     for rep in (REP_A, REP_B, REP_C):
         for _ in range(20):
-            assert ir.verify_unitarity(rep, rand_g(rng), probes) < 1e-8
+            assert ir.verify_unitarity(rep, rand_g(rng)) < 1e-8
 
 
 def test_commutator_table():
@@ -132,10 +131,19 @@ def test_default_probes_are_one_shared_tuple():
         ir.default_probes(6)
 
 
-def test_probe_checks_on_no_probes():
-    for rep in (REP_A, REP_B, REP_C):
-        assert ir.verify_commutators(rep, []) == 0.0
-        assert ir.verify_casimir(rep, []) == 0.0
+def test_probe_checks_refuse_an_empty_probe_list():
+    # an empty list is a caller's error, not a residual of 0.0: every check
+    # on the moment kernel refuses it by name
+    op = qz.quantize(qz.parse_poly("q^2+2qp"), P)
+    calls = [lambda: ir.hermiticity_residual(op, []),
+             lambda: qz.dirac_residuals(P, 1.0, [], (1.0, -1.0)),
+             lambda: qz._covariance_residual(GroupElement(0.1, 0.2, 0.3, 0.4),
+                                             op, op, P, 1.0, [])]
+    calls += [functools.partial(check, rep, []) for rep in (REP_A, REP_B, REP_C)
+              for check in (ir.verify_commutators, ir.verify_casimir)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^operator checks need at least one probe$"):
+            call()
 
 
 def test_generator_scalar_actions():
@@ -244,12 +252,11 @@ def test_affine_phase_image_is_the_tower_image(basis):
 def test_batched_checks_equal_max_of_scalar_checks(rep):
     g2, g2s = stacked(8)
     g1, g1s = stacked(9)
-    probes = [hermite_wf(0), hermite_wf(1)]
     eps = np.finfo(float).eps
-    hom = max(ir.verify_homomorphism(rep, b, a, probes) for b, a in zip(g2s, g1s))
-    assert abs(ir.verify_homomorphism(rep, g2, g1, probes) - hom) <= 4 * eps
-    uni = max(ir.verify_unitarity(rep, g, probes) for g in g2s)
-    assert abs(ir.verify_unitarity(rep, g2, probes) - uni) <= 4 * eps
+    hom = max(ir.verify_homomorphism(rep, b, a) for b, a in zip(g2s, g1s))
+    assert abs(ir.verify_homomorphism(rep, g2, g1) - hom) <= 4 * eps
+    uni = max(ir.verify_unitarity(rep, g) for g in g2s)
+    assert abs(ir.verify_unitarity(rep, g2) - uni) <= 4 * eps
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +364,15 @@ def _take(g, members):
 
 def oracle_checks(rep, seed=42):
     """The quadrature checks on the batches and probes rep_suite hands its
-    closed-form checks.  Homomorphism and unitarity are functions of the
-    slice of members they take (all by default)."""
+    closed-form checks.  Homomorphism and unitarity, which read the probes'
+    window alone, are checked on the first Hermite function and on the
+    first two; each is a function of the slice of members it takes (all by
+    default)."""
     seen = {}
 
     def record(field):
         def check(_, *args):
-            # the probe records the suite hands, as the oracle's evaluators
-            seen[field] = args[:-1] + ([tower(f) for f in args[-1]],)
+            seen[field] = args
             return 0.0
         return check
 
@@ -372,13 +380,16 @@ def oracle_checks(rep, seed=42):
         for field in REP_GATES:
             mp.setattr(ir, f"verify_{field}", record(field))
         ir.rep_suite(rep, trials=200, seed=seed)
-    (g2, g1, hom_probes), (g, uni_probes) = seen["homomorphism"], seen["unitarity"]
+    (g2, g1), (g,) = seen["homomorphism"], seen["unitarity"]
+    first = [tower(f) for f in ir.default_probes(2)]
     return {"homomorphism": lambda k=slice(None): quadrature_homomorphism(
-                rep, _take(g2, k), _take(g1, k), hom_probes),
+                rep, _take(g2, k), _take(g1, k), first[:1]),
             "unitarity": lambda k=slice(None): quadrature_unitarity(
-                rep, _take(g, k), uni_probes),
-            "commutators": lambda: quadrature_commutators(rep, *seen["commutators"]),
-            "casimir": lambda: quadrature_casimir(rep, *seen["casimir"])}
+                rep, _take(g, k), first),
+            "commutators": lambda: quadrature_commutators(
+                rep, [tower(f) for f in seen["commutators"][0]]),
+            "casimir": lambda: quadrature_casimir(
+                rep, [tower(f) for f in seen["casimir"][0]])}
 
 
 @pytest.mark.parametrize("B", (1.0, -1.3, 3.0))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sweep_oracle as oracle
 from poincare_ext import cli, model
 from poincare_ext import cohomology as coh
 from poincare_ext import group as grp
@@ -91,6 +92,10 @@ def test_kirillov_form_rank_matches_orbit_dim():
         assert rank == orb.orbit_dimension(z, P) == orb.classify(z, P).orbit_dim
 
 
+# on_orbit is the float membership test of the Pukanszky oracle in
+# tests/sweep_oracle.py; these tests hold that oracle to the orbits
+
+
 def test_on_orbit_by_coadjoint_sampling():
     rng = np.random.default_rng(2)
     for z in (CoadjointPoint((0.0, 0.0, 0.5, -1.0)),
@@ -98,16 +103,16 @@ def test_on_orbit_by_coadjoint_sampling():
               CoadjointPoint((1.0, 0.3, 0.4, 0.0))):
         for _ in range(30):
             g = GroupElement(*rng.uniform(-2, 2, 4))
-            assert orb.on_orbit(coadjoint_action(g, z, P), z, P)
+            assert oracle.on_orbit(coadjoint_action(g, z, P), z, P)
 
 
 def test_on_orbit_rejects_other_orbits():
     z = CoadjointPoint((0.0, 0.0, 0.5, -1.0))
-    assert not orb.on_orbit(CoadjointPoint((0.0, 0.0, 0.6, -1.0)), z, P)
-    assert not orb.on_orbit(CoadjointPoint((0.0, 0.0, 0.5, -1.1)), z, P)
+    assert not oracle.on_orbit(CoadjointPoint((0.0, 0.0, 0.6, -1.0)), z, P)
+    assert not oracle.on_orbit(CoadjointPoint((0.0, 0.0, 0.5, -1.1)), z, P)
     zc = CoadjointPoint((1.0, 0.0, 0.0, 0.0))
     # opposite light-cone component is a different orbit on the same shell
-    assert not orb.on_orbit(CoadjointPoint((-1.0, 0.0, 0.0, 0.0)), zc, P)
+    assert not oracle.on_orbit(CoadjointPoint((-1.0, 0.0, 0.0, 0.0)), zc, P)
 
 
 @given(B=st.sampled_from([s * b for b in (1e-2, 0.5, 1.3, 3.0, 100.0)
@@ -123,8 +128,7 @@ def test_on_orbit_rejects_a_point_off_in_u3_alone(B, zeta, g, shift, sign):
     u = coadjoint_action(GroupElement(*g), zeta, p).array.copy()
     u[3] *= 1.0 + sign * shift
     u[2] = (minkowski_square(u[:2]) - casimir) * SQRT_MINUS_H / (2.0 * B * u[3])
-    assert orb.on_orbit(CoadjointPoint(u), zeta, p) is False
-    assert not orb.on_orbit(CoadjointPoint(np.stack([u, u])), zeta, p).any()
+    assert oracle.on_orbit(CoadjointPoint(u), zeta, p) is False
 
 
 def test_subalgebras_subordinate_at_representatives():
@@ -143,7 +147,8 @@ def test_pukanszky_passes_for_paper_subalgebras():
         (orb.CASE_C_SUBALGEBRA(P), CoadjointPoint((1.0, 0.3, 0.0, 0.0))),
     ]
     for h, z in cases:
-        assert orb.pukanszky_check(h, z, P, samples=100, seed=3)
+        assert orb.pukanszky_check(h, z, P)
+        assert oracle.pukanszky_check(h, z, P, samples=100, seed=3)
 
 
 def test_pukanszky_rejects_non_subordinate():
@@ -192,8 +197,70 @@ def no_central_term(B, brackets=model.brackets):
 @pytest.mark.parametrize("B", (1e-8, 1.0, 1e4))
 def test_dropped_central_term_fails_every_algebra_suite(B, monkeypatch):
     # each module reads the table where it imported it
-    for mod in (model, grp, coh, orb):
+    for mod in (model, grp, coh):
         monkeypatch.setattr(mod, "brackets", no_central_term)
     p = ModelParams(B)
     for suite in (cli.suite_structure, cli.suite_orbits, cli.suite_cohomology):
         assert not suite(p, 42)["pass"], suite.__name__
+
+
+#: a null point, and the subalgebra span{P0 - P1, J, I}: subordinate and
+#: maximal there, with h^perp = span{(1, 1, 0, 0)}.  The line zeta + h^perp
+#: runs through the origin into the opposite light-cone component, so
+#: Pukanszky's condition fails
+NULL_ZETA = CoadjointPoint((1.0, 1.0, 0.0, 0.0))
+NULL_BASIS = (AlgebraElement(1.0, -1.0, 0.0, 0.0), AlgebraElement(0.0, 0.0, 1.0, 0.0),
+              AlgebraElement(0.0, 0.0, 0.0, 1.0))
+
+#: a direction along which the Casimir at (0, 0, 0.5, -1) stays put at
+#: B = 1 while u3 moves: the line leaves the orbit through u3 alone
+CASE_A_ZETA, U3_DIRECTION = CoadjointPoint((0.0, 0.0, 0.5, -1.0)), [2, 0, 1, 2]
+
+
+def dropping(name):
+    """orbits._invariants with the invariant name left out: a planted defect."""
+    real = orb._invariants
+    return lambda tag, B: {k: f for k, f in real(tag, B).items() if k != name}
+
+
+@pytest.mark.parametrize("B", (1e-8, 1.3, -1e4))
+def test_planted_dropped_lightcone_condition_fails_exact_and_oracle(B, monkeypatch):
+    p = ModelParams(B)
+    h = orb.Subalgebra(NULL_BASIS, "(P-, J, I)", p)
+    assert orb.subordination_check(h, NULL_ZETA, p)
+    assert orb.pukanszky_check(h, NULL_ZETA, p) is False
+    assert oracle.pukanszky_check(h, NULL_ZETA, p) is False
+    assert oracle.pukanszky_check(h, NULL_ZETA, p, drop=("lightcone",)) is True
+    monkeypatch.setattr(orb, "_invariants", dropping("lightcone"))
+    assert orb.pukanszky_check(h, NULL_ZETA, p) is True
+
+
+def test_planted_dropped_u3_condition_fails_exact_and_oracle(monkeypatch):
+    # every 3-dimensional subalgebra holds I, so h^perp never moves u3 and
+    # the defect shows on a line that no subalgebra gives
+    p = ModelParams(1.0)
+    assert orb.classify(CASE_A_ZETA, p).tag == "CaseA"
+    assert orb._orbit_contains(CASE_A_ZETA, [U3_DIRECTION], p) is False
+    assert oracle.affine_on_orbit(CASE_A_ZETA, [U3_DIRECTION], p) is False
+    assert oracle.affine_on_orbit(CASE_A_ZETA, [U3_DIRECTION], p,
+                                  drop=("u3",)) is True
+    monkeypatch.setattr(orb, "_invariants", dropping("u3"))
+    assert orb._orbit_contains(CASE_A_ZETA, [U3_DIRECTION], p) is True
+
+
+# the float oracle's CaseA u2 test subtracts terms of size 1/B, so at
+# small |B| it rejects points of the orbit: the comparison runs where it
+# holds 1e-9
+@given(B=st.sampled_from([s * b for b in (1e-2, 0.5, 1.3, 3.0, 100.0)
+                          for s in (1.0, -1.0)]),
+       zeta=st.sampled_from([(0.0, 0.0, 0.5, -1.0), (0.4, -1.2, 2.0, 0.3),
+                             (0.0, 0.0, 0.7, 0.0), (1.0, 0.3, 0.0, 0.0),
+                             (-0.5, 2.0, 1.1, 0.0), (1.0, 1.0, 0.0, 0.0),
+                             (2.0, -2.0, 0.3, 0.0)]),
+       directions=st.lists(st.tuples(*[st.integers(-2, 2)] * 4), max_size=2))
+def test_orbit_decision_is_the_sampling_oracle(B, zeta, directions):
+    # the exact identities against orbit membership at 100 sampled points
+    # of zeta + span(directions)
+    p, zeta = ModelParams(B), CoadjointPoint(zeta)
+    assert orb._orbit_contains(zeta, directions, p) \
+        is oracle.affine_on_orbit(zeta, directions, p)

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincare_ext import cli
+from poincare_ext import cli, model
+from poincare_ext import group as grp
 from poincare_ext import irreps as ir
 from poincare_ext import quantization as qz
 from poincare_ext.group import (
@@ -20,6 +22,10 @@ from poincare_ext.group import (
 from poincare_ext.irreps import default_probes
 from poincare_ext.orbits import classify
 from poincare_ext.wavefunctions import Probe, hermite_probe
+from sweep_oracle import (PhasePoint, comoments, evaluate, momentum_map,
+                          pullback_residual)
+from sweep_oracle import BENCH_B
+from sweep_oracle import suite_classical as classical_oracle
 from quadrature_oracle import (_window, affine_apply, gauss_inner,
                                gauss_poly_wf, hermite_wf, images_inner, inner,
                                integrate_stack, integrate_vec, operator_apply,
@@ -62,17 +68,36 @@ def homomorphism_gap(us, a, b):
 
 
 def test_comoment_values_at_origin():
-    u = qz.comoments(qz.PhasePoint(0.0, 0.0), P, M)
+    u = comoments(PhasePoint(0.0, 0.0), P, M)
     assert u.u == (0.0, 0.0, M * M / (2.0 * P.B), -1.0)
+    exact = qz.comoment_table(Fraction(P.B), Fraction(M))
+    assert [t.get((0, 0), 0) for t in exact] == [0, 0, Fraction(M * M) / (2 * Fraction(P.B)), -1]
 
 
 def test_comoment_identities():
+    # the float oracle at sampled points, and the exact coefficient identity
     rng = np.random.default_rng(1)
     for _ in range(100):
-        s = qz.PhasePoint(*rng.uniform(-3, 3, 2))
-        u = qz.comoments(s, P, M)
+        s = PhasePoint(*rng.uniform(-3, 3, 2))
+        u = comoments(s, P, M)
         assert u.u[3] == -1.0
         assert abs(casimir_pairing(u, P) - M * M) < 1e-12
+    assert qz.casimir_defect(P, M) == 0.0
+
+
+@given(B=st.sampled_from([s * b for b in (5e-324, 1e-300, 1e-8, 1.3, 1e4, 1e300)
+                          for s in (1.0, -1.0)]),
+       m=st.floats(1e-3, 1e3))
+def test_float_table_is_the_float_formula(B, m):
+    # one formula for every number type: at float B and m it is the float
+    # table the quantization checks have always read, bit for bit
+    want = ({(1, 0): -B, (0, 1): -1.0}, {(0, 1): 1.0},
+            {(0, 0): m * m / (2.0 * B), (2, 0): -B / 2.0, (1, 1): -1.0},
+            {(0, 0): -1.0})
+    got = qz.comoment_table(B, m)
+    assert [{k: float(v) for k, v in t.items()} for t in got] == list(want)
+    assert [u.c.tolist() for u in qz.comoment_observables(ModelParams(B), m)] \
+        == [qz.PolynomialObservable(t).c.tolist() for t in want]
 
 
 def test_comoments_are_lie_homomorphism():
@@ -96,19 +121,84 @@ def test_bracket_orientation():
 
 
 def test_momentum_map_labels():
-    z = qz.momentum_map(qz.PhasePoint(0.0, 0.0), P, M)
+    z = momentum_map(PhasePoint(0.0, 0.0), P, M)
     assert z.u == (0.0, 0.0, M * M / (2.0 * P.B * P.hbar), -1.0 / P.hbar)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        s = qz.PhasePoint(*rng.uniform(-3, 3, 2))
-        assert classify(qz.momentum_map(s, P, M), P).tag == "CaseA"
+        s = PhasePoint(*rng.uniform(-3, 3, 2))
+        assert classify(momentum_map(s, P, M), P).tag == "CaseA"
 
 
 def test_pullback_of_orbit_form():
+    # exact at each point, and within the oracle's gate by central differences
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        s = qz.PhasePoint(*rng.uniform(-2, 2, 2))
-        assert qz.pullback_residual(s, P, M) < 1e-6
+    points = rng.uniform(-2, 2, (10, 2)).tolist()
+    assert qz.pullback_defect(P, M, points) == 0.0
+    for q, p in points:
+        assert pullback_residual(PhasePoint(q, p), P, M) < 1e-6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(B=st.sampled_from([s * b for b in (5e-324, 1e-300, 1e-8, 1e-4, 0.7, 1.3,
+                                          100.0, 1e4, 1e300)
+                          for s in (1.0, -1.0)]),
+       hbar=st.sampled_from((1e-3, 0.5, 1.0, 7.0)), m=st.floats(1e-3, 1e3),
+       points=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                       min_size=1, max_size=3))
+def test_pullback_is_exact_everywhere(B, hbar, m, points):
+    # the identity holds at every rational point, B, hbar and m
+    assert qz.pullback_defect(ModelParams(B, hbar), m, points) == 0.0
+    assert qz.casimir_defect(ModelParams(B, hbar), m) == 0.0
+
+
+def flipped_u0(table=qz.comoment_table):
+    """The comoment table with -Bq in u0 taken as +Bq: a planted defect."""
+    def mutant(B, m):
+        u0, *rest = table(B, m)
+        return ({**u0, (1, 0): -u0[1, 0]}, *rest)
+    return mutant
+
+
+def flipped_central_sign(B, brackets=model.brackets):
+    """The bracket table with [P0, P1] = -B eps_01 I: a planted defect."""
+    return tuple((a, c, tuple(-k for k in coeffs) if (a, c) == (0, 1) else coeffs)
+                 for a, c, coeffs in brackets(B))
+
+
+#: the exact checks decide at every B; the float oracle passes unmutated at
+#: the bench B alone (its central differences lose u2's m^2 / (2B) at small
+#: |B|, and its Casimir squares terms of size B at large |B|), so it is
+#: compared there
+PLANT_B = (1e-8, -0.5, 1.3, -3.0, -1e4, 1e300)
+
+
+@pytest.mark.parametrize("B", PLANT_B)
+def test_planted_u0_sign_fails_exact_and_oracle(B, monkeypatch):
+    # the qp coefficient of the Casimir sums -2B from u0^2 and -2B from
+    # -2B u2 u3, which cancelled before: it reads 2 at every B.  The
+    # tangents leave the orbit, so the pullback has no solution
+    monkeypatch.setattr(qz, "comoment_table", flipped_u0())
+    p = ModelParams(B)
+    report = cli.suite_classical(p, 42)
+    assert report["comoment_casimir"] == 2.0 and not report["pass"]
+    assert report["pullback"]["error"].endswith("leaves the orbit")
+    if B in BENCH_B:
+        ref = classical_oracle(p, 42)
+        assert ref["comoment_casimir"] > 1e-12 and ref["pullback"] > 1e-6
+
+
+@pytest.mark.parametrize("B", PLANT_B)
+def test_planted_central_sign_fails_exact_and_oracle(B, monkeypatch):
+    # the Kirillov form and group's float bracket both read the flipped
+    # table; the comoments, which do not, then leave its orbits
+    monkeypatch.setattr(model, "brackets", flipped_central_sign)
+    monkeypatch.setattr(grp, "brackets", flipped_central_sign)
+    p = ModelParams(B)
+    report = cli.suite_classical(p, 42)
+    assert report["comoment_casimir"] == 0.0 and not report["pass"]
+    assert report["pullback"]["error"].endswith("leaves the orbit")
+    if B in BENCH_B:
+        assert classical_oracle(p, 42)["pullback"] > 1e-6
 
 
 def test_degree_gate_total():
@@ -223,10 +313,10 @@ AFFINE = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
 def test_substitute_affine_is_evaluation_at_the_mapped_point(table, q_map,
                                                              p_map, q, p):
     f = qz.PolynomialObservable(table)
-    s = qz.PhasePoint(q, p)
+    s = PhasePoint(q, p)
     qq = q_map[0] * q + q_map[1] * p + q_map[2]
     pp = p_map[0] * q + p_map[1] * p + p_map[2]
-    lhs = substitute_affine(f, q_map, p_map)(s)
+    lhs = evaluate(substitute_affine(f, q_map, p_map), s)
     # round-off is relative to the sum of the terms' absolute values.  Below
     # the normal range it is absolute: each side takes fewer than 64 rounded
     # operations, and each may lose up to the subnormal spacing
@@ -234,7 +324,7 @@ def test_substitute_affine_is_evaluation_at_the_mapped_point(table, q_map,
     ap = abs(p_map[0] * q) + abs(p_map[1] * p) + abs(p_map[2])
     scale = sum(abs(v) * aq ** i * ap ** j for (i, j), v in f.coeffs)
     bound = max(1e-14 * scale, 64 * math.ulp(0.0))
-    assert abs(lhs - f(qz.PhasePoint(qq, pp))) <= bound
+    assert abs(lhs - evaluate(f, PhasePoint(qq, pp))) <= bound
 
 
 def test_quantize_linearity():
@@ -307,14 +397,6 @@ def test_stacked_hermiticity_equals_per_pair_reference(B):
                   for f in fs for g in fs)
         assert ref <= 1e-14
         assert abs(qz.hermiticity_residual(op, probes) - ref) <= 1e-14
-
-
-def test_quantum_checks_on_no_probes():
-    op = qz.quantize(qz.parse_poly("q^2+2qp"), P)
-    assert qz.hermiticity_residual(op, []) == 0.0
-    assert qz.dirac_residuals(P, M, [], (1.0, -1.0)) == [0.0, 0.0]
-    assert verify_covariance(GroupElement(0.1, 0.2, 0.3, 0.4),
-                             qz.parse_poly("p"), P, M, []) == 0.0
 
 
 def test_covariance():
@@ -722,5 +804,4 @@ def test_amplitude_character_is_invisible_to_covariance(monkeypatch):
     monkeypatch.setattr(ir, "_affine_phase", fn)
     report, oracle = suite_and_oracle(P)
     assert report["covariance"] <= 1e-12 and oracle["covariance"] <= 1e-12
-    assert ir.verify_unitarity(qz.rep_for_mass(P, M), GroupElement(0, 0, 1.0, 0),
-                               default_probes(2)) > 1e-4
+    assert ir.verify_unitarity(qz.rep_for_mass(P, M), GroupElement(0, 0, 1.0, 0)) > 1e-4

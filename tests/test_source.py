@@ -138,7 +138,7 @@ def imported_modules(module):
         if isinstance(node, ast.ImportFrom)}
 
 
-@pytest.mark.parametrize("module", ("group", "orbits"))
+@pytest.mark.parametrize("module", ("group", "orbits", "quantization"))
 def test_no_float_rank_decisions(module):
     # ranks, spans and kernels are decided by model's exact elimination;
     # the float SVD versions are the oracle in tests/sweep_oracle.py
