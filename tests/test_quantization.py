@@ -399,6 +399,18 @@ def test_stacked_hermiticity_equals_per_pair_reference(B):
         assert abs(qz.hermiticity_residual(op, probes) - ref) <= 1e-14
 
 
+def test_quantum_checks_on_no_probes():
+    # the quantization checks share the moment kernel's named refusal
+    op = qz.quantize(qz.parse_poly("q^2+2qp"), P)
+    calls = [lambda: qz.hermiticity_residual(op, []),
+             lambda: qz.dirac_residuals(P, M, [], (1.0, -1.0)),
+             lambda: verify_covariance(GroupElement(0.1, 0.2, 0.3, 0.4),
+                                       qz.parse_poly("p"), P, M, [])]
+    for call in calls:
+        with pytest.raises(ValueError, match="^operator checks need at least one probe$"):
+            call()
+
+
 def test_covariance():
     probes = default_probes(2)
     u2 = qz.comoment_observables(P, M)[2]
