@@ -5,12 +5,14 @@ global coordinates (theta0, theta1, alpha, beta) of the coset
 decomposition exp(theta^a P_a) exp(alpha J) exp(beta I).  The defining
 brackets, ModelParams, the Casimir on components and the exact elimination
 that decides the central and derived series live in `model`.  The group
-is solvable exponential, so exp is a global diffeomorphism; exp and log
-are evaluated in closed form and every operation here is total.
+is solvable exponential (decided_ad_spectrum), so exp is a global
+diffeomorphism; exp and log are evaluated in closed form and every
+operation here is total.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -33,7 +35,6 @@ __all__ = [
     "GroupElement",
     "CoadjointPoint",
     "bracket",
-    "ad_matrix",
     "compose",
     "inverse",
     "identity",
@@ -43,6 +44,7 @@ __all__ = [
     "coadjoint_action",
     "casimir_pairing",
     "structural_report",
+    "decided_ad_spectrum",
     "lorentz_matrix",
 ]
 
@@ -174,15 +176,6 @@ def bracket(x: AlgebraElement, y: AlgebraElement, p: ModelParams = ModelParams()
     """
     c = structure_constants(p)
     return AlgebraElement(np.einsum("cab,...a,...b->...c", c, x.array, y.array))
-
-
-def ad_matrix(x: AlgebraElement, p: ModelParams = ModelParams()) -> np.ndarray:
-    """Matrix of ad(x) acting on coefficient vectors: (ad x) y = [x, y].
-
-    A batch x of shape S gives a stack of shape S + (4, 4).
-    """
-    c = structure_constants(p)
-    return np.einsum("cab,...a->...cb", c, x.array)
 
 
 # ---------------------------------------------------------------------------
@@ -346,16 +339,46 @@ def casimir_pairing(u, p: ModelParams = ModelParams()):
 # structural classification
 
 
-def structural_report(p: ModelParams = ModelParams(), samples: int = 1000,
-                      seed: int = 0) -> dict:
-    """Numerical evidence for the structural claims about the algebra.
+def _det(rows):
+    """The determinant of a square matrix, by expansion along its first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** c * x * _det([r[:c] + r[c + 1:] for r in rows[1:]])
+               for c, x in enumerate(rows[0]) if x)
 
-    Returns the descending central and derived series dimensions (exact), the
-    largest imaginary part and trace of ad(X) over random samples, and
-    whether some sampled ad(X) has a nonzero real eigenvalue.
+
+@functools.cache
+def decided_ad_spectrum() -> float:
+    """det(lam - ad V) against lam^2 (lam^2 - V2^2), as laurent.relative_defect:
+    0.0 where they are equal.
+
+    ad V, with (ad V) y = [V, y], is built on `model.brackets` with lam, the
+    components of V and B laurent.Laurent variables, so the identity is
+    decided once, on first use, for every V and every B != 0.  Where it
+    holds, ad V has the real spectrum {0, 0, +-V2}: the trace vanishes and
+    no eigenvalue is imaginary, so the group is exponential, and it is not
+    nilpotent.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    from .laurent import Laurent, relative_defect
+    lam, B = Laurent.var("lam"), Laurent.var("B")
+    v = [Laurent.var(f"V{k}") for k in range(4)]
+    ad = [[0] * 4 for _ in range(4)]
+    for a, b, coeffs in brackets(B):
+        for c, k in enumerate(coeffs):
+            if k:
+                ad[c][b] = ad[c][b] + v[a] * k
+                ad[c][a] = ad[c][a] - v[b] * k
+    det = _det([[(lam if r == c else 0) - ad[r][c] for c in range(4)]
+                for r in range(4)])
+    return relative_defect([det, -lam ** 4, lam ** 2 * v[2] ** 2])
+
+
+def structural_report(p: ModelParams = ModelParams()) -> dict:
+    """The structural claims about the algebra, decided exactly.
+
+    Returns the descending central and derived series dimensions, exact
+    ranks at p.B, and ad_spectrum, the decided_ad_spectrum defect.
+    """
     full = [[int(a == b) for b in range(4)] for a in range(4)]
 
     central = [4]
@@ -372,15 +395,8 @@ def structural_report(p: ModelParams = ModelParams(), samples: int = 1000,
         term = row_basis([model.bracket(x, y, p.B) for x in term for y in term])
         derived.append(len(term))
 
-    rng = np.random.default_rng(seed)
-    m = ad_matrix(AlgebraElement(rng.uniform(-5.0, 5.0, (samples, 4))), p)
-    eigs = np.linalg.eigvals(m)
-
     return {
         "central_series_dims": central,
         "derived_series_dims": derived,
-        "max_imag_eigenvalue": float(np.max(np.abs(eigs.imag))),
-        "max_abs_trace": float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1)))),
-        "has_nonzero_real_eigenvalue": bool(np.any(np.abs(eigs.real) > 1e-8)),
-        "samples": samples,
+        "ad_spectrum": decided_ad_spectrum(),
     }

@@ -16,19 +16,23 @@ at the nodes asked for; no operator here acts on a function otherwise.
 The generators dT(X) are written once, as coefficient arrays (_generators),
 each a differential operator sum_k e^{kx} sum c_k[i, j] x^i D^j
 (QuantOperator): families A and B at k = 0 alone, family C with its
-hyperbolic phases' e^{+-x}.  The operators add and multiply exactly in
-their coefficients.  On the Hermite coefficients of the probes
-r(y) e^{-y^2/2}, each is one matrix per exponent e^{kx}, and the inner
-products are Gaussian-moment matrices (_kernel): every operator residual
-is a few contractions over all probes and batch members at once.
+hyperbolic phases' e^{+-x}.  The operators add, multiply and take their
+formal adjoint in their coefficients, complex or `laurent.Laurent`.  On the
+Hermite coefficients of the probes r(y) e^{-y^2/2}, each is one matrix
+per exponent e^{kx}, and the inner products are Gaussian-moment matrices
+(_kernel): the covariance residual of `quantization` is a few
+contractions over all probes and batch members at once.
 
 The module also carries the verification harness.  The homomorphism and
 unitarity checks are closed form: AffinePhase.compose multiplies two
 operators exactly in their coefficients, and the residuals are relative
 coefficient gaps, each function's size taken as its coefficient bound
 on the probes' image window (AffinePhase.gap, AffinePhase.unitarity_gap).
-The commutator-table and Casimir checks are exact operator products on
-the generator table, their residuals ||R f|| / ||f|| in Gaussian moments.
+The commutator table, anti-Hermiticity and the Casimir hold at every
+B != 0 and label, and are decided once (decided_identities): the
+generator table runs on Laurent variables, and each defect operator must
+vanish as a Laurent polynomial.  Their float versions on the probe
+kernel, and by quadrature, are the test oracle.
 Generator consistency is exact too: dT(X) = d/dt T(exp tX) at t = 0, the
 derivative taken on first-order jets (Jet) run through the coefficient
 code of T(g) itself, and compared with the table coefficient by
@@ -42,12 +46,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .conventions import SQRT_MINUS_H
-from .group import GroupElement, ModelParams, compose, structure_constants
-from .model import BASIS_NAMES
+from .group import GroupElement, ModelParams, compose
+from .model import BASIS_NAMES, brackets
 from .wavefunctions import WINDOW, Probe, _horner, hermite_probe
 
 __all__ = [
@@ -57,11 +62,9 @@ __all__ = [
     "RepParams",
     "rep_from_orbit",
     "rep_apply",
-    "hermiticity_residual",
     "verify_homomorphism",
     "verify_unitarity",
-    "verify_commutators",
-    "verify_casimir",
+    "decided_identities",
     "generator_gaps",
     "default_probes",
     "rep_suite",
@@ -227,12 +230,6 @@ class QuantOperator:
     def one() -> "QuantOperator":
         return QuantOperator(np.ones((1, 1, 1)))
 
-    @staticmethod
-    def stack(ops) -> "QuantOperator":
-        """One batch operator whose member k is ops[k]."""
-        exps, cs = _aligned(ops)
-        return QuantOperator(np.stack(cs, axis=-1)[..., None], exps)
-
     def __add__(self, other: "QuantOperator") -> "QuantOperator":
         exps, (a, b) = _aligned((self, other))
         return QuantOperator(a + b, exps)
@@ -245,13 +242,15 @@ class QuantOperator:
 
     def __matmul__(self, other: "QuantOperator") -> "QuantOperator":
         """The product, by e^{px} x^i D^j e^{qx} x^k D^l = e^{(p+q)x} x^i (D + q)^j x^k D^l
-        and D^s x^k = sum_r C(s, r) k!/(k-r)! x^(k-r) D^(s-r)."""
+        and D^s x^k = sum_r C(s, r) k!/(k-r)! x^(k-r) D^(s-r).  Complex
+        coefficients give complex ones, and an object array (of
+        laurent.Laurent) gives an object array."""
         a, b = self.c, other.c
         n = a.shape[1] + b.shape[1] - 1
         index = {k: o for o, k in enumerate(
             dict.fromkeys(p + q for p in self.exps for q in other.exps))}
         out = np.zeros((len(index), n, n) + np.broadcast_shapes(a.shape[3:], b.shape[3:]),
-                       dtype=complex)
+                       dtype=np.result_type(a, b, complex))
         right = [(other.exps[f], k, l, b[f, k, l]) for f, k, l in _terms(b, 3)]
         shifts = {q: _shift(q, a.shape[1]) for q in other.exps}
         for e, i, j in _terms(a, 3):
@@ -263,6 +262,24 @@ class QuantOperator:
                         out[o, i + k - r, s + l - r] += (m * math.comb(s, r) * math.perm(k, r)
                                                          * u * v)
         return QuantOperator(out, tuple(index))
+
+    def adjoint(self) -> "QuantOperator":
+        """The formal adjoint on L2(R) for real exponents k, term by term
+        (c e^{kx} x^i D^j)^dagger = conj(c) (-D)^j x^i e^{kx}: one product
+        per power D^j, j > 0, that self holds."""
+        c, out = self.c.conj(), QuantOperator(np.zeros((0, 0, 0)), ())
+        for j in range(c.shape[1]):
+            if not c[:, :, j].any():
+                continue
+            mult = np.zeros_like(c)
+            mult[:, :, 0] = c[:, :, j]
+            term = QuantOperator(mult, self.exps)
+            if j:
+                d = np.zeros((1, j + 1, j + 1))
+                d[0, 0, j] = (-1) ** j
+                term = QuantOperator(d) @ term
+            out = out + term
+        return out
 
     def conjugated(self, u: AffinePhase) -> "QuantOperator":
         """U^-1 . self . U for U f(x) = amp e^phi(x) f(a x + b), phi a polynomial.
@@ -511,19 +528,6 @@ def _in_float_range(what: str):
     return wrap
 
 
-@_in_float_range("hermiticity")
-def hermiticity_residual(op, probes) -> float:
-    """max over probe pairs (i, j) of |<A f_i, f_j> - <f_i, A f_j>|.
-
-    Exact on Gaussian-polynomial probes: with A f = sum_k e^{kx} M_k r g,
-    the pairs are the entries of R^H (sum_k M_k^H G_k - G_k M_k) R.
-    """
-    mats, r, gram = _kernel(op, probes)
-    h = sum((np.swapaxes(m.conj(), -1, -2) @ gram(k) - gram(k) @ m
-             for k, m in mats.items()), np.zeros((len(r),) * 2))
-    return float(np.max(np.abs(r.conj().T @ h @ r)))
-
-
 def _columns(g: GroupElement):
     """g's coordinates, as batch columns (a trailing axis) when g is a batch."""
     coords = (g.theta0, g.theta1, g.alpha, g.beta)
@@ -570,7 +574,11 @@ def _affine_phase(rep: RepParams, g: GroupElement) -> AffinePhase:
 
 def _generators(rep: RepParams) -> dict:
     """dT(X) for each X of BASIS_NAMES, the derivative of _affine_phase at 1:
-    polynomial for families A and B, in e^{+-x} and D for family C."""
+    polynomial for families A and B, in e^{+-x} and D for family C.
+
+    The arithmetic is +, -, * and /, so float labels and B give complex
+    arrays, and laurent.Laurent ones (decided_identities) object arrays.
+    """
     if rep.family == "B":  # 1 x 1: J is the scalar i zeta_2, the rest 0
         return {name: QuantOperator(np.array([[[1j * rep.zeta2 * (name == "J")]]]))
                 for name in BASIS_NAMES}
@@ -584,7 +592,8 @@ def _generators(rep: RepParams) -> dict:
                 "J": QuantOperator(np.array([[[0.0, 1.0], [0.0, 0.0]]], dtype=complex)),
                 "I": QuantOperator(np.zeros((0, 0, 0), dtype=complex), ())}
     B, z3 = rep.params.B, rep.z3
-    ops = {name: np.zeros((1, 3, 3), dtype=complex) for name in BASIS_NAMES}
+    dtype = np.result_type(np.asarray(B * z3 * rep.c2), complex)
+    ops = {name: np.zeros((1, 3, 3), dtype=dtype) for name in BASIS_NAMES}
     ops["I"][0, 0, 0] = 1j * z3
     ops["P1"][0, 0, 1] = 1.0
     ops["P0"][0, 1, 0], ops["P0"][0, 0, 1] = 1j * B * z3, -1.0
@@ -660,43 +669,59 @@ def verify_unitarity(rep: RepParams, g: GroupElement) -> float:
     return float(np.max(_affine_phase(rep, g).unitarity_gap(*WINDOW)))
 
 
-@_in_float_range("commutator")
-def verify_commutators(rep: RepParams, probes) -> float:
-    """Bracket table through the representation, plus anti-Hermiticity.
+def _operator_defect(parts) -> float:
+    """laurent.relative_defect of the sum of the operators parts, coefficient
+    by coefficient: 0.0 where the sum is the zero operator."""
+    from .laurent import relative_defect
+    _, cs = _aligned(parts)
+    return max((relative_defect(entries) for entries in zip(*(c.ravel() for c in cs))
+                if any(entries)), default=0.0)
 
-    Each defect [dT(X_a), dT(X_b)] - dT([X_a, X_b]) is one operator, a
-    product on the generator table, and its residual is ||R f|| / ||f||
-    on each probe.  Anti-Hermiticity is the hermiticity_residual of
-    i dT(X) on the first two probes.
+
+def _decided(rep) -> dict:
+    """The commutators and casimir fields of rep, whose B and labels are
+    laurent.Laurent variables.
+
+    commutators: the six defects [dT(X_a), dT(X_b)] - dT([X_a, X_b]) on
+    model.brackets, and the anti-Hermiticity dT(X) + dT(X)^dagger of each
+    generator; casimir: 2B I J - sqrt(-h) (P^a P_a + c), c the family's
+    Casimir label.  Each reads as _operator_defect, its worst.
     """
-    gens = [_generators(rep)[name] for name in BASIS_NAMES]
-    consts = structure_constants(rep.params)
+    gens = _generators(rep)
+    ops = [gens[name] for name in BASIS_NAMES]
+    table = {(a, b): coeffs for a, b, coeffs in brackets(rep.params.B)}
     defects = []
     for a in range(4):
+        defects.append([ops[a], ops[a].adjoint()])
         for b in range(a + 1, 4):
-            defect = gens[a] @ gens[b] - gens[b] @ gens[a]
-            for c, g in zip(consts[:, a, b], gens):
-                if c:
-                    defect = defect - c * g
-            defects.append(defect)
-    # np.max, not max: a NaN defect must not hide behind a finite one
-    return float(np.max((
-        hermiticity_residual(1j * QuantOperator.stack(gens), probes[:2]),
-        np.max(_relative_residual(QuantOperator.stack(defects), probes)))))
-
-
-@_in_float_range("Casimir")
-def verify_casimir(rep: RepParams, probes) -> float:
-    """2B I J f = sqrt(-h) (P^a P_a f + c f), c the family's Casimir label.
-
-    The residual of the defect operator, a product on the generator table.
-    """
-    g = _generators(rep)
+            defects.append([ops[a] @ ops[b], -1 * (ops[b] @ ops[a])]
+                           + [-k * g for k, g in zip(table.get((a, b), ()), ops) if k])
     # Casimir labels: c2 on the orbit, 0 on the points, zeta^a zeta_a at z3 = 0
-    c = {"A": rep.c2, "B": 0.0, "C": rep.zeta0 ** 2 - rep.zeta1 ** 2}[rep.family]
-    pp = g["P0"] @ g["P0"] - g["P1"] @ g["P1"] + c * QuantOperator.one()
-    defect = (2.0 * rep.params.B) * (g["I"] @ g["J"]) - SQRT_MINUS_H * pp
-    return float(np.max(_relative_residual(defect, probes)))
+    c = {"A": rep.c2, "B": 0, "C": rep.zeta0 * rep.zeta0 - rep.zeta1 * rep.zeta1}[rep.family]
+    casimir = [(2 * rep.params.B) * (gens["I"] @ gens["J"]),
+               -SQRT_MINUS_H * (gens["P0"] @ gens["P0"]),
+               SQRT_MINUS_H * (gens["P1"] @ gens["P1"]),
+               (-SQRT_MINUS_H * c) * QuantOperator.one()]
+    return {"commutators": max(map(_operator_defect, defects)),
+            "casimir": _operator_defect(casimir)}
+
+
+@functools.cache
+def decided_identities() -> dict:
+    """{family: {"commutators": ..., "casimir": ...}} for families A, B and C.
+
+    The generator table runs on laurent.Laurent variables B, c2, z3, zeta2,
+    zeta0 and zeta1, so each identity is decided as one of Laurent
+    polynomials: for every B != 0 and every label at once.  It is decided
+    once, on first use, and every report reads it.
+    """
+    from .laurent import Laurent
+    var = Laurent.var
+    params = SimpleNamespace(B=var("B"))
+    labels = {"A": {"c2": var("c2"), "z3": var("z3")}, "B": {"zeta2": var("zeta2")},
+              "C": {"zeta0": var("zeta0"), "zeta1": var("zeta1")}}
+    return {family: _decided(RepParams(family, params, **kw))
+            for family, kw in labels.items()}
 
 
 def generator_gaps(rep: RepParams) -> dict:
@@ -721,22 +746,20 @@ def generator_gaps(rep: RepParams) -> dict:
 def rep_suite(rep: RepParams, trials: int = 200, seed: int = 42) -> dict:
     """Full residual sweep for one family: the numbers the CLI reports.
 
-    Each check runs once on the stacked batch of its trials; the draws
-    come in the order of one trial at a time (g2 before g1).
+    Homomorphism and unitarity run once each on the stacked batch of their
+    trials, drawn in the order of one trial at a time (g2 before g1); one
+    whose coefficients leave the float range is its own {"error": ...}
+    value.  The commutators and Casimir are the family's decided_identities.
     """
     rng = np.random.default_rng(seed)
-    probes = default_probes(5)
     pairs = rng.uniform(-2.0, 2.0, size=(trials, 2, 4))
     g2, g1 = (GroupElement(*pairs[:, k].T) for k in range(2))
-    hom = verify_homomorphism(rep, g2, g1)
     g = GroupElement(*rng.uniform(-2.0, 2.0, size=(trials, 4)).T)
-    uni = verify_unitarity(rep, g)
-    comm = verify_commutators(rep, probes)
-    cas = verify_casimir(rep, probes)
-    return {
-        "family": rep.family,
-        "homomorphism": hom,
-        "unitarity": uni,
-        "commutators": comm,
-        "casimir": cas,
-    }
+    report = {"family": rep.family}
+    for field, check, args in (("homomorphism", verify_homomorphism, (g2, g1)),
+                               ("unitarity", verify_unitarity, (g,))):
+        try:
+            report[field] = check(rep, *args)
+        except ValueError as exc:
+            report[field] = {"error": str(exc)}
+    return {**report, **decided_identities()[rep.family]}

@@ -1,0 +1,188 @@
+"""Exact Laurent polynomials: the identities that hold at every B, decided.
+
+The generator commutators and Casimir, the Dirac condition, hermiticity
+and the spectrum of ad(V) hold for every B != 0, hbar, m and label.
+`irreps`, `quantization` and `group` run their tables unchanged on
+Laurent variables and decide each identity once per process, on first
+use, by relative_defect.  A command that decides nothing imports this
+module never.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+from fractions import Fraction
+
+__all__ = ["Laurent", "relative_defect"]
+
+#: the index of each variable Laurent.var has made, in order of first use
+_VARIABLES: dict = {}
+
+
+def _dyadic(x):
+    """(re, im, k) with x = (re + i im) / 2^k, re and im ints; None for a
+    non-number, ValueError for a number that is not a finite dyadic."""
+    if type(x) is int or isinstance(x, numbers.Integral):
+        return int(x), 0, 0
+    if isinstance(x, complex):
+        parts = (x.real, x.imag)
+    elif isinstance(x, (float, Fraction)):
+        parts = (x, 0)
+    else:
+        return None
+    try:
+        (a, d), (b, e) = (t.as_integer_ratio() for t in parts)
+    except (OverflowError, ValueError):
+        raise ValueError(f"{x!r} is not finite") from None
+    if d & (d - 1) or e & (e - 1):
+        raise ValueError(f"{x!r} is not dyadic")
+    k = max(d, e).bit_length() - 1
+    return a * (2 ** k // d), b * (2 ** k // e), k
+
+
+class Laurent:
+    """A Laurent polynomial in real variables with Gaussian-rational
+    coefficients, in exact arithmetic.
+
+    terms maps each monomial to the Gaussian integer (re, im) of its
+    coefficient, and one shift k, shared by every term, scales them all:
+    the polynomial is sum (re + i im) 2^-k x^monomial.  Every number the
+    tables meet is dyadic (a float is an integer times 2^e, and the tables'
+    constants are 1/2, 1/4 and integers), and +, -, * and division by a
+    monomial with coefficient a unit times 2^j keep the numerators integers,
+    so no operation rounds.  A monomial is one int, sum_v e_v 2^(16 v) over
+    the indices v of its variables, so the product of two monomials is the
+    sum of their ints (exact while each exponent stays below 2^15 in size).
+    The variables are real: conjugate() conjugates the coefficients.
+    Numbers combine with a Laurent as constants; numpy object arrays of
+    them add and multiply element by element.
+    """
+
+    __slots__ = ("terms", "k")
+    __hash__ = None
+
+    def __init__(self, terms: dict, k: int = 0):
+        self.terms, self.k = terms, k
+
+    @staticmethod
+    def var(name: str) -> "Laurent":
+        index = _VARIABLES.setdefault(name, len(_VARIABLES))
+        return Laurent({1 << (16 * index): (1, 0)})
+
+    @staticmethod
+    def _coerce(x):
+        """x as a Laurent; None for a non-number."""
+        if isinstance(x, Laurent):
+            return x
+        parts = _dyadic(x)
+        if parts is None:
+            return None
+        re, im, k = parts
+        return Laurent({0: (re, im)} if re or im else {}, k)
+
+    def __add__(self, other):
+        if type(other) is int and not other:
+            return self
+        other = Laurent._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other.terms:
+            return self
+        a, b = (self, other) if self.k >= other.k else (other, self)
+        shift, terms = a.k - b.k, dict(a.terms)
+        for mono, (re, im) in b.terms.items():
+            re, im = re << shift, im << shift
+            old = terms.get(mono)
+            if old is not None:
+                re, im = re + old[0], im + old[1]
+                if not (re or im):
+                    del terms[mono]
+                    continue
+            terms[mono] = (re, im)
+        return Laurent(terms, a.k)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Laurent":
+        return Laurent({m: (-re, -im) for m, (re, im) in self.terms.items()}, self.k)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return self if other == 1 else Laurent(
+                {m: (a * other, b * other) for m, (a, b) in self.terms.items()}
+                if other else {}, self.k)
+        if not isinstance(other, Laurent):
+            parts = _dyadic(other)
+            if parts is None:
+                return NotImplemented
+            c, d, k = parts
+            return Laurent({m: (a * c - b * d, a * d + b * c)
+                            for m, (a, b) in self.terms.items()} if c or d else {},
+                           self.k + k)
+        out = {}
+        for m1, (a, b) in self.terms.items():
+            for m2, (c, d) in other.terms.items():
+                re, im, old = a * c - b * d, a * d + b * c, out.get(m1 + m2)
+                out[m1 + m2] = (re, im) if old is None else (re + old[0], im + old[1])
+        return Laurent({m: v for m, v in out.items() if v[0] or v[1]},
+                       self.k + other.k)
+
+    __rmul__ = __mul__
+
+    def _inverse(self) -> "Laurent":
+        """1 / self, for a monomial whose coefficient is +-2^j or +-i 2^j."""
+        if len(self.terms) == 1:
+            (mono, (re, im)), = self.terms.items()
+            n = abs(re or im)
+            if not (re and im or n & (n - 1)):
+                unit = (1 if re > 0 else -1, 0) if re else (0, -1 if im > 0 else 1)
+                return Laurent({-mono: unit}, n.bit_length() - 1 - self.k)
+        raise ValueError("only a monomial of coefficient +-2^j or +-i 2^j "
+                         "inverts exactly")
+
+    def __truediv__(self, other):
+        other = Laurent._coerce(other)
+        return NotImplemented if other is None else self * other._inverse()
+
+    def __rtruediv__(self, other):
+        other = Laurent._coerce(other)
+        return NotImplemented if other is None else other * self._inverse()
+
+    def __pow__(self, n: int) -> "Laurent":
+        base, out = (self if n >= 0 else self._inverse()), Laurent({0: (1, 0)})
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def __eq__(self, other):
+        other = Laurent._coerce(other)
+        return NotImplemented if other is None else not (self - other).terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def conjugate(self) -> "Laurent":
+        return Laurent({m: (re, -im) for m, (re, im) in self.terms.items()}, self.k)
+
+    def size(self, mono: int) -> float:
+        """|coefficient| of the monomial, 0.0 where it has none."""
+        re, im = self.terms.get(mono, (0, 0))
+        return math.ldexp(math.hypot(re, im), -self.k)
+
+
+def relative_defect(parts) -> float:
+    """The largest coefficient of sum(parts), each relative to the largest
+    coefficient of the same monomial among the parts, which are Laurent
+    polynomials or numbers: 0.0 where the sum vanishes identically, and of
+    order 1 for a wrong term, whatever the size of the others."""
+    parts = [Laurent._coerce(p) for p in parts]
+    total = sum(parts, Laurent({}))
+    return max((total.size(m) / max(p.size(m) for p in parts)
+                for m in total.terms), default=0.0)

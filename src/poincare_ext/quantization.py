@@ -17,17 +17,22 @@ the classical checks (Casimir, pullback) read exactly in Fractions.
 
 The Dirac, hermiticity and covariance checks are exact algebra, with no
 quadrature, on the operator algebra of irreps, which the representation
-checks share.  Operators multiply in the Weyl algebra (QuantOperator @),
-family A's T(g) conjugates a polynomial operator into another
-(QuantOperator.conjugated), and the residuals are norms and inner
-products on the probes' Hermite coefficients, in irreps' Gaussian-moment
-matrix kernel.  A probe is a coefficient record (wavefunctions.Probe):
-no operator here acts on a function.  The operator chains on derivative
-evaluators and their quadrature are the test oracle.
+checks share: operators multiply in the Weyl algebra (QuantOperator @).
+The Dirac condition and hermiticity hold at every B, hbar and m, and are
+decided once (decided_identities), on the comoment table and the Weyl
+rule run on `laurent.Laurent` variables.  Covariance reads T(g) at the
+report's B: family A's T(g) conjugates a polynomial operator into another
+(QuantOperator.conjugated), and the residual is a norm on the probes'
+Hermite coefficients, in irreps' Gaussian-moment matrix kernel.  A probe
+is a coefficient record (wavefunctions.Probe): no operator here acts on a
+function.  The float versions of the decided checks on that kernel, and
+the operator chains on derivative evaluators with their quadrature, are
+the test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -44,13 +49,13 @@ from .irreps import (
     _affine_phase,
     _columns,
     _in_float_range,
+    _operator_defect,
     _poly_pullback,
     _polymul2,
     _relative_residual,
     _size,
     _terms,
     default_probes,
-    hermiticity_residual,
 )
 from .model import kirillov, row_basis
 from .wavefunctions import WINDOW
@@ -66,8 +71,7 @@ __all__ = [
     "casimir_defect",
     "pullback_defect",
     "quantize",
-    "hermiticity_residual",
-    "dirac_residuals",
+    "decided_identities",
     "covariance_suite",
     "rep_for_mass",
 ]
@@ -157,11 +161,16 @@ def poisson_bracket(f: PolynomialObservable, g: PolynomialObservable,
     The orientation is the one under which the comoments realize the
     group brackets; with it {q, p} = -1 and {q^a, q^b} = eps^{ab}/B.
     """
+    return PolynomialObservable(_poisson(f.c, g.c))
+
+
+def _poisson(f, g):
+    """poisson_bracket on coefficient arrays, in any number type."""
     # numpy's polyder, without its import: the same products k * c[k]
     k = np.arange(1, 3)
-    fq, fp = f.c[1:] * k[:, None], f.c[:, 1:] * k
-    gq, gp = g.c[1:] * k[:, None], g.c[:, 1:] * k
-    return PolynomialObservable(_polymul2(fp, gq) - _polymul2(fq, gp))
+    fq, fp = f[1:] * k[:, None], f[:, 1:] * k
+    gq, gp = g[1:] * k[:, None], g[:, 1:] * k
+    return _polymul2(fp, gq) - _polymul2(fq, gp)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +286,7 @@ def quantize(f: PolynomialObservable, params: ModelParams) -> QuantOperator:
 
 def _weyl(c, h: float):
     """quantize on a symbol array c[i, j] of q^i p^j, which may carry batch axes."""
-    out = np.zeros(c.shape, dtype=complex)
+    out = np.zeros(c.shape, dtype=np.result_type(c, complex))
     for i, j in _terms(c):
         for k in range(min(i, j) + 1):
             out[i - k, j - k] += (math.factorial(k) * math.comb(i, k)
@@ -290,23 +299,32 @@ def _weyl(c, h: float):
 # verification
 
 
-@_in_float_range("Dirac")
-def dirac_residuals(params: ModelParams, m: float, probes, z3s) -> list:
-    """The residual of Q({u_A, u_B}) = -i z3 [Q(u_A), Q(u_B)] over all
-    pairs, at each z3 of z3s; the orbit's representation has z3 = -1/hbar.
+@functools.cache
+def decided_identities() -> dict:
+    """{"dirac", "dirac_wrong_sign", "hermiticity"}: the Weyl-ordered
+    comoments' identities, decided once, on first use, as identities of
+    laurent.Laurent polynomials in B, hbar and m, so for all of them at once.
 
-    Each pair's defect Q({u_A, u_B}) + i z3 [Q(u_A), Q(u_B)] is one
-    operator array, from the x-left product, and its residual is
-    ||R f|| / ||f|| on each probe, exact in Gaussian moments.
+    dirac: Q({u_A, u_B}) = -i z3 [Q(u_A), Q(u_B)] over all pairs at the
+    orbit's z3 = -1/hbar; dirac_wrong_sign: the same at +1/hbar, the
+    negative control.  hermiticity: Q(u) = Q(u)^dagger, the formal adjoint
+    (QuantOperator.adjoint), for each comoment.  Each reads as
+    irreps._operator_defect, its worst over the pairs or comoments: 0.0
+    where it holds.
     """
-    us = comoment_observables(params, m)
-    ops = [quantize(u, params) for u in us]
-    pairs = [(quantize(poisson_bracket(us[a], us[b], params), params),
-              ops[a] @ ops[b] - ops[b] @ ops[a])
+    from .laurent import Laurent
+    B, hbar, m = (Laurent.var(name) for name in ("B", "hbar", "m"))
+    tables = [np.array([[t.get((i, j), 0) for j in range(3)] for i in range(3)],
+                       dtype=object) for t in comoment_table(B, m)]
+    ops = [QuantOperator(_weyl(c, hbar)[None]) for c in tables]
+    pairs = [(QuantOperator(_weyl(_poisson(tables[a], tables[b]), hbar)[None]),
+              ops[a] @ ops[b], ops[b] @ ops[a])
              for a in range(4) for b in range(a + 1, 4)]
-    res = _relative_residual(QuantOperator.stack(
-        [qbr + (1j * z3) * comm for z3 in z3s for qbr, comm in pairs]), probes)
-    return [float(np.max(r)) for r in np.split(res, len(z3s))]
+    out = {field: max(_operator_defect([qbr, (1j * z3) * ab, (-1j * z3) * ba])
+                      for qbr, ab, ba in pairs)
+           for field, z3 in (("dirac", -1 / hbar), ("dirac_wrong_sign", 1 / hbar))}
+    out["hermiticity"] = max(_operator_defect([op, -1 * op.adjoint()]) for op in ops)
+    return out
 
 
 def _left_action_maps(g: GroupElement, params: ModelParams):

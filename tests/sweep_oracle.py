@@ -3,10 +3,11 @@
 `orbits` and `group.structural_report` decide their ranks and kernels
 exactly on the model's bracket table, and `orbits` decides Pukanszky's
 condition as exact polynomial identities; the classical suite decides the
-comoment Casimir and the pullback exactly on the comoment table.  These
+comoment Casimir and the pullback exactly on the comoment table, and the
+structure suite the spectrum of ad(X) as one characteristic polynomial.  These
 are the same checks written one float bracket call per basis pair and one
-scalar call per sample: orbit membership to a relative 1e-9 at sampled
-points, the comoments evaluated in float64 at sampled phase points, and
+scalar call per sample: the eigenvalues of ad(X) at sampled X, orbit
+membership to a relative 1e-9 at sampled points, the comoments evaluated in float64 at sampled phase points, and
 the pullback by central differences, with the float rank tolerances (SVD,
 `matrix_rank`, `lstsq`) the package no longer has.  `oracle_sweeps` swaps
 the algebra loops into the package, so a suite run inside it takes the
@@ -27,13 +28,33 @@ from poincare_ext.group import (
     AlgebraElement,
     CoadjointPoint,
     ModelParams,
-    ad_matrix,
     bracket,
     casimir_pairing,
+    structure_constants,
 )
 
 #: the central charges the benchmark draws all-checks reports at
 BENCH_B = (-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0)
+
+
+def ad_matrix(x, p=ModelParams()):
+    """Matrix of ad(x) acting on coefficient vectors: (ad x) y = [x, y].
+
+    A batch x of shape S gives a stack of shape S + (4, 4).
+    """
+    return np.einsum("cab,...a->...cb", structure_constants(p), x.array)
+
+
+def sampled_spectrum(p=ModelParams(), samples=1000, seed=0):
+    """The eigenvalues of ad(X) at X drawn uniform in [-5, 5]^4, in float64:
+    the largest imaginary part and trace, and whether a real eigenvalue is
+    nonzero.  group.decided_ad_spectrum decides the spectrum {0, 0, +-X2}."""
+    m = ad_matrix(AlgebraElement(np.random.default_rng(seed).uniform(
+        -5.0, 5.0, (samples, 4))), p)
+    eigs = np.linalg.eigvals(m)
+    return {"max_imag_eigenvalue": float(np.max(np.abs(eigs.imag))),
+            "max_abs_trace": float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1)))),
+            "has_nonzero_real_eigenvalue": bool(np.any(np.abs(eigs.real) > 1e-8))}
 
 
 def row_and_null_space(mat, rcond=1e-10):
@@ -157,9 +178,11 @@ def on_orbit(mu, zeta, p=ModelParams(), tol=1e-9, drop=()):
     if cls.tag == "CaseA":
         if "u3" not in drop and abs(u3 - zeta.u[3]) > tol * scale:
             return False
-        want_u2 = (minkowski_square([u0, u1]) * SQRT_MINUS_H / (2 * p.B * u3)
-                   - cls.labels["casimir"] * SQRT_MINUS_H / (2 * p.B * u3))
-        return bool(abs(u2 - want_u2) <= tol * (1.0 + abs(want_u2)))
+        # the Casimir u^a u_a - 2 (B / sqrt(-h)) u2 u3 = C as it stands,
+        # relative to its largest term: solved for u2, it divided by B
+        terms = (u0 * u0, -u1 * u1, -2.0 * p.B * u2 * u3 / SQRT_MINUS_H,
+                 -cls.labels["casimir"])
+        return bool(abs(sum(terms)) <= tol * max(1.0, *map(abs, terms)))
     if cls.tag == "CaseB":
         return bool(np.max(np.abs(mu.array - zeta.array)) <= tol * scale)
     if "u3" not in drop and abs(u3) > tol * scale:

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import quadrature_oracle as qo
 from poincare_ext import cli
 from poincare_ext import dynamics as dy
-from poincare_ext import irreps as ir
 from poincare_ext import wavefunctions as wfm
 from poincare_ext.group import GroupElement, ModelParams
 
@@ -38,7 +37,6 @@ MALFORMED = (
     ("evolve", "--hbar=0"),
     ("evolve", "--m=0"),
     ("rep", "apply", "--g=0,0,800,0"),
-    ("algebra-check", "--samples=0"),
     ("rep", "verify", "--z3=0"),
     ("rep", "apply", "--family=C", "--zeta0=0", "--zeta1=0", "--g=0,0,0,0"),
     ("orbit", "classify", "--zeta=0,0,0.5,-1", "--B=nan"),
@@ -85,9 +83,11 @@ def test_algebra_check():
     assert payload["central_series_dims"][-1] == 3
 
 
-def test_algebra_check_samples(capsys):
-    assert cli.run(["algebra-check", "--samples", "5"]) == 0
-    assert json.loads(capsys.readouterr().out)["samples"] == 5
+def test_algebra_check_decides_the_spectrum(capsys):
+    # the spectrum of ad(X) is one decided identity, with no samples to draw
+    assert cli.run(["algebra-check"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ad_spectrum"] == 0.0 and "samples" not in payload
 
 
 def test_rep_verify_small():
@@ -425,12 +425,29 @@ def test_algebra_suites_pass_at_every_sweep_and_edge_B(B):
         assert report["pass"], (suite.__name__, report)
 
 
+@pytest.mark.parametrize("B", SWEEP_B + EDGE_B)
+def test_decided_fields_at_every_sweep_and_edge_B(B):
+    # the identities that hold at every B read their decided values, not
+    # float-range errors, wherever the report's own checks leave the range
+    p = ModelParams(B=B)
+    families = cli.suite_reps(p, 42)["families"]
+    assert all(families[f]["commutators"] == families[f]["casimir"] == 0.0
+               for f in "ABC"), families
+    quant = cli.suite_quantization(p, 42)
+    assert (quant["dirac"], quant["dirac_wrong_sign"], quant["hermiticity"]) \
+        == (0.0, 2.0, 0.0), quant
+    assert cli.suite_structure(p, 42)["ad_spectrum"] == 0.0
+
+
 @pytest.mark.parametrize("B", SWEEP_B)
 def test_quantization_suite_at_every_sweep_B(B):
     # at B = -1e-8 the round trip's constant phase is one ulp of a term of
-    # size 7e7, so covariance reads it relative to the phases it cancels
-    report = cli.suite_quantization(ModelParams(B=B), 42)
-    assert report["pass"], report
+    # size 7e7, so covariance reads it relative to the phases it cancels;
+    # covariance draws its trials from the seed, and the decided Dirac
+    # pair and hermiticity read no draw
+    for seed in range(20):
+        report = cli.suite_quantization(ModelParams(B=B), seed)
+        assert report["pass"], (seed, report)
 
 
 #: |B| -> the measured cause of the dynamics suite's failure there; each
@@ -461,9 +478,11 @@ def test_dynamics_suite_at_every_sweep_B(B):
 def test_representations_suite_passes_at_edge_B(B):
     # the bracket table and the Casimir hold at every B != 0; their
     # quadrature read 6.8e-9 at |B| = 1e-8 and 8.7e-8 at 1e4, over the
-    # 1e-9 gate, and the exact checks read round-off
-    report = cli.suite_reps(ModelParams(B=B), 42)
-    assert report["pass"], report
+    # 1e-9 gate, and the decided identities read 0.0.  Homomorphism and
+    # unitarity draw their 200 trials from the seed
+    for seed in range(20):
+        report = cli.suite_reps(ModelParams(B=B), seed)
+        assert report["pass"], (seed, report)
 
 
 #: B -> the measured cause (seed 42) of the coadjoint suite's failure there;
@@ -539,23 +558,23 @@ def test_all_checks_names_the_residuals_past_the_float_range(B):
     assert report["classical"] == {"comoment_casimir": 0.0,
                                    "lightcone_bracket_exact": True,
                                    "pullback": 0.0, "pass": True}
-    # the quantization suite fails per field: the Dirac pair shares one
-    # error and covariance has its own, while hermiticity keeps its value
-    # (5.0e-16) and passes its gate
+    # the quantization suite fails per field: the Dirac pair and
+    # hermiticity are decided for every B, and covariance, which reads T(g)
+    # at the report's B, leaves the float range
     quant = report["quantization"]
     assert quant["pass"] is False and "error" not in quant
-    assert quant["dirac"] == quant["dirac_wrong_sign"] == {"error": f"the Dirac {leaves}"}
+    assert quant["dirac"] == quant["hermiticity"] == 0.0
+    assert quant["dirac_wrong_sign"] == 2.0 and quant["degree3_rejected"] is True
     assert quant["covariance"] == {"error": f"the covariance {leaves}"}
-    assert quant["hermiticity"] <= 1e-9 and quant["degree3_rejected"] is True
-    # family A fails alone (its NaN defect hid behind the finite
-    # anti-Hermiticity in max()); families B and C keep their fields and pass
+    # every family passes: the commutators and Casimir are decided (family
+    # A's were float-range errors), and homomorphism and unitarity stay in
+    # range
     reps = report["representations"]
-    assert reps["pass"] is False and "error" not in reps
-    assert reps["families"]["A"] == {"error": f"the commutator {leaves}",
-                                     "pass": False}
-    for family in ("B", "C"):
+    assert reps["pass"] is True and "error" not in reps
+    for family in ("A", "B", "C"):
         entry = reps["families"][family]
-        assert entry["pass"] is True and "error" not in entry, (family, entry)
+        assert entry["pass"] is True, (family, entry)
+        assert entry["commutators"] == entry["casimir"] == 0.0, entry
         assert all(entry[k] <= tol for k, tol in cli.REP_GATES.items()), entry
     # the packet, moved by B D = 1.5e300 in energy, is narrower than the
     # float spacing there
@@ -564,14 +583,23 @@ def test_all_checks_names_the_residuals_past_the_float_range(B):
         "pass": False}
 
 
+@pytest.mark.parametrize("B", ("1e300", "-1e300"))
+def test_rep_verify_at_1e300_decides_its_identities(B, capsys):
+    # a usage error before, when the float commutator residual overflowed:
+    # the commutators and Casimir are decided, and the closed-form
+    # homomorphism and unitarity stay in range
+    assert cli.run(["rep", "verify", "--family=A", f"--B={B}"]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["pass"] is True and res["commutators"] == res["casimir"] == 0.0
+
+
 @pytest.mark.parametrize("argv, message", (
-    (("rep", "verify", "--family=A", "--B=1e300"),
-     "family A at B=1e+300: the commutator residual leaves the float range"),
     (("quantize", "check", "--B=-1e300"),
-     "quantize check at B=-1e+300: the Dirac residual leaves the float range"),
+     "quantize check at B=-1e+300: the covariance residual leaves the float "
+     "range"),
     # a traceback before: covariance met the non-finite phase of T(g)
     (("quantize", "check", "--B=5e-324"),
-     "quantize check at B=5e-324: the Dirac residual leaves the float range"),
+     "quantize check at B=5e-324: operator phase coefficient c0 is not finite"),
     # B D = 2e300: the packet is narrower than the float spacing there
     (("evolve", "--emit=json", "--B=-1e300"),
      "evolve at B=-1e+300: the energy grid around 2e+300 does not resolve "
@@ -580,7 +608,7 @@ def test_all_checks_names_the_residuals_past_the_float_range(B):
     (("evolve", "--emit=json", "--B=1e308"),
      "evolve at B=1e+308: the energy grid around nan does not resolve "
      "the packet")),
-    ids=("rep-verify-1e300", "quantize-check--1e300", "quantize-check-5e-324",
+    ids=("quantize-check--1e300", "quantize-check-5e-324",
          "evolve--1e300", "evolve-1e308"))
 def test_checks_past_the_float_range_are_usage_errors(argv, message, capsys):
     # as the rep commands at subnormal B: one error line that names B
@@ -727,24 +755,24 @@ def test_all_checks_at_subnormal_B_reports_failed_suites(B, capsys):
         except (ValueError, RuntimeError) as exc:
             raised.append(name)
             assert payload[name] == {"error": str(exc), "pass": False}, name
-    # the representations suite fails per family: A's phase leaves the float
-    # range, and B and C, which do not read B, pass
+    # the representations suite fails per field: A's phase leaves the float
+    # range in homomorphism and unitarity, its decided identities hold, and
+    # B and C, which do not read B, pass
     assert "representations" not in raised, raised
     families = payload["representations"]["families"]
-    with pytest.raises(ValueError) as exc:
-        ir.rep_suite(cli._rep_for_family("A", params), trials=200, seed=42)
-    assert families["A"] == {"error": str(exc.value), "pass": False}
+    error = {"error": "operator phase coefficient c0 is not finite"}
+    assert families["A"] == {"family": "A", "homomorphism": error,
+                             "unitarity": error, "commutators": 0.0,
+                             "casimir": 0.0, "pass": False}
     assert families["B"]["pass"] is True and families["C"]["pass"] is True
-    # so does the quantization suite: each check that leaves the float
-    # range is its own error value
+    # so does the quantization suite: covariance leaves the float range, and
+    # the Dirac pair and hermiticity are decided
     assert "quantization" not in raised, raised
     quant = payload["quantization"]
     assert quant["pass"] is False and quant["degree3_rejected"] is True
-    assert quant["dirac"] == quant["dirac_wrong_sign"] == {
-        "error": "the Dirac residual leaves the float range"}
-    assert quant["hermiticity"] == {
-        "error": "the hermiticity residual leaves the float range"}
-    assert quant["covariance"] == {"error": "operator phase coefficient c0 is not finite"}
+    assert quant["dirac"] == quant["hermiticity"] == 0.0
+    assert quant["dirac_wrong_sign"] == 2.0
+    assert quant["covariance"] == error
 
 
 @pytest.mark.parametrize("B", ("5e-324", "1e-310"))
@@ -808,9 +836,10 @@ NO_DATACLASSES = ("dataclasses", "inspect")
 
 FOOTPRINTS = {
     "import-package": (["-c", "import poincare_ext"], ("numpy",) + NO_DATACLASSES),
-    "import-cli": (["-c", "import poincare_ext.cli"], ("numpy",) + NO_DATACLASSES),
+    "import-cli": (["-c", "import poincare_ext.cli"],
+                   ("numpy", "poincare_ext.laurent") + NO_DATACLASSES),
     "cohomology": (["-m", "poincare_ext.cli", "cohomology", "--algebra=i12"],
-                   ("numpy",) + NO_DATACLASSES),
+                   ("numpy", "poincare_ext.laurent") + NO_DATACLASSES),
     "orbit-classify": (["-m", "poincare_ext.cli", "orbit", "classify",
                         "--zeta=0,0,0.5,-1"],
                        ("numpy", "poincare_ext.group", "poincare_ext.orbits",
@@ -821,7 +850,8 @@ FOOTPRINTS = {
     "rep-apply": (["-m", "poincare_ext.cli", "rep", "apply", "--family=C",
                    "--g=0.1,0.2,0.3,0.4", "--emit-samples=-1:1:3"],
                   ("numpy.polynomial", "poincare_ext.dynamics",
-                   "poincare_ext.quantization", "poincare_ext.orbits")),
+                   "poincare_ext.quantization", "poincare_ext.orbits",
+                   "poincare_ext.laurent")),
     "orbit-check": (["-m", "poincare_ext.cli", "orbit", "check"],
                     ("poincare_ext.irreps", "poincare_ext.wavefunctions",
                      "poincare_ext.quantization", "poincare_ext.dynamics")),
@@ -832,13 +862,15 @@ FOOTPRINTS = {
                    + NO_DATACLASSES),
     # the Poisson bracket's derivatives and the quadrature rule need no
     # numpy.polynomial at import
+    # the exact Laurent type is loaded only where an identity is decided
     "quantize-op": (["-m", "poincare_ext.cli", "quantize", "op", "--poly=q^2+2qp"],
                     ("numpy.polynomial", "poincare_ext.dynamics",
-                     "poincare_ext.orbits")),
+                     "poincare_ext.orbits", "poincare_ext.laurent")),
     # the drift integrals are closed forms, so no Gauss-Legendre nodes
     "evolve": (["-m", "poincare_ext.cli", "evolve", "--emit=json", "--grid=20"],
                ("numpy.polynomial", "poincare_ext.irreps",
-                "poincare_ext.quantization", "poincare_ext.orbits")),
+                "poincare_ext.quantization", "poincare_ext.orbits",
+                "poincare_ext.laurent")),
 }
 
 

@@ -14,7 +14,6 @@ from poincare_ext.group import (
     CoadjointPoint,
     GroupElement,
     ModelParams,
-    ad_matrix,
     adjoint_matrix,
     bracket,
     casimir_pairing,
@@ -27,6 +26,7 @@ from poincare_ext.group import (
     structural_report,
     structure_constants,
 )
+from sweep_oracle import ad_matrix, sampled_spectrum
 
 P = ModelParams()
 
@@ -402,13 +402,38 @@ def test_structure_constants_antisymmetry():
 
 
 def test_structural_report():
-    rep = structural_report(P, samples=300, seed=11)
-    assert rep["central_series_dims"][-1] == 3
-    assert rep["derived_series_dims"][-1] == 0
-    assert rep["max_imag_eigenvalue"] <= 1e-10
-    assert rep["max_abs_trace"] <= 1e-12
-    # not nilpotent: generic ad matrices carry nonzero real eigenvalues
-    assert rep["has_nonzero_real_eigenvalue"]
+    assert structural_report(P) == {"central_series_dims": [4, 3, 3],
+                                    "derived_series_dims": [4, 3, 1, 0],
+                                    "ad_spectrum": 0.0}
+    # the sampled float spectrum, the oracle: real and traceless, and not
+    # nilpotent, since generic ad matrices carry nonzero real eigenvalues
+    floats = sampled_spectrum(P, samples=300, seed=11)
+    assert floats["max_imag_eigenvalue"] <= 1e-10
+    assert floats["max_abs_trace"] <= 1e-12
+    assert floats["has_nonzero_real_eigenvalue"]
+
+
+def test_flipped_p1_j_bracket_fails_decided_spectrum_and_oracle(monkeypatch):
+    # a planted defect: [P1, J] = P0 -> -P0 turns the boosts into rotations,
+    # so ad(J) has the eigenvalues +-i and the group is not exponential.
+    # The decided spectrum, past its memo, and the sampled eigenvalues both
+    # see it, and so do the decided generator brackets
+    from poincare_ext import irreps as ir
+    from poincare_ext import model
+    from poincare_ext import group as grp
+
+    real = model.brackets
+
+    def flipped(B):
+        return tuple((a, c, tuple(-k for k in coeffs)) if (a, c) == (1, 2)
+                     else (a, c, coeffs) for a, c, coeffs in real(B))
+
+    for module in (model, grp, ir):
+        monkeypatch.setattr(module, "brackets", flipped)
+    assert grp.decided_ad_spectrum.__wrapped__() > 1e-10
+    assert sampled_spectrum(P)["max_imag_eigenvalue"] > 1e-10
+    assert ir.decided_identities.__wrapped__()["A"]["commutators"] > 1e-9
+    assert grp.decided_ad_spectrum() == 0.0  # the memo holds the true one
 
 
 def test_identity_element():

@@ -15,6 +15,7 @@ from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
                                 bracket, compose, exp_map, identity)
 from poincare_ext.wavefunctions import Probe, hermite_probe
+from probe_oracle import hermiticity_residual, verify_casimir, verify_commutators
 from quadrature_oracle import (WaveFunction, affine_apply, borel_decompose,
                                character, faithfulness_residuals,
                                gauss_legendre, generator_apply,
@@ -109,17 +110,20 @@ def test_unitarity_random_elements():
 
 
 def test_commutator_table():
+    # decided once for every B and label; the float oracle on the probes
+    assert all(ir.decided_identities()[f]["commutators"] == 0.0 for f in "ABC")
     probes = ir.default_probes(5)
-    assert ir.verify_commutators(REP_A, probes) < 1e-9
-    assert ir.verify_commutators(REP_C, probes) < 1e-9
-    assert ir.verify_commutators(REP_B, probes) < 1e-12
+    assert verify_commutators(REP_A, probes) < 1e-9
+    assert verify_commutators(REP_C, probes) < 1e-9
+    assert verify_commutators(REP_B, probes) < 1e-12
 
 
 def test_casimir_identity():
+    assert all(ir.decided_identities()[f]["casimir"] == 0.0 for f in "ABC")
     probes = ir.default_probes(5)
-    assert ir.verify_casimir(REP_A, probes) < 1e-9
-    assert ir.verify_casimir(REP_C, probes) < 1e-9
-    assert ir.verify_casimir(REP_B, probes) == 0.0
+    assert verify_casimir(REP_A, probes) < 1e-9
+    assert verify_casimir(REP_C, probes) < 1e-9
+    assert verify_casimir(REP_B, probes) == 0.0
 
 
 def test_default_probes_are_one_shared_tuple():
@@ -135,8 +139,8 @@ def test_probe_checks_on_no_probes():
     # an empty list is a caller's error, not a residual of 0.0: every check
     # on the moment kernel refuses it by name
     calls = [functools.partial(check, rep, []) for rep in (REP_A, REP_B, REP_C)
-             for check in (ir.verify_commutators, ir.verify_casimir)]
-    calls.append(lambda: ir.hermiticity_residual(qz.quantize(qz.parse_poly("q^2+2qp"), P), []))
+             for check in (verify_commutators, verify_casimir)]
+    calls.append(lambda: hermiticity_residual(qz.quantize(qz.parse_poly("q^2+2qp"), P), []))
     for call in calls:
         with pytest.raises(ValueError, match="^operator checks need at least one probe$"):
             call()
@@ -359,11 +363,11 @@ def _take(g, members):
 
 
 def oracle_checks(rep, seed=42):
-    """The quadrature checks on the batches and probes rep_suite hands its
-    closed-form checks.  Homomorphism and unitarity, which read the probes'
-    window alone, are checked on the first Hermite function and on the
-    first two; each is a function of the slice of members it takes (all by
-    default)."""
+    """The quadrature checks on the batches rep_suite hands its closed-form
+    checks, and of the decided identities on the five Hermite probes.
+    Homomorphism and unitarity, which read the probes' window alone, are
+    checked on the first Hermite function and on the first two; each is a
+    function of the slice of members it takes (all by default)."""
     seen = {}
 
     def record(field):
@@ -373,19 +377,17 @@ def oracle_checks(rep, seed=42):
         return check
 
     with pytest.MonkeyPatch.context() as mp:
-        for field in REP_GATES:
+        for field in ("homomorphism", "unitarity"):
             mp.setattr(ir, f"verify_{field}", record(field))
         ir.rep_suite(rep, trials=200, seed=seed)
     (g2, g1), (g,) = seen["homomorphism"], seen["unitarity"]
-    first = [tower(f) for f in ir.default_probes(2)]
+    probes = [tower(f) for f in ir.default_probes(5)]
     return {"homomorphism": lambda k=slice(None): quadrature_homomorphism(
-                rep, _take(g2, k), _take(g1, k), first[:1]),
+                rep, _take(g2, k), _take(g1, k), probes[:1]),
             "unitarity": lambda k=slice(None): quadrature_unitarity(
-                rep, _take(g, k), first),
-            "commutators": lambda: quadrature_commutators(
-                rep, [tower(f) for f in seen["commutators"][0]]),
-            "casimir": lambda: quadrature_casimir(
-                rep, [tower(f) for f in seen["casimir"][0]])}
+                rep, _take(g, k), probes[:2]),
+            "commutators": lambda: quadrature_commutators(rep, probes),
+            "casimir": lambda: quadrature_casimir(rep, probes)}
 
 
 @pytest.mark.parametrize("B", (1.0, -1.3, 3.0))
@@ -405,19 +407,19 @@ def test_closed_form_agrees_with_quadrature_oracle(family, B):
 @pytest.mark.parametrize("B", (1.0, -1.3, 3.0))
 @pytest.mark.parametrize("family", ("A", "B", "C"))
 def test_stacked_probe_checks_equal_per_probe_reference(family, B):
-    # the exact commutator and Casimir checks against the stacked-probe
-    # quadrature they replaced, on the probes rep_suite hands them: both
-    # pass their gates, and the exact checks read round-off
+    # the decided commutator and Casimir identities, their float versions
+    # on the probe kernel and the stacked-probe quadrature, at one B: all
+    # pass their gates, the decided ones read 0.0 and the kernel round-off
     p = ModelParams(B=B)
     rep = ir.RepParams(family, p, **REP_LABELS[family])
     report = ir.rep_suite(rep, trials=200, seed=42)
     oracles = oracle_checks(rep)
-    for field in ("commutators", "casimir"):
-        value = oracles[field]()
-        assert report[field] <= 1e-14 and value <= REP_GATES[field], \
-            (field, report[field], value)
-    if family == "B":
-        assert report["commutators"] == report["casimir"] == 0.0
+    probes = ir.default_probes(5)
+    for field, kernel in (("commutators", verify_commutators),
+                          ("casimir", verify_casimir)):
+        value, floats = oracles[field](), kernel(rep, probes)
+        assert report[field] == 0.0 and floats <= 1e-14, (field, floats)
+        assert value <= REP_GATES[field], (field, value)
 
 
 def _amplitude_mutant(affine_phase):
@@ -466,6 +468,8 @@ def _j_sign_mutant(generators):
     # family A's J: the -x D term -> +x D
     def mutant(rep):
         gens = generators(rep)
+        if rep.family != "A":
+            return gens
         c = gens["J"].c.copy()
         c[0, 1, 1] = -c[0, 1, 1]
         return {**gens, "J": ir.QuantOperator(c)}
@@ -477,6 +481,8 @@ def _cosh_sinh_mutant(generators):
     # zeta_1 cosh x), which flips the sign of its e^(-x) term
     def mutant(rep):
         gens = generators(rep)
+        if rep.family != "C":
+            return gens
         op = gens["P0"]
         c = op.c.copy()
         c[op.exps.index(-1)] = -c[op.exps.index(-1)]
@@ -488,30 +494,80 @@ def _i_coefficient_mutant(generators):
     # family A's I: i z3 -> 1.01 i z3
     def mutant(rep):
         gens = generators(rep)
-        return {**gens, "I": 1.01 * gens["I"]}
+        return {**gens, "I": 1.01 * gens["I"]} if rep.family == "A" else gens
     return mutant
 
 
-@pytest.mark.parametrize("mutant, rep, name", (
-    (_j_sign_mutant, REP_A, "J"),
-    (_cosh_sinh_mutant, REP_C, "P0"),
-    (_i_coefficient_mutant, REP_A, "I"),
-), ids=("A-J-xD-sign", "C-cosh-sinh", "A-I-coefficient"))
-def test_planted_generator_defect_fails_closed_form_and_oracle(mutant, rep, name,
-                                                               monkeypatch):
-    # the oracles' generator chains read the same table (generator_apply);
-    # the jets of generator_gaps read T(g), not the table
+def _c2_sign_mutant(generators):
+    # family A's J: -1/2 - i c2 / (2 B z3) -> -1/2 + i c2 / (2 B z3)
+    def mutant(rep):
+        gens = generators(rep)
+        if rep.family != "A":
+            return gens
+        c = gens["J"].c.copy()
+        c[0, 0, 0] = -1 - c[0, 0, 0]
+        return {**gens, "J": ir.QuantOperator(c)}
+    return mutant
+
+
+def _label_swap_mutant(generators):
+    # family C's P0 and P1 with zeta_0 and zeta_1 swapped, which swaps the
+    # two operators: the brackets hold, and P^a P_a changes sign
+    def mutant(rep):
+        gens = generators(rep)
+        if rep.family != "C":
+            return gens
+        swapped = generators(dataclasses.replace(rep, zeta0=rep.zeta1,
+                                                 zeta1=rep.zeta0))
+        return {**gens, "P0": swapped["P0"], "P1": swapped["P1"]}
+    return mutant
+
+
+def decided_afresh(family):
+    """The family's decided identities, decided again, past the
+    once-per-process memo: a planted defect shows."""
+    return ir.decided_identities.__wrapped__()[family]
+
+
+@pytest.mark.parametrize("mutant, rep, names, fields", (
+    (_j_sign_mutant, REP_A, ("J",), ("commutators", "casimir")),
+    (_cosh_sinh_mutant, REP_C, ("P0",), ("commutators", "casimir")),
+    (_i_coefficient_mutant, REP_A, ("I",), ("commutators", "casimir")),
+    (_c2_sign_mutant, REP_A, ("J",), ("casimir",)),
+    (_label_swap_mutant, REP_C, ("P0", "P1"), ("casimir",)),
+), ids=("A-J-xD-sign", "C-cosh-sinh", "A-I-coefficient", "A-c2-sign",
+        "C-label-swap"))
+def test_planted_generator_defect_fails_closed_form_and_oracle(mutant, rep, names,
+                                                               fields, monkeypatch):
+    # the decided identities, the kernel and the oracles' generator chains
+    # (generator_apply) read the same table; the jets of generator_gaps
+    # read T(g), not the table
     monkeypatch.setattr(ir, "_generators", mutant(ir._generators))
-    report = ir.rep_suite(rep, trials=200, seed=42)
-    oracles = oracle_checks(rep)
-    for field in ("commutators", "casimir"):
-        value = oracles[field]()
-        assert report[field] > REP_GATES[field] and value > REP_GATES[field], \
-            (field, report[field], value)
+    decided, oracles = decided_afresh(rep.family), oracle_checks(rep)
+    probes = ir.default_probes(5)
+    for field, kernel in (("commutators", verify_commutators),
+                          ("casimir", verify_casimir)):
+        if field in fields:
+            value, floats = oracles[field](), kernel(rep, probes)
+            assert min(decided[field], floats, value) > REP_GATES[field], \
+                (field, decided[field], floats, value)
+        else:
+            assert decided[field] == 0.0, (field, decided)
     gaps = ir.generator_gaps(rep)
-    assert gaps[name] > GENERATOR_GATE, gaps
-    assert all(gap <= GENERATOR_GATE for n, gap in gaps.items() if n != name), gaps
-    assert not second_order(generator_consistency(rep, hermite_wf(1))[name])
+    assert all((gap > GENERATOR_GATE) is (n in names) for n, gap in gaps.items()), gaps
+    errs = generator_consistency(rep, hermite_wf(1))
+    assert not any(second_order(errs[name]) for name in names)
+
+
+@pytest.mark.parametrize("B", (1.0, 1e4, 1e150))
+def test_flipped_c2_fails_the_float_casimir_at_every_B(B, monkeypatch):
+    # a float coefficient gap would read the flipped c2 as 2e-4 at B = 1e4
+    # and 2e-150 at 1e150, beside the terms of size B; the decided identity
+    # reads it at every B at once, and the probe residual at each
+    monkeypatch.setattr(ir, "_generators", _c2_sign_mutant(ir._generators))
+    assert decided_afresh("A")["casimir"] > REP_GATES["casimir"]
+    rep = dataclasses.replace(REP_A, params=ModelParams(B=B))
+    assert verify_casimir(rep, ir.default_probes(5)) > 1.0
 
 
 # ---------------------------------------------------------------------------

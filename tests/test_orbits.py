@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import sweep_oracle as oracle
@@ -248,16 +248,17 @@ def test_planted_dropped_u3_condition_fails_exact_and_oracle(monkeypatch):
     assert orb._orbit_contains(CASE_A_ZETA, [U3_DIRECTION], p) is True
 
 
-# the float oracle's CaseA u2 test subtracts terms of size 1/B, so at
-# small |B| it rejects points of the orbit: the comparison runs where it
-# holds 1e-9
-@given(B=st.sampled_from([s * b for b in (1e-2, 0.5, 1.3, 3.0, 100.0)
+# the float oracle's CaseA test is the Casimir itself, relative to its
+# largest term: solved for u2 it subtracted terms of size 1/B, and at
+# B = -1e-8 rejected (0.4, -1.2, 2.0, 0.3) from its own orbit
+@given(B=st.sampled_from([s * b for b in (1e-8, 1e-4, 1e-2, 0.5, 1.3, 3.0, 100.0)
                           for s in (1.0, -1.0)]),
        zeta=st.sampled_from([(0.0, 0.0, 0.5, -1.0), (0.4, -1.2, 2.0, 0.3),
                              (0.0, 0.0, 0.7, 0.0), (1.0, 0.3, 0.0, 0.0),
                              (-0.5, 2.0, 1.1, 0.0), (1.0, 1.0, 0.0, 0.0),
                              (2.0, -2.0, 0.3, 0.0)]),
        directions=st.lists(st.tuples(*[st.integers(-2, 2)] * 4), max_size=2))
+@example(B=-1e-8, zeta=(0.4, -1.2, 2.0, 0.3), directions=[])
 def test_orbit_decision_is_the_sampling_oracle(B, zeta, directions):
     # the exact identities against orbit membership at 100 sampled points
     # of zeta + span(directions)

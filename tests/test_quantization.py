@@ -20,8 +20,12 @@ from poincare_ext.group import (
     inverse,
 )
 from poincare_ext.irreps import default_probes
+from poincare_ext.laurent import Laurent, relative_defect
 from poincare_ext.orbits import classify
 from poincare_ext.wavefunctions import Probe, hermite_probe
+from probe_oracle import (comoment_hermiticity, dirac_residuals,
+                          hermiticity_residual, verify_casimir,
+                          verify_commutators)
 from sweep_oracle import (PhasePoint, comoments, evaluate, momentum_map,
                           pullback_residual)
 from sweep_oracle import BENCH_B
@@ -57,7 +61,7 @@ def verify_covariance(g, f, params, m, probes):
 def dirac_at(params, m, probes, z3=None):
     """The Dirac residual at one z3, by default the orbit's -1/hbar."""
     z3 = -1.0 / params.hbar if z3 is None else z3
-    return qz.dirac_residuals(params, m, probes, (z3,))[0]
+    return dirac_residuals(params, m, probes, (z3,))[0]
 
 
 def homomorphism_gap(us, a, b):
@@ -336,10 +340,33 @@ def test_quantize_linearity():
 
 
 def test_hermiticity_of_quantized_observables():
+    # the formal adjoint, exactly, and the probe kernel
     probes = default_probes(3)
     for text in ("1", "q", "p", "q^2", "qp", "p^2"):
         op = qz.quantize(qz.parse_poly(text), P)
-        assert qz.hermiticity_residual(op, probes[:2]) < 1e-9, text
+        assert ir._operator_defect([op, -1 * op.adjoint()]) == 0.0, text
+        assert hermiticity_residual(op, probes[:2]) < 1e-9, text
+    assert qz.decided_identities()["hermiticity"] == 0.0
+
+
+def test_adjoint_is_the_kernel_adjoint():
+    # <A f, g> = <f, A^dagger g> on complex probes, for e^{kx} x^i D^j terms
+    # at k = -1, 0, 1: the formal adjoint through the product rule against
+    # the Gaussian moments
+    rng = np.random.default_rng(7)
+    probes = complex_probes(rng)
+    for _ in range(5):
+        op = random_operator(rng, 3, (), (-1, 0, 1))
+        adj = op.adjoint()
+        for f in probes:
+            for g in probes:
+                mats, r, gram = ir._kernel(op, [f, g])
+                amats, ar, agram = ir._kernel(adj, [f, g])
+                lhs = sum(np.conj(m @ r[:, 0]) @ gram(k) @ r[:, 1]
+                          for k, m in mats.items())
+                rhs = sum(np.conj(ar[:, 0]) @ agram(k) @ (m @ ar[:, 1])
+                          for k, m in amats.items())
+                assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -351,11 +378,14 @@ def test_dirac_and_hermiticity_over_hbar_and_B(hbar, B, sign):
     p = ModelParams(B=sign * B, hbar=hbar)
     probes = default_probes(3)
     assert dirac_at(p, M, probes) <= 1e-9
-    assert max(qz.hermiticity_residual(qz.quantize(u, p), probes[:2])
-               for u in qz.comoment_observables(p, M)) <= 1e-9
+    assert comoment_hermiticity(p, M, probes[:2]) <= 1e-9
 
 
 def test_dirac_condition():
+    # decided for every B, hbar and m; the negative control reads 2, each
+    # wrong-sign coefficient twice the one it should cancel
+    decided = qz.decided_identities()
+    assert decided["dirac"] == 0.0 and decided["dirac_wrong_sign"] == 2.0
     probes = default_probes(3)
     assert dirac_at(P, M, probes) < 1e-9
     assert dirac_at(P, M, probes, z3=+1.0 / P.hbar) > 0.1
@@ -379,7 +409,7 @@ def test_shared_dirac_chains_equal_separate_calls(B, hbar):
     p = ModelParams(B=B, hbar=hbar)
     probes = default_probes(3)
     z3s = (-1.0 / hbar, 1.0 / hbar)
-    assert qz.dirac_residuals(p, M, probes, z3s) == [
+    assert dirac_residuals(p, M, probes, z3s) == [
         dirac_at(p, M, probes, z3=z3) for z3 in z3s]
 
 
@@ -396,14 +426,14 @@ def test_stacked_hermiticity_equals_per_pair_reference(B):
         ref = max(abs(inner(operator_apply(op, f), g) - inner(f, operator_apply(op, g)))
                   for f in fs for g in fs)
         assert ref <= 1e-14
-        assert abs(qz.hermiticity_residual(op, probes) - ref) <= 1e-14
+        assert abs(hermiticity_residual(op, probes) - ref) <= 1e-14
 
 
 def test_quantum_checks_on_no_probes():
     # the quantization checks share the moment kernel's named refusal
     op = qz.quantize(qz.parse_poly("q^2+2qp"), P)
-    calls = [lambda: qz.hermiticity_residual(op, []),
-             lambda: qz.dirac_residuals(P, M, [], (1.0, -1.0)),
+    calls = [lambda: hermiticity_residual(op, []),
+             lambda: dirac_residuals(P, M, [], (1.0, -1.0)),
              lambda: verify_covariance(GroupElement(0.1, 0.2, 0.3, 0.4),
                                        qz.parse_poly("p"), P, M, [])]
     for call in calls:
@@ -470,6 +500,26 @@ def random_operator(rng, size=3, batch=(), exps=(0,)):
     return qz.QuantOperator(c, exps)
 
 
+def test_laurent_arithmetic_is_exact():
+    B, z = Laurent.var("B"), Laurent.var("z3")
+    x = B / 2.0 + 0.5j
+    assert (x + 1) * (x + 1) == x * x + 2 * x + 1 and (x - x) == 0
+    assert (2.0 * B * z) / (2.0 * B * z) == 1 and -1 / z * z == -1
+    # 0.1 is the dyadic m 2^-56, read exactly: the exact sum of 0.1 and 0.2
+    # is neither float nearest it
+    assert 0.1 * B + 0.2 * B != 0.3 * B and 0.1 * B + 0.2 * B != (0.1 + 0.2) * B
+    assert (1j * B).conjugate() == -1j * B and not (B - B)
+    for bad in (lambda: B * Fraction(1, 3), lambda: B * math.inf,
+                lambda: 1 / (B + 1), lambda: B / 3):
+        with pytest.raises(ValueError):
+            bad()
+    # each coefficient of the sum, relative to the largest the parts hold
+    # at its monomial
+    assert relative_defect([B * B, -B * B, 1e-300 * z]) == 1.0
+    assert relative_defect([2 * B, -B, z, -z]) == 0.5
+    assert relative_defect([B * z, -z * B, 0]) == 0.0
+
+
 def test_weyl_product_is_the_operator_product():
     # (A B) f = A (B f) pointwise, on a probe and its derivatives
     rng = np.random.default_rng(0)
@@ -516,14 +566,18 @@ def test_operator_product_on_mixed_terms():
 
 def test_product_without_its_exponential_shift_fails(monkeypatch):
     # a planted defect: (D + q)^j taken as D^j.  Family C's bracket table
-    # fails, and so does the pointwise product, on its generators and on
+    # fails, decided (past its once-per-process memo) and on the probe
+    # kernel, and so does the pointwise product, on its generators and on
     # mixed terms
     rep = ir.RepParams("C", P, zeta0=1.0, zeta1=0.3)
     rng = np.random.default_rng(5)
     a, b = (random_operator(rng, 3, (2, 1), (-1, 0, 1)) for _ in range(2))
     monkeypatch.setattr(ir, "_shift", lambda q, n: [[(j, 1)] for j in range(n)])
-    report = ir.rep_suite(rep, trials=200, seed=42)
-    assert report["commutators"] > cli.REP_GATES["commutators"], report
+    gate = cli.REP_GATES["commutators"]
+    decided = ir.decided_identities.__wrapped__()
+    assert decided["C"]["commutators"] > gate, decided
+    assert decided["A"] == decided["B"] == {"commutators": 0.0, "casimir": 0.0}
+    assert verify_commutators(rep, default_probes(5)) > gate
     gens = ir._generators(rep)
     f, x = hermite_wf(3, depth=8), np.linspace(-3.0, 3.0, 31)
     assert product_gap(gens["J"], gens["P0"], f, x) > 0.1
@@ -565,7 +619,7 @@ def test_quantum_checks_need_gaussian_polynomial_probes():
                    [hermite_probe(0), hermite_wf(1, center=0.5)],
                    [hermite_probe(0), tower(hermite_probe(1))]):
         with pytest.raises(ValueError, match="operator checks need"):
-            qz.hermiticity_residual(op, probes)
+            hermiticity_residual(op, probes)
         with pytest.raises(ValueError, match="operator checks need"):
             dirac_at(P, M, probes)
         with pytest.raises(ValueError, match="operator checks need"):
@@ -573,9 +627,9 @@ def test_quantum_checks_need_gaussian_polynomial_probes():
                               qz.parse_poly("p"), P, M, probes)
         # the representation checks share the Gaussian moments
         with pytest.raises(ValueError, match="operator checks need"):
-            ir.verify_commutators(rep, probes)
+            verify_commutators(rep, probes)
         with pytest.raises(ValueError, match="operator checks need"):
-            ir.verify_casimir(rep, probes)
+            verify_casimir(rep, probes)
 
 
 def test_gaussian_moments_are_the_inner_product():
@@ -706,63 +760,73 @@ GATES = {"dirac": 1e-9, "covariance": 1e-8, "hermiticity": 1e-9}
 
 
 def suite_and_oracle(params, seed=42):
-    """suite_quantization's report, and the quadrature oracle's value of each
-    residual on the operators, draws and probes the suite hands its checks."""
-    seen = {"hermiticity": []}
-    real = {name: getattr(qz, name) for name in
-            ("dirac_residuals", "hermiticity_residual", "_covariance_residual")}
-
-    # the probe records each check is handed, as the oracle's evaluators
-    def dirac(params, m, probes, z3s):
-        seen["dirac"] = (params, m, [tower(f) for f in probes], z3s)
-        return real["dirac_residuals"](params, m, probes, z3s)
-
-    def herm(op, probes):
-        seen["hermiticity"].append((op, [tower(f) for f in probes]))
-        return real["hermiticity_residual"](op, probes)
+    """suite_quantization's report, its identities decided afresh past the
+    once-per-process memo (so a planted defect shows), and the quadrature
+    oracle's value of each residual: the Dirac pair on three Hermite
+    probes, hermiticity on two, and covariance on the operators, draws and
+    probes the suite hands it."""
+    seen = {}
+    real = qz._covariance_residual
 
     def cov(*args):
         seen["covariance"] = args[:-1] + ([tower(f) for f in args[-1]],)
-        return real["_covariance_residual"](*args)
+        return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qz, "dirac_residuals", dirac)
-        mp.setattr(qz, "hermiticity_residual", herm)
+        mp.setattr(qz, "decided_identities", qz.decided_identities.__wrapped__)
         mp.setattr(qz, "_covariance_residual", cov)
         report = cli.suite_quantization(params, seed)
-    oracle = dict(zip(("dirac", "dirac_wrong_sign"),
-                      quadrature_dirac(*seen["dirac"])))
-    oracle["hermiticity"] = max(quadrature_hermiticity(*args)
-                                for args in seen["hermiticity"])
+    fs = [tower(f) for f in default_probes(3)]
+    oracle = dict(zip(("dirac", "dirac_wrong_sign"), quadrature_dirac(
+        params, M, fs, (-1.0 / params.hbar, 1.0 / params.hbar))))
+    oracle["hermiticity"] = max(quadrature_hermiticity(qz.quantize(u, params), fs[:2])
+                                for u in qz.comoment_observables(params, M))
     oracle["covariance"] = quadrature_covariance(*seen["covariance"])
     return report, oracle
+
+
+def kernel_values(params):
+    """The probe-kernel versions of the decided quantization identities."""
+    probes = default_probes(3)
+    z3s = (-1.0 / params.hbar, 1.0 / params.hbar)
+    return {**dict(zip(("dirac", "dirac_wrong_sign"),
+                       dirac_residuals(params, M, probes, z3s))),
+            "hermiticity": comoment_hermiticity(params, M, probes[:2])}
 
 
 @pytest.mark.parametrize("hbar", (1e-3, 1.0, 1e3))
 @pytest.mark.parametrize("B", (1.0, -1.3, 3.0))
 def test_closed_form_agrees_with_quadrature_oracle(B, hbar):
-    report, oracle = suite_and_oracle(ModelParams(B=B, hbar=hbar))
+    params = ModelParams(B=B, hbar=hbar)
+    report, oracle = suite_and_oracle(params)
     assert report["pass"], report
     for field, gate in GATES.items():
         assert report[field] <= gate and oracle[field] <= gate, \
             (field, report[field], oracle[field])
-    # the negative control is of order one on both sides, and they agree
-    bad, ref = report["dirac_wrong_sign"], oracle["dirac_wrong_sign"]
+    # the negative control is of order one: decided, on the kernel and by
+    # quadrature, and the last two agree
+    bad, ref = kernel_values(params)["dirac_wrong_sign"], oracle["dirac_wrong_sign"]
+    assert report["dirac_wrong_sign"] == 2.0
     assert bad > 0.1 and abs(bad - ref) <= 1e-12 * ref, (bad, ref)
 
 
-def _weyl_factor_mutant(_):
-    # the Weyl factor (-i hbar / 2)^k -> (-i hbar)^k
-    def mutant(c, h):
-        out = np.zeros(c.shape, dtype=complex)
+def _weyl_with(factor):
+    """_weyl with its symmetrisation factor (-i hbar / 2)^k as factor(h, k)."""
+    def weyl(c, h):
+        out = np.zeros(c.shape, dtype=np.result_type(c, complex))
         for i in range(3):
             for j in range(3 - i):
                 for k in range(min(i, j) + 1):
                     out[i - k, j - k] += (math.factorial(k) * math.comb(i, k)
                                           * math.comb(j, k) * c[i, j]
-                                          * (-1j * h) ** k * (-1j * h) ** (j - k))
+                                          * factor(h, k) * (-1j * h) ** (j - k))
         return out
-    return {"_weyl": mutant}
+    return weyl
+
+
+def _weyl_factor_mutant(_):
+    # the Weyl factor (-i hbar / 2)^k -> (-i hbar)^k
+    return {"_weyl": _weyl_with(lambda h, k: (-1j * h) ** k)}
 
 
 def _p_map_mutant(real):
@@ -797,12 +861,29 @@ def test_planted_defect_fails_closed_form_and_oracle(plant, failing, B,
         monkeypatch.setattr(qz, name, fn)
         if hasattr(ir, name):  # the oracle's rep_image reads it there
             monkeypatch.setattr(ir, name, fn)
-    report, oracle = suite_and_oracle(ModelParams(B=B))
+    params = ModelParams(B=B)
+    report, oracle = suite_and_oracle(params)
+    floats = {**kernel_values(params), "covariance": report["covariance"]}
     assert not report["pass"]
     for field in failing:
-        value, ref = report[field], oracle[field]
-        assert value > GATES[field] and ref > GATES[field], (field, value, ref)
-        assert abs(value - ref) <= 1e-10 * ref, (field, value, ref)
+        value, kernel, ref = report[field], floats[field], oracle[field]
+        assert min(value, kernel, ref) > GATES[field], (field, value, kernel, ref)
+        # the probe kernel and the quadrature take the same residual
+        assert abs(kernel - ref) <= 1e-10 * ref, (field, kernel, ref)
+
+
+def test_wrong_hbar_power_fails_decided_and_off_hbar_one(monkeypatch):
+    # the Weyl factor (-i hbar / 2)^k -> (-i / 2)^k, a planted defect that
+    # float checks at hbar = 1 cannot see: the decided identity holds hbar
+    # as a variable, and the float oracles fail at hbar = 0.5
+    monkeypatch.setattr(qz, "_weyl", _weyl_with(lambda h, k: (-0.5j) ** k))
+    assert qz.decided_identities.__wrapped__()["hermiticity"] > GATES["hermiticity"]
+    assert kernel_values(P)["hermiticity"] <= GATES["hermiticity"]
+    params = ModelParams(hbar=0.5)
+    fs = [tower(f) for f in default_probes(2)]
+    assert kernel_values(params)["hermiticity"] > GATES["hermiticity"]
+    assert max(quadrature_hermiticity(qz.quantize(u, params), fs)
+               for u in qz.comoment_observables(params, M)) > GATES["hermiticity"]
 
 
 def test_amplitude_character_is_invisible_to_covariance(monkeypatch):

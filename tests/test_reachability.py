@@ -7,7 +7,8 @@ function or method that no invocation enters must be on KEPT, the list of
 public API kept on purpose that CHANGES.md states: the closed-form exp and
 log with their helpers (the tests' statement that exp(t X_k) = t e_k, and
 the group-calls bench workload), `identity` and `GroupElement.array` (the
-bench too), `group.bracket` (public API in `poincare_ext.__all__`, and the
+bench too), `group.bracket` with its `structure_constants` and
+`AlgebraElement.array` (public API in `poincare_ext.__all__`, and the
 float bracket of the tests' oracles), `rep_from_orbit` (the orbit method's map from a point to its
 irrep), `cli.main` (the console script), the `count` option type, and the
 records' dunders.
@@ -47,6 +48,8 @@ KEPT = {
     ("cli", "main"),
     ("cli", "_build_parser.<locals>.count"),
     ("group", "bracket"),
+    ("group", "structure_constants"),
+    ("group", "AlgebraElement.array"),
     ("group", "GroupElement.array"),
     ("group", "identity"),
     ("group", "_phi"),

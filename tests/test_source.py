@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import pathlib
 import subprocess
 import sys
@@ -166,13 +167,14 @@ def test_one_exact_elimination():
                for node in ast.walk(tree))
 
 
-@pytest.mark.parametrize("module", ("model", "cohomology"))
+@pytest.mark.parametrize("module", ("model", "cohomology", "laurent"))
 def test_exact_modules_import_no_numpy(module):
     # with the FOOTPRINTS rows of tests/test_cli.py, which run the commands
     assert "numpy" not in imported_modules(module)
 
 
-@pytest.mark.parametrize("module", ("__init__", "model", "cohomology", "cli"))
+@pytest.mark.parametrize("module", ("__init__", "model", "cohomology", "cli",
+                                    "laurent"))
 def test_numpy_free_modules_import_no_dataclasses(module):
     # model's records stand in for frozen dataclasses, whose import loads
     # inspect; the FOOTPRINTS rows of tests/test_cli.py run the commands
@@ -182,17 +184,57 @@ def test_numpy_free_modules_import_no_dataclasses(module):
 def test_import_builds_no_probes_or_moment_matrices():
     # the moment kernel's caches fill on first use, so a cold start of a
     # command that imports quantization (quantize op, rep apply) pays for
-    # none of them; one check then fills all three
+    # none of them; one covariance check then fills all three
     code = ("import poincare_ext.quantization as qz, poincare_ext.irreps as ir\n"
             "from poincare_ext.model import ModelParams\n"
             "caches = (ir._hermite_probes, ir._xd_powers, ir._moments)\n"
             "print([f.cache_info().currsize for f in caches])\n"
-            "qz.hermiticity_residual(qz.quantize(qz.parse_poly('qp'), ModelParams()),\n"
-            "                        ir.default_probes(2))\n"
+            "qz.covariance_suite(ModelParams(), 1.0, trials=1)\n"
             "print([f.cache_info().currsize > 0 for f in caches])\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split("\n")[:2] == ["[0, 0, 0]", "[True, True, True]"]
+
+
+#: the tables of identities decided once per process, as module.function
+DECIDED = ("irreps.decided_identities", "quantization.decided_identities",
+           "group.decided_ad_spectrum")
+
+
+def _decided_counts(code):
+    """Run code in a fresh interpreter, then print each DECIDED table's
+    (entries, misses) as JSON."""
+    code += ("\nimport importlib, json\n"
+             "tables = [getattr(importlib.import_module('poincare_ext.' + m), f)"
+             " for m, f in (n.split('.') for n in %r)]\n"
+             "print(json.dumps([(t.cache_info().currsize, t.cache_info().misses)"
+             " for t in tables]))\n" % (DECIDED,))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_decides_no_identity():
+    # a cold command pays for the decided tables only when a report reads
+    # them: importing the CLI and the modules that hold them builds none,
+    # nor loads the Laurent type they are decided in
+    code = ("import sys, poincare_ext.cli, poincare_ext.irreps, poincare_ext.quantization\n"
+            "assert 'poincare_ext.laurent' not in sys.modules")
+    assert _decided_counts(code) == [[0, 0]] * len(DECIDED)
+
+
+def test_each_identity_is_decided_once_per_process():
+    # all-checks at several B and seeds, and rep verify and quantize check,
+    # read the tables decided by the first of them
+    code = ("from poincare_ext import cli\n"
+            "from poincare_ext.model import ModelParams\n"
+            "for B, seed in ((1.3, 1), (-2.0, 5), (1e300, 42)):\n"
+            "    cli.run_all_checks(ModelParams(B), seed)\n"
+            "import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.run(['rep', 'verify', '--family=C'])\n"
+            "    cli.run(['quantize', 'check', '--B=-0.5'])\n")
+    assert _decided_counts(code) == [[1, 1]] * len(DECIDED)
 
 
 def test_basis_names_have_one_home():
