@@ -52,7 +52,7 @@ __all__ = [
 def _finite(values, what: str) -> np.ndarray:
     try:
         arr = np.asarray(values, dtype=float)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValueError(f"{what} components must be numbers, or arrays of "
                          "one shape") from None
     bad = arr.size - np.count_nonzero(np.isfinite(arr))
@@ -63,10 +63,26 @@ def _finite(values, what: str) -> np.ndarray:
 
 
 def _stack_last(coords) -> np.ndarray:
-    """Coordinates of one shape S, stacked on a new last axis: S + (k,)."""
+    """Coordinates of one shape S, stacked on a new last axis: S + (k,).
+
+    Object arrays of laurent.Laurent stay object arrays (_generic)."""
     if np.ndim(coords[0]) == 0:
         return np.array(coords, dtype=float)
-    return np.stack(coords, axis=-1).astype(float, copy=False)
+    out = np.stack(coords, axis=-1)
+    return out if out.dtype == object else out.astype(float, copy=False)
+
+
+_LAURENT = f"{__package__}.laurent"
+
+
+def _generic(coords) -> bool:
+    """Whether coords are object arrays of laurent.Laurent polynomials: a
+    generic element, on which the decided identities run the group law.
+    Without the laurent module loaded there are none."""
+    laurent = sys.modules.get(_LAURENT)
+    return laurent is not None and all(
+        isinstance(c, np.ndarray) and c.dtype == object
+        and all(isinstance(x, laurent.Laurent) for x in c.flat) for c in coords)
 
 
 def _components(what: str, c0, rest) -> tuple:
@@ -111,6 +127,8 @@ class GroupElement:
     The coordinates may be arrays of one shape S, a batch of elements that
     compose, inverse and rep_apply act on at once; floats are the batch of
     shape ().  theta and array then carry S in front of their last axis.
+    Object arrays of laurent.Laurent variables make a generic element,
+    real and finite for every value of them.
     """
 
     theta0: float
@@ -119,7 +137,9 @@ class GroupElement:
     beta: float
 
     def __post_init__(self):
-        _finite([self.theta0, self.theta1, self.alpha, self.beta], "GroupElement")
+        coords = [self.theta0, self.theta1, self.alpha, self.beta]
+        if not _generic(coords):
+            _finite(coords, "GroupElement")
 
     @property
     def theta(self) -> np.ndarray:

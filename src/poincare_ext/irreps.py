@@ -17,22 +17,21 @@ The generators dT(X) are written once, as coefficient arrays (_generators),
 each a differential operator sum_k e^{kx} sum c_k[i, j] x^i D^j
 (QuantOperator): families A and B at k = 0 alone, family C with its
 hyperbolic phases' e^{+-x}.  The operators add, multiply and take their
-formal adjoint in their coefficients, complex or `laurent.Laurent`.  On the
-Hermite coefficients of the probes r(y) e^{-y^2/2}, each is one matrix
-per exponent e^{kx}, and the inner products are Gaussian-moment matrices
-(_kernel): the covariance residual of `quantization` is a few
-contractions over all probes and batch members at once.
+formal adjoint in their coefficients, complex or `laurent.Laurent`.
 
-The module also carries the verification harness.  The homomorphism and
-unitarity checks are closed form: AffinePhase.compose multiplies two
-operators exactly in their coefficients, and the residuals are relative
-coefficient gaps, each function's size taken as its coefficient bound
-on the probes' image window (AffinePhase.gap, AffinePhase.unitarity_gap).
-The commutator table, anti-Hermiticity and the Casimir hold at every
-B != 0 and label, and are decided once (decided_identities): the
-generator table runs on Laurent variables, and each defect operator must
-vanish as a Laurent polynomial.  Their float versions on the probe
-kernel, and by quadrature, are the test oracle.
+The module also carries the verification harness.  Every identity it
+checks holds at every B != 0, label and group element, and is decided
+once per process, on first use, as one of Laurent polynomials.  The
+homomorphism and unitarity of T (decided_group_identities) run
+_phase_coefficients and group.compose on generic elements, whose
+coordinates are Laurent variables and whose e^(-alpha/2) is one more
+(Laurent.exp); AffinePhase.compose multiplies two operators exactly in
+their coefficients.  The commutator table, anti-Hermiticity and the
+Casimir (decided_identities) run the generator table on Laurent
+variables, and each defect operator must vanish as a Laurent polynomial.
+Their float versions, the seeded sweeps with their coefficient gaps and
+the Gaussian-moment probe kernel, and the quadrature versions are the
+test oracle.
 Generator consistency is exact too: dT(X) = d/dt T(exp tX) at t = 0, the
 derivative taken on first-order jets (Jet) run through the coefficient
 code of T(g) itself, and compared with the table coefficient by
@@ -53,7 +52,7 @@ import numpy as np
 from .conventions import SQRT_MINUS_H
 from .group import GroupElement, ModelParams, compose
 from .model import BASIS_NAMES, brackets
-from .wavefunctions import WINDOW, Probe, _horner, hermite_probe
+from .wavefunctions import _horner
 
 __all__ = [
     "AffinePhase",
@@ -62,11 +61,9 @@ __all__ = [
     "RepParams",
     "rep_from_orbit",
     "rep_apply",
-    "verify_homomorphism",
-    "verify_unitarity",
+    "decided_group_identities",
     "decided_identities",
     "generator_gaps",
-    "default_probes",
     "rep_suite",
     "BASIS_NAMES",
 ]
@@ -120,11 +117,6 @@ def _poly_pullback(c, a, b):
                               for k in range(j, len(c))) for j in range(len(c)))
 
 
-def _size(coeffs, sups):
-    """sum_k |c_k| sup |e_k|, a bound on sup |sum_k c_k e_k|."""
-    return sum(np.abs(c) * e for c, e in zip(coeffs, sups))
-
-
 @dataclass(frozen=True)
 class AffinePhase:
     """The operator f(x) -> amp exp(phi(x)) f(a x + b) on L2(R).
@@ -134,6 +126,8 @@ class AffinePhase:
     (the hyperbolic one under translations, a = 1), so a product of
     operators is exact arithmetic on their coefficients.  Fields may be
     batch columns; one that is not finite raises ValueError naming it.
+    Object arrays of laurent.Laurent, finite by construction, are the
+    fields of T at a generic element (decided_group_identities).
     """
 
     amp: complex
@@ -146,7 +140,7 @@ class AffinePhase:
         for name, v in {"amplitude": self.amp, "a": self.a, "b": self.b,
                         **{f"phase coefficient c{k}": c
                            for k, c in enumerate(self.c)}}.items():
-            if not np.all(np.isfinite(v)):
+            if np.asarray(v).dtype != object and not np.all(np.isfinite(v)):
                 raise ValueError(f"operator {name} is not finite")
 
     def image(self, f, x):
@@ -172,36 +166,6 @@ class AffinePhase:
         fb, fa = _poly_pullback((first.b, first.a), a, b)
         return AffinePhase(self.amp * first.amp, fa, fb,
                            tuple(p + q for p, q in zip(self.c, pulled)), self.basis)
-
-    def _sups(self, lo, hi):
-        """sup |1|, |x| and each sup |e_k| over the x with lo <= a x + b <= hi."""
-        r = np.maximum(np.abs(lo - self.b), np.abs(hi - self.b)) / np.abs(self.a)
-        if self.basis == "hyp":
-            return (1.0, r), (np.cosh(r), np.sinh(r))
-        return (1.0, r), tuple(r ** k for k in range(len(self.c)))
-
-    def gap(self, other: "AffinePhase", lo, hi, phase_size=None):
-        """Relative coefficient gap to other, for probes on the window [lo, hi].
-
-        The sum of |d amp| / |amp|, of the size of the change of the map
-        x -> a x + b over the size of the map, and of the size of the
-        change of phi over phase_size (default: the size of other's phi).
-        A size is the bound _size on other's image of the window, taken at
-        least 1 (one radian; one unit of the probe's argument).
-        """
-        maps, sups = other._sups(lo, hi)
-        d_map = (_size((self.b - other.b, self.a - other.a), maps)
-                 / np.maximum(_size((other.b, other.a), maps), 1.0))
-        if phase_size is None:
-            phase_size = _size(other.c, sups)
-        d_phi = (_size([p - q for p, q in zip(self.c, other.c)], sups)
-                 / np.maximum(phase_size, 1.0))
-        return np.abs(self.amp - other.amp) / np.abs(other.amp) + d_map + d_phi
-
-    def unitarity_gap(self, lo, hi):
-        """| |amp|^2 / |a| - 1 | plus the size of Re phi on the image of [lo, hi]."""
-        return (np.abs(np.abs(self.amp) ** 2 / np.abs(self.a) - 1.0)
-                + _size(np.real(self.c), self._sups(lo, hi)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +197,6 @@ class QuantOperator:
     def __add__(self, other: "QuantOperator") -> "QuantOperator":
         exps, (a, b) = _aligned((self, other))
         return QuantOperator(a + b, exps)
-
-    def __sub__(self, other: "QuantOperator") -> "QuantOperator":
-        return self + (-1.0) * other
 
     def __rmul__(self, s: complex) -> "QuantOperator":
         return QuantOperator(s * self.c, self.exps)
@@ -422,110 +383,10 @@ def _multiplier(coeffs, n: int = 1):
     at least n."""
     coeffs = np.asarray(coeffs)
     size = max(len(coeffs), n)
-    out = np.zeros((1, size, size) + coeffs.shape[1:], dtype=complex)
+    out = np.zeros((1, size, size) + coeffs.shape[1:],
+                   dtype=np.result_type(coeffs, complex))
     out[0, :len(coeffs), 0] = coeffs
     return out
-
-
-# ---------------------------------------------------------------------------
-# operators on Hermite probes: one matrix kernel in Gaussian moments
-#
-# A probe is r(x) g, g = e^{-x^2/2}, held as the column of r's
-# coefficients.  On columns of length N, x acts as X, which raises the
-# degree by one, and d/dx as D = P - X, P the derivative of r, so an operator
-# sum_k e^{kx} sum c_k[i, j] x^i D^j is one matrix
-# M_k = sum c_k[i, j] X^i D^j per exponent, and
-# <e^{kx} s g, e^{lx} t g> = s^H G_{k+l} t.  With N the probes' length plus
-# the operator's size - 1, nothing is truncated.
-
-
-@functools.lru_cache(maxsize=64)
-def _xd_powers(n: int, size: int):
-    """Read-only (n, n, size, size) array of the matrices X^i D^j, i, j < n."""
-    x = np.eye(size, k=-1)
-    d = np.diag(np.arange(1.0, size), k=1) - x
-    xs, ds = [np.eye(size)], [np.eye(size)]
-    for _ in range(n - 1):
-        xs.append(x @ xs[-1])
-        ds.append(d @ ds[-1])
-    out = np.einsum("iab,jbc->ijac", xs, ds)
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _moments(size: int, k: float):
-    """Read-only G_k[a, b] = <x^a g, e^{kx} x^b g>, a Hankel matrix in a + b.
-
-    e^{kx} e^{-x^2} = e^{m^2} e^{-(x - m)^2} with m = k / 2, so by the
-    binomial expansion about m and the integral Gamma((r + 1) / 2) of
-    u^r e^{-u^2} for even r:
-    G_k[a, b] = e^{m^2} sum_{r even} C(a + b, r) m^(a+b-r) Gamma((r + 1) / 2).
-    """
-    m = k / 2.0
-    h = [sum(math.comb(n, r) * m ** (n - r) * math.gamma((r + 1) / 2)
-             for r in range(0, n + 1, 2)) for n in range(2 * size - 1)]
-    idx = np.add.outer(np.arange(size), np.arange(size))
-    out = math.exp(m * m) * np.array(h)[idx]
-    out.setflags(write=False)
-    return out
-
-
-def _kernel(op, probes):
-    """(M, R, G): M[k] the matrices M_k of op's nonzero c_k with its batch
-    axes first, R the probes' coefficient columns, G(K) the moments G_K,
-    all of one size N.
-
-    An empty probe list, or a probe that is not a Probe record, raises
-    ValueError.
-    """
-    if not probes:
-        raise ValueError("operator checks need at least one probe")
-    if not all(isinstance(f, Probe) for f in probes):
-        raise ValueError("operator checks need Gaussian-polynomial "
-                         "probe records (Probe)")
-    n = max(op.c.shape[1], 1)
-    size = max(len(f.poly) for f in probes) + n - 1
-    r = np.zeros((size, len(probes)), dtype=complex)
-    for p, f in enumerate(probes):
-        r[:len(f.poly), p] = f.poly
-    powers = _xd_powers(n, size)
-    return ({k: np.einsum("ij...,ijab->...ab", c, powers)
-             for k, c in zip(op.exps, op.c) if c.any()},
-            r, lambda k: _moments(size, k))
-
-
-def _square_norms(op, probes):
-    """||op f||^2 for each probe f, on a last axis after op's batch axes."""
-    mats, r, gram = _kernel(op, probes)
-    ks = list(mats)
-    if not ks:
-        return np.zeros(op.c.shape[3:] + (len(probes),))
-    s = np.stack([mats[k] @ r for k in ks])
-    g = np.array([[gram(k + l) for l in ks] for k in ks])
-    return np.real(np.einsum("k...ap,klab,l...bp->...p", s.conj(), g, s))
-
-
-def _relative_residual(op, probes, ref=None):
-    """max over probes of ||op f|| / ||ref f|| (ref None: ||f||), batch-wise."""
-    den = _square_norms(QuantOperator.one() if ref is None else ref, probes)
-    return np.max(np.sqrt(np.maximum(_square_norms(op, probes), 0.0) / den), axis=-1)
-
-
-def _in_float_range(what: str):
-    """Decorate a residual check: numpy's overflow warnings are off while it
-    runs, and a result that is not finite (a coefficient product of order
-    B^2 past the float range, say) is a ValueError naming what."""
-    def wrap(check):
-        @functools.wraps(check)
-        def checked(*args, **kwargs):
-            with np.errstate(over="ignore", invalid="ignore"):
-                res = check(*args, **kwargs)
-            if not np.all(np.isfinite(res)):
-                raise ValueError(f"the {what} residual leaves the float range")
-            return res
-        return checked
-    return wrap
 
 
 def _columns(g: GroupElement):
@@ -539,8 +400,9 @@ def _columns(g: GroupElement):
 def _phase_coefficients(rep: RepParams, t0, t1, al, be, exp=np.exp):
     """(amp, a, b, c, basis) of T(g) at g's coordinates: its AffinePhase fields.
 
-    The arithmetic is +, -, *, / and exp alone, so coordinate columns and
-    jets (Jet, with exp=Jet.exp) run the same code.
+    The arithmetic is +, -, *, / and exp alone, so coordinate columns, jets
+    (Jet, with exp=Jet.exp) and the Laurent columns of a generic element
+    (np.exp calling Laurent.exp) run the same code.
     """
     if rep.family == "B":
         return 1.0, 1.0, 0.0, (1j * al * rep.zeta2,), "poly"
@@ -643,32 +505,6 @@ def _derivative_coefficients(rep: RepParams) -> QuantOperator:
 # verification harness
 
 
-@functools.lru_cache(maxsize=1)
-def _hermite_probes() -> tuple:
-    """h_0, ..., h_4, built on first use; a Probe is immutable, so every
-    check shares them."""
-    return tuple(hermite_probe(k) for k in range(5))
-
-
-def default_probes(count: int = 5) -> tuple:
-    """The first count (at most 5) Hermite functions."""
-    if count > 5:
-        raise ValueError(f"default_probes: {count} probes asked, 5 kept")
-    return _hermite_probes()[:count]
-
-
-def verify_homomorphism(rep: RepParams, g2: GroupElement, g1: GroupElement) -> float:
-    """Largest AffinePhase.gap of T(g2) T(g1) to T(g2 g1), probes' WINDOW."""
-    op = _affine_phase(rep, g2).compose(_affine_phase(rep, g1))
-    gap = op.gap(_affine_phase(rep, compose(g2, g1, rep.params)), *WINDOW)
-    return float(np.max(gap))
-
-
-def verify_unitarity(rep: RepParams, g: GroupElement) -> float:
-    """Largest AffinePhase.unitarity_gap of T(g), probes' WINDOW."""
-    return float(np.max(_affine_phase(rep, g).unitarity_gap(*WINDOW)))
-
-
 def _operator_defect(parts) -> float:
     """laurent.relative_defect of the sum of the operators parts, coefficient
     by coefficient: 0.0 where the sum is the zero operator."""
@@ -706,22 +542,92 @@ def _decided(rep) -> dict:
             "casimir": _operator_defect(casimir)}
 
 
-@functools.cache
-def decided_identities() -> dict:
-    """{family: {"commutators": ..., "casimir": ...}} for families A, B and C.
-
-    The generator table runs on laurent.Laurent variables B, c2, z3, zeta2,
-    zeta0 and zeta1, so each identity is decided as one of Laurent
-    polynomials: for every B != 0 and every label at once.  It is decided
-    once, on first use, and every report reads it.
-    """
+def _generic_reps() -> dict:
+    """{family: RepParams} of families A, B and C whose B and labels are the
+    laurent.Laurent variables B, c2, z3, zeta2, zeta0 and zeta1."""
     from .laurent import Laurent
     var = Laurent.var
     params = SimpleNamespace(B=var("B"))
     labels = {"A": {"c2": var("c2"), "z3": var("z3")}, "B": {"zeta2": var("zeta2")},
               "C": {"zeta0": var("zeta0"), "zeta1": var("zeta1")}}
-    return {family: _decided(RepParams(family, params, **kw))
-            for family, kw in labels.items()}
+    return {family: RepParams(family, params, **kw) for family, kw in labels.items()}
+
+
+@functools.cache
+def decided_identities() -> dict:
+    """{family: {"commutators": ..., "casimir": ...}} for families A, B and C.
+
+    The generator table runs on _generic_reps, so each identity is decided
+    as one of Laurent polynomials: for every B != 0 and every label at
+    once.  It is decided once, on first use, and every report reads it.
+    """
+    return {family: _decided(rep) for family, rep in _generic_reps().items()}
+
+
+def _generic_element(tag: str) -> GroupElement:
+    """The group element whose coordinates are the laurent.Laurent variables
+    theta0{tag}, theta1{tag}, alpha{tag} and beta{tag}, a batch of one."""
+    from .laurent import Laurent
+    return GroupElement(*(np.array([Laurent.var(name + tag)], dtype=object)
+                          for name in ("theta0", "theta1", "alpha", "beta")))
+
+
+def _generic_phase(rep: RepParams, g: GroupElement) -> AffinePhase:
+    """T(g) at a generic element g: _phase_coefficients on its Laurent
+    coordinates, exp their Laurent.exp, and no float range to leave."""
+    return AffinePhase(*_phase_coefficients(rep, *_columns(g)))
+
+
+def _fields(u: AffinePhase) -> list:
+    """u's fields amp, a, b and the phase coefficients, each a flat list."""
+    return [np.ravel(v) for v in (u.amp, u.a, u.b, *u.c)]
+
+
+def _defect(pairs) -> float:
+    """The largest laurent.relative_defect of x + y over the field pairs
+    (x, y), element by element: 0.0 where each sum vanishes identically."""
+    from .laurent import relative_defect
+    return max(relative_defect([p, q]) for x, y in pairs
+               for p, q in zip(*np.broadcast_arrays(x, y)))
+
+
+def _phase_defect(u: AffinePhase, v: AffinePhase) -> float:
+    """The _defect of u - v: 0.0 where the two operators are one as Laurent
+    polynomials."""
+    return _defect((x, -y) for x, y in zip(_fields(u), _fields(v), strict=True))
+
+
+def _unitarity_defect(u: AffinePhase) -> float:
+    """The _defect of amp conj(amp) - a and of Re phi.
+
+    T(g) is unitary where |amp|^2 = |a| and phi is imaginary; a is
+    e^(-alpha) = h^2 > 0 for family A, h = e^(-alpha/2) real, and 1 for
+    families B and C, so |a| = a.
+    """
+    amp, a, _, *c = _fields(u)
+    return _defect([(amp * np.conj(amp), -a)] + [(p, np.conj(p)) for p in c])
+
+
+@functools.cache
+def decided_group_identities() -> dict:
+    """{family: {"homomorphism": ..., "unitarity": ...}} for families A, B and C.
+
+    T(g) is _generic_phase at the generic elements g2 and g1 of
+    _generic_reps: homomorphism is the _phase_defect of T(g2) T(g1)
+    (AffinePhase.compose) against T(g2 g1) (group.compose), and unitarity
+    the _unitarity_defect of T(g2).  Each is decided as an identity of
+    Laurent polynomials, for every B != 0, label and element at once, once
+    per process, on first use, and every report reads it.
+    """
+    g2, g1 = _generic_element("_2"), _generic_element("_1")
+    out = {}
+    for family, rep in _generic_reps().items():
+        t2 = _generic_phase(rep, g2)
+        product = t2.compose(_generic_phase(rep, g1))
+        out[family] = {"homomorphism": _phase_defect(
+                           product, _generic_phase(rep, compose(g2, g1, rep.params))),
+                       "unitarity": _unitarity_defect(t2)}
+    return out
 
 
 def generator_gaps(rep: RepParams) -> dict:
@@ -743,23 +649,10 @@ def generator_gaps(rep: RepParams) -> dict:
     return out
 
 
-def rep_suite(rep: RepParams, trials: int = 200, seed: int = 42) -> dict:
-    """Full residual sweep for one family: the numbers the CLI reports.
-
-    Homomorphism and unitarity run once each on the stacked batch of their
-    trials, drawn in the order of one trial at a time (g2 before g1); one
-    whose coefficients leave the float range is its own {"error": ...}
-    value.  The commutators and Casimir are the family's decided_identities.
-    """
-    rng = np.random.default_rng(seed)
-    pairs = rng.uniform(-2.0, 2.0, size=(trials, 2, 4))
-    g2, g1 = (GroupElement(*pairs[:, k].T) for k in range(2))
-    g = GroupElement(*rng.uniform(-2.0, 2.0, size=(trials, 4)).T)
-    report = {"family": rep.family}
-    for field, check, args in (("homomorphism", verify_homomorphism, (g2, g1)),
-                               ("unitarity", verify_unitarity, (g,))):
-        try:
-            report[field] = check(rep, *args)
-        except ValueError as exc:
-            report[field] = {"error": str(exc)}
-    return {**report, **decided_identities()[rep.family]}
+def rep_suite(rep: RepParams) -> dict:
+    """The numbers the CLI reports for one family: its homomorphism and
+    unitarity (decided_group_identities), commutators and Casimir
+    (decided_identities).  They hold at every B != 0 and label, so rep
+    names the family alone."""
+    return {"family": rep.family, **decided_group_identities()[rep.family],
+            **decided_identities()[rep.family]}

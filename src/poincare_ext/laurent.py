@@ -1,11 +1,13 @@
 """Exact Laurent polynomials: the identities that hold at every B, decided.
 
 The generator commutators and Casimir, the Dirac condition, hermiticity
-and the spectrum of ad(V) hold for every B != 0, hbar, m and label.
-`irreps`, `quantization` and `group` run their tables unchanged on
-Laurent variables and decide each identity once per process, on first
-use, by relative_defect.  A command that decides nothing imports this
-module never.
+and the spectrum of ad(V) hold for every B != 0, hbar, m and label; the
+homomorphism and unitarity of T and the covariance of the quantization
+for every group element too.  `irreps`, `quantization` and `group` run
+their tables and the group law unchanged on Laurent variables, the
+exponentials of a rapidity through Laurent.exp, and decide each identity
+once per process, on first use, by relative_defect.  A command that
+decides nothing imports this module never.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ def _dyadic(x):
     return a * (2 ** k // d), b * (2 ** k // e), k
 
 
+def _monomial(name: str) -> int:
+    """The monomial of the variable name, its index made on first use."""
+    return 1 << (16 * _VARIABLES.setdefault(name, len(_VARIABLES)))
+
+
 class Laurent:
     """A Laurent polynomial in real variables with Gaussian-rational
     coefficients, in exact arithmetic.
@@ -67,8 +74,7 @@ class Laurent:
 
     @staticmethod
     def var(name: str) -> "Laurent":
-        index = _VARIABLES.setdefault(name, len(_VARIABLES))
-        return Laurent({1 << (16 * index): (1, 0)})
+        return Laurent({_monomial(name): (1, 0)})
 
     @staticmethod
     def _coerce(x):
@@ -170,6 +176,43 @@ class Laurent:
 
     def conjugate(self) -> "Laurent":
         return Laurent({m: (re, -im) for m, (re, im) in self.terms.items()}, self.k)
+
+    def exp(self) -> "Laurent":
+        """e^self, one monomial in real positive variables of its own.
+
+        A term c x, x a variable and 2c an integer, gives h^(-2c) for
+        h = e^(-x/2), the variable named "e^(-x/2)": so e^(-x) = h^2, and
+        exp turns the sums of the group law into products.  Any other term
+        c x gives (e^(|c| x))^(sign c), and the rest R (a constant, complex
+        or nonlinear terms) (e^(+-R))^(+-1), the sign making R's first
+        coefficient positive, so exp(-y) = 1 / exp(y) still.  These
+        variables are free: an identity that holds in them holds at their
+        values.  numpy's exp on an object array calls this method.
+        """
+        mono, rest, names = 0, {}, list(_VARIABLES)
+        for m, (re, im) in self.terms.items():
+            v = (m.bit_length() - 1) // 16
+            if im or m <= 0 or m != 1 << (16 * v):
+                rest[m] = (re, im)
+                continue
+            c = Fraction(re, 1 << self.k)
+            if (2 * c).denominator == 1:
+                mono += int(-2 * c) * _monomial(f"e^(-{names[v]}/2)")
+            else:
+                mono += (1 if c > 0 else -1) * _monomial(f"e^({abs(c)}*{names[v]})")
+        if rest:
+            re, im = rest[min(rest)]
+            s = 1 if (re or im) > 0 else -1
+            key = sorted((m, Fraction(s * re, 1 << self.k), Fraction(s * im, 1 << self.k))
+                         for m, (re, im) in rest.items())
+            mono += s * _monomial(f"e^{key}")
+        return Laurent({mono: (1, 0)})
+
+    def cosh(self) -> "Laurent":
+        return (self.exp() + (-self).exp()) * 0.5
+
+    def sinh(self) -> "Laurent":
+        return (self.exp() - (-self).exp()) * 0.5
 
     def size(self, mono: int) -> float:
         """|coefficient| of the monomial, 0.0 where it has none."""

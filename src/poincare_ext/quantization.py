@@ -18,16 +18,15 @@ the classical checks (Casimir, pullback) read exactly in Fractions.
 The Dirac, hermiticity and covariance checks are exact algebra, with no
 quadrature, on the operator algebra of irreps, which the representation
 checks share: operators multiply in the Weyl algebra (QuantOperator @).
-The Dirac condition and hermiticity hold at every B, hbar and m, and are
-decided once (decided_identities), on the comoment table and the Weyl
-rule run on `laurent.Laurent` variables.  Covariance reads T(g) at the
-report's B: family A's T(g) conjugates a polynomial operator into another
-(QuantOperator.conjugated), and the residual is a norm on the probes'
-Hermite coefficients, in irreps' Gaussian-moment matrix kernel.  A probe
-is a coefficient record (wavefunctions.Probe): no operator here acts on a
-function.  The float versions of the decided checks on that kernel, and
-the operator chains on derivative evaluators with their quadrature, are
-the test oracle.
+All three hold at every B, hbar and m, and are decided once per process,
+on first use, as identities of `laurent.Laurent` polynomials: the Dirac
+condition and hermiticity on the comoment table and the Weyl rule
+(decided_identities), covariance on a generic observable and a generic
+group element, whose T(g) conjugates a polynomial operator into another
+(QuantOperator.conjugated; decided_covariance).  No operator here acts on
+a function.  Their float versions, on the Gaussian-moment probe kernel,
+and the operator chains on derivative evaluators with their quadrature,
+are the test oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,19 +46,15 @@ from .irreps import (
     AffinePhase,
     QuantOperator,
     RepParams,
-    _affine_phase,
     _columns,
-    _in_float_range,
+    _generic_element,
+    _generic_phase,
     _operator_defect,
-    _poly_pullback,
+    _phase_defect,
     _polymul2,
-    _relative_residual,
-    _size,
     _terms,
-    default_probes,
 )
 from .model import kirillov, row_basis
-from .wavefunctions import WINDOW
 
 __all__ = [
     "NoGoError",
@@ -67,12 +63,11 @@ __all__ = [
     "parse_poly",
     "poisson_bracket",
     "comoment_table",
-    "comoment_observables",
     "casimir_defect",
     "pullback_defect",
     "quantize",
     "decided_identities",
-    "covariance_suite",
+    "decided_covariance",
     "rep_for_mass",
 ]
 
@@ -117,13 +112,16 @@ class PolynomialObservable:
 
 
 def _substituted(c, q_map, p_map):
-    """sum c[i, j] q'^i p'^j, q' and p' affine (cq, cp, c0); batch axes allowed."""
+    """sum c[i, j] q'^i p'^j, q' and p' affine (cq, cp, c0); batch axes allowed.
+
+    The result takes its dtype from c and the maps: float, or object for
+    laurent.Laurent ones."""
     lin = []
     for cq, cp, c0 in (q_map, p_map):
         m = np.array(np.broadcast_arrays(c0, cp, cq, 0.0))  # [[c0, cp], [cq, 0]]
         lin.append(m.reshape((2, 2) + m.shape[1:]))
     out = np.zeros(c.shape[:2] + np.broadcast_shapes(
-        c.shape[2:], *(m.shape[2:] for m in lin)))
+        c.shape[2:], *(m.shape[2:] for m in lin)), dtype=np.result_type(c, *lin))
     for i, j in _terms(c):
         term = c[i:i + 1, j:j + 1]
         for m in [lin[0]] * i + [lin[1]] * j:
@@ -181,7 +179,8 @@ def comoment_table(B, m) -> tuple:
     """The comoments (u0, u1, u2, u3) as {(i, j): c} tables of q^i p^j.
 
     One formula for every number type, as `model.brackets`: float B and m
-    give comoment_observables' coefficients, Fractions the exact ones.  u2
+    give the float coefficients, Fractions the exact ones, laurent.Laurent
+    variables the decided ones.  u2
     is defined up to an additive constant; this is its standard
     representative.
     """
@@ -189,11 +188,6 @@ def comoment_table(B, m) -> tuple:
             {(0, 1): 1},
             {(0, 0): m * m / (2 * B), (2, 0): -B / 2, (1, 1): -1},
             {(0, 0): -1})
-
-
-def comoment_observables(params: ModelParams, m: float):
-    """The four comoments as polynomial observables (u0, u1, u2, u3)."""
-    return tuple(PolynomialObservable(t) for t in comoment_table(params.B, m))
 
 
 def _product(f, g, scale=1) -> dict:
@@ -339,57 +333,32 @@ def _left_action_maps(g: GroupElement, params: ModelParams):
     return q_map, p_map
 
 
-def _covariance_residual(g: GroupElement, pulled: QuantOperator,
-                         qf: QuantOperator, params: ModelParams, m: float,
-                         probes):
-    """max over probes of ||pulled psi - T(g^-1) qf T(g) psi|| / ||pulled psi||.
+@functools.cache
+def decided_covariance() -> float:
+    """Q(f . l_g) = T(g^-1) Q(f) T(g), with its round trip T(g^-1) T(g) = 1,
+    decided once, on first use, as identities of laurent.Laurent
+    polynomials: for every B, hbar, m, group element and observable of
+    degree <= 2 at once.
 
-    One value per member of a batch g, whose operators are batch columns.
-    T(g^-1) qf T(g) is taken as U^-1 qf U with U = T(g) (conjugated), and
-    the gap of T(g^-1) T(g) to the identity on the probes' WINDOW
-    (AffinePhase.gap) is added, so T(g^-1) is still checked.  That gap's
-    phase is relative to the two phases the composition cancels, sized on
-    the window: its constant reads one ulp of them, of order 1/B.  The
-    residual is relative to the image, whose size grows with hbar^2 for a
-    p^2 term.
+    f is the generic observable sum f_ij q^i p^j, g the generic element of
+    irreps (its T(g) at the labels rep_for_mass selects).  Q(f . l_g) is
+    f pulled back by _left_action_maps and quantized; T(g^-1) Q(f) T(g) is
+    U^-1 Q(f) U for U = T(g) (QuantOperator.conjugated), and the round
+    trip, which checks T(g^-1) and group.inverse, is irreps._phase_defect
+    of T(g^-1) T(g) against the identity.  The worst of the two: 0.0 where
+    both hold.
     """
-    rep = rep_for_mass(params, m)
-    u = _affine_phase(rep, g)
-    inv = _affine_phase(rep, inverse(g, params))
-    ident = AffinePhase(1.0, 1.0, 0.0, (0.0,) * len(u.c))
-    lo, hi = WINDOW
-    sups = ident._sups(lo, hi)[1]
-    cancelled = _size(inv.c, sups) + _size(_poly_pullback(u.c, inv.a, inv.b), sups)
-    gap = inv.compose(u).gap(ident, lo, hi, cancelled)
-    return _relative_residual(pulled - qf.conjugated(u), probes, pulled) + gap
+    from .laurent import Laurent
+    var = Laurent.var
+    params = SimpleNamespace(B=var("B"), hbar=var("hbar"))
+    rep, g = rep_for_mass(params, var("m")), _generic_element("")
+    f = np.array([[var(f"f{i}{j}") if i + j <= 2 else 0 for j in range(3)]
+                  for i in range(3)], dtype=object)
+    pulled = _weyl(_substituted(f, *_left_action_maps(g, params)), params.hbar)
+    u = _generic_phase(rep, g)
+    conjugate = QuantOperator(_weyl(f, params.hbar)[None]).conjugated(u)
+    identity = AffinePhase(1.0, 1.0, 0.0, (0.0,) * len(u.c))
+    round_trip = _generic_phase(rep, inverse(g, params)).compose(u)
+    return max(_operator_defect([QuantOperator(pulled[None]), -1 * conjugate]),
+               _phase_defect(round_trip, identity))
 
-
-def _covariance_observables(params: ModelParams, m: float):
-    """The observables covariance_suite cycles through, trial k taking k mod 7."""
-    return [PolynomialObservable({(0, 0): 1.0}),
-            PolynomialObservable({(1, 0): 1.0}),
-            PolynomialObservable({(0, 1): 1.0}),
-            PolynomialObservable({(2, 0): 1.0}),
-            PolynomialObservable({(1, 1): 1.0}),
-            PolynomialObservable({(0, 2): 1.0}),
-            comoment_observables(params, m)[2]]
-
-
-@_in_float_range("covariance")
-def covariance_suite(params: ModelParams, m: float, trials: int = 50,
-                     seed: int = 42) -> float:
-    """Largest residual of Q(f . l_g) = T(g^-1) Q(f) T(g) over random
-    (g, observable f) trials, on the first two probes.
-
-    The trials run as one batch: the observables' tables are stacked as
-    batch columns, and pulled back and quantized together.
-    """
-    coords = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(trials, 4))
-    base = _covariance_observables(params, m)
-    c = np.stack([base[k % len(base)].c for k in range(trials)], axis=-1)[..., None]
-    g = GroupElement(*coords.T)
-    pulled = _substituted(c, *_left_action_maps(g, params))
-    res = _covariance_residual(g, QuantOperator(_weyl(pulled, params.hbar)[None]),
-                               QuantOperator(_weyl(c, params.hbar)[None]),
-                               params, m, default_probes(2))
-    return float(np.max(res, initial=0.0))

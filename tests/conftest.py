@@ -11,5 +11,7 @@ def decided_tables():
     defect: a defect then reaches only the undecorated decision
     (`__wrapped__`), never the tables every report reads."""
     irreps.decided_identities()
+    irreps.decided_group_identities()
     quantization.decided_identities()
+    quantization.decided_covariance()
     group.decided_ad_spectrum()

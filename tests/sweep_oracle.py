@@ -32,6 +32,7 @@ from poincare_ext.group import (
     casimir_pairing,
     structure_constants,
 )
+from probe_oracle import comoment_observables
 
 #: the central charges the benchmark draws all-checks reports at
 BENCH_B = (-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0)
@@ -150,7 +151,7 @@ def comoments(s, params, m):
     A batch s of shape S gives a batch of shape S, each point bit for bit
     the comoments of that point alone.
     """
-    return CoadjointPoint(*(evaluate(u, s) for u in qz.comoment_observables(params, m)))
+    return CoadjointPoint(*(evaluate(u, s) for u in comoment_observables(params, m)))
 
 
 def momentum_map(s, params, m):

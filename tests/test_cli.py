@@ -91,10 +91,14 @@ def test_algebra_check_decides_the_spectrum(capsys):
 
 
 def test_rep_verify_small():
-    code, out, _ = run_cli("rep", "verify", "--family", "B", "--trials", "5")
+    # every field is decided: no trials to draw, and no --trials
+    code, out, _ = run_cli("rep", "verify", "--family", "B")
     assert code == 0
     payload = json.loads(out)
     assert payload["pass"] is True
+    assert payload["homomorphism"] == payload["unitarity"] == 0.0
+    code, _, err = run_cli("rep", "verify", "--family", "B", "--trials", "5")
+    assert code == 2 and "unrecognized arguments: --trials 5" in err
 
 
 def test_rep_apply_csv():
@@ -256,17 +260,21 @@ def test_usage_error_exit_2(capsys):
 
 @pytest.mark.parametrize("B", ("5e-324", "1e-310"))
 def test_rep_at_subnormal_B_is_a_usage_error(B, capsys):
-    # c2 / (2 B z3) overflows: one error line that names B, before any
-    # quadrature runs
-    for argv in (["rep", "verify", "--family=A", f"--B={B}"],
-                 ["rep", "apply", "--family=A", f"--B={B}", "--g=0.1,0.2,0.3,0.4"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.run(argv)
-        assert exc.value.code == 2, argv
-        out, err = capsys.readouterr()
-        assert out == "" and err.splitlines()[-1] == (
-            f"poincare-ext: error: family A at B={float(B)!r}: "
-            "operator phase coefficient c0 is not finite"), argv
+    # rep apply evaluates T(g) at B, where c2 / (2 B z3) overflows: one
+    # error line that names B
+    argv = ["rep", "apply", "--family=A", f"--B={B}", "--g=0.1,0.2,0.3,0.4"]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == (
+        f"poincare-ext: error: family A at B={float(B)!r}: "
+        "operator phase coefficient c0 is not finite")
+    # rep verify reads the identities decided for every B, and takes no T(g)
+    assert cli.run(["rep", "verify", "--family=A", f"--B={B}"]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res == {"schema": 1, "family": "A", "homomorphism": 0.0, "unitarity": 0.0,
+                   "commutators": 0.0, "casimir": 0.0, "pass": True}
 
 
 def test_all_checks_negative_B_emits_json(capsys):
@@ -431,23 +439,20 @@ def test_decided_fields_at_every_sweep_and_edge_B(B):
     # float-range errors, wherever the report's own checks leave the range
     p = ModelParams(B=B)
     families = cli.suite_reps(p, 42)["families"]
-    assert all(families[f]["commutators"] == families[f]["casimir"] == 0.0
-               for f in "ABC"), families
+    assert all(families[f][k] == 0.0 for f in "ABC"
+               for k in ("homomorphism", "unitarity", "commutators", "casimir")), families
     quant = cli.suite_quantization(p, 42)
-    assert (quant["dirac"], quant["dirac_wrong_sign"], quant["hermiticity"]) \
-        == (0.0, 2.0, 0.0), quant
+    assert (quant["dirac"], quant["dirac_wrong_sign"], quant["hermiticity"],
+            quant["covariance"]) == (0.0, 2.0, 0.0, 0.0), quant
     assert cli.suite_structure(p, 42)["ad_spectrum"] == 0.0
 
 
 @pytest.mark.parametrize("B", SWEEP_B)
 def test_quantization_suite_at_every_sweep_B(B):
-    # at B = -1e-8 the round trip's constant phase is one ulp of a term of
-    # size 7e7, so covariance reads it relative to the phases it cancels;
-    # covariance draws its trials from the seed, and the decided Dirac
-    # pair and hermiticity read no draw
-    for seed in range(20):
-        report = cli.suite_quantization(ModelParams(B=B), seed)
-        assert report["pass"], (seed, report)
+    # every field is decided, covariance with its round trip too: no draw,
+    # so every seed reads the one passing report
+    reports = [cli.suite_quantization(ModelParams(B=B), seed) for seed in range(20)]
+    assert reports[0]["pass"] and reports.count(reports[0]) == 20, reports[0]
 
 
 #: |B| -> the measured cause of the dynamics suite's failure there; each
@@ -479,10 +484,9 @@ def test_representations_suite_passes_at_edge_B(B):
     # the bracket table and the Casimir hold at every B != 0; their
     # quadrature read 6.8e-9 at |B| = 1e-8 and 8.7e-8 at 1e4, over the
     # 1e-9 gate, and the decided identities read 0.0.  Homomorphism and
-    # unitarity draw their 200 trials from the seed
-    for seed in range(20):
-        report = cli.suite_reps(ModelParams(B=B), seed)
-        assert report["pass"], (seed, report)
+    # unitarity are decided too, so no seed draws anything
+    reports = [cli.suite_reps(ModelParams(B=B), seed) for seed in range(20)]
+    assert reports[0]["pass"] and reports.count(reports[0]) == 20, reports[0]
 
 
 #: B -> the measured cause (seed 42) of the coadjoint suite's failure there;
@@ -558,24 +562,18 @@ def test_all_checks_names_the_residuals_past_the_float_range(B):
     assert report["classical"] == {"comoment_casimir": 0.0,
                                    "lightcone_bracket_exact": True,
                                    "pullback": 0.0, "pass": True}
-    # the quantization suite fails per field: the Dirac pair and
-    # hermiticity are decided for every B, and covariance, which reads T(g)
-    # at the report's B, leaves the float range
-    quant = report["quantization"]
-    assert quant["pass"] is False and "error" not in quant
-    assert quant["dirac"] == quant["hermiticity"] == 0.0
-    assert quant["dirac_wrong_sign"] == 2.0 and quant["degree3_rejected"] is True
-    assert quant["covariance"] == {"error": f"the covariance {leaves}"}
-    # every family passes: the commutators and Casimir are decided (family
-    # A's were float-range errors), and homomorphism and unitarity stay in
-    # range
+    # the quantization suite passes: the Dirac pair, hermiticity and
+    # covariance are decided for every B, and take no T(g) at the report's B
+    assert report["quantization"] == {
+        "dirac": 0.0, "dirac_wrong_sign": 2.0, "hermiticity": 0.0,
+        "covariance": 0.0, "degree3_rejected": True, "pass": True}
+    # every family passes: each field is decided
     reps = report["representations"]
     assert reps["pass"] is True and "error" not in reps
     for family in ("A", "B", "C"):
-        entry = reps["families"][family]
-        assert entry["pass"] is True, (family, entry)
-        assert entry["commutators"] == entry["casimir"] == 0.0, entry
-        assert all(entry[k] <= tol for k, tol in cli.REP_GATES.items()), entry
+        assert reps["families"][family] == {
+            "family": family, "homomorphism": 0.0, "unitarity": 0.0,
+            "commutators": 0.0, "casimir": 0.0, "pass": True}
     # the packet, moved by B D = 1.5e300 in energy, is narrower than the
     # float spacing there
     assert report["dynamics"] == {
@@ -594,12 +592,6 @@ def test_rep_verify_at_1e300_decides_its_identities(B, capsys):
 
 
 @pytest.mark.parametrize("argv, message", (
-    (("quantize", "check", "--B=-1e300"),
-     "quantize check at B=-1e+300: the covariance residual leaves the float "
-     "range"),
-    # a traceback before: covariance met the non-finite phase of T(g)
-    (("quantize", "check", "--B=5e-324"),
-     "quantize check at B=5e-324: operator phase coefficient c0 is not finite"),
     # B D = 2e300: the packet is narrower than the float spacing there
     (("evolve", "--emit=json", "--B=-1e300"),
      "evolve at B=-1e+300: the energy grid around 2e+300 does not resolve "
@@ -608,8 +600,7 @@ def test_rep_verify_at_1e300_decides_its_identities(B, capsys):
     (("evolve", "--emit=json", "--B=1e308"),
      "evolve at B=1e+308: the energy grid around nan does not resolve "
      "the packet")),
-    ids=("quantize-check--1e300", "quantize-check-5e-324",
-         "evolve--1e300", "evolve-1e308"))
+    ids=("evolve--1e300", "evolve-1e308"))
 def test_checks_past_the_float_range_are_usage_errors(argv, message, capsys):
     # as the rep commands at subnormal B: one error line that names B
     with pytest.raises(SystemExit) as exc:
@@ -617,6 +608,20 @@ def test_checks_past_the_float_range_are_usage_errors(argv, message, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines()[-1] == f"poincare-ext: error: {message}"
+
+
+@pytest.mark.parametrize("B, code, classical", (
+    ("-1e300", 0, True),
+    # the light-cone coordinates carry 1/B, past the float range
+    ("5e-324", 1, False)))
+def test_quantize_check_at_edge_B_decides_covariance(B, code, classical, capsys):
+    # the quantization fields are decided for every B: no residual leaves
+    # the float range at -1e300, and no T(g) with its overflowing phase c0
+    # is taken at 5e-324
+    assert cli.run(["quantize", "check", f"--B={B}"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True and report["covariance"] == 0.0
+    assert report["classical"]["lightcone_bracket_exact"] is classical
 
 
 @pytest.mark.parametrize("B", ("1e-10", "1e300"))
@@ -755,24 +760,20 @@ def test_all_checks_at_subnormal_B_reports_failed_suites(B, capsys):
         except (ValueError, RuntimeError) as exc:
             raised.append(name)
             assert payload[name] == {"error": str(exc), "pass": False}, name
-    # the representations suite fails per field: A's phase leaves the float
-    # range in homomorphism and unitarity, its decided identities hold, and
-    # B and C, which do not read B, pass
-    assert "representations" not in raised, raised
+    # the representations and quantization suites pass: every field is
+    # decided for every B, and none takes family A's T(g) at B, whose
+    # c2 / (2 B z3) overflows
+    assert "representations" not in raised and "quantization" not in raised, raised
     families = payload["representations"]["families"]
-    error = {"error": "operator phase coefficient c0 is not finite"}
-    assert families["A"] == {"family": "A", "homomorphism": error,
-                             "unitarity": error, "commutators": 0.0,
-                             "casimir": 0.0, "pass": False}
-    assert families["B"]["pass"] is True and families["C"]["pass"] is True
-    # so does the quantization suite: covariance leaves the float range, and
-    # the Dirac pair and hermiticity are decided
-    assert "quantization" not in raised, raised
+    assert payload["representations"]["pass"] is True
+    assert families["A"] == {"family": "A", "homomorphism": 0.0,
+                             "unitarity": 0.0, "commutators": 0.0,
+                             "casimir": 0.0, "pass": True}
     quant = payload["quantization"]
-    assert quant["pass"] is False and quant["degree3_rejected"] is True
-    assert quant["dirac"] == quant["hermiticity"] == 0.0
-    assert quant["dirac_wrong_sign"] == 2.0
-    assert quant["covariance"] == error
+    assert quant["pass"] is True and quant["covariance"] == 0.0
+    # the generators suite still takes T(g)'s jets at B
+    assert payload["generators"] == {
+        "error": "generator J: a coefficient is not finite", "pass": False}
 
 
 @pytest.mark.parametrize("B", ("5e-324", "1e-310"))

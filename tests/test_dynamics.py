@@ -12,8 +12,8 @@ import quadrature_oracle as qo
 from poincare_ext import cli, model
 from poincare_ext import dynamics as dy
 from poincare_ext.group import ModelParams
-from poincare_ext.irreps import default_probes
 from poincare_ext.quantization import PolynomialObservable, quantize
+from probe_oracle import default_probes
 
 P = ModelParams()
 CS = dy.ClassicalState(q1_0=0.0, ptilde_0=-2.0, tau0=0.0, m=1.0, params=P)

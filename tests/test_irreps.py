@@ -2,12 +2,14 @@ import cmath
 import dataclasses
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincare_ext import group as grp
 from poincare_ext import irreps as ir
 from poincare_ext import quantization as qz
 from poincare_ext.cli import GENERATOR_GATE, REP_GATES, REP_LABELS
@@ -15,7 +17,9 @@ from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
                                 bracket, compose, exp_map, identity)
 from poincare_ext.wavefunctions import Probe, hermite_probe
-from probe_oracle import hermiticity_residual, verify_casimir, verify_commutators
+from probe_oracle import (default_probes, gap, hermiticity_residual, rep_draws,
+                          rep_sweep, verify_casimir, verify_commutators,
+                          verify_homomorphism, verify_unitarity)
 from quadrature_oracle import (WaveFunction, affine_apply, borel_decompose,
                                character, faithfulness_residuals,
                                gauss_legendre, generator_apply,
@@ -95,24 +99,28 @@ def test_boost_preserves_norm():
 
 
 def test_homomorphism_random_pairs():
+    # decided once for every B, label and element; the float oracle at
+    # random pairs
+    assert all(ir.decided_group_identities()[f]["homomorphism"] == 0.0 for f in "ABC")
     rng = np.random.default_rng(1)
     for rep in (REP_A, REP_B, REP_C):
         for _ in range(20):
-            res = ir.verify_homomorphism(rep, rand_g(rng), rand_g(rng))
+            res = verify_homomorphism(rep, rand_g(rng), rand_g(rng))
             assert res < 1e-8
 
 
 def test_unitarity_random_elements():
+    assert all(ir.decided_group_identities()[f]["unitarity"] == 0.0 for f in "ABC")
     rng = np.random.default_rng(2)
     for rep in (REP_A, REP_B, REP_C):
         for _ in range(20):
-            assert ir.verify_unitarity(rep, rand_g(rng)) < 1e-8
+            assert verify_unitarity(rep, rand_g(rng)) < 1e-8
 
 
 def test_commutator_table():
     # decided once for every B and label; the float oracle on the probes
     assert all(ir.decided_identities()[f]["commutators"] == 0.0 for f in "ABC")
-    probes = ir.default_probes(5)
+    probes = default_probes(5)
     assert verify_commutators(REP_A, probes) < 1e-9
     assert verify_commutators(REP_C, probes) < 1e-9
     assert verify_commutators(REP_B, probes) < 1e-12
@@ -120,19 +128,19 @@ def test_commutator_table():
 
 def test_casimir_identity():
     assert all(ir.decided_identities()[f]["casimir"] == 0.0 for f in "ABC")
-    probes = ir.default_probes(5)
+    probes = default_probes(5)
     assert verify_casimir(REP_A, probes) < 1e-9
     assert verify_casimir(REP_C, probes) < 1e-9
     assert verify_casimir(REP_B, probes) == 0.0
 
 
 def test_default_probes_are_one_shared_tuple():
-    probes = ir.default_probes(5)
-    assert ir.default_probes(2) == probes[:2] and ir.default_probes(3)[2] is probes[2]
+    probes = default_probes(5)
+    assert default_probes(2) == probes[:2] and default_probes(3)[2] is probes[2]
     x = np.linspace(-3.0, 3.0, 7)
     assert all(np.array_equal(f(x), hermite_wf(k)(x)) for k, f in enumerate(probes))
     with pytest.raises(ValueError, match="5 kept"):
-        ir.default_probes(6)
+        default_probes(6)
 
 
 def test_probe_checks_on_no_probes():
@@ -253,10 +261,10 @@ def test_batched_checks_equal_max_of_scalar_checks(rep):
     g2, g2s = stacked(8)
     g1, g1s = stacked(9)
     eps = np.finfo(float).eps
-    hom = max(ir.verify_homomorphism(rep, b, a) for b, a in zip(g2s, g1s))
-    assert abs(ir.verify_homomorphism(rep, g2, g1) - hom) <= 4 * eps
-    uni = max(ir.verify_unitarity(rep, g) for g in g2s)
-    assert abs(ir.verify_unitarity(rep, g2) - uni) <= 4 * eps
+    hom = max(verify_homomorphism(rep, b, a) for b, a in zip(g2s, g1s))
+    assert abs(verify_homomorphism(rep, g2, g1) - hom) <= 4 * eps
+    uni = max(verify_unitarity(rep, g) for g in g2s)
+    assert abs(verify_unitarity(rep, g2) - uni) <= 4 * eps
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +273,7 @@ def test_batched_checks_equal_max_of_scalar_checks(rep):
 
 def quadrature_homomorphism(rep, g2, g1, probes):
     """max over probes and batch members of ||T(g2) T(g1) f - T(g2 g1) f|| / ||f||."""
-    g21 = compose(g2, g1, rep.params)
+    g21 = grp.compose(g2, g1, rep.params)
     worst = 0.0
     for f in probes:
         lhs = rep_image(rep, g2, rep_image(rep, g1, f))
@@ -363,25 +371,13 @@ def _take(g, members):
 
 
 def oracle_checks(rep, seed=42):
-    """The quadrature checks on the batches rep_suite hands its closed-form
-    checks, and of the decided identities on the five Hermite probes.
+    """The quadrature checks on the batches of the float sweep (rep_draws),
+    and of the decided identities on the five Hermite probes.
     Homomorphism and unitarity, which read the probes' window alone, are
     checked on the first Hermite function and on the first two; each is a
     function of the slice of members it takes (all by default)."""
-    seen = {}
-
-    def record(field):
-        def check(_, *args):
-            seen[field] = args
-            return 0.0
-        return check
-
-    with pytest.MonkeyPatch.context() as mp:
-        for field in ("homomorphism", "unitarity"):
-            mp.setattr(ir, f"verify_{field}", record(field))
-        ir.rep_suite(rep, trials=200, seed=seed)
-    (g2, g1), (g,) = seen["homomorphism"], seen["unitarity"]
-    probes = [tower(f) for f in ir.default_probes(5)]
+    (g2, g1), g = rep_draws(200, seed)
+    probes = [tower(f) for f in default_probes(5)]
     return {"homomorphism": lambda k=slice(None): quadrature_homomorphism(
                 rep, _take(g2, k), _take(g1, k), probes[:1]),
             "unitarity": lambda k=slice(None): quadrature_unitarity(
@@ -395,13 +391,14 @@ def oracle_checks(rep, seed=42):
 def test_closed_form_agrees_with_quadrature_oracle(family, B):
     p = ModelParams(B=B)
     rep = ir.RepParams(family, p, **REP_LABELS[family])
-    report = ir.rep_suite(rep, trials=200, seed=42)
+    report, floats = ir.rep_suite(rep), rep_sweep(rep)
     oracles = oracle_checks(rep)
     for field in ("homomorphism", "unitarity"):
-        # both pass their gate; the closed form reads round-off
+        # all pass their gate: the decided identity reads 0.0, the float
+        # coefficient gaps round-off
         value = oracles[field]()
-        assert report[field] <= 1e-13 and value <= REP_GATES[field], \
-            (field, report[field], value)
+        assert report[field] == 0.0 and floats[field] <= 1e-13, (field, floats)
+        assert value <= REP_GATES[field], (field, value)
 
 
 @pytest.mark.parametrize("B", (1.0, -1.3, 3.0))
@@ -412,9 +409,9 @@ def test_stacked_probe_checks_equal_per_probe_reference(family, B):
     # pass their gates, the decided ones read 0.0 and the kernel round-off
     p = ModelParams(B=B)
     rep = ir.RepParams(family, p, **REP_LABELS[family])
-    report = ir.rep_suite(rep, trials=200, seed=42)
+    report = ir.rep_suite(rep)
     oracles = oracle_checks(rep)
-    probes = ir.default_probes(5)
+    probes = default_probes(5)
     for field, kernel in (("commutators", verify_commutators),
                           ("casimir", verify_casimir)):
         value, floats = oracles[field](), kernel(rep, probes)
@@ -422,35 +419,57 @@ def test_stacked_probe_checks_equal_per_probe_reference(family, B):
         assert value <= REP_GATES[field], (field, value)
 
 
-def _amplitude_mutant(affine_phase):
-    # family A's amplitude e^(-alpha/2) -> e^(-alpha/2 - 0.001 alpha)
-    def mutant(rep, g):
-        op = affine_phase(rep, g)
-        alpha = ir._columns(g)[2]
-        return dataclasses.replace(op, amp=op.amp * np.exp(-0.001 * alpha))
-    return mutant
+def _amplitude_mutant(monkeypatch):
+    # family A's amplitude e^(-alpha/2) -> e^(-alpha/2 - 0.001 alpha), a
+    # character of the group: homomorphism and covariance hold
+    real = ir._phase_coefficients
+
+    def mutant(rep, t0, t1, al, be, exp=np.exp):
+        amp, *rest = real(rep, t0, t1, al, be, exp)
+        return (amp * exp(-0.001 * al) if rep.family == "A" else amp, *rest)
+    monkeypatch.setattr(ir, "_phase_coefficients", mutant)
 
 
-def _shift_mutant(affine_phase):
+def _shift_mutant(monkeypatch):
     # family C's argument x + alpha -> x - alpha
-    def mutant(rep, g):
-        op = affine_phase(rep, g)
-        return dataclasses.replace(op, b=-op.b)
-    return mutant
+    real = ir._phase_coefficients
+
+    def mutant(rep, t0, t1, al, be, exp=np.exp):
+        amp, a, b, *rest = real(rep, t0, t1, al, be, exp)
+        return (amp, a, -b if rep.family == "C" else b, *rest)
+    monkeypatch.setattr(ir, "_phase_coefficients", mutant)
 
 
-@pytest.mark.parametrize("mutant, rep, field, B", (
+def _beta_sign_mutant(monkeypatch):
+    # the group law's central term (B/2) theta2^a eps_ab (Lambda theta1)^b
+    # with B's sign flipped
+    real = grp.compose
+
+    def mutant(g2, g1, p):
+        return real(g2, g1, SimpleNamespace(B=-p.B))
+    monkeypatch.setattr(grp, "compose", mutant)
+    monkeypatch.setattr(ir, "compose", mutant)
+
+
+@pytest.mark.parametrize("plant, rep, field, B", (
     (_amplitude_mutant, REP_A, "unitarity", 1.0),
     (_amplitude_mutant, REP_A, "unitarity", -1.3),
     # family C does not depend on B
     (_shift_mutant, REP_C, "homomorphism", 1.0),
-), ids=("A-amplitude-1", "A-amplitude--1.3", "C-shift-sign"))
-def test_planted_defect_fails_closed_form_and_oracle(mutant, rep, field, B,
+    (_beta_sign_mutant, REP_A, "homomorphism", -1.3),
+), ids=("A-amplitude-1", "A-amplitude--1.3", "C-shift-sign", "A-beta-B-sign"))
+def test_planted_defect_fails_closed_form_and_oracle(plant, rep, field, B,
                                                      monkeypatch):
+    # the decided identity, past its once-per-process memo, the float
+    # coefficient gaps and the quadrature all fail
     rep = dataclasses.replace(rep, params=ModelParams(B=B))
-    monkeypatch.setattr(ir, "_affine_phase", mutant(ir._affine_phase))
+    plant(monkeypatch)
     gate = REP_GATES[field]
-    assert ir.rep_suite(rep, trials=200, seed=42)[field] > gate
+    decided = ir.decided_group_identities.__wrapped__()
+    assert decided[rep.family][field] >= 1.0, decided
+    assert all(v == 0.0 for f, fields in decided.items() for k, v in fields.items()
+               if (f, k) != (rep.family, field)), decided
+    assert rep_sweep(rep)[field] > gate
     # the oracle fails at each draw alone.  The wrong shift leaves a phase
     # gap of order cosh(x) in the integrand, and at 3 of the 200 draws it
     # oscillates too fast to converge, which is a failure too
@@ -544,7 +563,7 @@ def test_planted_generator_defect_fails_closed_form_and_oracle(mutant, rep, name
     # read T(g), not the table
     monkeypatch.setattr(ir, "_generators", mutant(ir._generators))
     decided, oracles = decided_afresh(rep.family), oracle_checks(rep)
-    probes = ir.default_probes(5)
+    probes = default_probes(5)
     for field, kernel in (("commutators", verify_commutators),
                           ("casimir", verify_casimir)):
         if field in fields:
@@ -567,7 +586,7 @@ def test_flipped_c2_fails_the_float_casimir_at_every_B(B, monkeypatch):
     monkeypatch.setattr(ir, "_generators", _c2_sign_mutant(ir._generators))
     assert decided_afresh("A")["casimir"] > REP_GATES["casimir"]
     rep = dataclasses.replace(REP_A, params=ModelParams(B=B))
-    assert verify_casimir(rep, ir.default_probes(5)) > 1.0
+    assert verify_casimir(rep, default_probes(5)) > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +668,7 @@ def test_compose_is_the_operator_product(basis):
         got = affine_apply(second.compose(first), f)(x)
         want = affine_apply(second, affine_apply(first, f))(x)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
-        assert second.compose(first).gap(second.compose(first), -12.0, 12.0) == 0.0
+        assert gap(second.compose(first), second.compose(first), -12.0, 12.0) == 0.0
 
 
 def test_affine_phase_rejects_what_it_cannot_represent():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,15 +16,16 @@ from poincare_ext.group import (
     ModelParams,
     bracket,
     casimir_pairing,
-    inverse,
 )
-from poincare_ext.irreps import default_probes
 from poincare_ext.laurent import Laurent, relative_defect
 from poincare_ext.orbits import classify
 from poincare_ext.wavefunctions import Probe, hermite_probe
-from probe_oracle import (comoment_hermiticity, dirac_residuals,
-                          hermiticity_residual, verify_casimir,
-                          verify_commutators)
+import probe_oracle as po
+from probe_oracle import (_covariance_residual, _kernel, comoment_hermiticity,
+                          comoment_observables, covariance_observables,
+                          covariance_suite, default_probes, dirac_residuals,
+                          hermiticity_residual, minus, verify_casimir,
+                          verify_commutators, verify_unitarity)
 from sweep_oracle import (PhasePoint, comoments, evaluate, momentum_map,
                           pullback_residual)
 from sweep_oracle import BENCH_B
@@ -51,11 +51,12 @@ def substitute_affine(f, q_map, p_map):
 
 def verify_covariance(g, f, params, m, probes):
     """The residual of Q(f . l_g) = T(g^-1) Q(f) T(g) on the probes for one
-    element g and one observable f: the scalar reference of covariance_suite."""
+    element g and one observable f: the scalar reference of the oracle's
+    covariance_suite."""
     q_map, p_map = qz._left_action_maps(g, params)
     pulled = qz.quantize(substitute_affine(f, q_map, p_map), params)
-    return float(qz._covariance_residual(g, pulled, qz.quantize(f, params),
-                                         params, m, probes))
+    return float(_covariance_residual(g, pulled, qz.quantize(f, params),
+                                      params, m, probes))
 
 
 def dirac_at(params, m, probes, z3=None):
@@ -100,12 +101,12 @@ def test_float_table_is_the_float_formula(B, m):
             {(0, 0): -1.0})
     got = qz.comoment_table(B, m)
     assert [{k: float(v) for k, v in t.items()} for t in got] == list(want)
-    assert [u.c.tolist() for u in qz.comoment_observables(ModelParams(B), m)] \
+    assert [u.c.tolist() for u in comoment_observables(ModelParams(B), m)] \
         == [qz.PolynomialObservable(t).c.tolist() for t in want]
 
 
 def test_comoments_are_lie_homomorphism():
-    us = qz.comoment_observables(P, M)
+    us = comoment_observables(P, M)
     for a in range(4):
         for b in range(4):
             assert homomorphism_gap(us, a, b) < 1e-14, (a, b)
@@ -241,7 +242,7 @@ def test_quantize_generator_table():
     op = qz.quantize(qz.parse_poly("qp"), P)
     assert np.array_equal(op.c, unit(1, 1, -1j * h) + unit(0, 0, -0.5j * h))
     # the constant comoment quantizes to minus the identity
-    op = qz.quantize(qz.comoment_observables(P, M)[3], P)
+    op = qz.quantize(comoment_observables(P, M)[3], P)
     assert np.array_equal(op.c, unit(0, 0, -1.0))
 
 
@@ -360,8 +361,8 @@ def test_adjoint_is_the_kernel_adjoint():
         adj = op.adjoint()
         for f in probes:
             for g in probes:
-                mats, r, gram = ir._kernel(op, [f, g])
-                amats, ar, agram = ir._kernel(adj, [f, g])
+                mats, r, gram = _kernel(op, [f, g])
+                amats, ar, agram = _kernel(adj, [f, g])
                 lhs = sum(np.conj(m @ r[:, 0]) @ gram(k) @ r[:, 1]
                           for k, m in mats.items())
                 rhs = sum(np.conj(ar[:, 0]) @ agram(k) @ (m @ ar[:, 1])
@@ -421,7 +422,7 @@ def test_stacked_hermiticity_equals_per_pair_reference(B):
     p = ModelParams(B=B)
     probes = default_probes(3)
     fs = [tower(f) for f in probes]
-    for u in qz.comoment_observables(p, M):
+    for u in comoment_observables(p, M):
         op = qz.quantize(u, p)
         ref = max(abs(inner(operator_apply(op, f), g) - inner(f, operator_apply(op, g)))
                   for f in fs for g in fs)
@@ -442,8 +443,11 @@ def test_quantum_checks_on_no_probes():
 
 
 def test_covariance():
+    # decided once for every B, hbar, m, element and observable; the float
+    # oracle at given elements
+    assert qz.decided_covariance() == 0.0
     probes = default_probes(2)
-    u2 = qz.comoment_observables(P, M)[2]
+    u2 = comoment_observables(P, M)[2]
     assert verify_covariance(GroupElement(0, 0, 0, 0), u2, P, M, probes) < 1e-14
     g = GroupElement(0.5, -0.3, 0.0, 0.0)
     f = qz.PolynomialObservable({(0, 1): 1.0})
@@ -453,7 +457,7 @@ def test_covariance():
 
 
 def test_covariance_suite():
-    assert qz.covariance_suite(P, M, trials=21, seed=4) < 1e-8
+    assert covariance_suite(P, M, trials=21, seed=4) < 1e-8
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -465,23 +469,23 @@ def test_covariance_over_hbar_and_B(hbar, B, sign, seed):
     # the worst value measured was 1.2e-11 (hbar = 1e-3, B = -3).  The
     # gate is the quantization suite's
     p = ModelParams(B=sign * B, hbar=hbar)
-    assert qz.covariance_suite(p, M, seed=seed) <= 1e-8
+    assert covariance_suite(p, M, seed=seed) <= 1e-8
 
 
 def test_batched_covariance_suite_equals_max_of_scalar_checks():
     probes, trials, seed = default_probes(2), 16, 5
     coords = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(trials, 4))
-    base = qz._covariance_observables(P, M)
+    base = covariance_observables(P, M)
     scalar = max(verify_covariance(GroupElement(*c), base[k % len(base)],
                                    P, M, probes)
                  for k, c in enumerate(coords))
-    batched = qz.covariance_suite(P, M, trials=trials, seed=seed)
+    batched = covariance_suite(P, M, trials=trials, seed=seed)
     assert abs(batched - scalar) <= 4 * np.finfo(float).eps
 
 
 def test_u2_offset_keeps_homomorphism():
     # u2 is defined up to an additive constant
-    us = list(qz.comoment_observables(P, M))
+    us = list(comoment_observables(P, M))
     us[2] = qz.PolynomialObservable({**dict(us[2].coeffs),
                                      (0, 0): us[2][(0, 0)] + 2.5})
     assert homomorphism_gap(us, 0, 2) < 1e-14
@@ -520,6 +524,35 @@ def test_laurent_arithmetic_is_exact():
     assert relative_defect([B * z, -z * B, 0]) == 0.0
 
 
+def test_laurent_exp_turns_sums_into_products():
+    # e^(c x) is h^(-2c) in the variable h = e^(-x/2) where 2c is an
+    # integer; any other exponent is a free variable, still with
+    # exp(-y) = 1 / exp(y)
+    a, b = Laurent.var("alpha_e1"), Laurent.var("alpha_e2")
+    h = Laurent.var("e^(-alpha_e1/2)")
+    assert (-a).exp() == h * h and (a / 2).exp() * h == 1
+    assert (a + b).exp() == a.exp() * b.exp() and (a - a).exp() == 1
+    assert a.cosh() * a.cosh() - a.sinh() * a.sinh() == 1
+    assert (a + b).cosh() == a.cosh() * b.cosh() + a.sinh() * b.sinh()
+    for y in (0.001 * a, -0.501 * a + b, 0.001 * a * a, a * b + 0.25, 1j * a):
+        assert y.exp() * (-y).exp() == 1
+        assert y.exp() != 1 and len(y.exp().terms) == 1
+    # the planted amplitude e^(-0.001 alpha) is a character: the product of
+    # its values at alpha_1 and alpha_2 is its value at their sum
+    assert (-0.001 * (a + b)).exp() == (-0.001 * a).exp() * (-0.001 * b).exp()
+
+
+def test_generic_group_element_holds_laurent_coordinates_only():
+    # object arrays of Laurent variables make a generic element; any other
+    # object is still refused by name
+    x = np.array([Laurent.var("theta_g")], dtype=object)
+    g = GroupElement(x, x, x, x)
+    assert g.theta.dtype == object and g.theta.shape == (1, 2)
+    for bad in (None, "1", 1.5):
+        with pytest.raises(ValueError, match="GroupElement components must be numbers"):
+            GroupElement(np.array([bad], dtype=object), x, x, x)
+
+
 def test_weyl_product_is_the_operator_product():
     # (A B) f = A (B f) pointwise, on a probe and its derivatives
     rng = np.random.default_rng(0)
@@ -533,7 +566,7 @@ def test_weyl_product_is_the_operator_product():
     # the canonical commutator [D, x] = 1
     d, xo = qz.QuantOperator(np.array([[[0, 1], [0, 0]]])), \
         qz.QuantOperator(np.array([[[0, 0], [1, 0]]]))
-    assert (d @ xo - xo @ d) == qz.QuantOperator(np.diag([1.0, 0.0, 0.0])[None])
+    assert minus(d @ xo, xo @ d) == qz.QuantOperator(np.diag([1.0, 0.0, 0.0])[None])
 
 
 def test_weyl_product_on_batch_columns():
@@ -649,7 +682,7 @@ def kernel_oracle_gap(op, probes):
     """Largest gap of the moment kernel to the per-probe moment sums, over
     <A f_i, A f_j>, <A f_i, f_j> and <f_i, A f_j>, each relative to its
     Cauchy-Schwarz bound."""
-    mats, r, gram = ir._kernel(op, probes)
+    mats, r, gram = _kernel(op, probes)
     s = {k: m @ r for k, m in mats.items()}
     g0 = gram(0)
     kernel = {"AA": sum(np.swapaxes(s[k].conj(), -1, -2) @ gram(k + l) @ s[l]
@@ -693,7 +726,7 @@ def test_moment_kernel_equals_per_probe_oracle(seed):
 
 def test_moments_without_their_shift_factor_fail_the_oracle(monkeypatch):
     # G_K without its e^{m^2}, m = K / 2: the e^{kx} terms read it at once
-    real = ir._moments
+    real = po._moments
 
     def mutant(size, k):
         return real(size, k) / math.exp((k / 2.0) ** 2)
@@ -701,7 +734,7 @@ def test_moments_without_their_shift_factor_fail_the_oracle(monkeypatch):
     rng = np.random.default_rng(11)
     probes, op = complex_probes(rng), random_operator(rng, 3, (4, 1), (-1, 0, 1))
     assert kernel_oracle_gap(op, probes) <= 1e-13
-    monkeypatch.setattr(ir, "_moments", mutant)
+    monkeypatch.setattr(po, "_moments", mutant)
     assert kernel_oracle_gap(op, probes) > 1e-3
 
 
@@ -724,7 +757,7 @@ def quadrature_hermiticity(op, probes):
 
 def quadrature_dirac(params, m, probes, z3s):
     """The Dirac residual at each z3, from operator chains on the probes."""
-    us = qz.comoment_observables(params, m)
+    us = comoment_observables(params, m)
     ops = [qz.quantize(u, params) for u in us]
     f = wf_stack(probes)
     chains = []
@@ -743,7 +776,7 @@ def quadrature_dirac(params, m, probes, z3s):
 def quadrature_covariance(g, pulled, qf, params, m, probes):
     """max over probes of ||pulled psi - T(g^-1) qf T(g) psi|| / ||pulled psi||."""
     rep = qz.rep_for_mass(params, m)
-    ginv = inverse(g, params)
+    ginv = grp.inverse(g, params)
     worst = 0.0
     for psi in probes:
         lhs = operator_apply(pulled, psi)
@@ -764,34 +797,37 @@ def suite_and_oracle(params, seed=42):
     once-per-process memo (so a planted defect shows), and the quadrature
     oracle's value of each residual: the Dirac pair on three Hermite
     probes, hermiticity on two, and covariance on the operators, draws and
-    probes the suite hands it."""
+    probes the probe kernel's covariance_suite takes at the seed."""
     seen = {}
-    real = qz._covariance_residual
+    real = po._covariance_residual
 
     def cov(*args):
         seen["covariance"] = args[:-1] + ([tower(f) for f in args[-1]],)
         return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qz, "decided_identities", qz.decided_identities.__wrapped__)
-        mp.setattr(qz, "_covariance_residual", cov)
+        for name in ("decided_identities", "decided_covariance"):
+            mp.setattr(qz, name, getattr(qz, name).__wrapped__)
         report = cli.suite_quantization(params, seed)
+        mp.setattr(po, "_covariance_residual", cov)
+        covariance_suite(params, M, 50, seed)
     fs = [tower(f) for f in default_probes(3)]
     oracle = dict(zip(("dirac", "dirac_wrong_sign"), quadrature_dirac(
         params, M, fs, (-1.0 / params.hbar, 1.0 / params.hbar))))
     oracle["hermiticity"] = max(quadrature_hermiticity(qz.quantize(u, params), fs[:2])
-                                for u in qz.comoment_observables(params, M))
+                                for u in comoment_observables(params, M))
     oracle["covariance"] = quadrature_covariance(*seen["covariance"])
     return report, oracle
 
 
-def kernel_values(params):
+def kernel_values(params, seed=42):
     """The probe-kernel versions of the decided quantization identities."""
     probes = default_probes(3)
     z3s = (-1.0 / params.hbar, 1.0 / params.hbar)
     return {**dict(zip(("dirac", "dirac_wrong_sign"),
                        dirac_residuals(params, M, probes, z3s))),
-            "hermiticity": comoment_hermiticity(params, M, probes[:2])}
+            "hermiticity": comoment_hermiticity(params, M, probes[:2]),
+            "covariance": covariance_suite(params, M, 50, seed)}
 
 
 @pytest.mark.parametrize("hbar", (1e-3, 1.0, 1e3))
@@ -800,9 +836,11 @@ def test_closed_form_agrees_with_quadrature_oracle(B, hbar):
     params = ModelParams(B=B, hbar=hbar)
     report, oracle = suite_and_oracle(params)
     assert report["pass"], report
+    floats = kernel_values(params)
     for field, gate in GATES.items():
-        assert report[field] <= gate and oracle[field] <= gate, \
-            (field, report[field], oracle[field])
+        assert report[field] == 0.0, (field, report[field])
+        assert floats[field] <= gate and oracle[field] <= gate, \
+            (field, floats[field], oracle[field])
     # the negative control is of order one: decided, on the kernel and by
     # quadrature, and the last two agree
     bad, ref = kernel_values(params)["dirac_wrong_sign"], oracle["dirac_wrong_sign"]
@@ -838,38 +876,63 @@ def _p_map_mutant(real):
 
 
 def _amplitude_mutant(factor):
-    # family A's amplitude e^(-alpha/2) -> e^(-alpha/2) factor(alpha)
+    # family A's amplitude e^(-alpha/2) -> e^(-alpha/2) factor(alpha, exp),
+    # through the exp hook of _phase_coefficients: Laurent.exp on the
+    # decided side, np.exp on the float one
     def plant(real):
-        def mutant(rep, g):
-            op = real["_affine_phase"](rep, g)
-            return dataclasses.replace(op, amp=op.amp * factor(ir._columns(g)[2]))
-        return {"_affine_phase": mutant}
+        def mutant(rep, t0, t1, al, be, exp=np.exp):
+            amp, *rest = real["_phase_coefficients"](rep, t0, t1, al, be, exp)
+            return (amp * factor(al, exp) if rep.family == "A" else amp, *rest)
+        return {"_phase_coefficients": mutant}
     return plant
+
+
+def _inverse_beta_mutant(real):
+    # the sign of beta in the inverse: beta^-1 = -beta - ... -> +beta - ...,
+    # which only the round trip T(g^-1) T(g) = 1 reads
+    def mutant(g, params):
+        h = real["inverse"](g, params)
+        return GroupElement(h.theta0, h.theta1, h.alpha, h.beta + 2 * g.beta)
+    return {"inverse": mutant}
+
+
+#: where each planted function is read: quantization, irreps (the oracles'
+#: T(g)) and group (the oracles' inverse)
+PLANT_HOMES = (qz, ir, grp)
+
+
+#: the planted defects of inverse: the kernel's covariance reads T(g^-1)
+#: through the round trip's coefficient gap alone, the quadrature through
+#: T(g^-1) Q(f) T(g) itself, so the two take different residuals
+ROUND_TRIP = (_inverse_beta_mutant,)
 
 
 @pytest.mark.parametrize("plant, failing", (
     (_weyl_factor_mutant, {"covariance", "hermiticity"}),
     (_p_map_mutant, {"covariance"}),
-    (_amplitude_mutant(lambda al: np.exp(-0.001 * al ** 2)), {"covariance"}),
-), ids=("weyl-factor", "p-map-sign", "amplitude-quadratic"))
+    (_amplitude_mutant(lambda al, exp: exp(-0.001 * al ** 2)), {"covariance"}),
+    (_inverse_beta_mutant, {"covariance"}),
+), ids=("weyl-factor", "p-map-sign", "amplitude-quadratic", "inverse-beta-sign"))
 @pytest.mark.parametrize("B", (1.0, -1.3))
 def test_planted_defect_fails_closed_form_and_oracle(plant, failing, B,
                                                      monkeypatch):
     real = {"_left_action_maps": qz._left_action_maps,
-            "_affine_phase": ir._affine_phase}
+            "_phase_coefficients": ir._phase_coefficients,
+            "inverse": grp.inverse}
     for name, fn in plant(real).items():
-        monkeypatch.setattr(qz, name, fn)
-        if hasattr(ir, name):  # the oracle's rep_image reads it there
-            monkeypatch.setattr(ir, name, fn)
+        for home in PLANT_HOMES:
+            if hasattr(home, name):
+                monkeypatch.setattr(home, name, fn)
     params = ModelParams(B=B)
     report, oracle = suite_and_oracle(params)
-    floats = {**kernel_values(params), "covariance": report["covariance"]}
+    floats = kernel_values(params)
     assert not report["pass"]
     for field in failing:
         value, kernel, ref = report[field], floats[field], oracle[field]
         assert min(value, kernel, ref) > GATES[field], (field, value, kernel, ref)
         # the probe kernel and the quadrature take the same residual
-        assert abs(kernel - ref) <= 1e-10 * ref, (field, kernel, ref)
+        assert plant in ROUND_TRIP or abs(kernel - ref) <= 1e-10 * ref, \
+            (field, kernel, ref)
 
 
 def test_wrong_hbar_power_fails_decided_and_off_hbar_one(monkeypatch):
@@ -883,18 +946,21 @@ def test_wrong_hbar_power_fails_decided_and_off_hbar_one(monkeypatch):
     fs = [tower(f) for f in default_probes(2)]
     assert kernel_values(params)["hermiticity"] > GATES["hermiticity"]
     assert max(quadrature_hermiticity(qz.quantize(u, params), fs)
-               for u in qz.comoment_observables(params, M)) > GATES["hermiticity"]
+               for u in comoment_observables(params, M)) > GATES["hermiticity"]
 
 
 def test_amplitude_character_is_invisible_to_covariance(monkeypatch):
     # e^(-alpha/2) -> e^(-alpha/2 - 0.001 alpha) multiplies T by a character
     # of the group, so T(g^-1) T(g) stays the identity and the conjugation
-    # cancels it: closed form and oracle both pass.  The unitarity check of
-    # the representation suite is the one that catches it
-    plant = _amplitude_mutant(lambda al: np.exp(-0.001 * al))
-    fn = plant({"_affine_phase": ir._affine_phase})["_affine_phase"]
-    monkeypatch.setattr(qz, "_affine_phase", fn)
-    monkeypatch.setattr(ir, "_affine_phase", fn)
+    # cancels it: decided, on the kernel and by quadrature, covariance
+    # passes.  The unitarity check of the representation suite is the one
+    # that catches it, decided and as the float oracle
+    plant = _amplitude_mutant(lambda al, exp: exp(-0.001 * al))
+    monkeypatch.setattr(ir, "_phase_coefficients",
+                        plant({"_phase_coefficients": ir._phase_coefficients})
+                        ["_phase_coefficients"])
     report, oracle = suite_and_oracle(P)
-    assert report["covariance"] <= 1e-12 and oracle["covariance"] <= 1e-12
-    assert ir.verify_unitarity(qz.rep_for_mass(P, M), GroupElement(0, 0, 1.0, 0)) > 1e-4
+    assert report["covariance"] == 0.0 and oracle["covariance"] <= 1e-12
+    assert kernel_values(P)["covariance"] <= 1e-12
+    assert ir.decided_group_identities.__wrapped__()["A"]["unitarity"] == 1.0
+    assert verify_unitarity(qz.rep_for_mass(P, M), GroupElement(0, 0, 1.0, 0)) > 1e-4

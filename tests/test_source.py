@@ -181,23 +181,53 @@ def test_numpy_free_modules_import_no_dataclasses(module):
     assert "dataclasses" not in imported_modules(module)
 
 
+#: the Gaussian-moment probe kernel, its probes and the float sweeps on
+#: them: the oracle in tests/probe_oracle.py, with no copy in the package
+PROBE_KERNEL = {"_xd_powers", "_moments", "_kernel", "_square_norms",
+                "_relative_residual", "_hermite_probes", "default_probes",
+                "verify_homomorphism", "verify_unitarity", "covariance_suite",
+                "_covariance_residual", "gap", "unitarity_gap", "_sups"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_defines_the_probe_kernel(path):
+    # homomorphism, unitarity and covariance are decided as Laurent
+    # identities; their seeded float versions on the probes are the oracle
+    tree = ast.parse(path.read_text())
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    imported = {(a.asname or a.name).split(".")[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names}
+    assert not (defined | imported) & PROBE_KERNEL
+
+
 def test_import_builds_no_probes_or_moment_matrices():
-    # the moment kernel's caches fill on first use, so a cold start of a
-    # command that imports quantization (quantize op, rep apply) pays for
-    # none of them; one covariance check then fills all three
-    code = ("import poincare_ext.quantization as qz, poincare_ext.irreps as ir\n"
+    # no check of the package evaluates a probe: a report, rep verify and
+    # quantize check build no Hermite probe and no moment matrix, which
+    # only the oracle in tests/probe_oracle.py makes
+    code = ("import contextlib, io\n"
+            "from poincare_ext import cli, wavefunctions\n"
             "from poincare_ext.model import ModelParams\n"
-            "caches = (ir._hermite_probes, ir._xd_powers, ir._moments)\n"
-            "print([f.cache_info().currsize for f in caches])\n"
-            "qz.covariance_suite(ModelParams(), 1.0, trials=1)\n"
-            "print([f.cache_info().currsize > 0 for f in caches])\n")
+            "built = []\n"
+            "real = wavefunctions.Probe.__post_init__\n"
+            "def counted(self):\n"
+            "    built.append(1)\n"
+            "    real(self)\n"
+            "wavefunctions.Probe.__post_init__ = counted\n"
+            "cli.run_all_checks(ModelParams(1.3), 42)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.run(['rep', 'verify'])\n"
+            "    cli.run(['quantize', 'check'])\n"
+            "print(len(built))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.split("\n")[:2] == ["[0, 0, 0]", "[True, True, True]"]
+    assert proc.stdout == "0\n"
 
 
 #: the tables of identities decided once per process, as module.function
-DECIDED = ("irreps.decided_identities", "quantization.decided_identities",
+DECIDED = ("irreps.decided_identities", "irreps.decided_group_identities",
+           "quantization.decided_identities", "quantization.decided_covariance",
            "group.decided_ad_spectrum")
 
 

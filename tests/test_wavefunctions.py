@@ -11,6 +11,7 @@ from numpy.polynomial import polynomial as P
 from poincare_ext import wavefunctions as wfm
 import quadrature_oracle as qo
 from quadrature_oracle import integrate_fourier, integrate_stack, wf_stack
+from probe_oracle import rep_sweep
 
 
 def test_hermite_orthonormality():
@@ -309,12 +310,14 @@ def test_family_a_at_subnormal_B_fails_within_one_level(monkeypatch):
 
     monkeypatch.setattr(qo, "gauss_legendre", counted)
     # c2 / (2 B z3) overflows, and the operator's coefficients say so
-    # before any quadrature runs; the decided identities hold there
+    # before any quadrature runs: the float sweep of the oracle stops
+    # there, and the identities decided for every B hold
     for B in (5e-324, 1e-310):
         rep = ir.RepParams("A", ModelParams(B), c2=1.0, z3=-1.0)
-        error = {"error": "operator phase coefficient c0 is not finite"}
-        assert ir.rep_suite(rep, trials=200, seed=42) == {
-            "family": "A", "homomorphism": error, "unitarity": error,
+        with pytest.raises(ValueError, match="^operator phase coefficient c0 is not finite$"):
+            rep_sweep(rep)
+        assert ir.rep_suite(rep) == {
+            "family": "A", "homomorphism": 0.0, "unitarity": 0.0,
             "commutators": 0.0, "casimir": 0.0}
     assert levels == []
 
