@@ -1,8 +1,10 @@
 """Command-line entry point: verification suites and simulations.
 
 Every subcommand emits machine-readable output (JSON with a schema
-version, or CSV for sampled data).  Exit codes: 0 all residuals within
-tolerance, 1 numeric failure (report still emitted), 2 usage error.
+version, or CSV for sampled data).  Exit codes: 0 every check passes, 1
+numeric failure (report still emitted), 2 usage error.  A field decided
+as an identity, or computed exactly, passes only at 0.0 (_exact); the
+float fields of the coadjoint and dynamics suites keep their gates.
 
 Each suite, `run` branch and option type imports the modules it uses, so
 a subcommand loads only what it runs (`cohomology`, `orbit classify` and
@@ -24,14 +26,6 @@ __all__ = ["main", "run", "run_all_checks"]
 
 SCHEMA = 1
 
-#: pass thresholds of the representation residuals reported by rep_suite
-REP_GATES = {"homomorphism": 1e-8, "unitarity": 1e-8,
-             "commutators": 1e-9, "casimir": 1e-9}
-
-#: pass threshold of the generator gaps (irreps.generator_gaps), relative
-#: coefficient gaps that read round-off
-GENERATOR_GATE = 1e-12
-
 #: labels of the representation each family is checked at, and the
 #: defaults of the matching `rep` options
 REP_LABELS = {"A": {"c2": 1.0, "z3": -1.0},
@@ -47,6 +41,13 @@ def _emit_json(payload: dict, stream) -> None:
 
 def _params(args) -> ModelParams:
     return ModelParams(B=args.B, hbar=args.hbar)
+
+
+def _exact(*fields) -> bool:
+    """The one pass rule of a decided or exact field: it reads 0.0.  Such a
+    field is an identity's defect in exact arithmetic, so any other value
+    is a failure, not round-off."""
+    return all(v == 0.0 for v in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,7 @@ def suite_structure(params: ModelParams, seed: int) -> dict:
     rep = structural_report(params)
     ok = bool(rep["central_series_dims"][-1] == 3
               and rep["derived_series_dims"][-1] == 0
-              and rep["ad_spectrum"] <= 1e-10)
+              and _exact(rep["ad_spectrum"]))
     return {**rep, "pass": ok}
 
 
@@ -123,8 +124,8 @@ def _rep_for_family(family: str, params: ModelParams, args=None):
 
 
 def _rep_pass(res: dict) -> bool:
-    """Every field of a rep_suite report within its gate."""
-    return all(res[k] <= tol for k, tol in REP_GATES.items())
+    """Every decided field of a rep_suite report reads 0.0."""
+    return _exact(*(v for k, v in res.items() if k != "family"))
 
 
 def suite_reps(params: ModelParams, seed: int) -> dict:
@@ -142,12 +143,11 @@ def suite_reps(params: ModelParams, seed: int) -> dict:
 
 def suite_generators(params: ModelParams, seed: int) -> dict:
     from . import irreps as ir
-    # exact coefficient arithmetic: no draws, and a gate at round-off
-    report = {family: ir.generator_gaps(_rep_for_family(family, params))
+    # dT(X) = d/dt T(exp tX) at 0 is decided for every B and label: no draws
+    report = {family: dict(ir.decided_identities()[family]["generators"])
               for family in ("A", "C")}
-    ok = all(gap <= GENERATOR_GATE
-             for gaps in report.values() for gap in gaps.values())
-    return {"families": report, "pass": ok}
+    return {"families": report,
+            "pass": _exact(*(v for gaps in report.values() for v in gaps.values()))}
 
 
 def _field(check, *args):
@@ -168,32 +168,26 @@ def suite_quantization(params: ModelParams, seed: int, m: float = 1.0) -> dict:
         nogo = False
     except qz.NoGoError:
         nogo = True
-    report = {**qz.decided_identities(), "covariance": qz.decided_covariance(),
-              "degree3_rejected": nogo}
-    ok = (report["dirac"] <= 1e-9 and report["dirac_wrong_sign"] > 0.1
-          and report["covariance"] <= 1e-8 and report["hermiticity"] <= 1e-9
-          and nogo)
+    decided = qz.decided_identities()
+    report = {**{k: decided[k] for k in ("dirac", "dirac_wrong_sign", "hermiticity")},
+              "covariance": qz.decided_covariance(), "degree3_rejected": nogo}
+    ok = (_exact(report["dirac"], report["hermiticity"], report["covariance"])
+          and report["dirac_wrong_sign"] > 0.1 and nogo)
     return {**report, "pass": ok}
 
 
 def suite_classical(params: ModelParams, seed: int, m: float = 1.0) -> dict:
     import numpy as np
     from . import quantization as qz
-    worst = qz.casimir_defect(params, m)
-    # the light-cone coordinates q^0 = -p/B and q^1 = -q - p/B carry 1/B,
-    # which overflows at subnormal B: there is no float bracket to take
-    inv_b = 1.0 / params.B
-    bracket_ok = math.isfinite(inv_b)
-    if bracket_ok:
-        q0 = qz.PolynomialObservable({(0, 1): -inv_b})
-        q1 = qz.PolynomialObservable({(1, 0): -1.0, (0, 1): -inv_b})
-        pb = qz.poisson_bracket(q0, q1, params)
-        bracket_ok = pb[(0, 0)] == inv_b and len(pb.coeffs) == 1
+    # the comoment Casimir and the light-cone bracket are decided for every
+    # B and m; the pullback is exact at the drawn points
+    decided = qz.decided_identities()
     points = np.random.default_rng(seed).uniform(-2, 2, size=(5, 2)).tolist()
     pull = _field(qz.pullback_defect, params, m, points)
-    ok = bool(worst <= 1e-12 and bracket_ok
-              and not isinstance(pull, dict) and pull <= 1e-6)
-    return {"comoment_casimir": worst, "lightcone_bracket_exact": bracket_ok,
+    ok = (_exact(decided["comoment_casimir"], decided["lightcone_bracket"])
+          and not isinstance(pull, dict) and _exact(pull))
+    return {"comoment_casimir": decided["comoment_casimir"],
+            "lightcone_bracket_exact": decided["lightcone_bracket"] == 0.0,
             "pullback": pull, "pass": ok}
 
 
@@ -424,6 +418,10 @@ def run(argv=None) -> int:
                                 params)
         if args.cmd == "rep":
             irrep = _rep_for_family(args.family, params, args)
+        if args.cmd == "quantize" and args.q_cmd == "check" \
+                and not 0.0 < args.m < math.inf:
+            raise ValueError("argument --m: mass must be positive and finite, "
+                             f"got {args.m!r}")
     except ValueError as exc:
         ap.error(str(exc))
     stream, close = _open_output(args)

@@ -26,17 +26,15 @@ homomorphism and unitarity of T (decided_group_identities) run
 _phase_coefficients and group.compose on generic elements, whose
 coordinates are Laurent variables and whose e^(-alpha/2) is one more
 (Laurent.exp); AffinePhase.compose multiplies two operators exactly in
-their coefficients.  The commutator table, anti-Hermiticity and the
-Casimir (decided_identities) run the generator table on Laurent
-variables, and each defect operator must vanish as a Laurent polynomial.
-Their float versions, the seeded sweeps with their coefficient gaps and
-the Gaussian-moment probe kernel, and the quadrature versions are the
-test oracle.
-Generator consistency is exact too: dT(X) = d/dt T(exp tX) at t = 0, the
-derivative taken on first-order jets (Jet) run through the coefficient
-code of T(g) itself, and compared with the table coefficient by
-coefficient (generator_gaps).  No check here integrates or differentiates
-a function; the quadrature versions, with the derivative evaluators they
+their coefficients.  The commutator table, anti-Hermiticity, the Casimir
+and generator consistency (decided_identities) run the generator table
+on Laurent variables, and each defect operator must vanish as a Laurent
+polynomial.  Generator consistency is dT(X) = d/dt T(exp tX) at t = 0,
+the derivative taken on first-order jets (Jet) run through the
+coefficient code of T(g) itself, on the same Laurent labels.  No check
+here integrates or differentiates a function.  Their float versions, the
+seeded sweeps with their coefficient gaps and the Gaussian-moment probe
+kernel, and the quadrature versions with the derivative evaluators they
 act on, are the test oracle.
 """
 
@@ -63,7 +61,6 @@ __all__ = [
     "rep_apply",
     "decided_group_identities",
     "decided_identities",
-    "generator_gaps",
     "rep_suite",
     "BASIS_NAMES",
 ]
@@ -486,18 +483,21 @@ def _derivative_coefficients(rep: RepParams) -> QuantOperator:
     this is the slope of _phase_coefficients along e_k, exact on jets.  As
     T(1) = 1, it is the operator amp' + phi'(x) + (a' x + b') D, with
     phi' = sum c_i' x^i, or p' cosh x + q' sinh x for a hyperbolic phase.
+    Float labels and B give complex coefficients, laurent.Laurent ones
+    (decided_identities) an object array.
     """
-    with np.errstate(all="ignore"):  # generator_gaps names what overflows
-        amp, a, b, c, basis = _phase_coefficients(
-            rep, *(Jet(0.0, e) for e in np.eye(len(BASIS_NAMES))), exp=Jet.exp)
-    out = np.zeros((3, 3, 3, len(BASIS_NAMES)), dtype=complex)
+    amp, a, b, c, basis = _phase_coefficients(
+        rep, *(Jet(0.0, e) for e in np.eye(len(BASIS_NAMES))), exp=Jet.exp)
+    amp, a, b, *c = (_slope(x) for x in (amp, a, b, *c))
+    out = np.zeros((3, 3, 3, len(BASIS_NAMES)),
+                   dtype=np.result_type(amp, a, b, *c, complex))
     if basis == "poly":
-        out[0, :len(c), 0] = [_slope(ci) for ci in c]
+        out[0, :len(c), 0] = c
     else:  # the e^{x} and e^{-x} terms
-        p, q = (_slope(ci) for ci in c)
+        p, q = c
         out[1, 0, 0], out[2, 0, 0] = (p + q) / 2.0, (p - q) / 2.0
-    out[0, 0, 0] += _slope(amp)
-    out[0, 1, 1], out[0, 0, 1] = _slope(a), _slope(b)
+    out[0, 0, 0] += amp
+    out[0, 1, 1], out[0, 0, 1] = a, b
     return QuantOperator(out, (0, 1, -1))
 
 
@@ -515,13 +515,15 @@ def _operator_defect(parts) -> float:
 
 
 def _decided(rep) -> dict:
-    """The commutators and casimir fields of rep, whose B and labels are
-    laurent.Laurent variables.
+    """The commutators, casimir and generators fields of rep, whose B and
+    labels are laurent.Laurent variables.
 
     commutators: the six defects [dT(X_a), dT(X_b)] - dT([X_a, X_b]) on
     model.brackets, and the anti-Hermiticity dT(X) + dT(X)^dagger of each
     generator; casimir: 2B I J - sqrt(-h) (P^a P_a + c), c the family's
-    Casimir label.  Each reads as _operator_defect, its worst.
+    Casimir label; generators: {name: defect} of the table's dT(X) against
+    d/dt T(exp tX) at t = 0 (_derivative_coefficients).  Each reads as
+    _operator_defect, commutators its worst.
     """
     gens = _generators(rep)
     ops = [gens[name] for name in BASIS_NAMES]
@@ -538,8 +540,12 @@ def _decided(rep) -> dict:
                -SQRT_MINUS_H * (gens["P0"] @ gens["P0"]),
                SQRT_MINUS_H * (gens["P1"] @ gens["P1"]),
                (-SQRT_MINUS_H * c) * QuantOperator.one()]
+    slopes = _derivative_coefficients(rep)
     return {"commutators": max(map(_operator_defect, defects)),
-            "casimir": _operator_defect(casimir)}
+            "casimir": _operator_defect(casimir),
+            "generators": {name: _operator_defect(
+                [QuantOperator(slopes.c[..., k], slopes.exps), -1 * op])
+                for k, (name, op) in enumerate(zip(BASIS_NAMES, ops))}}
 
 
 def _generic_reps() -> dict:
@@ -555,7 +561,8 @@ def _generic_reps() -> dict:
 
 @functools.cache
 def decided_identities() -> dict:
-    """{family: {"commutators": ..., "casimir": ...}} for families A, B and C.
+    """{family: {"commutators": ..., "casimir": ..., "generators": ...}} for
+    families A, B and C.
 
     The generator table runs on _generic_reps, so each identity is decided
     as one of Laurent polynomials: for every B != 0 and every label at
@@ -630,29 +637,11 @@ def decided_group_identities() -> dict:
     return out
 
 
-def generator_gaps(rep: RepParams) -> dict:
-    """{name: gap} of each generator dT(X) of the table _generators against
-    the derivative d/dt T(exp tX) at t = 0 (_derivative_coefficients).
-
-    The gap is the largest relative gap of one coefficient,
-    |got - want| / max(|got|, |want|), 0 where both vanish, so a wrong
-    coefficient shows at every B however small it is beside the others.
-    A coefficient that is not finite raises ValueError.
-    """
-    got, table, out = _derivative_coefficients(rep), _generators(rep), {}
-    for k, name in enumerate(BASIS_NAMES):
-        _, (g, w) = _aligned((QuantOperator(got.c[..., k], got.exps), table[name]))
-        if not np.all(np.isfinite(g) & np.isfinite(w)):
-            raise ValueError(f"generator {name}: a coefficient is not finite")
-        size = np.maximum(np.abs(g), np.abs(w))
-        out[name] = float(np.max(np.abs(g - w) / np.where(size > 0.0, size, 1.0)))
-    return out
-
-
 def rep_suite(rep: RepParams) -> dict:
     """The numbers the CLI reports for one family: its homomorphism and
     unitarity (decided_group_identities), commutators and Casimir
     (decided_identities).  They hold at every B != 0 and label, so rep
     names the family alone."""
+    decided = decided_identities()[rep.family]
     return {"family": rep.family, **decided_group_identities()[rep.family],
-            **decided_identities()[rep.family]}
+            "commutators": decided["commutators"], "casimir": decided["casimir"]}

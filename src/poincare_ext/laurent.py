@@ -1,7 +1,8 @@
 """Exact Laurent polynomials: the identities that hold at every B, decided.
 
-The generator commutators and Casimir, the Dirac condition, hermiticity
-and the spectrum of ad(V) hold for every B != 0, hbar, m and label; the
+The generator commutators, Casimir and consistency with T, the Dirac
+condition, hermiticity, the comoments' Casimir and light-cone bracket and
+the spectrum of ad(V) hold for every B != 0, hbar, m and label; the
 homomorphism and unitarity of T and the covariance of the quantization
 for every group element too.  `irreps`, `quantization` and `group` run
 their tables and the group law unchanged on Laurent variables, the

@@ -12,21 +12,24 @@ maps the first to the second, term by term.  Observables of degree
 three and higher are rejected: no consistent extension of the degree
 <= 2 map exists (Groenewold--Van Hove obstruction).
 
-The comoments are one table in any number type (comoment_table), which
-the classical checks (Casimir, pullback) read exactly in Fractions.
+The comoments are one table in any number type (comoment_table).  The
+pullback of the orbit form reads it exactly in Fractions at drawn points.
 
 The Dirac, hermiticity and covariance checks are exact algebra, with no
 quadrature, on the operator algebra of irreps, which the representation
 checks share: operators multiply in the Weyl algebra (QuantOperator @).
-All three hold at every B, hbar and m, and are decided once per process,
-on first use, as identities of `laurent.Laurent` polynomials: the Dirac
-condition and hermiticity on the comoment table and the Weyl rule
-(decided_identities), covariance on a generic observable and a generic
-group element, whose T(g) conjugates a polynomial operator into another
-(QuantOperator.conjugated; decided_covariance).  No operator here acts on
-a function.  Their float versions, on the Gaussian-moment probe kernel,
-and the operator chains on derivative evaluators with their quadrature,
-are the test oracle.
+They and the classical identities, the comoments' Casimir u^A u_A = m^2
+and the light-cone bracket {q^0, q^1} = 1/B, hold at every B, hbar and m,
+and are decided once per process, on first use, as identities of
+`laurent.Laurent` polynomials: the Dirac condition, hermiticity and the
+classical identities on the comoment table, the Weyl rule and the Poisson
+bracket (decided_identities), covariance on a generic observable and a
+generic group element, whose T(g) conjugates a polynomial operator into
+another (QuantOperator.conjugated; decided_covariance).  No operator here
+acts on a function.  Their float versions, on the Gaussian-moment probe
+kernel, the float Poisson bracket and the Fraction Casimir, and the
+operator chains on derivative evaluators with their quadrature, are the
+test oracle.
 """
 
 from __future__ import annotations
@@ -61,9 +64,7 @@ __all__ = [
     "PolynomialObservable",
     "QuantOperator",
     "parse_poly",
-    "poisson_bracket",
     "comoment_table",
-    "casimir_defect",
     "pullback_defect",
     "quantize",
     "decided_identities",
@@ -107,9 +108,6 @@ class PolynomialObservable:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "coeffs", items)
 
-    def __getitem__(self, key) -> float:
-        return dict(self.coeffs).get(key, 0.0)
-
 
 def _substituted(c, q_map, p_map):
     """sum c[i, j] q'^i p'^j, q' and p' affine (cq, cp, c0); batch axes allowed.
@@ -136,7 +134,9 @@ _TERM_RE = re.compile(
 
 
 def parse_poly(text: str) -> PolynomialObservable:
-    """Parse expressions like 'q^2 + 2qp - 0.5' into an observable."""
+    """Parse expressions like 'q^2 + 2qp - 0.5' into an observable; a
+    coefficient that is not finite, or sums past the float range, raises
+    ValueError."""
     table = {}
     chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
     for chunk in chunks:
@@ -149,21 +149,18 @@ def parse_poly(text: str) -> PolynomialObservable:
         i = int(m.group(3)) if m.group(3) else (1 if m.group(2) else 0)
         j = int(m.group(5)) if m.group(5) else (1 if m.group(4) else 0)
         table[(i, j)] = table.get((i, j), 0.0) + coeff
+        if not math.isfinite(table[(i, j)]):
+            raise ValueError(f"the coefficient of term {chunk!r} is not finite")
     return PolynomialObservable(table)
 
 
-def poisson_bracket(f: PolynomialObservable, g: PolynomialObservable,
-                    params: ModelParams) -> PolynomialObservable:
-    """{f, g} = df/dp dg/dq - df/dq dg/dp.
+def _poisson(f, g):
+    """{f, g} = df/dp dg/dq - df/dq dg/dp on 3 x 3 coefficient arrays of
+    q^i p^j, in any number type.
 
     The orientation is the one under which the comoments realize the
     group brackets; with it {q, p} = -1 and {q^a, q^b} = eps^{ab}/B.
     """
-    return PolynomialObservable(_poisson(f.c, g.c))
-
-
-def _poisson(f, g):
-    """poisson_bracket on coefficient arrays, in any number type."""
     # numpy's polyder, without its import: the same products k * c[k]
     k = np.arange(1, 3)
     fq, fp = f[1:] * k[:, None], f[:, 1:] * k
@@ -188,33 +185,6 @@ def comoment_table(B, m) -> tuple:
             {(0, 1): 1},
             {(0, 0): m * m / (2 * B), (2, 0): -B / 2, (1, 1): -1},
             {(0, 0): -1})
-
-
-def _product(f, g, scale=1) -> dict:
-    """scale f g on {(i, j): c} tables."""
-    out = {}
-    for (i, j), a in f.items():
-        for (k, l), b in g.items():
-            out[i + k, j + l] = out.get((i + k, j + l), 0) + scale * a * b
-    return out
-
-
-def casimir_defect(params: ModelParams, m: float) -> float:
-    """The comoments' Casimir minus m^2, a coefficient identity on the
-    exact table.
-
-    u0^2 - u1^2 - 2B u2 u3 - m^2 (`model.casimir`) is summed from four
-    tables; each of its coefficients is read relative to the largest of
-    the four it sums, so a wrong entry reads of order 1 at every B.  0.0
-    where the identity holds.
-    """
-    B, m = Fraction(params.B), Fraction(m)
-    u0, u1, u2, u3 = comoment_table(B, m)
-    parts = (_product(u0, u0), _product(u1, u1, -1), _product(u2, u3, -2 * B),
-             {(0, 0): -m * m})
-    return float(max(abs(sum(t.get(k, 0) for t in parts))
-                     / max(abs(t.get(k, 0)) for t in parts)
-                     for k in set().union(*parts)))
 
 
 def _jets(tables, q, p) -> list:
@@ -293,23 +263,38 @@ def _weyl(c, h: float):
 # verification
 
 
+def _array(table):
+    """A {(i, j): c} table of q^i p^j as its 3 x 3 object array."""
+    return np.array([[table.get((i, j), 0) for j in range(3)] for i in range(3)],
+                    dtype=object)
+
+
+def _at(c, q, p):
+    """sum c[i, j] q^i p^j of a coefficient array, at q and p."""
+    return sum(v * q ** i * p ** j for (i, j), v in np.ndenumerate(c) if v)
+
+
 @functools.cache
 def decided_identities() -> dict:
-    """{"dirac", "dirac_wrong_sign", "hermiticity"}: the Weyl-ordered
-    comoments' identities, decided once, on first use, as identities of
-    laurent.Laurent polynomials in B, hbar and m, so for all of them at once.
+    """{"dirac", "dirac_wrong_sign", "hermiticity", "comoment_casimir",
+    "lightcone_bracket"}: the comoments' identities, quantum and classical,
+    decided once, on first use, as identities of laurent.Laurent
+    polynomials in B, hbar, m, q and p, so for all of them at once.
 
     dirac: Q({u_A, u_B}) = -i z3 [Q(u_A), Q(u_B)] over all pairs at the
     orbit's z3 = -1/hbar; dirac_wrong_sign: the same at +1/hbar, the
     negative control.  hermiticity: Q(u) = Q(u)^dagger, the formal adjoint
     (QuantOperator.adjoint), for each comoment.  Each reads as
-    irreps._operator_defect, its worst over the pairs or comoments: 0.0
-    where it holds.
+    irreps._operator_defect, its worst over the pairs or comoments.
+    comoment_casimir: u0^2 - u1^2 - 2B u2 u3 - m^2 (`model.casimir`), and
+    lightcone_bracket: {q^0, q^1} - 1/B for the light-cone coordinates
+    q^0 = -p/B and q^1 = -q - p/B, each read by laurent.relative_defect,
+    every coefficient relative to the largest the summed terms hold.  0.0
+    where the identity holds.
     """
-    from .laurent import Laurent
-    B, hbar, m = (Laurent.var(name) for name in ("B", "hbar", "m"))
-    tables = [np.array([[t.get((i, j), 0) for j in range(3)] for i in range(3)],
-                       dtype=object) for t in comoment_table(B, m)]
+    from .laurent import Laurent, relative_defect
+    B, hbar, m, q, p = (Laurent.var(name) for name in ("B", "hbar", "m", "q", "p"))
+    tables = [_array(t) for t in comoment_table(B, m)]
     ops = [QuantOperator(_weyl(c, hbar)[None]) for c in tables]
     pairs = [(QuantOperator(_weyl(_poisson(tables[a], tables[b]), hbar)[None]),
               ops[a] @ ops[b], ops[b] @ ops[a])
@@ -318,6 +303,11 @@ def decided_identities() -> dict:
                       for qbr, ab, ba in pairs)
            for field, z3 in (("dirac", -1 / hbar), ("dirac_wrong_sign", 1 / hbar))}
     out["hermiticity"] = max(_operator_defect([op, -1 * op.adjoint()]) for op in ops)
+    u0, u1, u2, u3 = (_at(c, q, p) for c in tables)
+    out["comoment_casimir"] = relative_defect(
+        [u0 * u0, -(u1 * u1), -2 * B * u2 * u3, -m * m])
+    bracket = _poisson(_array({(0, 1): -1 / B}), _array({(1, 0): -1, (0, 1): -1 / B}))
+    out["lightcone_bracket"] = relative_defect([_at(bracket, q, p), -1 / B])
     return out
 
 

@@ -2,16 +2,19 @@
 
 `irreps.decided_identities`, `irreps.decided_group_identities`,
 `quantization.decided_identities` and `quantization.decided_covariance`
-decide the generator commutators, anti-Hermiticity and Casimir, the
-homomorphism and unitarity of T, the Dirac pair, the comoments'
-Hermiticity and the covariance of the quantization once, as identities of
-Laurent polynomials in B, hbar, m, the labels and the group element.
-These are the same checks at one float B and set of labels, on seeded
-random group elements:
+decide the generator commutators, anti-Hermiticity, Casimir and
+consistency with T, the homomorphism and unitarity of T, the Dirac pair,
+the comoments' Hermiticity, the light-cone bracket and the covariance of
+the quantization once, as identities of Laurent polynomials in B, hbar,
+m, the labels and the group element.  These are the same checks at one
+float B and set of labels, on seeded random group elements:
 
 * homomorphism and unitarity as relative coefficient gaps of the
   AffinePhase fields, each function's size taken as its coefficient bound
   on the probes' image window (gap, unitarity_gap);
+* generator consistency as relative coefficient gaps of the jet
+  derivative of T against the generator table (generator_gaps), and the
+  Poisson bracket on float coefficient arrays (poisson_bracket);
 * the operator identities and covariance on Hermite probes r(x) e^{-x^2/2},
   in the Gaussian-moment kernel: each operator is one matrix per exponent
   e^{kx} on the probes' coefficients, and inner products are moment
@@ -39,6 +42,16 @@ from poincare_ext.irreps import BASIS_NAMES, AffinePhase, QuantOperator, _aligne
 from poincare_ext.wavefunctions import WINDOW, Probe, hermite_probe
 
 
+#: pass thresholds of the float oracles of the representation fields:
+#: round-off of the coefficient gaps, the kernel and the quadrature
+REP_GATES = {"homomorphism": 1e-8, "unitarity": 1e-8,
+             "commutators": 1e-9, "casimir": 1e-9}
+
+#: pass threshold of the generator gaps, relative coefficient gaps that
+#: read round-off
+GENERATOR_GATE = 1e-12
+
+
 @functools.lru_cache(maxsize=1)
 def _hermite_probes() -> tuple:
     """h_0, ..., h_4, built on first use; a Probe is immutable, so every
@@ -57,6 +70,34 @@ def comoment_observables(params, m: float):
     """The four comoments as polynomial observables (u0, u1, u2, u3), from
     quantization.comoment_table at float B and m."""
     return tuple(qz.PolynomialObservable(t) for t in qz.comoment_table(params.B, m))
+
+
+def poisson_bracket(f, g):
+    """{f, g} of two polynomial observables, from quantization's bracket on
+    their float coefficient arrays."""
+    return qz.PolynomialObservable(qz._poisson(f.c, g.c))
+
+
+def generator_gaps(rep) -> dict:
+    """{name: gap} of each generator dT(X) of the table irreps._generators
+    against the jet derivative d/dt T(exp tX) at t = 0
+    (irreps._derivative_coefficients), at the float B and labels of rep.
+
+    The gap is the largest relative gap of one coefficient,
+    |got - want| / max(|got|, |want|), 0 where both vanish, so a wrong
+    coefficient shows at every B however small it is beside the others.
+    A coefficient that is not finite raises ValueError.
+    """
+    with np.errstate(all="ignore"):
+        got = ir._derivative_coefficients(rep)
+    table, out = ir._generators(rep), {}
+    for k, name in enumerate(BASIS_NAMES):
+        _, (g, w) = _aligned((QuantOperator(got.c[..., k], got.exps), table[name]))
+        if not np.all(np.isfinite(g) & np.isfinite(w)):
+            raise ValueError(f"generator {name}: a coefficient is not finite")
+        size = np.maximum(np.abs(g), np.abs(w))
+        out[name] = float(np.max(np.abs(g - w) / np.where(size > 0.0, size, 1.0)))
+    return out
 
 
 def minus(a: QuantOperator, b: QuantOperator) -> QuantOperator:
@@ -364,7 +405,7 @@ def dirac_residuals(params, m, probes, z3s) -> list:
     """
     us = comoment_observables(params, m)
     ops = [qz.quantize(u, params) for u in us]
-    pairs = [(qz.quantize(qz.poisson_bracket(us[a], us[b], params), params),
+    pairs = [(qz.quantize(poisson_bracket(us[a], us[b]), params),
               minus(ops[a] @ ops[b], ops[b] @ ops[a]))
              for a in range(4) for b in range(a + 1, 4)]
     res = _relative_residual(stack(

@@ -28,8 +28,9 @@ compute them by operator chains on evaluators and composite
 Gauss-Legendre sums.
 
 The module also keeps the representation checks that only ever ran by
-quadrature: the central-difference generator ladder (the oracle of
-irreps.generator_gaps), faithfulness, and the right invariance of the
+quadrature: the central-difference generator ladder (the oracle of the
+decided generator consistency and its float gaps,
+probe_oracle.generator_gaps), faithfulness, and the right invariance of the
 lifted functions, with the characters, subgroup moduli and Borel section
 they are built from.  The per-probe Gaussian-moment sums
 (operator_image, gauss_inner, images_inner) are the oracle of irreps'

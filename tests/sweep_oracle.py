@@ -3,19 +3,22 @@
 `orbits` and `group.structural_report` decide their ranks and kernels
 exactly on the model's bracket table, and `orbits` decides Pukanszky's
 condition as exact polynomial identities; the classical suite decides the
-comoment Casimir and the pullback exactly on the comoment table, and the
-structure suite the spectrum of ad(X) as one characteristic polynomial.  These
-are the same checks written one float bracket call per basis pair and one
-scalar call per sample: the eigenvalues of ad(X) at sampled X, orbit
-membership to a relative 1e-9 at sampled points, the comoments evaluated in float64 at sampled phase points, and
-the pullback by central differences, with the float rank tolerances (SVD,
-`matrix_rank`, `lstsq`) the package no longer has.  `oracle_sweeps` swaps
-the algebra loops into the package, so a suite run inside it takes the
-loop path end to end.
+comoment Casimir and the light-cone bracket as Laurent identities and the
+pullback exactly on the comoment table, and the structure suite the
+spectrum of ad(X) as one characteristic polynomial.  These are the same
+checks written one float bracket call per basis pair and one scalar call
+per sample: the eigenvalues of ad(X) at sampled X, orbit membership to a
+relative 1e-9 at sampled points, the comoments evaluated in float64 at
+sampled phase points, the Casimir on the table in Fractions at one B and m
+(casimir_defect), and the pullback by central differences, with the float
+rank tolerances (SVD, `matrix_rank`, `lstsq`) the package no longer has.
+`oracle_sweeps` swaps the algebra loops into the package, so a suite run
+inside it takes the loop path end to end.
 """
 
 import contextlib
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +35,7 @@ from poincare_ext.group import (
     casimir_pairing,
     structure_constants,
 )
-from probe_oracle import comoment_observables
+from probe_oracle import comoment_observables, poisson_bracket
 
 #: the central charges the benchmark draws all-checks reports at
 BENCH_B = (-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0)
@@ -243,6 +246,30 @@ def pullback_residual(s, params, m):
     return abs(b - (-1.0) / params.hbar)
 
 
+def _product(f, g, scale=1) -> dict:
+    """scale f g on {(i, j): c} tables."""
+    out = {}
+    for (i, j), a in f.items():
+        for (k, l), b in g.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + scale * a * b
+    return out
+
+
+def casimir_defect(params, m) -> float:
+    """The comoments' Casimir minus m^2 on the table in Fractions, at one
+    B and m: u0^2 - u1^2 - 2B u2 u3 - m^2 (`model.casimir`) summed from
+    four tables, each coefficient read relative to the largest of the four
+    it sums, so a wrong entry reads of order 1 at every B.  0.0 where the
+    identity holds."""
+    B, m = Fraction(params.B), Fraction(m)
+    u0, u1, u2, u3 = qz.comoment_table(B, m)
+    parts = (_product(u0, u0), _product(u1, u1, -1), _product(u2, u3, -2 * B),
+             {(0, 0): -m * m})
+    return float(max(abs(sum(t.get(k, 0) for t in parts))
+                     / max(abs(t.get(k, 0)) for t in parts)
+                     for k in set().union(*parts)))
+
+
 def suite_classical(params, seed, m=1.0):
     """cli.suite_classical in float64: the comoment Casimir at 100 sampled
     phase points, and the pullback by central differences at 5 more."""
@@ -254,8 +281,8 @@ def suite_classical(params, seed, m=1.0):
         worst = max(worst, abs(c - m * m))
     q0 = qz.PolynomialObservable({(0, 1): -1.0 / params.B})
     q1 = qz.PolynomialObservable({(1, 0): -1.0, (0, 1): -1.0 / params.B})
-    pb = qz.poisson_bracket(q0, q1, params)
-    bracket_ok = abs(pb[(0, 0)] - 1.0 / params.B) == 0.0 and len(pb.coeffs) == 1
+    pb = poisson_bracket(q0, q1)
+    bracket_ok = pb.coeffs == (((0, 0), 1.0 / params.B),)
     pull = max(pullback_residual(PhasePoint(*rng.uniform(-2, 2, 2)),
                                  params, m) for _ in range(5))
     ok = bool(worst <= 1e-12 and bracket_ok and pull <= 1e-6)

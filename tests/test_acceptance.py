@@ -23,6 +23,8 @@ from poincare_ext.cli import (
     suite_structure,
 )
 from poincare_ext.group import ModelParams
+from probe_oracle import generator_gaps, poisson_bracket
+from sweep_oracle import casimir_defect
 
 P = ModelParams()
 SEED = 42
@@ -83,7 +85,11 @@ def test_criterion_5_representation_suites():
 def test_criterion_6_generator_finite_difference():
     t0 = time.time()
     rep6 = suite_generators(P, SEED)
-    ok = rep6["pass"] and time.time() - t0 < 10.0
+    # the decided identity, and its float coefficient gaps at this B
+    gaps = [gap for rep in (ir.RepParams("A", P, c2=1.0, z3=-1.0),
+                            ir.RepParams("C", P, zeta0=1.0, zeta1=0.3))
+            for gap in generator_gaps(rep).values()]
+    ok = rep6["pass"] and max(gaps) <= 1e-12 and time.time() - t0 < 10.0
     report(6, "generators dT(X) = d/dt T(exp tX) at 0 (exact jet derivative, 1e-12)", ok)
 
 
@@ -98,11 +104,14 @@ def test_criterion_7_quantization():
 
 def test_criterion_8_classical_layer():
     t0 = time.time()
-    worst = qz.casimir_defect(P, 1.0)
+    # the decided identities, and the Fraction Casimir and float bracket at
+    # this B
+    decided = qz.decided_identities()
+    worst = max(decided["comoment_casimir"], casimir_defect(P, 1.0))
     q0 = qz.PolynomialObservable({(0, 1): -1.0 / P.B})
     q1 = qz.PolynomialObservable({(1, 0): -1.0, (0, 1): -1.0 / P.B})
-    pb = qz.poisson_bracket(q0, q1, P)
-    exact = pb[(0, 0)] == 1.0 / P.B and len(pb.coeffs) == 1
+    exact = poisson_bracket(q0, q1).coeffs == (((0, 0), 1.0 / P.B),) \
+        and decided["lightcone_bracket"] == 0.0
     points = np.random.default_rng(SEED).uniform(-2, 2, (5, 2)).tolist()
     pull = qz.pullback_defect(P, 1.0, points)
     ok = worst <= 1e-12 and exact and pull <= 1e-6 and time.time() - t0 < 2.0

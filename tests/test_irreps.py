@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from poincare_ext import group as grp
 from poincare_ext import irreps as ir
 from poincare_ext import quantization as qz
-from poincare_ext.cli import GENERATOR_GATE, REP_GATES, REP_LABELS
+from poincare_ext.cli import REP_LABELS
 from poincare_ext.conventions import SQRT_MINUS_H
 from poincare_ext.group import (AlgebraElement, GroupElement, ModelParams,
                                 bracket, compose, exp_map, identity)
 from poincare_ext.wavefunctions import Probe, hermite_probe
-from probe_oracle import (default_probes, gap, hermiticity_residual, rep_draws,
+from probe_oracle import (GENERATOR_GATE, REP_GATES, default_probes, gap,
+                          generator_gaps, hermiticity_residual, rep_draws,
                           rep_sweep, verify_casimir, verify_commutators,
                           verify_homomorphism, verify_unitarity)
 from quadrature_oracle import (WaveFunction, affine_apply, borel_decompose,
@@ -529,6 +530,15 @@ def _c2_sign_mutant(generators):
     return mutant
 
 
+def _p0_sign_mutant(generators):
+    # family C's P0 -> -P0: the brackets with J change sign, and P0^2 and
+    # so the Casimir do not
+    def mutant(rep):
+        gens = generators(rep)
+        return {**gens, "P0": -1 * gens["P0"]} if rep.family == "C" else gens
+    return mutant
+
+
 def _label_swap_mutant(generators):
     # family C's P0 and P1 with zeta_0 and zeta_1 swapped, which swaps the
     # two operators: the brackets hold, and P^a P_a changes sign
@@ -553,14 +563,16 @@ def decided_afresh(family):
     (_cosh_sinh_mutant, REP_C, ("P0",), ("commutators", "casimir")),
     (_i_coefficient_mutant, REP_A, ("I",), ("commutators", "casimir")),
     (_c2_sign_mutant, REP_A, ("J",), ("casimir",)),
+    (_p0_sign_mutant, REP_C, ("P0",), ("commutators",)),
     (_label_swap_mutant, REP_C, ("P0", "P1"), ("casimir",)),
 ), ids=("A-J-xD-sign", "C-cosh-sinh", "A-I-coefficient", "A-c2-sign",
-        "C-label-swap"))
+        "C-P0-sign", "C-label-swap"))
 def test_planted_generator_defect_fails_closed_form_and_oracle(mutant, rep, names,
                                                                fields, monkeypatch):
     # the decided identities, the kernel and the oracles' generator chains
-    # (generator_apply) read the same table; the jets of generator_gaps
-    # read T(g), not the table
+    # (generator_apply) read the same table; the jets of T(g), decided and
+    # in the float gaps, read T(g), not the table, so generator consistency
+    # fails on the generators the defect touches and on no other
     monkeypatch.setattr(ir, "_generators", mutant(ir._generators))
     decided, oracles = decided_afresh(rep.family), oracle_checks(rep)
     probes = default_probes(5)
@@ -572,7 +584,9 @@ def test_planted_generator_defect_fails_closed_form_and_oracle(mutant, rep, name
                 (field, decided[field], floats, value)
         else:
             assert decided[field] == 0.0, (field, decided)
-    gaps = ir.generator_gaps(rep)
+    assert all((v > 0.0) is (n in names) for n, v in decided["generators"].items()), \
+        decided
+    gaps = generator_gaps(rep)
     assert all((gap > GENERATOR_GATE) is (n in names) for n, gap in gaps.items()), gaps
     errs = generator_consistency(rep, hermite_wf(1))
     assert not any(second_order(errs[name]) for name in names)
@@ -645,7 +659,7 @@ def test_jet_derivative_is_the_central_difference(family, B):
         for key, got_k in slopes.items():
             w = want.get(key, 0.0)
             assert abs(got_k[k] - w) <= 1e-8 * size, (k, key, got_k[k], w)
-    assert ir.generator_gaps(rep) == dict.fromkeys(ir.BASIS_NAMES, 0.0)
+    assert generator_gaps(rep) == dict.fromkeys(ir.BASIS_NAMES, 0.0)
 
 
 def _random_affine_phase(rng, basis):

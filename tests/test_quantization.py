@@ -24,10 +24,10 @@ import probe_oracle as po
 from probe_oracle import (_covariance_residual, _kernel, comoment_hermiticity,
                           comoment_observables, covariance_observables,
                           covariance_suite, default_probes, dirac_residuals,
-                          hermiticity_residual, minus, verify_casimir,
-                          verify_commutators, verify_unitarity)
-from sweep_oracle import (PhasePoint, comoments, evaluate, momentum_map,
-                          pullback_residual)
+                          hermiticity_residual, minus, poisson_bracket,
+                          verify_casimir, verify_commutators, verify_unitarity)
+from sweep_oracle import (PhasePoint, casimir_defect, comoments, evaluate,
+                          momentum_map, pullback_residual)
 from sweep_oracle import BENCH_B
 from sweep_oracle import suite_classical as classical_oracle
 from quadrature_oracle import (_window, affine_apply, gauss_inner,
@@ -67,7 +67,7 @@ def dirac_at(params, m, probes, z3=None):
 
 def homomorphism_gap(us, a, b):
     """Largest coefficient of {u_a, u_b} - u_[a, b], on the arrays c."""
-    pb = qz.poisson_bracket(us[a], us[b], P)
+    pb = poisson_bracket(us[a], us[b])
     coeffs = bracket(basis_el(a), basis_el(b), P).v
     return float(np.max(np.abs(pb.c - sum(c * u.c for c, u in zip(coeffs, us)))))
 
@@ -87,7 +87,7 @@ def test_comoment_identities():
         u = comoments(s, P, M)
         assert u.u[3] == -1.0
         assert abs(casimir_pairing(u, P) - M * M) < 1e-12
-    assert qz.casimir_defect(P, M) == 0.0
+    assert casimir_defect(P, M) == 0.0
 
 
 @given(B=st.sampled_from([s * b for b in (5e-324, 1e-300, 1e-8, 1.3, 1e4, 1e300)
@@ -115,13 +115,13 @@ def test_comoments_are_lie_homomorphism():
 def test_bracket_orientation():
     q = qz.PolynomialObservable({(1, 0): 1.0})
     p = qz.PolynomialObservable({(0, 1): 1.0})
-    pb = qz.poisson_bracket(q, p, P)
+    pb = poisson_bracket(q, p)
     # orientation fixed by the comoment homomorphism: {q, p} = -1
-    assert pb[(0, 0)] == -1.0
+    assert pb.coeffs == (((0, 0), -1.0),)
     # light-cone coordinate brackets: {q^0, q^1} = 1/B
     q0 = qz.PolynomialObservable({(0, 1): -1.0 / P.B})
     q1 = qz.PolynomialObservable({(1, 0): -1.0, (0, 1): -1.0 / P.B})
-    pb = qz.poisson_bracket(q0, q1, P)
+    pb = poisson_bracket(q0, q1)
     assert pb.coeffs == (((0, 0), 1.0 / P.B),)
 
 
@@ -153,7 +153,7 @@ def test_pullback_of_orbit_form():
 def test_pullback_is_exact_everywhere(B, hbar, m, points):
     # the identity holds at every rational point, B, hbar and m
     assert qz.pullback_defect(ModelParams(B, hbar), m, points) == 0.0
-    assert qz.casimir_defect(ModelParams(B, hbar), m) == 0.0
+    assert casimir_defect(ModelParams(B, hbar), m) == 0.0
 
 
 def flipped_u0(table=qz.comoment_table):
@@ -162,6 +162,28 @@ def flipped_u0(table=qz.comoment_table):
         u0, *rest = table(B, m)
         return ({**u0, (1, 0): -u0[1, 0]}, *rest)
     return mutant
+
+
+def flipped_u2_constant(table=qz.comoment_table):
+    """The comoment table with u2's m^2 / (2B) taken as -m^2 / (2B): a
+    planted defect.  u2 is defined up to a constant, and the Casimir fixes
+    it."""
+    def mutant(B, m):
+        u0, u1, u2, u3 = table(B, m)
+        return u0, u1, {**u2, (0, 0): -u2[0, 0]}, u3
+    return mutant
+
+
+def flipped_poisson(bracket=qz._poisson):
+    """The Poisson bracket with its orientation flipped, {f, g} taken as
+    df/dq dg/dp - df/dp dg/dq: a planted defect."""
+    return lambda f, g: -bracket(f, g)
+
+
+def decide_afresh(monkeypatch):
+    """Have the suites decide quantization's identities again, past the
+    once-per-process memo, so that a planted defect shows."""
+    monkeypatch.setattr(qz, "decided_identities", qz.decided_identities.__wrapped__)
 
 
 def flipped_central_sign(B, brackets=model.brackets):
@@ -183,13 +205,49 @@ def test_planted_u0_sign_fails_exact_and_oracle(B, monkeypatch):
     # -2B u2 u3, which cancelled before: it reads 2 at every B.  The
     # tangents leave the orbit, so the pullback has no solution
     monkeypatch.setattr(qz, "comoment_table", flipped_u0())
+    decide_afresh(monkeypatch)
     p = ModelParams(B)
     report = cli.suite_classical(p, 42)
     assert report["comoment_casimir"] == 2.0 and not report["pass"]
     assert report["pullback"]["error"].endswith("leaves the orbit")
+    assert casimir_defect(p, M) == 2.0
     if B in BENCH_B:
         ref = classical_oracle(p, 42)
         assert ref["comoment_casimir"] > 1e-12 and ref["pullback"] > 1e-6
+
+
+@pytest.mark.parametrize("B", PLANT_B)
+def test_planted_u2_constant_sign_fails_exact_and_oracle(B, monkeypatch):
+    # the constant coefficient of the Casimir sums -m^2 from -2B u2 u3 and
+    # -m^2 itself, which cancelled before: it reads 2 at every B.  No
+    # bracket sees a constant, so the bracket and the pullback still hold
+    monkeypatch.setattr(qz, "comoment_table", flipped_u2_constant())
+    decide_afresh(monkeypatch)
+    p = ModelParams(B)
+    assert cli.suite_classical(p, 42) == {
+        "comoment_casimir": 2.0, "lightcone_bracket_exact": True,
+        "pullback": 0.0, "pass": False}
+    assert casimir_defect(p, M) == 2.0
+    if B in BENCH_B:
+        assert classical_oracle(p, 42)["comoment_casimir"] > 1e-12
+
+
+@pytest.mark.parametrize("B", PLANT_B)
+def test_planted_poisson_sign_fails_exact_and_oracle(B, monkeypatch):
+    # {q^0, q^1} reads -1/B, 2 relative to 1/B at every B; the Dirac pair
+    # swaps, the condition failing at the orbit's z3 and holding at the
+    # wrong sign
+    monkeypatch.setattr(qz, "_poisson", flipped_poisson())
+    decide_afresh(monkeypatch)
+    p = ModelParams(B)
+    decided = qz.decided_identities()
+    assert decided["lightcone_bracket"] == 2.0 and decided["comoment_casimir"] == 0.0
+    assert (decided["dirac"], decided["dirac_wrong_sign"]) == (2.0, 0.0)
+    report = cli.suite_classical(p, 42)
+    assert report["lightcone_bracket_exact"] is False and not report["pass"]
+    assert not cli.suite_quantization(p, 42)["pass"]
+    if B in BENCH_B:
+        assert classical_oracle(p, 42)["lightcone_bracket_exact"] is False
 
 
 @pytest.mark.parametrize("B", PLANT_B)
@@ -198,6 +256,7 @@ def test_planted_central_sign_fails_exact_and_oracle(B, monkeypatch):
     # table; the comoments, which do not, then leave its orbits
     monkeypatch.setattr(model, "brackets", flipped_central_sign)
     monkeypatch.setattr(grp, "brackets", flipped_central_sign)
+    decide_afresh(monkeypatch)
     p = ModelParams(B)
     report = cli.suite_classical(p, 42)
     assert report["comoment_casimir"] == 0.0 and not report["pass"]
@@ -217,9 +276,9 @@ def test_degree_gate_total():
 
 def test_parse_poly():
     f = qz.parse_poly("q^2 + 2qp - 0.5")
-    assert f[(2, 0)] == 1.0 and f[(1, 1)] == 2.0 and f[(0, 0)] == -0.5
+    assert f.c[2, 0] == 1.0 and f.c[1, 1] == 2.0 and f.c[0, 0] == -0.5
     g = qz.parse_poly("-q + 3.5p^2")
-    assert g[(1, 0)] == -1.0 and g[(0, 2)] == 3.5
+    assert g.c[1, 0] == -1.0 and g.c[0, 2] == 3.5
     with pytest.raises(ValueError):
         qz.parse_poly("q**2")
 
@@ -301,7 +360,7 @@ def test_poisson_bracket_equals_polyder_reference(f, g):
     fq, fp = npp.polyder(f.c, axis=0), npp.polyder(f.c, axis=1)
     gq, gp = npp.polyder(g.c, axis=0), npp.polyder(g.c, axis=1)
     want = qz.PolynomialObservable(ir._polymul2(fp, gq) - ir._polymul2(fq, gp))
-    assert np.array_equal(qz.poisson_bracket(f, g, ModelParams()).c, want.c)
+    assert np.array_equal(poisson_bracket(f, g).c, want.c)
 
 
 AFFINE = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
@@ -487,7 +546,7 @@ def test_u2_offset_keeps_homomorphism():
     # u2 is defined up to an additive constant
     us = list(comoment_observables(P, M))
     us[2] = qz.PolynomialObservable({**dict(us[2].coeffs),
-                                     (0, 0): us[2][(0, 0)] + 2.5})
+                                     (0, 0): us[2].c[0, 0] + 2.5})
     assert homomorphism_gap(us, 0, 2) < 1e-14
 
 
@@ -606,10 +665,15 @@ def test_product_without_its_exponential_shift_fails(monkeypatch):
     rng = np.random.default_rng(5)
     a, b = (random_operator(rng, 3, (2, 1), (-1, 0, 1)) for _ in range(2))
     monkeypatch.setattr(ir, "_shift", lambda q, n: [[(j, 1)] for j in range(n)])
-    gate = cli.REP_GATES["commutators"]
+    gate = po.REP_GATES["commutators"]
     decided = ir.decided_identities.__wrapped__()
     assert decided["C"]["commutators"] > gate, decided
-    assert decided["A"] == decided["B"] == {"commutators": 0.0, "casimir": 0.0}
+    # generator consistency compares the jets of T with the table, and
+    # takes no product
+    consistent = dict.fromkeys(ir.BASIS_NAMES, 0.0)
+    assert decided["C"]["generators"] == consistent, decided
+    assert decided["A"] == decided["B"] == {"commutators": 0.0, "casimir": 0.0,
+                                            "generators": consistent}
     assert verify_commutators(rep, default_probes(5)) > gate
     gens = ir._generators(rep)
     f, x = hermite_wf(3, depth=8), np.linspace(-3.0, 3.0, 31)
@@ -763,7 +827,7 @@ def quadrature_dirac(params, m, probes, z3s):
     chains = []
     for a in range(4):
         for b in range(a + 1, 4):
-            qbr = qz.quantize(qz.poisson_bracket(us[a], us[b], params), params)
+            qbr = qz.quantize(poisson_bracket(us[a], us[b]), params)
             comm = wf_sub(operator_apply(ops[a], operator_apply(ops[b], f)),
                           operator_apply(ops[b], operator_apply(ops[a], f)))
             chains.append((operator_apply(qbr, f), comm))

@@ -182,17 +182,21 @@ def test_numpy_free_modules_import_no_dataclasses(module):
 
 
 #: the Gaussian-moment probe kernel, its probes and the float sweeps on
-#: them: the oracle in tests/probe_oracle.py, with no copy in the package
+#: them, the float generator gaps and the Fraction comoment Casimir: the
+#: oracle in tests/probe_oracle.py and tests/sweep_oracle.py, with no copy
+#: in the package
 PROBE_KERNEL = {"_xd_powers", "_moments", "_kernel", "_square_norms",
                 "_relative_residual", "_hermite_probes", "default_probes",
                 "verify_homomorphism", "verify_unitarity", "covariance_suite",
-                "_covariance_residual", "gap", "unitarity_gap", "_sups"}
+                "_covariance_residual", "gap", "unitarity_gap", "_sups",
+                "generator_gaps", "casimir_defect"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_defines_the_probe_kernel(path):
-    # homomorphism, unitarity and covariance are decided as Laurent
-    # identities; their seeded float versions on the probes are the oracle
+    # homomorphism, unitarity, covariance, generator consistency and the
+    # comoment Casimir are decided as Laurent identities; their seeded or
+    # per-report float and Fraction versions are the oracle
     tree = ast.parse(path.read_text())
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
