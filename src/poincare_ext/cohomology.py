@@ -4,7 +4,9 @@ Works for any finite-dimensional real Lie algebra handed over as
 structure constants.  The constants are held as exact fractions (every
 float is one), and ranks come from `model.rank`, the package's one exact
 elimination: cohomology dimensions are integers and must not depend on a
-tolerance.  The module imports no numpy.
+tolerance.  `decided_dims` ranks i12 once per process with B a
+laurent.Laurent variable, so for every B != 0 at once, and the shipped
+algebras, which have no B, once too.  The module imports no numpy.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from .model import BASIS_NAMES, ModelParams, _Record, brackets, rank
+from .model import BASIS_NAMES, ModelParams, _Record, brackets, exact, rank
 
 __all__ = [
     "StructureConstants",
     "ce_differential",
     "cohomology_dim",
     "cohomology_dims",
+    "decided_dims",
     "catalog_algebra",
     "load_algebra_file",
     "CATALOG_NAMES",
@@ -33,7 +36,8 @@ class StructureConstants(_Record):
     """Structure constants c^C_{AB} with [T_A, T_B] = c^C_{AB} T_C.
 
     c is any nested n x n x n sequence of numbers, an array included; it is
-    stored as nested tuples of exact Fractions.  The table must be a Lie
+    stored as nested tuples of exact Fractions, or of laurent.Laurent
+    polynomials as they are (`model.exact`).  The table must be a Lie
     algebra exactly: round-off in a constant would read as rank.
     """
 
@@ -41,7 +45,7 @@ class StructureConstants(_Record):
 
     def __init__(self, n: int, c: tuple, basis_names: tuple = (), name: str = ""):
         try:
-            c = tuple(tuple(tuple(map(Fraction, row)) for row in plane)
+            c = tuple(tuple(tuple(map(exact, row)) for row in plane)
                       for plane in c)
         except (TypeError, ValueError, OverflowError):
             c = ()
@@ -155,9 +159,14 @@ def catalog_algebra(name: str, B: float = 1.0) -> StructureConstants:
     """
     if name == "i12":
         ModelParams(B=B)  # a nonzero B, or the model's ValueError
-        return StructureConstants(n=4, c=_from_brackets(4, brackets(B)),
-                                  basis_names=BASIS_NAMES, name="i12")
+        return _i12(B)
     return _catalog_file(name)
+
+
+def _i12(B) -> StructureConstants:
+    """The extended Poincare algebra on model.brackets at B."""
+    return StructureConstants(n=4, c=_from_brackets(4, brackets(B)),
+                              basis_names=BASIS_NAMES, name="i12")
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,3 +186,19 @@ EXPECTED_DIMS = {
     "wh": {0: 1, 1: 2, 2: 2},
     "so21": {0: 1, 1: 0, 2: 0},
 }
+
+
+@functools.cache
+def decided_dims() -> dict:
+    """{name: {k: dim H^k}} of the catalog at the degrees of EXPECTED_DIMS,
+    once per process, on first use.
+
+    i12's table is model.brackets at B the laurent.Laurent variable, so
+    its ranks are decided for every B != 0 at once (`model.row_basis`'s
+    one-term rule); the shipped algebras have no B.
+    """
+    from .laurent import Laurent
+    return {name: cohomology_dims(EXPECTED_DIMS[name],
+                                  _i12(Laurent.var("B")) if name == "i12"
+                                  else _catalog_file(name))
+            for name in CATALOG_NAMES}

@@ -4,7 +4,8 @@ Basis order for the algebra is (P0, P1, J, I); group elements carry the
 global coordinates (theta0, theta1, alpha, beta) of the coset
 decomposition exp(theta^a P_a) exp(alpha J) exp(beta I).  The defining
 brackets, ModelParams, the Casimir on components and the exact elimination
-that decides the central and derived series live in `model`.  The group
+that decides the central and derived series (decided_series, for every
+B != 0 at once) live in `model`.  The group
 is solvable exponential (decided_ad_spectrum), so exp is a global
 diffeomorphism; exp and log are evaluated in closed form and every
 operation here is total.
@@ -27,7 +28,8 @@ from .conventions import (
     minkowski_square,
 )
 from . import model
-from .model import ModelParams, _sinh_defect, brackets, casimir, row_basis
+from .model import (_LAURENT, ModelParams, _sinh_defect, brackets, casimir,
+                    row_basis)
 
 __all__ = [
     "ModelParams",
@@ -43,7 +45,9 @@ __all__ = [
     "adjoint_matrix",
     "coadjoint_action",
     "casimir_pairing",
+    "structural_series",
     "structural_report",
+    "decided_series",
     "decided_ad_spectrum",
     "lorentz_matrix",
 ]
@@ -70,9 +74,6 @@ def _stack_last(coords) -> np.ndarray:
         return np.array(coords, dtype=float)
     out = np.stack(coords, axis=-1)
     return out if out.dtype == object else out.astype(float, copy=False)
-
-
-_LAURENT = f"{__package__}.laurent"
 
 
 def _generic(coords) -> bool:
@@ -393,18 +394,16 @@ def decided_ad_spectrum() -> float:
     return relative_defect([det, -lam ** 4, lam ** 2 * v[2] ** 2])
 
 
-def structural_report(p: ModelParams = ModelParams()) -> dict:
-    """The structural claims about the algebra, decided exactly.
-
-    Returns the descending central and derived series dimensions, exact
-    ranks at p.B, and ad_spectrum, the decided_ad_spectrum defect.
-    """
+def structural_series(B) -> dict:
+    """The descending central and derived series dimensions of the algebra
+    at B, as exact ranks (`model.row_basis`): in Fractions at a float B,
+    and for every B != 0 at once at B a laurent.Laurent variable."""
     full = [[int(a == b) for b in range(4)] for a in range(4)]
 
     central = [4]
     term = full
     for _ in range(8):
-        term = row_basis([model.bracket(x, y, p.B) for x in full for y in term])
+        term = row_basis([model.bracket(x, y, B) for x in full for y in term])
         central.append(len(term))
         if len(central) >= 3 and central[-1] == central[-2]:
             break
@@ -412,11 +411,24 @@ def structural_report(p: ModelParams = ModelParams()) -> dict:
     derived = [4]
     term = full
     while len(term):
-        term = row_basis([model.bracket(x, y, p.B) for x in term for y in term])
+        term = row_basis([model.bracket(x, y, B) for x in term for y in term])
         derived.append(len(term))
 
-    return {
-        "central_series_dims": central,
-        "derived_series_dims": derived,
-        "ad_spectrum": decided_ad_spectrum(),
-    }
+    return {"central_series_dims": central, "derived_series_dims": derived}
+
+
+@functools.cache
+def decided_series() -> dict:
+    """structural_series at B the laurent.Laurent variable: the series
+    dimensions for every B != 0, decided once per process, on first use."""
+    from .laurent import Laurent
+    return structural_series(Laurent.var("B"))
+
+
+def structural_report(p: ModelParams = ModelParams()) -> dict:
+    """The structural claims about the algebra, decided for every B != 0,
+    so the same at every p: the central and derived series dimensions
+    (decided_series) and ad_spectrum, the decided_ad_spectrum defect.
+    Each call returns lists of its own."""
+    return {**{name: list(dims) for name, dims in decided_series().items()},
+            "ad_spectrum": decided_ad_spectrum()}

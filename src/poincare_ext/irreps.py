@@ -79,6 +79,10 @@ class RepParams:
     zeta1: float = 0.0   # family C
 
     def __post_init__(self):
+        for name in ("c2", "z3", "zeta2", "zeta0", "zeta1"):
+            value = getattr(self, name)  # a float, or a laurent.Laurent variable
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"the label {name} must be finite, got {value!r}")
         if self.family == "A":
             if self.z3 == 0.0:
                 raise ValueError("family A requires a nonzero central label")
@@ -271,13 +275,16 @@ class QuantOperator:
         """The terms of a polynomial operator; ValueError for an e^{kx} term."""
         if self.exps != (0,):
             raise ValueError("QuantOperator.describe: an e^{kx} term is not described")
-        terms = []
-        for (j, i), v in np.ndenumerate(self.c[0].T):
-            if v:
-                x = "" if i == 0 else "x" if i == 1 else f"x^{i}"
-                d = "" if j == 0 else "d/dx" if j == 1 else f"d{j}/dx{j}"
-                terms.append("*".join([f"({v:g})"] + [s for s in (x, d) if s]))
+        terms = ["*".join([f"({v:g})"] + _term_factors(i, j))
+                 for (j, i), v in np.ndenumerate(self.c[0].T) if v]
         return " + ".join(terms) if terms else "0"
+
+
+def _term_factors(i: int, j: int) -> list:
+    """The factors of x^i d^j/dx^j as QuantOperator.describe writes them."""
+    x = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+    d = "" if j == 0 else "d/dx" if j == 1 else f"d{j}/dx{j}"
+    return [s for s in (x, d) if s]
 
 
 class Jet:

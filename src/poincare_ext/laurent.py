@@ -7,8 +7,13 @@ homomorphism and unitarity of T and the covariance of the quantization
 for every group element too.  `irreps`, `quantization` and `group` run
 their tables and the group law unchanged on Laurent variables, the
 exponentials of a rapidity through Laurent.exp, and decide each identity
-once per process, on first use, by relative_defect.  A command that
-decides nothing imports this module never.
+once per process, on first use, by relative_defect.  `cohomology`,
+`group` and `orbits` run model's one exact elimination (Bareiss, whose
+divisions are Laurent.__floordiv__) and their checks unchanged at B a
+Laurent variable, and decide the cohomology, the central and derived
+series and the orbit cases for every B != 0 by the one-term rule
+(Laurent.nowhere_zero).  A command that decides nothing imports this
+module never.
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ class Laurent:
     coefficient, and one shift k, shared by every term, scales them all:
     the polynomial is sum (re + i im) 2^-k x^monomial.  Every number the
     tables meet is dyadic (a float is an integer times 2^e, and the tables'
-    constants are 1/2, 1/4 and integers), and +, -, * and division by a
-    monomial with coefficient a unit times 2^j keep the numerators integers,
-    so no operation rounds.  A monomial is one int, sum_v e_v 2^(16 v) over
+    constants are 1/2, 1/4 and integers), +, - and * keep the numerators
+    integers, and / (or //) divides by one term c x^m exactly or raises, so
+    no operation rounds.  A monomial is one int, sum_v e_v 2^(16 v) over
     the indices v of its variables, so the product of two monomials is the
     sum of their ints (exact while each exponent stays below 2^15 in size).
     The variables are real: conjugate() conjugates the coefficients.
@@ -94,8 +99,8 @@ class Laurent:
         other = Laurent._coerce(other)
         if other is None:
             return NotImplemented
-        if not other.terms:
-            return self
+        if not (other.terms and self.terms):
+            return other if other.terms else self
         a, b = (self, other) if self.k >= other.k else (other, self)
         shift, terms = a.k - b.k, dict(a.terms)
         for mono, (re, im) in b.terms.items():
@@ -112,6 +117,8 @@ class Laurent:
     __radd__ = __add__
 
     def __neg__(self) -> "Laurent":
+        if not self.terms:
+            return self
         return Laurent({m: (-re, -im) for m, (re, im) in self.terms.items()}, self.k)
 
     def __sub__(self, other):
@@ -143,27 +150,64 @@ class Laurent:
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "Laurent":
-        """1 / self, for a monomial whose coefficient is +-2^j or +-i 2^j."""
-        if len(self.terms) == 1:
-            (mono, (re, im)), = self.terms.items()
-            n = abs(re or im)
-            if not (re and im or n & (n - 1)):
-                unit = (1 if re > 0 else -1, 0) if re else (0, -1 if im > 0 else 1)
-                return Laurent({-mono: unit}, n.bit_length() - 1 - self.k)
-        raise ValueError("only a monomial of coefficient +-2^j or +-i 2^j "
-                         "inverts exactly")
-
     def __truediv__(self, other):
+        """self / other, exact: other a nonzero number or one term c x^m.
+        ValueError where other has more terms, or a quotient coefficient is
+        not a Gaussian integer over a power of two."""
+        if type(other) is int and other == 1:
+            return self
         other = Laurent._coerce(other)
-        return NotImplemented if other is None else self * other._inverse()
+        if other is None:
+            return NotImplemented
+        if len(other.terms) != 1:
+            raise ValueError(f"a divisor of {len(other.terms)} terms does not "
+                             "divide exactly: only a nonzero one-term c x^m does")
+        if not self.terms:
+            return self
+        (mono, (cr, ci)), = other.terms.items()
+        # c = (cr + i ci) 2^s with cr or ci odd, and self / c =
+        # self conj(c) / (|c|^2 2^s), with |c|^2 = odd 2^t
+        s = ((cr | ci) & -(cr | ci)).bit_length() - 1
+        cr, ci = cr >> s, ci >> s
+        norm = cr * cr + ci * ci
+        t = (norm & -norm).bit_length() - 1
+        odd, terms = norm >> t, {}
+        for m, (re, im) in self.terms.items():
+            a, b = re * cr + im * ci, im * cr - re * ci
+            if a % odd or b % odd:
+                raise ValueError("the division by a one-term divisor is not exact")
+            terms[m - mono] = (a // odd, b // odd)
+        return Laurent(terms, self.k + s + t - other.k)
+
+    #: model.row_basis's Bareiss divides with //, exact by construction
+    __floordiv__ = __truediv__
 
     def __rtruediv__(self, other):
         other = Laurent._coerce(other)
-        return NotImplemented if other is None else other * self._inverse()
+        return NotImplemented if other is None else other / self
+
+    def as_integer_ratio(self) -> tuple:
+        """(n, d) with self = n / d: n a Laurent of Gaussian-integer
+        coefficients, d a power of two, as int's and float's methods give
+        for a number (not always in lowest terms)."""
+        if self.k <= 0:
+            return Laurent({m: (re << -self.k, im << -self.k)
+                            for m, (re, im) in self.terms.items()}), 1
+        return Laurent(self.terms), 1 << self.k
+
+    def nowhere_zero(self) -> bool:
+        """Whether self is nonzero at every nonzero value of its variables,
+        by the one-term rule: True for one term c x^m, False for 0 (zero
+        at every value).  ValueError for more terms, which may vanish at
+        some values and not at others: the rule does not decide them."""
+        if len(self.terms) > 1:
+            raise ValueError(f"a Laurent polynomial of {len(self.terms)} terms "
+                             "may vanish at some values of its variables: the "
+                             "one-term rule does not decide whether it is 0")
+        return bool(self.terms)
 
     def __pow__(self, n: int) -> "Laurent":
-        base, out = (self if n >= 0 else self._inverse()), Laurent({0: (1, 0)})
+        base, out = (self if n >= 0 else 1 / self), Laurent({0: (1, 0)})
         for _ in range(abs(n)):
             out = out * base
         return out

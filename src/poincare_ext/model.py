@@ -8,7 +8,8 @@ with J and I commuting with I, are stated here once; `group` builds its
 float structure constants from them, and `cohomology` its exact ones.
 One exact elimination here (`rank`, `row_basis`, `kernel`, with `bracket`
 and the Kirillov form `kirillov` on the table) decides every algebra
-dimension.  The Casimir on components, the three coadjoint orbit cases
+dimension: in Fractions at a float B, or for every B != 0 at once with B
+a laurent.Laurent variable (`exact`, `nonzero`).  The Casimir on components, the three coadjoint orbit cases
 and the classical particle's closed forms, with the two drift integrals
 of its velocity that the dynamics oracles need, are here too, which
 `group`, `orbits` and `dynamics` use or re-export.  Without numpy,
@@ -18,10 +19,12 @@ of its velocity that the dynamics oracles need, are here too, which
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
-__all__ = ["ModelParams", "BASIS_NAMES", "brackets", "bracket", "rank",
-           "row_basis", "kernel", "casimir", "kirillov", "OrbitClass",
+__all__ = ["ModelParams", "BASIS_NAMES", "brackets", "bracket", "exact",
+           "nonzero", "rank", "row_basis", "kernel", "casimir", "kirillov",
+           "OrbitClass",
            "classify", "ClassicalState", "kinematical_momentum",
            "relativistic_energy", "classical_trajectory",
            "proper_time", "drift_integrals"]
@@ -91,10 +94,33 @@ def brackets(B) -> tuple:
             (1, 2, (1, 0, 0, 0)))    # [P1, J] = eps_1^0 P0
 
 
+_LAURENT = f"{__package__}.laurent"
+
+
+def _is_laurent(x) -> bool:
+    """Whether x is a laurent.Laurent; without that module loaded, none is."""
+    laurent = sys.modules.get(_LAURENT)
+    return laurent is not None and isinstance(x, laurent.Laurent)
+
+
+def exact(x):
+    """x held exactly: a laurent.Laurent (a variable B, say) as it is, any
+    other number as its Fraction, which raises for one that is not finite."""
+    return x if _is_laurent(x) else Fraction(x)
+
+
+def nonzero(x) -> bool:
+    """x != 0 for a number.  A laurent.Laurent is decided at every value of
+    its variables by the one-term rule (Laurent.nowhere_zero): one term
+    c B^k is nonzero at every B != 0, and any longer polynomial raises."""
+    return x.nowhere_zero() if _is_laurent(x) else bool(x)
+
+
 def bracket(x, y, B) -> tuple:
-    """[x, y] from the table; exact for int or Fraction x and y (B is read exactly)."""
+    """[x, y] from the table; exact for int or Fraction x and y (B is read
+    exactly, `exact`)."""
     z = [0, 0, 0, 0]
-    for a, c, coeffs in brackets(Fraction(B)):
+    for a, c, coeffs in brackets(exact(B)):
         minor = x[a] * y[c] - x[c] * y[a]
         if minor:
             z = [s + minor * k if k else s for s, k in zip(z, coeffs)]
@@ -104,16 +130,20 @@ def bracket(x, y, B) -> tuple:
 def row_basis(rows) -> list:
     """An integer basis of the span of rows: their reduced echelon form.
 
-    Rows are scaled to integers (`as_integer_ratio` is exact for int, float
-    and Fraction) and reduced fraction-free (Bareiss, Math. Comp. 22 (1968)
-    565): each division by the last pivot is exact, and all pivots end equal.
+    Rows are scaled to integers (`as_integer_ratio` is exact for int, float,
+    Fraction and laurent.Laurent) and reduced fraction-free (Bareiss, Math.
+    Comp. 22 (1968) 565): each division by the last pivot is exact over any
+    integral domain, and all pivots end equal.  Entries that are Laurent
+    polynomials in B decide the span for every B != 0 at once: each pivot
+    must pass `nonzero`'s one-term rule, so it is nonzero at every such B,
+    and each B's Fractions pick the same pivot rows.
     """
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     rows = [[n * (lcm // d) for n, d in ratio]
             for ratio, lcm in ((q, math.lcm(*(d for _, d in q))) for q in ratios)]
     r, prev = 0, 1
     for col in range(len(rows[0]) if rows else 0):
-        pick = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        pick = next((i for i in range(r, len(rows)) if nonzero(rows[i][col])), None)
         if pick is None:
             continue
         rows[r], rows[pick] = rows[pick], rows[r]
@@ -126,7 +156,7 @@ def row_basis(rows) -> list:
 
 
 def rank(rows) -> int:
-    """The exact rank of rows of int, float or Fraction."""
+    """The exact rank of rows of int, float, Fraction or laurent.Laurent."""
     return len(row_basis(rows))
 
 

@@ -8,21 +8,25 @@ signs of the light-cone components u0 + u1 and u0 - u1.  `classify` and
 `OrbitClass` are re-exported from `model`, whose exact elimination decides
 closure, h^perp, the Kirillov rank and subordination with no tolerance;
 Pukanszky's condition is decided exactly too, as polynomial identities of
-the orbit invariants on zeta + h^perp.
+the orbit invariants on zeta + h^perp.  The checks run in Fractions at a
+float B, and `decided_cases` runs them once per process at B a
+laurent.Laurent variable, for every B != 0 at once: each nonzero defect
+must pass `model.nonzero`'s one-term rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
 from .group import AlgebraElement, CoadjointPoint
-from .model import (ModelParams, OrbitClass, bracket, casimir, classify, kernel,
-                    kirillov, rank, row_basis)
+from .model import (ModelParams, OrbitClass, bracket, casimir, classify, exact,
+                    kernel, kirillov, nonzero, rank, row_basis)
 
 __all__ = [
     "OrbitClass",
@@ -35,6 +39,9 @@ __all__ = [
     "CASE_A_SUBALGEBRA",
     "CASE_B_SUBALGEBRA",
     "CASE_C_SUBALGEBRA",
+    "CASES",
+    "check_cases",
+    "decided_cases",
 ]
 
 
@@ -91,7 +98,7 @@ def CASE_C_SUBALGEBRA(p: ModelParams = ModelParams()) -> Subalgebra:
 
 def kirillov_form(zeta: CoadjointPoint, p: ModelParams = ModelParams()) -> np.ndarray:
     """Antisymmetric K_{AB} = <zeta, [T_A, T_B]> = zeta_C c^C_{AB} in exact Fractions."""
-    return np.array(kirillov([Fraction(x) for x in zeta.u], Fraction(p.B)),
+    return np.array(kirillov([Fraction(x) for x in zeta.u], exact(p.B)),
                     dtype=object)
 
 
@@ -117,6 +124,14 @@ def _invariants(tag: str, B) -> dict:
             "lightcone": lambda u: (u[0] + u[1], u[0] - u[1])}
 
 
+def _differs(x, y) -> bool:
+    """x != y for two invariant values, numbers or tuples of them, by
+    `model.nonzero` of each difference."""
+    if isinstance(x, tuple):
+        return any(map(_differs, x, y))
+    return nonzero(x - y)
+
+
 def _orbit_contains(zeta: CoadjointPoint, directions, p: ModelParams) -> bool:
     """True iff the whole affine space zeta + span(directions) lies on the
     orbit through zeta, decided exactly.
@@ -129,16 +144,16 @@ def _orbit_contains(zeta: CoadjointPoint, directions, p: ModelParams) -> bool:
     u = [Fraction(x) for x in zeta.u]
     steps = [[s * x for x in n] for n in directions for s in (1, -1)]
     steps += [[a + b for a, b in zip(n, k)] for n, k in combinations(directions, 2)]
-    invariants = _invariants(classify(zeta, p).tag, Fraction(p.B)).values()
-    return all(f([a + b for a, b in zip(u, d)]) == f(u)
-               for f in invariants for d in steps)
+    invariants = _invariants(classify(zeta, p).tag, exact(p.B)).values()
+    return not any(_differs(f([a + b for a, b in zip(u, d)]), f(u))
+                   for f in invariants for d in steps)
 
 
 def subordination_check(h: Subalgebra, zeta: CoadjointPoint,
                         p: ModelParams = ModelParams()) -> bool:
     """True iff <zeta, [x, y]> = x K y^T is exactly 0 on all basis pairs of h."""
     u = [Fraction(x) for x in zeta.u]
-    return not any(sum(a * b for a, b in zip(u, bracket(x, y, p.B)) if b)
+    return not any(nonzero(sum(a * b for a, b in zip(u, bracket(x, y, p.B)) if b))
                    for x, y in combinations(h.rows, 2))
 
 
@@ -158,3 +173,38 @@ def pukanszky_check(h: Subalgebra, zeta: CoadjointPoint,
         raise MaximalityError(
             f"codim {4 - h.dim} != half orbit dimension {odim // 2}")
     return _orbit_contains(zeta, kernel(h.rows, 4), p)
+
+
+#: the orbits suite's representatives: tag, zeta and the subalgebra that
+#: polarizes it
+CASES = (("CaseA", (0.0, 0.0, 0.5, -1.0), CASE_A_SUBALGEBRA),
+         ("CaseB", (0.0, 0.0, 0.7, 0.0), CASE_B_SUBALGEBRA),
+         ("CaseC", (1.0, 0.3, 0.0, 0.0), CASE_C_SUBALGEBRA))
+
+
+def check_cases(p) -> tuple:
+    """({tag: entry}, passed) over CASES at p.B: each entry holds
+    subordinate, and pukanszky and orbit_dim, or the error that stopped
+    them.  Exact in Fractions at a float B, and for every B != 0 at once
+    at B a laurent.Laurent variable."""
+    report, ok = {}, True
+    for tag, u, subalgebra in CASES:
+        zeta, h = CoadjointPoint(u), subalgebra(p)
+        sub = subordination_check(h, zeta, p)
+        try:
+            puk = pukanszky_check(h, zeta, p)
+            report[tag] = {"subordinate": sub, "pukanszky": puk,
+                           "orbit_dim": classify(zeta, p).orbit_dim}
+            ok = bool(ok and sub and puk)
+        except ValueError as exc:  # MaximalityError among them
+            report[tag] = {"subordinate": sub, "error": str(exc)}
+            ok = False
+    return report, ok
+
+
+@cache
+def decided_cases() -> tuple:
+    """check_cases at B the laurent.Laurent variable: the orbit cases for
+    every B != 0, decided once per process, on first use."""
+    from .laurent import Laurent
+    return check_cases(SimpleNamespace(B=Laurent.var("B")))

@@ -55,6 +55,7 @@ from .irreps import (
     _operator_defect,
     _phase_defect,
     _polymul2,
+    _term_factors,
     _terms,
 )
 from .model import kirillov, row_basis
@@ -243,9 +244,17 @@ def quantize(f: PolynomialObservable, params: ModelParams) -> QuantOperator:
     The Weyl symbol q^i p^j is the operator
         sum_k k! C(i, k) C(j, k) (-i hbar/2)^k x^(i-k) (-i hbar d/dx)^(j-k)
     in x-left order, and the map is linear on coefficient tables: q -> x,
-    p -> -i hbar d/dx, qp -> -i hbar (x d/dx + 1/2).
+    p -> -i hbar d/dx, qp -> -i hbar (x d/dx + 1/2).  A coefficient whose
+    powers of hbar leave the float range raises ValueError naming its term.
     """
-    return QuantOperator(_weyl(f.c, params.hbar)[None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _weyl(f.c, params.hbar)
+    for i, j in np.argwhere(~np.isfinite(c))[:1]:
+        term = "*".join(_term_factors(i, j))
+        what = f"coefficient of {term}" if term else "constant term"
+        raise ValueError(f"the operator's {what} at hbar={params.hbar!r} "
+                         "leaves the float range")
+    return QuantOperator(c[None])
 
 
 def _weyl(c, h: float):

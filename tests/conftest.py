@@ -2,7 +2,7 @@
 
 import pytest
 
-from poincare_ext import group, irreps, quantization
+from poincare_ext import cohomology, group, irreps, orbits, quantization
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -15,3 +15,6 @@ def decided_tables():
     quantization.decided_identities()
     quantization.decided_covariance()
     group.decided_ad_spectrum()
+    cohomology.decided_dims()
+    group.decided_series()
+    orbits.decided_cases()

@@ -56,6 +56,13 @@ MALFORMED = (
     ("quantize", "check", "--m=-1"),
     ("quantize", "op", "--poly=1e400q"),
     ("quantize", "op", "--poly=1e400q-1e400q"),
+    ("quantize", "op", "--poly=p^2", "--hbar=1e200"),
+    ("quantize", "op", "--poly=1e300p^2", "--hbar=1e300"),
+    ("quantize", "op", "--poly=1e300qp", "--hbar=1e10"),
+    ("rep", "verify", "--family=A", "--c2=nan"),
+    ("rep", "verify", "--family=C", "--zeta0=inf"),
+    ("rep", "verify", "--family=B", "--zeta2=nan"),
+    ("rep", "apply", "--family=A", "--z3=-inf", "--g=0,0,0,0"),
 )
 
 
@@ -604,6 +611,14 @@ def test_rep_verify_at_1e300_decides_its_identities(B, capsys):
     assert res["pass"] is True and res["commutators"] == res["casimir"] == 0.0
 
 
+def test_weyl_overflow_is_a_usage_error_without_warnings():
+    # the numpy overflow warnings of the Weyl rule's powers of hbar stay
+    # off stderr: the one usage error is all it holds
+    code, out, err = run_cli("quantize", "op", "--poly=p^2", "--hbar=1e200")
+    assert code == 2 and out == "" and "Warning" not in err, err
+    assert err.splitlines()[-1].startswith("poincare-ext: error: argument --poly:")
+
+
 @pytest.mark.parametrize("argv, message", (
     # B D = 2e300: the packet is narrower than the float spacing there
     (("evolve", "--emit=json", "--B=-1e300"),
@@ -620,9 +635,23 @@ def test_rep_verify_at_1e300_decides_its_identities(B, capsys):
       for m in ("0", "nan", "inf", "-1")),
     *((("quantize", "op", f"--poly={poly}"),
        "argument --poly: the coefficient of term '1e400q' is not finite")
-      for poly in ("1e400q", "1e400q-1e400q"))),
+      for poly in ("1e400q", "1e400q-1e400q")),
+    # the powers of hbar in the Weyl rule overflowed, and the operator
+    # printed (-inf+nanj) with exit 0 and numpy warnings on stderr
+    *((("quantize", "op", f"--poly={poly}", f"--hbar={hbar}"),
+       f"argument --poly: the operator's {what} at hbar={float(hbar)!r} "
+       "leaves the float range")
+      for poly, hbar, what in (("p^2", "1e200", "coefficient of d2/dx2"),
+                               ("1e300p^2", "1e300", "coefficient of d2/dx2"),
+                               ("1e300qp", "1e10", "constant term"))),
+    # labels that are not finite passed rep verify with every field 0.0
+    *((("rep", "verify", f"--family={family}", f"--{label}={value}"),
+       f"the label {label} must be finite, got {float(value)!r}")
+      for family, label, value in (("A", "c2", "nan"), ("C", "zeta0", "inf"),
+                                   ("B", "zeta2", "nan")))),
     ids=("evolve--1e300", "evolve-1e308", "m-0", "m-nan", "m-inf", "m--1",
-         "poly-inf", "poly-nan"))
+         "poly-inf", "poly-nan", "weyl-p2-hbar", "weyl-p2-coefficient",
+         "weyl-constant", "label-c2", "label-zeta0", "label-zeta2"))
 def test_checks_past_the_float_range_are_usage_errors(argv, message, capsys):
     # as the rep commands at subnormal B: one error line that names the
     # value, B, m or a coefficient

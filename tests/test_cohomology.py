@@ -9,10 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from poincare_ext import cohomology as coh
+from poincare_ext import group as grp
 from poincare_ext import model
+from poincare_ext import orbits as orb
 from poincare_ext.cli import suite_cohomology
 from poincare_ext.conventions import EPS_LOWER, EPS_MIXED_LOWER, SQRT_MINUS_H
 from poincare_ext.group import ModelParams, structure_constants
+from poincare_ext.laurent import Laurent
 
 #: the central charges the benchmark draws all-checks reports at
 BENCH_B = (-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0)
@@ -56,6 +59,41 @@ def test_catalog_expected_dimensions():
 @pytest.mark.parametrize("B", EXTREME_B)
 def test_cohomology_holds_at_every_nonzero_B(B):
     assert suite_cohomology(ModelParams(B), 42)["pass"]
+
+
+@pytest.mark.parametrize("B", BENCH_B + EXTREME_B)
+def test_decided_tables_are_the_fractions_at_each_B(B):
+    # the cohomology, series and orbit tables decided at B a Laurent
+    # variable, against the same code in Fractions at the float B
+    p = ModelParams(B)
+    assert coh.decided_dims() == {
+        name: coh.cohomology_dims(coh.EXPECTED_DIMS[name], coh.catalog_algebra(name, B))
+        for name in coh.CATALOG_NAMES}
+    assert grp.decided_series() == grp.structural_series(B)
+    assert orb.decided_cases() == orb.check_cases(p)
+
+
+def test_laurent_elimination_keeps_one_term_pivots():
+    # Bareiss over Laurent polynomials in B: each pivot is one term c B^k,
+    # nonzero at every B != 0, and each division by the last one is exact
+    B = Laurent.var("B")
+    assert model.rank([[2 * B, 3], [0, B]]) == 2
+    assert model.rank([[B, 1], [B * B, B], [3 * B, 3]]) == 1
+    assert model.row_basis([[B, 1], [1, 0]]) == [[-1, 0], [0, -1]]
+    # 1 - B^2 vanishes at B = +-1 alone: the rule does not decide it
+    with pytest.raises(ValueError, match="one-term rule does not decide"):
+        model.rank([[1, B], [B, 1]])
+
+
+def test_laurent_floor_division_is_exact_or_an_error():
+    B = Laurent.var("B")
+    assert (6 * B * B + 3 * B) // (3 * B) == 2 * B + 1
+    assert (B * 1.5) // 3 == B * 0.5 and (B * (1 + 2j)) // (2 - 1j) == B * 1j
+    assert B.as_integer_ratio() == (B, 1) and (B * 0.75).as_integer_ratio() == (3 * B, 4)
+    for num, den, match in ((B + 1, 3, "not exact"), (B, B + 1, "divisor of 2 terms"),
+                            (B, 0, "divisor of 0 terms")):
+        with pytest.raises(ValueError, match=match):
+            num // den
 
 
 def test_differential_squares_to_zero():

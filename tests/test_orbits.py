@@ -194,14 +194,78 @@ def no_central_term(B, brackets=model.brackets):
     return tuple(row for row in brackets(B) if row[:2] != (0, 1))
 
 
+def flipped_p0_j(B, brackets=model.brackets):
+    """The bracket table with [P0, J] = eps_0^1 P1 flipped to -P1: a
+    planted defect that turns the boosts into rotations."""
+    return tuple((a, c, tuple(-k for k in coeffs)) if (a, c) == (0, 2)
+                 else (a, c, coeffs) for a, c, coeffs in brackets(B))
+
+
+def decide_afresh(monkeypatch):
+    """Have the algebra suites decide their tables again, past the
+    once-per-process memo, so that a planted defect shows."""
+    for mod, name in ((coh, "decided_dims"), (grp, "decided_series"),
+                      (grp, "decided_ad_spectrum"), (orb, "decided_cases")):
+        monkeypatch.setattr(mod, name, getattr(mod, name).__wrapped__)
+
+
+def i12_dims(B):
+    """The catalog degrees of i12's cohomology at B, in Fractions."""
+    return coh.cohomology_dims(coh.EXPECTED_DIMS["i12"], coh.catalog_algebra("i12", B))
+
+
 @pytest.mark.parametrize("B", (1e-8, 1.0, 1e4))
 def test_dropped_central_term_fails_every_algebra_suite(B, monkeypatch):
-    # each module reads the table where it imported it
+    # each module reads the table where it imported it.  The suites read
+    # the tables decided for every B, decided afresh here; the per-B
+    # Fraction path at B fails too
     for mod in (model, grp, coh):
         monkeypatch.setattr(mod, "brackets", no_central_term)
+    decide_afresh(monkeypatch)
     p = ModelParams(B)
     for suite in (cli.suite_structure, cli.suite_orbits, cli.suite_cohomology):
         assert not suite(p, 42)["pass"], suite.__name__
+    assert grp.structural_series(B)["central_series_dims"][-1] != 3
+    assert not orb.check_cases(p)[1]
+    assert i12_dims(B) != coh.EXPECTED_DIMS["i12"]
+
+
+@pytest.mark.parametrize("B", (1e-8, 1.3, -1e4))
+def test_flipped_p0_j_bracket_fails_decided_structure_and_orbits(B, monkeypatch):
+    # with [P0, J] = -P1 the algebra is the oscillator algebra, another
+    # real form of the same complex algebra: its cohomology and series
+    # dimensions are the same, and the decided tables read them unchanged.
+    # ad(J) turns imaginary, so the decided spectrum fails, and (J, P+, I)
+    # no longer closes, so the orbits decision is an error; both the
+    # decided tables and the per-B Fraction path at B see it
+    for mod in (model, grp, coh):
+        monkeypatch.setattr(mod, "brackets", flipped_p0_j)
+    decide_afresh(monkeypatch)
+    p = ModelParams(B)
+    assert cli.suite_cohomology(p, 42)["pass"]
+    assert i12_dims(B) == coh.EXPECTED_DIMS["i12"]
+    structure = cli.suite_structure(p, 42)
+    assert structure["ad_spectrum"] >= 1.0 and not structure["pass"], structure
+    assert grp.structural_series(B) == grp.decided_series()
+    assert oracle.sampled_spectrum(p)["max_imag_eigenvalue"] > 1e-10
+    for decide in (lambda: orb.decided_cases(), lambda: orb.check_cases(p)):
+        with pytest.raises(ValueError, match=r"not closed under bracket: \(J, P\+, I\)"):
+            decide()
+    assert not cli.run_all_checks(p, 42)["orbits"]["pass"]
+
+
+def test_each_report_gets_its_own_algebra_tables():
+    # the suites read tables decided once per process; a caller that edits
+    # one report's nested dicts and lists leaves the next report as it was
+    p = ModelParams(1.3)
+    first, want = cli.run_all_checks(p, 42), cli.run_all_checks(p, 42)
+    first["cohomology"]["dims"]["i12"]["2"] = 99
+    first["structure"]["central_series_dims"].append(99)
+    first["structure"]["derived_series_dims"][0] = 99
+    first["orbits"]["cases"]["CaseA"]["orbit_dim"] = 99
+    assert cli.run_all_checks(p, 42) == want
+    assert (coh.decided_dims()["i12"][2], grp.decided_series()["central_series_dims"],
+            orb.decided_cases()[0]["CaseA"]["orbit_dim"]) == (0, [4, 3, 3], 2)
 
 
 #: a null point, and the subalgebra span{P0 - P1, J, I}: subordinate and

@@ -157,11 +157,16 @@ def test_orbits_brackets_exactly():
 
 
 def test_one_exact_elimination():
-    # cohomology takes its rank from model and defines no elimination
+    # cohomology takes its rank from model and defines no elimination, and
+    # the Laurent type lends model's elimination its exact division, with
+    # no elimination of its own beside it
+    for module in ("cohomology", "laurent"):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)}
+        assert not defined & {"_rank", "rank", "_echelon", "row_basis", "kernel",
+                              "bareiss", "_bareiss", "echelon"}, module
     tree = ast.parse((SRC / "cohomology.py").read_text())
-    defined = {node.name for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef)}
-    assert not defined & {"_rank", "rank", "_echelon", "row_basis", "kernel"}
     assert any(isinstance(node, ast.ImportFrom) and node.module == "model"
                and "rank" in {a.name for a in node.names}
                for node in ast.walk(tree))
@@ -232,7 +237,8 @@ def test_import_builds_no_probes_or_moment_matrices():
 #: the tables of identities decided once per process, as module.function
 DECIDED = ("irreps.decided_identities", "irreps.decided_group_identities",
            "quantization.decided_identities", "quantization.decided_covariance",
-           "group.decided_ad_spectrum")
+           "group.decided_ad_spectrum", "cohomology.decided_dims",
+           "group.decided_series", "orbits.decided_cases")
 
 
 def _decided_counts(code):
@@ -252,14 +258,16 @@ def test_import_decides_no_identity():
     # a cold command pays for the decided tables only when a report reads
     # them: importing the CLI and the modules that hold them builds none,
     # nor loads the Laurent type they are decided in
-    code = ("import sys, poincare_ext.cli, poincare_ext.irreps, poincare_ext.quantization\n"
+    code = ("import sys, poincare_ext.cli, poincare_ext.irreps, poincare_ext.quantization,"
+            " poincare_ext.orbits\n"
             "assert 'poincare_ext.laurent' not in sys.modules")
     assert _decided_counts(code) == [[0, 0]] * len(DECIDED)
 
 
 def test_each_identity_is_decided_once_per_process():
-    # all-checks at several B and seeds, and rep verify and quantize check,
-    # read the tables decided by the first of them
+    # all-checks at several B and seeds, and rep verify, quantize check,
+    # algebra-check and orbit check, read the tables decided by the first
+    # of them
     code = ("from poincare_ext import cli\n"
             "from poincare_ext.model import ModelParams\n"
             "for B, seed in ((1.3, 1), (-2.0, 5), (1e300, 42)):\n"
@@ -267,7 +275,9 @@ def test_each_identity_is_decided_once_per_process():
             "import contextlib, io\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    cli.run(['rep', 'verify', '--family=C'])\n"
-            "    cli.run(['quantize', 'check', '--B=-0.5'])\n")
+            "    cli.run(['quantize', 'check', '--B=-0.5'])\n"
+            "    cli.run(['algebra-check', '--B=5e-324'])\n"
+            "    cli.run(['orbit', 'check', '--B=-1e4'])\n")
     assert _decided_counts(code) == [[1, 1]] * len(DECIDED)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import sweep_oracle as oracle
 from poincare_ext import cli
+from poincare_ext import group as grp
 from poincare_ext import model
 from poincare_ext import orbits as orb
 from poincare_ext.group import (
@@ -101,10 +102,14 @@ def test_subalgebra_closure_decision_matches_the_loop(B):
 
 @pytest.mark.parametrize("B", oracle.BENCH_B)
 def test_suites_equal_the_loop_reports(B):
+    # the suites read the tables decided for every B; the loops run the
+    # same checks at B on float spans and tolerances
     p = ModelParams(B)
-    got = [cli.suite_orbits(p, 42), cli.suite_structure(p, 42)]
+    cases, series = cli.suite_orbits(p, 42), cli.suite_structure(p, 42)
+    got = [cases, {k: series[k] for k in ("central_series_dims", "derived_series_dims")}]
     with oracle.oracle_sweeps():
-        want = [cli.suite_orbits(p, 42), cli.suite_structure(p, 42)]
+        loop_cases, loop_ok = orb.check_cases(p)
+        want = [{"cases": loop_cases, "pass": loop_ok}, grp.structural_series(B)]
     assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
     # the classical suite's exact identities read 0.0; the float oracle
     # reads round-off within the same gates
