@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record benchmark rows of one checkout, or of two run alternately.
 
-    python3 tools/bench_record.py --out BENCH_35.json [--parent DIR]
+    python3 tools/bench_record.py --out BENCH_<n>.json [--parent DIR]
         [--seeds 101 102 ...]
 
 Run it from anywhere; it measures the checkout it lives in (the row
@@ -104,7 +104,7 @@ def _in_turn(trees: dict, k: int) -> list:
 
 def provenance(tree: Path) -> dict:
     commit = _run(tree, ["git", "rev-parse", "HEAD"]).stdout.strip() or None
-    return {"path": str(tree), "commit": commit,
+    return {"commit": commit,
             "pycache_at_start": (tree / "src" / "poincare_ext" / "__pycache__").is_dir(),
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
