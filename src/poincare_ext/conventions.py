@@ -47,7 +47,10 @@ def lorentz_matrix(alpha) -> np.ndarray:
 
 
 def minkowski_square(v):
-    """v^a v_a for a 2-component (co)vector, over the last axis of a batch."""
-    v = np.asarray(v, dtype=float)
+    """v^a v_a for a 2-component (co)vector, over the last axis of a batch.
+
+    The dtype follows v: float, or object for laurent.Laurent components."""
+    v = np.asarray(v)
+    v = v.astype(np.result_type(v, 1.0), copy=False)
     return v[..., 0] ** 2 - v[..., 1] ** 2
 

@@ -5,23 +5,23 @@ momentum ptilde(tau) = ptilde0 + B (tau - tau0), proper time (from `model`).
 
 Quantum layer: the split Hamiltonian H0 + V(tau) with H0 = -B qhat -
 phat, in the basis of its delta-normalized eigenfunctions <x|E>: the
-closed-form spectral amplitude transport c_E(tau) and the total-energy
-expectation.
+closed-form spectral amplitude transport c_E(tau).
 
-The closed form is validated against two independent oracles: the
-position-space packet transported exactly along characteristics and
-projected on the eigenfunctions as its exact Gaussian integral (a), and
-the spectral transport equation solved by its integrating factor (b).
-The oracle aborts if (a) and (b) disagree beyond 1e-8.  Both oracles
-need only the drift integrals of the velocity, D and W, which `model`
-gives in closed form; the closed form itself takes the energy change as
-B D and the proper time from delta/B, so no term divides by B.  The
-quadrature versions of (a)'s projection and of D and W are kept in
-tests/quadrature_oracle.py.
+Two independent oracles: the position-space packet transported exactly
+along characteristics and projected on the eigenfunctions as its exact
+Gaussian integral (a), and the spectral transport equation solved by its
+integrating factor (b), which must agree to 1e-8.  Both need only the
+drift integrals D and W, in closed form from `model`; the closed form
+takes the energy change as B D and the proper time from delta/B, so no
+term divides by B.  The report reads decided_identities, the closed form
+against both oracles, its norm, the expectation and its minimum as
+Laurent identities in the rapidities (_rapidity_forms); the float grid
+checks and the quadratures are the test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,12 +40,10 @@ __all__ = [
     "kinematical_momentum",
     "relativistic_energy",
     "c_closed_form",
-    "expectation_total_energy",
-    "locate_minimum",
+    "decided_identities",
     "oracle_propagate",
     "default_e_grid",
     "spectral_norm",
-    "expectation_from_grid",
 ]
 
 
@@ -109,75 +107,39 @@ def c_closed_form(cs: ClassicalState, E, tau: float, c0) -> complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def expectation_total_energy(cs: ClassicalState, E: float, tau: float) -> float:
-    return 0.5 * (relativistic_energy(cs, tau)
-                  + relativistic_energy(cs, cs.tau0)) - 0.5 * E
-
-
-def total_energy_minimum(cs: ClassicalState, E: float):
-    """(tau*, value) of the expectation minimum."""
-    tau_star = cs.tau0 - cs.ptilde_0 / cs.params.B
-    value = 0.5 * cs.m + 0.5 * relativistic_energy(cs, cs.tau0) - 0.5 * E
-    return tau_star, value
-
-
-def locate_minimum(f, t0: float):
-    """(t, f(t), width) at the minimum of a convex f, found without a grid.
-
-    A bracket grows downhill from t0 in steps doubling from 1 until f
-    turns up, then golden-section search shrinks it to a width of
-    3e-8 (1 + |t|); width is the final bracket's.  If f has not turned up
-    within 64 steps, t is the furthest point tried and width is inf.
-    """
-    h = 1.0 if f(t0 + 1.0) <= f(t0) else -1.0
-    prev, x, fx = t0 - h, t0, f(t0)
-    for _ in range(64):
-        nxt = x + h
-        fn = f(nxt)
-        if fn > fx:
-            break
-        prev, x, fx, h = x, nxt, fn, 2.0 * h
-    else:
-        return x, fx, math.inf
-    a, b = min(prev, nxt), max(prev, nxt)
-    g = 0.5 * (math.sqrt(5.0) - 1.0)
-    c, d = b - g * (b - a), a + g * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 2.0 * math.sqrt(np.finfo(float).eps) * (1.0 + abs(c)):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return (c, fc, b - a) if fc <= fd else (d, fd, b - a)
-
-
 # ---------------------------------------------------------------------------
 # independent propagation oracles
+
+
+#: the norm bound of evolve's grid, half for its step and half for its floats
+NORM_TOL = 1e-8
 
 
 def default_e_grid(cs: ClassicalState, c0: SpectralAmplitude, tau: float,
                    n: int = 400):
     """n energies over 10 widths either side of the transported packet.
 
-    ValueError where the float spacing u at the grid's largest |E| is too
-    coarse for its step h.  Rounding moves each node by up to u / 2, and
-    the amplitudes are taken at the rounded nodes, so spectral_norm's
-    trapezoid sum of f = |c|^2 moves only at second order, by up to
-    u^2 / (4 h) int |f'| + u^2 / 8 int |f''|: u^2 (0.2 / (h s) + 0.12 / s^2)
-    of int f for a Gaussian packet of width s.  The norm moves by half as
-    much, so the 1e-8 norm bound asks u^2 (0.2 s + 0.12 h) <= 2e-8 h s^2.
-    At the defaults that holds up to |B| of about 2.7e11; at B = 1e14
-    (u = 0.03, h = 0.05) the norm read 1.00000017.
+    ValueError where spectral_norm's trapezoid sum of f = |c|^2, a Gaussian
+    of width s, may move the norm past NORM_TOL, half of it for each term.
+    The step h = 20 s / (n - 1) moves the norm by up to e^(-2 pi^2 (s/h)^2)
+    (Poisson summation; the cut at 10 widths drops e^-50): n >= 21, and
+    1.84e-8 at n = 20.  Rounding to the float spacing u at the largest |E|
+    moves each node by up to u/2, the sum by up to u^2 / (4 h) int |f'| +
+    u^2 / 8 int |f''| = u^2 (0.2 / (h s) + 0.12 / s^2) of int f, and the
+    norm by half that: u^2 (0.2 s + 0.12 h) <= 1e-8 h s^2, which holds at
+    the default n up to |B| of about 1.4e11 (at 1e14 the norm read
+    1.00000017).
     """
-    center = c0.center + cs.params.B * _deltas(cs, tau)[0]
     s = c0.width
+    h = 20.0 * s / max(n - 1, 1)
+    step = math.exp(-2.0 * (math.pi * s / h) ** 2)
+    if not step <= 0.5 * NORM_TOL:
+        raise ValueError(f"the energy grid of n = {n} does not resolve the "
+                         f"packet: its trapezoid sum moves the norm by up to {step:.2g}")
+    center = c0.center + cs.params.B * _deltas(cs, tau)[0]
     grid = np.linspace(center - 10.0 * s, center + 10.0 * s, n)
-    h, u = 20.0 * s / max(n - 1, 1), float(np.spacing(np.max(np.abs(grid))))
-    if not u * u * (0.2 * s + 0.12 * h) <= 2e-8 * h * s * s:  # nan fails too
+    u = float(np.spacing(np.max(np.abs(grid))))
+    if not u * u * (0.2 * s + 0.12 * h) <= NORM_TOL * h * s * s:  # nan fails too
         raise ValueError(f"the energy grid around {center:.6g} does not "
                          "resolve the packet")
     return grid
@@ -267,8 +229,58 @@ def spectral_norm(e_grid, c) -> float:
     return float(np.sqrt(np.trapezoid(np.abs(c) ** 2, e_grid)))
 
 
-def expectation_from_grid(cs: ClassicalState, tau: float, e_grid, c) -> float:
-    """<total energy> from grid amplitudes: E(tau) - <H0>/2."""
-    w = np.abs(c) ** 2
-    mean_e = float(np.trapezoid(e_grid * w, e_grid) / np.trapezoid(w, e_grid))
-    return relativistic_energy(cs, tau) - 0.5 * mean_e
+# ---------------------------------------------------------------------------
+# the closed form against the oracles, decided in rapidity form
+
+
+def _rapidity_forms(m, B, theta0, theta1):
+    """(p0, p1, E0, E1, T, D, delta, W) from rapidity theta0 at tau0 to
+    theta1 at tau, on laurent.Laurent variables: p = m sinh theta, E =
+    m cosh theta, T = (p1 - p0)/B, D = (E1 - E0)/B, delta = theta1 - theta0
+    and, with 2c = theta0 + theta1 (`model.drift_integrals` in floats),
+    W = (m/B)^2 [(sinh delta - delta)/2 + sinh 2c sinh^2(delta/2)]."""
+    delta = theta1 - theta0
+    p0, p1 = m * theta0.sinh(), m * theta1.sinh()
+    e0, e1 = m * theta0.cosh(), m * theta1.cosh()
+    W = (m / B) ** 2 * ((delta.sinh() - delta) * 0.5
+                        + (theta0 + theta1).sinh() * (delta * 0.5).sinh() ** 2)
+    return p0, p1, e0, e1, (p1 - p0) / B, (e1 - e0) / B, delta, W
+
+
+@functools.cache
+def decided_identities() -> dict:
+    """{"closed_vs_oracle", "norm_drift", "energy_expectation", "minimum"},
+    decided once per process, on first use, as laurent.relative_defect of
+    Laurent identities in m, B, hbar, tau0, the energy E, the packet's mean
+    Ebar and the rapidities (_rapidity_forms): 0.0 where each holds, for
+    every state, time and B != 0.
+
+    closed_vs_oracle: c_closed_form's exponent i [D (B D/2 - E) + phi] /
+    hbar, phi = (p0 D + m^2 delta/B - E1 T)/2, against oracle (a)'s and
+    (b)'s, with X = T - D and I2 = T^2/2 - W; both differ by i (phi + B W)
+    / hbar, and phi + B W = 0.  Also (a)'s packet shift B (X - T) = -B D.
+    norm_drift: the exponent's real part is 0 and E -> E - B D is a
+    translation in E, so the closed form keeps c0's norm.
+    energy_expectation: E(tau) - (Ebar + B D)/2, the transported mean,
+    against (E(tau) + E(tau0))/2 - Ebar/2.  minimum: that expectation is
+    least where ptilde = ptilde0 + B (tau - tau0) is 0, at tau* = tau0 -
+    ptilde0/B.  The table restates these forms and runs none of the float
+    functions; the tests' float oracles compare those.
+    """
+    from .laurent import Laurent, relative_defect
+    m, B, hbar, tau0, E, Ebar, s, theta0, theta1 = (Laurent.var(name) for name in (
+        "m", "B", "hbar", "tau0", "E", "Ebar", "s", "theta0", "theta1"))
+    p0, p1, e0, e1, T, D, delta, W = _rapidity_forms(m, B, theta0, theta1)
+    phi = (p0 * D + m * (m * (delta / B)) - e1 * T) * 0.5
+    closed = 1j * (D * (B * D * 0.5 - E) + phi) / hbar
+    X, I2 = T - D, T * T * 0.5 - W
+    oracle_a = 1j * (E * (X - T) + B * (X * X * 0.5 - X * T + I2)) / hbar
+    oracle_b = -1j * ((E - B * D - e0) * D + p0 * T + B * T * T * 0.5 + B * W) / hbar
+    return {"closed_vs_oracle": max(relative_defect([closed, -oracle_a]),
+                                    relative_defect([closed, -oracle_b]),
+                                    relative_defect([B * (X - T), B * D])),
+            "norm_drift": max(relative_defect([closed, closed.conjugate()]),
+                              relative_defect([E + s - B * D, -(E - B * D), -s])),
+            "energy_expectation": relative_defect([e1 - (Ebar + B * D) * 0.5,
+                                                   -((e1 + e0) * 0.5 - Ebar * 0.5)]),
+            "minimum": relative_defect([p0, B * ((tau0 - p0 / B) - tau0)])}

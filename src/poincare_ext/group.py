@@ -17,6 +17,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "adjoint_matrix",
     "coadjoint_action",
     "casimir_pairing",
+    "decided_coadjoint",
     "structural_series",
     "structural_report",
     "decided_series",
@@ -328,10 +330,13 @@ def log_map(g: GroupElement, p: ModelParams = ModelParams()) -> AlgebraElement:
 
 
 def adjoint_matrix(g: GroupElement, p: ModelParams = ModelParams()) -> np.ndarray:
-    """(Ad g)^A_B in the (P0, P1, J, I) basis; S + (4, 4) for a batch g."""
+    """(Ad g)^A_B in the (P0, P1, J, I) basis; S + (4, 4) for a batch g.
+
+    The dtype follows g's coordinates: float, or object at a generic
+    element (decided_coadjoint)."""
     lam = lorentz_matrix(g.alpha)
     t = g.theta
-    ad = np.zeros(t.shape[:-1] + (4, 4))
+    ad = np.zeros(t.shape[:-1] + (4, 4), dtype=np.result_type(t, lam))
     ad[..., :2, :2] = lam
     # column J, rows a: theta^c eps_c^a sqrt(-h)
     ad[..., :2, 2] = SQRT_MINUS_H * (t @ EPS_MIXED_LOWER)
@@ -354,6 +359,25 @@ def casimir_pairing(u, p: ModelParams = ModelParams()):
     """u^A u_A = u^a u_a - 2 (B / sqrt(-h)) u_2 u_3, one value per member."""
     arr = u.array if hasattr(u, "array") else np.asarray(u, dtype=float)
     return casimir(np.moveaxis(arr, -1, 0), p.B)
+
+
+@functools.cache
+def decided_coadjoint() -> dict:
+    """{"casimir_residual", "u3_residual"}: u = zeta Ad(g^-1), the product
+    coadjoint_action takes, keeps the Casimir (`model.casimir`) and u3.
+
+    inverse and adjoint_matrix run unchanged at irreps' generic element,
+    with B and zeta Laurent variables, so each identity is decided once
+    per process, on first use, for every B != 0, g and zeta: its
+    laurent.relative_defect, 0.0 where it holds.
+    """
+    from .irreps import _generic_element
+    from .laurent import Laurent, relative_defect
+    p = SimpleNamespace(B=Laurent.var("B"))
+    zeta = np.array([Laurent.var(f"u{k}") for k in range(4)], dtype=object)
+    u = _row_times(zeta, adjoint_matrix(inverse(_generic_element(""), p), p))[0]
+    return {"casimir_residual": relative_defect([casimir(u, p.B), -casimir(zeta, p.B)]),
+            "u3_residual": relative_defect([u[3], -zeta[3]])}
 
 
 # ---------------------------------------------------------------------------

@@ -19,23 +19,17 @@ each a differential operator sum_k e^{kx} sum c_k[i, j] x^i D^j
 hyperbolic phases' e^{+-x}.  The operators add, multiply and take their
 formal adjoint in their coefficients, complex or `laurent.Laurent`.
 
-The module also carries the verification harness.  Every identity it
-checks holds at every B != 0, label and group element, and is decided
-once per process, on first use, as one of Laurent polynomials.  The
-homomorphism and unitarity of T (decided_group_identities) run
+The verification harness decides each identity once per process, on
+first use, as one of Laurent polynomials, for every B != 0, label and
+group element: homomorphism and unitarity (decided_group_identities:
 _phase_coefficients and group.compose on generic elements, whose
-coordinates are Laurent variables and whose e^(-alpha/2) is one more
-(Laurent.exp); AffinePhase.compose multiplies two operators exactly in
-their coefficients.  The commutator table, anti-Hermiticity, the Casimir
-and generator consistency (decided_identities) run the generator table
-on Laurent variables, and each defect operator must vanish as a Laurent
-polynomial.  Generator consistency is dT(X) = d/dt T(exp tX) at t = 0,
-the derivative taken on first-order jets (Jet) run through the
-coefficient code of T(g) itself, on the same Laurent labels.  No check
-here integrates or differentiates a function.  Their float versions, the
-seeded sweeps with their coefficient gaps and the Gaussian-moment probe
-kernel, and the quadrature versions with the derivative evaluators they
-act on, are the test oracle.
+e^(-alpha/2) is one more variable, Laurent.exp), and the commutator table,
+anti-Hermiticity, the Casimir and generator consistency dT(X) = d/dt
+T(exp tX) at 0 (decided_identities: the generator table on Laurent
+labels, the derivative on first-order jets, Jet, through T(g)'s own
+coefficient code).  No check here integrates or differentiates a
+function; the float sweeps, the probe kernel and the quadratures are the
+test oracle.
 """
 
 from __future__ import annotations

@@ -1,19 +1,15 @@
 """Exact Laurent polynomials: the identities that hold at every B, decided.
 
-The generator commutators, Casimir and consistency with T, the Dirac
-condition, hermiticity, the comoments' Casimir and light-cone bracket and
-the spectrum of ad(V) hold for every B != 0, hbar, m and label; the
-homomorphism and unitarity of T and the covariance of the quantization
-for every group element too.  `irreps`, `quantization` and `group` run
-their tables and the group law unchanged on Laurent variables, the
-exponentials of a rapidity through Laurent.exp, and decide each identity
-once per process, on first use, by relative_defect.  `cohomology`,
-`group` and `orbits` run model's one exact elimination (Bareiss, whose
-divisions are Laurent.__floordiv__) and their checks unchanged at B a
-Laurent variable, and decide the cohomology, the central and derived
-series and the orbit cases for every B != 0 by the one-term rule
-(Laurent.nowhere_zero).  A command that decides nothing imports this
-module never.
+Every claim the report makes holds for every B != 0, hbar, m, label,
+group element, covector and state.  `irreps`, `quantization` and `group`
+run their tables and the group law unchanged on Laurent variables, and
+`dynamics` its rapidity forms, the exponentials of a rapidity through
+Laurent.exp; each identity is decided once per process, on first use, by
+relative_defect.  `cohomology`, `group` and `orbits` run model's one exact
+elimination (Bareiss, whose divisions are Laurent.__floordiv__) at B a
+Laurent variable, and decide the cohomology, the series and the orbit
+cases by the one-term rule (Laurent.nowhere_zero).  A command that decides
+nothing imports this module never.
 """
 
 from __future__ import annotations

@@ -301,15 +301,11 @@ def drift_integrals(cs: ClassicalState, tau: float):
 
     With u = s - tau0 and T = tau - tau0, D = int v du and W = int u v du.
     In the rapidity theta = asinh(ptilde/m), ptilde = m sinh theta and
-    u = m (sinh theta - sinh theta0) / B, so with delta = theta(tau) -
-    theta(tau0) and c the mean of the two (Rindler, Relativity, 2nd ed.,
-    OUP 2006, on hyperbolic motion)
-
-        D = (E(tau) - E(tau0)) / B,
-        W = (m/B)^2 [(sinh delta - delta) / 2 + sinh 2c sinh^2(delta/2)],
-
-    and m delta / B is the proper time elapsed.  Every 1/B comes out
-    exactly: D is `_displacement`'s form, and sinh delta / B =
+    u = m (sinh theta - sinh theta0) / B, which gives D and W in the forms
+    of `dynamics._rapidity_forms` (Rindler, Relativity, 2nd ed., OUP 2006,
+    on hyperbolic motion), with delta = theta(tau) - theta(tau0) and c the
+    mean of the two; m delta / B is the proper time elapsed.  Every 1/B
+    comes out exactly: D is `_displacement`'s form, and sinh delta / B =
     T (1 + cosh delta) / (E0 + E1).  The hyperbolic functions of delta and
     c are algebraic in the momenta,
 

@@ -13,23 +13,13 @@ three and higher are rejected: no consistent extension of the degree
 <= 2 map exists (Groenewold--Van Hove obstruction).
 
 The comoments are one table in any number type (comoment_table).  The
-pullback of the orbit form reads it exactly in Fractions at drawn points.
-
-The Dirac, hermiticity and covariance checks are exact algebra, with no
-quadrature, on the operator algebra of irreps, which the representation
-checks share: operators multiply in the Weyl algebra (QuantOperator @).
-They and the classical identities, the comoments' Casimir u^A u_A = m^2
-and the light-cone bracket {q^0, q^1} = 1/B, hold at every B, hbar and m,
-and are decided once per process, on first use, as identities of
-`laurent.Laurent` polynomials: the Dirac condition, hermiticity and the
-classical identities on the comoment table, the Weyl rule and the Poisson
-bracket (decided_identities), covariance on a generic observable and a
-generic group element, whose T(g) conjugates a polynomial operator into
-another (QuantOperator.conjugated; decided_covariance).  No operator here
-acts on a function.  Their float versions, on the Gaussian-moment probe
-kernel, the float Poisson bracket and the Fraction Casimir, and the
-operator chains on derivative evaluators with their quadrature, are the
-test oracle.
+Dirac condition, hermiticity and covariance (exact algebra on irreps'
+operators, QuantOperator @ and .conjugated), and the comoments' Casimir
+u^A u_A = m^2, the light-cone bracket {q^0, q^1} = 1/B and the pullback
+of the orbit form, hold at every B, hbar and m; each is decided once per
+process, on first use, as an identity of `laurent.Laurent` polynomials
+(decided_identities, decided_covariance).  No operator here acts on a
+function; the float, Fraction and quadrature versions are the test oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +28,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,7 +47,7 @@ from .irreps import (
     _term_factors,
     _terms,
 )
-from .model import kirillov, row_basis
+from .model import kirillov
 
 __all__ = [
     "NoGoError",
@@ -66,7 +55,6 @@ __all__ = [
     "QuantOperator",
     "parse_poly",
     "comoment_table",
-    "pullback_defect",
     "quantize",
     "decided_identities",
     "decided_covariance",
@@ -188,45 +176,6 @@ def comoment_table(B, m) -> tuple:
             {(0, 0): -1})
 
 
-def _jets(tables, q, p) -> list:
-    """(f, df/dq, df/dp) at (q, p) of each {(i, j): c} table of q^i p^j,
-    of degree <= 2."""
-    mono = {(0, 0): 1, (1, 0): q, (0, 1): p, (2, 0): q * q, (1, 1): q * p,
-            (0, 2): p * p}
-    return [(sum(c * mono[i, j] for (i, j), c in t.items()),
-             sum(i * c * mono[i - 1, j] for (i, j), c in t.items() if i),
-             sum(j * c * mono[i, j - 1] for (i, j), c in t.items() if j))
-            for t in tables]
-
-
-def pullback_defect(params: ModelParams, m: float, points) -> float:
-    """max over the phase points (q, p) of |<z, [X, Y]> + 1/hbar|, exact.
-
-    z = u/hbar is the momentum map, u the comoments, and ad*_X z = K X for
-    the Kirillov form K at z (`model.kirillov`).  With K X = dz/dq and
-    K Y = dz/dp the orbit form <z, [X, Y]> = X . K Y = X . dz/dp must be
-    the phase-space pairing of (e_q, e_p) over hbar, -1/hbar.  K and dz
-    scale as 1/hbar, so X solves K(u) X = du/dq and the defect is
-    |X . du/dp + 1| / hbar.  One elimination of [K | du/dq | du/dp] gives
-    X; a tangent K does not reach, off the orbit, raises ValueError.
-    """
-    B = Fraction(params.B)
-    table = comoment_table(B, Fraction(m))
-    worst = 0
-    for q, p in points:
-        u, du_dq, du_dp = zip(*_jets(table, Fraction(q), Fraction(p)))
-        k = kirillov(u, B)
-        x = [0] * 4
-        for row in row_basis([k[r] + [du_dq[r], du_dp[r]] for r in range(4)]):
-            col = next(j for j, v in enumerate(row) if v)
-            if col >= 4:
-                raise ValueError(f"the momentum map at (q, p) = ({q!r}, {p!r}) "
-                                 "leaves the orbit")
-            x[col] = Fraction(row[4], row[col])
-        worst = max(worst, abs(sum(a * b for a, b in zip(x, du_dp)) + 1))
-    return float(worst / Fraction(params.hbar))
-
-
 def rep_for_mass(params: ModelParams, m: float) -> RepParams:
     """Representation labels selected by the quantum condition."""
     hbar = params.hbar
@@ -286,7 +235,8 @@ def _at(c, q, p):
 @functools.cache
 def decided_identities() -> dict:
     """{"dirac", "dirac_wrong_sign", "hermiticity", "comoment_casimir",
-    "lightcone_bracket"}: the comoments' identities, quantum and classical,
+    "lightcone_bracket", "pullback"}: the comoments' identities, quantum
+    and classical,
     decided once, on first use, as identities of laurent.Laurent
     polynomials in B, hbar, m, q and p, so for all of them at once.
 
@@ -298,8 +248,18 @@ def decided_identities() -> dict:
     comoment_casimir: u0^2 - u1^2 - 2B u2 u3 - m^2 (`model.casimir`), and
     lightcone_bracket: {q^0, q^1} - 1/B for the light-cone coordinates
     q^0 = -p/B and q^1 = -q - p/B, each read by laurent.relative_defect,
-    every coefficient relative to the largest the summed terms hold.  0.0
-    where the identity holds.
+    every coefficient relative to the largest the summed terms hold.
+
+    pullback: {u_A, u_B} - <u, [T_A, T_B]> (`model.kirillov(u, B)[A][B]`)
+    over all pairs, read by relative_defect, its worst.  Where it vanishes
+    the comoments are a Poisson map onto the orbit with its Kirillov form
+    (Kirillov, Lectures on the Orbit Method, AMS GSM 64 (2004), ch. 1), a
+    nondegenerate bracket on a 2-dimensional orbit, as the plane's is: the
+    map's Jacobian has rank 2, and it pulls the orbit form back to the
+    plane's, J* omega_O = omega.  The momentum map z = u/hbar is a Poisson
+    map for hbar times the plane's bracket, hbar {z_A, z_B} = <z, [T_A,
+    T_B]>, so it pulls omega_O back to omega/hbar by the same identity.
+    0.0 where each identity holds.
     """
     from .laurent import Laurent, relative_defect
     B, hbar, m, q, p = (Laurent.var(name) for name in ("B", "hbar", "m", "q", "p"))
@@ -317,6 +277,10 @@ def decided_identities() -> dict:
         [u0 * u0, -(u1 * u1), -2 * B * u2 * u3, -m * m])
     bracket = _poisson(_array({(0, 1): -1 / B}), _array({(1, 0): -1, (0, 1): -1 / B}))
     out["lightcone_bracket"] = relative_defect([_at(bracket, q, p), -1 / B])
+    k = kirillov((u0, u1, u2, u3), B)
+    out["pullback"] = max(relative_defect([_at(_poisson(tables[a], tables[b]), q, p),
+                                           -k[a][b]])
+                          for a in range(4) for b in range(a + 1, 4))
     return out
 
 

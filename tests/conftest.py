@@ -2,7 +2,7 @@
 
 import pytest
 
-from poincare_ext import cohomology, group, irreps, orbits, quantization
+from poincare_ext import cohomology, dynamics, group, irreps, orbits, quantization
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -18,3 +18,5 @@ def decided_tables():
     cohomology.decided_dims()
     group.decided_series()
     orbits.decided_cases()
+    group.decided_coadjoint()
+    dynamics.decided_identities()

@@ -3,20 +3,23 @@
 `orbits` and `group.structural_report` decide their ranks and kernels
 exactly on the model's bracket table, and `orbits` decides Pukanszky's
 condition as exact polynomial identities; the classical suite decides the
-comoment Casimir and the light-cone bracket as Laurent identities and the
-pullback exactly on the comoment table, and the structure suite the
-spectrum of ad(X) as one characteristic polynomial.  These are the same
-checks written one float bracket call per basis pair and one scalar call
-per sample: the eigenvalues of ad(X) at sampled X, orbit membership to a
-relative 1e-9 at sampled points, the comoments evaluated in float64 at
-sampled phase points, the Casimir on the table in Fractions at one B and m
-(casimir_defect), and the pullback by central differences, with the float
-rank tolerances (SVD, `matrix_rank`, `lstsq`) the package no longer has.
+comoment Casimir, the light-cone bracket and the pullback as Laurent
+identities, the coadjoint suite the invariance of the Casimir and u3, and
+the structure suite the spectrum of ad(X) as one characteristic
+polynomial.  These are the same checks written one float bracket call per
+basis pair and one scalar call per sample: the eigenvalues of ad(X) at
+sampled X, orbit membership to a relative 1e-9 at sampled points, the
+comoments evaluated in float64 at sampled phase points, the Casimir on the
+table in Fractions at one B and m (casimir_defect), the pullback by
+central differences, and the coadjoint action on 1000 sampled pairs
+(suite_coadjoint), with the float rank tolerances (SVD, `matrix_rank`,
+`lstsq`) the package no longer has.
 `oracle_sweeps` swaps the algebra loops into the package, so a suite run
 inside it takes the loop path end to end.
 """
 
 import contextlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,9 +33,11 @@ from poincare_ext.conventions import SQRT_MINUS_H, minkowski_square
 from poincare_ext.group import (
     AlgebraElement,
     CoadjointPoint,
+    GroupElement,
     ModelParams,
     bracket,
     casimir_pairing,
+    coadjoint_action,
     structure_constants,
 )
 from probe_oracle import comoment_observables, poisson_bracket
@@ -243,7 +248,10 @@ def pullback_residual(s, params, m):
     Y, *_ = np.linalg.lstsq(M, v_p, rcond=None)
     b = float(z @ bracket(AlgebraElement(tuple(X)),
                           AlgebraElement(tuple(Y)), params).array)
-    return abs(b - (-1.0) / params.hbar)
+    # the plane's pairing of (e_q, e_p) is {q, p} = -1, over hbar
+    qp = poisson_bracket(qz.PolynomialObservable({(1, 0): 1.0}),
+                         qz.PolynomialObservable({(0, 1): 1.0})).c[0, 0]
+    return abs(b - qp / params.hbar)
 
 
 def _product(f, g, scale=1) -> dict:
@@ -288,6 +296,58 @@ def suite_classical(params, seed, m=1.0):
     ok = bool(worst <= 1e-12 and bracket_ok and pull <= 1e-6)
     return {"comoment_casimir": worst, "lightcone_bracket_exact": bracket_ok,
             "pullback": pull, "pass": ok}
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def coadjoint_draws(seed):
+    """1000 (zeta, g) pairs, drawn one pair at a time: zeta from
+    [-3, 3)^4, then g from [-2, 2)^4."""
+    u = np.random.default_rng(seed).random((1000, 2, 4))
+    return CoadjointPoint(-3.0 + 6.0 * u[:, 0]), GroupElement(*(-2.0 + 4.0 * u[:, 1]).T)
+
+
+def scaled_casimir(u, B):
+    """u^A u_A / (1 + |B|)^2, on u / (1 + |B|): finite wherever u is,
+    where the squares of components of order B leave the float range."""
+    s = 1.0 + abs(B)
+    v0, v1, v2, v3 = (x / s for x in u.u)
+    return v0 * v0 - v1 * v1 - 2.0 * (B / s) * v2 * u.u[3]
+
+
+def coadjoint_bound(B) -> float:
+    """The largest round-off of the scaled Casimir residual over the draws,
+    stated from eps, |B| and the draw ranges, in units of (1 + |B|)^2.
+
+    With |alpha| <= 2, Lambda's entries are at most c = cosh 2, theta of
+    g^-1 at most t = 4c, and Ad(g^-1)'s entries at most c, t, 1, 2 |B| t c
+    (row I) and |B| t^2 (row I, column J).  With |zeta| <= 3 the moved
+    components are sums of terms at most 3 (2c + 2 |B| t c) in size for
+    u0 and u1, 3 (2t + 1 + |B| t^2) for u2, and u3 = zeta3 exactly
+    (column I is e_I).  Each component is a product chain of at most 20
+    roundings, so the moved Casimir is exact to 64 eps of the sum of its
+    terms' sizes, 2 u01^2 + 6 |B| u2, and zeta's to as much of 18 + 18 |B|.
+    """
+    c = math.cosh(2.0)
+    t, s = 4.0 * c, 1.0 + abs(B)
+    u01 = 3.0 * (2.0 * c + 2.0 * abs(B) * t * c) / s
+    u2 = 3.0 * (2.0 * t + 1.0 + abs(B) * t * t) / s
+    return 64.0 * EPS * (2.0 * u01 * u01 + 6.0 * (abs(B) / s) * u2
+                         + 18.0 / s / s + 18.0 * abs(B) / s / s)
+
+
+def suite_coadjoint(params, seed=42):
+    """cli.suite_coadjoint in float64 on coadjoint_draws(seed): the largest
+    scaled Casimir residual and u3 residual of the moved points, passing
+    within coadjoint_bound and 0.0 (u3 is moved exactly)."""
+    zeta, g = coadjoint_draws(seed)
+    moved = coadjoint_action(g, zeta, params)
+    cas = float(np.max(np.abs(scaled_casimir(moved, params.B)
+                              - scaled_casimir(zeta, params.B))))
+    u3 = float(np.max(np.abs(moved.u[3] - zeta.u[3])))
+    return {"casimir_residual": cas, "u3_residual": u3,
+            "pass": cas <= coadjoint_bound(params.B) and u3 == 0.0}
 
 
 @contextlib.contextmanager

@@ -58,7 +58,7 @@ def test_catalog_expected_dimensions():
 
 @pytest.mark.parametrize("B", EXTREME_B)
 def test_cohomology_holds_at_every_nonzero_B(B):
-    assert suite_cohomology(ModelParams(B), 42)["pass"]
+    assert suite_cohomology(ModelParams(B))["pass"]
 
 
 @pytest.mark.parametrize("B", BENCH_B + EXTREME_B)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dynamics_oracle as do
 import quadrature_oracle as qo
-from poincare_ext import cli, model
+from poincare_ext import model
 from poincare_ext import dynamics as dy
 from poincare_ext.group import ModelParams
 from poincare_ext.quantization import PolynomialObservable, quantize
@@ -18,13 +19,17 @@ from probe_oracle import default_probes
 P = ModelParams()
 CS = dy.ClassicalState(q1_0=0.0, ptilde_0=-2.0, tau0=0.0, m=1.0, params=P)
 
-#: the (b, m) pairs of the dynamics suite's oracle sweep, which runs at
+#: the (b, m) pairs of the float dynamics oracle's sweep, which runs at
 #: b times the report's B; at B = 1 they are its (B, m)
-SWEEP = [(1.0, 0.5), (-1.0, 1.0), (2.0, 2.0), (-2.0, 0.5), (1.0, 2.0)]
+SWEEP = do.SWEEP
 
-#: report B the suite is tested at: test_cli's SWEEP_B, then the bench's B
-DRIFT_B = [s * b for b in (1e-8, 1e-4, 1e-2, 10.0, 100.0, 1e4) for s in (1.0, -1.0)] \
-    + [-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0]
+#: test_cli's SWEEP_B, and the B past them down to the least subnormal and
+#: up to 1e300
+SWEEP_B = [s * b for b in (1e-8, 1e-4, 1e-2, 10.0, 100.0, 1e4) for s in (1.0, -1.0)]
+EDGE_B = [5e-324, 1e-310] + [s * b for b in (1e-20, 1e-13, 1e300) for s in (1.0, -1.0)]
+
+#: report B the oracle is tested at: SWEEP_B, then the bench's B
+DRIFT_B = SWEEP_B + [-3.0, -2.0, -1.3, -1.0, -0.7, -0.5, 0.5, 0.7, 1.0, 1.3, 2.0, 3.0]
 
 
 def velocity(cs, tau):
@@ -166,12 +171,12 @@ def test_closed_form_modulus_transport():
 
 def test_total_energy_expectation_and_minimum():
     E = 0.0
-    assert abs(dy.expectation_total_energy(CS, E, CS.tau0)
+    assert abs(do.expectation_total_energy(CS, E, CS.tau0)
                - (dy.relativistic_energy(CS, CS.tau0) - E / 2)) < 1e-14
-    tau_star, v_star = dy.total_energy_minimum(CS, E)
+    tau_star, v_star = do.total_energy_minimum(CS, E)
     assert tau_star == CS.tau0 - CS.ptilde_0 / P.B  # = 2 for ptilde0 = -2
     taus = np.linspace(-1, 5, 1201)
-    vals = np.array([dy.expectation_total_energy(CS, E, t) for t in taus])
+    vals = np.array([do.expectation_total_energy(CS, E, t) for t in taus])
     assert abs(taus[np.argmin(vals)] - tau_star) <= taus[1] - taus[0]
     assert abs(np.min(vals) - v_star) < 1e-10
     assert v_star == 0.5 * CS.m + 0.5 * dy.relativistic_energy(CS, CS.tau0) - 0.5 * E
@@ -182,23 +187,23 @@ def test_locate_minimum_finds_tau_star_unaided(B):
     # the convex expectation's minimum, from a bracket grown downhill from
     # tau0 and never told tau*; the final bracket holds tau* at these B
     cs = dy.ClassicalState(0.0, -2.0, 0.0, 1.0, ModelParams(B=B))
-    tau, v, width = dy.locate_minimum(
-        lambda t: dy.expectation_total_energy(cs, 0.0, t), cs.tau0)
-    tau_star, v_star = dy.total_energy_minimum(cs, 0.0)
+    tau, v, width = do.locate_minimum(
+        lambda t: do.expectation_total_energy(cs, 0.0, t), cs.tau0)
+    tau_star, v_star = do.total_energy_minimum(cs, 0.0)
     assert abs(tau - tau_star) <= width <= 3e-8 * (1.0 + abs(tau)) * 2.0
     assert abs(v - v_star) <= 1e-13
 
 
 def test_locate_minimum_without_an_upturn():
     # a function that keeps falling is not bracketed: width is inf
-    tau, v, width = dy.locate_minimum(lambda t: -t, 0.0)
+    tau, v, width = do.locate_minimum(lambda t: -t, 0.0)
     assert width == math.inf and v == -tau and tau > 1e18
 
 
 def test_monotone_when_force_aligned():
     cs = dy.ClassicalState(0.0, 1.0, 0.0, 1.0, P)  # sign(B) ptilde0 > 0
     taus = np.linspace(0.0, 6.0, 400)
-    vals = [dy.expectation_total_energy(cs, 0.0, t) for t in taus]
+    vals = [do.expectation_total_energy(cs, 0.0, t) for t in taus]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -395,10 +400,10 @@ def test_planted_direct_quotient_fails_the_quadrature(B, monkeypatch):
 @pytest.mark.parametrize("B", (1.0, -1.3, 1e-4))
 def test_planted_W_defect_fails_closed_vs_oracle_alone(B, monkeypatch):
     # a wrong W moves both oracles' phases alike, so their guard agrees;
-    # the closed form does not use W, so closed_vs_oracle sees it
+    # the closed form does not use W, so the float closed_vs_oracle sees it
     monkeypatch.setattr(dy, "drift_integrals",
                         mutated(model.drift_integrals, *FLIPPED_SINH_2C))
-    report = cli.suite_dynamics(ModelParams(B), 42)
+    report = do.suite_dynamics(ModelParams(B))
     assert report["closed_vs_oracle"] > 1e-6 and not report["pass"], report
 
 
@@ -407,20 +412,88 @@ def test_planted_energy_difference_fails_closed_vs_oracle(monkeypatch):
     # B = 1e-10 the closed form's phase loses about eps E^2 / B (measured
     # 1.7e-6), while B D with D from model reads 3.1e-16
     p = ModelParams(1e-10)
-    assert cli.suite_dynamics(p, 42)["closed_vs_oracle"] <= 1e-15
+    assert do.suite_dynamics(p)["closed_vs_oracle"] <= 1e-15
     monkeypatch.setattr(dy, "_deltas", mutated(
         dy._deltas, "D, _, delta_b = drift_integrals(cs, tau)",
         "_, _, delta_b = drift_integrals(cs, tau); D = (relativistic_energy("
         "cs, tau) - relativistic_energy(cs, cs.tau0)) / cs.params.B"))
-    assert cli.suite_dynamics(p, 42)["closed_vs_oracle"] > 1e-6
+    assert do.suite_dynamics(p)["closed_vs_oracle"] > 1e-6
+
+
+#: W's sinh 2c taken as sinh(theta0 - theta1): in the decided rapidity
+#: form, and in model.drift_integrals' momenta, m^2 sinh 2c = p0 E1 + E0 p1
+#: taken as p0 E1 - E0 p1 (its branch at p0 p1 > 0, which the sweep takes
+#: at every B)
+RAPIDITY_W_DEFECT = ("(theta0 + theta1).sinh()", "(theta0 - theta1).sinh()")
+FLOAT_W_DEFECT = ("m2_sinh_2c = p0 * e1 + e0 * p1", "m2_sinh_2c = p0 * e1 - e0 * p1")
+
+
+@pytest.mark.parametrize("B", (1e-8, -0.5, 1.3, -3.0, 1e4))
+def test_planted_sinh_2c_defect_fails_table_and_oracle(B, monkeypatch):
+    assert dy.decided_identities.__wrapped__()["closed_vs_oracle"] == 0.0
+    monkeypatch.setattr(dy, "_rapidity_forms", mutated(dy._rapidity_forms,
+                                                       *RAPIDITY_W_DEFECT))
+    assert dy.decided_identities.__wrapped__()["closed_vs_oracle"] == 1.0
+    monkeypatch.setattr(dy, "drift_integrals",
+                        mutated(model.drift_integrals, *FLOAT_W_DEFECT))
+    rows = do.sweep(ModelParams(B))
+    assert max(gap / bound for (gap, bound), _, _ in rows) > 1.0, rows
+
+
+@pytest.mark.parametrize("B", (1e-8, -0.5, 1.3, -3.0, 1e4))
+def test_planted_closed_form_phase_sign_fails_the_oracle(B, monkeypatch):
+    # c_closed_form's phase taken with the wrong sign: the float oracle sees
+    # it at every B.  The decided table restates the exponent and runs no
+    # c_closed_form, so it cannot catch this defect and still reads 0.0
+    monkeypatch.setattr(dy, "c_closed_form", mutated(
+        dy.c_closed_form, "np.exp(1j * phase / h)", "np.exp(-1j * phase / h)"))
+    rows = do.sweep(ModelParams(B))
+    assert min(gap / bound for (gap, bound), _, _ in rows) > 1.0, rows
+    assert set(dy.decided_identities.__wrapped__().values()) == {0.0}
+
+
+@pytest.mark.parametrize("B", SWEEP_B + EDGE_B)
+def test_dynamics_oracle_holds_its_bounds_at_every_sweep_and_edge_B(B):
+    # the closed form against oracle (a), the trapezoid norm and the grid's
+    # energy expectation, each within the bound dynamics_oracle states from
+    # eps, |B| and the sweep's ranges before it runs.  At |B| = 1e300 the
+    # packet, moved by B D, is narrower than the float spacing: no float
+    # grid holds it, and the decided table alone speaks there
+    p = ModelParams(B)
+    if abs(B) > 1e299:
+        with pytest.raises(ValueError, match="does not resolve the packet"):
+            do.sweep(p)
+        return
+    for row in do.sweep(p):
+        for gap, bound in row:
+            assert gap <= bound, (row, B)
+
+
+@pytest.mark.parametrize("B", SWEEP_B + EDGE_B)
+def test_minimum_search_holds_its_bounds_at_every_sweep_and_edge_B(B):
+    # the golden-section search, never told tau* = 2/B, within the bounds
+    # dynamics_oracle.minimum_bounds states from eps and |B|.  Where its
+    # first unit step moves the float expectation by no more than its
+    # round-off (|B| below about 1e-14), the search cannot tell downhill
+    # from uphill: the float oracle has no say there, only the table
+    p = ModelParams(B)
+    cs = dy.ClassicalState(0.0, -2.0, 0.0, 1.0, p)
+    f0, f1 = (do.expectation_total_energy(cs, 0.0, t) for t in (0.0, 1.0))
+    if abs(f1 - f0) <= 8.0 * do.EPS * abs(f0):
+        assert abs(B) < 1e-14
+        return
+    tau, v, width, tau_star, v_star = do.locate(p)
+    tau_tol, value_tol = do.minimum_bounds(cs, v_star, width)
+    assert abs(tau - tau_star) <= tau_tol and abs(v - v_star) <= value_tol, \
+        (tau, tau_star, tau_tol, v, v_star, value_tol)
 
 
 def test_expectation_from_oracle_state():
     c0 = dy.gaussian_spectral(0.0, 1.0)
     tau = 2.0
     grid, c = dy.oracle_propagate(CS, c0, tau)
-    lhs = dy.expectation_from_grid(CS, tau, grid, c)
-    assert abs(lhs - dy.expectation_total_energy(CS, c0.center, tau)) < 1e-6
+    lhs = do.expectation_from_grid(CS, tau, grid, c)
+    assert abs(lhs - do.expectation_total_energy(CS, c0.center, tau)) < 1e-6
 
 
 def test_static_limit_keeps_amplitudes():

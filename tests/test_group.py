@@ -26,6 +26,8 @@ from poincare_ext.group import (
     structural_report,
     structure_constants,
 )
+import sweep_oracle as so
+from poincare_ext import group as grp
 from sweep_oracle import ad_matrix, sampled_spectrum
 
 P = ModelParams()
@@ -394,6 +396,64 @@ def test_coadjoint_invariants():
         assert abs(moved.u[3] - z.u[3]) < 1e-12
         c0, c1 = casimir_pairing(z, P), casimir_pairing(moved, P)
         assert abs(c1 - c0) <= 1e-12 * max(1.0, abs(c0))
+
+
+#: test_cli's SWEEP_B and EDGE_B
+SWEEP_B = [s * b for b in (1e-8, 1e-4, 1e-2, 10.0, 100.0, 1e4) for s in (1.0, -1.0)]
+EDGE_B = [5e-324, 1e-310] + [s * b for b in (1e-20, 1e-13, 1e300) for s in (1.0, -1.0)]
+
+
+def test_decided_coadjoint_is_zero_and_the_float_matrix_unchanged():
+    # the coadjoint table reads 0.0; adjoint_matrix and minkowski_square
+    # take their dtype from their operands, so the generic element gives
+    # object entries and floats stay float64
+    assert grp.decided_coadjoint() == {"casimir_residual": 0.0, "u3_residual": 0.0}
+    g = GroupElement(0.3, -1.2, 0.7, 0.4)
+    ad = adjoint_matrix(g, ModelParams(-1.3))
+    assert ad.dtype == np.float64
+    theta = g.theta
+    assert ad[3, 2] == -(-1.3 / 2.0) * (theta[0] ** 2 - theta[1] ** 2)
+    assert minkowski_square([3, 1]).dtype == np.float64
+
+
+@pytest.mark.parametrize("B", SWEEP_B + EDGE_B)
+def test_coadjoint_sampler_holds_its_bound_at_every_sweep_and_edge_B(B):
+    # the float action on 1000 drawn pairs: the scaled Casimir residual
+    # within the bound sweep_oracle.coadjoint_bound states from eps, |B| and
+    # the draw ranges, and u3 moved exactly.  Relative to the Casimir the
+    # residual grows as eps |B| (4.5e-14 at B = 3, 9.6e-10 at 1e4), which a
+    # fixed gate failed
+    report = so.suite_coadjoint(ModelParams(B))
+    assert report["pass"], (report, so.coadjoint_bound(B))
+
+
+def transposed(real=adjoint_matrix):
+    """adjoint_matrix transposed: a planted defect."""
+    return lambda g, p: np.swapaxes(real(g, p), -1, -2)
+
+
+def flipped_row_i(real=adjoint_matrix):
+    """adjoint_matrix with B's sign flipped in row I: a planted defect."""
+    import inspect
+    import textwrap
+    src = textwrap.dedent(inspect.getsource(real))
+    old = "ad[..., 3, :2] = p.B * "
+    assert src.count(old) == 1
+    namespace = {}
+    exec(src.replace(old, "ad[..., 3, :2] = -p.B * "), real.__globals__, namespace)
+    return namespace[real.__name__]
+
+
+@pytest.mark.parametrize("B", (1e-8, -0.5, 1.3, -3.0, -1e4))
+@pytest.mark.parametrize("plant", (transposed, flipped_row_i))
+def test_planted_ad_defect_fails_table_and_sampler(plant, B, monkeypatch):
+    # both run the one adjoint_matrix: the table, decided afresh past its
+    # memo, reads 1.0 in the Casimir; the sampler leaves its bound
+    monkeypatch.setattr(grp, "adjoint_matrix", plant())
+    assert grp.decided_coadjoint.__wrapped__()["casimir_residual"] == 1.0
+    report = so.suite_coadjoint(ModelParams(B))
+    assert report["casimir_residual"] > so.coadjoint_bound(B) and not report["pass"]
+    assert grp.decided_coadjoint()["casimir_residual"] == 0.0  # the memo
 
 
 def test_structure_constants_antisymmetry():

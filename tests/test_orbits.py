@@ -224,7 +224,7 @@ def test_dropped_central_term_fails_every_algebra_suite(B, monkeypatch):
     decide_afresh(monkeypatch)
     p = ModelParams(B)
     for suite in (cli.suite_structure, cli.suite_orbits, cli.suite_cohomology):
-        assert not suite(p, 42)["pass"], suite.__name__
+        assert not suite(p)["pass"], suite.__name__
     assert grp.structural_series(B)["central_series_dims"][-1] != 3
     assert not orb.check_cases(p)[1]
     assert i12_dims(B) != coh.EXPECTED_DIMS["i12"]
@@ -242,9 +242,9 @@ def test_flipped_p0_j_bracket_fails_decided_structure_and_orbits(B, monkeypatch)
         monkeypatch.setattr(mod, "brackets", flipped_p0_j)
     decide_afresh(monkeypatch)
     p = ModelParams(B)
-    assert cli.suite_cohomology(p, 42)["pass"]
+    assert cli.suite_cohomology(p)["pass"]
     assert i12_dims(B) == coh.EXPECTED_DIMS["i12"]
-    structure = cli.suite_structure(p, 42)
+    structure = cli.suite_structure(p)
     assert structure["ad_spectrum"] >= 1.0 and not structure["pass"], structure
     assert grp.structural_series(B) == grp.decided_series()
     assert oracle.sampled_spectrum(p)["max_imag_eigenvalue"] > 1e-10

@@ -134,11 +134,27 @@ def test_momentum_map_labels():
         assert classify(momentum_map(s, P, M), P).tag == "CaseA"
 
 
+def poisson_map_defect(params, m, points):
+    """The decided pullback identity at one B and m, in Fractions at the
+    points (q, p): max |{u_A, u_B} - <u, [T_A, T_B]>| over the pairs."""
+    B = Fraction(params.B)
+    tables = [qz._array(t) for t in qz.comoment_table(B, Fraction(m))]
+    worst = Fraction(0)
+    for q, p in points:
+        q, p = Fraction(q), Fraction(p)
+        k = model.kirillov([qz._at(c, q, p) for c in tables], B)
+        worst = max([worst] + [abs(qz._at(qz._poisson(tables[a], tables[b]), q, p) - k[a][b])
+                               for a in range(4) for b in range(a + 1, 4)])
+    return float(worst)
+
+
 def test_pullback_of_orbit_form():
-    # exact at each point, and within the oracle's gate by central differences
+    # decided for every B, hbar, m, q and p; the Fraction identity holds at
+    # each point, and the oracle's central differences within their gate
     rng = np.random.default_rng(3)
     points = rng.uniform(-2, 2, (10, 2)).tolist()
-    assert qz.pullback_defect(P, M, points) == 0.0
+    assert qz.decided_identities()["pullback"] == 0.0
+    assert poisson_map_defect(P, M, points) == 0.0
     for q, p in points:
         assert pullback_residual(PhasePoint(q, p), P, M) < 1e-6
 
@@ -151,8 +167,8 @@ def test_pullback_of_orbit_form():
        points=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
                        min_size=1, max_size=3))
 def test_pullback_is_exact_everywhere(B, hbar, m, points):
-    # the identity holds at every rational point, B, hbar and m
-    assert qz.pullback_defect(ModelParams(B, hbar), m, points) == 0.0
+    # the Poisson-map identity holds at every rational point, B, hbar and m
+    assert poisson_map_defect(ModelParams(B, hbar), m, points) == 0.0
     assert casimir_defect(ModelParams(B, hbar), m) == 0.0
 
 
@@ -203,14 +219,13 @@ PLANT_B = (1e-8, -0.5, 1.3, -3.0, -1e4, 1e300)
 def test_planted_u0_sign_fails_exact_and_oracle(B, monkeypatch):
     # the qp coefficient of the Casimir sums -2B from u0^2 and -2B from
     # -2B u2 u3, which cancelled before: it reads 2 at every B.  The
-    # tangents leave the orbit, so the pullback has no solution
+    # comoments are no Poisson map, so the pullback fails too
     monkeypatch.setattr(qz, "comoment_table", flipped_u0())
     decide_afresh(monkeypatch)
     p = ModelParams(B)
-    report = cli.suite_classical(p, 42)
-    assert report["comoment_casimir"] == 2.0 and not report["pass"]
-    assert report["pullback"]["error"].endswith("leaves the orbit")
-    assert casimir_defect(p, M) == 2.0
+    report = cli.suite_classical(p)
+    assert report["comoment_casimir"] == report["pullback"] == 2.0 and not report["pass"]
+    assert casimir_defect(p, M) == 2.0 and poisson_map_defect(p, M, [(0.5, -1.5)]) > 0
     if B in BENCH_B:
         ref = classical_oracle(p, 42)
         assert ref["comoment_casimir"] > 1e-12 and ref["pullback"] > 1e-6
@@ -224,7 +239,7 @@ def test_planted_u2_constant_sign_fails_exact_and_oracle(B, monkeypatch):
     monkeypatch.setattr(qz, "comoment_table", flipped_u2_constant())
     decide_afresh(monkeypatch)
     p = ModelParams(B)
-    assert cli.suite_classical(p, 42) == {
+    assert cli.suite_classical(p) == {
         "comoment_casimir": 2.0, "lightcone_bracket_exact": True,
         "pullback": 0.0, "pass": False}
     assert casimir_defect(p, M) == 2.0
@@ -236,31 +251,36 @@ def test_planted_u2_constant_sign_fails_exact_and_oracle(B, monkeypatch):
 def test_planted_poisson_sign_fails_exact_and_oracle(B, monkeypatch):
     # {q^0, q^1} reads -1/B, 2 relative to 1/B at every B; the Dirac pair
     # swaps, the condition failing at the orbit's z3 and holding at the
-    # wrong sign
+    # wrong sign.  The Poisson map's sign: {u_A, u_B} reads minus the
+    # Kirillov form, 2.0, and the oracle's orbit form, pulled back by
+    # central differences, meets the flipped pairing {q, p} = +1
     monkeypatch.setattr(qz, "_poisson", flipped_poisson())
     decide_afresh(monkeypatch)
     p = ModelParams(B)
     decided = qz.decided_identities()
     assert decided["lightcone_bracket"] == 2.0 and decided["comoment_casimir"] == 0.0
     assert (decided["dirac"], decided["dirac_wrong_sign"]) == (2.0, 0.0)
-    report = cli.suite_classical(p, 42)
+    assert decided["pullback"] == 2.0
+    report = cli.suite_classical(p)
     assert report["lightcone_bracket_exact"] is False and not report["pass"]
-    assert not cli.suite_quantization(p, 42)["pass"]
+    assert not cli.suite_quantization(p)["pass"]
     if B in BENCH_B:
-        assert classical_oracle(p, 42)["lightcone_bracket_exact"] is False
+        oracle = classical_oracle(p, 42)
+        assert oracle["lightcone_bracket_exact"] is False and oracle["pullback"] > 1e-6
 
 
 @pytest.mark.parametrize("B", PLANT_B)
 def test_planted_central_sign_fails_exact_and_oracle(B, monkeypatch):
     # the Kirillov form and group's float bracket both read the flipped
-    # table; the comoments, which do not, then leave its orbits
+    # table; the comoments, which do not, are then no Poisson map onto its
+    # orbits
     monkeypatch.setattr(model, "brackets", flipped_central_sign)
     monkeypatch.setattr(grp, "brackets", flipped_central_sign)
     decide_afresh(monkeypatch)
     p = ModelParams(B)
-    report = cli.suite_classical(p, 42)
-    assert report["comoment_casimir"] == 0.0 and not report["pass"]
-    assert report["pullback"]["error"].endswith("leaves the orbit")
+    report = cli.suite_classical(p)
+    assert report["comoment_casimir"] == 0.0 and report["pullback"] == 2.0
+    assert not report["pass"]
     if B in BENCH_B:
         assert classical_oracle(p, 42)["pullback"] > 1e-6
 
@@ -872,7 +892,7 @@ def suite_and_oracle(params, seed=42):
     with pytest.MonkeyPatch.context() as mp:
         for name in ("decided_identities", "decided_covariance"):
             mp.setattr(qz, name, getattr(qz, name).__wrapped__)
-        report = cli.suite_quantization(params, seed)
+        report = cli.suite_quantization(params)
         mp.setattr(po, "_covariance_residual", cov)
         covariance_suite(params, M, 50, seed)
     fs = [tower(f) for f in default_probes(3)]

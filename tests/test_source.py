@@ -187,20 +187,25 @@ def test_numpy_free_modules_import_no_dataclasses(module):
 
 
 #: the Gaussian-moment probe kernel, its probes and the float sweeps on
-#: them, the float generator gaps and the Fraction comoment Casimir: the
-#: oracle in tests/probe_oracle.py and tests/sweep_oracle.py, with no copy
-#: in the package
+#: them, the float generator gaps, the Fraction comoment Casimir and
+#: pullback, the coadjoint sampler and the dynamics grid checks with their
+#: minimum search: the oracle in tests/probe_oracle.py,
+#: tests/sweep_oracle.py and tests/dynamics_oracle.py, with no copy in the
+#: package
 PROBE_KERNEL = {"_xd_powers", "_moments", "_kernel", "_square_norms",
                 "_relative_residual", "_hermite_probes", "default_probes",
                 "verify_homomorphism", "verify_unitarity", "covariance_suite",
                 "_covariance_residual", "gap", "unitarity_gap", "_sups",
-                "generator_gaps", "casimir_defect"}
+                "generator_gaps", "casimir_defect", "pullback_defect", "_jets",
+                "coadjoint_draws", "locate_minimum", "total_energy_minimum",
+                "expectation_total_energy", "expectation_from_grid"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_defines_the_probe_kernel(path):
-    # homomorphism, unitarity, covariance, generator consistency and the
-    # comoment Casimir are decided as Laurent identities; their seeded or
+    # homomorphism, unitarity, covariance, generator consistency, the
+    # comoment Casimir and pullback, the coadjoint invariants and the
+    # dynamics claims are decided as Laurent identities; their seeded or
     # per-report float and Fraction versions are the oracle
     tree = ast.parse(path.read_text())
     defined = {node.name for node in ast.walk(tree)
@@ -238,7 +243,8 @@ def test_import_builds_no_probes_or_moment_matrices():
 DECIDED = ("irreps.decided_identities", "irreps.decided_group_identities",
            "quantization.decided_identities", "quantization.decided_covariance",
            "group.decided_ad_spectrum", "cohomology.decided_dims",
-           "group.decided_series", "orbits.decided_cases")
+           "group.decided_series", "orbits.decided_cases",
+           "group.decided_coadjoint", "dynamics.decided_identities")
 
 
 def _decided_counts(code):
@@ -259,7 +265,7 @@ def test_import_decides_no_identity():
     # them: importing the CLI and the modules that hold them builds none,
     # nor loads the Laurent type they are decided in
     code = ("import sys, poincare_ext.cli, poincare_ext.irreps, poincare_ext.quantization,"
-            " poincare_ext.orbits\n"
+            " poincare_ext.orbits, poincare_ext.group, poincare_ext.dynamics\n"
             "assert 'poincare_ext.laurent' not in sys.modules")
     assert _decided_counts(code) == [[0, 0]] * len(DECIDED)
 

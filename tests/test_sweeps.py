@@ -105,7 +105,7 @@ def test_suites_equal_the_loop_reports(B):
     # the suites read the tables decided for every B; the loops run the
     # same checks at B on float spans and tolerances
     p = ModelParams(B)
-    cases, series = cli.suite_orbits(p, 42), cli.suite_structure(p, 42)
+    cases, series = cli.suite_orbits(p), cli.suite_structure(p)
     got = [cases, {k: series[k] for k in ("central_series_dims", "derived_series_dims")}]
     with oracle.oracle_sweeps():
         loop_cases, loop_ok = orb.check_cases(p)
@@ -113,7 +113,7 @@ def test_suites_equal_the_loop_reports(B):
     assert [report_bytes(r) for r in got] == [report_bytes(r) for r in want]
     # the classical suite's exact identities read 0.0; the float oracle
     # reads round-off within the same gates
-    exact, floats = cli.suite_classical(p, 42), oracle.suite_classical(p, 42)
+    exact, floats = cli.suite_classical(p), oracle.suite_classical(p, 42)
     assert exact == {"comoment_casimir": 0.0, "lightcone_bracket_exact": True,
                      "pullback": 0.0, "pass": True}
     assert floats["pass"] is True

@@ -18,10 +18,13 @@ edits them.  Each row records:
   `end_to_end` metrics as median and IQR over the seeds, with each run's
   correct, attempted and failed;
 * the CPU time of each all-checks suite in-process (time.process_time
-  around `fn(ModelParams(1.3), 42)` for each `cli._SUITES` entry, after one
-  warm-up report), one subprocess a repeat, median and IQR over REPEATS;
-* the wall time of a cold `python -m poincare_ext.cli all-checks --seed 42`,
-  median and IQR over REPEATS;
+  around `fn(ModelParams(1.3))` for each `cli._SUITES` entry, after one
+  warm-up report; a suite that still takes a seed, as before the last
+  suites were decided, gets 42), one subprocess a repeat, median and IQR
+  over REPEATS;
+* the wall time of a cold `python -m poincare_ext.cli all-checks`, median
+  and IQR over REPEATS (the same report in a tree whose all-checks took a
+  --seed: its default was 42);
 * provenance: the commit, whether src/poincare_ext/__pycache__ existed at
   start, and PYTHONDONTWRITEBYTECODE, since the bytecode state moves
   set-up times.
@@ -60,15 +63,16 @@ REPEATS = 15
 #: the in-process suite timing of one repeat, run in a subprocess that
 #: imports src/
 SUITE_CPU = """
-import json, time
+import inspect, json, time
 from poincare_ext import cli
 from poincare_ext.model import ModelParams
 params = ModelParams(1.3)
 cli.run_all_checks(params, 42)
 rows = {}
 for name, fn in cli._SUITES:
+    args = (params, 42) if "seed" in inspect.signature(fn).parameters else (params,)
     t0 = time.process_time()
-    fn(params, 42)
+    fn(*args)
     rows[name] = time.process_time() - t0
 print(json.dumps(rows))
 """
@@ -128,8 +132,7 @@ def suite_cpu(tree: Path) -> dict:
 
 def all_checks_cold(tree: Path) -> tuple:
     t0 = time.perf_counter()
-    proc = _run(tree, [sys.executable, "-m", "poincare_ext.cli", "all-checks",
-                       "--seed", "42"])
+    proc = _run(tree, [sys.executable, "-m", "poincare_ext.cli", "all-checks"])
     return time.perf_counter() - t0, proc.returncode
 
 
