@@ -125,7 +125,7 @@ def suite_generators(params: ModelParams) -> dict:
             "pass": _exact(*(v for gaps in report.values() for v in gaps.values()))}
 
 
-def suite_quantization(params: ModelParams, m: float = 1.0) -> dict:
+def suite_quantization(params: ModelParams) -> dict:
     from . import quantization as qz
     # Dirac (with its wrong-sign z3, the negative control), hermiticity and
     # covariance are decided for every B, hbar, m and group element
@@ -142,7 +142,7 @@ def suite_quantization(params: ModelParams, m: float = 1.0) -> dict:
     return {**report, "pass": ok}
 
 
-def suite_classical(params: ModelParams, m: float = 1.0) -> dict:
+def suite_classical(params: ModelParams) -> dict:
     from . import quantization as qz
     # the comoment Casimir, the light-cone bracket and the pullback are
     # decided for every B, hbar and m
@@ -412,8 +412,8 @@ def run(argv=None) -> int:
 
         elif args.cmd == "quantize":
             if args.q_cmd == "check":
-                rep = suite_quantization(params, m=args.m)
-                rep["classical"] = suite_classical(params, m=args.m)
+                rep = suite_quantization(params)
+                rep["classical"] = suite_classical(params)
                 _emit_json(rep, stream)
                 code = 0 if rep["pass"] and rep["classical"]["pass"] else 1
             else:

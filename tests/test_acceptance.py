@@ -98,7 +98,7 @@ def test_criterion_6_generator_finite_difference():
 
 def test_criterion_7_quantization():
     t0 = time.time()
-    rep = suite_quantization(P, m=1.0)
+    rep = suite_quantization(P)
     ok = rep["dirac"] <= 1e-9 and rep["dirac_wrong_sign"] > 0.1 \
         and rep["covariance"] <= 1e-8 and rep["degree3_rejected"] \
         and time.time() - t0 < 30.0
