@@ -76,7 +76,7 @@ def suite_structure(params: ModelParams) -> dict:
 
 def suite_coadjoint(params: ModelParams) -> dict:
     from .group import decided_coadjoint
-    # Ad(g^-1) keeps the Casimir and u3, decided for every B != 0, g and zeta
+    # coadjoint_action keeps the Casimir and u3 for every B != 0, g and zeta
     rep = decided_coadjoint()
     return {**rep, "pass": _exact(*rep.values())}
 
@@ -155,8 +155,8 @@ def suite_classical(params: ModelParams) -> dict:
 
 def suite_dynamics(params: ModelParams) -> dict:
     from . import dynamics as dy
-    # the closed form against both oracles, its norm, the energy
-    # expectation and its minimum, decided for every state, time and B != 0
+    # the closed form's phase against both oracles', for every state, time
+    # and B != 0; the other fields follow from the definitions
     decided = dy.decided_identities()
     return {**{k: decided[k] for k in ("closed_vs_oracle", "norm_drift",
                                        "energy_expectation")},
@@ -303,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     qsub = sp.add_subparsers(dest="q_cmd", required=True)
     c = qsub.add_parser("check")
     _add_common(c)
-    c.add_argument("--m", type=float, default=1.0)
     c = qsub.add_parser("op")
     _add_common(c)
     c.add_argument("--poly", required=True, help="e.g. 'q^2+2qp'")
@@ -350,10 +349,6 @@ def run(argv=None) -> int:
                                 params)
         if args.cmd == "rep":
             irrep = _rep_for_family(args.family, params, args)
-        if args.cmd == "quantize" and args.q_cmd == "check" \
-                and not 0.0 < args.m < math.inf:
-            raise ValueError("argument --m: mass must be positive and finite, "
-                             f"got {args.m!r}")
     except ValueError as exc:
         ap.error(str(exc))
     stream, close = _open_output(args)

@@ -92,10 +92,13 @@ def _components(what: str, c0, rest) -> tuple:
     """The four validated components of a 4-vector, or of a batch of them.
 
     Takes one array-like of shape S + (4,), or four components of one
-    shape S; components of shape () come back as floats.
+    shape S; components of shape () come back as floats.  Object arrays of
+    laurent.Laurent (_generic) pass unchecked, as GroupElement's do.
     """
     stacked = rest[0] is None
-    arr = _finite(c0 if stacked else (c0,) + rest, what)
+    values = c0 if stacked else (c0,) + rest
+    arr = np.asarray(values) if _generic([c0] if stacked else values) \
+        else _finite(values, what)
     if stacked and arr.ndim > 1:
         arr = np.moveaxis(arr, -1, 0)
     if arr.ndim == 0 or len(arr) != 4:
@@ -363,21 +366,22 @@ def casimir_pairing(u, p: ModelParams = ModelParams()):
 
 @functools.cache
 def decided_coadjoint() -> dict:
-    """{"casimir_residual", "u3_residual"}: u = zeta Ad(g^-1), the product
-    coadjoint_action takes, keeps the Casimir (`model.casimir`) and u3.
+    """{"casimir_residual", "u3_residual"}: u = coadjoint_action(g, zeta)
+    keeps casimir_pairing and u3.
 
-    inverse and adjoint_matrix run unchanged at irreps' generic element,
-    with B and zeta Laurent variables, so each identity is decided once
-    per process, on first use, for every B != 0, g and zeta: its
-    laurent.relative_defect, 0.0 where it holds.
+    coadjoint_action and casimir_pairing run unchanged at irreps' generic
+    element, with B and zeta Laurent variables, so each identity is
+    decided once per process, on first use, for every B != 0, g and zeta:
+    its laurent.relative_defect, 0.0 where it holds.
     """
     from .irreps import _generic_element
     from .laurent import Laurent, relative_defect
     p = SimpleNamespace(B=Laurent.var("B"))
-    zeta = np.array([Laurent.var(f"u{k}") for k in range(4)], dtype=object)
-    u = _row_times(zeta, adjoint_matrix(inverse(_generic_element(""), p), p))[0]
-    return {"casimir_residual": relative_defect([casimir(u, p.B), -casimir(zeta, p.B)]),
-            "u3_residual": relative_defect([u[3], -zeta[3]])}
+    zeta = CoadjointPoint(np.array([[Laurent.var(f"u{k}") for k in range(4)]]))
+    u = coadjoint_action(_generic_element(""), zeta, p)
+    return {"casimir_residual": relative_defect([casimir_pairing(u, p)[0],
+                                                 -casimir_pairing(zeta, p)[0]]),
+            "u3_residual": relative_defect([u.u[3][0], -zeta.u[3][0]])}
 
 
 # ---------------------------------------------------------------------------

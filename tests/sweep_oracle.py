@@ -37,7 +37,6 @@ from poincare_ext.group import (
     ModelParams,
     bracket,
     casimir_pairing,
-    coadjoint_action,
     structure_constants,
 )
 from probe_oracle import comoment_observables, poisson_bracket
@@ -342,7 +341,7 @@ def suite_coadjoint(params, seed=42):
     scaled Casimir residual and u3 residual of the moved points, passing
     within coadjoint_bound and 0.0 (u3 is moved exactly)."""
     zeta, g = coadjoint_draws(seed)
-    moved = coadjoint_action(g, zeta, params)
+    moved = grp.coadjoint_action(g, zeta, params)  # a planted defect shows
     cas = float(np.max(np.abs(scaled_casimir(moved, params.B)
                               - scaled_casimir(zeta, params.B))))
     u3 = float(np.max(np.abs(moved.u[3] - zeta.u[3])))

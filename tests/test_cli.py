@@ -52,10 +52,6 @@ MALFORMED = (
     ("trajectory", "--span=0:1:-2"),
     ("evolve", "--m=nan"),
     ("trajectory", "--m=inf"),
-    ("quantize", "check", "--m=0"),
-    ("quantize", "check", "--m=nan"),
-    ("quantize", "check", "--m=inf"),
-    ("quantize", "check", "--m=-1"),
     ("quantize", "op", "--poly=1e400q"),
     ("quantize", "op", "--poly=1e400q-1e400q"),
     ("quantize", "op", "--poly=p^2", "--hbar=1e200"),
@@ -612,11 +608,12 @@ def test_weyl_overflow_is_a_usage_error_without_warnings():
     (("evolve", "--emit=json", "--B=1e308"),
      "evolve at B=1e+308: the energy grid around nan does not resolve "
      "the packet"),
-    # a traceback from the Fraction of m before, or nan coefficients
-    # printed with exit 0
-    *((("quantize", "check", f"--m={m}"),
-       f"argument --m: mass must be positive and finite, got {float(m)!r}")
-      for m in ("0", "nan", "inf", "-1")),
+    # a mass that is not positive and finite, named by ClassicalState
+    *((("trajectory", f"--m={m}"), message)
+      for m, message in (("0", "mass must be positive"),
+                         ("nan", "mass must be finite, got nan"),
+                         ("inf", "mass must be finite, got inf"),
+                         ("-1", "mass must be positive"))),
     *((("quantize", "op", f"--poly={poly}"),
        "argument --poly: the coefficient of term '1e400q' is not finite")
       for poly in ("1e400q", "1e400q-1e400q")),
@@ -992,6 +989,15 @@ def test_no_subcommand_takes_a_seed(argv, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         "error: unrecognized arguments: --seed=42")
+
+
+def test_quantize_check_takes_no_mass(capsys):
+    # no field of quantize check depends on m, so --m is gone from it
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["quantize", "check", "--m=2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: unrecognized arguments: --m=2")
 
 
 @pytest.mark.parametrize("B", SWEEP_B + EDGE_B)

@@ -440,16 +440,47 @@ def test_planted_sinh_2c_defect_fails_table_and_oracle(B, monkeypatch):
     assert max(gap / bound for (gap, bound), _, _ in rows) > 1.0, rows
 
 
+#: the closed form's phase with the wrong sign, in the helper that
+#: c_closed_form and the decided table both run
+FLIPPED_PHASE = ("D * (0.5 * B * D - E) + phi", "-(D * (0.5 * B * D - E) + phi)")
+
+
 @pytest.mark.parametrize("B", (1e-8, -0.5, 1.3, -3.0, 1e4))
-def test_planted_closed_form_phase_sign_fails_the_oracle(B, monkeypatch):
-    # c_closed_form's phase taken with the wrong sign: the float oracle sees
-    # it at every B.  The decided table restates the exponent and runs no
-    # c_closed_form, so it cannot catch this defect and still reads 0.0
+def test_planted_closed_form_phase_sign_fails_table_and_oracle(B, monkeypatch):
+    # the float oracle sees it at every B, and the table reads it past its
+    # memo, as it runs the same _closed_phase: the flipped exponent plus
+    # the oracle's is twice the exponent, which reads 2.0
+    assert dy.decided_identities.__wrapped__()["closed_vs_oracle"] == 0.0
+    monkeypatch.setattr(dy, "_closed_phase", mutated(dy._closed_phase,
+                                                     *FLIPPED_PHASE))
+    assert dy.decided_identities.__wrapped__()["closed_vs_oracle"] == 2.0
+    rows = do.sweep(ModelParams(B))
+    assert min(gap / bound for (gap, bound), _, _ in rows) > 1.0, rows
+
+
+@pytest.mark.parametrize("B", (1e-8, -0.5, 1.3, -3.0, 1e4))
+def test_planted_exponent_sign_fails_the_oracle_alone(B, monkeypatch):
+    # c_closed_form's exp(i phase / hbar) taken as exp(-i phase / hbar): the
+    # float oracle sees it at every B.  The table runs the phase helpers,
+    # not the exponential around them, so it still reads 0.0
     monkeypatch.setattr(dy, "c_closed_form", mutated(
         dy.c_closed_form, "np.exp(1j * phase / h)", "np.exp(-1j * phase / h)"))
     rows = do.sweep(ModelParams(B))
     assert min(gap / bound for (gap, bound), _, _ in rows) > 1.0, rows
     assert set(dy.decided_identities.__wrapped__().values()) == {0.0}
+
+
+@pytest.mark.parametrize("helper, old, new", (
+    ("_phi", "- e1 * T", "+ e1 * T"),
+    ("_drift_moments", "0.5 * T * T - W", "0.5 * T * T + W"),
+    ("_phase_a", "- X * T + I2", "+ X * T + I2"),
+    ("_phase_b", "+ B * W)", "- B * W)")))
+def test_planted_phase_helper_defect_fails_the_table(helper, old, new,
+                                                      monkeypatch):
+    # each helper the float functions share with the table: a sign flipped
+    # in one of them moves closed_vs_oracle off 0.0
+    monkeypatch.setattr(dy, helper, mutated(getattr(dy, helper), old, new))
+    assert dy.decided_identities.__wrapped__()["closed_vs_oracle"] > 0.0
 
 
 @pytest.mark.parametrize("B", SWEEP_B + EDGE_B)

@@ -456,6 +456,29 @@ def test_planted_ad_defect_fails_table_and_sampler(plant, B, monkeypatch):
     assert grp.decided_coadjoint()["casimir_residual"] == 0.0  # the memo
 
 
+def column_action(real=grp.coadjoint_action):
+    """coadjoint_action with Ad(g^-1) acting on zeta as a column, not a
+    row: a planted defect in the operand order."""
+    import inspect
+    import textwrap
+    src = textwrap.dedent(inspect.getsource(real))
+    old = "_row_times(zeta.array, ad_inv)"
+    assert src.count(old) == 1
+    namespace = {}
+    exec(src.replace(old, "(ad_inv @ zeta.array[..., None])[..., 0]"),
+         real.__globals__, namespace)
+    return namespace[real.__name__]
+
+
+@pytest.mark.parametrize("B", (1e-8, -0.5, 1.3, -3.0, -1e4))
+def test_planted_operand_order_fails_table_and_sampler(B, monkeypatch):
+    # the table runs coadjoint_action itself, as the sampler does
+    monkeypatch.setattr(grp, "coadjoint_action", column_action())
+    assert grp.decided_coadjoint.__wrapped__()["casimir_residual"] > 0.0
+    report = so.suite_coadjoint(ModelParams(B))
+    assert report["casimir_residual"] > so.coadjoint_bound(B) and not report["pass"]
+
+
 def test_structure_constants_antisymmetry():
     c = structure_constants(P)
     assert np.max(np.abs(c + np.swapaxes(c, 1, 2))) == 0.0

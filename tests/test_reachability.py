@@ -9,11 +9,7 @@ log with their helpers (the tests' statement that exp(t X_k) = t e_k, and
 the group-calls bench workload), `identity` and `GroupElement.array` (the
 bench too), `group.bracket` with its `structure_constants` and
 `AlgebraElement.array` (public API in `poincare_ext.__all__`, and the
-float bracket of the tests' oracles), `coadjoint_action` and
-`casimir_pairing` with the `CoadjointPoint.array` they read (public API in
-`poincare_ext.__all__`, the group-calls bench workload, and the tests'
-coadjoint sampler; the coadjoint suite reads `group.decided_coadjoint`),
-`rep_from_orbit` (the orbit method's map from a point to its irrep),
+float bracket of the tests' oracles), `rep_from_orbit` (the orbit method's map from a point to its irrep),
 `cli.main` (the console script), the `count` option type, and the
 records' dunders.
 
@@ -54,9 +50,6 @@ KEPT = {
     ("group", "bracket"),
     ("group", "structure_constants"),
     ("group", "AlgebraElement.array"),
-    ("group", "CoadjointPoint.array"),
-    ("group", "coadjoint_action"),
-    ("group", "casimir_pairing"),
     ("group", "GroupElement.array"),
     ("group", "identity"),
     ("group", "_phi"),

@@ -19,9 +19,9 @@ edits them.  Each row records:
   correct, attempted and failed;
 * the CPU time of each all-checks suite in-process (time.process_time
   around `fn(ModelParams(1.3))` for each `cli._SUITES` entry, after one
-  warm-up report; a suite that still takes a seed, as before the last
-  suites were decided, gets 42), one subprocess a repeat, median and IQR
-  over REPEATS;
+  warm-up report), one subprocess a repeat, median and IQR over REPEATS.
+  A suite that takes a seed gets 42: that is only a parent at bcae4d2 or
+  earlier, and the branch can go once no parent compared takes one;
 * the wall time of a cold `python -m poincare_ext.cli all-checks`, median
   and IQR over REPEATS (the same report in a tree whose all-checks took a
   --seed: its default was 42);
@@ -70,6 +70,7 @@ params = ModelParams(1.3)
 cli.run_all_checks(params, 42)
 rows = {}
 for name, fn in cli._SUITES:
+    # seeded suites: trees at bcae4d2 and earlier only
     args = (params, 42) if "seed" in inspect.signature(fn).parameters else (params,)
     t0 = time.process_time()
     fn(*args)
